@@ -100,7 +100,7 @@ func (c *Checkpoint) VisitedLen() int { return len(c.visited) }
 // records are jointly one fact.)
 const (
 	ckptMagic   = "VSCK"
-	ckptVersion = 3 // v3: retry-collapse counter in Stats (v2: symmetry flag, canonicalization counters)
+	ckptVersion = 4 // v4: birth-filter counter in Stats (v3: retry-collapse counter; v2: symmetry flag, canonicalization counters)
 
 	ckRecHeader    = 'H'
 	ckRecViolation = 'B'
@@ -224,7 +224,7 @@ func (d *ckptDec) str() string {
 
 func appendStats(buf []byte, s Stats) []byte {
 	for _, v := range [...]int{s.Popped, s.Pushed, s.Executions, s.Revisits,
-		s.Duplicates, s.Wasteful, s.Collapsed, s.Inconsist, s.Blocked,
+		s.Duplicates, s.Wasteful, s.Collapsed, s.Inconsist, s.Filtered, s.Blocked,
 		s.Canonicalized, s.CanonFast, s.CanonRefined, s.CanonPruned} {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
@@ -241,6 +241,7 @@ func (d *ckptDec) stats() Stats {
 		Wasteful:      int(d.uvarint()),
 		Collapsed:     int(d.uvarint()),
 		Inconsist:     int(d.uvarint()),
+		Filtered:      int(d.uvarint()),
 		Blocked:       int(d.uvarint()),
 		Canonicalized: int(d.uvarint()),
 		CanonFast:     int(d.uvarint()),

@@ -182,7 +182,7 @@ func interruptedCheckpoint(t *testing.T) *core.Checkpoint {
 	t.Helper()
 	mcs := locks.ByName("mcs")
 	c := core.New(mm.WMM)
-	c.Budget = core.Budget{MaxGraphs: 60}
+	c.Budget = core.Budget{MaxGraphs: 30} // of the 56 states the run pops
 	res := c.Run(harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1))
 	if res.Verdict != core.Undecided || res.Checkpoint == nil {
 		t.Fatalf("expected a budget interrupt, got %v", res.Verdict)
@@ -353,12 +353,11 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 // resumed run finishes with exactly the uninterrupted statistics. The
 // cancel is triggered from the first periodic sink call and lands at
 // the next multiple of the 256-pop cancellation cadence, so the run
-// must comfortably exceed 256 pops: the three-thread mcs client pops
-// ~2.3k states even with symmetry reduction collapsing its 3! thread
-// orbits.
+// must comfortably exceed 256 pops: the three-thread qspinlock client
+// pops ~2k states even with the birth filter and symmetry reduction on.
 func TestCancelCheckpoint(t *testing.T) {
-	mcs := locks.ByName("mcs")
-	prog := harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1)
+	qspin := locks.ByName("qspin")
+	prog := harness.MutexClient(qspin, qspin.DefaultSpec(), 3, 1)
 	base := runAt(t, mm.WMM, prog, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -85,6 +85,15 @@ type Checker struct {
 	// how SIGINT becomes "checkpoint, then exit".
 	CheckpointOnCancel bool
 
+	// genThenTest, when non-nil, switches the run to the generate-then-test
+	// reference the explorer used before candidates were filtered at
+	// birth: everything the filter would skip is materialized, handed to
+	// this hook (from the worker goroutines) and pushed anyway, to die at
+	// its pop's Model.Consistent. Unexported and set only by the tests,
+	// which assert that filtering is invisible in every result and that
+	// each graph handed over really is inconsistent.
+	genThenTest func(doomed *graph.Graph)
+
 	// pool, when set by Pool.RunAll, lets the run borrow idle pool
 	// slots (up to WorkersPerRun) for intra-run work stealing instead
 	// of spawning private workers.
@@ -408,7 +417,10 @@ func (w *explorer) step(it ExploreState) *Result {
 	// before spending replays on them — with the closure-free
 	// acyclicity engine the consistency verdict is usually cheaper than
 	// reconstructing three program states, and an inconsistent graph
-	// needs neither.
+	// needs neither. Candidates that break atomicity or coherence never
+	// get here (see admit); the model stays the only authority on the
+	// rest — porf, psc, TSO's global order, SC's total order — and on
+	// revisit restrictions, whose relations no parent holds.
 	if !w.c.Model.Consistent(it.g) {
 		w.stats.Inconsist++
 		return nil
@@ -672,69 +684,123 @@ func (w *explorer) mkEvent(g *graph.Graph, t int, p *pending) *graph.Event {
 // edge that keeps those mutations private.
 func (w *explorer) push(it ExploreState) {
 	if it.g.NumEvents() > w.c.MaxEvents {
-		// Guard against runaway growth; the MaxGraphs guard will fire if
-		// the state space is genuinely unbounded — simply refuse to grow
-		// this branch further.
+		// Dropping the branch would let the run end "ok" over a truncated
+		// state space: execute turns the flag into an Error verdict.
+		w.oversize = true
 		return
 	}
 	w.stats.Pushed++
 	w.childBuf = append(w.childBuf, it)
 }
 
-// extendWrite adds a plain write: one child per modification-order
-// placement, each followed by its revisit children. snap is the
-// step's shared replay snapshot for the children (revisit children,
-// whose graphs are restrictions, never carry it).
+// admit runs the birth filter on candidate c of the consistent graph g,
+// whose relations the pop's Model.Consistent left memoized. The filter
+// tests only what every model implies (see mm.Model), so a rejected
+// candidate could never have survived its own pop; counting it here is
+// all that is left of it. build reports whether the child is
+// materialized at all: an incoherent one is not; a write-like that only
+// splits an update is, for its revisits (see extendReadLike).
+func (w *explorer) admit(g *graph.Graph, c graph.Candidate) (a graph.Admission, build bool) {
+	a = graph.RelsOf(g).Admit(c)
+	if a != graph.Admissible {
+		w.stats.Filtered++
+	}
+	if w.c.genThenTest != nil {
+		// The reference builds everything; an incoherent child dooms
+		// every revisit it seeds as well.
+		w.refDoom = a == graph.Incoherent
+		return a, true
+	}
+	return a, a != graph.Incoherent
+}
+
+// pushBorn pushes the one-event child g2 unless the birth filter
+// rejected it — in which case only the generate-then-test reference
+// still does, after showing it to the audit hook.
+func (w *explorer) pushBorn(a graph.Admission, g2 *graph.Graph, t int, snap *replaySnap) {
+	if a != graph.Admissible {
+		if w.c.genThenTest == nil {
+			return
+		}
+		w.c.genThenTest(g2)
+	}
+	w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
+}
+
+// extendWrite adds a plain write: one child per admissible
+// modification-order placement, each followed by its revisit children.
+// snap is the step's shared replay snapshot for the children (revisit
+// children, whose graphs are restrictions, never carry it).
 func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap *replaySnap) {
 	npos := len(g.Mo[p.loc])
 	for pos := 1; pos <= npos; pos++ {
+		a, build := w.admit(g, graph.Candidate{Thread: t, Kind: graph.KWrite, Mode: p.mode, Loc: p.loc, MoPos: pos})
+		if !build {
+			continue
+		}
 		g2 := g.Clone()
 		e := w.mkEvent(g2, t, p)
 		g2.Append(e)
 		g2.InsertMo(p.loc, e.ID, pos)
 		g2.NoteExtended(g, e)
-		w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
-		w.pushRevisits(g2, e)
+		w.pushBorn(a, g2, t, snap)
+		w.pushRevisits(g2, e, a == graph.SplitsUpdate)
 	}
 }
 
-// extendReadLike adds a read or update with each rf choice in choices
-// (plus a ⊥ branch when the read sits in an await), handling update
-// degradation, atomic mo placement, and revisits by the update's write
-// part. snap as in extendWrite.
+// extendReadLike adds a read or update with each admissible rf choice
+// in choices (plus a ⊥ branch when the read sits in an await), handling
+// update degradation, atomic mo placement, and revisits by the update's
+// write part. snap as in extendWrite.
+//
+// An incoherent candidate — the only way a read or degraded update is
+// rejected — is never built. An update rejected only because it splits
+// another update from their common rf source (two CASes racing on one
+// write) is built but not pushed: it is the sole producer of the revisit
+// that swaps the two in mo, where a restriction has dropped the other
+// update.
 func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []graph.RF, withBottom bool, snap *replaySnap) {
 	for _, rf := range choices {
+		c := graph.Candidate{Thread: t, Kind: graph.KRead, Mode: p.mode, Loc: p.loc, RF: rf.W}
+		rval := g.WriteVal(rf.W)
+		var wval graph.Val
+		if p.kind == opUpdate {
+			c.Kind = graph.KUpdate
+			wval, c.Degraded = p.compute(rval)
+		}
+		writes := p.kind == opUpdate && !c.Degraded
+		a, build := w.admit(g, c)
+		if !build {
+			continue
+		}
 		g2 := g.Clone()
 		e := w.mkEvent(g2, t, p)
-		e.RVal = g2.WriteVal(rf.W)
-		if p.kind == opUpdate {
-			wv, degr := p.compute(e.RVal)
-			e.Degraded = degr
-			if !degr {
-				e.Val = wv
-			}
+		e.RVal = rval
+		e.Degraded = c.Degraded
+		if writes {
+			e.Val = wval
 		}
 		g2.Append(e)
 		g2.SetRF(e.ID, rf)
-		if p.kind == opUpdate && !e.Degraded {
+		if writes {
 			src := g2.MoIndex(p.loc, rf.W)
 			if src < 0 {
 				continue // source vanished (cannot happen)
 			}
 			g2.InsertMo(p.loc, e.ID, src+1)
-			g2.NoteExtended(g, e)
-			w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
-			w.pushRevisits(g2, e)
-			continue
 		}
 		g2.NoteExtended(g, e)
-		w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
+		w.pushBorn(a, g2, t, snap)
+		if writes {
+			w.pushRevisits(g2, e, a == graph.SplitsUpdate)
+		}
 	}
 	if withBottom {
 		// ⊥ branch: the potential AT violation marker. Pushed last so the
 		// DFS examines it first, surfacing hangs early. A ⊥ update is
 		// degraded — it read nothing and writes nothing, so it must not
-		// claim a place in mo.
+		// claim a place in mo. A ⊥ read adds no rf, fr or sw edge, so
+		// there is nothing for the birth filter to test.
 		g2 := g.Clone()
 		e := w.mkEvent(g2, t, p)
 		if p.kind == opUpdate {
@@ -752,7 +818,19 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 // each same-location read r not in wv's porf prefix may instead read
 // from wv; the graph is restricted to the events added before r plus
 // wv's porf prefix, and r's re-addition is forced to read from wv.
-func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event) {
+//
+// An incoherent wv never gets here: every restriction keeps wv's porf
+// prefix, and with it the incoherence of g2 (the cycle runs through wv's
+// hb predecessors and their rf sources, all in the prefix), so it has no
+// revisit worth generating. splits says the birth filter found wv
+// between an update and that update's rf source: the atomicity violation
+// survives exactly in the restrictions that keep the displaced update.
+func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event, splits bool) {
+	var split *graph.Event
+	if splits {
+		order := g2.Mo[wv.Loc]
+		split = g2.Event(order[g2.MoIndex(wv.Loc, wv.ID)+1])
+	}
 	porf := g2.PorfPrefix(wv.ID)
 	// Same-location reads in (thread, index) order — the iteration
 	// ReadsOf would return, without materializing the slice per write.
@@ -761,15 +839,17 @@ func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event) {
 			if !rdEv.IsReadLike() || rdEv.Loc != wv.Loc {
 				continue
 			}
-			w.pushRevisit(g2, wv, porf, rdEv)
+			w.pushRevisit(g2, wv, porf, rdEv, split)
 		}
 	}
 	porf.Release()
 }
 
 // pushRevisit generates the revisit child (if any) for one candidate
-// read rdEv against the freshly added write wv.
-func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.EventSet, rdEv *graph.Event) {
+// read rdEv against the freshly added write wv. split, when non-nil, is
+// the update wv displaced in mo: a restriction that keeps it is
+// inconsistent.
+func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.EventSet, rdEv *graph.Event, split *graph.Event) {
 	rd := rdEv.ID
 	if rd == wv.ID || porf.Has(rdEv) {
 		return
@@ -829,8 +909,18 @@ func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.Eve
 	if pfx != rd.Index {
 		return
 	}
+	doomed := w.refDoom || (split != nil && keep.Has(split))
+	if doomed {
+		w.stats.Filtered++
+		if w.c.genThenTest == nil {
+			return
+		}
+	}
 	g3 := g2.Clone()
 	g3.RestrictTo(keep)
+	if doomed {
+		w.c.genThenTest(g3)
+	}
 	w.stats.Revisits++
 	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID})
 }
@@ -847,7 +937,8 @@ func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.Eve
 // shorter graph already covers. A successful value-changing update in
 // iteration two is impossible here — it would sit mo-adjacent to
 // iteration one's update on the same rf source, which atomicity
-// (checked in Model.Consistent before this filter) already rules out.
+// (checked at birth, and again by Model.Consistent before this filter)
+// already rules out.
 // Iterations of unequal read counts never compare equal: determinism
 // again — a same-rf prefix replays identically, so the counts could
 // not diverge.

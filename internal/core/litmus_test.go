@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -193,6 +194,23 @@ func TestCheckerStats(t *testing.T) {
 	}
 	if res.Stats.Popped == 0 || res.Stats.Pushed == 0 {
 		t.Error("expected exploration work to be recorded")
+	}
+}
+
+// TestMaxEventsIsAnError: a graph that outgrows MaxEvents must end the
+// run with an explicit error. FAA-atomicity executes two events; with
+// room for one, dropping the oversized children silently (as push once
+// did) would report "ok" over zero executions.
+func TestMaxEventsIsAnError(t *testing.T) {
+	c := core.New(mm.WMM)
+	c.MaxEvents = 1
+	res := c.Run(harness.FAAAtomicity())
+	if res.Verdict != core.Error || res.Err == nil || !strings.Contains(res.Err.Error(), "exceeded MaxEvents") {
+		t.Fatalf("MaxEvents=1 on a two-event program: %v (executions %d), want an explicit error", res, res.Stats.Executions)
+	}
+	c.MaxEvents = 2
+	if res := c.Run(harness.FAAAtomicity()); !res.Ok() || res.Stats.Executions != 2 {
+		t.Fatalf("MaxEvents=2 on a two-event program: %v (executions %d), want ok over 2", res, res.Stats.Executions)
 	}
 }
 

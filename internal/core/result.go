@@ -92,12 +92,13 @@ func (v Verdict) LitmusLabel() string {
 // fingerprint once, and every complete execution (and maximal blocked
 // graph) is derived exactly once whichever worker reaches it first.
 // The traversal counters (Popped, Pushed, Revisits, Duplicates,
-// Wasteful, Inconsist, and the canonicalization counters) can vary by a
-// few percent between schedules: graphs with equal fingerprints but
-// different addition histories carry different stamp orders, the
-// revisit restriction depends on stamp order, and which representative
-// a parallel run expands depends on pop timing. The verdict and the
-// counterexample never do (see exploration.offerViolation).
+// Wasteful, Inconsist, Filtered, and the canonicalization counters) can
+// vary by a few percent between schedules: graphs with equal
+// fingerprints but different addition histories carry different stamp
+// orders, the revisit restriction depends on stamp order, and which
+// representative a parallel run expands depends on pop timing. The
+// verdict and the counterexample never do (see
+// exploration.offerViolation).
 type Stats struct {
 	Popped     int // graphs popped from the exploration frontier
 	Pushed     int // graphs pushed
@@ -106,7 +107,8 @@ type Stats struct {
 	Duplicates int // graphs pruned by the visited set
 	Wasteful   int // graphs pruned by the W(G) filter (Def. 2)
 	Collapsed  int // graphs pruned by the retry-free-twin collapse
-	Inconsist  int // graphs pruned by the memory model
+	Inconsist  int // graphs pruned by the memory model at their pop
+	Filtered   int // candidates the birth filter rejected: never pushed, most never built
 	Blocked    int // stuck graphs whose ⊥ reads were all resolvable
 
 	// Thread-symmetry reduction (zero when the program declares no
@@ -130,6 +132,7 @@ func (s *Stats) Add(o Stats) {
 	s.Wasteful += o.Wasteful
 	s.Collapsed += o.Collapsed
 	s.Inconsist += o.Inconsist
+	s.Filtered += o.Filtered
 	s.Blocked += o.Blocked
 	s.Canonicalized += o.Canonicalized
 	s.CanonFast += o.CanonFast
@@ -227,8 +230,8 @@ func (r *Result) Report() string {
 	b.WriteString(r.String())
 	b.WriteByte('\n')
 	s := r.Stats
-	fmt.Fprintf(&b, "exploration: %d popped, %d pushed, %d executions, %d revisits, %d duplicates, %d wasteful, %d inconsistent, %d blocked\n",
-		s.Popped, s.Pushed, s.Executions, s.Revisits, s.Duplicates, s.Wasteful, s.Inconsist, s.Blocked)
+	fmt.Fprintf(&b, "exploration: %d popped, %d pushed, %d executions, %d revisits, %d duplicates, %d wasteful, %d inconsistent, %d filtered at birth, %d blocked\n",
+		s.Popped, s.Pushed, s.Executions, s.Revisits, s.Duplicates, s.Wasteful, s.Inconsist, s.Filtered, s.Blocked)
 	if s.CanonFast+s.CanonRefined > 0 {
 		fmt.Fprintf(&b, "symmetry: %d states canonicalized (%d fast-path, %d refined), %d permutations pruned\n",
 			s.Canonicalized, s.CanonFast, s.CanonRefined, s.CanonPruned)

@@ -241,7 +241,7 @@ func TestSymCheckpointCompatibility(t *testing.T) {
 	interrupted := func(nosym bool) *core.Checkpoint {
 		c := core.New(mm.WMM)
 		c.NoSymmetry = nosym
-		c.Budget = core.Budget{MaxGraphs: 40}
+		c.Budget = core.Budget{MaxGraphs: 30} // of 56 states with symmetry on
 		res := c.Run(p)
 		if res.Verdict != core.Undecided || res.Checkpoint == nil {
 			t.Fatalf("nosym=%v: expected a budget interrupt, got %v", nosym, res.Verdict)

@@ -56,6 +56,8 @@ type explorer struct {
 
 	dq       deque
 	childBuf []ExploreState
+	oversize bool // the current step built a child over MaxEvents (see push)
+	refDoom  bool // generate-then-test reference only (see admit); false otherwise
 	stealBuf [stealBatch]ExploreState
 
 	// Replay scratch, reused across every item this worker executes.
@@ -283,6 +285,11 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 	w.stats.Popped++
 	w.executed++
 	res := w.step(st)
+	if w.oversize {
+		w.oversize = false
+		res = &Result{Verdict: Error, Err: fmt.Errorf(
+			"graph exceeded MaxEvents=%d (raise it, or the program may violate the Bounded-Length principle)", w.c.MaxEvents)}
+	}
 	if res == nil {
 		w.flushChildren()
 		return

@@ -129,47 +129,35 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		nr.RfM.Set(wi, ni)
 		mark(ecoIn, wi)
 		trackIn(wi)
-		order := g.Mo[e.Loc]
-		src := -1
-		for i, w := range order {
-			if w == rf.W {
-				src = i
-				break
+		if src := g.MoIndex(e.Loc, rf.W); src >= 0 {
+			for _, w := range g.Mo[e.Loc][src+1:] {
+				if w == e.ID {
+					continue // an update never fr-precedes itself
+				}
+				oi := r.IndexOf(w)
+				nr.FrM.Set(ni, oi)
+				mark(ecoOut, oi)
 			}
-		}
-		for i := src + 1; src >= 0 && i < len(order); i++ {
-			if order[i] == e.ID {
-				continue // an update never fr-precedes itself
-			}
-			oi := r.IndexOf(order[i])
-			nr.FrM.Set(ni, oi)
-			mark(ecoOut, oi)
 		}
 	}
 
 	// mo and incoming fr contributed by e's write part. A write-like
 	// event absent from mo (a blocked update whose rf is still ⊥)
 	// contributes nothing, exactly as in BuildRels.
+	pos := -1
 	if e.IsWriteLike() {
+		pos = g.MoIndex(e.Loc, e.ID)
+	}
+	if pos >= 0 {
 		order := g.Mo[e.Loc]
-		pos := -1
-		for i, w := range order {
-			if w == e.ID {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			order = nil
-		}
-		for i := 0; i < pos; i++ {
-			pi := r.IndexOf(order[i])
+		for _, w := range order[:pos] {
+			pi := r.IndexOf(w)
 			nr.MoM.Set(pi, ni)
 			mark(ecoIn, pi)
 			trackIn(pi)
 		}
-		for i := pos + 1; i < len(order); i++ {
-			si := r.IndexOf(order[i])
+		for _, w := range order[pos+1:] {
+			si := r.IndexOf(w)
 			nr.MoM.Set(ni, si)
 			mark(ecoOut, si)
 			trackOut(si)
@@ -185,14 +173,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 				if rrf.Bottom {
 					continue
 				}
-				src := -1
-				for k, w := range order {
-					if w == rrf.W {
-						src = k
-						break
-					}
-				}
-				if src >= 0 && src < pos {
+				if src := g.MoIndex(e.Loc, rrf.W); src >= 0 && src < pos {
 					ri := r.IndexOf(re.ID)
 					nr.FrM.Set(ri, ni)
 					mark(ecoIn, ri)
@@ -211,19 +192,14 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 			mark(hbIn, s)
 		}
 	}
-	if e.IsReadLike() && !rf.Bottom && e.Mode.HasAcq() {
-		r.swFromBases(g, rf.W, emit)
+	if e.IsReadLike() {
+		r.swInto(g, e.Mode, rf, emit)
 	}
 	if e.Kind == KFence && e.Mode.HasAcq() {
 		for _, rd := range g.Threads[e.ID.Thread][:e.ID.Index] {
-			if !rd.IsReadLike() {
-				continue
+			if rd.IsReadLike() {
+				r.swInto(g, e.Mode, g.rf[rd.ID.Thread][rd.ID.Index], emit)
 			}
-			rrf := g.rf[rd.ID.Thread][rd.ID.Index]
-			if rrf.Bottom {
-				continue
-			}
-			r.swFromBases(g, rrf.W, emit)
 		}
 	}
 
@@ -339,29 +315,21 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 
 	// fr: e now from-reads every write mo-after its source. e itself is
 	// not in mo (it resolved read-only), so there are no incoming fr.
-	order := g.Mo[e.Loc]
-	src := -1
-	for i, w := range order {
-		if w == rf.W {
-			src = i
-			break
+	if src := g.MoIndex(e.Loc, rf.W); src >= 0 {
+		for _, w := range g.Mo[e.Loc][src+1:] {
+			oi := r.IndexOf(w)
+			nr.FrM.Set(ei, oi)
+			mark(ecoOut, oi)
 		}
-	}
-	for i := src + 1; src >= 0 && i < len(order); i++ {
-		oi := r.IndexOf(order[i])
-		nr.FrM.Set(ei, oi)
-		mark(ecoOut, oi)
 	}
 
 	// sw: e can only RECEIVE synchronization (it writes nothing and has
 	// no po successors, so there are no acquire fences after it).
-	if e.Mode.HasAcq() {
-		r.swFromBases(g, rf.W, func(s int) {
-			if s != ei {
-				mark(hbIn, s)
-			}
-		})
-	}
+	r.swInto(g, e.Mode, rf, func(s int) {
+		if s != ei {
+			mark(hbIn, s)
+		}
+	})
 
 	// hb: e's row is empty (no sb successors), so the closure stays
 	// closed once e's column absorbs the direct predecessors and their

@@ -9,7 +9,8 @@ import (
 // randExtendHistory appends nSteps random events to g the way the
 // explorer does (clone-free here: we mutate one graph and snapshot
 // relations), calling check after every append with the pre-append
-// relations, the post-append graph and the new event.
+// relations (built over a clone, so prev.G stays the parent graph),
+// the post-append graph and the new event.
 func randExtendHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int,
 	check func(prev *Rels, g *Graph, e *Event)) {
 	t.Helper()
@@ -22,7 +23,7 @@ func randExtendHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int
 	modes := []Mode{Rlx, Acq, Rel, AcqRel, SC}
 	val := Val(1)
 	for s := 0; s < nSteps; s++ {
-		prev := BuildRels(g)
+		prev := BuildRels(g.Clone())
 		tid := rng.Intn(nThreads)
 		loc := Loc(rng.Intn(nLocs))
 		mode := modes[rng.Intn(len(modes))]
@@ -113,6 +114,30 @@ func TestAllocsExtend(t *testing.T) {
 	// allocation); bar at 12.
 	if allocs > 12 {
 		t.Errorf("Rels.Extend allocates %.0f objects, regression bar is 12", allocs)
+	}
+}
+
+// TestAllocsAdmit: the birth filter runs once per rf/mo candidate and
+// must not reach the allocator — its one working vector is pooled and
+// its closures stay on the stack. The candidate is an acquire read of a
+// non-maximal release write, so every part of the predicate runs.
+func TestAllocsAdmit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation regression bars are not run in -short")
+	}
+	g := New(2, []Val{0}, []string{"x"})
+	for i := 0; i < 6; i++ {
+		w := &Event{ID: EventID{Thread: 0, Index: i}, Kind: KWrite, Mode: Rel, Val: Val(i + 1), AwaitSeq: -1}
+		g.Append(w)
+		g.InsertMo(0, w.ID, i+1)
+	}
+	r := BuildRels(g)
+	c := Candidate{Thread: 1, Kind: KUpdate, Mode: AcqRel, RF: EventID{Thread: 0, Index: 2}}
+	if a := r.Admit(c); a != Admissible {
+		t.Fatalf("Admit = %d, want the candidate admitted (nothing is hb-before thread 1)", a)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Admit(c) }); allocs != 0 {
+		t.Errorf("Rels.Admit allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -376,6 +376,16 @@ func (r *Rels) swFromBases(g *Graph, base EventID, emit func(relSide int)) {
 	}
 }
 
+// swInto calls emit with the index of every release side that
+// synchronizes with a read-like event of the given mode reading rf —
+// the sw in-edges of an acquire read. A relaxed read, or one still on ⊥,
+// receives none.
+func (r *Rels) swInto(g *Graph, mode Mode, rf RF, emit func(relSide int)) {
+	if mode.HasAcq() && !rf.Bottom {
+		r.swFromBases(g, rf.W, emit)
+	}
+}
+
 // IsSCEvent reports whether indexed event i carries SC mode.
 func (r *Rels) IsSCEvent(i int) bool { return r.Ev[i].Mode.IsSC() }
 

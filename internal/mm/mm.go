@@ -36,6 +36,17 @@ import (
 // graphs. Consistent must be monotone under event removal (a subgraph
 // of a consistent graph is consistent), which every axiomatic
 // (acyclicity-based) model satisfies; AMC relies on this to prune.
+//
+// Every model must also imply RMW atomicity (a non-degraded update sits
+// immediately after its rf source in mo) and coherence,
+// irreflexive(hb;eco?) over the relations of graph.Rels. The explorer
+// filters rf and mo candidates on those two axioms, against the parent
+// graph's relations, before it builds them (graph.Rels.Admit), and only
+// asks Consistent about what survives: a model that accepted a graph
+// breaking either would silently lose that graph's whole subtree. SC,
+// TSO, WMM and RA all qualify. Nothing else about the model is assumed
+// — in particular not its identity, so a wrapper with the same
+// Consistent explores the same states.
 type Model interface {
 	Name() string
 	Consistent(g *graph.Graph) bool

@@ -7,7 +7,7 @@ GO ?= go
 # caches this directory so warm runs skip already-decided AMC work.
 STORE ?= .vsync-store/verdicts.log
 
-.PHONY: build vet test test-short race bench-smoke bench-check bench-suite benchmark-smoke fmt-check suite suite-warm suite-shared stored chaos fuzz-smoke
+.PHONY: build vet test test-short race allocs bench-smoke bench-check bench-suite benchmark-smoke fmt-check suite suite-warm suite-shared stored chaos fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -35,15 +35,23 @@ test-short:
 # nothing but the visited set), the await-vs-bounded structure
 # differential (the await reductions pinned against the explicit
 # bounded-retry encodings at 1/2/4 workers, treiber t=3 included),
-# the birth-filter differential with its three-thread cells (filter on
-# vs the generate-then-test reference, whose audit hook runs on every
-# worker), the stealing/pool-borrow integration runs, and the sharded
-# visited set under concurrent load.
+# the stealing/pool-borrow integration runs, the sharded visited set
+# under concurrent load, and the poison-on-release corpus (the whole
+# differential corpus with every retired slab and header poisoned: a
+# stolen state's parent retires on the thief, and a release made too
+# early is a wrong count there and a reported race here).
 race:
 	$(GO) test -race -short ./internal/core ./internal/optimize ./internal/store ./internal/structs ./internal/workload ./vsync
-	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym|TestFilter' ./internal/core
+	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym' ./internal/core
+	$(GO) test -race -run 'TestPoison' ./internal/graph
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
 	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess' ./internal/store
+
+# Allocation-regression bars (objects and bytes per popped state, zero
+# allocations on a warm free list): gated out of -short, so this is
+# where they run.
+allocs:
+	$(GO) test -run TestAllocs ./internal/core ./internal/graph
 
 # One cheap pass over the benchmark harness to catch bit-rot in the
 # table/figure emitters without running the full campaign, then the AMC

@@ -111,7 +111,10 @@ func (w *explorer) resolvable(g *graph.Graph, e *graph.Event, spans []iterRec) b
 		if forbidden != nil && choice == *forbidden {
 			continue // same source as the previous iteration: wasteful
 		}
-		if w.c.Model.Consistent(resolveWith(g, e, wid)) {
+		g2 := resolveWith(g, e, wid)
+		ok := w.c.Model.Consistent(g2)
+		w.mem.Release(g2) // a probe nobody else ever saw
+		if ok {
 			return true
 		}
 	}

@@ -85,15 +85,6 @@ type Checker struct {
 	// how SIGINT becomes "checkpoint, then exit".
 	CheckpointOnCancel bool
 
-	// genThenTest, when non-nil, switches the run to the generate-then-test
-	// reference the explorer used before candidates were filtered at
-	// birth: everything the filter would skip is materialized, handed to
-	// this hook (from the worker goroutines) and pushed anyway, to die at
-	// its pop's Model.Consistent. Unexported and set only by the tests,
-	// which assert that filtering is invisible in every result and that
-	// each graph handed over really is inconsistent.
-	genThenTest func(doomed *graph.Graph)
-
 	// pool, when set by Pool.RunAll, lets the run borrow idle pool
 	// slots (up to WorkersPerRun) for intra-run work stealing instead
 	// of spawning private workers.
@@ -119,44 +110,57 @@ type ExploreState struct {
 	forcedR   graph.EventID
 	forcedW   graph.EventID
 
-	// snap, when non-nil, shares the producing step's replay results
-	// with this state: the graph extends the producer's by exactly one
-	// event of thread changed, and a thread's replay depends only on
-	// its own events and rf entries, so every other thread's result
-	// carries over verbatim and the pop re-replays one thread instead
-	// of all of them. Revisit states (whose restricted graphs differ in
-	// many threads) never carry a snapshot.
-	snap    *replaySnap
+	// snap, when non-nil, is the producing step's replay results (see
+	// snapshot), one per thread: the graph extends the producer's by
+	// exactly one event of thread changed, and a thread's replay depends
+	// only on its own events and rf entries, so every other thread's
+	// result carries over verbatim and the pop re-replays one thread
+	// instead of all of them. Revisit states (whose restricted graphs
+	// differ in many threads) never carry a snapshot.
+	snap    []replayResult
 	changed int32
 }
 
-// replaySnap is an immutable copy of one step's replay results, shared
-// by all children that step pushes. The spans are deep-copied out of
-// the worker's pooled replay scratch (which the next pop overwrites);
-// the inner Reads slices and pending pointers are freshly allocated
-// per replay and safe to share.
-type replaySnap struct {
-	res []replayResult
-}
-
-// snapshot captures rres for sharing with pushed children. Threads
-// whose results came verbatim out of the producing state's own
-// snapshot (from, every thread but changed) already hold immutable
-// deep-copied spans and are aliased; only freshly replayed threads'
-// spans — which point into the worker's pooled scratch — are copied
-// out.
-func snapshot(rres []replayResult, from *replaySnap, changed int32) *replaySnap {
-	s := &replaySnap{res: make([]replayResult, len(rres))}
-	copy(s.res, rres)
-	for i := range s.res {
-		if from != nil && i != int(changed) {
-			continue // aliased from the parent snapshot, already immutable
-		}
-		if sp := s.res[i].spans; len(sp) > 0 {
-			s.res[i].spans = append([]iterRec(nil), sp...)
+// snapshot copies rres out of the worker's replay scratch (which the
+// next pop overwrites) into an immutable copy shared by all children
+// the step pushes: one block of results, and one each for the spans and
+// for the reads of the freshly replayed threads. Threads whose results
+// came verbatim out of the producing state's own snapshot (from
+// non-nil: every thread but changed) already point into such blocks and
+// are aliased.
+func snapshot(rres, from []replayResult, changed int32) []replayResult {
+	res := make([]replayResult, len(rres))
+	copy(res, rres)
+	fresh := func(i int) bool { return from == nil || i == int(changed) }
+	nspans, nreads := 0, 0
+	for i := range res {
+		if fresh(i) {
+			nspans += len(res[i].spans)
+			for _, sp := range res[i].spans {
+				nreads += len(sp.Reads)
+			}
 		}
 	}
-	return s
+	if nspans == 0 {
+		return res
+	}
+	spans := make([]iterRec, 0, nspans)
+	reads := make([]graph.EventID, 0, nreads)
+	for i := range res {
+		if !fresh(i) {
+			continue
+		}
+		lo := len(spans)
+		spans = append(spans, res[i].spans...)
+		res[i].spans = spans[lo:len(spans):len(spans)]
+		for k := range res[i].spans {
+			sp := &res[i].spans[k]
+			rlo := len(reads)
+			reads = append(reads, sp.Reads...)
+			sp.Reads = reads[rlo:len(reads):len(reads)]
+		}
+	}
+	return res
 }
 
 // keyLegacy is the historical string dedup key: the canonical graph
@@ -359,6 +363,7 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 		if st.g == nil {
 			continue
 		}
+		st.g.Pin() // the caller still holds the checkpoint and may resume from it again
 		if !w0.dq.pushTail(st) {
 			x.spill(st)
 		}
@@ -376,6 +381,7 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 func (w *explorer) step(it ExploreState) *Result {
 	x := w.x
 	w.curPerm = nil
+	w.mem.Adopt(it.g)
 	if !w.c.DisableDedup {
 		if w.c.LegacyDedup {
 			if !x.legacy.insertNew(it.keyLegacy()) {
@@ -437,7 +443,7 @@ func (w *explorer) step(it ExploreState) *Result {
 	rres := w.rres
 	for t, fn := range w.threads {
 		if it.snap != nil && t != int(it.changed) {
-			rres[t] = it.snap.res[t]
+			rres[t] = it.snap[t]
 		} else {
 			rres[t] = replayThread(it.g, t, fn, w.vars.Vars, &w.rmems[t])
 		}
@@ -461,9 +467,8 @@ func (w *explorer) step(it ExploreState) *Result {
 	// else: the designated thread takes its step with the chosen source.
 	if it.hasForced {
 		t := it.forcedR.Thread
-		p := rres[t].pending
-		if p == nil || (p.kind != opRead && p.kind != opUpdate) ||
-			len(it.g.Threads[t]) != it.forcedR.Index {
+		p := &rres[t].pending
+		if (p.kind != opRead && p.kind != opUpdate) || len(it.g.Threads[t]) != it.forcedR.Index {
 			return &Result{Verdict: Error,
 				Err: fmt.Errorf("revisit target %v is not the next read of its thread", it.forcedR)}
 		}
@@ -533,7 +538,7 @@ func (w *explorer) step(it ExploreState) *Result {
 	}
 
 	// Extend with the next instruction of the chosen thread.
-	p := rres[runnable].pending
+	p := &rres[runnable].pending
 	switch p.kind {
 	case opError:
 		e := w.mkEvent(it.g, runnable, p)
@@ -697,53 +702,42 @@ func (w *explorer) push(it ExploreState) {
 // whose relations the pop's Model.Consistent left memoized. The filter
 // tests only what every model implies (see mm.Model), so a rejected
 // candidate could never have survived its own pop; counting it here is
-// all that is left of it. build reports whether the child is
-// materialized at all: an incoherent one is not; a write-like that only
-// splits an update is, for its revisits (see extendReadLike).
-func (w *explorer) admit(g *graph.Graph, c graph.Candidate) (a graph.Admission, build bool) {
-	a = graph.RelsOf(g).Admit(c)
+// all that is left of it. An incoherent child is not built at all; a
+// write-like that only splits an update is built, unpushed, for its
+// revisits (see extendReadLike).
+func (w *explorer) admit(g *graph.Graph, c graph.Candidate) graph.Admission {
+	a := graph.RelsOf(g).Admit(c)
 	if a != graph.Admissible {
 		w.stats.Filtered++
 	}
-	if w.c.genThenTest != nil {
-		// The reference builds everything; an incoherent child dooms
-		// every revisit it seeds as well.
-		w.refDoom = a == graph.Incoherent
-		return a, true
-	}
-	return a, a != graph.Incoherent
+	return a
 }
 
-// pushBorn pushes the one-event child g2 unless the birth filter
-// rejected it — in which case only the generate-then-test reference
-// still does, after showing it to the audit hook.
-func (w *explorer) pushBorn(a graph.Admission, g2 *graph.Graph, t int, snap *replaySnap) {
-	if a != graph.Admissible {
-		if w.c.genThenTest == nil {
-			return
-		}
-		w.c.genThenTest(g2)
+// pushChild pushes the one-event child g2 of g, which gives thread t the
+// event e, if the birth filter admitted it.
+func (w *explorer) pushChild(a graph.Admission, g, g2 *graph.Graph, e *graph.Event, t int, snap []replayResult) {
+	if a == graph.Admissible {
+		g2.NoteExtended(g, e)
+		w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
 	}
-	w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
 }
 
 // extendWrite adds a plain write: one child per admissible
 // modification-order placement, each followed by its revisit children.
 // snap is the step's shared replay snapshot for the children (revisit
 // children, whose graphs are restrictions, never carry it).
-func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap *replaySnap) {
+func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap []replayResult) {
 	npos := len(g.Mo[p.loc])
 	for pos := 1; pos <= npos; pos++ {
-		a, build := w.admit(g, graph.Candidate{Thread: t, Kind: graph.KWrite, Mode: p.mode, Loc: p.loc, MoPos: pos})
-		if !build {
+		a := w.admit(g, graph.Candidate{Thread: t, Kind: graph.KWrite, Mode: p.mode, Loc: p.loc, MoPos: pos})
+		if a == graph.Incoherent {
 			continue
 		}
 		g2 := g.Clone()
 		e := w.mkEvent(g2, t, p)
 		g2.Append(e)
 		g2.InsertMo(p.loc, e.ID, pos)
-		g2.NoteExtended(g, e)
-		w.pushBorn(a, g2, t, snap)
+		w.pushChild(a, g, g2, e, t, snap)
 		w.pushRevisits(g2, e, a == graph.SplitsUpdate)
 	}
 }
@@ -759,7 +753,7 @@ func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap *replaySn
 // write) is built but not pushed: it is the sole producer of the revisit
 // that swaps the two in mo, where a restriction has dropped the other
 // update.
-func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []graph.RF, withBottom bool, snap *replaySnap) {
+func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []graph.RF, withBottom bool, snap []replayResult) {
 	for _, rf := range choices {
 		c := graph.Candidate{Thread: t, Kind: graph.KRead, Mode: p.mode, Loc: p.loc, RF: rf.W}
 		rval := g.WriteVal(rf.W)
@@ -769,8 +763,8 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 			wval, c.Degraded = p.compute(rval)
 		}
 		writes := p.kind == opUpdate && !c.Degraded
-		a, build := w.admit(g, c)
-		if !build {
+		a := w.admit(g, c)
+		if a == graph.Incoherent {
 			continue
 		}
 		g2 := g.Clone()
@@ -789,8 +783,7 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 			}
 			g2.InsertMo(p.loc, e.ID, src+1)
 		}
-		g2.NoteExtended(g, e)
-		w.pushBorn(a, g2, t, snap)
+		w.pushChild(a, g, g2, e, t, snap)
 		if writes {
 			w.pushRevisits(g2, e, a == graph.SplitsUpdate)
 		}
@@ -824,7 +817,9 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 // hb predecessors and their rf sources, all in the prefix), so it has no
 // revisit worth generating. splits says the birth filter found wv
 // between an update and that update's rf source: the atomicity violation
-// survives exactly in the restrictions that keep the displaced update.
+// survives exactly in the restrictions that keep the displaced update —
+// and g2 itself was built only to be read here: nobody else holds it, so
+// it is released on the way out.
 func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event, splits bool) {
 	var split *graph.Event
 	if splits {
@@ -843,6 +838,9 @@ func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event, splits bool) {
 		}
 	}
 	porf.Release()
+	if splits {
+		w.mem.Release(g2)
+	}
 }
 
 // pushRevisit generates the revisit child (if any) for one candidate
@@ -909,18 +907,12 @@ func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.Eve
 	if pfx != rd.Index {
 		return
 	}
-	doomed := w.refDoom || (split != nil && keep.Has(split))
-	if doomed {
+	if split != nil && keep.Has(split) {
 		w.stats.Filtered++
-		if w.c.genThenTest == nil {
-			return
-		}
+		return
 	}
 	g3 := g2.Clone()
 	g3.RestrictTo(keep)
-	if doomed {
-		w.c.genThenTest(g3)
-	}
 	w.stats.Revisits++
 	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID})
 }

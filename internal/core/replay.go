@@ -37,7 +37,8 @@ import (
 type opKind uint8
 
 const (
-	opRead opKind = iota
+	opNone opKind = iota // no pending operation: the thread finished or is blocked
+	opRead
 	opWrite
 	opUpdate
 	opFence
@@ -58,7 +59,8 @@ const (
 // perform, discovered by replaying the thread against the graph. It is
 // a plain value (update semantics are carried as operands, not a
 // closure) so the replay loop can build one per instruction on the
-// stack; only the op a thread actually stops on escapes to the heap.
+// stack; the op a thread actually stops on is copied into its
+// replayResult.
 type pending struct {
 	kind opKind
 	loc  graph.Loc
@@ -99,7 +101,7 @@ func (p *pending) compute(read graph.Val) (write graph.Val, degraded bool) {
 type iterRec struct {
 	Seq      int
 	Iter     int
-	Reads    []graph.EventID // read-like events of the iteration, po order
+	Reads    []graph.EventID // read-like events of the iteration, po order (a window of replayMem.reads)
 	Failed   bool            // condition evaluated to true (loop repeats)
 	Complete bool            // the condition finished evaluating
 	Wrote    bool            // iteration performed a store or value-changing update
@@ -107,7 +109,7 @@ type iterRec struct {
 
 // replayResult is the outcome of replaying one thread against a graph.
 type replayResult struct {
-	pending  *pending  // next operation, nil if none (finished or blocked)
+	pending  pending   // next operation, kind opNone if none (finished or blocked)
 	finished bool      // thread ran to completion
 	blocked  bool      // thread is stuck on a ⊥ read
 	spans    []iterRec // await iterations observed
@@ -137,13 +139,23 @@ type replayMem struct {
 	inDo       bool   // the active await is an AwaitDo (retry) instance
 	effMsg     string // first Bounded-Effect violation candidate of the current iteration
 
+	// reads is the arena every iterRec.Reads of this replay is a window
+	// of: one buffer per replay, recycled like the spans, instead of one
+	// append chain per await iteration. A window taken before the arena
+	// grew keeps pointing at the old array, whose prefix never changes.
+	reads []graph.EventID
+
 	res replayResult
 }
 
 func (m *replayMem) events() []*graph.Event { return m.g.Threads[m.tid] }
 
-// stop records the pending operation (if any) and unwinds the replay.
-func (m *replayMem) stop(p *pending) {
+// stop records the pending operation, tagged with the await it sits in,
+// and unwinds the replay.
+func (m *replayMem) stop(p pending) {
+	p.inAwait = m.curSeq >= 0
+	p.awaitSeq = m.curSeq
+	p.awaitIter = m.curIter
 	m.res.pending = p
 	panic(abortReplay{})
 }
@@ -155,26 +167,15 @@ func (m *replayMem) fail(format string, args ...any) {
 	panic(abortReplay{})
 }
 
-// tag fills the await bookkeeping of a pending op.
-func (m *replayMem) tag(p *pending) *pending {
-	p.inAwait = m.curSeq >= 0
-	p.awaitSeq = m.curSeq
-	p.awaitIter = m.curIter
-	return p
-}
-
 // next consumes the next graph event, checking that it matches what the
 // program generated (the consP consistency of §2.1.2); if the graph has
 // no more events for this thread, it records p as the pending op and
-// unwinds. p is taken by value and copied to the heap only on that
-// stop path — replays run once per thread per popped graph, and the
-// per-instruction pendings must not allocate.
+// unwinds. p travels by value all the way into the replayResult —
+// replays run once per thread per popped graph and must not allocate.
 func (m *replayMem) next(kind graph.Kind, loc graph.Loc, mode graph.Mode, p pending) *graph.Event {
 	evs := m.events()
 	if m.idx >= len(evs) {
-		pp := new(pending)
-		*pp = p
-		m.stop(m.tag(pp))
+		m.stop(p)
 	}
 	e := evs[m.idx]
 	if e.Kind != kind || (kind != graph.KFence && e.Loc != loc) || e.Mode != mode {
@@ -217,7 +218,10 @@ func (m *replayMem) recordRead(e *graph.Event) {
 	}
 	n := len(m.res.spans)
 	if n > 0 && m.res.spans[n-1].Seq == m.curSeq && m.res.spans[n-1].Iter == m.curIter {
-		m.res.spans[n-1].Reads = append(m.res.spans[n-1].Reads, e.ID)
+		// The current iteration's reads are the tail of the arena.
+		sp := &m.res.spans[n-1]
+		m.reads = append(m.reads, e.ID)
+		sp.Reads = m.reads[len(m.reads)-len(sp.Reads)-1:]
 	}
 }
 
@@ -352,7 +356,7 @@ func (m *replayMem) Assert(ok bool, msg string) {
 	}
 	evs := m.events()
 	if m.idx >= len(evs) {
-		m.stop(m.tag(&pending{kind: opError, msg: msg}))
+		m.stop(pending{kind: opError, msg: msg})
 	}
 	e := evs[m.idx]
 	if e.Kind != graph.KError {
@@ -364,12 +368,13 @@ func (m *replayMem) Assert(ok bool, msg string) {
 // replayThread runs fn against g, reporting the thread's next pending
 // operation (or completion/blockage) and its await iteration records.
 // m is caller-provided scratch (one per worker per thread, reused
-// across pops so replays stop allocating); its previous spans backing
-// array is recycled, which is safe because a step consumes its replay
-// results before popping the next state.
+// across pops so replays stop allocating); its previous spans and reads
+// backing arrays are recycled, which is safe because a step consumes its
+// replay results — or copies them out for its children (snapshot) —
+// before popping the next state.
 func replayThread(g *graph.Graph, tid int, fn vprog.ThreadFunc, vars []*vprog.Var, m *replayMem) (res replayResult) {
-	spans := m.res.spans[:0]
-	*m = replayMem{g: g, tid: tid, vars: vars, curSeq: -1}
+	spans, reads := m.res.spans[:0], m.reads[:0]
+	*m = replayMem{g: g, tid: tid, vars: vars, curSeq: -1, reads: reads}
 	m.res.spans = spans
 	done := func() bool {
 		defer func() {

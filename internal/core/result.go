@@ -190,7 +190,11 @@ type Result struct {
 	// lone run and approximate when other runs verify concurrently (a
 	// pool); like SchedStats it is diagnostic, not part of the
 	// determinism contract.
-	Acyclic  graph.AcyclicCounters
+	Acyclic graph.AcyclicCounters
+	// Mem sums what the workers' free lists were asked for and could
+	// serve (see graph.FreeList); diagnostic like Acyclic, and like it
+	// not part of Stats, which checkpoints carry.
+	Mem      graph.MemCounters
 	Duration time.Duration
 	Err      error // set when Verdict == Error
 	// Checkpoint carries the drained frontier of an Undecided run: the
@@ -254,6 +258,10 @@ func (r *Result) Report() string {
 		fmt.Fprintf(&b, "acyclicity: %d checks (%d order-seeded, %d kahn passes, %d cyclic), %d order-state shortcuts; order: %d extended, %d derived, %d cyclic states\n",
 			a.Checks, a.SeedHits, a.KahnPasses, a.CyclesFound, a.TopoShortcuts,
 			a.OrderExtends, a.OrderDerives, a.OrderCyclic)
+	}
+	if m := r.Mem; m.SlabRequests+m.HeaderRequests > 0 {
+		fmt.Fprintf(&b, "memory: %d relation slabs requested (%d recycled, %d retired by a thief), %d graph headers requested (%d recycled, %d retired by a thief), free lists peaked at %d KB per worker\n",
+			m.SlabRequests, m.SlabHits, m.SlabThief, m.HeaderRequests, m.HeaderHits, m.HeaderThief, (m.HighWaterBytes+1023)/1024)
 	}
 	return b.String()
 }

@@ -57,8 +57,11 @@ type explorer struct {
 	dq       deque
 	childBuf []ExploreState
 	oversize bool // the current step built a child over MaxEvents (see push)
-	refDoom  bool // generate-then-test reference only (see admit); false otherwise
 	stealBuf [stealBatch]ExploreState
+
+	// mem recycles the graph headers and relation sets of the states this
+	// worker is the last to need (see graph.FreeList for the rule).
+	mem graph.FreeList
 
 	// Replay scratch, reused across every item this worker executes.
 	rres  []replayResult
@@ -291,7 +294,11 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 			"graph exceeded MaxEvents=%d (raise it, or the program may violate the Bounded-Length principle)", w.c.MaxEvents)}
 	}
 	if res == nil {
+		// The state is spent: its children are out, and whichever of them
+		// — or this — drops the last reference recycles it. A deciding
+		// state is not released: its graph may be the witness.
 		w.flushChildren()
+		w.mem.Release(st.g)
 		return
 	}
 	// A deciding item never contributes children (step returns before
@@ -622,6 +629,11 @@ func (x *exploration) buildCheckpoint() *Checkpoint {
 			ck.frontier[i] = stripSnap(ck.frontier[i])
 		}
 	}
+	// The run may go on while the checkpoint is encoded: what it captured
+	// is never recycled.
+	for _, st := range ck.frontier {
+		st.g.Pin()
+	}
 	if x.visited != nil {
 		ck.visited = x.visited.Snapshot(make([]graph.Hash128, 0, x.visited.Len()))
 	}
@@ -671,6 +683,7 @@ func (x *exploration) merge() *Result {
 	sched := SchedStats{Workers: len(x.workers), Executed: make([]int, len(x.workers))}
 	for i, w := range x.workers {
 		res.Stats.Add(w.stats)
+		res.Mem.Add(w.mem.Counters())
 		sched.Executed[i] = w.executed
 		if w.executed > 0 {
 			sched.Active++

@@ -78,13 +78,8 @@ func (r *Rels) Admit(c Candidate) Admission {
 		return Admissible
 	}
 
-	s := acyclicPool.Get().(*acyclicScratch)
 	words := r.Hb.words
-	if cap(s.seen) < words {
-		s.seen = make([]uint64, words)
-	}
-	hbIn := s.seen[:words]
-	clear(hbIn)
+	s, hbIn := wordScratch(words)
 	for i := 0; i < r.nInit; i++ {
 		mark(hbIn, i)
 	}

@@ -87,32 +87,19 @@ func (m *BitMat) ClonePooled() *BitMat {
 	return c
 }
 
-// allocMats sizes the seven carried matrices of r for dimension n,
-// carving their bit rows out of one backing allocation and pointing
-// the named matrix fields into the embedded array. One slab instead of
-// fourteen allocations per graph state, and the matrices stay adjacent
-// in memory for the row scans the predicates do.
-func (r *Rels) allocMats(n int) {
-	w := (n + 63) / 64
-	bits := make([]uint64, len(r.mats)*n*w)
-	for i := range r.mats {
-		r.mats[i] = BitMat{n: n, words: w, bits: bits[i*n*w : (i+1)*n*w]}
-	}
-	r.Sb, r.SbLoc, r.RfM, r.MoM = &r.mats[0], &r.mats[1], &r.mats[2], &r.mats[3]
-	r.FrM, r.Hb, r.Eco = &r.mats[4], &r.mats[5], &r.mats[6]
-}
-
 // grownInto writes an (n+1)×(n+1) copy of m with the new row and
-// column empty into dst (pre-sized to n+1 and zeroed) — the
-// matrix-shape half of Rels.Extend.
+// column empty into dst (pre-sized to n+1; its words may hold anything,
+// every one of them is written) — the matrix-shape half of Rels.Extend.
 func (m *BitMat) grownInto(dst *BitMat) {
 	if dst.words == m.words {
-		copy(dst.bits, m.bits)
+		clear(dst.bits[copy(dst.bits, m.bits):])
 		return
 	}
 	for i := 0; i < m.n; i++ {
-		copy(dst.bits[i*dst.words:i*dst.words+m.words], m.bits[i*m.words:(i+1)*m.words])
+		row := dst.bits[i*dst.words : (i+1)*dst.words]
+		clear(row[copy(row, m.bits[i*m.words:(i+1)*m.words]):])
 	}
+	clear(dst.bits[m.n*dst.words:])
 }
 
 // Equal reports whether the two relations hold exactly the same pairs.
@@ -241,6 +228,14 @@ func (m *BitMat) rowIntersects(i int, vec []uint64) bool {
 		}
 	}
 	return false
+}
+
+// orRowFrom ors the word vector vec into row i of m.
+func (m *BitMat) orRowFrom(i int, vec []uint64) {
+	row := m.bits[i*m.words : (i+1)*m.words]
+	for w := range row {
+		row[w] |= vec[w]
+	}
 }
 
 // orRowInto ors row i of m into the word vector vec.

@@ -1,19 +1,25 @@
 package graph
 
-// deltaScratch carves the five working bit-vectors of an incremental
-// relation delta (Extend, Resolve) out of one pooled strip of
-// 5*words zeroed words; the caller returns the scratch to acyclicPool
-// when done.
-func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) {
-	s = acyclicPool.Get().(*acyclicScratch)
-	if cap(s.seen) < 5*words {
-		s.seen = make([]uint64, 5*words)
+// wordScratch returns a zeroed vector of n words out of a pooled scratch;
+// the caller returns the scratch to acyclicPool when done.
+func wordScratch(n int) (*acyclicScratch, []uint64) {
+	s := acyclicPool.Get().(*acyclicScratch)
+	if cap(s.seen) < n {
+		s.seen = make([]uint64, n)
 	} else {
-		s.seen = s.seen[:5*words]
+		s.seen = s.seen[:n]
 		clear(s.seen)
 	}
-	return s, s.seen[0*words : 1*words], s.seen[1*words : 2*words],
-		s.seen[2*words : 3*words], s.seen[3*words : 4*words], s.seen[4*words : 5*words]
+	return s, s.seen
+}
+
+// deltaScratch carves the five working bit-vectors of an incremental
+// relation delta (Extend, Resolve) out of one pooled strip of
+// 5*words zeroed words.
+func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) {
+	s, v := wordScratch(5 * words)
+	return s, v[0*words : 1*words], v[1*words : 2*words],
+		v[2*words : 3*words], v[3*words : 4*words], v[4*words : 5*words]
 }
 
 // mark and marked are the word-vector bit helpers of the delta paths.
@@ -48,19 +54,16 @@ func marked(vec []uint64, u int) bool { return vec[u/64]&(1<<(uint(u)%64)) != 0 
 func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	n := r.N
 	ni := n // dense index of the new event
-	nr := &Rels{G: g, N: n + 1, nInit: r.nInit}
-	nr.Ev = append(r.Ev[:n:n], e)
-	nr.tIdx = make([][]int32, len(r.tIdx))
-	copy(nr.tIdx, r.tIdx)
+	// Header, index arrays and slab come from g's free list (grownInto
+	// overwrites every word of a used slab); the five working
+	// bit-vectors share one pooled scratch strip (hbIn: direct sb ∪ sw
+	// edges u -> e; ecoIn/ecoOut: direct rf ∪ mo ∪ fr edges into/out of
+	// e; ecoCol/ecoRow: the closure update working sets).
+	nr, _ := g.fl.newRels(g, n+1)
+	nr.copyIndex(r)
+	nr.Ev = append(nr.Ev, e)
 	trow := r.tIdx[e.ID.Thread]
-	nr.tIdx[e.ID.Thread] = append(trow[:len(trow):len(trow)], int32(ni))
-
-	// All grown matrices come from one slab (one allocation, embedded
-	// structs); the five working bit-vectors share one pooled scratch
-	// strip (hbIn: direct sb ∪ sw edges u -> e; ecoIn/ecoOut: direct
-	// rf ∪ mo ∪ fr edges into/out of e; ecoCol/ecoRow: the closure
-	// update working sets).
-	nr.allocMats(n + 1)
+	nr.tIdx[e.ID.Thread] = append(nr.tIdx[e.ID.Thread], int32(ni))
 	r.Sb.grownInto(nr.Sb)
 	r.SbLoc.grownInto(nr.SbLoc)
 	r.RfM.grownInto(nr.RfM)
@@ -255,7 +258,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		// before its earliest out-neighbor (or at the end). Inserting
 		// into the position→vertex slice shifts the later positions by
 		// one without touching any value, preserving validity.
-		nr.topo = make([]int32, n+1)
+		nr.topo = int32Scratch(nr.topo, n+1)
 		copy(nr.topo, r.topo[:minOut])
 		nr.topo[minOut] = int32(ni)
 		copy(nr.topo[minOut+1:], r.topo[minOut:])
@@ -291,13 +294,11 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	n := r.N
 	ei := r.IndexOf(e.ID)
-	nr := &Rels{G: g, N: n, nInit: r.nInit, tIdx: r.tIdx}
+	nr, _ := g.fl.newRels(g, n) // the seven copies overwrite a used slab
+	nr.copyIndex(r)
 	// e was re-created with its new RVal/Degraded state: swap the node.
-	nr.Ev = make([]*Event, n)
-	copy(nr.Ev, r.Ev)
 	nr.Ev[ei] = e
 
-	nr.allocMats(n)
 	copy(nr.Sb.bits, r.Sb.bits)
 	copy(nr.SbLoc.bits, r.SbLoc.bits)
 	copy(nr.RfM.bits, r.RfM.bits)
@@ -387,8 +388,7 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 			}
 		}
 		if wPos < ePos {
-			nr.topo = make([]int32, n)
-			copy(nr.topo, r.topo)
+			nr.topo = append(nr.topo[:0], r.topo...)
 			nr.topoState = topoValid
 			acExtends.Add(1)
 		}

@@ -84,16 +84,12 @@ func randExtendHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int
 	}
 }
 
-// TestAllocsExtend bounds the allocations of one incremental relation
-// extension: the Rels struct with its embedded matrices, one bit slab,
-// the event/index rows and the cached-order slice — the working
-// vectors are pooled and nothing is per-event. Gated out of -short
-// like the other allocation bars.
-func TestAllocsExtend(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation regression bars are not run in -short")
-	}
-	g := New(2, []Val{0, 0}, []string{"x", "y"})
+// allocsGraph is the twelve-write, two-thread graph of the allocation
+// bars below, with one more write e appended and prev the relations of
+// the graph before it.
+func allocsGraph(fl *FreeList) (g *Graph, prev *Rels, e *Event) {
+	g = New(2, []Val{0, 0}, []string{"x", "y"})
+	fl.Adopt(g)
 	val := Val(1)
 	for i := 0; i < 12; i++ {
 		w := &Event{ID: EventID{Thread: i % 2, Index: i / 2}, Kind: KWrite, Mode: Rel,
@@ -102,18 +98,54 @@ func TestAllocsExtend(t *testing.T) {
 		g.Append(w)
 		g.InsertMo(w.Loc, w.ID, 1)
 	}
-	prev := BuildRels(g)
-	e := &Event{ID: EventID{Thread: 0, Index: 6}, Kind: KWrite, Mode: Rel, Loc: 0, Val: val, AwaitSeq: -1}
+	prev = BuildRels(g)
+	e = &Event{ID: EventID{Thread: 0, Index: 6}, Kind: KWrite, Mode: Rel, Loc: 0, Val: val, AwaitSeq: -1}
 	g.Append(e)
 	g.InsertMo(0, e.ID, 1)
 	prev.ensureTopo()
+	return g, prev, e
+}
+
+// TestAllocsExtend bounds the allocations of one incremental relation
+// extension for a graph that has no free list: the Rels struct with its
+// embedded matrices, one bit slab, the event and index rows and the
+// cached-order slice — the working vectors are pooled and nothing is
+// per-event. Gated out of -short like the other allocation bars.
+func TestAllocsExtend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation regression bars are not run in -short")
+	}
+	g, prev, e := allocsGraph(nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		prev.Extend(g, e)
 	})
-	// Measured ~8 after the slab/pool work (was ~17 with per-matrix
-	// allocation); bar at 12.
+	// Measured 8 (the header, the slab, Ev and its growth, tIdx and its
+	// two rows, topo); bar at 12.
 	if allocs > 12 {
 		t.Errorf("Rels.Extend allocates %.0f objects, regression bar is 12", allocs)
+	}
+}
+
+// TestAllocsRecycled: with a free list that has seen one state of the
+// shape, building, extending and cloning allocate nothing at all — the
+// steady state of the explorer's step.
+func TestAllocsRecycled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation regression bars are not run in -short")
+	}
+	var fl FreeList
+	g, prev, e := allocsGraph(&fl)
+	for name, f := range map[string]func(){
+		"Rels.Extend": func() { fl.retireRels(prev.Extend(g, e), false) },
+		"BuildRels":   func() { fl.retireRels(BuildRels(g), false) },
+		"Graph.Clone": func() { fl.Release(g.Clone()) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.0f objects with a warm free list, want 0", name, allocs)
+		}
+	}
+	if c := fl.Counters(); c.SlabHits == 0 || c.HeaderHits == 0 || c.SlabThief+c.HeaderThief != 0 {
+		t.Errorf("free list counters after a single-worker run: %+v", c)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // RF records the reads-from choice of a read-like event. Bottom
@@ -75,6 +76,13 @@ type Graph struct {
 	extParent *Graph
 	extEvent  *Event
 	extKind   uint8
+
+	// refs counts who still needs this graph and its relations, fl is the
+	// list its clones and relations are taken from, and moved records
+	// that another worker's list was here first (see FreeList).
+	refs  atomic.Int32
+	fl    *FreeList
+	moved bool
 }
 
 // Extension-hint kinds (see RelsOf).
@@ -86,7 +94,8 @@ const (
 
 // invalidate drops the memoized relations and the extension hint; every
 // mutating method calls it, so a stale hint can never describe a graph
-// that was mutated after NoteExtended.
+// that was mutated after NoteExtended. Both go to the garbage collector:
+// the explorer mutates a graph only before it notes the hint.
 func (g *Graph) invalidate() {
 	g.rels = nil
 	g.extParent, g.extEvent = nil, nil
@@ -97,8 +106,10 @@ func (g *Graph) invalidate() {
 // exactly event e (with its rf choice and mo insertion already
 // applied). RelsOf uses the hint to extend parent's relations with one
 // row/column instead of re-deriving everything. Call it after the last
-// mutation; any further mutation clears the hint.
+// mutation; any further mutation clears the hint. The hint holds a
+// reference to parent until RelsOf or FreeList.Release consumes it.
 func (g *Graph) NoteExtended(parent *Graph, e *Event) {
+	parent.refs.Add(1)
 	g.extParent, g.extEvent, g.extKind = parent, e, extAppend
 }
 
@@ -109,6 +120,7 @@ func (g *Graph) NoteExtended(parent *Graph, e *Event) {
 // rebuilding — the hot path of the await-termination resolvability
 // scan, which tries one such resolution per candidate write.
 func (g *Graph) NoteResolved(parent *Graph, e *Event) {
+	parent.refs.Add(1)
 	g.extParent, g.extEvent, g.extKind = parent, e, extResolve
 }
 
@@ -123,6 +135,7 @@ func New(nthreads int, initVals []Val, locNames []string) *Graph {
 		Mo:        make([][]EventID, len(initVals)),
 		NextStamp: 1,
 	}
+	g.refs.Store(1)
 	g.initEvs = make([]*Event, len(initVals))
 	for l := range g.Mo {
 		g.Mo[l] = []EventID{{Thread: InitThread, Index: l}}
@@ -146,17 +159,12 @@ func New(nthreads int, initVals []Val, locNames []string) *Graph {
 // in-place mutations of slice prefixes go through InsertMo,
 // ReplaceEvent and RestrictTo, which always build fresh slices. This
 // makes Clone O(threads + locations) instead of O(events), which
-// matters because exploration clones once per branch.
+// matters because exploration clones once per branch. The header and
+// its three outer arrays come from g's free list.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		Threads:   make([][]*Event, len(g.Threads)),
-		InitVals:  g.InitVals,
-		LocNames:  g.LocNames,
-		rf:        make([][]RF, len(g.rf)),
-		Mo:        make([][]EventID, len(g.Mo)),
-		NextStamp: g.NextStamp,
-		initEvs:   g.initEvs,
-	}
+	ng := g.fl.graph(len(g.Threads), len(g.Mo))
+	ng.InitVals, ng.LocNames, ng.initEvs = g.InitVals, g.LocNames, g.initEvs
+	ng.NextStamp = g.NextStamp
 	for t, evs := range g.Threads {
 		ng.Threads[t] = evs[:len(evs):len(evs)]
 	}
@@ -399,17 +407,32 @@ func (g *Graph) PorfPrefix(seeds ...EventID) *EventSet {
 // per-thread po prefixes. keep must be po-prefix-closed per thread (the
 // caller guarantees this; RestrictTo panics otherwise) and rf-closed
 // except for reads that are themselves dropped. The truncated thread
-// slices are capacity-clamped and the mo orders rebuilt fresh, so the
-// restriction never writes into arrays shared with clones.
+// slices are capacity-clamped, and so is an mo order that only loses a
+// suffix (most lose nothing); one that loses a write from its middle is
+// rebuilt fresh. The restriction never writes into arrays shared with
+// clones.
 func (g *Graph) RestrictTo(keep *EventSet) {
 	// Filter mo first: the stamp lookup needs the events still present.
 	for l, order := range g.Mo {
-		dst := make([]EventID, 1, len(order))
-		dst[0] = order[0] // init stays
-		for _, w := range order[1:] {
-			if keep.Has(g.Event(w)) {
-				dst = append(dst, w)
+		kept := 1 // the init write stays
+		var dst []EventID
+		for i := 1; i < len(order); i++ {
+			if !keep.Has(g.Event(order[i])) {
+				continue
 			}
+			switch {
+			case dst != nil:
+				dst = append(dst, order[i])
+			case kept == i:
+				kept++
+			default:
+				dst = make([]EventID, kept, len(order)-1)
+				copy(dst, order[:kept])
+				dst = append(dst, order[i])
+			}
+		}
+		if dst == nil {
+			dst = order[:kept:kept]
 		}
 		g.Mo[l] = dst
 	}

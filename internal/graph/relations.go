@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Rels materializes the derived relations of an execution graph over a
 // dense event index, ready for the axiomatic consistency predicates in
 // internal/mm. Index layout: init writes first (one per location), then
@@ -14,9 +12,9 @@ type Rels struct {
 	N     int
 	Ev    []*Event // indexed events; init events synthesized
 	nInit int
-	// tIdx maps (thread, po-index) to the dense index. The rows follow
-	// the same copy-on-write discipline as Graph.Threads: Extend clamps
-	// and appends, so parent and child share all but the extended row.
+	// tIdx maps (thread, po-index) to the dense index. Every Rels owns
+	// its rows (Extend and Resolve copy the parent's), so a retired
+	// header takes them along to its next user.
 	tIdx [][]int32
 
 	Sb    *BitMat // program order (transitive), init before everything
@@ -28,11 +26,13 @@ type Rels struct {
 	SbLoc *BitMat // sb restricted to same-location accesses
 
 	// mats embeds the seven carried matrices (the pointers above point
-	// into it) with their bit rows carved out of one shared slab: a
-	// whole relation set costs two allocations. sw is deliberately NOT
-	// carried: no consumer reads it after Hb is closed over it, so
-	// BuildRels derives it into pooled scratch and drops it.
-	mats [7]BitMat
+	// into it) with their bit rows carved out of slab, which comes from
+	// the graph's free list in one of its size classes. sw is
+	// deliberately NOT carried: no consumer reads it after Hb is closed
+	// over it, so BuildRels derives it into pooled scratch and drops it.
+	mats  [numMats]BitMat
+	slab  []uint64
+	class int
 
 	// topo caches a topological order of sb ∪ rf ∪ mo over the dense
 	// indices (topo[k] = vertex at position k) when topoState is
@@ -58,6 +58,9 @@ const (
 	topoCyclic
 )
 
+// numMats is how many matrices a Rels carries.
+const numMats = 7
+
 // ensureTopo derives the cached order on first demand with one Kahn
 // pass over the union adjacency (counted as a lazy derivation —
 // fresh BuildRels states and Extend's back-edge parks both land here).
@@ -69,14 +72,11 @@ func (r *Rels) ensureTopo() {
 	u := r.Sb.ClonePooled()
 	u.OrWith(r.RfM)
 	u.OrWith(r.MoM)
-	if len(r.topo) != r.N {
-		r.topo = make([]int32, r.N)
-	}
+	r.topo = int32Scratch(r.topo, r.N)
 	if u.kahn(r.topo) {
 		r.topoState = topoValid
 	} else {
 		r.topoState = topoCyclic
-		r.topo = nil
 		acCyclicSt.Add(1)
 	}
 	u.Release()
@@ -123,9 +123,7 @@ func (r *Rels) AcyclicSuperset(m *BitMat) bool {
 	}
 	acChecks.Add(1)
 	acKahn.Add(1)
-	if len(r.topo) != r.N {
-		r.topo = make([]int32, r.N)
-	}
+	r.topo = int32Scratch(r.topo, r.N)
 	ok := m.kahn(r.topo)
 	if ok {
 		r.topoState = topoValid
@@ -157,54 +155,75 @@ func RelsOf(g *Graph) *Rels {
 	if g.rels != nil {
 		return g.rels
 	}
+	parent := g.extParent
 	switch {
-	case g.extKind == extAppend && g.extParent != nil && g.extParent.rels != nil:
-		g.rels = g.extParent.rels.Extend(g, g.extEvent)
-	case g.extKind == extResolve && g.extParent != nil && g.extParent.rels != nil:
-		g.rels = g.extParent.rels.Resolve(g, g.extEvent)
+	case g.extKind == extAppend && parent != nil && parent.rels != nil:
+		g.rels = parent.rels.Extend(g, g.extEvent)
+	case g.extKind == extResolve && parent != nil && parent.rels != nil:
+		g.rels = parent.rels.Resolve(g, g.extEvent)
 	default:
 		g.rels = BuildRels(g)
 	}
 	// Drop the hint: it has served its purpose, and holding it would
 	// pin the whole ancestor chain (graphs and relations) in memory.
-	g.extParent, g.extEvent = nil, nil
-	g.extKind = extNone
+	if parent != nil {
+		g.extParent, g.extEvent, g.extKind = nil, nil, extNone
+		g.fl.Release(parent)
+	}
 	return g.rels
+}
+
+// setIndex empties Ev and sizes tIdx to nthreads empty rows, ready to be
+// appended to.
+func (r *Rels) setIndex(nthreads int) {
+	r.Ev = r.Ev[:0]
+	if cap(r.tIdx) < nthreads {
+		r.tIdx = make([][]int32, nthreads)
+	}
+	r.tIdx = r.tIdx[:nthreads]
+	for t := range r.tIdx {
+		r.tIdx[t] = r.tIdx[t][:0]
+	}
+}
+
+// copyIndex makes r's Ev and tIdx copies of o's.
+func (r *Rels) copyIndex(o *Rels) {
+	r.setIndex(len(o.tIdx))
+	r.Ev = append(r.Ev, o.Ev...)
+	for t, row := range o.tIdx {
+		r.tIdx[t] = append(r.tIdx[t], row...)
+	}
 }
 
 // BuildRels computes all derived relations of g from scratch.
 func BuildRels(g *Graph) *Rels {
-	r := &Rels{G: g, nInit: len(g.InitVals)}
-	// Index init writes, then explicit events in stamp order.
-	for l := range g.InitVals {
-		id := EventID{Thread: InitThread, Index: l}
-		r.Ev = append(r.Ev, g.Event(id))
+	nInit := len(g.InitVals)
+	n := nInit + g.NumEvents()
+	r, dirty := g.fl.newRels(g, n)
+	if dirty {
+		clear(r.slab[:numMats*n*r.Sb.words])
 	}
-	for _, evs := range g.Threads {
-		r.Ev = append(r.Ev, evs...)
+	// Index init writes, then explicit events in stamp order: thread rows
+	// are stamp-sorted already, so a merge that takes the smallest head
+	// does it, with the tIdx rows under construction as its cursors.
+	r.setIndex(len(g.Threads))
+	r.Ev = append(r.Ev, g.initEvs...)
+	for i := nInit; i < n; i++ {
+		var next *Event
+		for t, evs := range g.Threads {
+			if c := len(r.tIdx[t]); c < len(evs) && (next == nil || evs[c].Stamp < next.Stamp) {
+				next = evs[c]
+			}
+		}
+		r.Ev = append(r.Ev, next)
+		r.tIdx[next.ID.Thread] = append(r.tIdx[next.ID.Thread], int32(i))
 	}
-	sort.Slice(r.Ev[r.nInit:], func(i, j int) bool {
-		return r.Ev[r.nInit+i].Stamp < r.Ev[r.nInit+j].Stamp
-	})
-	r.N = len(r.Ev)
-	n := r.N
-	r.tIdx = make([][]int32, len(g.Threads))
-	for t, evs := range g.Threads {
-		r.tIdx[t] = make([]int32, len(evs))
-	}
-	for i := r.nInit; i < n; i++ {
-		id := r.Ev[i].ID
-		r.tIdx[id.Thread][id.Index] = int32(i)
-	}
-
-	r.allocMats(n)
 
 	// sb: init before all thread events; po within each thread. The
 	// transitive rows are assembled word-wide — each init row is the
 	// "every explicit event" mask, and within a thread row(a) is
 	// row(a+1) plus the bit for a+1 (a descending suffix OR) — instead
 	// of O(n²) individual bit sets.
-	nInit := r.nInit
 	if nInit > 0 && n > nInit {
 		for j := nInit; j < n; j++ {
 			r.Sb.Set(0, j)
@@ -314,6 +333,7 @@ func BuildRels(g *Graph) *Rels {
 // when it has acquire semantics, or any acquire fence sb-after r.
 func (r *Rels) buildSw(sw *BitMat) {
 	g := r.G
+	s, acq := wordScratch(sw.words) // the acquire sides of the read at hand
 	for t, evs := range g.Threads {
 		for i, re := range evs {
 			if !re.IsReadLike() {
@@ -323,28 +343,27 @@ func (r *Rels) buildSw(sw *BitMat) {
 			if rf.Bottom {
 				continue
 			}
-			// Acquire-side targets.
-			var acqSides []int
-			if re.Mode.HasAcq() {
-				acqSides = append(acqSides, r.IndexOf(re.ID))
+			clear(acq)
+			acquires := re.Mode.HasAcq()
+			if acquires {
+				mark(acq, r.IndexOf(re.ID))
 			}
 			for _, f := range evs[i+1:] {
 				if f.Kind == KFence && f.Mode.HasAcq() {
-					acqSides = append(acqSides, r.IndexOf(f.ID))
+					mark(acq, r.IndexOf(f.ID))
+					acquires = true
 				}
 			}
-			if len(acqSides) == 0 {
+			if !acquires {
 				continue
 			}
-			r.swFromBases(g, rf.W, func(s int) {
-				for _, a := range acqSides {
-					if s != a {
-						sw.Set(s, a)
-					}
-				}
+			r.swFromBases(g, rf.W, func(rel int) {
+				sw.orRowFrom(rel, acq)
+				sw.Clear(rel, rel) // nothing synchronizes with itself
 			})
 		}
 	}
+	acyclicPool.Put(s)
 }
 
 // swFromBases walks the release sequence backwards from the rf source

@@ -412,7 +412,6 @@ func (s *SymSpec) Canonicalize(g *Graph, sc *SymScratch, hasForced bool, forcedR
 	}
 	// Signature-sort each group's members onto the group's own slots;
 	// equal signatures form tie classes to refine by brute force.
-	ties := false
 	for _, grp := range s.Groups {
 		for _, t := range grp {
 			sc.sigs[t] = s.signature(g, t)
@@ -422,13 +421,17 @@ func (s *SymSpec) Canonicalize(g *Graph, sc *SymScratch, hasForced bool, forcedR
 			sc.order = append(sc.order, int32(t))
 		}
 		members := sc.order[start:]
-		sort.Slice(members, func(i, j int) bool {
-			a, b := sc.sigs[members[i]], sc.sigs[members[j]]
-			if a != b {
-				return Less128(a, b)
+		// Insertion sort by (signature, thread id): groups hold a handful
+		// of threads, and this runs once per popped state.
+		for i := 1; i < len(members); i++ {
+			for j := i; j > 0; j-- {
+				a, b := members[j-1], members[j]
+				if sa, sb := sc.sigs[a], sc.sigs[b]; Less128(sa, sb) || (sa == sb && a < b) {
+					break
+				}
+				members[j-1], members[j] = b, a
 			}
-			return members[i] < members[j]
-		})
+		}
 		for k, t := range members {
 			sc.perm[t] = int32(grp[k])
 		}
@@ -438,41 +441,45 @@ func (s *SymSpec) Canonicalize(g *Graph, sc *SymScratch, hasForced bool, forcedR
 				j++
 			}
 			if j-k > 1 {
-				ties = true
 				sc.classes = append(sc.classes, int32(start+k), int32(start+j))
 			}
 			k = j
 		}
 	}
-	eval := func(p []int32) Hash128 {
-		for t, v := range p {
-			sc.inv[v] = int32(t)
-		}
-		k := s.fingerprintUnderPerm(g, p, sc.inv)
-		if hasForced {
-			h := NewHasher128()
-			h.Word(k[0])
-			h.Word(k[1])
-			h.Word(hashID(s.MapID(p, forcedR)))
-			h.Word(hashID(s.MapID(p, forcedW)))
-			k = h.Sum()
-		}
-		return k
-	}
-	if !ties {
+	if len(sc.classes) == 0 {
 		copy(sc.best, sc.perm)
-		return eval(sc.best), sc.best, true, 1
+		return s.keyUnder(g, sc, sc.best, hasForced, forcedR, forcedW), sc.best, true, 1
 	}
-	// Refinement: enumerate, in a deterministic order, every assignment
-	// of tie-class members to the class's slots (the product over tie
-	// classes, bounded by permCount <= maxSymPerms) and keep the
-	// permutation with the minimal key.
-	best := Hash128{}
-	tried = 0
+	key, tried = s.refine(g, sc, hasForced, forcedR, forcedW)
+	return key, sc.best, false, tried
+}
+
+// keyUnder is the dedup key of (g, forced pair) relabeled by p.
+func (s *SymSpec) keyUnder(g *Graph, sc *SymScratch, p []int32, hasForced bool, forcedR, forcedW EventID) Hash128 {
+	for t, v := range p {
+		sc.inv[v] = int32(t)
+	}
+	k := s.fingerprintUnderPerm(g, p, sc.inv)
+	if hasForced {
+		h := NewHasher128()
+		h.Word(k[0])
+		h.Word(k[1])
+		h.Word(hashID(s.MapID(p, forcedR)))
+		h.Word(hashID(s.MapID(p, forcedW)))
+		k = h.Sum()
+	}
+	return k
+}
+
+// refine enumerates, in a deterministic order, every assignment of
+// tie-class members to the class's slots (the product over tie classes,
+// bounded by permCount <= maxSymPerms) and leaves the permutation with
+// the minimal key in sc.best.
+func (s *SymSpec) refine(g *Graph, sc *SymScratch, hasForced bool, forcedR, forcedW EventID) (best Hash128, tried int) {
 	var rec func(ci int)
 	rec = func(ci int) {
 		if ci >= len(sc.classes) {
-			k := eval(sc.perm)
+			k := s.keyUnder(g, sc, sc.perm, hasForced, forcedR, forcedW)
 			if tried == 0 || Less128(k, best) {
 				best = k
 				copy(sc.best, sc.perm)
@@ -499,7 +506,7 @@ func (s *SymSpec) Canonicalize(g *Graph, sc *SymScratch, hasForced bool, forcedR
 		permute(0)
 	}
 	rec(0)
-	return best, sc.best, false, tried
+	return best, tried
 }
 
 // ApplyPerm materializes τ_perm(g): the graph in which thread perm[t]

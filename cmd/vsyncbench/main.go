@@ -3,8 +3,8 @@
 // AMC hot-path benchmark suite that tracks the checker's own speed —
 // including the intra-run work-stealing scaling curve (graphs/sec at
 // 1/2/4/8 workers on the 3-thread MCS client) and the acyclicity-engine
-// micro rows — and the verdict-store suite benchmark (cold vs warm
-// vsyncsuite wall time).
+// micro rows. (The verdict store's cold and warm suite passes are
+// measured from process start by benchmark/, the benchmark of record.)
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //	vsyncbench -fig27       # the MCS implementation comparison
 //	vsyncbench -sweep       # the §4.2.2 cs_size / es_size findings
 //	vsyncbench -amc         # checker hot-path suite -> BENCH_amc.json
-//	vsyncbench -suite       # cold/warm store suite -> BENCH_suite.json
 //
 // Regression gate (make bench-check):
 //
@@ -45,7 +44,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/wmsim"
-	"repro/vsync"
 )
 
 // parseWorkers parses a comma-separated worker ladder like "1,2,4,8".
@@ -66,22 +64,18 @@ func parseWorkers(s string) ([]int, error) {
 
 func main() {
 	var (
-		full         = flag.Bool("full", false, "run the paper's full parameter grid")
-		fig27        = flag.Bool("fig27", false, "run the Fig. 27 MCS implementation comparison")
-		sweep        = flag.Bool("sweep", false, "run the §4.2.2 critical/outside section size sweeps")
-		amc          = flag.Bool("amc", false, "run the AMC hot-path benchmark suite (graphs/sec, allocs, scaling)")
-		amcRuns      = flag.Int("amcruns", 5, "measured runs per target in the AMC suite")
-		amcJSON      = flag.String("amcjson", "BENCH_amc.json", "path of the AMC suite JSON artifact (empty: don't write)")
-		amcWorkers   = flag.String("amcworkers", "1,2,4,8", "worker ladder for the AMC scaling targets (empty: skip them)")
-		amcBaseline  = flag.String("amcbaseline", "", "compare the fresh -amc run against this baseline artifact and fail on regressions")
-		amcBest      = flag.Int("amcbest", 1, "repeat the AMC suite this many times and keep each row's best run (noise armor for -amcbaseline)")
-		amcCheckTol  = flag.Float64("amcchecktol", 0.25, "graphs/sec regression tolerance for -amcbaseline (fraction)")
-		suite        = flag.Bool("suite", false, "run the cold/warm verdict-store suite benchmark")
-		suiteJSON    = flag.String("suitejson", "BENCH_suite.json", "path of the suite benchmark JSON artifact (empty: don't write)")
-		suiteThreads = flag.Int("suitethreads", 2, "client thread-count ladder top for -suite")
-		workers      = cli.Workers()
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		full        = flag.Bool("full", false, "run the paper's full parameter grid")
+		fig27       = flag.Bool("fig27", false, "run the Fig. 27 MCS implementation comparison")
+		sweep       = flag.Bool("sweep", false, "run the §4.2.2 critical/outside section size sweeps")
+		amc         = flag.Bool("amc", false, "run the AMC hot-path benchmark suite (graphs/sec, allocs, scaling)")
+		amcRuns     = flag.Int("amcruns", 5, "measured runs per target in the AMC suite")
+		amcJSON     = flag.String("amcjson", "BENCH_amc.json", "path of the AMC suite JSON artifact (empty: don't write)")
+		amcWorkers  = flag.String("amcworkers", "1,2,4,8", "worker ladder for the AMC scaling targets (empty: skip them)")
+		amcBaseline = flag.String("amcbaseline", "", "compare the fresh -amc run against this baseline artifact and fail on regressions")
+		amcBest     = flag.Int("amcbest", 1, "repeat the AMC suite this many times and keep each row's best run (noise armor for -amcbaseline)")
+		amcCheckTol = flag.Float64("amcchecktol", 0.25, "graphs/sec regression tolerance for -amcbaseline (fraction)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 	ctx := cli.SignalContext("vsyncbench")
@@ -100,10 +94,9 @@ func main() {
 	}
 
 	runErr := run(ctx, modes{
-		amc: *amc, full: *full, fig27: *fig27, sweep: *sweep, suite: *suite,
+		amc: *amc, full: *full, fig27: *fig27, sweep: *sweep,
 		amcRuns: *amcRuns, amcJSON: *amcJSON, amcWorkers: *amcWorkers, amcBest: *amcBest,
 		amcBaseline: *amcBaseline, amcCheckTol: *amcCheckTol,
-		suiteJSON: *suiteJSON, suiteThreads: *suiteThreads, workers: *workers,
 	})
 
 	// Flush both profiles before any fatal exit: log.Fatal skips defers,
@@ -137,14 +130,11 @@ func main() {
 
 // modes bundles the parsed mode flags for run.
 type modes struct {
-	amc, full, fig27, sweep, suite bool
-	amcRuns, amcBest               int
-	amcJSON, amcWorkers            string
-	amcBaseline                    string
-	amcCheckTol                    float64
-	suiteJSON                      string
-	suiteThreads                   int
-	workers                        int
+	amc, full, fig27, sweep bool
+	amcRuns, amcBest        int
+	amcJSON, amcWorkers     string
+	amcBaseline             string
+	amcCheckTol             float64
 }
 
 // run executes the selected mode, returning (not exiting on) failures
@@ -190,18 +180,6 @@ func run(ctx context.Context, m modes) error {
 			}
 			fmt.Printf("bench-check: no graphs/sec regressions against %s (tolerance %.0f%%)\n",
 				m.amcBaseline, 100*m.amcCheckTol)
-		}
-	case m.suite:
-		sb, err := vsync.RunSuiteBench(m.suiteThreads, m.workers)
-		if err != nil {
-			return err
-		}
-		fmt.Print(sb)
-		if m.suiteJSON != "" {
-			if err := sb.WriteJSON(m.suiteJSON); err != nil {
-				return fmt.Errorf("writing %s: %v", m.suiteJSON, err)
-			}
-			fmt.Printf("wrote %s\n", m.suiteJSON)
 		}
 	case fig27:
 		for _, mc := range wmsim.Machines() {

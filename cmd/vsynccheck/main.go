@@ -121,10 +121,18 @@ func main() {
 	if st != nil {
 		defer st.Close()
 	}
+	// What both modes below ask of Run; each adds its programs' keys, its
+	// parallelism and its store.
+	opts := vsync.RunOptions{
+		WorkersPerRun:      *workers,
+		Budget:             budget(),
+		CheckpointDir:      dir,
+		CheckpointInterval: *ckptInt,
+		NoSymmetry:         *noSym,
+	}
 
 	if *all {
 		var ps []*vsync.Program
-		var keys []vsync.StoreKey
 		for _, alg := range locks.All() {
 			if alg.Buggy {
 				continue
@@ -132,20 +140,12 @@ func main() {
 			spec := alg.DefaultSpec()
 			p := harness.MutexClient(alg, spec, *threads, *iters)
 			ps = append(ps, p)
-			keys = append(keys, vsync.StoreKey{Model: m.Name(), Spec: spec.Fingerprint128(), Prog: p.Fingerprint128()})
+			opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
 		}
 		fmt.Printf("checking %d algorithms under %s (%d threads × %d iterations, %d workers, %d per run)...\n",
 			len(ps), m.Name(), *threads, *iters, cli.Effective(*par), cli.Effective(*workers))
-		rr := vsync.RunCtx(ctx, m, ps, vsync.RunOptions{
-			Parallelism:        *par,
-			WorkersPerRun:      *workers,
-			Store:              st,
-			StoreKeys:          keys,
-			Budget:             budget(),
-			CheckpointDir:      dir,
-			CheckpointInterval: *ckptInt,
-			NoSymmetry:         *noSym,
-		})
+		opts.Parallelism, opts.Store = *par, st
+		rr := vsync.RunCtx(ctx, m, ps, opts)
 		if rr.StoreHits > 0 {
 			fmt.Printf("store: %d of %d algorithms served without an AMC run\n", rr.StoreHits, len(ps))
 		}
@@ -213,17 +213,9 @@ func main() {
 	}
 	fmt.Printf("checking %s under %s (%d threads × %d iterations, %d workers)...\n",
 		p.Name, m.Name(), *threads, *iters, cli.Effective(*workers))
-	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, vsync.RunOptions{
-		Parallelism:        1,
-		WorkersPerRun:      *workers,
-		CollectResults:     true,
-		Store:              runStore,
-		StoreKeys:          []vsync.StoreKey{{Model: m.Name(), Spec: spec.Fingerprint128(), Prog: p.Fingerprint128()}},
-		Budget:             budget(),
-		CheckpointDir:      dir,
-		CheckpointInterval: *ckptInt,
-		NoSymmetry:         *noSym,
-	})
+	opts.Parallelism, opts.Store, opts.CollectResults = 1, runStore, true
+	opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
+	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, opts)
 	res := rr.Results[0]
 	if rr.StoreHits > 0 {
 		fmt.Printf("%s under %s: %s (verdict served from store, no AMC run)\n", p.Name, m.Name(), res.Verdict)

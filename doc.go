@@ -22,13 +22,17 @@
 // copy-on-write graph branching, slab-allocated relation matrices
 // with pooled scratch, and shared replay snapshots — is documented
 // under "The work-graph explorer" and "Performance architecture" in
-// README.md and tracked as machine-readable artifacts (including the
-// worker scaling curve, the acyclicity micro rows and the verdict
-// store's cold/warm suite latency):
+// README.md and tracked as a machine-readable artifact (including the
+// worker scaling curve and the acyclicity micro rows); end-to-end time
+// to a verdict, the verdict store's cold and warm suite passes
+// included, is the benchmark of record in benchmark/:
 //
 //	go run ./cmd/vsyncbench -amc     # writes BENCH_amc.json
-//	go run ./cmd/vsyncbench -suite   # writes BENCH_suite.json
+//	bash benchmark/run.sh --all      # see BENCHMARK.json
 //
+// Every verification problem — from vsync.Run, VerifyMatrix or Resume —
+// goes through one lifecycle (vsync/engine.go): key, store lookup,
+// checkpoint, AMC run, persist.
 // Verdicts persist in a shared, content-addressed store: any number of
 // processes open sessions on one log (appends are record-atomic under
 // a short-held sidecar lock; Refresh observes concurrent writers),

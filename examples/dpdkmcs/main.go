@@ -21,10 +21,13 @@ import (
 func main() {
 	buggy := vsync.LockByName("dpdkmcs-buggy")
 	fixed := vsync.LockByName("dpdkmcs")
+	// One sequential AMC run each: a single-program Run reduces to that
+	// program's failure, or to its statistics when it verifies.
+	sequential := vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1}
 
 	fmt.Println("== DPDK rte_mcslock, shipped version (relaxed prev->next) ==")
 	for _, model := range []vsync.Model{vsync.ModelSC, vsync.ModelTSO, vsync.ModelWMM} {
-		res := vsync.Verify(model, vsync.MutexClient(buggy, buggy.DefaultSpec(), 2, 1))
+		res := vsync.Run(model, []*vsync.Program{vsync.MutexClient(buggy, buggy.DefaultSpec(), 2, 1)}, sequential).Result
 		fmt.Printf("  %-4s: %v\n", model.Name(), res)
 		if res.Verdict == vsync.ATViolation {
 			fmt.Println("\n  Alice hangs — the counterexample graph (cf. Fig. 14):")
@@ -35,7 +38,7 @@ func main() {
 
 	fmt.Println("== with the Fig. 15 fix (release store, acquire read) ==")
 	for _, model := range []vsync.Model{vsync.ModelSC, vsync.ModelTSO, vsync.ModelWMM} {
-		res := vsync.Verify(model, vsync.MutexClient(fixed, fixed.DefaultSpec(), 2, 1))
+		res := vsync.Run(model, []*vsync.Program{vsync.MutexClient(fixed, fixed.DefaultSpec(), 2, 1)}, sequential).Result
 		fmt.Printf("  %-4s: %v\n", model.Name(), res)
 	}
 

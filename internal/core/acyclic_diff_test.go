@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/vprog"
 )
@@ -58,17 +57,8 @@ func TestAcyclicDifferentialLitmus(t *testing.T) {
 // hot-path clients the engine was built for), including the buggy
 // study cases whose violation paths stress the shortcut verdicts.
 func TestAcyclicDifferentialLocks(t *testing.T) {
-	names := []string{"spin", "ticket", "mcs", "qspin", "dpdkmcs-buggy", "huaweimcs-buggy"}
-	if !testing.Short() {
-		names = append(names, "ttas", "clh")
-	}
 	crossChecked(t, func() {
-		for _, name := range names {
-			alg := locks.ByName(name)
-			if alg == nil {
-				t.Fatalf("unknown lock %q", name)
-			}
-			p := harness.MutexClient(alg, alg.DefaultSpec(), 2, 1)
+		for _, p := range harness.DiffLocks(testing.Short()) {
 			for _, m := range []mm.Model{mm.SC, mm.TSO, mm.WMM} {
 				runChecked(t, m, p, 1)
 				runChecked(t, m, p, 4)

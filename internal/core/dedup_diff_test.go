@@ -54,16 +54,8 @@ func TestDedupDifferentialLitmus(t *testing.T) {
 // including the MCS and qspinlock clients called out by the perf work
 // and the buggy study cases (violation verdicts must agree too).
 func TestDedupDifferentialLocks(t *testing.T) {
-	names := []string{"spin", "ticket", "mcs", "qspin", "dpdkmcs-buggy", "huaweimcs-buggy"}
-	if !testing.Short() {
-		names = append(names, "ttas", "clh")
-	}
-	for _, name := range names {
-		alg := locks.ByName(name)
-		if alg == nil {
-			t.Fatalf("unknown lock %q", name)
-		}
-		runBoth(t, mm.WMM, harness.MutexClient(alg, alg.DefaultSpec(), 2, 1))
+	for _, p := range harness.DiffLocks(testing.Short()) {
+		runBoth(t, mm.WMM, p)
 	}
 }
 

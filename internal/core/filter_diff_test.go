@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/locks"
 	"repro/internal/mm"
 	_ "repro/internal/structs" // registers the structure workloads
 	"repro/internal/vprog"
@@ -35,39 +34,14 @@ var allModels = append(mm.All(), mm.Ablations()...)
 
 var updateFilterPins = flag.Bool("update-filter-pins", false, "rewrite testdata/filter_pins.txt from this build's sequential runs")
 
-// filterCell is one row of the differential table.
-type filterCell struct {
-	p      *vprog.Program
-	models []mm.Model
-}
-
-// filterCorpus is the suite corpus under all four models, plus what the
-// suite leaves out on purpose — the seeded-bug twins and the
-// bounded-loop twins — and, outside -short, the three-thread cells
-// where most candidates die (revisit-heavy, under WMM only). The order
-// is the order of the pin file.
-func filterCorpus() []filterCell {
-	var cells []filterCell
-	for _, alg := range locks.All() {
-		cells = append(cells, filterCell{harness.MutexClient(alg, alg.DefaultSpec(), 2, 1), allModels})
+// The cells are harness.Corpus — the suite corpus plus what the suite
+// leaves out on purpose, in the order of the pin file — under all four
+// models, the three-thread cells under WMM only.
+func cellModels(c harness.CorpusCell) []mm.Model {
+	if c.Big {
+		return []mm.Model{mm.WMM}
 	}
-	for _, w := range workload.All() {
-		cells = append(cells, filterCell{workload.Program(w, nil, 2), allModels})
-	}
-	for _, name := range harness.LitmusNames() {
-		for _, strong := range []bool{false, true} {
-			cells = append(cells, filterCell{harness.Litmus(name, strong), allModels})
-		}
-	}
-	if !testing.Short() {
-		wmm := []mm.Model{mm.WMM}
-		qspin := locks.ByName("qspin")
-		cells = append(cells,
-			filterCell{harness.MutexClient(qspin, qspin.DefaultSpec(), 3, 1), wmm},
-			filterCell{workload.Program(workload.ByName("structs/treiber"), nil, 3), wmm},
-			filterCell{workload.Program(workload.ByName("structs/treiber-badpop"), nil, 3), wmm})
-	}
-	return cells
+	return allModels
 }
 
 // runFilter runs p under model at the given worker count.
@@ -90,10 +64,10 @@ func TestFilterDifferential(t *testing.T) {
 			t.Fatal("-update-filter-pins needs the full corpus: run without -short")
 		}
 		var b strings.Builder
-		for _, cell := range filterCorpus() {
-			for _, model := range cell.models {
-				res := runFilter(t, model, cell.p, 1)
-				fmt.Fprintf(&b, "%s\t%s\t%s\t%d\t%d\n", cell.p.Name, model.Name(), res.Verdict, res.Stats.Executions, res.Stats.Filtered)
+		for _, cell := range harness.Corpus(false) {
+			for _, model := range cellModels(cell) {
+				res := runFilter(t, model, cell.Program, 1)
+				fmt.Fprintf(&b, "%s\t%s\t%s\t%d\t%d\n", cell.Program.Name, model.Name(), res.Verdict, res.Stats.Executions, res.Stats.Filtered)
 			}
 		}
 		if err := os.WriteFile(filterPinFile, []byte(b.String()), 0o644); err != nil {
@@ -107,9 +81,9 @@ func TestFilterDifferential(t *testing.T) {
 	}
 	pins := strings.Split(strings.TrimSpace(string(data)), "\n")
 	filtered := 0
-	for _, cell := range filterCorpus() {
-		p := cell.p
-		for _, model := range cell.models {
+	for _, cell := range harness.Corpus(testing.Short()) {
+		p := cell.Program
+		for _, model := range cellModels(cell) {
 			if len(pins) == 0 {
 				t.Fatalf("%s has no line for %s under %s", filterPinFile, p.Name, model.Name())
 			}

@@ -98,16 +98,8 @@ func TestParallelDifferentialLitmus(t *testing.T) {
 // buggy study cases whose violations exercise the deterministic
 // counterexample merge.
 func TestParallelDifferentialLocks(t *testing.T) {
-	names := []string{"spin", "ticket", "mcs", "qspin", "dpdkmcs-buggy", "huaweimcs-buggy"}
-	if !testing.Short() {
-		names = append(names, "ttas", "clh")
-	}
-	for _, name := range names {
-		alg := locks.ByName(name)
-		if alg == nil {
-			t.Fatalf("unknown lock %q", name)
-		}
-		diffOne(t, mm.WMM, harness.MutexClient(alg, alg.DefaultSpec(), 2, 1))
+	for _, p := range harness.DiffLocks(testing.Short()) {
+		diffOne(t, mm.WMM, p)
 	}
 }
 

@@ -16,6 +16,12 @@ import (
 type Job struct {
 	Checker *Checker
 	Program *vprog.Program
+	// Wrap, when non-nil, runs on the job's slot in place of the bare
+	// checker run: it decides whether to call run (at most once) and
+	// returns the job's result. The verdict-store lifecycle of package
+	// vsync hangs here — a late store hit skips the run, and the verdict
+	// is persisted the moment the run ends, not when the batch does.
+	Wrap func(run func() *Result) *Result
 }
 
 // PoolStats is a snapshot of the work a Pool has performed since
@@ -58,7 +64,7 @@ type Pool struct {
 	Workers int
 
 	slots   chan int     // free worker slot ids; receiving acquires a slot
-	waiting atomic.Int32 // jobs currently blocked on a slot
+	waiting atomic.Int32 // RunAll calls with jobs still to admit
 
 	mu       sync.Mutex
 	busy     []time.Duration
@@ -123,44 +129,69 @@ func (p *Pool) finishBorrow(slot int, d time.Duration) {
 	p.slots <- slot
 }
 
+// acquire blocks until a slot is free or ctx is done. A slot won in the
+// same instant ctx died goes straight back: a canceled job never runs.
+func (p *Pool) acquire(ctx context.Context) (int, bool) {
+	select {
+	case <-ctx.Done():
+		return 0, false
+	case slot := <-p.slots:
+		if ctx.Err() != nil {
+			p.slots <- slot
+			return 0, false
+		}
+		return slot, true
+	}
+}
+
 // RunAll executes every job on the pool and returns the results in job
-// order. When failFast is set, the first completed non-OK result
-// cancels the jobs still queued or running; those return Canceled
-// results. Jobs whose context is canceled before they acquire a worker
-// never run a checker at all.
+// order. Jobs are admitted in index order — the submitting loop takes
+// each job's slot before its goroutine starts — so a one-slot pool runs
+// them strictly in sequence. When failFast is set, the first completed
+// non-OK result cancels the jobs still queued or running; those return
+// Canceled results. Jobs whose context is canceled before they acquire
+// a worker never run a checker at all.
 func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	results := make([]*Result, len(jobs))
 	var wg sync.WaitGroup
+	// Queued jobs outrank borrows for as long as any is left to admit.
+	p.waiting.Add(1)
 	for i, job := range jobs {
+		slot, ok := p.acquire(ctx)
+		if !ok {
+			results[i] = canceledResult(ctx)
+			p.mu.Lock()
+			p.canceled++
+			p.mu.Unlock()
+			continue
+		}
 		wg.Add(1)
-		go func(i int, job Job) {
+		go func() {
 			defer wg.Done()
-			var slot int
-			p.waiting.Add(1)
-			select {
-			case <-ctx.Done():
-				p.waiting.Add(-1)
-				results[i] = canceledResult(ctx)
-				p.mu.Lock()
-				p.canceled++
-				p.mu.Unlock()
-				return
-			case slot = <-p.slots:
-				p.waiting.Add(-1)
-			}
 			// Attach the pool so the run can borrow idle slots for
 			// intra-run stealing (bounded by WorkersPerRun) — on a
 			// per-run copy, so the caller's Checker is never mutated and
 			// never retains a pool reference past this job.
 			c := *job.Checker
 			c.pool = p
+			run := func() *Result { return c.RunCtx(ctx, job.Program) }
 			t0 := time.Now()
-			res := c.RunCtx(ctx, job.Program)
+			var res *Result
+			if job.Wrap != nil {
+				res = job.Wrap(run)
+			} else {
+				res = run()
+			}
 			d := time.Since(t0)
-			p.slots <- slot
+			results[i] = res
+			// Cancel before the slot is free again, or the next job in
+			// line could start a run the failure has already doomed.
+			if failFast && res.Verdict != OK && res.Verdict != Canceled {
+				cancel()
+			}
 			p.mu.Lock()
 			p.busy[slot] += d
 			p.jobs[slot]++
@@ -168,12 +199,10 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 				p.canceled++
 			}
 			p.mu.Unlock()
-			results[i] = res
-			if failFast && res.Verdict != OK && res.Verdict != Canceled {
-				cancel()
-			}
-		}(i, job)
+			p.slots <- slot
+		}()
 	}
+	p.waiting.Add(-1)
 	wg.Wait()
 	return results
 }

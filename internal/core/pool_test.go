@@ -152,3 +152,23 @@ func TestPoolCanceledBeforeStart(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolOrderedAdmission: jobs take their slots in index order, so on
+// one slot a fail-fast batch always runs what precedes the failure and
+// never starts what follows it — whichever goroutine the scheduler
+// favours.
+func TestPoolOrderedAdmission(t *testing.T) {
+	ok, fail := lightOKProgram("spin"), failFastProgram()
+	for rep := 0; rep < 200; rep++ {
+		jobs := []core.Job{
+			{Checker: core.New(mm.WMM), Program: ok},
+			{Checker: core.New(mm.WMM), Program: fail},
+			{Checker: core.New(mm.WMM), Program: ok},
+		}
+		res := core.NewPool(1).RunAll(context.Background(), jobs, true)
+		if res[0].Verdict != core.OK || res[1].Verdict != core.SafetyViolation || res[2].Verdict != core.Canceled {
+			t.Fatalf("repetition %d: verdicts %v, %v, %v — want ok, safety violation, canceled",
+				rep, res[0].Verdict, res[1].Verdict, res[2].Verdict)
+		}
+	}
+}

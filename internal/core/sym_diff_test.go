@@ -110,16 +110,8 @@ func TestSymDifferentialLitmus(t *testing.T) {
 // decisive cases — three clients, including the buggy study locks
 // whose violations exercise canonical-witness reporting.
 func TestSymDifferentialLocks(t *testing.T) {
-	names := []string{"spin", "ticket", "mcs", "qspin", "dpdkmcs-buggy", "huaweimcs-buggy"}
-	if !testing.Short() {
-		names = append(names, "ttas", "clh")
-	}
-	for _, name := range names {
-		alg := locks.ByName(name)
-		if alg == nil {
-			t.Fatalf("unknown lock %q", name)
-		}
-		symDiffOne(t, mm.WMM, harness.MutexClient(alg, alg.DefaultSpec(), 2, 1))
+	for _, p := range harness.DiffLocks(testing.Short()) {
+		symDiffOne(t, mm.WMM, p)
 	}
 	if !testing.Short() {
 		mcs := locks.ByName("mcs")

@@ -87,39 +87,16 @@ func same(t *testing.T, id string, clean, dirty observed, workers int) {
 	}
 }
 
-type poisonCell struct {
-	p      *vprog.Program
-	models []mm.Model
-	symOn  bool // skip the NoSymmetry twin (the three-thread cells: their orbits are what makes them affordable)
-}
-
-// poisonCorpus is the differential corpus of internal/core and
-// internal/structs in one table: every lock client, every structure
-// workload with its seeded-bug and /bounded twins, and the litmus tests
-// at both strengths, under all four models; outside -short also the
-// three-thread cells, where thieves retire what they did not build.
-func poisonCorpus() []poisonCell {
-	all := append(mm.All(), mm.Ablations()...)
-	var cells []poisonCell
-	for _, alg := range locks.All() {
-		cells = append(cells, poisonCell{p: harness.MutexClient(alg, alg.DefaultSpec(), 2, 1), models: all})
-	}
-	for _, w := range workload.All() {
-		cells = append(cells, poisonCell{p: workload.Program(w, nil, 2), models: all})
-	}
-	for _, name := range harness.LitmusNames() {
-		for _, strong := range []bool{false, true} {
-			cells = append(cells, poisonCell{p: harness.Litmus(name, strong), models: all})
-		}
-	}
+// poisonCorpus is harness.Corpus — the differential corpus of
+// internal/core and internal/structs in one table — plus one more
+// three-thread cell (mcs). Big cells run under WMM and skip the
+// NoSymmetry twin (their orbits are what makes them affordable); the
+// rest run under all four models.
+func poisonCorpus() []harness.CorpusCell {
+	cells := harness.Corpus(testing.Short())
 	if !testing.Short() {
-		wmm := []mm.Model{mm.WMM}
-		qspin, mcs := locks.ByName("qspin"), locks.ByName("mcs")
-		cells = append(cells,
-			poisonCell{harness.MutexClient(qspin, qspin.DefaultSpec(), 3, 1), wmm, true},
-			poisonCell{harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1), wmm, true},
-			poisonCell{workload.Program(workload.ByName("structs/treiber"), nil, 3), wmm, true},
-			poisonCell{workload.Program(workload.ByName("structs/treiber-badpop"), nil, 3), wmm, true})
+		mcs := locks.ByName("mcs")
+		cells = append(cells, harness.CorpusCell{Program: harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1), Big: true})
 	}
 	return cells
 }
@@ -140,14 +117,18 @@ func TestPoisonCorpus(t *testing.T) {
 	}
 	each := func(f func(r run, id string, m mm.Model, p *vprog.Program)) {
 		for ci, cell := range poisonCorpus() {
-			for mi, m := range cell.models {
+			models := append(mm.All(), mm.Ablations()...)
+			if cell.Big {
+				models = []mm.Model{mm.WMM}
+			}
+			for mi, m := range models {
 				for _, nosym := range []bool{false, true} {
-					if nosym && cell.symOn {
+					if nosym && cell.Big {
 						continue
 					}
 					for _, workers := range []int{1, 2, 4} {
-						id := fmt.Sprintf("%s under %s at %d workers (nosym=%v)", cell.p.Name, m.Name(), workers, nosym)
-						f(run{ci, mi, workers, nosym}, id, m, cell.p)
+						id := fmt.Sprintf("%s under %s at %d workers (nosym=%v)", cell.Program.Name, m.Name(), workers, nosym)
+						f(run{ci, mi, workers, nosym}, id, m, cell.Program)
 					}
 				}
 			}

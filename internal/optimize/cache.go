@@ -53,7 +53,7 @@ const (
 // early — and the speculative ladder can race the same candidate from
 // different passes; the cache collapses all of those to a map lookup.
 //
-// A Cache may additionally be backed by a persistent store.Store
+// A Cache may additionally be backed by a persistent store.Session
 // (NewCacheWithStore): memory misses fall through to the store, hits
 // are promoted into memory, and decisive verdicts are written through —
 // so a descent re-run in a fresh process pays hashing instead of model
@@ -69,7 +69,7 @@ type Cache struct {
 	mu        sync.Mutex
 	m         map[cacheKey]core.Verdict
 	undecided map[cacheKey]struct{}
-	persist   *store.Store
+	persist   *store.Session
 
 	hits, misses, undecidedProbes int
 	persistHits                   int
@@ -84,7 +84,7 @@ func NewCache() *Cache {
 // NewCacheWithStore returns a verdict cache backed by the persistent
 // store st (nil is allowed and equivalent to NewCache). The caller
 // retains ownership of st and is responsible for closing it.
-func NewCacheWithStore(st *store.Store) *Cache {
+func NewCacheWithStore(st *store.Session) *Cache {
 	c := NewCache()
 	c.persist = st
 	return c

@@ -113,7 +113,7 @@ func TestCacheUndecidedAccounting(t *testing.T) {
 func TestCachePersistentTier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.log")
 	alg := locks.ByName("ttas")
-	run := func(st *store.Store) *optimize.Result {
+	run := func(st *store.Session) *optimize.Result {
 		t.Helper()
 		opt := &optimize.Optimizer{
 			Model: mm.WMM, Parallelism: 1, Cache: optimize.NewCacheWithStore(st),
@@ -128,7 +128,7 @@ func TestCachePersistentTier(t *testing.T) {
 		return res
 	}
 
-	st1, err := store.Open(path)
+	st1, err := store.OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCachePersistentTier(t *testing.T) {
 
 	// "New process": a fresh store handle and a fresh (empty) memory
 	// cache; everything must be served by the persistent tier.
-	st2, err := store.Open(path)
+	st2, err := store.OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCachePersistentTier(t *testing.T) {
 // next run silently redoes all the AMC work. The first failure is
 // recorded and exposed so callers (vsyncopt) can warn.
 func TestCacheStoreErr(t *testing.T) {
-	st, err := store.Open(filepath.Join(t.TempDir(), "verdicts.log"))
+	st, err := store.OpenShared(filepath.Join(t.TempDir(), "verdicts.log"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

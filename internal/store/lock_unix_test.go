@@ -76,7 +76,7 @@ func TestOpenSharedConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s3, err := Open(path) // deprecated alias must keep working
+	s3, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatalf("Open after both sessions closed: %v", err)
 	}

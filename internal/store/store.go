@@ -223,13 +223,6 @@ type Session struct {
 	inflight sync.WaitGroup
 }
 
-// Store is the session type's pre-sharing name.
-//
-// Deprecated: use Session. The exclusive single-owner Store was
-// replaced by shared multi-writer sessions; the alias keeps old callers
-// compiling.
-type Store = Session
-
 // OpenShared opens (creating if necessary, including parent
 // directories) a shared session on the verdict log at path. Concurrent
 // sessions of any number of processes may share the log; opts may be
@@ -270,13 +263,6 @@ func OpenShared(path string, opts *Options) (*Session, error) {
 	}
 	return s, nil
 }
-
-// Open opens a shared session on the verdict log at path.
-//
-// Deprecated: use OpenShared. Open used to take an exclusive flock and
-// refuse a second process; the log is now multi-writer and Open is an
-// alias for OpenShared(path, nil).
-func Open(path string) (*Session, error) { return OpenShared(path, nil) }
 
 // withFileLock runs fn holding the cross-process append lock. The lock
 // is held briefly (a scan, one record write); blocking is the right

@@ -38,7 +38,7 @@ func verdictFor(i int) core.Verdict {
 // back — the across-process-restarts contract.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "verdicts.log")
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRoundTrip(t *testing.T) {
 // TestIndecisiveDropped verifies Error and Canceled are never persisted.
 func TestIndecisiveDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.log")
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestIndecisiveDropped(t *testing.T) {
 
 // TestDuplicateAndConflict checks the dedupe and unsound-rekey guards.
 func TestDuplicateAndConflict(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "verdicts.log"))
+	s, err := OpenShared(filepath.Join(t.TempDir(), "verdicts.log"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDuplicateAndConflict(t *testing.T) {
 // expects every record to survive a reopen.
 func TestConcurrentWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.log")
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
+	s2, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +174,10 @@ func TestConcurrentWriters(t *testing.T) {
 
 // corruptAndReopen writes n records, mutates the file with f, reopens,
 // and returns the reopened store.
-func corruptAndReopen(t *testing.T, n int, f func([]byte) []byte) *Store {
+func corruptAndReopen(t *testing.T, n int, f func([]byte) []byte) *Session {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "verdicts.log")
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func corruptAndReopen(t *testing.T, n int, f func([]byte) []byte) *Store {
 	if err := os.WriteFile(path, f(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
+	s2, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestTruncatedTail(t *testing.T) {
 	}
 	path := s.Path()
 	s.Close()
-	s3, err := Open(path)
+	s3, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestGarbageFile(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
+	if _, err := OpenShared(path, nil); err == nil {
 		t.Fatal("opened a file that was never a verdict store")
 	}
 	after, err := os.ReadFile(path)
@@ -333,7 +333,7 @@ func TestV1UpgradeRetainsHistory(t *testing.T) {
 	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestV1UpgradeRetainsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	s2, err := Open(path)
+	s2, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestShortMagicPrefixHeals(t *testing.T) {
 		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(path)
+		s, err := OpenShared(path, nil)
 		if err != nil {
 			t.Fatalf("%d-byte magic prefix refused instead of healed: %v", n, err)
 		}
@@ -380,7 +380,7 @@ func TestShortMagicPrefixHeals(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		s2, err := Open(path)
+		s2, err := OpenShared(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestShortMagicPrefixHeals(t *testing.T) {
 	if err := os.WriteFile(path, []byte("no"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
+	if _, err := OpenShared(path, nil); err == nil {
 		t.Fatal("2 bytes of non-magic garbage opened as a store")
 	}
 }
@@ -401,7 +401,7 @@ func TestShortMagicPrefixHeals(t *testing.T) {
 // TestPutAfterClose: a late Put must fail cleanly, not crash — it is
 // how the cache's write-through failure surfaces.
 func TestPutAfterClose(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "verdicts.log"))
+	s, err := OpenShared(filepath.Join(t.TempDir(), "verdicts.log"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestEpochInvalidation(t *testing.T) {
 		t.Fatal("code epoch is zero")
 	}
 	path := filepath.Join(t.TempDir(), "verdicts.log")
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestEpochInvalidation(t *testing.T) {
 	codeEpoch = graph.Hash128{oldEpoch[0] ^ 1, oldEpoch[1]}
 	defer func() { codeEpoch = oldEpoch }()
 
-	s2, err := Open(path)
+	s2, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestEpochInvalidation(t *testing.T) {
 	// must still be on disk and served again; the flipped-epoch record
 	// is now the foreign one.
 	codeEpoch = oldEpoch
-	s3, err := Open(path)
+	s3, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestEpochInvalidation(t *testing.T) {
 // grow by a corpus per verification-code commit forever.
 func TestStaleRetentionBudget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.log")
-	s, err := Open(path)
+	s, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestStaleRetentionBudget(t *testing.T) {
 	staleRetainBytes = 3 * recSize // room for 3 of the 8 foreign records
 	defer func() { codeEpoch = oldEpoch; staleRetainBytes = oldBudget }()
 
-	s2, err := Open(path)
+	s2, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestStaleRetentionBudget(t *testing.T) {
 	// Back on the original epoch only the 3 newest of the old records
 	// survived the budget; the new-epoch record is retained foreign.
 	codeEpoch = oldEpoch
-	s3, err := Open(path)
+	s3, err := OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

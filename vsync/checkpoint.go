@@ -3,9 +3,7 @@ package vsync
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -52,68 +50,18 @@ func CheckpointPath(dir string, key StoreKey) string {
 	return filepath.Join(dir, fmt.Sprintf("%016x%016x.ckpt", h[0], h[1]))
 }
 
-// armCheckpoints wires one checker for budgeted, resumable execution
-// and returns the checkpoint path ("" when no directory is
-// configured). With a directory, a cancellation (SIGINT in the CLIs)
-// also snapshots instead of discarding, an existing compatible
-// checkpoint seeds the run, and interval > 0 additionally snapshots
-// periodically so even kill -9 loses at most one interval of work.
-func armCheckpoints(c *core.Checker, b Budget, dir string, interval time.Duration, key StoreKey) string {
-	c.Budget = b
-	if dir == "" {
-		return ""
-	}
-	path := CheckpointPath(dir, key)
-	c.CheckpointOnCancel = true
-	if ck, err := core.LoadCheckpointFile(path); err == nil {
-		if ck.Epoch == StoreCodeEpoch() {
-			c.Resume = ck
-		}
-		// A checkpoint stamped by a different code epoch is ignored, not
-		// an error: a frontier produced by different checker code is not
-		// trustworthy even over the same program, and the fresh run will
-		// overwrite it. Same stance the verdict store takes on stale
-		// records.
-	}
-	if interval > 0 {
-		c.CheckpointInterval = interval
-		c.CheckpointSink = func(ck *core.Checkpoint) error {
-			ck.Epoch = StoreCodeEpoch()
-			return core.WriteCheckpointFile(path, ck)
-		}
-	}
-	return path
-}
-
-// finishCheckpoint persists or retires the checkpoint file after a
-// run. Undecided results write their final frontier (replacing any
-// periodic snapshot, which is by now behind); decisive verdicts retire
-// the file — the problem is solved, resuming it would be wasted work.
-// Error and Canceled leave any existing file alone: the frontier on
-// disk is still the best known resume point.
-func finishCheckpoint(path string, r *core.Result) error {
-	if path == "" || r == nil {
-		return nil
-	}
-	if r.Verdict == core.Undecided && r.Checkpoint != nil {
-		r.Checkpoint.Epoch = StoreCodeEpoch()
-		return core.WriteCheckpointFile(path, r.Checkpoint)
-	}
-	if r.Verdict == OK || r.Verdict == SafetyViolation || r.Verdict == ATViolation {
-		os.Remove(path)
-	}
-	return nil
-}
-
 // Resume continues a checkpointed exploration of p under model. The
 // result is what the interrupted run would eventually have returned —
 // verdict, counterexample, and (for runs segmented purely by budget)
 // statistics are identical to an uninterrupted run's. A checkpoint
 // carrying a different model, program fingerprint, or (when stamped)
-// code epoch is refused with an Error result. opts supplies the
-// engine knobs that apply to a single run: WorkersPerRun, MaxGraphs,
-// Budget (the new segment may itself be budgeted), CheckpointDir and
-// CheckpointInterval.
+// code epoch is refused with an Error result. opts means what it means
+// to Run for a single program — the same problem lifecycle serves both:
+// opts.StoreKeys[0], when given, is the key the interrupted Run used
+// (it names the checkpoint file in CheckpointDir that a decisive
+// verdict retires), and a Store is consulted and warmed. A failed
+// verdict append or checkpoint write cannot change the verdict; it is
+// reported in Result.Err when the run left that empty.
 func Resume(model Model, p *Program, ck *Checkpoint, opts RunOptions) *Result {
 	return ResumeCtx(context.Background(), model, p, ck, opts)
 }
@@ -131,31 +79,12 @@ func ResumeCtx(ctx context.Context, model Model, p *Program, ck *Checkpoint, opt
 			"vsync: Resume: checkpoint code epoch %016x%016x does not match this build (%016x%016x); re-verify from scratch",
 			ck.Epoch[0], ck.Epoch[1], StoreCodeEpoch()[0], StoreCodeEpoch()[1])}
 	}
-	if opts.WorkersPerRun <= 0 {
-		opts.WorkersPerRun = 1
+	probs := opts.problems(model, []*Program{p})
+	probs[0].seed = ck
+	opts.Parallelism = 1
+	o := resolve(ctx, probs, opts, false)[0]
+	if o.res.Err == nil {
+		o.res.Err = o.err
 	}
-	c := core.New(model)
-	c.WorkersPerRun = opts.WorkersPerRun
-	c.NoSymmetry = opts.NoSymmetry
-	if opts.MaxGraphs > 0 {
-		c.MaxGraphs = opts.MaxGraphs
-	}
-	c.Budget = opts.Budget
-	c.Resume = ck
-	key := StoreKey{Model: model.Name(), Prog: p.Fingerprint128()}
-	path := ""
-	if opts.CheckpointDir != "" {
-		path = CheckpointPath(opts.CheckpointDir, key)
-		c.CheckpointOnCancel = true
-		if opts.CheckpointInterval > 0 {
-			c.CheckpointInterval = opts.CheckpointInterval
-			c.CheckpointSink = func(ck *core.Checkpoint) error {
-				ck.Epoch = StoreCodeEpoch()
-				return core.WriteCheckpointFile(path, ck)
-			}
-		}
-	}
-	r := c.RunCtx(ctx, p)
-	finishCheckpoint(path, r)
-	return r
+	return o.res
 }

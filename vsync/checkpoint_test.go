@@ -17,7 +17,7 @@ import (
 // answer.
 func TestRunBudgetResumeDifferential(t *testing.T) {
 	p := goodProgram(t)
-	base := vsync.Verify(vsync.ModelWMM, p)
+	base := verify(vsync.ModelWMM, p)
 	if base.Verdict != vsync.OK {
 		t.Fatalf("baseline: %v", base.Verdict)
 	}
@@ -91,7 +91,7 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 // the verdict is decisive, then the file must be retired.
 func TestRunCheckpointDir(t *testing.T) {
 	p := goodProgram(t)
-	base := vsync.Verify(vsync.ModelWMM, p)
+	base := verify(vsync.ModelWMM, p)
 	dir := t.TempDir()
 
 	opts := vsync.RunOptions{
@@ -127,6 +127,33 @@ func TestRunCheckpointDir(t *testing.T) {
 	}
 	if n := ckptFiles(t, dir); n != 0 {
 		t.Errorf("decisive verdict left %d checkpoint file(s) behind", n)
+	}
+}
+
+// TestResumeRetiresKeyedCheckpoint: Resume addresses the checkpoint
+// file by the key the interrupted Run used, so the decisive resume
+// retires it instead of leaving it for the next Run to re-load.
+func TestResumeRetiresKeyedCheckpoint(t *testing.T) {
+	alg := locks.ByName("ttas")
+	spec := alg.DefaultSpec()
+	p := vsync.MutexClient(alg, spec, 2, 1)
+	opts := vsync.RunOptions{
+		Parallelism:   1,
+		StoreKeys:     []vsync.StoreKey{vsync.ProblemKey(vsync.ModelWMM, spec, p)},
+		Budget:        vsync.Budget{MaxGraphs: 30},
+		CheckpointDir: t.TempDir(),
+	}
+	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, opts)
+	if rr.Result.Verdict != vsync.Undecided || ckptFiles(t, opts.CheckpointDir) != 1 {
+		t.Fatalf("budgeted run: %v with %d checkpoint files, want undecided with 1", rr.Result.Verdict, ckptFiles(t, opts.CheckpointDir))
+	}
+	opts.Budget = vsync.Budget{}
+	res := vsync.Resume(vsync.ModelWMM, p, rr.Result.Checkpoint, opts)
+	if res.Verdict != vsync.OK || res.Err != nil {
+		t.Fatalf("resume: %v (err %v)", res.Verdict, res.Err)
+	}
+	if n := ckptFiles(t, opts.CheckpointDir); n != 0 {
+		t.Errorf("decisive resume left %d checkpoint file(s) behind", n)
 	}
 }
 
@@ -213,7 +240,7 @@ func TestCheckpointFileAPI(t *testing.T) {
 	ck.Epoch = graph.Hash128{1, 2} // "another build"
 
 	dir := t.TempDir()
-	key := vsync.StoreKey{Model: vsync.ModelWMM.Name(), Prog: p.Fingerprint128()}
+	key := vsync.ProblemKey(vsync.ModelWMM, nil, p)
 	path := vsync.CheckpointPath(dir, key)
 	if err := vsync.WriteCheckpointFile(path, ck); err != nil {
 		t.Fatal(err)

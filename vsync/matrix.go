@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/report"
 	"repro/internal/store"
-	"repro/internal/vprog"
 	"repro/internal/workload"
 )
 
@@ -271,24 +268,14 @@ func (r *MatrixResult) Report() string {
 	return t.String() + "\n" + r.Summary()
 }
 
-// matrixCell pairs a pending cell with its store key.
-type matrixCell struct {
-	cell MatrixCell
-	prog *vprog.Program
-	key  store.Key
-}
-
-// buildMatrix expands the config into the cell corpus, in deterministic
-// order: locks × thread ladder × models, then structures × ladder ×
-// models, then litmus × strength × models.
-func buildMatrix(cfg *MatrixConfig) []matrixCell {
+// buildMatrix expands the config into the cell corpus — the table's
+// cells and, parallel to them, the problems that decide them — in
+// deterministic order: locks × thread ladder × models, then structures
+// × ladder × models, then litmus × strength × models.
+func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem) {
 	models := cfg.Models
 	if models == nil {
 		models = mm.All()
-	}
-	algs := cfg.Locks
-	if algs == nil {
-		algs = locks.Verifiable()
 	}
 	threads := cfg.Threads
 	if threads == nil {
@@ -304,47 +291,47 @@ func buildMatrix(cfg *MatrixConfig) []matrixCell {
 	if iters < 1 {
 		iters = 1
 	}
-	var cells []matrixCell
-	if !cfg.NoLocks {
-		for _, alg := range algs {
-			spec := alg.DefaultSpec()
-			specFP := spec.Fingerprint128()
-			for _, t := range threads {
-				p := harness.MutexClient(alg, spec, t, iters)
-				progFP := p.Fingerprint128()
-				for _, m := range models {
-					cells = append(cells, matrixCell{
-						cell: MatrixCell{Model: m.Name(), Program: p.Name, Threads: t},
-						prog: p,
-						key:  store.Key{Model: m.Name(), Spec: specFP, Prog: progFP},
-					})
-				}
+	// add appends p's row of cells, one per model: the program and spec
+	// are fingerprinted once and the key re-addressed per model.
+	add := func(p *Program, spec *BarrierSpec, cell MatrixCell) {
+		var key StoreKey
+		for i, m := range models {
+			if i == 0 {
+				key = ProblemKey(m, spec, p)
 			}
+			key.Model, cell.Model = m.Name(), m.Name()
+			cells = append(cells, cell)
+			probs = append(probs, problem{model: m, prog: p, key: key, name: cell.Program})
+		}
+	}
+	// Locks are one workload family among others: each enters as the
+	// generic mutex client over it.
+	var ws []Workload
+	if !cfg.NoLocks {
+		algs := cfg.Locks
+		if algs == nil {
+			algs = locks.Verifiable()
+		}
+		for _, alg := range algs {
+			ws = append(ws, workload.Mutex(alg, iters))
 		}
 	}
 	if !cfg.NoStructs {
-		ws := cfg.Structs
-		if ws == nil {
-			ws = workload.Verifiable()
+		if cfg.Structs == nil {
+			ws = append(ws, workload.Verifiable()...)
+		} else {
+			ws = append(ws, cfg.Structs...)
 		}
-		for _, w := range ws {
-			spec := w.DefaultSpec()
-			specFP := spec.Fingerprint128()
-			lo, hi := w.Threads()
-			for _, t := range threads {
-				if t < lo || (hi > 0 && t > hi) {
-					continue
-				}
-				p := workload.Program(w, spec, t)
-				progFP := p.Fingerprint128()
-				for _, m := range models {
-					cells = append(cells, matrixCell{
-						cell: MatrixCell{Model: m.Name(), Program: p.Name, Threads: t},
-						prog: p,
-						key:  store.Key{Model: m.Name(), Spec: specFP, Prog: progFP},
-					})
-				}
+	}
+	for _, w := range ws {
+		spec := w.DefaultSpec()
+		lo, hi := w.Threads()
+		for _, t := range threads {
+			if t < lo || (hi > 0 && t > hi) {
+				continue
 			}
+			p := workload.Program(w, spec, t)
+			add(p, spec, MatrixCell{Program: p.Name, Threads: t})
 		}
 	}
 	if !cfg.NoLitmus {
@@ -365,21 +352,13 @@ func buildMatrix(cfg *MatrixConfig) []matrixCell {
 				if strong {
 					label = "litmus/" + n + "/strong"
 				}
-				progFP := p.Fingerprint128()
-				for _, m := range models {
-					cells = append(cells, matrixCell{
-						cell: MatrixCell{Model: m.Name(), Program: label, Litmus: true},
-						prog: p,
-						// Litmus programs carry no BarrierSpec; the zero
-						// spec fingerprint plus the program fingerprint
-						// (which hashes every access mode) keys them.
-						key: store.Key{Model: m.Name(), Spec: graph.Hash128{}, Prog: progFP},
-					})
-				}
+				// Litmus programs carry no BarrierSpec: the nil-spec key,
+				// whose program fingerprint hashes every access mode.
+				add(p, nil, MatrixCell{Program: label, Litmus: true})
 			}
 		}
 	}
-	return cells
+	return cells, probs
 }
 
 // VerifyMatrix runs the suite corpus incrementally: every cell the
@@ -396,143 +375,49 @@ func VerifyMatrix(cfg MatrixConfig) *MatrixResult {
 // VerifyMatrixCtx is VerifyMatrix with cooperative cancellation.
 func VerifyMatrixCtx(ctx context.Context, cfg MatrixConfig) *MatrixResult {
 	start := time.Now()
-	if cfg.WorkersPerRun <= 0 {
-		// Same normalization as VerifyPar/VerifySuitePar; the checker
-		// itself clamps <1 to sequential, which is not what the
-		// documented "0 = GOMAXPROCS" promises.
-		cfg.WorkersPerRun = runtime.GOMAXPROCS(0)
-	}
-	cells := buildMatrix(&cfg)
-	res := &MatrixResult{}
+	cells, probs := buildMatrix(&cfg)
+	res := &MatrixResult{Cells: cells}
 	var appended0 int
 	if cfg.Store != nil {
-		// The session is shared: pull in verdicts concurrent processes
-		// appended since our last scan, so a suite started seconds
-		// after another serves the overlap instead of recomputing it.
-		// Best-effort — a closed or unreadable store degrades to
-		// memory-only lookups and surfaces through StoreErr on Put.
-		cfg.Store.Refresh()
 		appended0 = cfg.Store.Stats().Appended
 	}
-
-	// Group the cells that need an AMC run by content address: cells
-	// with identical keys are the same verification problem (a litmus
-	// test whose weak and strong variants generate the same program,
-	// two registry entries sharing a client shape), so one run serves
-	// the whole group — the intra-run analogue of a store hit.
-	groups := make(map[graph.Hash128][]int)
-	var order []graph.Hash128
-	for i := range cells {
-		mc := &cells[i]
-		if cfg.Store != nil {
-			if v, ok := cfg.Store.Lookup(mc.key); ok {
-				mc.cell.Verdict = v
-				mc.cell.FromStore = true
-				res.Hits++
-				continue
-			}
-		}
-		h := mc.key.Hash()
-		if _, seen := groups[h]; !seen {
-			order = append(order, h)
-		}
-		groups[h] = append(groups[h], i)
-	}
-
-	if len(order) > 0 {
-		pool := core.NewPool(cfg.Parallelism)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for _, h := range order {
-			group := groups[h]
-			wg.Add(1)
-			go func(group []int) {
-				defer wg.Done()
-				rep := &cells[group[0]]
-				if cfg.Store != nil {
-					// Re-check right before spending AMC work: with two
-					// live suites on one store, the other process may have
-					// decided this cell since our opening scan. The
-					// Refresh is an incremental tail re-scan — cheap when
-					// nothing changed — and a late hit serves the whole
-					// group.
-					cfg.Store.Refresh()
-					if v, ok := cfg.Store.Lookup(rep.key); ok {
-						for _, i := range group {
-							mc := &cells[i]
-							mc.cell.Verdict = v
-							mc.cell.FromStore = true
-						}
-						mu.Lock()
-						res.Hits += len(group)
-						mu.Unlock()
-						return
-					}
-				}
-				c := core.New(mm.ByName(rep.cell.Model))
-				if cfg.MaxGraphs > 0 {
-					c.MaxGraphs = cfg.MaxGraphs
-				}
-				c.WorkersPerRun = cfg.WorkersPerRun
-				// Crash-safety: the cell's checkpoint file shares the
-				// store's content address, so a suite re-run over the
-				// same corpus resumes exactly the cells a budget (or a
-				// kill) left undecided.
-				ckptPath := armCheckpoints(c, cfg.Budget, cfg.CheckpointDir, cfg.CheckpointInterval, rep.key)
-				// One single-job RunAll per group (the pool still bounds
-				// total concurrency) so each verdict is appended the
-				// moment its run finishes: a long cold suite that is
-				// interrupted keeps everything it decided so far.
-				r := pool.RunAll(ctx, []core.Job{{Checker: c, Program: rep.prog}}, false)[0]
-				var putErr error
-				if cfg.Store != nil {
-					putErr = cfg.Store.Put(rep.key, r.Verdict, rep.cell.Model+"/"+rep.cell.Program)
-				}
-				if err := finishCheckpoint(ckptPath, r); err != nil && putErr == nil {
-					// Losing the snapshot does not taint the verdict, but
-					// the caller believes the run is resumable; surface
-					// through the same channel as append failures.
-					putErr = err
-				}
-				conflict := errors.Is(putErr, store.ErrConflict)
-				for n, i := range group {
-					mc := &cells[i]
-					mc.cell.Verdict = r.Verdict
-					mc.cell.Err = r.Err
-					if n == 0 {
-						mc.cell.Duration = r.Duration
-					} else {
-						mc.cell.Deduped = true
-					}
-					if conflict {
-						// A conflict means the keying broke; surface it as
-						// a cell error rather than silently trusting
-						// either side. A plain append failure is NOT a
-						// cell error — the verdict is sound, it just was
-						// not persisted (recorded in StoreErr below).
-						mc.cell.Err = putErr
-						mc.cell.Verdict = core.Error
-					}
-				}
-				mu.Lock()
-				if putErr != nil && !conflict && res.StoreErr == nil {
-					res.StoreErr = putErr
-				}
-				res.Misses++
-				res.Deduped += len(group) - 1
-				mu.Unlock()
-			}(group)
-		}
-		wg.Wait()
-	}
+	outs := resolve(ctx, probs, RunOptions{
+		Store:              cfg.Store,
+		Parallelism:        cfg.Parallelism,
+		WorkersPerRun:      cfg.WorkersPerRun,
+		MaxGraphs:          cfg.MaxGraphs,
+		Budget:             cfg.Budget,
+		CheckpointDir:      cfg.CheckpointDir,
+		CheckpointInterval: cfg.CheckpointInterval,
+	}, false)
 	if cfg.Store != nil {
 		// Count what the log actually gained, not what we offered it:
 		// duplicate offers and indecisive verdicts append nothing.
 		res.Stored = cfg.Store.Stats().Appended - appended0
 	}
 
-	for i := range cells {
-		c := cells[i].cell
+	for i, o := range outs {
+		c := &cells[i]
+		c.Verdict, c.Err, c.Duration = o.res.Verdict, o.res.Err, o.res.Duration
+		c.FromStore, c.Deduped = o.fromStore, o.deduped
+		switch {
+		case errors.Is(o.err, store.ErrConflict):
+			// A conflict means the keying broke; surface it as a cell
+			// error rather than silently trusting either side.
+			c.Verdict, c.Err = core.Error, o.err
+		case o.err != nil && res.StoreErr == nil:
+			// A plain append failure, or a lost checkpoint, is NOT a cell
+			// error — the verdict is sound, it just was not persisted.
+			res.StoreErr = o.err
+		}
+		switch {
+		case c.FromStore:
+			res.Hits++
+		case c.Deduped:
+			res.Deduped++
+		default:
+			res.Misses++
+		}
 		if c.Verdict == core.Error || c.Verdict == Canceled {
 			res.Errors++
 		} else if c.Verdict == core.Undecided {
@@ -540,7 +425,6 @@ func VerifyMatrixCtx(ctx context.Context, cfg MatrixConfig) *MatrixResult {
 		} else if !c.Litmus && c.Verdict != OK {
 			res.Failures++
 		}
-		res.Cells = append(res.Cells, c)
 	}
 	res.Duration = time.Since(start)
 	return res

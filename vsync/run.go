@@ -2,25 +2,22 @@ package vsync
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 )
 
-// RunOptions parameterizes Run, the single entry point the historical
-// Verify/VerifyPar/VerifySuite/VerifySuitePar/VerifySuiteResults
-// family collapsed into. The zero value is a sensible sequential
-// verification: one run at a time, one worker per run, no store.
+// RunOptions parameterizes Run, the single entry point for verifying
+// programs. The zero value verifies on every CPU: GOMAXPROCS runs at a
+// time, each sharing its frontier among as many workers, no store.
 type RunOptions struct {
 	// Parallelism bounds concurrent AMC runs (0 = GOMAXPROCS,
 	// 1 = one run at a time).
 	Parallelism int
 	// WorkersPerRun shares each run's exploration frontier among up to
 	// this many workers (0 = GOMAXPROCS, 1 = sequential). The verdict
-	// is identical at every worker count; see VerifyPar for the
-	// statistics fine print.
+	// is identical at every worker count; see Run for the statistics
+	// fine print.
 	WorkersPerRun int
 	// CollectResults retains every program's individual result (and
 	// its per-program store provenance) on the RunResult; off, only
@@ -33,9 +30,9 @@ type RunOptions struct {
 	Store *VerdictStore
 	// StoreKeys, when non-nil, supplies the store key per program
 	// (parallel to the programs slice; callers that know the
-	// BarrierSpec behind a program pass the full key). Nil keys each
-	// program by (model, zero spec, program fingerprint) — sound, but
-	// a different address than spec-aware callers use.
+	// BarrierSpec behind a program pass ProblemKey(model, spec, p)). Nil
+	// keys each program by ProblemKey(model, nil, p) — sound, but a
+	// different address than spec-aware callers use.
 	StoreKeys []StoreKey
 	// MaxGraphs bounds each AMC run (0 = checker default).
 	MaxGraphs int
@@ -75,8 +72,8 @@ type RunResult struct {
 	// Results holds each program's individual result, in program
 	// order, when RunOptions.CollectResults is set (nil otherwise).
 	// Programs canceled by the fail-fast report Canceled; programs
-	// served by the store report a synthetic result carrying only the
-	// verdict.
+	// served by the store, or by the run of an earlier program with an
+	// equal key, report a synthetic result carrying only the verdict.
 	Results []*Result
 	// FromStore marks, parallel to Results, the programs whose verdict
 	// was served by the store (only with CollectResults).
@@ -90,157 +87,75 @@ type RunResult struct {
 	StoreErr error
 }
 
-// Run model-checks programs under model, fanning the AMC runs out
-// across a worker pool with fail-fast cancellation and (optionally)
-// serving and warming a shared verdict store. It subsumes the
-// deprecated Verify* family:
-//
-//	Verify(m, p)                      = Run(m, []*Program{p}, RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true}).Results[0]
-//	VerifyPar(m, p, w)                = ... WorkersPerRun: w ...
-//	VerifySuite(m, par, ps)           = Run(m, ps, RunOptions{Parallelism: par, WorkersPerRun: 1}) reduced to (Result, Failed)
-//	VerifySuitePar / ...SuiteResults  = the same with WorkersPerRun and CollectResults
+// Run model-checks programs under model: each program is one problem
+// taken through the package's single lifecycle (key → store →
+// checkpoint → run → persist, see engine.go), the AMC runs fanned out
+// across a worker pool in program order with fail-fast cancellation.
+// Programs whose keys are equal are one problem and share one run.
 //
 // Single-program runs with Parallelism 1 execute the checker
-// standalone, so WorkersPerRun > 1 spawns that run's own worker set
-// exactly as VerifyPar always has; everything else goes through a
-// core.Pool, where extra workers arrive by borrowing idle slots.
+// standalone, so WorkersPerRun > 1 spawns that run's own worker set;
+// everything else goes through a core.Pool, where extra workers arrive
+// by borrowing idle slots. The verdict always agrees with the
+// sequential explorer; among parallel runs (WorkersPerRun > 1) the
+// execution count and counterexample are additionally identical at
+// every worker count, because they explore to completion and merge
+// deterministically — the sequential explorer instead stops at its
+// first DFS counterexample, so on violating programs its statistics
+// and witness reflect that partial search.
 func Run(model Model, programs []*Program, opts RunOptions) *RunResult {
 	return RunCtx(context.Background(), model, programs, opts)
+}
+
+// problems pairs programs with their keys: the caller's, or — only when
+// a store or a checkpoint directory needs an address — the spec-less
+// ProblemKey.
+func (opts *RunOptions) problems(model Model, programs []*Program) []problem {
+	keyed := opts.Store != nil || opts.CheckpointDir != ""
+	probs := make([]problem, len(programs))
+	for i, p := range programs {
+		probs[i] = problem{model: model, prog: p, name: p.Name}
+		if i < len(opts.StoreKeys) {
+			probs[i].key = opts.StoreKeys[i]
+		} else if keyed {
+			probs[i].key = ProblemKey(model, nil, p)
+		}
+	}
+	return probs
 }
 
 // RunCtx is Run with cooperative cancellation: canceling ctx stops
 // pending and running AMC work, which reports Canceled.
 func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptions) *RunResult {
-	if opts.WorkersPerRun <= 0 {
-		opts.WorkersPerRun = runtime.GOMAXPROCS(0)
-	}
-	n := len(programs)
+	outs := resolve(ctx, opts.problems(model, programs), opts, true)
 	rr := &RunResult{Failed: -1}
-	results := make([]*Result, n)
-	fromStore := make([]bool, n)
-
-	keys := opts.StoreKeys
-	if keys == nil && (opts.Store != nil || opts.CheckpointDir != "") {
-		// Checkpoint files are addressed by the same content key the
-		// store uses, so a checkpoint directory needs keys even without
-		// a store.
-		keys = make([]StoreKey, n)
-		for i, p := range programs {
-			keys[i] = StoreKey{Model: model.Name(), Spec: graph.Hash128{}, Prog: p.Fingerprint128()}
+	results := make([]*Result, len(outs))
+	fromStore := make([]bool, len(outs))
+	for i, o := range outs {
+		results[i], fromStore[i] = o.res, o.fromStore
+		if o.fromStore {
+			rr.StoreHits++
+		}
+		if o.err != nil && rr.StoreErr == nil {
+			rr.StoreErr = o.err
 		}
 	}
-	var todo []int
-	if opts.Store != nil {
-		// Observe verdicts concurrent processes appended since this
-		// session's last scan; best-effort (a closed or unreadable
-		// store degrades to memory-only lookups).
-		opts.Store.Refresh()
-		for i := range programs {
-			if v, ok := opts.Store.Lookup(keys[i]); ok {
-				results[i] = &Result{Verdict: v}
-				fromStore[i] = true
-				rr.StoreHits++
-			} else {
-				todo = append(todo, i)
-			}
-		}
-	} else {
-		for i := range programs {
-			todo = append(todo, i)
-		}
+	if opts.CollectResults {
+		rr.Results, rr.FromStore = results, fromStore
 	}
 
-	// A stored failure fails the run before any AMC work, mirroring
-	// fail-fast: the unrun remainder reports Canceled.
+	// Reduce: the lowest-indexed decisive failure wins; then an
+	// undecided run (its result carries the checkpoint to resume from);
+	// then a cancellation; else aggregate OK.
+	rank := map[Verdict]int{Canceled: 1, Undecided: 2, SafetyViolation: 3, ATViolation: 3, core.Error: 3}
+	worst := 0
 	for i, r := range results {
-		if r != nil && r.Verdict != OK {
-			for _, j := range todo {
-				results[j] = &Result{Verdict: Canceled, Message: "canceled: stored verdict failed fail-fast"}
-			}
-			rr.Result, rr.Failed = r, i
-			return rr.finish(results, fromStore, opts)
+		if k := rank[r.Verdict]; k > worst {
+			worst, rr.Result, rr.Failed = k, r, i
 		}
 	}
-
-	newChecker := func(i int) (*core.Checker, string) {
-		c := core.New(model)
-		c.WorkersPerRun = opts.WorkersPerRun
-		c.NoSymmetry = opts.NoSymmetry
-		if opts.MaxGraphs > 0 {
-			c.MaxGraphs = opts.MaxGraphs
-		}
-		var key StoreKey
-		if keys != nil {
-			key = keys[i]
-		}
-		path := armCheckpoints(c, opts.Budget, opts.CheckpointDir, opts.CheckpointInterval, key)
-		return c, path
-	}
-	ckptPaths := make(map[int]string)
-	if len(todo) == 1 && opts.Parallelism == 1 {
-		// Standalone run: WorkersPerRun > 1 spawns the run's own
-		// workers (a one-slot pool could lend it nothing).
-		c, path := newChecker(todo[0])
-		ckptPaths[todo[0]] = path
-		results[todo[0]] = c.RunCtx(ctx, programs[todo[0]])
-	} else if len(todo) > 0 {
-		pool := core.NewPool(opts.Parallelism)
-		jobs := make([]core.Job, len(todo))
-		for j, i := range todo {
-			c, path := newChecker(i)
-			ckptPaths[i] = path
-			jobs[j] = core.Job{Checker: c, Program: programs[i]}
-		}
-		_, _, jobResults := pool.VerifyAll(ctx, jobs)
-		for j, i := range todo {
-			results[i] = jobResults[j]
-		}
-	}
-	// Persist or retire checkpoint files: Undecided results write their
-	// final frontier, decisive verdicts delete the file (the problem is
-	// solved), Error/Canceled leave any snapshot in place.
-	for i, path := range ckptPaths {
-		if err := finishCheckpoint(path, results[i]); err != nil && rr.StoreErr == nil {
-			rr.StoreErr = err
-		}
-	}
-
-	// Persist what was computed — including decisive verdicts from
-	// programs that finished before a fail-fast cancellation; the
-	// store exists to never redo that work.
-	if opts.Store != nil {
-		for _, i := range todo {
-			r := results[i]
-			if r == nil {
-				continue
-			}
-			if err := opts.Store.Put(keys[i], r.Verdict, model.Name()+"/"+programs[i].Name); err != nil && rr.StoreErr == nil {
-				rr.StoreErr = err
-			}
-		}
-	}
-
-	// Reduce exactly as VerifySuiteResults always has: the
-	// lowest-indexed decisive failure wins; then an undecided run (its
-	// result carries the checkpoint to resume from); then a
-	// cancellation; else aggregate OK.
-	for i, r := range results {
-		if r.Verdict != OK && r.Verdict != Canceled && r.Verdict != core.Undecided {
-			rr.Result, rr.Failed = r, i
-			return rr.finish(results, fromStore, opts)
-		}
-	}
-	for i, r := range results {
-		if r.Verdict == core.Undecided {
-			rr.Result, rr.Failed = r, i
-			return rr.finish(results, fromStore, opts)
-		}
-	}
-	for i, r := range results {
-		if r.Verdict == Canceled {
-			rr.Result, rr.Failed = r, i
-			return rr.finish(results, fromStore, opts)
-		}
+	if rr.Failed >= 0 {
+		return rr
 	}
 	agg := &Result{Verdict: core.OK}
 	for _, r := range results {
@@ -251,14 +166,5 @@ func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptio
 		}
 	}
 	rr.Result = agg
-	return rr.finish(results, fromStore, opts)
-}
-
-// finish attaches the per-program slices when asked for.
-func (rr *RunResult) finish(results []*Result, fromStore []bool, opts RunOptions) *RunResult {
-	if opts.CollectResults {
-		rr.Results = results
-		rr.FromStore = fromStore
-	}
 	return rr
 }

@@ -4,7 +4,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/locks"
+	"repro/internal/workload"
 	"repro/vsync"
 )
 
@@ -29,93 +31,10 @@ func badProgram(t *testing.T) *vsync.Program {
 	return nil
 }
 
-// TestRunWrapperDifferential: the deprecated Verify* family must
-// behave identically to the Run calls they now wrap — same verdicts,
-// same statistics, same fail-fast reduction — so external callers are
-// not broken by the consolidation.
-func TestRunWrapperDifferential(t *testing.T) {
-	good := goodProgram(t)
-	bad := badProgram(t)
-
-	// Verify vs Run, verifying program.
-	vr := vsync.Verify(vsync.ModelWMM, good)
-	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{good},
-		vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true})
-	if vr.Verdict != vsync.OK || rr.Results[0].Verdict != vsync.OK {
-		t.Fatalf("verdicts: Verify=%v Run=%v, want OK", vr.Verdict, rr.Results[0].Verdict)
-	}
-	if vr.Stats.Executions != rr.Results[0].Stats.Executions {
-		t.Errorf("execution counts diverge: Verify=%d Run=%d",
-			vr.Stats.Executions, rr.Results[0].Stats.Executions)
-	}
-	if rr.Failed != -1 {
-		t.Errorf("Run.Failed = %d on a verifying program, want -1", rr.Failed)
-	}
-
-	// Verify vs Run, violating program: same verdict, same witness
-	// presence (sequential early-exit statistics on both sides).
-	vb := vsync.Verify(vsync.ModelWMM, bad)
-	rb := vsync.Run(vsync.ModelWMM, []*vsync.Program{bad},
-		vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true})
-	if vb.Verdict == vsync.OK {
-		t.Fatal("buggy program verified")
-	}
-	if vb.Verdict != rb.Results[0].Verdict {
-		t.Errorf("failure verdicts diverge: Verify=%v Run=%v", vb.Verdict, rb.Results[0].Verdict)
-	}
-	if (vb.Witness == nil) != (rb.Results[0].Witness == nil) {
-		t.Errorf("witness presence diverges: Verify=%v Run=%v", vb.Witness != nil, rb.Results[0].Witness != nil)
-	}
-	if vb.Stats.Executions != rb.Results[0].Stats.Executions {
-		t.Errorf("failure execution counts diverge: Verify=%d Run=%d",
-			vb.Stats.Executions, rb.Results[0].Stats.Executions)
-	}
-
-	// VerifyPar at 2 workers: parallel exploration is deterministic,
-	// so wrapper and Run must agree exactly.
-	vp := vsync.VerifyPar(vsync.ModelWMM, bad, 2)
-	rp := vsync.Run(vsync.ModelWMM, []*vsync.Program{bad},
-		vsync.RunOptions{Parallelism: 1, WorkersPerRun: 2, CollectResults: true})
-	if vp.Verdict != rp.Results[0].Verdict || vp.Stats.Executions != rp.Results[0].Stats.Executions {
-		t.Errorf("VerifyPar(2) diverges from Run: %v/%d vs %v/%d",
-			vp.Verdict, vp.Stats.Executions, rp.Results[0].Verdict, rp.Results[0].Stats.Executions)
-	}
-
-	// Suite reduction: a failure mid-suite fail-fasts, the aggregate
-	// on success sums statistics — wrapper and Run must match on both.
-	ps := []*vsync.Program{good, bad, good}
-	sr, sfailed, sresults := vsync.VerifySuiteResults(vsync.ModelWMM, 1, 1, ps)
-	runr := vsync.Run(vsync.ModelWMM, ps, vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true})
-	if sfailed != 1 || runr.Failed != 1 {
-		t.Fatalf("failed index: wrapper=%d Run=%d, want 1", sfailed, runr.Failed)
-	}
-	if sr.Verdict != runr.Result.Verdict {
-		t.Errorf("suite failure verdicts diverge: %v vs %v", sr.Verdict, runr.Result.Verdict)
-	}
-	if len(sresults) != len(runr.Results) {
-		t.Fatalf("result counts diverge: %d vs %d", len(sresults), len(runr.Results))
-	}
-	for i := range sresults {
-		if sresults[i].Verdict != runr.Results[i].Verdict {
-			t.Errorf("suite result %d diverges: %v vs %v", i, sresults[i].Verdict, runr.Results[i].Verdict)
-		}
-	}
-
-	okPs := []*vsync.Program{good, good}
-	ar, af := vsync.VerifySuite(vsync.ModelWMM, 2, okPs)
-	arr := vsync.Run(vsync.ModelWMM, okPs, vsync.RunOptions{Parallelism: 2, WorkersPerRun: 1})
-	if af != -1 || arr.Failed != -1 {
-		t.Fatalf("all-OK suite failed: wrapper=%d Run=%d", af, arr.Failed)
-	}
-	if ar.Verdict != vsync.OK || arr.Result.Verdict != vsync.OK {
-		t.Fatalf("aggregate verdicts: wrapper=%v Run=%v", ar.Verdict, arr.Result.Verdict)
-	}
-	if ar.Stats.Executions != arr.Result.Stats.Executions {
-		t.Errorf("aggregate executions diverge: %d vs %d", ar.Stats.Executions, arr.Result.Stats.Executions)
-	}
-	if arr.Results != nil {
-		t.Error("Run without CollectResults retained Results")
-	}
+// verify is one standalone sequential run.
+func verify(model vsync.Model, p *vsync.Program) *vsync.Result {
+	return vsync.Run(model, []*vsync.Program{p},
+		vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true}).Results[0]
 }
 
 // TestRunWithStore: Run's store integration — cold run populates,
@@ -151,11 +70,14 @@ func TestRunWithStore(t *testing.T) {
 		t.Error("failing program's verdict not marked FromStore on the warm run")
 	}
 
-	// A dead store surfaces in StoreErr without tainting verdicts.
+	// A dead store surfaces in StoreErr without tainting verdicts (on a
+	// program the session cannot serve from memory).
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dead := vsync.Run(vsync.ModelWMM, []*vsync.Program{good}, vsync.RunOptions{Parallelism: 1, Store: st})
+	mcs := locks.ByName("mcs")
+	fresh := vsync.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
+	dead := vsync.Run(vsync.ModelWMM, []*vsync.Program{fresh}, vsync.RunOptions{Parallelism: 1, Store: st})
 	if dead.Failed != -1 || dead.Result.Verdict != vsync.OK {
 		t.Fatalf("dead-store run tainted the verdict: %+v", dead.Result)
 	}
@@ -164,36 +86,114 @@ func TestRunWithStore(t *testing.T) {
 	}
 }
 
-// TestRunStoreKeys: spec-aware callers address the store with full
-// keys; the two runs must share records through them.
+// TestRunStoreKeys: Run and VerifyMatrix are one engine behind two
+// shapes — over the default corpus at t=2 a Run per model with the
+// matrix's keys and a VerifyMatrix agree on the verdict of every key,
+// and each leaves the store entirely warm for the other.
 func TestRunStoreKeys(t *testing.T) {
-	alg := locks.ByName("ttas")
-	spec := alg.DefaultSpec()
-	p := vsync.MutexClient(alg, spec, 2, 1)
-	key := vsync.StoreKey{Model: vsync.ModelWMM.Name(), Spec: spec.Fingerprint128(), Prog: p.Fingerprint128()}
+	models := []vsync.Model{vsync.ModelSC, vsync.ModelTSO, vsync.ModelWMM}
+	type row struct {
+		p    *vsync.Program
+		spec *vsync.BarrierSpec
+	}
+	var corpus []row
+	for _, alg := range locks.Verifiable() {
+		corpus = append(corpus, row{vsync.MutexClient(alg, alg.DefaultSpec(), 2, 1), alg.DefaultSpec()})
+	}
+	for _, w := range workload.Verifiable() {
+		corpus = append(corpus, row{vsync.WorkloadProgram(w, nil, 2), w.DefaultSpec()})
+	}
+	for _, n := range harness.LitmusNames() {
+		corpus = append(corpus, row{harness.Litmus(n, false), nil}, row{harness.Litmus(n, true), nil})
+	}
+	// runAll is the corpus as Run sees it: per model, every program with
+	// its key. It returns the verdict per key hash and the store hits.
+	runAll := func(st *vsync.VerdictStore) (map[[2]uint64]vsync.Verdict, int) {
+		verdicts, hits := map[[2]uint64]vsync.Verdict{}, 0
+		for _, m := range models {
+			var ps []*vsync.Program
+			var keys []vsync.StoreKey
+			for _, r := range corpus {
+				ps, keys = append(ps, r.p), append(keys, vsync.ProblemKey(m, r.spec, r.p))
+			}
+			// Litmus "failures" are observations: go on behind each (on one
+			// slot everything before it has finished).
+			for lo := 0; lo < len(ps); {
+				rr := vsync.Run(m, ps[lo:], vsync.RunOptions{Parallelism: 1, Store: st, StoreKeys: keys[lo:], CollectResults: true})
+				if rr.StoreErr != nil {
+					t.Fatal(rr.StoreErr)
+				}
+				n := len(ps) - lo
+				if rr.Failed >= 0 {
+					n = rr.Failed + 1
+				}
+				for i, r := range rr.Results[:n] {
+					verdicts[keys[lo+i].Hash()] = r.Verdict
+					if rr.FromStore[i] {
+						hits++
+					}
+				}
+				lo += n
+			}
+		}
+		return verdicts, hits
+	}
+	open := func() *vsync.VerdictStore {
+		st, err := vsync.OpenStore(filepath.Join(t.TempDir(), "verdicts.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
 
+	// Run first, matrix second.
+	st := open()
+	byRun, _ := runAll(st)
+	res := vsync.VerifyMatrix(vsync.MatrixConfig{Store: st})
+	if res.Hits != len(res.Cells) || len(res.Cells) != len(models)*len(corpus) {
+		t.Fatalf("matrix after Run: %d cells for %d problems, %s", len(res.Cells), len(models)*len(corpus), res.Summary())
+	}
+	if st.Len() != len(byRun) {
+		t.Errorf("store holds %d records for %d distinct keys", st.Len(), len(byRun))
+	}
+	// Matrix first, Run second.
+	st = open()
+	cold := vsync.VerifyMatrix(vsync.MatrixConfig{Store: st})
+	if cold.Hits != 0 || cold.Misses != len(byRun) || !cold.Ok() {
+		t.Fatalf("cold matrix: want %d AMC runs, %s", len(byRun), cold.Summary())
+	}
+	warm, hits := runAll(st)
+	if hits != len(cold.Cells) {
+		t.Errorf("Run after matrix: %d of %d programs served by the store", hits, len(cold.Cells))
+	}
+	for h, v := range byRun {
+		if warm[h] != v {
+			t.Errorf("key %x: Run computed %v, the matrix stored %v", h, v, warm[h])
+		}
+	}
+}
+
+// TestRunSharedKey: two programs with one key are one problem — one AMC
+// run, one record, the second program served by the first one's run.
+func TestRunSharedKey(t *testing.T) {
+	p, q := goodProgram(t), goodProgram(t)
 	st, err := vsync.OpenStore(filepath.Join(t.TempDir(), "verdicts.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-
-	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, vsync.RunOptions{
-		Parallelism: 1, Store: st, StoreKeys: []vsync.StoreKey{key},
-	})
-	if rr.Failed != -1 || rr.StoreErr != nil {
-		t.Fatalf("keyed run: %+v", rr)
+	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p, q}, vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, Store: st, CollectResults: true})
+	if rr.Failed != -1 || rr.StoreErr != nil || rr.StoreHits != 0 {
+		t.Fatalf("shared-key run: %+v", rr)
 	}
-	if v, ok := st.Lookup(key); !ok || v != vsync.OK {
-		t.Fatalf("verdict not stored under the caller's key: (%v, %v)", v, ok)
+	if want := verify(vsync.ModelWMM, p).Stats; rr.Result.Stats != want || rr.Results[0].Stats != want {
+		t.Errorf("statistics %+v, want those of one run: %+v", rr.Result.Stats, want)
 	}
-	// VerifyMatrix uses the same addressing for lock cells, so the
-	// record must also serve a matrix run of the same cell.
-	res := vsync.VerifyMatrix(vsync.MatrixConfig{
-		Locks: []*vsync.Algorithm{alg}, Models: []vsync.Model{vsync.ModelWMM},
-		NoLitmus: true, NoStructs: true, Store: st,
-	})
-	if res.Hits != len(res.Cells) {
-		t.Errorf("matrix did not hit the Run-stored verdict: %s", res.Summary())
+	if r := rr.Results[1]; r.Verdict != vsync.OK || r.Stats.Popped != 0 {
+		t.Errorf("second program was not served by the first one's run: %v", r)
+	}
+	if st.Len() != 1 || st.Stats().Appended != 1 {
+		t.Errorf("store gained %d records (%d appends), want 1", st.Len(), st.Stats().Appended)
 	}
 }

@@ -9,7 +9,10 @@
 //     termination on a weak memory model, in finite time, with
 //     counterexample execution graphs on failure. Run is the one entry
 //     point (single runs, parallel suites, verdict-store integration
-//     via RunOptions); the Verify* names remain as thin wrappers.
+//     via RunOptions); Run, VerifyMatrix and Resume take every problem
+//     through one lifecycle — key (ProblemKey) → store → checkpoint →
+//     run → persist — so what a store hit, an equal-key duplicate or a
+//     resumable checkpoint means is defined once.
 //     Programs come from the structure-agnostic workload layer
 //     (internal/workload): locks are one Workload family, the
 //     nonblocking structures of internal/structs (Treiber stack,
@@ -142,92 +145,14 @@ var (
 	ModelWMM = mm.WMM
 )
 
-// Verify model-checks an arbitrary program under the given model with
-// the historical sequential explorer.
-//
-// Deprecated: use Run — Verify(m, p) is Run(m, []*Program{p},
-// RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true}).Results[0].
-// Programs themselves are best built through the workload layer
-// (WorkloadProgram, or MutexClient for a lock's generic client).
-func Verify(model Model, p *Program) *Result {
-	return VerifyPar(model, p, 1)
-}
-
-// VerifyPar is Verify with intra-run work stealing: the single run's
-// exploration frontier is shared by up to workersPerRun workers
-// (0 = GOMAXPROCS, 1 = sequential). The verdict always agrees with the
-// sequential explorer; among parallel runs (workersPerRun > 1) the
-// execution count and counterexample are additionally identical at
-// every worker count, because they explore to completion and merge
-// deterministically — the sequential explorer instead stops at its
-// first DFS counterexample, so on violating programs its statistics
-// and witness reflect that partial search.
-//
-// Deprecated: use Run with RunOptions.WorkersPerRun; programs come
-// from the workload layer (WorkloadProgram / MutexClient).
-func VerifyPar(model Model, p *Program, workersPerRun int) *Result {
-	rr := Run(model, []*Program{p}, RunOptions{
-		Parallelism:    1,
-		WorkersPerRun:  workersPerRun,
-		CollectResults: true,
-	})
-	return rr.Results[0]
-}
-
-// VerifySuite model-checks several programs concurrently: the runs fan
-// out across a pool of parallelism workers (0 = GOMAXPROCS) and the
-// first failure cancels the rest. It returns the failing result and the
-// index of its program, or an OK result (with aggregated statistics)
-// and -1 when every program verifies.
-//
-// Deprecated: use Run with RunOptions.Parallelism; program suites come
-// from the workload layer (WorkloadProgram / MutexClient).
-func VerifySuite(model Model, parallelism int, ps []*Program) (*Result, int) {
-	return VerifySuitePar(model, parallelism, 1, ps)
-}
-
-// VerifySuitePar is VerifySuite with both parallel axes exposed:
-// parallelism bounds the concurrent whole runs, and workersPerRun
-// (0 = GOMAXPROCS) lets each run's exploration frontier additionally be
-// worked by stolen intra-run items on pool slots that would otherwise
-// idle (for example once only the biggest run is still going). Whole
-// runs keep priority over borrows, so workersPerRun > 1 never slows the
-// fan-out down.
-//
-// Deprecated: use Run with RunOptions{Parallelism, WorkersPerRun};
-// program suites come from the workload layer (WorkloadProgram /
-// MutexClient).
-func VerifySuitePar(model Model, parallelism, workersPerRun int, ps []*Program) (*Result, int) {
-	rr := Run(model, ps, RunOptions{Parallelism: parallelism, WorkersPerRun: workersPerRun})
-	return rr.Result, rr.Failed
-}
-
-// VerifySuiteResults is VerifySuitePar additionally exposing every
-// job's individual result: programs that completed before a fail-fast
-// cancellation keep their decisive verdicts (the canceled remainder
-// report Canceled). Callers persisting verdicts use this so the work
-// finished before a failure is not thrown away — the verdict store
-// exists to avoid re-doing exactly that work.
-//
-// Deprecated: use Run with RunOptions.CollectResults (and
-// RunOptions.Store, which persists decisive verdicts without any
-// caller-side plumbing); program suites come from the workload layer
-// (WorkloadProgram / MutexClient).
-func VerifySuiteResults(model Model, parallelism, workersPerRun int, ps []*Program) (*Result, int, []*Result) {
-	rr := Run(model, ps, RunOptions{
-		Parallelism:    parallelism,
-		WorkersPerRun:  workersPerRun,
-		CollectResults: true,
-	})
-	return rr.Result, rr.Failed, rr.Results
-}
-
 // VerifyLock model-checks a lock algorithm under WMM with the paper's
 // generic mutex client: nthreads threads each perform iters lock-
 // protected increments; AMC checks mutual exclusion, hand-off ordering
 // and await termination.
 func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result {
-	return Verify(ModelWMM, harness.MutexClient(alg, spec, nthreads, iters))
+	p := harness.MutexClient(alg, spec, nthreads, iters)
+	rr := Run(ModelWMM, []*Program{p}, RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true})
+	return rr.Results[0]
 }
 
 // NewPool returns a worker pool for fanning out AMC runs

@@ -16,7 +16,7 @@ func TestFacadeVerify(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("ttas: %v", res)
 	}
-	if got := vsync.Verify(vsync.ModelSC, vsync.MutexClient(alg, alg.DefaultSpec(), 2, 1)); !got.Ok() {
+	if got := verify(vsync.ModelSC, vsync.MutexClient(alg, alg.DefaultSpec(), 2, 1)); !got.Ok() {
 		t.Fatalf("ttas under SC: %v", got)
 	}
 }

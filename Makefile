@@ -42,7 +42,7 @@ test-short:
 # early is a wrong count there and a reported race here).
 race:
 	$(GO) test -race -short -count=5 ./vsync
-	$(GO) test -race -short ./internal/core ./internal/optimize ./internal/store ./internal/structs ./internal/workload
+	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
 	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym' ./internal/core
 	$(GO) test -race -run 'TestPoison' ./internal/graph
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
@@ -157,8 +157,14 @@ chaos:
 	$(GO) test -run 'TestBudget|TestCheckpoint|TestResume|TestCancelCheckpoint|TestPeriodicCheckpoint' -count=1 ./internal/core ./vsync
 	$(GO) test ./internal/faultinject
 
-# Brief coverage-guided fuzz of the store loader: arbitrary bytes as an
-# on-disk log must load or heal, never panic or serve a non-decisive
-# verdict. The seed corpus also runs as a normal test in test/-short.
+# Brief coverage-guided fuzz of the three decoders over internal/frame:
+# arbitrary bytes as an on-disk log must load or heal, never panic or
+# serve a non-decisive verdict; as a checkpoint or an encoded graph they
+# must be refused or decode to something that re-encodes to the same
+# bytes and (a checkpoint) resumes to a verdict. The seed corpora also
+# run as normal tests in test/-short. The short minimize time keeps the
+# ten seconds for finding inputs rather than shrinking them.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzStoreLoad -fuzztime=10s ./internal/store
+	$(GO) test -run '^$$' -fuzz=FuzzStoreLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeGraph -fuzztime=10s -fuzzminimizetime=1s ./internal/graph

@@ -3,12 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/graph"
 )
 
@@ -84,12 +84,8 @@ func (c *Checkpoint) FrontierLen() int { return len(c.frontier) }
 // holds.
 func (c *Checkpoint) VisitedLen() int { return len(c.visited) }
 
-// Checkpoint file format: the store's record framing with a distinct
-// magic —
-//
-//	[4B magic "VSCK"][4B payload len LE][payload][4B CRC32(payload)]
-//
-// — one record per region, in fixed order: a header, the optional
+// Checkpoint file format: internal/frame records under the magic
+// "VSCK", one per region, in fixed order: a header, the optional
 // violation, the visited keys, one record per frontier state, and a
 // trailing END record repeating the counts. A file whose records do
 // not parse, whose CRCs do not match, or whose END counts disagree is
@@ -99,8 +95,8 @@ func (c *Checkpoint) VisitedLen() int { return len(c.visited) }
 // torn tails because its records are independent facts; checkpoint
 // records are jointly one fact.)
 const (
-	ckptMagic   = "VSCK"
-	ckptVersion = 4 // v4: birth-filter counter in Stats (v3: retry-collapse counter; v2: symmetry flag, canonicalization counters)
+	ckptMagic   = 0x4b435356 // "VSCK" little-endian
+	ckptVersion = 4          // v4: birth-filter counter in Stats (v3: retry-collapse counter; v2: symmetry flag, canonicalization counters)
 
 	ckRecHeader    = 'H'
 	ckRecViolation = 'B'
@@ -109,197 +105,49 @@ const (
 	ckRecEnd       = 'E'
 )
 
-func appendCkptRecord(buf, payload []byte) []byte {
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-}
-
-// nextCkptRecord splits one framed record off data, verifying magic
-// and CRC.
-func nextCkptRecord(data []byte) (payload, rest []byte, err error) {
-	if len(data) < 12 {
-		return nil, nil, fmt.Errorf("checkpoint: truncated record header (%d bytes left)", len(data))
-	}
-	if string(data[:4]) != ckptMagic {
-		return nil, nil, fmt.Errorf("checkpoint: bad record magic %q", data[:4])
-	}
-	n := binary.LittleEndian.Uint32(data[4:8])
-	if uint64(n) > uint64(len(data)-12) {
-		return nil, nil, fmt.Errorf("checkpoint: record of %d bytes exceeds remaining input", n)
-	}
-	payload = data[8 : 8+n]
-	if crc := binary.LittleEndian.Uint32(data[8+n : 12+n]); crc != crc32.ChecksumIEEE(payload) {
-		return nil, nil, fmt.Errorf("checkpoint: record CRC mismatch")
-	}
-	return payload, data[12+n:], nil
-}
-
-func appendHash128(buf []byte, h graph.Hash128) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, h[0])
-	return binary.LittleEndian.AppendUint64(buf, h[1])
-}
-
-func (d *ckptDec) hash128() graph.Hash128 {
-	var h graph.Hash128
-	if d.err != nil {
-		return h
-	}
-	if len(d.b)-d.off < 16 {
-		d.fail("truncated hash")
-		return h
-	}
-	h[0] = binary.LittleEndian.Uint64(d.b[d.off:])
-	h[1] = binary.LittleEndian.Uint64(d.b[d.off+8:])
-	d.off += 16
-	return h
-}
-
-// ckptDec is a sticky-error cursor over one record payload.
-type ckptDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *ckptDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("checkpoint: "+format, args...)
-	}
-}
-
-func (d *ckptDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated payload")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *ckptDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *ckptDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *ckptDec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string of %d bytes exceeds payload", n)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func appendStats(buf []byte, s Stats) []byte {
-	for _, v := range [...]int{s.Popped, s.Pushed, s.Executions, s.Revisits,
-		s.Duplicates, s.Wasteful, s.Collapsed, s.Inconsist, s.Filtered, s.Blocked,
-		s.Canonicalized, s.CanonFast, s.CanonRefined, s.CanonPruned} {
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
-	return buf
-}
-
-func (d *ckptDec) stats() Stats {
-	return Stats{
-		Popped:        int(d.uvarint()),
-		Pushed:        int(d.uvarint()),
-		Executions:    int(d.uvarint()),
-		Revisits:      int(d.uvarint()),
-		Duplicates:    int(d.uvarint()),
-		Wasteful:      int(d.uvarint()),
-		Collapsed:     int(d.uvarint()),
-		Inconsist:     int(d.uvarint()),
-		Filtered:      int(d.uvarint()),
-		Blocked:       int(d.uvarint()),
-		Canonicalized: int(d.uvarint()),
-		CanonFast:     int(d.uvarint()),
-		CanonRefined:  int(d.uvarint()),
-		CanonPruned:   int(d.uvarint()),
-	}
-}
-
 // Encode serializes the checkpoint into the framed record format.
 func (c *Checkpoint) Encode() []byte {
 	// Header.
 	p := []byte{ckRecHeader, ckptVersion}
-	p = binary.AppendUvarint(p, uint64(len(c.Model)))
-	p = append(p, c.Model...)
-	p = appendHash128(p, c.Prog)
-	p = appendHash128(p, c.Epoch)
-	if c.Sym {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
-	}
+	p = frame.AppendStr(p, c.Model)
+	p = frame.AppendHash128(p, c.Prog)
+	p = frame.AppendHash128(p, c.Epoch)
+	p = frame.AppendBool(p, c.Sym)
 	p = binary.AppendUvarint(p, uint64(c.Popped))
-	p = appendStats(p, c.Stats)
-	buf := appendCkptRecord(nil, p)
+	for _, n := range c.Stats.counters() {
+		p = binary.AppendUvarint(p, uint64(*n))
+	}
+	buf := frame.Append(nil, ckptMagic, p)
 
 	// Best violation so far, if any.
 	if v := c.vio; v != nil {
 		p = []byte{ckRecViolation, byte(v.verdict)}
 		p = binary.AppendUvarint(p, uint64(v.stamp))
-		p = appendHash128(p, v.key)
-		p = binary.AppendUvarint(p, uint64(len(v.message)))
-		p = append(p, v.message...)
+		p = frame.AppendHash128(p, v.key)
+		p = frame.AppendStr(p, v.message)
 		p = graph.AppendGraph(p, v.witness)
-		buf = appendCkptRecord(buf, p)
+		buf = frame.Append(buf, ckptMagic, p)
 	}
 
 	// Visited keys.
 	p = []byte{ckRecVisited}
 	p = binary.AppendUvarint(p, uint64(len(c.visited)))
 	for _, k := range c.visited {
-		p = appendHash128(p, k)
+		p = frame.AppendHash128(p, k)
 	}
-	buf = appendCkptRecord(buf, p)
+	buf = frame.Append(buf, ckptMagic, p)
 
 	// Frontier states, one record each, in resume-push order.
 	for _, st := range c.frontier {
-		p = []byte{ckRecState}
+		p = frame.AppendBool([]byte{ckRecState}, st.hasForced)
 		if st.hasForced {
-			p = append(p, 1)
 			p = binary.AppendVarint(p, int64(st.forcedR.Thread))
 			p = binary.AppendVarint(p, int64(st.forcedR.Index))
 			p = binary.AppendVarint(p, int64(st.forcedW.Thread))
 			p = binary.AppendVarint(p, int64(st.forcedW.Index))
-		} else {
-			p = append(p, 0)
 		}
 		p = graph.AppendGraph(p, st.g)
-		buf = appendCkptRecord(buf, p)
+		buf = frame.Append(buf, ckptMagic, p)
 	}
 
 	// END: repeat the counts so truncation after a valid record is
@@ -307,149 +155,110 @@ func (c *Checkpoint) Encode() []byte {
 	p = []byte{ckRecEnd}
 	p = binary.AppendUvarint(p, uint64(len(c.frontier)))
 	p = binary.AppendUvarint(p, uint64(len(c.visited)))
-	return appendCkptRecord(buf, p)
+	return frame.Append(buf, ckptMagic, p)
 }
 
+// graphTail decodes the graph that ends a record's payload.
+func graphTail(d *frame.Cursor) *graph.Graph {
+	rest := d.Rest()
+	if d.Err() != nil {
+		return nil
+	}
+	g, n, err := graph.DecodeGraph(rest)
+	if err != nil {
+		d.Fail("%v", err)
+	} else if n != len(rest) {
+		d.Fail("%d trailing bytes after graph", len(rest)-n)
+	}
+	return g
+}
+
+// ckptFollows lists, for each record type, the types that may follow it
+// (0: the start of the file) — the one order Encode writes.
+var ckptFollows = map[byte]string{0: "H", ckRecHeader: "BV", ckRecViolation: "V", ckRecVisited: "SE", ckRecState: "SE", ckRecEnd: ""}
+
 // DecodeCheckpoint parses a checkpoint file image. Any framing error,
-// CRC mismatch, missing END record, or count disagreement rejects the
-// whole file: a partial frontier is unsound to resume from.
+// CRC mismatch, record out of order, missing END record, or count
+// disagreement rejects the whole file: a partial frontier is unsound to
+// resume from.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c := &Checkpoint{}
-	sawHeader, sawEnd := false, false
+	prev := byte(0)
 	for len(data) > 0 {
-		payload, rest, err := nextCkptRecord(data)
+		payload, rest, err := frame.Next(data, ckptMagic, len(data))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 		data = rest
-		if sawEnd {
-			return nil, fmt.Errorf("checkpoint: data after END record")
+		d := frame.NewCursor(payload, "checkpoint")
+		typ := d.Byte()
+		if !strings.Contains(ckptFollows[prev], string(typ)) {
+			d.Fail("record %q after %q", typ, prev)
 		}
-		d := &ckptDec{b: payload}
-		switch typ := d.byte(); typ {
+		prev = typ
+		switch typ {
 		case ckRecHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("checkpoint: duplicate header")
+			if v := d.Byte(); v != ckptVersion {
+				d.Fail("unsupported version %d", v)
 			}
-			sawHeader = true
-			if v := d.byte(); d.err == nil && v != ckptVersion {
-				return nil, fmt.Errorf("checkpoint: unsupported version %d", v)
+			c.Model = d.Str()
+			c.Prog = d.Hash128()
+			c.Epoch = d.Hash128()
+			c.Sym = d.Bool()
+			c.Popped = int64(d.Uvarint())
+			for _, n := range c.Stats.counters() {
+				*n = int(d.Uvarint())
 			}
-			c.Model = d.str()
-			c.Prog = d.hash128()
-			c.Epoch = d.hash128()
-			c.Sym = d.byte() != 0
-			c.Popped = int64(d.uvarint())
-			c.Stats = d.stats()
 		case ckRecViolation:
-			if !sawHeader {
-				return nil, fmt.Errorf("checkpoint: record before header")
-			}
-			v := &vioCheckpoint{verdict: Verdict(d.byte())}
+			v := &vioCheckpoint{verdict: Verdict(d.Byte())}
 			if v.verdict != SafetyViolation && v.verdict != ATViolation {
-				return nil, fmt.Errorf("checkpoint: invalid violation verdict %d", v.verdict)
+				d.Fail("invalid violation verdict %d", v.verdict)
 			}
-			v.stamp = int(d.uvarint())
-			v.key = d.hash128()
-			v.message = d.str()
-			if d.err == nil {
-				g, _, gerr := graph.DecodeGraph(d.b[d.off:])
-				if gerr != nil {
-					return nil, gerr
-				}
-				v.witness = g
-			}
+			v.stamp = int(d.Uvarint())
+			v.key = d.Hash128()
+			v.message = d.Str()
+			v.witness = graphTail(&d)
 			c.vio = v
 		case ckRecVisited:
-			if !sawHeader {
-				return nil, fmt.Errorf("checkpoint: record before header")
-			}
-			n := d.uvarint()
-			if d.err == nil && n > uint64(len(d.b)-d.off)/16 {
-				return nil, fmt.Errorf("checkpoint: visited count %d exceeds payload", n)
-			}
-			c.visited = make([]graph.Hash128, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				c.visited = append(c.visited, d.hash128())
+			n := d.Count("visited key")
+			c.visited = make([]graph.Hash128, 0, min(n, len(payload)/16))
+			for i := 0; i < n; i++ {
+				c.visited = append(c.visited, d.Hash128())
 			}
 		case ckRecState:
-			if !sawHeader {
-				return nil, fmt.Errorf("checkpoint: record before header")
+			st := ExploreState{hasForced: d.Bool()}
+			if st.hasForced {
+				st.forcedR = graph.EventID{Thread: int(d.Varint()), Index: int(d.Varint())}
+				st.forcedW = graph.EventID{Thread: int(d.Varint()), Index: int(d.Varint())}
 			}
-			st := ExploreState{}
-			if d.byte() != 0 {
-				st.hasForced = true
-				st.forcedR = graph.EventID{Thread: int(d.varint()), Index: int(d.varint())}
-				st.forcedW = graph.EventID{Thread: int(d.varint()), Index: int(d.varint())}
-			}
-			if d.err == nil {
-				g, _, gerr := graph.DecodeGraph(d.b[d.off:])
-				if gerr != nil {
-					return nil, gerr
-				}
-				st.g = g
-			}
+			st.g = graphTail(&d)
 			c.frontier = append(c.frontier, st)
 		case ckRecEnd:
-			if !sawHeader {
-				return nil, fmt.Errorf("checkpoint: record before header")
-			}
-			sawEnd = true
-			nf, nv := d.uvarint(), d.uvarint()
-			if d.err == nil && (nf != uint64(len(c.frontier)) || nv != uint64(len(c.visited))) {
-				return nil, fmt.Errorf("checkpoint: END counts (%d states, %d visited) disagree with records (%d, %d)",
+			if nf, nv := d.Uvarint(), d.Uvarint(); nf != uint64(len(c.frontier)) || nv != uint64(len(c.visited)) {
+				d.Fail("END counts (%d states, %d visited) disagree with records (%d, %d)",
 					nf, nv, len(c.frontier), len(c.visited))
 			}
-		default:
-			return nil, fmt.Errorf("checkpoint: unknown record type %q", typ)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if err := d.End(); err != nil {
+			return nil, err
 		}
 	}
-	if !sawHeader || !sawEnd {
-		return nil, fmt.Errorf("checkpoint: incomplete file (header %v, end %v)", sawHeader, sawEnd)
+	if prev != ckRecEnd {
+		return nil, fmt.Errorf("checkpoint: incomplete file (no END record)")
 	}
 	return c, nil
 }
 
 // WriteCheckpointFile atomically replaces path with the encoded
-// checkpoint: write to a temp file in the same directory, sync, then
-// rename over the target — a crash at any point leaves either the old
-// complete file or the new complete file, never a torn one.
+// checkpoint (frame.ReplaceFile): a crash at any point leaves either
+// the old complete file or the new complete file, never a torn one.
 func WriteCheckpointFile(path string, c *Checkpoint) error {
 	if err := faultinject.Fire("ckpt.write"); err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tf, err := os.CreateTemp(dir, ".ckpt-*")
+	err := frame.ReplaceFile(path, c.Encode(), func() error { return faultinject.Fire("ckpt.rename") })
 	if err != nil {
 		return fmt.Errorf("checkpoint write: %w", err)
-	}
-	tmp := tf.Name()
-	cleanup := func() {
-		tf.Close()
-		os.Remove(tmp)
-	}
-	if _, err := tf.Write(c.Encode()); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint write: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint sync: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint close: %w", err)
-	}
-	if err := faultinject.Fire("ckpt.rename"); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint rename: %w", err)
 	}
 	return nil
 }

@@ -346,6 +346,12 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 			"checkpoint was taken with symmetry reduction %v, this run has it %v (the visited keys are not comparable)",
 			ck.Sym, x.sym != nil)}
 	}
+	w0 := x.workers[0]
+	for i, st := range ck.frontier {
+		if err := fitsProgram(st, len(w0.threads), len(w0.vars.Vars)); err != nil {
+			return &Result{Verdict: Error, Err: fmt.Errorf("checkpoint state %d does not fit this program: %w", i, err)}
+		}
+	}
 	x.baseStats = ck.Stats
 	x.basePopped = ck.Popped
 	if x.visited != nil {
@@ -357,12 +363,8 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 		x.vio = &Result{Verdict: v.verdict, Message: v.message, Witness: v.witness}
 		x.vioStamp, x.vioKey = v.stamp, v.key
 	}
-	w0 := x.workers[0]
 	n := 0
 	for _, st := range ck.frontier {
-		if st.g == nil {
-			continue
-		}
 		st.g.Pin() // the caller still holds the checkpoint and may resume from it again
 		if !w0.dq.pushTail(st) {
 			x.spill(st)
@@ -371,6 +373,31 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 	}
 	x.inflight.Store(int64(n))
 	x.queued.Store(int64(n))
+	return nil
+}
+
+// fitsProgram checks a frontier state read from a checkpoint against
+// the shape of the program it is about to be replayed with: the decoder
+// vouches for the graph's own invariants, not for what a file that
+// names this program's fingerprint put around it.
+func fitsProgram(st ExploreState, threads, locs int) error {
+	g := st.g
+	if g == nil {
+		return fmt.Errorf("no graph")
+	}
+	if len(g.Threads) != threads || len(g.InitVals) != locs {
+		return fmt.Errorf("graph has %d threads and %d locations, the program %d and %d",
+			len(g.Threads), len(g.InitVals), threads, locs)
+	}
+	if !st.hasForced {
+		return nil
+	}
+	if r := st.forcedR; r.Thread < 0 || r.Thread >= threads || r.Index != len(g.Threads[r.Thread]) {
+		return fmt.Errorf("forced read %v is not the next event of a thread", r)
+	}
+	if e := g.Event(st.forcedW); e == nil || !e.IsWriteLike() {
+		return fmt.Errorf("forced source %v is not a write of the graph", st.forcedW)
+	}
 	return nil
 }
 

@@ -53,7 +53,9 @@ func (s PoolStats) TotalBusy() time.Duration {
 // (exploration.maybeRecruit). Whole runs always have priority: a borrow
 // is refused while any job is waiting for a slot, and a borrowed slot
 // returns to the pool the moment the frontier has nothing left to
-// steal.
+// steal. A one-slot pool has nothing to lend — its only slot is the one
+// the run holds — so its runs are not attached and staff their own
+// WorkersPerRun, like a run outside any pool.
 //
 // It is safe for concurrent use: overlapping RunAll calls (e.g. the
 // optimizer's speculative ladder verifying several candidate specs at
@@ -176,7 +178,9 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 			// per-run copy, so the caller's Checker is never mutated and
 			// never retains a pool reference past this job.
 			c := *job.Checker
-			c.pool = p
+			if p.Workers > 1 {
+				c.pool = p
+			}
 			run := func() *Result { return c.RunCtx(ctx, job.Program) }
 			t0 := time.Now()
 			var res *Result

@@ -172,3 +172,28 @@ func TestPoolOrderedAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSlotPoolLendsNothing: a one-slot pool's only slot is the one
+// the running job holds, so its runs staff their own WorkersPerRun
+// instead of waiting for helpers that cannot come. Two three-thread
+// clients in sequence on one slot must each execute on both of their
+// workers, as a lone run outside any pool does; attached to the pool,
+// the second seat used to sit empty for the whole run.
+func TestOneSlotPoolLendsNothing(t *testing.T) {
+	var jobs []core.Job
+	for _, name := range []string{"mcs", "ttas"} {
+		alg := locks.ByName(name)
+		c := core.New(mm.WMM)
+		c.WorkersPerRun = 2
+		jobs = append(jobs, core.Job{Checker: c, Program: harness.MutexClient(alg, alg.DefaultSpec(), 3, 1)})
+	}
+	pool := core.NewPool(1)
+	for i, r := range pool.RunAll(context.Background(), jobs, false) {
+		if r.Verdict != core.OK || len(r.Sched.Executed) != 2 || r.Sched.Executed[0] == 0 || r.Sched.Executed[1] == 0 {
+			t.Errorf("job %d: %v, executed per worker %v, want work on both", i, r.Verdict, r.Sched.Executed)
+		}
+	}
+	if st := pool.Stats(); st.Borrows != 0 || st.Jobs[0] != 2 {
+		t.Errorf("one-slot pool: %d borrows, %d jobs on its slot, want 0 and 2", st.Borrows, st.Jobs[0])
+	}
+}

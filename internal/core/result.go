@@ -122,22 +122,22 @@ type Stats struct {
 	CanonPruned   int // candidate permutations skipped by the signature fast path
 }
 
+// counters lists every field of s, in the order a checkpoint header
+// carries them. Add and the checkpoint codec are loops over this list,
+// so a counter is added here and nowhere else — at the end, with a
+// checkpoint version bump.
+func (s *Stats) counters() [14]*int {
+	return [...]*int{&s.Popped, &s.Pushed, &s.Executions, &s.Revisits,
+		&s.Duplicates, &s.Wasteful, &s.Collapsed, &s.Inconsist, &s.Filtered, &s.Blocked,
+		&s.Canonicalized, &s.CanonFast, &s.CanonRefined, &s.CanonPruned}
+}
+
 // Add accumulates o into s (per-worker and suite-level aggregation).
 func (s *Stats) Add(o Stats) {
-	s.Popped += o.Popped
-	s.Pushed += o.Pushed
-	s.Executions += o.Executions
-	s.Revisits += o.Revisits
-	s.Duplicates += o.Duplicates
-	s.Wasteful += o.Wasteful
-	s.Collapsed += o.Collapsed
-	s.Inconsist += o.Inconsist
-	s.Filtered += o.Filtered
-	s.Blocked += o.Blocked
-	s.Canonicalized += o.Canonicalized
-	s.CanonFast += o.CanonFast
-	s.CanonRefined += o.CanonRefined
-	s.CanonPruned += o.CanonPruned
+	from := o.counters()
+	for i, p := range s.counters() {
+		*p += *from[i]
+	}
 }
 
 // SchedStats describes how the work-graph scheduler executed a run:

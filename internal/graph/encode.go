@@ -3,6 +3,8 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/frame"
 )
 
 // Binary graph encoding. Checkpointing an exploration frontier spills
@@ -29,7 +31,7 @@ func AppendGraph(buf []byte, g *Graph) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(g.InitVals)))
 	for l, v := range g.InitVals {
 		buf = binary.AppendUvarint(buf, v)
-		buf = appendString(buf, g.LocNames[l])
+		buf = frame.AppendStr(buf, g.LocNames[l])
 	}
 	buf = binary.AppendUvarint(buf, uint64(g.NextStamp))
 	for t, evs := range g.Threads {
@@ -38,10 +40,8 @@ func AppendGraph(buf []byte, g *Graph) []byte {
 			buf = appendEvent(buf, e)
 			if e.IsReadLike() {
 				rf := g.rf[t][i]
-				if rf.Bottom {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
+				buf = frame.AppendBool(buf, rf.Bottom)
+				if !rf.Bottom {
 					buf = binary.AppendVarint(buf, int64(rf.W.Thread))
 					buf = binary.AppendVarint(buf, int64(rf.W.Index))
 				}
@@ -90,102 +90,12 @@ func appendEvent(buf []byte, e *Event) []byte {
 		buf = binary.AppendUvarint(buf, uint64(e.AwaitIter))
 	}
 	if flags&evfPoint != 0 {
-		buf = appendString(buf, e.Point)
+		buf = frame.AppendStr(buf, e.Point)
 	}
 	if flags&evfMsg != 0 {
-		buf = appendString(buf, e.Msg)
+		buf = frame.AppendStr(buf, e.Msg)
 	}
 	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// decBuf is a cursor over an encoded graph with sticky error handling:
-// the first malformed read poisons the cursor and every later read
-// returns zero values, so decoding logic stays linear and the single
-// error check happens at the end.
-type decBuf struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decBuf) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decBuf) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("graph decode: truncated at byte %d", d.off)
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decBuf) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("graph decode: bad uvarint at byte %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decBuf) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("graph decode: bad varint at byte %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decBuf) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("graph decode: string of %d bytes exceeds remaining input", n)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// count reads a collection length and rejects values that could not
-// possibly fit in the remaining input (every element costs at least
-// one byte), so corrupt or adversarial input cannot force a huge
-// allocation before the truncation is noticed.
-func (d *decBuf) count(what string) int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("graph decode: %s count %d exceeds remaining input", what, n)
-		return 0
-	}
-	return int(n)
 }
 
 // DecodeGraph decodes one graph from the front of data, returning the
@@ -193,44 +103,44 @@ func (d *decBuf) count(what string) int {
 // graph is fully validated (structural invariants and stamp bounds);
 // on error the graph is nil and must not be used.
 func DecodeGraph(data []byte) (*Graph, int, error) {
-	d := &decBuf{b: data}
-	if v := d.byte(); d.err == nil && v != graphEncVersion {
+	d := frame.NewCursor(data, "graph decode")
+	if v := d.Byte(); d.Err() == nil && v != graphEncVersion {
 		return nil, 0, fmt.Errorf("graph decode: unsupported encoding version %d", v)
 	}
-	nthreads := d.count("thread")
-	nlocs := d.count("location")
-	if d.err != nil {
-		return nil, 0, d.err
+	nthreads := d.Count("thread")
+	nlocs := d.Count("location")
+	if d.Err() != nil {
+		return nil, 0, d.Err()
 	}
 	initVals := make([]Val, nlocs)
 	locNames := make([]string, nlocs)
 	for l := 0; l < nlocs; l++ {
-		initVals[l] = d.uvarint()
-		locNames[l] = d.str()
+		initVals[l] = d.Uvarint()
+		locNames[l] = d.Str()
 	}
-	if d.err != nil {
-		return nil, 0, d.err
+	if d.Err() != nil {
+		return nil, 0, d.Err()
 	}
 	g := New(nthreads, initVals, locNames)
-	g.NextStamp = int(d.uvarint())
+	g.NextStamp = int(d.Uvarint())
 	for t := 0; t < nthreads; t++ {
-		nev := d.count("event")
-		if d.err != nil {
-			return nil, 0, d.err
+		nev := d.Count("event")
+		if d.Err() != nil {
+			return nil, 0, d.Err()
 		}
 		evs := make([]*Event, 0, nev)
 		rfs := make([]RF, 0, nev)
 		for i := 0; i < nev; i++ {
-			e := decodeEvent(d, EventID{Thread: t, Index: i})
-			if d.err != nil {
-				return nil, 0, d.err
+			e := decodeEvent(&d, EventID{Thread: t, Index: i})
+			if d.Err() != nil {
+				return nil, 0, d.Err()
 			}
 			rf := noRF
 			if e.IsReadLike() {
-				if bottom := d.byte(); bottom != 0 {
+				if d.Bool() {
 					rf = BottomRF
 				} else {
-					rf = RF{W: EventID{Thread: int(d.varint()), Index: int(d.varint())}}
+					rf = RF{W: EventID{Thread: int(d.Varint()), Index: int(d.Varint())}}
 				}
 			}
 			evs = append(evs, e)
@@ -243,53 +153,59 @@ func DecodeGraph(data []byte) (*Graph, int, error) {
 		}
 	}
 	for l := 0; l < nlocs; l++ {
-		nmo := d.count("mo entry")
-		if d.err != nil {
-			return nil, 0, d.err
+		nmo := d.Count("mo entry")
+		if d.Err() != nil {
+			return nil, 0, d.Err()
 		}
 		order := make([]EventID, nmo)
 		for i := range order {
-			order[i] = EventID{Thread: int(d.varint()), Index: int(d.varint())}
+			order[i] = EventID{Thread: int(d.Varint()), Index: int(d.Varint())}
 		}
 		g.Mo[l] = order
 	}
-	if d.err != nil {
-		return nil, 0, d.err
+	if d.Err() != nil {
+		return nil, 0, d.Err()
 	}
 	if err := validateDecoded(g); err != nil {
 		return nil, 0, err
 	}
-	return g, d.off, nil
+	return g, d.Offset(), nil
 }
 
-func decodeEvent(d *decBuf, id EventID) *Event {
-	flags := d.byte()
+func decodeEvent(d *frame.Cursor, id EventID) *Event {
+	flags := d.Byte()
 	e := &Event{
 		ID:       id,
-		Kind:     Kind(d.byte()),
-		Mode:     Mode(d.byte()),
-		Loc:      Loc(d.varint()),
+		Kind:     Kind(d.Byte()),
+		Mode:     Mode(d.Byte()),
 		AwaitSeq: -1,
 	}
-	e.Val = d.uvarint()
-	e.RVal = d.uvarint()
-	e.Stamp = int(d.uvarint())
+	loc := d.Varint()
+	e.Loc = Loc(loc)
+	e.Val = d.Uvarint()
+	e.RVal = d.Uvarint()
+	e.Stamp = int(d.Uvarint())
 	e.Degraded = flags&evfDegraded != 0
 	if flags&evfInAwait != 0 {
-		e.AwaitSeq = int(d.uvarint())
-		e.AwaitIter = int(d.uvarint())
+		e.AwaitSeq = int(d.Uvarint())
+		e.AwaitIter = int(d.Uvarint())
 	}
 	if flags&evfPoint != 0 {
-		e.Point = d.str()
+		e.Point = d.Str()
 	}
 	if flags&evfMsg != 0 {
-		e.Msg = d.str()
+		e.Msg = d.Str()
 	}
 	if e.Kind > KError {
-		d.fail("graph decode: unknown event kind %d", e.Kind)
+		d.Fail("unknown event kind %d", e.Kind)
 	}
 	if e.Mode > SC {
-		d.fail("graph decode: unknown event mode %d", e.Mode)
+		d.Fail("unknown event mode %d", e.Mode)
+	}
+	// What appendEvent never writes: one encoding per event.
+	if flags >= evfMsg<<1 || int64(e.Loc) != loc || (flags&evfInAwait != 0 && e.AwaitSeq < 0) ||
+		(flags&evfPoint != 0 && e.Point == "") || (flags&evfMsg != 0 && e.Msg == "") {
+		d.Fail("event %v is not in canonical form", id)
 	}
 	return e
 }

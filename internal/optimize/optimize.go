@@ -167,20 +167,20 @@ func candidates(spec *vprog.BarrierSpec, point string) []vprog.Mode {
 // engine carries the mutable state of one optimization run.
 type engine struct {
 	o     *Optimizer
-	pool  *core.Pool // nil: strictly sequential
+	pool  *core.Pool // one slot: strictly sequential
 	cache *Cache     // nil: memoization disabled
 	res   *Result
 
 	mu sync.Mutex // guards the res cache counters (probed concurrently)
 
-	// fpMemo caches the per-program structural fingerprints of a
+	// fpBySpec caches the per-program structural fingerprints of a
 	// candidate's suite, keyed by the spec fingerprint: Programs(spec) is
 	// deterministic, so multi-pass sweeps and ladder re-probes of an
 	// already-judged spec skip re-interpreting the programs and pay only
 	// a map lookup — keeping cache hits nearly as cheap as the old
 	// (unsound) name keys.
-	fpMu   sync.Mutex
-	fpMemo map[graph.Hash128][]graph.Hash128
+	fpMu     sync.Mutex
+	fpBySpec map[graph.Hash128][]graph.Hash128
 }
 
 // fingerprints returns the structural fingerprints of progs, memoized
@@ -189,7 +189,7 @@ type engine struct {
 // computation is deterministic and harmless.
 func (e *engine) fingerprints(specFP graph.Hash128, progs []*vprog.Program) []graph.Hash128 {
 	e.fpMu.Lock()
-	fps, ok := e.fpMemo[specFP]
+	fps, ok := e.fpBySpec[specFP]
 	e.fpMu.Unlock()
 	if ok && len(fps) == len(progs) {
 		return fps
@@ -199,10 +199,10 @@ func (e *engine) fingerprints(specFP graph.Hash128, progs []*vprog.Program) []gr
 		fps[i] = p.Fingerprint128()
 	}
 	e.fpMu.Lock()
-	if e.fpMemo == nil {
-		e.fpMemo = make(map[graph.Hash128][]graph.Hash128)
+	if e.fpBySpec == nil {
+		e.fpBySpec = make(map[graph.Hash128][]graph.Hash128)
 	}
-	e.fpMemo[specFP] = fps
+	e.fpBySpec[specFP] = fps
 	e.fpMu.Unlock()
 	return fps
 }
@@ -264,28 +264,6 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 		names = append(names, p.Name)
 	}
 	if len(jobs) == 0 {
-		return core.OK, nil
-	}
-
-	if e.pool == nil {
-		for i, j := range jobs {
-			res := j.Checker.RunCtx(ctx, j.Program)
-			if res.Verdict == core.Canceled {
-				return core.Canceled, nil
-			}
-			if res.Verdict == core.Error {
-				if e.cache != nil {
-					e.cache.store(keys[i], names[i], res.Verdict)
-				}
-				return core.Error, fmt.Errorf("optimizer: checking %s: %w", names[i], res.Err)
-			}
-			if e.cache != nil {
-				e.cache.store(keys[i], names[i], res.Verdict)
-			}
-			if res.Verdict != core.OK {
-				return res.Verdict, nil
-			}
-		}
 		return core.OK, nil
 	}
 
@@ -382,10 +360,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &engine{o: o, cache: o.Cache, res: &Result{Initial: initial.Clone(), Workers: workers}}
-	if workers > 1 {
-		e.pool = core.NewPool(workers)
-	}
+	e := &engine{o: o, pool: core.NewPool(workers), cache: o.Cache, res: &Result{Initial: initial.Clone(), Workers: workers}}
 	spec := initial.Clone()
 
 	v, err := e.verify(ctx, spec)
@@ -411,7 +386,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 			if len(cands) == 0 {
 				continue
 			}
-			if e.pool != nil && o.Speculate && len(cands) > 1 {
+			if workers > 1 && o.Speculate && len(cands) > 1 {
 				accepted, err := e.ladder(ctx, spec, point, cands)
 				if err != nil {
 					return nil, err
@@ -459,7 +434,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 	}
 	e.res.Final = spec
 	e.res.Duration = time.Since(start)
-	if e.pool != nil {
+	if workers > 1 {
 		e.res.Pool = e.pool.Stats()
 	}
 	return e.res, nil

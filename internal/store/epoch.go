@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/graph"
 	"repro/internal/srcid"
 )
@@ -13,7 +14,8 @@ import (
 // The record code epoch covers everything that can mis-associate a
 // verdict with a problem: srcid.Epoch (the checker and program
 // constructors), this package's own sources (key hashing, record
-// encode/decode, the load scan), and every key-handling package above
+// encode/decode, the load scan) with internal/frame's (the record
+// framing under them), and every key-handling package above
 // it in the import graph that registers itself (internal/optimize's
 // cacheKey translation, vsync's matrix key construction). srcid cannot
 // import those without a cycle, so the dependency is inverted:
@@ -74,6 +76,7 @@ func currentEpoch() graph.Hash128 {
 		h.Word(base[0])
 		h.Word(base[1])
 		srcid.HashPackage(&h, "internal/store", sourceFS)
+		srcid.HashPackage(&h, "internal/frame", frame.SourceFiles())
 		for _, e := range extras {
 			srcid.HashPackage(&h, e.name, e.files)
 		}

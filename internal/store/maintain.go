@@ -1,13 +1,12 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 )
 
 // MergeStats accounts one Merge call.
@@ -37,15 +36,10 @@ func (s *Session) Merge(srcPath string) (MergeStats, error) {
 	if err != nil {
 		return ms, fmt.Errorf("store: merge: %w", err)
 	}
-	if len(data) > 0 {
-		var magic [4]byte
-		binary.LittleEndian.PutUint32(magic[:], recordMagic)
-		n := min(len(data), len(magic))
-		if !bytes.Equal(data[:n], magic[:n]) {
-			return ms, fmt.Errorf("store: merge: %s is not a verdict store (bad leading magic)", srcPath)
-		}
+	recs, valid, scanErr := scanLog(data)
+	if notAStore(valid, scanErr) {
+		return ms, fmt.Errorf("store: merge: %s is not a verdict store (bad leading magic)", srcPath)
 	}
-	recs, _ := scanLog(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -142,7 +136,7 @@ func (s *Session) compactLocked() (int, error) {
 	if _, err := io.ReadFull(io.NewSectionReader(s.f, 0, s.scanned), data); err != nil {
 		return 0, fmt.Errorf("store: compact: reading %s: %w", s.path, err)
 	}
-	recs, _ := scanLog(data)
+	recs, _, _ := scanLog(data)
 	cur := currentEpoch()
 
 	type span struct {
@@ -197,45 +191,26 @@ func (s *Session) compactLocked() (int, error) {
 	return dropped, s.openLocked()
 }
 
-// replaceLog atomically replaces the data log with content via a
-// synced temp file and rename. Caller holds mu and the file lock — the
-// lock lives on the sidecar file, which the rename does not touch, so
+// replaceLog atomically replaces the data log with content
+// (frame.ReplaceFile). Caller holds mu and the file lock — the lock
+// lives on the sidecar file, which the rename does not touch, so
 // exclusion holds across the swap. The session's own handle is closed
-// first (Windows refuses to rename over an open file; POSIX does not
-// care) and the caller reopens via openLocked.
+// before the rename (Windows refuses to rename over an open file; POSIX
+// does not care) and the caller reopens via openLocked; when the swap
+// fails past that point the original is intact and is reopened here, so
+// the session stays usable.
 func (s *Session) replaceLog(content []byte) error {
-	tmp := s.path + ".compact"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if _, err := tf.Write(content); err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if s.f != nil {
+	err := frame.ReplaceFile(s.path, content, func() error {
 		s.f.Close()
 		s.f = nil
-	}
-	if err := faultinject.Fire("store.rename"); err != nil {
-		os.Remove(tmp)
+		return faultinject.Fire("store.rename")
+	})
+	if err != nil && s.f == nil {
 		if oerr := s.openLocked(); oerr != nil {
 			return fmt.Errorf("store: compact: %v; reopening original: %w", err, oerr)
 		}
-		return fmt.Errorf("store: compact: %w", err)
 	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		// The original is intact; reopen it so the session stays usable.
-		if oerr := s.openLocked(); oerr != nil {
-			return fmt.Errorf("store: compact: %v; reopening original: %w", err, oerr)
-		}
+	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	return nil

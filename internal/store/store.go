@@ -37,10 +37,9 @@
 //
 // # On-disk format
 //
-// A single append-only log of self-delimiting binary records, each
-// individually CRC-checksummed:
+// A single append-only log of internal/frame records — self-delimiting,
+// each individually CRC-checksummed — under the magic "VSYV":
 //
-//	[4B magic "VSYV"][4B payload len][payload][4B IEEE CRC32(payload)]
 //	payload = [1B version][16B code epoch][16B key hash][1B verdict]
 //	          [2B name len][name]
 //
@@ -90,11 +89,9 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -103,6 +100,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 	"repro/internal/graph"
 )
 
@@ -131,9 +129,8 @@ func (k Key) Hash() graph.Hash128 {
 const (
 	recordMagic   = 0x56535956 // "VSYV" little-endian
 	recordVersion = 2
-	headerSize    = 8                   // magic + payload length
+	headerSize    = frame.HeaderSize
 	payloadFixed  = 1 + 16 + 16 + 1 + 2 // version + code epoch + key + verdict + name length
-	minPayload    = 1                   // a version byte; older formats were shorter than payloadFixed
 	maxPayload    = payloadFixed + 4096 // name length is bounded; anything bigger is corruption
 
 	// remoteBatchSize is how many pending verdicts accumulate before a
@@ -284,39 +281,36 @@ type parsedRecord struct {
 	decodable  bool // false: CRC-valid but a record version this build cannot parse
 }
 
-// scanLog walks data from its start, returning every well-formed record
-// and the trusted byte count. The first record whose magic, length
-// bound or checksum fails ends the scan — a mid-log tear must not
-// resynchronize on garbage-controlled framing.
-func scanLog(data []byte) ([]parsedRecord, int) {
+// scanLog walks data from its start, returning every well-formed record,
+// the trusted byte count and what ended the scan (nil at a clean end).
+// The first record that does not frame ends it — a mid-log tear must
+// not resynchronize on garbage-controlled framing. The length bound is
+// version-agnostic: a checksummed record of an older (shorter) format
+// must scan as a stale record to retain, not end the scan as a corrupt
+// tail — that would truncate a v1 user's entire history on upgrade.
+func scanLog(data []byte) ([]parsedRecord, int, error) {
 	var recs []parsedRecord
 	valid := 0
-	for valid+headerSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[valid:]) != recordMagic {
-			break
+	for valid < len(data) {
+		payload, rest, err := frame.Next(data[valid:], recordMagic, maxPayload)
+		if err != nil {
+			return recs, valid, err
 		}
-		// The length bound is version-agnostic: a checksummed record of
-		// an older (shorter) format must scan as a stale record to
-		// retain, not break the loop as a corrupt tail — that would
-		// truncate a v1 user's entire history on upgrade.
-		plen := int(binary.LittleEndian.Uint32(data[valid+4:]))
-		if plen < minPayload || plen > maxPayload {
-			break
-		}
-		end := valid + headerSize + plen + 4
-		if end > len(data) {
-			break // torn tail: header promises more bytes than exist
-		}
-		payload := data[valid+headerSize : valid+headerSize+plen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[end-4:]) {
-			break
-		}
-		r := parsedRecord{start: valid, end: end}
+		r := parsedRecord{start: valid, end: len(data) - len(rest)}
 		r.id.epoch, r.id.key, r.v, r.name, r.decodable = decodePayload(payload)
 		recs = append(recs, r)
-		valid = end
+		valid = r.end
 	}
-	return recs, valid
+	return recs, valid, nil
+}
+
+// notAStore reports whether a scan that trusted nothing ended because
+// the file does not even begin with (a prefix of) the record magic: it
+// was never a verdict store. A store whose very first append tore
+// mid-record still carries the magic prefix — even if fewer than 4
+// bytes of it landed — and heals like any torn tail.
+func notAStore(valid int, scanErr error) bool {
+	return valid == 0 && errors.Is(scanErr, frame.ErrMagic)
 }
 
 // openLocked (re)opens the log from its path and rebuilds the index
@@ -338,22 +332,13 @@ func (s *Session) openLocked() error {
 		f.Close()
 		return fmt.Errorf("store: reading %s: %w", s.path, err)
 	}
-	// A non-empty file that does not begin with (a prefix of) the
-	// record magic was never a verdict store: refuse loudly instead of
-	// truncating a file the caller mistyped the path of. A store whose
-	// very first append tore mid-record still carries the magic prefix
-	// — even if fewer than 4 bytes of it landed — and heals through the
-	// normal corrupt-tail path below.
-	if len(data) > 0 {
-		var magic [4]byte
-		binary.LittleEndian.PutUint32(magic[:], recordMagic)
-		n := min(len(data), len(magic))
-		if !bytes.Equal(data[:n], magic[:n]) {
-			f.Close()
-			return fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
-		}
+	recs, valid, scanErr := scanLog(data)
+	if notAStore(valid, scanErr) {
+		// Refuse loudly instead of truncating a file the caller mistyped
+		// the path of.
+		f.Close()
+		return fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
 	}
-	recs, valid := scanLog(data)
 	s.index = make(map[recordID]entry, len(recs))
 	s.stats.Loaded, s.stats.Stale, s.staleBytes = 0, 0, 0
 	cur := currentEpoch()
@@ -416,7 +401,7 @@ func (s *Session) refreshLocked() error {
 	if _, err := io.ReadFull(io.NewSectionReader(s.f, s.scanned, int64(len(buf))), buf); err != nil {
 		return fmt.Errorf("store: reading tail of %s: %w", s.path, err)
 	}
-	recs, valid := scanLog(buf)
+	recs, valid, _ := scanLog(buf)
 	cur := currentEpoch()
 	for _, r := range recs {
 		if !r.decodable {
@@ -486,16 +471,14 @@ func decodePayload(p []byte) (epoch, key graph.Hash128, v core.Verdict, name str
 	return epoch, key, v, string(p[payloadFixed:]), true
 }
 
-// encodeRecord builds the full on-disk record for one verdict.
+// encodeRecord builds the full on-disk record for one verdict. One
+// allocation holds the payload and, behind it, the framed record.
 func encodeRecord(epoch, key graph.Hash128, v core.Verdict, name string) []byte {
 	if len(name) > maxPayload-payloadFixed {
 		name = name[:maxPayload-payloadFixed]
 	}
 	plen := payloadFixed + len(name)
-	rec := make([]byte, headerSize+plen+4)
-	binary.LittleEndian.PutUint32(rec, recordMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(plen))
-	p := rec[headerSize : headerSize+plen]
+	p := make([]byte, plen, 2*plen+frame.Overhead)
 	p[0] = recordVersion
 	binary.LittleEndian.PutUint64(p[1:], epoch[0])
 	binary.LittleEndian.PutUint64(p[9:], epoch[1])
@@ -504,8 +487,7 @@ func encodeRecord(epoch, key graph.Hash128, v core.Verdict, name string) []byte 
 	p[33] = byte(v)
 	binary.LittleEndian.PutUint16(p[34:], uint16(len(name)))
 	copy(p[payloadFixed:], name)
-	binary.LittleEndian.PutUint32(rec[headerSize+plen:], crc32.ChecksumIEEE(p))
-	return rec
+	return frame.Append(p[plen:], recordMagic, p)
 }
 
 // decisive reports whether v carries reusable information worth

@@ -36,116 +36,6 @@ const (
 	fpAwaitDo // AwaitDo enter marker (exit/saturation reuse the AwaitWhile tags)
 )
 
-// fpMem is a recording sequential interpreter: every Mem operation is
-// executed against a plain in-order memory and folded into the hash —
-// opcode, location, barrier mode and the values read and written. It is
-// deterministic because thread bodies are deterministic given the
-// values their Mem operations return (the ThreadFunc contract) and the
-// sequential memory returns deterministic values.
-type fpMem struct {
-	h   *graph.Hasher128
-	mem []uint64
-	tid int
-}
-
-func (m *fpMem) op(tag int, v *Var, mode Mode, words ...uint64) {
-	m.h.Word(uint64(tag)<<56 | uint64(mode)<<48 | uint64(uint32(v.ID)))
-	for _, w := range words {
-		m.h.Word(w)
-	}
-}
-
-func (m *fpMem) Load(v *Var, mode Mode) uint64 {
-	x := m.mem[v.ID]
-	m.op(fpLoad, v, mode, x)
-	return x
-}
-
-func (m *fpMem) Store(v *Var, x uint64, mode Mode) {
-	m.mem[v.ID] = x
-	m.op(fpStore, v, mode, x)
-}
-
-func (m *fpMem) Xchg(v *Var, x uint64, mode Mode) uint64 {
-	old := m.mem[v.ID]
-	m.mem[v.ID] = x
-	m.op(fpXchg, v, mode, old, x)
-	return old
-}
-
-func (m *fpMem) CmpXchg(v *Var, old, new uint64, mode Mode) (uint64, bool) {
-	cur := m.mem[v.ID]
-	ok := cur == old
-	if ok {
-		m.mem[v.ID] = new
-	}
-	okw := uint64(0)
-	if ok {
-		okw = 1
-	}
-	m.op(fpCmpXchg, v, mode, cur, old, new, okw)
-	return cur, ok
-}
-
-func (m *fpMem) FetchAdd(v *Var, delta uint64, mode Mode) uint64 {
-	old := m.mem[v.ID]
-	m.mem[v.ID] = old + delta
-	m.op(fpFetchAdd, v, mode, old, delta)
-	return old
-}
-
-func (m *fpMem) Fence(mode Mode) {
-	m.h.Word(uint64(fpFence)<<56 | uint64(mode)<<48)
-}
-
-func (m *fpMem) AwaitWhile(cond func() bool) {
-	m.h.Word(uint64(fpAwaitEnter) << 56)
-	for i := 0; ; i++ {
-		if i >= awaitFingerprintCap {
-			m.h.Word(uint64(fpAwaitSaturated) << 56)
-			return
-		}
-		if !cond() {
-			m.h.Word(uint64(fpAwaitExit)<<56 | uint64(i))
-			return
-		}
-	}
-}
-
-func (m *fpMem) AwaitDo(body func() bool) {
-	// Unlike AwaitWhile, abandoned AwaitDo iterations may have stored to
-	// owned locations — but the trace records those stores before the
-	// saturation marker, so the fingerprint stays deterministic either
-	// way; saturation only cuts iterations that would repeat forever
-	// under the sequential schedule.
-	m.h.Word(uint64(fpAwaitDo) << 56)
-	for i := 0; ; i++ {
-		if i >= awaitFingerprintCap {
-			m.h.Word(uint64(fpAwaitSaturated) << 56)
-			return
-		}
-		if body() {
-			m.h.Word(uint64(fpAwaitExit)<<56 | uint64(i))
-			return
-		}
-	}
-}
-
-func (m *fpMem) Pause() {
-	m.h.Word(uint64(fpPause) << 56)
-}
-
-func (m *fpMem) TID() int { return m.tid }
-
-func (m *fpMem) Assert(ok bool, msg string) {
-	okw := uint64(0)
-	if ok {
-		okw = 1
-	}
-	m.h.Word(uint64(fpAssert)<<56 | okw)
-	m.h.String(msg)
-}
-
 // Fingerprint128 returns a 128-bit structural hash of the program: its
 // shared variables (names and initial values), thread count, the full
 // operation trace of one deterministic sequential execution (threads
@@ -178,38 +68,27 @@ func (m *fpMem) Assert(ok bool, msg string) {
 // fingerprint alone is never trusted across builds.
 //
 // Programs with validated symmetric thread groups (SymSpec != nil)
-// hash via the canonical trace instead (see sym.go): locations and
-// values fold in a thread-relabeling-invariant encoding, so builds of
-// one symmetric program that differ only by a permutation of the
-// interchangeable threads produce identical fingerprints and share one
-// verdict-store cell.
+// hash the same trace under the canonical fold (see canonMem in
+// sym.go): locations and values fold in a thread-relabeling-invariant
+// encoding, so builds of one symmetric program that differ only by a
+// permutation of the interchangeable threads produce identical
+// fingerprints and share one verdict-store cell.
 func (p *Program) Fingerprint128() graph.Hash128 {
-	if spec := p.SymSpec(); spec != nil {
-		return p.canonFingerprint(spec)
-	}
-	h := graph.NewHasher128()
+	spec := p.SymSpec()
 	vs := &VarSet{}
 	threads, final := p.Build(vs)
-	h.Word(uint64(fpVars)<<56 | uint64(len(vs.Vars)))
-	for _, v := range vs.Vars {
-		h.String(v.Name)
-		h.Word(v.Init)
+	if spec == nil {
+		return canonTrace(vs, nil, nil, threads, final, nil)
 	}
-	h.Word(uint64(len(threads)))
-	m := &fpMem{h: &h, mem: vs.Inits()}
-	for t, fn := range threads {
-		h.Word(uint64(fpThread)<<56 | uint64(t))
-		m.tid = t
-		fn(m)
+	// Validation has already proved every candidate permutation folds
+	// the identity permutation's value, so two builds of one program that
+	// differ only by a relabeling of symmetric threads (swapped
+	// per-thread closures with correspondingly swapped tags and initial
+	// values) hash equal.
+	tb := buildSymTables(vs, len(threads))
+	id := make([]int32, len(threads))
+	for t := range id {
+		id[t] = int32(t)
 	}
-	if final != nil {
-		ok, msg := final(func(v *Var) uint64 { return m.mem[v.ID] })
-		okw := uint64(0)
-		if ok {
-			okw = 1
-		}
-		h.Word(uint64(fpFinalCheck)<<56 | okw)
-		h.String(msg)
-	}
-	return h.Sum()
+	return canonTrace(vs, &tb, spec, threads, final, id)
 }

@@ -267,13 +267,21 @@ func validatePerms(vs *VarSet, tb *symTables, threads []ThreadFunc, final FinalC
 	return true
 }
 
-// canonMem is the permutation-folding twin of fpMem: operations
-// execute against real memory indexed by real locations, but the trace
-// folds equivariant tokens — owned locations as (family, owner's slot
-// under perm), unowned locations as their allocation rank, and values
-// with their thread-id field mapped through perm. For a symmetric
-// program the folded trace is therefore independent of which
-// permutation scheduled the threads.
+// canonMem is the recording sequential interpreter behind every
+// program fingerprint: each Mem operation executes against a plain
+// in-order memory indexed by real locations and is folded into the hash
+// — opcode, location, barrier mode and the values read and written. It
+// is deterministic because thread bodies are deterministic given the
+// values their Mem operations return (the ThreadFunc contract) and the
+// sequential memory returns deterministic values.
+//
+// With symmetry tables the trace folds equivariant tokens — owned
+// locations as (family, owner's slot under perm), unowned locations as
+// their allocation rank, and values with their thread-id field mapped
+// through perm — so for a symmetric program it is independent of which
+// permutation scheduled the threads. Without them (tb, spec and perm
+// all nil: a program with no validated symmetry) the fold is the
+// identity: locations are their ids and values are themselves.
 type canonMem struct {
 	h    *graph.Hasher128
 	mem  []uint64
@@ -284,6 +292,9 @@ type canonMem struct {
 }
 
 func (m *canonMem) locTok(v *Var) uint64 {
+	if m.tb == nil {
+		return uint64(uint32(v.ID))
+	}
 	if o := m.tb.owner[v.ID]; o >= 0 {
 		return 1<<31 | uint64(uint32(m.tb.fam[v.ID]))<<20 | uint64(uint32(m.perm[o]))
 	}
@@ -291,6 +302,9 @@ func (m *canonMem) locTok(v *Var) uint64 {
 }
 
 func (m *canonMem) mv(v *Var, x uint64) uint64 {
+	if m.spec == nil {
+		return x
+	}
 	return m.spec.MapVal(m.perm, graph.Loc(v.ID), x)
 }
 
@@ -336,9 +350,14 @@ func (m *canonMem) CmpXchg(v *Var, old, new uint64, mode Mode) (uint64, bool) {
 func (m *canonMem) FetchAdd(v *Var, delta uint64, mode Mode) uint64 {
 	old := m.mem[v.ID]
 	m.mem[v.ID] = old + delta
-	// The delta itself is a difference, not a stored value, so it is
-	// folded via the value it produces — both endpoints map cleanly.
-	m.op(fpFetchAdd, v, mode, m.mv(v, old), m.mv(v, old+delta))
+	// The delta itself is a difference, not a stored value, so under a
+	// fold it is recorded via the value it produces — both endpoints map
+	// cleanly.
+	second := delta
+	if m.spec != nil {
+		second = m.mv(v, old+delta)
+	}
+	m.op(fpFetchAdd, v, mode, m.mv(v, old), second)
 	return old
 }
 
@@ -361,6 +380,11 @@ func (m *canonMem) AwaitWhile(cond func() bool) {
 }
 
 func (m *canonMem) AwaitDo(body func() bool) {
+	// Unlike AwaitWhile, abandoned AwaitDo iterations may have stored to
+	// owned locations — but the trace records those stores before the
+	// saturation marker, so the fingerprint stays deterministic either
+	// way; saturation only cuts iterations that would repeat forever
+	// under the sequential schedule.
 	m.h.Word(uint64(fpAwaitDo) << 56)
 	for i := 0; ; i++ {
 		if i >= awaitFingerprintCap {
@@ -379,10 +403,13 @@ func (m *canonMem) Pause() {
 }
 
 // TID returns the real thread index (the closure must behave as in a
-// real run) but folds the canonical slot: a symmetric program may use
-// its tid only in ways the tags capture, and those fold mapped.
+// real run); under a fold it also records the canonical slot: a
+// symmetric program may use its tid only in ways the tags capture, and
+// those fold mapped.
 func (m *canonMem) TID() int {
-	m.h.Word(uint64(fpTID)<<56 | uint64(uint32(m.perm[m.tid])))
+	if m.perm != nil {
+		m.h.Word(uint64(fpTID)<<56 | uint64(uint32(m.perm[m.tid])))
+	}
 	return m.tid
 }
 
@@ -401,39 +428,45 @@ func (m *canonMem) Assert(ok bool, msg string) {
 // operation trace in canonical-slot order, then the final check's
 // outcome on the resulting memory. For a valid spec the result is
 // permutation-independent; under the identity permutation it doubles
-// as the program's canonical fingerprint.
+// as the program's canonical fingerprint. With tb, spec and perm nil
+// nothing is folded: every variable is unowned, threads run in index
+// order, and the result is the plain structural fingerprint.
 func canonTrace(vs *VarSet, tb *symTables, spec *graph.SymSpec, threads []ThreadFunc, final FinalCheck, perm []int32) graph.Hash128 {
 	h := graph.NewHasher128()
+	m := &canonMem{h: &h, mem: vs.Inits(), tb: tb, spec: spec, perm: perm}
 	h.Word(uint64(fpVars)<<56 | uint64(len(vs.Vars)))
 	for _, v := range vs.Vars {
-		if tb.owner[v.ID] >= 0 {
+		if tb != nil && tb.owner[v.ID] >= 0 {
 			continue
 		}
 		h.String(v.Name)
-		h.Word(spec.MapVal(perm, graph.Loc(v.ID), v.Init))
+		h.Word(m.mv(v, v.Init))
 	}
-	inv := make([]int32, len(perm))
-	for t, s := range perm {
-		inv[s] = int32(t)
+	inv := make([]int32, len(threads)) // canonical slot -> thread
+	for t := range inv {
+		inv[t] = int32(t)
 	}
-	for f, name := range tb.famName {
-		h.String(name)
-		for slot := range perm {
-			l := tb.famLoc[f][inv[slot]]
-			if l < 0 {
-				h.Word(0xfa111e55)
-				continue
+	if tb != nil {
+		for t, s := range perm {
+			inv[s] = int32(t)
+		}
+		for f, name := range tb.famName {
+			h.String(name)
+			for slot := range perm {
+				l := tb.famLoc[f][inv[slot]]
+				if l < 0 {
+					h.Word(0xfa111e55)
+					continue
+				}
+				h.Word(1)
+				h.Word(m.mv(vs.Vars[l], vs.Vars[l].Init))
 			}
-			h.Word(1)
-			h.Word(spec.MapVal(perm, graph.Loc(l), vs.Vars[l].Init))
 		}
 	}
 	h.Word(uint64(len(threads)))
-	m := &canonMem{h: &h, mem: vs.Inits(), tb: tb, spec: spec, perm: perm}
-	for slot := range threads {
-		t := int(inv[slot])
+	for slot, t := range inv {
 		h.Word(uint64(fpThread)<<56 | uint64(slot))
-		m.tid = t
+		m.tid = int(t)
 		threads[t](m)
 	}
 	if final != nil {
@@ -446,22 +479,4 @@ func canonTrace(vs *VarSet, tb *symTables, spec *graph.SymSpec, threads []Thread
 		h.String(msg)
 	}
 	return h.Sum()
-}
-
-// canonFingerprint is the symmetric program's structural hash: the
-// canonical trace under the identity permutation. Validation has
-// already proved every candidate permutation folds this same value, so
-// two builds of one program that differ only by a relabeling of
-// symmetric threads (swapped per-thread closures with correspondingly
-// swapped tags and initial values) hash equal — they are one
-// verification problem and share one verdict-store cell.
-func (p *Program) canonFingerprint(spec *graph.SymSpec) graph.Hash128 {
-	vs := &VarSet{}
-	threads, final := p.Build(vs)
-	tb := buildSymTables(vs, len(threads))
-	id := make([]int32, len(threads))
-	for t := range id {
-		id[t] = int32(t)
-	}
-	return canonTrace(vs, &tb, spec, threads, final, id)
 }

@@ -57,10 +57,8 @@ func ProblemKey(model Model, spec *BarrierSpec, prog *Program) StoreKey {
 // resolve decides every problem, in order of preference: from the store,
 // from an equal-key sibling's run in this same call, from an AMC run.
 // Runs go through one core.Pool bounded by opts.Parallelism, admitted in
-// problem order — except a lone run under Parallelism 1, which executes
-// standalone so WorkersPerRun staffs its own workers (a one-slot pool
-// could lend it nothing). With failFast the first non-OK verdict, stored
-// or computed, cancels what has not finished. Of opts, resolve reads the
+// problem order. With failFast the first non-OK verdict, stored or
+// computed, cancels what has not finished. Of opts, resolve reads the
 // engine knobs only; keys come with the problems.
 func resolve(ctx context.Context, probs []problem, opts RunOptions, failFast bool) []outcome {
 	if opts.WorkersPerRun <= 0 {
@@ -152,13 +150,7 @@ func resolve(ctx context.Context, probs []problem, opts RunOptions, failFast boo
 			return r
 		}}
 	}
-	var results []*Result
-	if len(jobs) == 1 && opts.Parallelism == 1 {
-		j := jobs[0]
-		results = []*Result{j.Wrap(func() *Result { return j.Checker.RunCtx(ctx, j.Program) })}
-	} else {
-		results = core.NewPool(opts.Parallelism).RunAll(ctx, jobs, failFast)
-	}
+	results := core.NewPool(opts.Parallelism).RunAll(ctx, jobs, failFast)
 	for j, g := range groups {
 		r, sv := results[j], &out[g[0]]
 		sv.res = r

@@ -39,12 +39,16 @@ test-short:
 # under concurrent load, and the poison-on-release corpus (the whole
 # differential corpus with every retired slab and header poisoned: a
 # stolen state's parent retires on the thief, and a release made too
-# early is a wrong count there and a reported race here).
+# early is a wrong count there and a reported race here), and the SC
+# axiom's kernel against its reference on the harvested corpus and the
+# full random sweep (the kernel's scratch is stack and pool, shared by
+# nothing).
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
 	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym' ./internal/core
 	$(GO) test -race -run 'TestPoison' ./internal/graph
+	$(GO) test -race -run 'TestPsc' ./internal/mm
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
 	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess' ./internal/store
 
@@ -52,7 +56,7 @@ race:
 # allocations on a warm free list): gated out of -short, so this is
 # where they run.
 allocs:
-	$(GO) test -run TestAllocs ./internal/core ./internal/graph
+	$(GO) test -run TestAllocs ./internal/core ./internal/graph ./internal/mm
 
 # One cheap pass over the benchmark harness to catch bit-rot in the
 # table/figure emitters without running the full campaign, then the AMC

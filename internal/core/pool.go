@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -152,7 +153,7 @@ func (p *Pool) acquire(ctx context.Context) (int, bool) {
 // them strictly in sequence. When failFast is set, the first completed
 // non-OK result cancels the jobs still queued or running; those return
 // Canceled results. Jobs whose context is canceled before they acquire
-// a worker never run a checker at all.
+// a worker never run a checker at all; their Err is ErrNotStarted.
 func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -164,7 +165,7 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 	for i, job := range jobs {
 		slot, ok := p.acquire(ctx)
 		if !ok {
-			results[i] = canceledResult(ctx)
+			results[i] = &Result{Verdict: Canceled, Err: ErrNotStarted, Message: ErrNotStarted.Error()}
 			p.mu.Lock()
 			p.canceled++
 			p.mu.Unlock()
@@ -233,7 +234,6 @@ func (p *Pool) VerifyAll(ctx context.Context, jobs []Job) (Verdict, int, []*Resu
 	return OK, -1, results
 }
 
-// canceledResult is the placeholder for a job that never started.
-func canceledResult(ctx context.Context) *Result {
-	return &Result{Verdict: Canceled, Err: ctx.Err(), Message: "canceled before start"}
-}
+// ErrNotStarted is the Err of a job RunAll never admitted: its context
+// was canceled while it queued for a slot, so no checker ran for it.
+var ErrNotStarted = errors.New("canceled before start")

@@ -196,7 +196,7 @@ type Result struct {
 	// not part of Stats, which checkpoints carry.
 	Mem      graph.MemCounters
 	Duration time.Duration
-	Err      error // set when Verdict == Error
+	Err      error // set when Verdict == Error; ErrNotStarted on a job its pool never admitted
 	// Checkpoint carries the drained frontier of an Undecided run: the
 	// unexplored states, the visited-set summary, and the cumulative
 	// counters a resumed run needs to continue deterministically. Nil

@@ -81,15 +81,15 @@ func (r *Rels) Admit(c Candidate) Admission {
 	words := r.Hb.words
 	s, hbIn := wordScratch(words)
 	for i := 0; i < r.nInit; i++ {
-		mark(hbIn, i)
+		SetBit(hbIn, i)
 	}
 	if evs := g.Threads[c.Thread]; len(evs) > 0 {
-		mark(hbIn, r.IndexOf(evs[len(evs)-1].ID))
+		SetBit(hbIn, r.IndexOf(evs[len(evs)-1].ID))
 	}
 	if c.Kind != KWrite {
-		r.swInto(g, c.Mode, FromW(c.RF), func(rel int) { mark(hbIn, rel) })
+		r.swInto(g, c.Mode, FromW(c.RF), func(rel int) { SetBit(hbIn, rel) })
 	}
-	hbBefore := func(v int) bool { return marked(hbIn, v) || r.Hb.rowIntersects(v, hbIn) }
+	hbBefore := func(v int) bool { return HasBit(hbIn, v) || r.Hb.rowIntersects(v, hbIn) }
 
 	succ := r.IndexOf(order[first])
 	incoherent := hbBefore(succ)

@@ -160,16 +160,8 @@ func (m *BitMat) Irreflexive() bool {
 	return true
 }
 
-// Compose returns the relational composition m;o.
-func (m *BitMat) Compose(o *BitMat) *BitMat {
-	r := NewBitMat(m.n)
-	m.ComposeInto(o, r)
-	return r
-}
-
 // ComposeInto computes dst = m;o in place, overwriting dst (which must
-// have the same dimension and not alias m or o). It is the reuse
-// variant of Compose for pooled scratch matrices.
+// have the same dimension and not alias m or o).
 func (m *BitMat) ComposeInto(o, dst *BitMat) {
 	clear(dst.bits)
 	for i := 0; i < m.n; i++ {
@@ -203,6 +195,44 @@ func (m *BitMat) IntersectsTranspose(o *BitMat) bool {
 		}
 	}
 	return false
+}
+
+// Words returns the length of a row in 64-bit words.
+func (m *BitMat) Words() int { return m.words }
+
+// Row returns row i as a word vector: bit j says whether (i, j) is in
+// the relation. It aliases the matrix — the way to fill a scratch
+// matrix row by row, and read-only on a relation somebody else owns.
+func (m *BitMat) Row(i int) []uint64 { return m.bits[i*m.words : (i+1)*m.words] }
+
+// SetBit and HasBit are the bit helpers over word vectors such as Row's.
+func SetBit(vec []uint64, i int)      { vec[i/64] |= 1 << (uint(i) % 64) }
+func HasBit(vec []uint64, i int) bool { return vec[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// eachBit calls f with the index of every set bit of vec, ascending.
+func eachBit(vec []uint64, f func(i int)) {
+	for w, word := range vec {
+		for ; word != 0; word &= word - 1 {
+			f(w*64 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// OrRows ors into dst the rows of m selected by the set bits of sel:
+// dst |= sel;m, a vector×matrix product over the boolean semiring. dst
+// must not alias sel.
+func (m *BitMat) OrRows(dst, sel []uint64) {
+	eachBit(sel, func(i int) { m.orRowInto(i, dst) })
+}
+
+// OrRowsMinus is OrRows over the difference m\o: dst |= sel;(m\o).
+func (m *BitMat) OrRowsMinus(o *BitMat, dst, sel []uint64) {
+	eachBit(sel, func(i int) {
+		row, not := m.Row(i), o.Row(i)
+		for w := range dst {
+			dst[w] |= row[w] &^ not[w]
+		}
+	})
 }
 
 // Clear removes the pair (i, j) from the relation.

@@ -22,10 +22,6 @@ func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ec
 		v[2*words : 3*words], v[3*words : 4*words], v[4*words : 5*words]
 }
 
-// mark and marked are the word-vector bit helpers of the delta paths.
-func mark(vec []uint64, u int)        { vec[u/64] |= 1 << (uint(u) % 64) }
-func marked(vec []uint64, u int) bool { return vec[u/64]&(1<<(uint(u)%64)) != 0 }
-
 // Extend computes the relations of g incrementally, where g was derived
 // from the graph r describes by appending exactly the event e (with its
 // rf choice recorded and, for write-likes, its mo position inserted).
@@ -109,7 +105,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	isAccess := e.Kind != KFence && e.Kind != KError
 	for i := 0; i < r.nInit; i++ {
 		nr.Sb.Set(i, ni)
-		mark(hbIn, i)
+		SetBit(hbIn, i)
 		trackIn(i)
 		if isAccess && r.Ev[i].Loc == e.Loc {
 			nr.SbLoc.Set(i, ni)
@@ -118,7 +114,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	for _, p := range g.Threads[e.ID.Thread][:e.ID.Index] {
 		pi := int(trow[p.ID.Index])
 		nr.Sb.Set(pi, ni)
-		mark(hbIn, pi)
+		SetBit(hbIn, pi)
 		trackIn(pi)
 		if isAccess && p.Kind != KFence && p.Kind != KError && p.Loc == e.Loc {
 			nr.SbLoc.Set(pi, ni)
@@ -130,7 +126,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	if e.IsReadLike() && !rf.Bottom {
 		wi := r.IndexOf(rf.W)
 		nr.RfM.Set(wi, ni)
-		mark(ecoIn, wi)
+		SetBit(ecoIn, wi)
 		trackIn(wi)
 		if src := g.MoIndex(e.Loc, rf.W); src >= 0 {
 			for _, w := range g.Mo[e.Loc][src+1:] {
@@ -139,7 +135,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 				}
 				oi := r.IndexOf(w)
 				nr.FrM.Set(ni, oi)
-				mark(ecoOut, oi)
+				SetBit(ecoOut, oi)
 			}
 		}
 	}
@@ -156,13 +152,13 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		for _, w := range order[:pos] {
 			pi := r.IndexOf(w)
 			nr.MoM.Set(pi, ni)
-			mark(ecoIn, pi)
+			SetBit(ecoIn, pi)
 			trackIn(pi)
 		}
 		for _, w := range order[pos+1:] {
 			si := r.IndexOf(w)
 			nr.MoM.Set(ni, si)
-			mark(ecoOut, si)
+			SetBit(ecoOut, si)
 			trackOut(si)
 		}
 		// Every existing read whose source is mo-before e now also
@@ -179,7 +175,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 				if src := g.MoIndex(e.Loc, rrf.W); src >= 0 && src < pos {
 					ri := r.IndexOf(re.ID)
 					nr.FrM.Set(ri, ni)
-					mark(ecoIn, ri)
+					SetBit(ecoIn, ri)
 				}
 			}
 		}
@@ -192,7 +188,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	// of its thread. (Release sides of e affect only future events.)
 	emit := func(s int) {
 		if s != ni {
-			mark(hbIn, s)
+			SetBit(hbIn, s)
 		}
 	}
 	if e.IsReadLike() {
@@ -211,7 +207,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	// one of them.
 	r.Hb.grownInto(nr.Hb)
 	for v := 0; v < n; v++ {
-		if marked(hbIn, v) || r.Hb.rowIntersects(v, hbIn) {
+		if HasBit(hbIn, v) || r.Hb.rowIntersects(v, hbIn) {
 			nr.Hb.Set(v, ni)
 		}
 	}
@@ -223,19 +219,19 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	r.Eco.grownInto(nr.Eco)
 	copy(ecoRow, ecoOut)
 	for v := 0; v < n; v++ {
-		if marked(ecoOut, v) {
+		if HasBit(ecoOut, v) {
 			r.Eco.orRowInto(v, ecoRow)
 		}
-		if marked(ecoIn, v) || r.Eco.rowIntersects(v, ecoIn) {
-			mark(ecoCol, v)
+		if HasBit(ecoIn, v) || r.Eco.rowIntersects(v, ecoIn) {
+			SetBit(ecoCol, v)
 			nr.Eco.Set(v, ni)
 		}
 	}
 	cyclic := false
 	for v := 0; v < n; v++ {
-		if marked(ecoRow, v) {
+		if HasBit(ecoRow, v) {
 			nr.Eco.Set(ni, v)
-			if marked(ecoCol, v) {
+			if HasBit(ecoCol, v) {
 				nr.Eco.Set(v, v)
 				cyclic = true
 			}
@@ -312,7 +308,7 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	rf := g.rf[e.ID.Thread][e.ID.Index]
 	wi := r.IndexOf(rf.W)
 	nr.RfM.Set(wi, ei)
-	mark(ecoIn, wi)
+	SetBit(ecoIn, wi)
 
 	// fr: e now from-reads every write mo-after its source. e itself is
 	// not in mo (it resolved read-only), so there are no incoming fr.
@@ -320,7 +316,7 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 		for _, w := range g.Mo[e.Loc][src+1:] {
 			oi := r.IndexOf(w)
 			nr.FrM.Set(ei, oi)
-			mark(ecoOut, oi)
+			SetBit(ecoOut, oi)
 		}
 	}
 
@@ -328,7 +324,7 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	// no po successors, so there are no acquire fences after it).
 	r.swInto(g, e.Mode, rf, func(s int) {
 		if s != ei {
-			mark(hbIn, s)
+			SetBit(hbIn, s)
 		}
 	})
 
@@ -336,7 +332,7 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	// closed once e's column absorbs the direct predecessors and their
 	// hb-ancestors.
 	for v := 0; v < n; v++ {
-		if v != ei && (marked(hbIn, v) || r.Hb.rowIntersects(v, hbIn)) {
+		if v != ei && (HasBit(hbIn, v) || r.Hb.rowIntersects(v, hbIn)) {
 			nr.Hb.Set(v, ei)
 		}
 	}
@@ -347,19 +343,19 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	// column or row vectors.
 	copy(rowVec, ecoOut)
 	for v := 0; v < n; v++ {
-		if marked(ecoOut, v) {
+		if HasBit(ecoOut, v) {
 			r.Eco.orRowInto(v, rowVec)
 		}
-		if marked(ecoIn, v) || r.Eco.rowIntersects(v, ecoIn) {
-			mark(ecoCol, v)
+		if HasBit(ecoIn, v) || r.Eco.rowIntersects(v, ecoIn) {
+			SetBit(ecoCol, v)
 			nr.Eco.Set(v, ei)
 		}
 	}
 	cyclic := false
 	for v := 0; v < n; v++ {
-		if marked(rowVec, v) {
+		if HasBit(rowVec, v) {
 			nr.Eco.Set(ei, v)
-			if marked(ecoCol, v) {
+			if HasBit(ecoCol, v) {
 				nr.Eco.Set(v, v)
 				cyclic = true
 			}

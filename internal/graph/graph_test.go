@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,7 +241,8 @@ func TestBitMatCompose(t *testing.T) {
 	m.Set(0, 1)
 	o := NewBitMat(3)
 	o.Set(1, 2)
-	r := m.Compose(o)
+	r := NewBitMat(3)
+	m.ComposeInto(o, r)
 	if !r.Get(0, 2) || r.Get(0, 1) || r.Get(1, 2) {
 		t.Fatal("composition wrong")
 	}
@@ -265,4 +267,41 @@ func TestFingerprintProperty(t *testing.T) {
 	if g.Fingerprint() == c.Fingerprint() {
 		t.Fatal("rf change did not change the fingerprint")
 	}
+}
+
+// TestRowProducts: the vector×matrix primitives under mm's SC axiom,
+// against their bit-by-bit definitions on random relations.
+func TestRowProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randExtendHistory(t, rng, 3, 2, 90, func(r *Rels, _ *Graph, _ *Event) {
+		sel := make([]uint64, r.Hb.Words())
+		for i := 0; i < r.N; i++ {
+			if rng.Intn(3) == 0 {
+				SetBit(sel, i)
+			}
+		}
+		access := func(i int) bool { return r.Ev[i].Kind != KFence && r.Ev[i].Kind != KError }
+		for name, c := range map[string]struct {
+			or   func(dst []uint64)
+			pair func(i, j int) bool
+		}{
+			"OrRows":      {func(d []uint64) { r.Hb.OrRows(d, sel) }, r.Hb.Get},
+			"OrRowsMinus": {func(d []uint64) { r.Sb.OrRowsMinus(r.SbLoc, d, sel) }, func(i, j int) bool { return r.Sb.Get(i, j) && !r.SbLoc.Get(i, j) }},
+			"OrHbLoc": {func(d []uint64) { r.OrHbLoc(d, sel) }, func(i, j int) bool {
+				return r.Hb.Get(i, j) && access(i) && access(j) && r.Ev[i].Loc == r.Ev[j].Loc
+			}},
+		} {
+			got := make([]uint64, len(sel))
+			c.or(got)
+			for j := 0; j < r.N; j++ {
+				want := false
+				for i := 0; i < r.N; i++ {
+					want = want || HasBit(sel, i) && c.pair(i, j)
+				}
+				if HasBit(got, j) != want {
+					t.Fatalf("%s over %d events: bit %d is %v, want %v", name, r.N, j, !want, want)
+				}
+			}
+		}
+	})
 }

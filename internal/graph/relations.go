@@ -346,11 +346,11 @@ func (r *Rels) buildSw(sw *BitMat) {
 			clear(acq)
 			acquires := re.Mode.HasAcq()
 			if acquires {
-				mark(acq, r.IndexOf(re.ID))
+				SetBit(acq, r.IndexOf(re.ID))
 			}
 			for _, f := range evs[i+1:] {
 				if f.Kind == KFence && f.Mode.HasAcq() {
-					mark(acq, r.IndexOf(f.ID))
+					SetBit(acq, r.IndexOf(f.ID))
 					acquires = true
 				}
 			}
@@ -410,3 +410,17 @@ func (r *Rels) IsSCEvent(i int) bool { return r.Ev[i].Mode.IsSC() }
 
 // IsSCFence reports whether indexed event i is an SC fence.
 func (r *Rels) IsSCFence(i int) bool { return r.Ev[i].Kind == KFence && r.Ev[i].Mode.IsSC() }
+
+// OrHbLoc ors into dst the same-location hb successors of the accesses
+// in sel: dst |= sel;hb|loc. A location's accesses are the SbLoc row of
+// its init write, index Loc (which has nothing hb-before it).
+func (r *Rels) OrHbLoc(dst, sel []uint64) {
+	eachBit(sel, func(i int) {
+		if e := r.Ev[i]; e.Kind != KFence && e.Kind != KError {
+			hb, loc := r.Hb.Row(i), r.SbLoc.Row(int(e.Loc))
+			for w := range dst {
+				dst[w] |= hb[w] & loc[w]
+			}
+		}
+	})
+}

@@ -24,6 +24,15 @@
 // straight from that cached order state: a cyclic union rejects SC
 // without building anything, and a valid order proves porf (a subset)
 // acyclic for free.
+//
+// The SC axiom of WMM, acyclic(psc), is composition-free as well: psc is
+// defined through scb = sb ∪ (sb\sbloc);hb;(sb\sbloc) ∪ hb|loc ∪ mo ∪ fr
+// and hb;eco;hb, and neither those products nor scb are ever built.
+// Each SC access or fence gets its psc row from a handful of
+// vector×matrix products over the relations Rels carries (see
+// pscAcyclic), so the axiom costs O(anchors · n²/64) word operations
+// and no allocation where the materializing form cost O(n³/64) and
+// seven scratch matrices.
 package mm
 
 import (
@@ -330,142 +339,102 @@ func (wmmModel) Consistent(g *graph.Graph) bool {
 	return pscAcyclic(r)
 }
 
-// pscAcyclic computes the RC11 partial-SC relation and reports whether
-// it is ACYCLIC (note: true means the axiom holds). Events with SC
-// mode and SC fences participate. All pooled scratch is released on
-// every return path (deferred), and the expensive construction is
-// gated twice: no scratch is allocated until at least two SC
-// participants exist, and the final cycle pass is skipped when the psc
-// union came out empty.
+// pscStackWords is the row width (in words) up to which pscAcyclic's
+// scratch vectors live on its stack: 576 events.
+const pscStackWords = 9
+
+// pscAcyclic decides the RC11 SC axiom, acyclic(psc_base ∪ psc_f), over
+// the SC accesses (Esc) and SC fences (Fsc):
+//
+//	scb      = sb ∪ (sb\sbloc);hb;(sb\sbloc) ∪ hb|loc ∪ mo ∪ fr
+//	psc_base = ([Esc] ∪ [Fsc];hb?) ; scb ; ([Esc] ∪ hb?;[Fsc])
+//	psc_f    = [Fsc] ; (hb ∪ hb;eco;hb) ; [Fsc]
+//
+// Neither scb nor any composition is materialized. psc is built one row
+// per SC anchor a, as products of a bit vector with the relations Rels
+// already carries: the events an scb path anchored at a may start from,
+// times scb term by term, gives the events it may end at; those, closed
+// under hb? for the fence anchors on the right, masked to the anchors,
+// are a's psc_base successors. Nothing is built below two SC
+// participants, nothing but psc itself is taken from a pool, and an
+// empty psc skips the cycle pass.
 func pscAcyclic(r *graph.Rels) bool {
-	n := r.N
-	// Quick exit before any scratch is taken: fewer than two SC
-	// participants can never form a psc cycle.
+	n, words := r.N, r.Hb.Words()
+	var stack [6 * pscStackWords]uint64
+	buf := stack[:]
+	if 6*words > len(buf) {
+		buf = make([]uint64, 6*words)
+	}
+	vec := func(k int) []uint64 { return buf[k*words : (k+1)*words] }
+	accs, fences := vec(0), vec(1) // Esc and Fsc as masks
 	scAcc, scF := 0, 0
 	for i := 0; i < n; i++ {
 		if r.IsSCFence(i) {
+			graph.SetBit(fences, i)
 			scF++
 		} else if r.IsSCEvent(i) {
+			graph.SetBit(accs, i)
 			scAcc++
 		}
 	}
 	if scAcc+scF < 2 {
-		return true
+		return true // fewer than two SC participants never form a psc cycle
 	}
 
-	hbq := r.Hb // hb? as hb with identity handled inline (read-only here)
-	// sbNeqLoc = sb \ sbloc.
-	sbNeq := graph.NewBitMatPooled(n)
-	defer sbNeq.Release()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if r.Sb.Get(i, j) && !r.SbLoc.Get(i, j) {
-				sbNeq.Set(i, j)
-			}
-		}
-	}
-	// hbLoc = hb ∩ same-location accesses.
-	hbLoc := graph.NewBitMatPooled(n)
-	defer hbLoc.Release()
-	for i := 0; i < n; i++ {
-		ei := r.Ev[i]
-		if ei.Kind == graph.KFence || ei.Kind == graph.KError {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			ej := r.Ev[j]
-			if ej.Kind == graph.KFence || ej.Kind == graph.KError {
-				continue
-			}
-			if ei.Loc == ej.Loc && r.Hb.Get(i, j) {
-				hbLoc.Set(i, j)
-			}
-		}
-	}
-	// scb = sb ∪ sbNeq;hb;sbNeq ∪ hbLoc ∪ mo ∪ fr.
-	scb := r.Sb.ClonePooled()
-	defer scb.Release()
-	mid := graph.NewBitMatPooled(n)
-	defer mid.Release()
-	tmp := graph.NewBitMatPooled(n)
-	defer tmp.Release()
-	sbNeq.ComposeInto(hbq, tmp)
-	tmp.ComposeInto(sbNeq, mid)
-	scb.OrWith(mid)
-	scb.OrWith(hbLoc)
-	scb.OrWith(r.MoM)
-	scb.OrWith(r.FrM)
-
-	isSCAccess := func(i int) bool { return r.IsSCEvent(i) && r.Ev[i].Kind != graph.KFence }
-	isSCF := func(i int) bool { return r.IsSCFence(i) }
-
-	// left(i) holds the SC anchors from which a psc_base edge can start
-	// when the scb path starts at i: i itself if an SC access, and any SC
-	// fence f with f hb? i.
+	starts, reach, x, y := vec(2), vec(3), vec(4), vec(5)
 	psc := graph.NewBitMatPooled(n)
 	defer psc.Release()
 	empty := true
-	addEdges := func(from, to []int) {
-		for _, a := range from {
-			for _, b := range to {
-				psc.Set(a, b)
-				empty = false
-			}
-		}
-	}
-	lefts := make([][]int, n)
-	rights := make([][]int, n)
-	for i := 0; i < n; i++ {
-		if isSCAccess(i) {
-			lefts[i] = append(lefts[i], i)
-			rights[i] = append(rights[i], i)
-		}
-		if scF == 0 {
-			continue // no SC fences: anchors are the SC accesses alone
-		}
-		for f := 0; f < n; f++ {
-			if !isSCF(f) {
-				continue
-			}
-			if f == i || hbq.Get(f, i) {
-				lefts[i] = append(lefts[i], f)
-			}
-			if f == i || hbq.Get(i, f) {
-				rights[i] = append(rights[i], f)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if len(lefts[i]) == 0 {
+	for a := 0; a < n; a++ {
+		fence := graph.HasBit(fences, a)
+		if !fence && !graph.HasBit(accs, a) {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			if scb.Get(i, j) && len(rights[j]) > 0 {
-				addEdges(lefts[i], rights[j])
+		// [Esc] ∪ [Fsc];hb? — a, and for a fence everything hb-after it.
+		clear(starts)
+		if fence {
+			copy(starts, r.Hb.Row(a))
+		}
+		graph.SetBit(starts, a)
+		// reach = starts;scb: sb, mo, fr and hb|loc first.
+		clear(reach)
+		r.Sb.OrRows(reach, starts)
+		r.MoM.OrRows(reach, starts)
+		r.FrM.OrRows(reach, starts)
+		r.OrHbLoc(reach, starts)
+		// (sb\sbloc);hb;(sb\sbloc), left to right.
+		clear(x)
+		r.Sb.OrRowsMinus(r.SbLoc, x, starts)
+		clear(y)
+		r.Hb.OrRows(y, x)
+		r.Sb.OrRowsMinus(r.SbLoc, reach, y)
+
+		// [Esc] ∪ hb?;[Fsc] on the right.
+		row := psc.Row(a)
+		for w := range row {
+			row[w] = reach[w] & accs[w]
+		}
+		if scF > 0 {
+			copy(y, reach)
+			r.Hb.OrRows(y, reach)
+			for w := range row {
+				row[w] |= y[w] & fences[w]
 			}
 		}
-	}
-	// psc_f = [Fsc] ; (hb ∪ hb;eco;hb) ; [Fsc] — needs two SC fences,
-	// so the hb;eco;hb composition scratch is not even allocated below
-	// that.
-	if scF >= 2 {
-		hbEcoHb := graph.NewBitMatPooled(n)
-		defer hbEcoHb.Release()
-		r.Hb.ComposeInto(r.Eco, tmp)
-		tmp.ComposeInto(r.Hb, hbEcoHb)
-		for i := 0; i < n; i++ {
-			if !isSCF(i) {
-				continue
+		// psc_f relates two distinct SC fences.
+		if fence && scF >= 2 {
+			hb := r.Hb.Row(a)
+			clear(x)
+			r.Eco.OrRows(x, hb)
+			copy(y, hb)
+			r.Hb.OrRows(y, x)
+			y[a/64] &^= 1 << (uint(a) % 64)
+			for w := range row {
+				row[w] |= y[w] & fences[w]
 			}
-			for j := 0; j < n; j++ {
-				if !isSCF(j) || i == j {
-					continue
-				}
-				if r.Hb.Get(i, j) || hbEcoHb.Get(i, j) {
-					psc.Set(i, j)
-					empty = false
-				}
-			}
+		}
+		for _, word := range row {
+			empty = empty && word == 0
 		}
 	}
 	if empty {

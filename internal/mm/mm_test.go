@@ -260,3 +260,152 @@ func TestMonotoneRemoval(t *testing.T) {
 		}
 	}
 }
+
+// pscAcyclicRef is the SC axiom as package mm decided it before the
+// row-vector kernel: psc built bit by bit from materialized scb and
+// hb;eco;hb matrices. It is that function moved here unedited, the
+// reference the kernel is tested against.
+//
+// pscAcyclicRef computes the RC11 partial-SC relation and reports whether
+// it is ACYCLIC (note: true means the axiom holds). Events with SC
+// mode and SC fences participate. All pooled scratch is released on
+// every return path (deferred), and the expensive construction is
+// gated twice: no scratch is allocated until at least two SC
+// participants exist, and the final cycle pass is skipped when the psc
+// union came out empty.
+func pscAcyclicRef(r *graph.Rels) bool {
+	n := r.N
+	// Quick exit before any scratch is taken: fewer than two SC
+	// participants can never form a psc cycle.
+	scAcc, scF := 0, 0
+	for i := 0; i < n; i++ {
+		if r.IsSCFence(i) {
+			scF++
+		} else if r.IsSCEvent(i) {
+			scAcc++
+		}
+	}
+	if scAcc+scF < 2 {
+		return true
+	}
+
+	hbq := r.Hb // hb? as hb with identity handled inline (read-only here)
+	// sbNeqLoc = sb \ sbloc.
+	sbNeq := graph.NewBitMatPooled(n)
+	defer sbNeq.Release()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if r.Sb.Get(i, j) && !r.SbLoc.Get(i, j) {
+				sbNeq.Set(i, j)
+			}
+		}
+	}
+	// hbLoc = hb ∩ same-location accesses.
+	hbLoc := graph.NewBitMatPooled(n)
+	defer hbLoc.Release()
+	for i := 0; i < n; i++ {
+		ei := r.Ev[i]
+		if ei.Kind == graph.KFence || ei.Kind == graph.KError {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			ej := r.Ev[j]
+			if ej.Kind == graph.KFence || ej.Kind == graph.KError {
+				continue
+			}
+			if ei.Loc == ej.Loc && r.Hb.Get(i, j) {
+				hbLoc.Set(i, j)
+			}
+		}
+	}
+	// scb = sb ∪ sbNeq;hb;sbNeq ∪ hbLoc ∪ mo ∪ fr.
+	scb := r.Sb.ClonePooled()
+	defer scb.Release()
+	mid := graph.NewBitMatPooled(n)
+	defer mid.Release()
+	tmp := graph.NewBitMatPooled(n)
+	defer tmp.Release()
+	sbNeq.ComposeInto(hbq, tmp)
+	tmp.ComposeInto(sbNeq, mid)
+	scb.OrWith(mid)
+	scb.OrWith(hbLoc)
+	scb.OrWith(r.MoM)
+	scb.OrWith(r.FrM)
+
+	isSCAccess := func(i int) bool { return r.IsSCEvent(i) && r.Ev[i].Kind != graph.KFence }
+	isSCF := func(i int) bool { return r.IsSCFence(i) }
+
+	// left(i) holds the SC anchors from which a psc_base edge can start
+	// when the scb path starts at i: i itself if an SC access, and any SC
+	// fence f with f hb? i.
+	psc := graph.NewBitMatPooled(n)
+	defer psc.Release()
+	empty := true
+	addEdges := func(from, to []int) {
+		for _, a := range from {
+			for _, b := range to {
+				psc.Set(a, b)
+				empty = false
+			}
+		}
+	}
+	lefts := make([][]int, n)
+	rights := make([][]int, n)
+	for i := 0; i < n; i++ {
+		if isSCAccess(i) {
+			lefts[i] = append(lefts[i], i)
+			rights[i] = append(rights[i], i)
+		}
+		if scF == 0 {
+			continue // no SC fences: anchors are the SC accesses alone
+		}
+		for f := 0; f < n; f++ {
+			if !isSCF(f) {
+				continue
+			}
+			if f == i || hbq.Get(f, i) {
+				lefts[i] = append(lefts[i], f)
+			}
+			if f == i || hbq.Get(i, f) {
+				rights[i] = append(rights[i], f)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if len(lefts[i]) == 0 {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if scb.Get(i, j) && len(rights[j]) > 0 {
+				addEdges(lefts[i], rights[j])
+			}
+		}
+	}
+	// psc_f = [Fsc] ; (hb ∪ hb;eco;hb) ; [Fsc] — needs two SC fences,
+	// so the hb;eco;hb composition scratch is not even allocated below
+	// that.
+	if scF >= 2 {
+		hbEcoHb := graph.NewBitMatPooled(n)
+		defer hbEcoHb.Release()
+		r.Hb.ComposeInto(r.Eco, tmp)
+		tmp.ComposeInto(r.Hb, hbEcoHb)
+		for i := 0; i < n; i++ {
+			if !isSCF(i) {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if !isSCF(j) || i == j {
+					continue
+				}
+				if r.Hb.Get(i, j) || hbEcoHb.Get(i, j) {
+					psc.Set(i, j)
+					empty = false
+				}
+			}
+		}
+	}
+	if empty {
+		return true // no psc edge at all: trivially acyclic
+	}
+	return psc.AcyclicSeeded(r.TopoOrder())
+}

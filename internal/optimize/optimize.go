@@ -24,13 +24,18 @@
 // borrowed for intra-run work stealing inside whichever exploration is
 // still going, instead of nesting a second pool under the first. A
 // Cache memoizes verdicts so multi-pass descents never re-verify an
-// assignment already judged.
+// assignment already judged. Within one candidate there is one run per
+// distinct problem — client programs with equal fingerprints share it —
+// and the runs start cheapest first, so the program most likely to
+// refute a candidate is also the first to try.
 package optimize
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -43,7 +48,10 @@ import (
 // Step records one attempted relaxation. Speculative-ladder runs also
 // record the overshoot: candidates stronger than the accepted one that
 // the sequential descent would never have tried; those appear with
-// Verdict Canceled when the short-circuit stopped them early.
+// Verdict Canceled when the short-circuit stopped them early. Accepted
+// does not depend on the order the suite's programs ran in; the Verdict
+// of a candidate that several programs refute names the failure of
+// whichever ran first, the cheapest as a rule, and may be either.
 type Step struct {
 	Point    string
 	Tried    vprog.Mode
@@ -68,6 +76,10 @@ type Result struct {
 	// verdict (engine errors) — neither hits nor honest misses;
 	// CacheLookups includes them.
 	CacheHits, CacheLookups, CacheUndecided int
+	// Deduped counts programs served by the run of an equal-fingerprint
+	// sibling in the same suite; Skipped counts runs never started
+	// because a cheaper one had already refuted the candidate.
+	Deduped, Skipped int
 	// Workers is the AMC concurrency the run used (1 = sequential).
 	Workers int
 	// Pool is the worker-pool accounting: per-worker busy time and job
@@ -171,7 +183,12 @@ type engine struct {
 	cache *Cache     // nil: memoization disabled
 	res   *Result
 
-	mu sync.Mutex // guards the res cache counters (probed concurrently)
+	// mu guards the res counters and popped: ladder candidates verify
+	// concurrently.
+	mu sync.Mutex
+	// popped is the cost estimate verify orders runs by: the states the
+	// last finished run of each suite slot popped (unknown: 0).
+	popped []int
 
 	// fpBySpec caches the per-program structural fingerprints of a
 	// candidate's suite, keyed by the spec fingerprint: Programs(spec) is
@@ -230,26 +247,29 @@ func (e *engine) checker() *core.Checker {
 	return c
 }
 
-// verify runs AMC on every client program of spec; it returns OK only
-// if all verify, otherwise a decisive failure verdict — or Canceled
-// when ctx was canceled first (the speculative ladder pruning a
-// candidate that can no longer win). Decisive per-program verdicts are
-// memoized; cached failures decide without any AMC run.
+// verify runs AMC on the client programs of spec; it returns OK only if
+// all verify, otherwise a decisive failure verdict — or Canceled when
+// ctx was canceled first (the speculative ladder pruning a candidate
+// that can no longer win). Decisive per-program verdicts are memoized;
+// cached failures decide without any AMC run. Programs with equal
+// fingerprints are one problem and share one run, and runs are
+// submitted cheapest first — by the states the slot's last finished run
+// popped, ties in suite order — so that under fail-fast a small litmus
+// refutes a candidate before a large client is started for it.
 func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verdict, error) {
 	progs := e.o.Programs(spec)
-	var key cacheKey
-	var progFPs []graph.Hash128
-	if e.cache != nil {
-		specFP := spec.Fingerprint128()
-		key = cacheKey{model: e.o.Model.Name(), spec: specFP}
-		progFPs = e.fingerprints(specFP, progs)
+	specFP := spec.Fingerprint128()
+	key := cacheKey{model: e.o.Model.Name(), spec: specFP}
+	progFPs := e.fingerprints(specFP, progs)
+	type run struct {
+		slot int // index in the suite
+		key  cacheKey
 	}
-	var jobs []core.Job
-	var names []string
-	var keys []cacheKey
-	for pi, p := range progs {
+	var runs []run
+	deduped := 0
+	for pi := range progs {
+		key.prog = progFPs[pi]
 		if e.cache != nil {
-			key.prog = progFPs[pi]
 			v, outcome := e.cache.lookup(key)
 			e.countProbe(outcome)
 			if outcome == probeHit {
@@ -258,23 +278,50 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 				}
 				continue // already known to verify
 			}
-			keys = append(keys, key)
 		}
-		jobs = append(jobs, core.Job{Checker: e.checker(), Program: p})
-		names = append(names, p.Name)
+		if slices.ContainsFunc(runs, func(r run) bool { return r.key == key }) {
+			deduped++
+			continue
+		}
+		runs = append(runs, run{slot: pi, key: key})
 	}
-	if len(jobs) == 0 {
+	if len(runs) == 0 {
 		return core.OK, nil
 	}
 
+	e.mu.Lock()
+	e.res.Deduped += deduped
+	if n := len(progs) - len(e.popped); n > 0 {
+		e.popped = append(e.popped, make([]int, n)...)
+	}
+	sort.SliceStable(runs, func(a, b int) bool { return e.popped[runs[a].slot] < e.popped[runs[b].slot] })
+	e.mu.Unlock()
+	jobs := make([]core.Job, len(runs))
+	for i, r := range runs {
+		jobs[i] = core.Job{Checker: e.checker(), Program: progs[r.slot]}
+	}
 	verdict, failed, results := e.pool.VerifyAll(ctx, jobs)
+
+	e.mu.Lock()
+	for i, r := range results {
+		switch r.Verdict {
+		case core.Error:
+		case core.Canceled:
+			if r.Err == core.ErrNotStarted && verdict != core.Canceled {
+				e.res.Skipped++ // a sibling refuted the candidate first
+			}
+		default:
+			e.popped[runs[i].slot] = r.Stats.Popped
+		}
+	}
+	e.mu.Unlock()
 	if e.cache != nil {
 		for i, r := range results {
-			e.cache.store(keys[i], names[i], r.Verdict) // drops indecisive verdicts
+			e.cache.store(runs[i].key, progs[runs[i].slot].Name, r.Verdict) // drops indecisive verdicts
 		}
 	}
 	if verdict == core.Error {
-		return core.Error, fmt.Errorf("optimizer: checking %s: %w", names[failed], results[failed].Err)
+		return core.Error, fmt.Errorf("optimizer: checking %s: %w", progs[runs[failed].slot].Name, results[failed].Err)
 	}
 	return verdict, nil
 }
@@ -461,12 +508,12 @@ func (r *Result) Report() string {
 	c := r.Final.Counts()
 	out += fmt.Sprintf("modes: rlx=%d acq=%d rel=%d acqrel=%d sc=%d removed=%d | %d verifications in %v\n",
 		c.Rlx, c.Acq, c.Rel, c.AcqRel, c.SC, c.Removed, r.Verifications, r.Duration)
-	if r.CacheLookups > 0 {
+	if r.CacheLookups+r.Deduped+r.Skipped > 0 {
 		out += fmt.Sprintf("cache: %d hits / %d lookups", r.CacheHits, r.CacheLookups)
 		if r.CacheUndecided > 0 {
 			out += fmt.Sprintf(" (%d undecided re-probes)", r.CacheUndecided)
 		}
-		out += "\n"
+		out += fmt.Sprintf(", %d deduped, %d not started\n", r.Deduped, r.Skipped)
 	}
 	if r.Pool.Workers > 0 {
 		out += fmt.Sprintf("parallel: %d workers, %d runs canceled by short-circuit, %d slots borrowed for intra-run stealing, busy %v total\n",

@@ -4,9 +4,12 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
@@ -211,5 +214,94 @@ func TestSpeculativeSpeedup(t *testing.T) {
 	// the log.
 	if parWall > seqWall {
 		t.Errorf("parallel engine slower than sequential: %v vs %v", parWall, seqWall)
+	}
+}
+
+// countingModel is WMM counting the graphs it is asked about, in total
+// and those of three-thread programs.
+type countingModel struct{ calls, threeThread atomic.Int64 }
+
+func (m *countingModel) Name() string { return mm.WMM.Name() }
+
+func (m *countingModel) Consistent(g *graph.Graph) bool {
+	m.calls.Add(1)
+	if len(g.Threads) == 3 {
+		m.threeThread.Add(1)
+	}
+	return mm.WMM.Consistent(g)
+}
+
+// TestVerifyDedupsEqualPrograms: a suite that lists one program three
+// times is one problem per candidate, and costs exactly the AMC work of
+// the suite that lists it once.
+func TestVerifyDedupsEqualPrograms(t *testing.T) {
+	alg := locks.ByName("ttas")
+	descend := func(copies int) (*optimize.Result, int64) {
+		m := &countingModel{}
+		opt := &optimize.Optimizer{
+			Model: m, Parallelism: 1,
+			Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
+				var ps []*vprog.Program
+				for i := 0; i < copies; i++ {
+					ps = append(ps, harness.MutexClient(alg, spec, 2, 1))
+				}
+				return ps
+			},
+		}
+		res, err := opt.Run(alg.DefaultSpec().AllSC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m.calls.Load()
+	}
+	once, onceCalls := descend(1)
+	thrice, thriceCalls := descend(3)
+	if thriceCalls != onceCalls {
+		t.Errorf("three copies of one program cost %d consistency checks, one copy %d", thriceCalls, onceCalls)
+	}
+	if want := 2 * thrice.Verifications; thrice.Deduped != want || once.Deduped != 0 {
+		t.Errorf("Deduped = %d for three copies (want %d: two per verification), %d for one copy (want 0)",
+			thrice.Deduped, want, once.Deduped)
+	}
+	if thrice.Final.Fingerprint() != once.Final.Fingerprint() {
+		t.Error("the duplicated suite ended on a different spec")
+	}
+}
+
+// TestCheapRefuterFirst: once the initial verification has shown which
+// program is the small one, it runs first, and the large client listed
+// before it is never started for a candidate it refutes. The small
+// program is store buffering, which only the all-SC start passes, so
+// every candidate is refuted; the large one, a three-thread lock client
+// under its own fixed spec, verifies whatever the candidate.
+func TestCheapRefuterFirst(t *testing.T) {
+	spin := locks.ByName("spin")
+	client := func() *vprog.Program { return harness.MutexClient(spin, spin.DefaultSpec(), 3, 1) }
+	alone := &countingModel{}
+	if res := core.New(alone).Run(client()); !res.Ok() {
+		t.Fatalf("the client does not verify: %v", res)
+	}
+
+	m := &countingModel{}
+	opt := &optimize.Optimizer{
+		Model: m, Parallelism: 1,
+		Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
+			return []*vprog.Program{client(), harness.SB(spec.M("sb.w"), spec.M("sb.r"), vprog.ModeNone)}
+		},
+	}
+	res, err := opt.Run(vprog.NewSpec().Def("sb.w", vprog.SC).Def("sb.r", vprog.SC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Steps {
+		if s.Accepted {
+			t.Errorf("%s --> %s accepted: store buffering must refute every relaxation", s.Point, s.Tried)
+		}
+	}
+	if got, want := m.threeThread.Load(), alone.calls.Load(); got != want {
+		t.Errorf("the client cost %d consistency checks over the descent, %d in one run: it was started for a refuted candidate", got, want)
+	}
+	if res.Skipped != len(res.Steps) {
+		t.Errorf("Skipped = %d, want one per refuted candidate (%d)", res.Skipped, len(res.Steps))
 	}
 }

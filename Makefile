@@ -42,7 +42,9 @@ test-short:
 # early is a wrong count there and a reported race here), and the SC
 # axiom's kernel against its reference on the harvested corpus and the
 # full random sweep (the kernel's scratch is stack and pool, shared by
-# nothing).
+# nothing), and the verdict store's differential against its reference
+# loader at full size: every seed, the every-byte tear sweep and the
+# two-sessions-one-log variant.
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
@@ -50,13 +52,14 @@ race:
 	$(GO) test -race -run 'TestPoison' ./internal/graph
 	$(GO) test -race -run 'TestPsc' ./internal/mm
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
-	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess' ./internal/store
+	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff' ./internal/store
 
 # Allocation-regression bars (objects and bytes per popped state, zero
-# allocations on a warm free list): gated out of -short, so this is
+# allocations on a warm free list, a store open that allocates the same
+# handful of objects at any log size): gated out of -short, so this is
 # where they run.
 allocs:
-	$(GO) test -run TestAllocs ./internal/core ./internal/graph ./internal/mm
+	$(GO) test -run TestAllocs ./internal/core ./internal/graph ./internal/mm ./internal/store
 
 # One cheap pass over the benchmark harness to catch bit-rot in the
 # table/figure emitters without running the full campaign, then the AMC

@@ -74,15 +74,14 @@ func main() {
 		}
 		row := []any{n}
 		for _, m := range models {
-			// Litmus cells are addressed with the nil-spec key — the
-			// program is self-contained, there is no barrier spec —
+			// Litmus cells are addressed with the nil-spec key Run derives
+			// — the program is self-contained, there is no barrier spec —
 			// matching the suite matrix's litmus keys.
 			rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, vsync.RunOptions{
 				Parallelism:    1,
 				WorkersPerRun:  *workers,
 				CollectResults: true,
 				Store:          st,
-				StoreKeys:      []vsync.StoreKey{vsync.ProblemKey(m, nil, p)},
 			})
 			res := rr.Results[0]
 			hits += rr.StoreHits

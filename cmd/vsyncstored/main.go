@@ -18,7 +18,7 @@
 //
 //	GET /v1/verdict?epoch=HEX&key=HEX   one verdict, 404 on miss
 //	PUT /v1/verdicts                    idempotent batch ingest
-//	GET /v1/stats                       session counters
+//	GET /v1/stats                       session counters, and what the last full scan of the log cost (OpenBytes, OpenTime)
 //	GET /v1/healthz                     liveness (200 for the whole process lifetime)
 //	GET /v1/readyz                      routability (503 once a drain starts)
 //

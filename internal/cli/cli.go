@@ -172,7 +172,8 @@ func OpenStore(tool, path, remote string) *vsync.VerdictStore {
 	}
 	s := st.Stats()
 	epoch := vsync.StoreCodeEpoch()
-	fmt.Printf("store: %s — %d verdicts loaded, code epoch %016x%016x", st.Path(), s.Loaded, epoch[0], epoch[1])
+	fmt.Printf("store: %s — %d verdicts loaded, code epoch %016x%016x, %.1f MB scanned in %v",
+		st.Path(), s.Loaded, epoch[0], epoch[1], float64(s.OpenBytes)/1e6, s.OpenTime.Round(100*time.Microsecond))
 	if s.Stale > 0 {
 		fmt.Printf(", %d records from other code epochs (not served, retained for flip-backs)", s.Stale)
 	}

@@ -87,3 +87,17 @@ func TestDequeBound(t *testing.T) {
 		t.Fatal("push must succeed again after a pop")
 	}
 }
+
+// TestOneSlotPoolDoesNotAttach: a run is attached to its pool only when
+// the pool has a slot to lend. Attached to a one-slot pool, a run with
+// WorkersPerRun 2 would wait for a helper that cannot come, and its
+// second seat sat empty for the whole run.
+func TestOneSlotPoolDoesNotAttach(t *testing.T) {
+	c := &Checker{WorkersPerRun: 2}
+	if got := NewPool(1).attach(c); got.pool != nil || got == c {
+		t.Errorf("one-slot pool: run attached (pool %v) or caller's checker reused", got.pool)
+	}
+	if p := NewPool(2); p.attach(c).pool != p || c.pool != nil {
+		t.Errorf("two-slot pool: run not attached, or caller's checker mutated")
+	}
+}

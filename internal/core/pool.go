@@ -147,6 +147,19 @@ func (p *Pool) acquire(ctx context.Context) (int, bool) {
 	}
 }
 
+// attach returns the checker one job runs on: a copy, so the caller's
+// Checker is never mutated and never retains a pool reference past the
+// job, attached to the pool so the run can borrow idle slots for
+// intra-run stealing (bounded by WorkersPerRun) — unless the pool has
+// one slot and so nothing to lend.
+func (p *Pool) attach(c *Checker) *Checker {
+	cp := *c
+	if p.Workers > 1 {
+		cp.pool = p
+	}
+	return &cp
+}
+
 // RunAll executes every job on the pool and returns the results in job
 // order. Jobs are admitted in index order — the submitting loop takes
 // each job's slot before its goroutine starts — so a one-slot pool runs
@@ -174,14 +187,7 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Attach the pool so the run can borrow idle slots for
-			// intra-run stealing (bounded by WorkersPerRun) — on a
-			// per-run copy, so the caller's Checker is never mutated and
-			// never retains a pool reference past this job.
-			c := *job.Checker
-			if p.Workers > 1 {
-				c.pool = p
-			}
+			c := p.attach(job.Checker)
 			run := func() *Result { return c.RunCtx(ctx, job.Program) }
 			t0 := time.Now()
 			var res *Result

@@ -175,10 +175,12 @@ func TestPoolOrderedAdmission(t *testing.T) {
 
 // TestOneSlotPoolLendsNothing: a one-slot pool's only slot is the one
 // the running job holds, so its runs staff their own WorkersPerRun
-// instead of waiting for helpers that cannot come. Two three-thread
-// clients in sequence on one slot must each execute on both of their
-// workers, as a lone run outside any pool does; attached to the pool,
-// the second seat used to sit empty for the whole run.
+// instead of waiting for helpers that cannot come (that its runs are
+// not attached to the pool is TestOneSlotPoolDoesNotAttach's, inside
+// the package). Two three-thread clients in sequence on one slot each
+// get both of their seats and borrow none. Whether the second worker
+// executes anything is the scheduler's business: a 229-state frontier
+// can drain before it is first scheduled.
 func TestOneSlotPoolLendsNothing(t *testing.T) {
 	var jobs []core.Job
 	for _, name := range []string{"mcs", "ttas"} {
@@ -189,8 +191,9 @@ func TestOneSlotPoolLendsNothing(t *testing.T) {
 	}
 	pool := core.NewPool(1)
 	for i, r := range pool.RunAll(context.Background(), jobs, false) {
-		if r.Verdict != core.OK || len(r.Sched.Executed) != 2 || r.Sched.Executed[0] == 0 || r.Sched.Executed[1] == 0 {
-			t.Errorf("job %d: %v, executed per worker %v, want work on both", i, r.Verdict, r.Sched.Executed)
+		if r.Verdict != core.OK || r.Sched.Workers != 2 || len(r.Sched.Executed) != 2 || r.Sched.Recruited != 0 {
+			t.Errorf("job %d: %v, %d seats (executed %v), %d recruited, want OK on 2 seats of its own",
+				i, r.Verdict, r.Sched.Workers, r.Sched.Executed, r.Sched.Recruited)
 		}
 	}
 	if st := pool.Stats(); st.Borrows != 0 || st.Jobs[0] != 2 {

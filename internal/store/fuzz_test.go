@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -17,7 +16,10 @@ import (
 //
 //   - OpenShared never panics. It either refuses the file (not a
 //     store: the leading-magic gate) leaving it byte-identical, or
-//     opens it trusting only the well-formed prefix;
+//     opens it trusting only the well-formed prefix — in both cases
+//     exactly as the reference loader (refLoad) does: the same
+//     verdicts and names under the same identities, the same
+//     accounting, the same healed file;
 //   - every verdict the opened session serves is decisive — damage
 //     that keeps a valid CRC must still never surface an Error,
 //     Canceled, Undecided or out-of-range verdict byte;
@@ -49,22 +51,16 @@ func FuzzStoreLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "verdicts.log")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenShared(path, nil)
-		if err != nil {
-			// Refused (not a store): the file must be untouched.
-			after, rerr := os.ReadFile(path)
-			if rerr != nil || !bytes.Equal(after, data) {
-				t.Fatalf("refused open modified the input file")
-			}
+		// Refused together with the reference loader, the file untouched,
+		// or opened to what it makes of the same bytes.
+		s, _ := openAgainstRef(t, "fuzz input", path, data)
+		if s == nil {
 			return
 		}
 		// Served verdicts must all be decisive, whatever the input was.
-		for id, e := range s.index {
-			if !decisive(e.v) {
-				t.Fatalf("indexed non-decisive verdict %d for %x", e.v, id.key)
+		for pos := range s.tab.all() {
+			if v := core.Verdict(s.img[pos+idSize]); !decisive(v) {
+				t.Fatalf("indexed non-decisive verdict %d for %x", v, s.img[pos:pos+idSize])
 			}
 		}
 		// The log works: a fresh verdict round-trips through it.

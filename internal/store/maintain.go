@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/faultinject"
@@ -23,80 +22,93 @@ type MergeStats struct {
 // and independent of order — so merge is a dedup-union: every source
 // record this log has not seen is appended verbatim, preserving its
 // provenance (writing build's epoch, human-readable name, per-cell
-// cost once records carry it); records already present are skipped. A
-// source record *contradicting* a stored verdict is refused
-// (destination wins) and counted — the same unsound-rekey stance as
-// Put, except Merge reports rather than fails, because one bad record
-// must not block pooling a fleet's corpus. The source is read once,
-// unlocked; a torn source tail simply ends its scan. Merging a store
-// into itself is a no-op (everything dedups).
+// cost once records carry it); records already present — in this log
+// or earlier in the source — are skipped. A source record
+// *contradicting* a stored verdict is refused (destination wins) and
+// counted — the same unsound-rekey stance as Put, except Merge reports
+// rather than fails, because one bad record must not block pooling a
+// fleet's corpus. The source is read once, unlocked; a torn source tail
+// simply ends its scan. Merging a store into itself is a no-op
+// (everything dedups).
 func (s *Session) Merge(srcPath string) (MergeStats, error) {
-	var ms MergeStats
 	data, err := os.ReadFile(srcPath)
 	if err != nil {
-		return ms, fmt.Errorf("store: merge: %w", err)
-	}
-	recs, valid, scanErr := scanLog(data)
-	if notAStore(valid, scanErr) {
-		return ms, fmt.Errorf("store: merge: %s is not a verdict store (bad leading magic)", srcPath)
+		return MergeStats{}, fmt.Errorf("store: merge: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return ms, fmt.Errorf("store: %s: Merge after Close", s.path)
+		return MergeStats{}, fmt.Errorf("store: %s: Merge after Close", s.path)
 	}
+	var ms MergeStats
 	err = s.withFileLock(func() error {
 		if err := s.refreshLocked(); err != nil {
 			return err
 		}
+		// New records go straight onto the image and into the index, so
+		// the source dedups against itself as it streams by; the file
+		// catches up in one write, and until it has, a reopen undoes
+		// everything.
+		base, stale, staleBytes := len(s.img), 0, 0
+		over := int64(0) // the size the log would first have passed the bound at
 		cur := currentEpoch()
-		var buf []byte
-		type added struct {
-			id    recordID
-			e     entry
-			bytes int
-		}
-		var adds []added
-		for _, r := range recs {
+		valid, scanErr := scan(data, func(off, end int, p []byte) {
 			ms.Scanned++
-			if !r.decodable {
+			if !decodable(p) {
 				ms.Skipped++
-				continue
+				return
 			}
-			if prev, ok := s.index[r.id]; ok {
-				if prev.v == r.v {
+			if pos, _ := s.tab.find(s.img, p[idOff:idOff+idSize]); pos != 0 {
+				if s.img[int(pos)+idSize] == p[idOff+idSize] {
 					ms.Duplicates++
 				} else {
 					ms.Conflicts++
 					s.stats.Conflicts++
 				}
-				continue
+				return
 			}
-			buf = append(buf, data[r.start:r.end]...)
-			adds = append(adds, added{r.id, entry{r.v, r.name}, r.end - r.start})
-		}
-		if len(buf) == 0 {
-			return nil
-		}
-		// One write: O_APPEND makes the whole batch land contiguously
-		// at EOF even against concurrent appenders.
-		if _, err := s.f.Write(buf); err != nil {
-			// A partial batch is a torn tail of our own making; reopen
-			// resyncs scanned/index with whatever actually landed and
-			// heals the tear.
-			s.openLocked()
-			return fmt.Errorf("store: merge append to %s: %w", s.path, err)
-		}
-		for _, a := range adds {
-			s.index[a.id] = a.e
-			s.stats.Appended++
+			if over != 0 {
+				return
+			}
+			if size := int64(len(s.img) + end - off); size > maxLogBytes {
+				over = size
+				return
+			}
+			pos := len(s.img) + recIDOff
+			s.img = append(s.img, data[off:end]...)
+			s.tab.insert(s.img, pos)
 			ms.Added++
-			if a.id.epoch != cur {
-				s.stats.Stale++
-				s.staleBytes += int64(a.bytes)
+			if epochOf(p) != cur {
+				stale++
+				staleBytes += end - off
+			}
+		})
+		var err error
+		switch {
+		case notAStore(valid, scanErr):
+			err = fmt.Errorf("store: merge: %s is not a verdict store (bad leading magic)", srcPath)
+		case over != 0:
+			err = s.tooBig(over)
+		case len(s.img) > base:
+			// One write: O_APPEND makes the whole batch land contiguously
+			// at EOF even against concurrent appenders.
+			if _, werr := s.f.Write(s.img[base:]); werr != nil {
+				err = fmt.Errorf("store: merge append to %s: %w", s.path, werr)
 			}
 		}
-		s.scanned += int64(len(buf))
+		if err != nil {
+			// Nothing landed, or a partial batch did — a torn tail of our
+			// own making: reopen resyncs image and index with what the
+			// file holds and heals the tear.
+			ms.Added = 0
+			if len(s.img) > base {
+				s.openLocked()
+			}
+			return err
+		}
+		s.stats.Appended += ms.Added
+		s.stats.Stale += stale
+		s.staleBytes += int64(staleBytes)
 		return nil
 	})
 	return ms, err
@@ -128,63 +140,52 @@ func (s *Session) Compact() (int, error) {
 }
 
 // compactLocked is the rewrite shared by Compact and the open-time
-// budget enforcement. Caller holds mu and the file lock; when anything
-// is dropped the log is rewritten and the session reopened on the new
-// file, otherwise it is a no-op.
+// budget enforcement. Caller holds mu and the file lock, and has just
+// scanned or refreshed — so the image is the file, and is what gets
+// walked. When anything is dropped the log is rewritten and the session
+// reopened on the new file, otherwise it is a no-op.
 func (s *Session) compactLocked() (int, error) {
-	data := make([]byte, s.scanned)
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, 0, s.scanned), data); err != nil {
-		return 0, fmt.Errorf("store: compact: reading %s: %w", s.path, err)
-	}
-	recs, _, _ := scanLog(data)
 	cur := currentEpoch()
-
-	type span struct {
-		start, end int
-		live       bool // current-epoch, this record version
+	// walk hands fn every record that is not a duplicate — the index
+	// holds the first record of each identity, so a decodable record it
+	// does not point at is a later copy — and whether it is live
+	// (current epoch, this record version). It returns the duplicates.
+	walk := func(fn func(off, end int, live bool)) (dups int) {
+		scan(s.img, func(off, end int, p []byte) {
+			ok := decodable(p)
+			if ok {
+				if pos, _ := s.tab.find(s.img, p[idOff:idOff+idSize]); int(pos) != off+recIDOff {
+					dups++
+					return
+				}
+			}
+			fn(off, end, ok && epochOf(p) == cur)
+		})
+		return dups
 	}
-	seen := make(map[recordID]bool, len(recs))
-	spans := make([]span, 0, len(recs))
 	staleBytes := 0
-	dropped := 0
-	for _, r := range recs {
-		if r.decodable {
-			if seen[r.id] {
-				dropped++
-				continue
-			}
-			seen[r.id] = true
-		}
-		live := r.decodable && r.id.epoch == cur
+	dropped := walk(func(off, end int, live bool) {
 		if !live {
-			staleBytes += r.end - r.start
+			staleBytes += end - off
 		}
-		spans = append(spans, span{r.start, r.end, live})
-	}
-	// Enforce the retention budget oldest-first: walk stale spans in
-	// write order, dropping until the survivors fit.
-	if staleBytes > staleRetainBytes {
-		for i := range spans {
-			if spans[i].live {
-				continue
-			}
-			staleBytes -= spans[i].end - spans[i].start
-			spans[i].end = spans[i].start // tombstone
-			dropped++
-			if staleBytes <= staleRetainBytes {
-				break
-			}
-		}
-	}
-	if dropped == 0 {
+	})
+	// Enforce the retention budget oldest-first: stale records go, in
+	// write order, until the survivors fit.
+	excess := staleBytes - staleRetainBytes
+	if dropped == 0 && excess <= 0 {
 		// Nothing to rewrite; Compact of a tight log is a successful
 		// no-op.
 		return 0, nil
 	}
-	var buf []byte
-	for _, sp := range spans {
-		buf = append(buf, data[sp.start:sp.end]...)
-	}
+	buf := make([]byte, 0, len(s.img))
+	walk(func(off, end int, live bool) {
+		if !live && excess > 0 {
+			excess -= end - off
+			dropped++
+			return
+		}
+		buf = append(buf, s.img[off:end]...)
+	})
 	if err := s.replaceLog(buf); err != nil {
 		return 0, err
 	}

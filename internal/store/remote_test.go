@@ -1,8 +1,11 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -186,5 +189,30 @@ func TestRemoteDegradesGracefully(t *testing.T) {
 	logs := lg.joined()
 	if !strings.Contains(logs, "backing off") || !strings.Contains(logs, "local-only") {
 		t.Fatalf("degradation not logged with backoff; got:\n%s", logs)
+	}
+}
+
+// TestServiceStatsCarryOpenCost: /v1/stats says what the service's last
+// full scan of its log read and how long it took, beside the counters.
+func TestServiceStatsCarryOpenCost(t *testing.T) {
+	path := fillerLog(t, 500)
+	backend, err := OpenShared(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	srv := httptest.NewServer(NewHandler(backend))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if fi, _ := os.Stat(path); st.Loaded != 500 || st.OpenBytes != fi.Size() || st.OpenTime <= 0 {
+		t.Fatalf("/v1/stats = %+v, want 500 records loaded from %d bytes in a positive time", st, fi.Size())
 	}
 }

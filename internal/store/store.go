@@ -62,6 +62,28 @@
 // the record magic was never a store and is refused outright, so a
 // mistyped path cannot truncate a user's file.
 //
+// # In memory
+//
+// A session's in-memory form is the log itself. The image is, byte for
+// byte, the trusted prefix of the file; the index is a flat
+// open-addressing table (a power of two of uint32 slots, at most half
+// full) holding, per identity, the position of its record in the image.
+// A record is found by hashing its key — key words are already uniform,
+// the epoch is mixed in — and comparing the 32 identity bytes in place;
+// its verdict is one byte read in place, and its name becomes a string
+// only when someone asks for it (LookupEpoch). Records are indexed in
+// write order and an identity already in the table is left alone, so
+// the first record of an identity wins — the order the file keeps —
+// without anything to remember about the later ones. Opening is one
+// read of exactly the file's size and one pass over it that checksums,
+// validates, counts and indexes each record; Put appends its record to
+// the file and to the image, Refresh reads the unseen tail of the file
+// onto the end of the image and scans only that. A session therefore
+// costs the log's size plus 8–16 bytes per indexed record, and opening
+// allocates twice (image, table) however many records there are.
+// Positions are 32-bit: a log beyond 4 GiB is refused at open, and a
+// Put or Merge that would cross the bound fails, rather than wrap.
+//
 // # Invalidation
 //
 // Invalidation is by construction rather than by command: change the
@@ -89,12 +111,15 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -115,7 +140,7 @@ type Key struct {
 }
 
 // Hash returns the 128-bit content address of the key — the value
-// records carry on disk and the index maps from.
+// records carry on disk and the index hashes.
 func (k Key) Hash() graph.Hash128 {
 	h := graph.NewHasher128()
 	h.String(k.Model)
@@ -132,6 +157,12 @@ const (
 	headerSize    = frame.HeaderSize
 	payloadFixed  = 1 + 16 + 16 + 1 + 2 // version + code epoch + key + verdict + name length
 	maxPayload    = payloadFixed + 4096 // name length is bounded; anything bigger is corruption
+
+	// Where a payload keeps its identity (epoch‖key), how long that is,
+	// and where that puts it in a record.
+	idOff    = 1
+	idSize   = 32
+	recIDOff = headerSize + idOff
 
 	// remoteBatchSize is how many pending verdicts accumulate before a
 	// batched remote PUT is fired; Close/Flush drain the remainder.
@@ -151,18 +182,87 @@ const (
 // variable so tests can shrink it.
 var staleRetainBytes = 1 << 20
 
+// maxLogBytes bounds the trusted prefix: the index holds positions in
+// it as uint32. A variable so tests can shrink it.
+var maxLogBytes int64 = min(math.MaxUint32, math.MaxInt)
+
+// tooBig is the refusal of a log of size bytes, past maxLogBytes.
+func (s *Session) tooBig(size int64) error {
+	return fmt.Errorf("store: %s: %d bytes is more than the %d a session indexes: compact the log or start a new one", s.path, size, maxLogBytes)
+}
+
 // recordID is a record's content address: the code epoch of the build
 // that wrote it plus the key hash. Merge dedups on this identity, and
-// the index maps it so foreign-epoch history is queryable (the remote
-// service stores records for every client epoch).
+// the index holds every epoch's records so foreign-epoch history is
+// queryable (the remote service stores records for every client epoch).
 type recordID struct {
 	epoch, key graph.Hash128
 }
 
-// entry is one indexed verdict with its human-readable provenance.
-type entry struct {
-	v    core.Verdict
-	name string
+// bytes is the identity as records carry it.
+func (id recordID) bytes() (b [idSize]byte) {
+	binary.LittleEndian.PutUint64(b[0:], id.epoch[0])
+	binary.LittleEndian.PutUint64(b[8:], id.epoch[1])
+	binary.LittleEndian.PutUint64(b[16:], id.key[0])
+	binary.LittleEndian.PutUint64(b[24:], id.key[1])
+	return b
+}
+
+// table is the index over a log image: open addressing with linear
+// probing over a power of two of slots, at most half of them taken.
+// A slot holds the position in the image of an indexed record's
+// identity; no identity sits at position 0, which marks a free slot.
+// The table owns no bytes — every method is handed the image its
+// positions point into.
+type table struct {
+	slots []uint32
+	n     int // slots taken
+}
+
+// init empties the table, sized for the given number of records.
+func (t *table) init(records int) {
+	size := 16
+	for size < 2*records {
+		size <<= 1
+	}
+	*t = table{slots: make([]uint32, size)}
+}
+
+// find returns the position of the record indexed under id, or 0, and
+// the slot that holds it or would.
+func (t *table) find(img, id []byte) (pos uint32, slot int) {
+	// Key words are outputs of a 128-bit hash, so one of them spreads
+	// the keys of one epoch; the epoch word separates the copies of one
+	// key a multi-epoch log (vsyncstored's) holds.
+	h := (binary.LittleEndian.Uint64(id[16:]) ^ binary.LittleEndian.Uint64(id)) * 0x9e3779b97f4a7c15
+	for i := int(h>>32) & (len(t.slots) - 1); ; i = (i + 1) & (len(t.slots) - 1) {
+		p := t.slots[i]
+		if p == 0 || bytes.Equal(img[p:int(p)+idSize], id) {
+			return p, i
+		}
+	}
+}
+
+// insert indexes the record whose identity sits at img[pos:] and
+// reports whether it did: an identity is indexed once, by its first
+// record.
+func (t *table) insert(img []byte, pos int) bool {
+	p, i := t.find(img, img[pos:pos+idSize])
+	if p != 0 {
+		return false
+	}
+	t.slots[i] = uint32(pos)
+	t.n++
+	if 2*t.n > len(t.slots) {
+		old := t.slots
+		t.init(len(old))
+		for _, p := range old {
+			if p != 0 {
+				t.insert(img, int(p))
+			}
+		}
+	}
+	return true
 }
 
 // Stats is the cumulative accounting of one open session.
@@ -176,6 +276,9 @@ type Stats struct {
 	Puts      int // Put calls with a decisive verdict
 	Appended  int // records actually written (puts minus duplicates, plus merges and remote promotions)
 	Conflicts int // decisive verdicts contradicting a stored one (kept out)
+
+	OpenBytes int64         // bytes read by the last full scan (open, or a reopen after the file was replaced)
+	OpenTime  time.Duration // what that scan took: read, checksum, validate, index
 
 	RemoteHits     int // lookups served by the remote tier (and promoted locally)
 	RemotePuts     int // records acknowledged by batched remote PUTs
@@ -201,17 +304,17 @@ type Options struct {
 // Session is a shared handle on a verdict log. Any number of sessions —
 // across goroutines and across processes — may read and append one log
 // concurrently; see the package comment for the protocol. Lookup serves
-// from the in-memory index (the trusted prefix as of the last scan);
-// call Refresh to observe records appended by other processes since.
+// from the image (the trusted prefix as of the last scan); call Refresh
+// to observe records appended by other processes since.
 type Session struct {
-	mu      sync.Mutex
-	f       *os.File // data log, O_APPEND: every write lands at EOF
-	lockf   *os.File // sidecar <path>.lock; flocked briefly per append/scan
-	fi      os.FileInfo
-	path    string
-	scanned int64 // end of the trusted prefix; everything before it is indexed
-	index   map[recordID]entry
-	stats   Stats
+	mu    sync.Mutex
+	f     *os.File // data log, O_APPEND: every write lands at EOF
+	lockf *os.File // sidecar <path>.lock; flocked briefly per append/scan
+	fi    os.FileInfo
+	path  string
+	img   []byte // the file's trusted prefix, byte for byte; everything in it is indexed
+	tab   table  // identity → position in img
+	stats Stats
 
 	staleBytes int64 // foreign-epoch/version bytes as of the last full scan
 
@@ -272,36 +375,26 @@ func (s *Session) withFileLock(fn func() error) error {
 	return fn()
 }
 
-// parsedRecord is one well-formed record found by scanLog.
-type parsedRecord struct {
-	start, end int // byte span within the scanned slice
-	id         recordID
-	v          core.Verdict
-	name       string
-	decodable  bool // false: CRC-valid but a record version this build cannot parse
-}
-
-// scanLog walks data from its start, returning every well-formed record,
-// the trusted byte count and what ended the scan (nil at a clean end).
-// The first record that does not frame ends it — a mid-log tear must
-// not resynchronize on garbage-controlled framing. The length bound is
+// scan walks data from its start, handing fn every well-formed record —
+// its byte span and its payload, which aliases data — and returns the
+// trusted byte count and what ended the scan (nil at a clean end). The
+// first record that does not frame ends it — a mid-log tear must not
+// resynchronize on garbage-controlled framing. The length bound is
 // version-agnostic: a checksummed record of an older (shorter) format
 // must scan as a stale record to retain, not end the scan as a corrupt
 // tail — that would truncate a v1 user's entire history on upgrade.
-func scanLog(data []byte) ([]parsedRecord, int, error) {
-	var recs []parsedRecord
+func scan(data []byte, fn func(off, end int, payload []byte)) (int, error) {
 	valid := 0
 	for valid < len(data) {
 		payload, rest, err := frame.Next(data[valid:], recordMagic, maxPayload)
 		if err != nil {
-			return recs, valid, err
+			return valid, err
 		}
-		r := parsedRecord{start: valid, end: len(data) - len(rest)}
-		r.id.epoch, r.id.key, r.v, r.name, r.decodable = decodePayload(payload)
-		recs = append(recs, r)
-		valid = r.end
+		end := len(data) - len(rest)
+		fn(valid, end, payload)
+		valid = end
 	}
-	return recs, valid, nil
+	return valid, nil
 }
 
 // notAStore reports whether a scan that trusted nothing ended because
@@ -313,9 +406,9 @@ func notAStore(valid int, scanErr error) bool {
 	return valid == 0 && errors.Is(scanErr, frame.ErrMagic)
 }
 
-// openLocked (re)opens the log from its path and rebuilds the index
-// from a full scan, truncating away any corrupt or torn tail. Caller
-// holds mu (or is constructing) and the file lock. Loaded/Stale/
+// openLocked (re)opens the log from its path and rebuilds image and
+// index from a full scan, truncating away any corrupt or torn tail.
+// Caller holds mu (or is constructing) and the file lock. Loaded/Stale/
 // staleBytes describe the current log and are recomputed; cumulative
 // counters (Hits, Puts, ...) are preserved.
 func (s *Session) openLocked() error {
@@ -323,28 +416,50 @@ func (s *Session) openLocked() error {
 		s.f.Close()
 		s.f = nil
 	}
+	start := time.Now()
 	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
+		return fmt.Errorf("store: %w", err)
+	}
+	if fi.Size() > maxLogBytes {
+		f.Close()
+		return s.tooBig(fi.Size())
+	}
+	if err := s.loadLocked(f, fi.Size()); err != nil {
+		return err
+	}
+	s.fi, s.stats.OpenTime = fi, time.Since(start)
+	return nil
+}
+
+// loadLocked is the scan under openLocked: one read of the size bytes
+// the file was just seen to hold, one pass over them that checksums,
+// validates, counts and indexes each record. On success the session
+// owns f; a file that is refused is closed.
+func (s *Session) loadLocked(f *os.File, size int64) error {
+	data := make([]byte, size)
+	n, err := io.ReadFull(f, data)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		f.Close()
 		return fmt.Errorf("store: reading %s: %w", s.path, err)
 	}
-	recs, valid, scanErr := scanLog(data)
-	if notAStore(valid, scanErr) {
-		// Refuse loudly instead of truncating a file the caller mistyped
-		// the path of.
-		f.Close()
-		return fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
-	}
-	s.index = make(map[recordID]entry, len(recs))
-	s.stats.Loaded, s.stats.Stale, s.staleBytes = 0, 0, 0
+	// A file that shrank since it was sized (on a platform without flock
+	// a peer can do that) gives fewer bytes than asked for: what arrived
+	// is scanned, the zeroes behind it are not.
+	data = data[:n]
+	var tab table
+	tab.init(len(data) / (frame.Overhead + payloadFixed + 16))
+	loaded, stale, staleBytes := 0, 0, 0
 	cur := currentEpoch()
-	for _, r := range recs {
-		if r.decodable && r.id.epoch == cur {
-			s.stats.Loaded++
+	valid, scanErr := scan(data, func(off, end int, p []byte) {
+		ok := decodable(p)
+		if ok && epochOf(p) == cur {
+			loaded++
 		} else {
 			// A well-formed record from another record version or code
 			// epoch cannot be served by this build, but it is not
@@ -352,77 +467,76 @@ func (s *Session) openLocked() error {
 			// that wrote it again tomorrow, and deleting it would
 			// silently destroy minutes of AMC work. Retain it — up to
 			// staleRetainBytes, enforced by compactLocked.
-			s.stats.Stale++
-			s.staleBytes += int64(r.end - r.start)
+			stale++
+			staleBytes += end - off
 		}
-		if r.decodable {
-			if _, dup := s.index[r.id]; !dup {
-				// First record wins: the log is authoritative in write
-				// order, matching Put's conflict stance.
-				s.index[r.id] = entry{r.v, r.name}
-			}
+		if ok {
+			// First record wins: the log is authoritative in write
+			// order, matching Put's conflict stance.
+			tab.insert(data, off+recIDOff)
 		}
+	})
+	if notAStore(valid, scanErr) {
+		// Refuse loudly instead of truncating a file the caller mistyped
+		// the path of.
+		f.Close()
+		return fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
 	}
-	s.f = f
-	s.scanned = int64(valid)
+	s.f, s.img, s.tab = f, data[:valid], tab
+	s.stats.Loaded, s.stats.Stale, s.staleBytes = loaded, stale, int64(staleBytes)
 	if corrupt := len(data) - valid; corrupt > 0 {
-		if err := f.Truncate(s.scanned); err != nil {
+		if err := f.Truncate(int64(valid)); err != nil {
 			return fmt.Errorf("store: truncating corrupt tail of %s: %w", s.path, err)
 		}
 		s.stats.Corrupted += corrupt
 	}
-	s.fi, err = f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	s.stats.OpenBytes = int64(len(data))
 	return nil
 }
 
-// refreshLocked brings the index up to date with the on-disk log:
-// an incremental scan of the unexamined tail in the common case, a full
-// reopen when the file was replaced (another process compacted it) or
-// truncated beneath the trusted prefix. A torn tail is healed — the
-// caller holds the append lock, so torn bytes can only be a crashed
-// writer's leftovers, never a live writer mid-record. Caller holds mu
-// and the file lock.
+// refreshLocked brings image and index up to date with the on-disk log:
+// the unexamined tail is read onto the end of the image and scanned in
+// the common case, a full reopen when the file was replaced (another
+// process compacted it) or truncated beneath the trusted prefix. A torn
+// tail is healed — the caller holds the append lock, so torn bytes can
+// only be a crashed writer's leftovers, never a live writer mid-record.
+// Caller holds mu and the file lock.
 func (s *Session) refreshLocked() error {
 	pfi, err := os.Stat(s.path)
 	if err != nil || s.fi == nil || !os.SameFile(pfi, s.fi) {
 		return s.openLocked()
 	}
-	size := pfi.Size()
-	if size < s.scanned {
+	base, size := len(s.img), pfi.Size()
+	if size < int64(base) {
 		return s.openLocked()
 	}
-	if size == s.scanned {
+	if size == int64(base) {
 		return nil
 	}
-	buf := make([]byte, size-s.scanned)
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, s.scanned, int64(len(buf))), buf); err != nil {
+	if size > maxLogBytes {
+		return s.tooBig(size)
+	}
+	img := slices.Grow(s.img, int(size)-base)[:size]
+	if _, err := io.ReadFull(io.NewSectionReader(s.f, int64(base), size-int64(base)), img[base:]); err != nil {
 		return fmt.Errorf("store: reading tail of %s: %w", s.path, err)
 	}
-	recs, valid, _ := scanLog(buf)
 	cur := currentEpoch()
-	for _, r := range recs {
-		if !r.decodable {
-			s.stats.Stale++
-			s.staleBytes += int64(r.end - r.start)
-			continue
+	valid, _ := scan(img[base:], func(off, end int, p []byte) {
+		if decodable(p) {
+			if !s.tab.insert(img, base+off+recIDOff) {
+				return
+			}
+			if epochOf(p) == cur {
+				s.stats.Refreshed++
+				return
+			}
 		}
-		if _, dup := s.index[r.id]; dup {
-			continue
-		}
-		s.index[r.id] = entry{r.v, r.name}
-		if r.id.epoch == cur {
-			s.stats.Refreshed++
-		} else {
-			s.stats.Stale++
-			s.staleBytes += int64(r.end - r.start)
-		}
-	}
-	s.scanned += int64(valid)
-	if torn := len(buf) - valid; torn > 0 {
-		if err := s.f.Truncate(s.scanned); err == nil {
+		s.stats.Stale++
+		s.staleBytes += int64(end - off)
+	})
+	s.img = img[:base+valid]
+	if torn := int(size) - len(s.img); torn > 0 {
+		if err := s.f.Truncate(int64(len(s.img))); err == nil {
 			s.stats.Corrupted += torn
 		}
 	}
@@ -445,30 +559,34 @@ func (s *Session) Refresh() (int, error) {
 	return s.stats.Refreshed - before, err
 }
 
-// decodePayload parses one checksummed payload. ok is false for
-// versions (and their payload shapes) this build does not understand;
-// the caller treats those as stale, like a foreign code epoch. A
-// record whose verdict byte is not a decisive verdict is likewise
-// refused: Put never writes one, so such a record is damage that
-// happened to keep a valid CRC (or a forged file), and serving it
-// would hand callers a verdict value the checker cannot produce.
-func decodePayload(p []byte) (epoch, key graph.Hash128, v core.Verdict, name string, ok bool) {
-	if len(p) < payloadFixed || p[0] != recordVersion {
-		return epoch, key, v, "", false
+// decodable reports whether a checksummed payload is a record this
+// build serves. It is false for versions (and their payload shapes)
+// this build does not understand; the caller treats those as stale,
+// like a foreign code epoch. A record whose verdict byte is not a
+// decisive verdict is likewise refused: Put never writes one, so such a
+// record is damage that happened to keep a valid CRC (or a forged
+// file), and serving it would hand callers a verdict value the checker
+// cannot produce.
+func decodable(p []byte) bool {
+	return len(p) >= payloadFixed && p[0] == recordVersion &&
+		decisive(core.Verdict(p[idOff+idSize])) &&
+		payloadFixed+int(binary.LittleEndian.Uint16(p[idOff+idSize+1:])) == len(p)
+}
+
+// epochOf reads the code epoch out of a decodable payload.
+func epochOf(p []byte) graph.Hash128 {
+	return graph.Hash128{binary.LittleEndian.Uint64(p[idOff:]), binary.LittleEndian.Uint64(p[idOff+8:])}
+}
+
+// lookupLocked probes the index: the stored verdict for id and the
+// position of its record's identity in the image. Caller holds mu.
+func (s *Session) lookupLocked(id recordID) (v core.Verdict, pos int, ok bool) {
+	b := id.bytes()
+	p, _ := s.tab.find(s.img, b[:])
+	if p == 0 {
+		return 0, 0, false
 	}
-	epoch[0] = binary.LittleEndian.Uint64(p[1:])
-	epoch[1] = binary.LittleEndian.Uint64(p[9:])
-	key[0] = binary.LittleEndian.Uint64(p[17:])
-	key[1] = binary.LittleEndian.Uint64(p[25:])
-	v = core.Verdict(p[33])
-	if !decisive(v) {
-		return epoch, key, 0, "", false
-	}
-	nameLen := int(binary.LittleEndian.Uint16(p[34:]))
-	if payloadFixed+nameLen != len(p) {
-		return epoch, key, 0, "", false
-	}
-	return epoch, key, v, string(p[payloadFixed:]), true
+	return core.Verdict(s.img[int(p)+idSize]), int(p), true
 }
 
 // encodeRecord builds the full on-disk record for one verdict. One
@@ -508,10 +626,10 @@ func (s *Session) Lookup(k Key) (core.Verdict, bool) {
 func (s *Session) lookupHash(h graph.Hash128) (core.Verdict, bool) {
 	id := recordID{currentEpoch(), h}
 	s.mu.Lock()
-	if e, ok := s.index[id]; ok {
+	if v, _, ok := s.lookupLocked(id); ok {
 		s.stats.Hits++
 		s.mu.Unlock()
-		return e.v, true
+		return v, true
 	}
 	r := s.remote
 	s.mu.Unlock()
@@ -540,13 +658,14 @@ func (s *Session) lookupHash(h graph.Hash128) (core.Verdict, bool) {
 func (s *Session) LookupEpoch(epoch, key graph.Hash128) (core.Verdict, string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[recordID{epoch, key}]
-	if ok {
-		s.stats.Hits++
-	} else {
+	v, pos, ok := s.lookupLocked(recordID{epoch, key})
+	if !ok {
 		s.stats.Misses++
+		return 0, "", false
 	}
-	return e.v, e.name, ok
+	s.stats.Hits++
+	name := s.img[pos+idSize+3:]
+	return v, string(name[:binary.LittleEndian.Uint16(s.img[pos+idSize+1:])]), true
 }
 
 // ErrConflict marks a Put whose decisive verdict contradicts the one
@@ -603,17 +722,20 @@ func (s *Session) PutRaw(epoch, key graph.Hash128, v core.Verdict, name string) 
 func (s *Session) putLocked(id recordID, v core.Verdict, name string, push bool) error {
 	// Fast path: the index only ever grows, so an in-memory duplicate
 	// or conflict needs no file lock.
-	if prev, ok := s.index[id]; ok {
-		return s.dupOrConflict(prev.v, v, name)
+	if prev, _, ok := s.lookupLocked(id); ok {
+		return s.dupOrConflict(prev, v, name)
 	}
 	err := s.withFileLock(func() error {
 		if err := s.refreshLocked(); err != nil {
 			return err
 		}
-		if prev, ok := s.index[id]; ok {
-			return s.dupOrConflict(prev.v, v, name)
+		if prev, _, ok := s.lookupLocked(id); ok {
+			return s.dupOrConflict(prev, v, name)
 		}
 		rec := encodeRecord(id.epoch, id.key, v, name)
+		if size := int64(len(s.img) + len(rec)); size > maxLogBytes {
+			return s.tooBig(size)
+		}
 		if err := faultinject.Fire("store.append"); err != nil {
 			return fmt.Errorf("store: appending to %s: %w", s.path, err)
 		}
@@ -629,12 +751,12 @@ func (s *Session) putLocked(id recordID, v core.Verdict, name string, push bool)
 			if n > 0 {
 				// Partial append: heal our own torn tail while we still
 				// hold the lock.
-				s.f.Truncate(s.scanned)
+				s.f.Truncate(int64(len(s.img)))
 			}
 			return fmt.Errorf("store: appending to %s: %w", s.path, err)
 		}
-		s.index[id] = entry{v, name}
-		s.scanned += int64(len(rec))
+		s.img = append(s.img, rec...)
+		s.tab.insert(s.img, len(s.img)-len(rec)+recIDOff)
 		s.stats.Appended++
 		if id.epoch != currentEpoch() {
 			s.stats.Stale++
@@ -662,7 +784,7 @@ func (s *Session) dupOrConflict(prev, v core.Verdict, name string) error {
 func (s *Session) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.tab.n
 }
 
 // Stats returns a snapshot of the session's accounting.

@@ -39,7 +39,12 @@ test-short:
 # under concurrent load, and the poison-on-release corpus (the whole
 # differential corpus with every retired slab and header poisoned: a
 # stolen state's parent retires on the thief, and a release made too
-# early is a wrong count there and a reported race here), and the SC
+# early is a wrong count there and a reported race here) together with
+# the restriction differential (every relation set a revisit derives out
+# of its parent's against BuildRels, on the same poisoned corpus: a
+# revisit item pins its parent until a possibly stolen child derives from
+# it) and the birth-rule audit (every revisit of a write rejected at birth
+# replays to a collapse), and the SC
 # axiom's kernel against its reference on the harvested corpus and the
 # full random sweep (the kernel's scratch is stack and pool, shared by
 # nothing), and the verdict store's differential against its reference
@@ -48,16 +53,16 @@ test-short:
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
-	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym' ./internal/core
-	$(GO) test -race -run 'TestPoison' ./internal/graph
+	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym|TestBirthRuleAudit' ./internal/core
+	$(GO) test -race -run 'TestPoison|TestRestrict' ./internal/graph
 	$(GO) test -race -run 'TestPsc' ./internal/mm
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
 	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff' ./internal/store
 
-# Allocation-regression bars (objects and bytes per popped state, zero
-# allocations on a warm free list, a store open that allocates the same
-# handful of objects at any log size): gated out of -short, so this is
-# where they run.
+# Allocation-regression bars (objects and bytes per popped state and, for
+# the benchmark's treiber cell, per run; zero allocations on a warm free
+# list; a store open that allocates the same handful of objects at any
+# log size): gated out of -short, so this is where they run.
 allocs:
 	$(GO) test -run TestAllocs ./internal/core ./internal/graph ./internal/mm ./internal/store
 

@@ -20,9 +20,18 @@ import (
 // out of -short (AllocsPerRun wants quiescent, repeated runs); `make
 // allocs` runs them, and CI's build job runs that.
 
-// perState runs p to completion a few times and reports the objects and
-// bytes allocated per popped state.
-func perState(t *testing.T, p *vprog.Program) (objects, bytes float64) {
+// allocated is what a few complete runs of one program allocated: per
+// popped state, which is what a step costs, and per run, which is what
+// the process pays — a change that pops fewer states moves the first up
+// and the second down.
+type allocated struct {
+	objects, bytes       float64 // per popped state
+	runObjects, runBytes float64 // per run
+}
+
+// perState runs p to completion a few times and reports what it
+// allocated.
+func perState(t *testing.T, p *vprog.Program) allocated {
 	t.Helper()
 	run := func() *core.Result {
 		res := core.New(mm.WMM).Run(p)
@@ -41,8 +50,8 @@ func perState(t *testing.T, p *vprog.Program) (objects, bytes float64) {
 		popped += run().Stats.Popped
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(popped),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(popped)
+	objects, bytes := float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)
+	return allocated{objects / float64(popped), bytes / float64(popped), objects / runs, bytes / runs}
 }
 
 // TestAllocsExploreStep bounds the allocations per popped exploration
@@ -56,7 +65,7 @@ func TestAllocsExploreStep(t *testing.T) {
 		t.Skip("allocation regression bars are not run in -short")
 	}
 	alg := locks.ByName("mcs")
-	objects, _ := perState(t, harness.MutexClient(alg, alg.DefaultSpec(), 2, 1))
+	objects := perState(t, harness.MutexClient(alg, alg.DefaultSpec(), 2, 1)).objects
 	t.Logf("mcs t=2: %.1f objects per popped state", objects)
 	// Measured 11.7 objects per popped graph (25.3 before relation slabs
 	// and graph headers were recycled and replay stopped allocating per
@@ -68,27 +77,40 @@ func TestAllocsExploreStep(t *testing.T) {
 }
 
 // TestAllocsTreiberT3 pins the benchmark's own cell (treiber-t3-seq in
-// BENCHMARK.json): 37,852 states, long enough that only the steady
-// state counts. It measured 30.3 objects and 4,589 B per state when
-// every state's relations, headers and replay records went to the
-// allocator; the bars are the targets that change was held to. What is
-// left, per state, in objects: 2.5 closures the workload itself makes
-// (one per AwaitDo call of a replay, in internal/structs), 2.0 for the
-// replay snapshot a step hands its children (results, spans, reads),
-// 1.6 copy-on-write row copies (Append grows the extended thread's
-// event and rf rows, which clones share), 0.8 events and 0.3 mo rows
-// (InsertMo) — the ≤ 5 of ROADMAP stays the stretch goal.
+// BENCHMARK.json): 30,831 states (37,852 before collapsing writes were
+// counted at birth and stopped seeding revisits), long enough that only
+// the steady state counts. It measured 30.3 objects and 4,589 B per state
+// when every state's relations, headers and replay records went to the
+// allocator; the per-state bars are the targets that change was held to.
+// What is left, per state, in objects: 2.5 closures the workload itself
+// makes (one per AwaitDo call of a replay, in internal/structs), 2.0 for
+// the replay snapshot a step hands its children (results, spans, reads),
+// 1.6 copy-on-write row copies (Append grows the extended thread's event
+// and rf rows, which clones share — by exactly one slot, since the next
+// Clone clamps them again), 0.8 events and 0.3 mo rows (InsertMo) — the
+// ≤ 5 of ROADMAP stays the stretch goal. The states that no longer exist
+// were the cheap ones (a collapsed pop allocates next to nothing), so the
+// ratios rose from 7.9 while the totals per run fell: 298.9k objects and
+// 43.2 MB before, and the bars on them are what holds a regression that
+// the smaller denominator would hide.
 func TestAllocsTreiberT3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation regression bars are not run in -short")
 	}
-	objects, bytes := perState(t, workload.Program(workload.ByName("structs/treiber"), nil, 3))
-	t.Logf("treiber t=3: %.1f objects, %.0f B per popped state", objects, bytes)
-	if objects > 12 {
-		t.Errorf("treiber t=3 allocates %.1f objects per popped state, regression bar is 12", objects)
+	a := perState(t, workload.Program(workload.ByName("structs/treiber"), nil, 3))
+	t.Logf("treiber t=3: %.1f objects, %.0f B per popped state; %.1fk objects, %.1f MB per run",
+		a.objects, a.bytes, a.runObjects/1e3, a.runBytes/1e6)
+	if a.objects > 12 {
+		t.Errorf("treiber t=3 allocates %.1f objects per popped state, regression bar is 12", a.objects)
 	}
-	if bytes > 2000 {
-		t.Errorf("treiber t=3 allocates %.0f B per popped state, regression bar is 2000", bytes)
+	if a.bytes > 2000 {
+		t.Errorf("treiber t=3 allocates %.0f B per popped state, regression bar is 2000", a.bytes)
+	}
+	if a.runObjects > 320e3 {
+		t.Errorf("treiber t=3 allocates %.1fk objects per run, regression bar is 320k", a.runObjects/1e3)
+	}
+	if a.runBytes > 41e6 {
+		t.Errorf("treiber t=3 allocates %.1f MB per run, regression bar is 41 MB", a.runBytes/1e6)
 	}
 }
 

@@ -764,9 +764,54 @@ func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap []replayR
 		e := w.mkEvent(g2, t, p)
 		g2.Append(e)
 		g2.InsertMo(p.loc, e.ID, pos)
-		w.pushChild(a, g, g2, e, t, snap)
-		w.pushRevisits(g2, e, a == graph.SplitsUpdate)
+		w.pushWrite(a, g, g2, e, t, p, snap)
 	}
+}
+
+// pushWrite pushes the child g2 of g, which gives thread t the
+// value-changing write-like event e, if the birth filter admitted it, and
+// then the revisits e seeds — unless collapsesAtBirth already knows their
+// fate: g2 is then counted as collapsed here instead of at its pop, and
+// nothing is pushed.
+func (w *explorer) pushWrite(a graph.Admission, g, g2 *graph.Graph, e *graph.Event, t int, p *pending, snap []replayResult) {
+	if w.collapsesAtBirth(g2, t, p, snap[t].spans) {
+		w.stats.Collapsed++
+		if auditBirth != nil {
+			auditBirth(w, g, g2, e)
+		}
+		w.mem.Release(g2)
+		return
+	}
+	w.pushChild(a, g, g2, e, t, snap)
+	w.pushRevisits(g, g2, e, a == graph.SplitsUpdate)
+}
+
+// auditBirth, when set, sees every child pushWrite rejects, before it is
+// released. Test-only: see AuditBirthRule in export_test.go.
+var auditBirth func(w *explorer, g, g2 *graph.Graph, wv *graph.Event)
+
+// collapsesAtBirth decides collapsedRetry for the child g2 before it is
+// pushed. Its new write-like event of thread t (built from pending p) can
+// complete a collapse only in an await, at an iteration after the first,
+// whose earlier iterations (spans: thread t's, replayed against the
+// parent) wrote nothing; one replay of thread t against g2 then says
+// whether the await now succeeds. A hit decides the revisits too: each
+// keeps the event's whole porf prefix — all of thread t and every write
+// it read — so thread t replays in them as in g2, and they would be
+// cloned, restricted and given relations only to collapse at their own
+// pops. Reads and degraded updates are not probed: the child is all they
+// produce, and its pop collapses it for the same one replay.
+func (w *explorer) collapsesAtBirth(g2 *graph.Graph, t int, p *pending, spans []iterRec) bool {
+	if !p.inAwait || p.awaitIter == 0 {
+		return false
+	}
+	for i := range spans {
+		if s := &spans[i]; s.Seq == p.awaitSeq && s.Iter < p.awaitIter && s.Wrote {
+			return false
+		}
+	}
+	res := replayThread(g2, t, w.threads[t], w.vars.Vars, &w.probe)
+	return res.err == nil && collapsedRetry([]replayResult{res})
 }
 
 // extendReadLike adds a read or update with each admissible rf choice
@@ -810,9 +855,10 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 			}
 			g2.InsertMo(p.loc, e.ID, src+1)
 		}
-		w.pushChild(a, g, g2, e, t, snap)
 		if writes {
-			w.pushRevisits(g2, e, a == graph.SplitsUpdate)
+			w.pushWrite(a, g, g2, e, t, p, snap)
+		} else {
+			w.pushChild(a, g, g2, e, t, snap)
 		}
 	}
 	if withBottom {
@@ -834,7 +880,8 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 }
 
 // pushRevisits generates the write→read revisit children for the
-// freshly added write-like event wv in g2 (the CalcRevisits of Fig. 6):
+// freshly added write-like event wv in g2 = g + wv (the CalcRevisits of
+// Fig. 6):
 // each same-location read r not in wv's porf prefix may instead read
 // from wv; the graph is restricted to the events added before r plus
 // wv's porf prefix, and r's re-addition is forced to read from wv.
@@ -847,7 +894,7 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 // survives exactly in the restrictions that keep the displaced update —
 // and g2 itself was built only to be read here: nobody else holds it, so
 // it is released on the way out.
-func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event, splits bool) {
+func (w *explorer) pushRevisits(g, g2 *graph.Graph, wv *graph.Event, splits bool) {
 	var split *graph.Event
 	if splits {
 		order := g2.Mo[wv.Loc]
@@ -861,7 +908,7 @@ func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event, splits bool) {
 			if !rdEv.IsReadLike() || rdEv.Loc != wv.Loc {
 				continue
 			}
-			w.pushRevisit(g2, wv, porf, rdEv, split)
+			w.pushRevisit(g, g2, wv, porf, rdEv, split)
 		}
 	}
 	porf.Release()
@@ -873,8 +920,10 @@ func (w *explorer) pushRevisits(g2 *graph.Graph, wv *graph.Event, splits bool) {
 // pushRevisit generates the revisit child (if any) for one candidate
 // read rdEv against the freshly added write wv. split, when non-nil, is
 // the update wv displaced in mo: a restriction that keeps it is
-// inconsistent.
-func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.EventSet, rdEv *graph.Event, split *graph.Event) {
+// inconsistent. The child notes that it is a restriction of the
+// consistent g plus wv: if it survives dedup its relations are rows and
+// columns of g's, which it keeps alive until then.
+func (w *explorer) pushRevisit(g, g2 *graph.Graph, wv *graph.Event, porf *graph.EventSet, rdEv *graph.Event, split *graph.Event) {
 	rd := rdEv.ID
 	if rd == wv.ID || porf.Has(rdEv) {
 		return
@@ -940,6 +989,7 @@ func (w *explorer) pushRevisit(g2 *graph.Graph, wv *graph.Event, porf *graph.Eve
 	}
 	g3 := g2.Clone()
 	g3.RestrictTo(keep)
+	g3.NoteRestricted(g, wv)
 	w.stats.Revisits++
 	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID})
 }

@@ -92,13 +92,16 @@ func (v Verdict) LitmusLabel() string {
 // fingerprint once, and every complete execution (and maximal blocked
 // graph) is derived exactly once whichever worker reaches it first.
 // The traversal counters (Popped, Pushed, Revisits, Duplicates,
-// Wasteful, Inconsist, Filtered, and the canonicalization counters) can
-// vary by a few percent between schedules: graphs with equal
+// Wasteful, Collapsed, Inconsist, Filtered, and the canonicalization
+// counters) can vary by a few percent between schedules: graphs with equal
 // fingerprints but different addition histories carry different stamp
 // orders, the revisit restriction depends on stamp order, and which
 // representative a parallel run expands depends on pop timing. The
 // verdict and the counterexample never do (see
-// exploration.offerViolation).
+// exploration.offerViolation). Collapsed counts one predicate at two
+// places: collapsedRetry at a pop, and the same test of a value-changing
+// write the moment it is built (explorer.pushWrite), which is then
+// neither pushed nor popped.
 type Stats struct {
 	Popped     int // graphs popped from the exploration frontier
 	Pushed     int // graphs pushed
@@ -106,7 +109,7 @@ type Stats struct {
 	Revisits   int // write→read revisit graphs generated
 	Duplicates int // graphs pruned by the visited set
 	Wasteful   int // graphs pruned by the W(G) filter (Def. 2)
-	Collapsed  int // graphs pruned by the retry-free-twin collapse
+	Collapsed  int // graphs pruned by the retry-free-twin collapse, at their pop or at birth
 	Inconsist  int // graphs pruned by the memory model at their pop
 	Filtered   int // candidates the birth filter rejected: never pushed, most never built
 	Blocked    int // stuck graphs whose ⊥ reads were all resolvable
@@ -234,8 +237,8 @@ func (r *Result) Report() string {
 	b.WriteString(r.String())
 	b.WriteByte('\n')
 	s := r.Stats
-	fmt.Fprintf(&b, "exploration: %d popped, %d pushed, %d executions, %d revisits, %d duplicates, %d wasteful, %d inconsistent, %d filtered at birth, %d blocked\n",
-		s.Popped, s.Pushed, s.Executions, s.Revisits, s.Duplicates, s.Wasteful, s.Inconsist, s.Filtered, s.Blocked)
+	fmt.Fprintf(&b, "exploration: %d popped, %d pushed, %d executions, %d revisits, %d duplicates, %d wasteful, %d collapsed, %d inconsistent, %d filtered at birth, %d blocked\n",
+		s.Popped, s.Pushed, s.Executions, s.Revisits, s.Duplicates, s.Wasteful, s.Collapsed, s.Inconsist, s.Filtered, s.Blocked)
 	if s.CanonFast+s.CanonRefined > 0 {
 		fmt.Fprintf(&b, "symmetry: %d states canonicalized (%d fast-path, %d refined), %d permutations pruned\n",
 			s.Canonicalized, s.CanonFast, s.CanonRefined, s.CanonPruned)

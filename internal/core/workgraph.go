@@ -66,6 +66,7 @@ type explorer struct {
 	// Replay scratch, reused across every item this worker executes.
 	rres  []replayResult
 	rmems []replayMem
+	probe replayMem // collapsesAtBirth's replay of one thread against a child
 	rfbuf []graph.RF
 
 	// Symmetry-reduction state of the item being executed. curPerm is

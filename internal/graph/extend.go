@@ -14,8 +14,10 @@ func wordScratch(n int) (*acyclicScratch, []uint64) {
 }
 
 // deltaScratch carves the five working bit-vectors of an incremental
-// relation delta (Extend, Resolve) out of one pooled strip of
-// 5*words zeroed words.
+// relation delta (addLast, Resolve) out of one pooled strip of 5*words
+// zeroed words: hbIn, the direct sb ∪ sw edges u -> e; ecoIn/ecoOut, the
+// direct rf ∪ mo ∪ fr edges into/out of e; ecoCol/ecoRow, the working
+// sets of the closure update (closeOver).
 func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) {
 	s, v := wordScratch(5 * words)
 	return s, v[0*words : 1*words], v[1*words : 2*words],
@@ -28,7 +30,7 @@ func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ec
 // This is the exploration hot path: instead of re-deriving sb/rf/mo/fr/
 // sw and re-running two O(n³/64) transitive closures, Extend copies the
 // parent's matrices with one extra row/column and adds only the edges
-// the new event introduces.
+// the new event introduces (addLast).
 //
 // Why this is sound (and what the invariants are):
 //
@@ -48,41 +50,141 @@ func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ec
 // TestExtendMatchesBuild cross-checks every matrix against BuildRels on
 // randomized exploration histories.
 func (r *Rels) Extend(g *Graph, e *Event) *Rels {
-	n := r.N
-	ni := n // dense index of the new event
 	// Header, index arrays and slab come from g's free list (grownInto
-	// overwrites every word of a used slab); the five working
-	// bit-vectors share one pooled scratch strip (hbIn: direct sb ∪ sw
-	// edges u -> e; ecoIn/ecoOut: direct rf ∪ mo ∪ fr edges into/out of
-	// e; ecoCol/ecoRow: the closure update working sets).
-	nr, _ := g.fl.newRels(g, n+1)
+	// overwrites every word of a used slab).
+	nr, _ := g.fl.newRels(g, r.N+1)
 	nr.copyIndex(r)
-	nr.Ev = append(nr.Ev, e)
-	trow := r.tIdx[e.ID.Thread]
-	nr.tIdx[e.ID.Thread] = append(nr.tIdx[e.ID.Thread], int32(ni))
-	r.Sb.grownInto(nr.Sb)
-	r.SbLoc.grownInto(nr.SbLoc)
-	r.RfM.grownInto(nr.RfM)
-	r.MoM.grownInto(nr.MoM)
-	r.FrM.grownInto(nr.FrM)
+	for i := range r.mats {
+		r.mats[i].grownInto(&nr.mats[i])
+	}
+	if nr.topoState = r.topoState; r.topoState == topoValid {
+		nr.topo = int32Scratch(nr.topo, nr.N)
+		copy(nr.topo, r.topo)
+	}
+	nr.addLast(g, e)
+	return nr
+}
 
-	words := nr.Sb.words
-	scratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow := deltaScratch(words)
+// Restrict computes the relations of g incrementally, where g is the
+// graph r describes cut down to a prefix of every thread — the lengths
+// of g's own thread rows are the keep-set — with exactly the write-like
+// event e appended: a write→read revisit (see NoteRestricted).
+//
+// The kept rows and columns of r's matrices are the relations of the
+// cut-down graph, no closure re-run, because the keep-set is closed under
+// po and rf predecessors. sb, sb|loc, rf, mo and fr hold between two
+// events by their po, rf and relative mo position alone. Every sb ∪ sw
+// predecessor of a kept event is kept (release sides are found walking
+// rf backwards), so no hb path into one leaves the keep-set. For eco, r
+// must describe a graph that satisfies atomicity, as every graph a model
+// found consistent does: with each update mo-adjacent to its rf source,
+// eco is rf ∪ (mo ∪ fr);rf? — longer paths have a direct mo or fr
+// shortcut — and the one intermediate event is the kept end's rf source.
+// Dense indices are ranks among the kept ones (both orders are stamp
+// order), and r's cached topological order, filtered, still orders the
+// smaller union; a cyclic or underived order is not inherited — cutting
+// down can break the cycle — and leaves the child at topoNone.
+//
+// TestExtendMatchesBuild checks restrictions of random atomic graphs
+// against BuildRels, TestRestrictDifferential every one a run derives.
+func (r *Rels) Restrict(g *Graph, e *Event) *Rels {
+	n := r.nInit + g.NumEvents()
+	nr, _ := g.fl.newRels(g, n) // every row is cleared or written below
+	nr.setIndex(len(r.tIdx))
+	// rank maps r's dense indices to g's (-1: dropped); runs lists the
+	// maximal runs of consecutive kept indices as (first, its rank, length)
+	// triples — a revisit keeps what is older than the revisited read plus
+	// the new write's porf prefix, a handful of runs.
+	s := acyclicPool.Get().(*acyclicScratch)
+	s.pos = int32Scratch(s.pos, r.N)
+	rank, runs := s.pos, s.queue[:0]
+	for i, ev := range r.Ev {
+		if i >= r.nInit && ev.ID.Index >= len(g.Threads[ev.ID.Thread]) {
+			rank[i] = -1
+			continue
+		}
+		k := int32(len(nr.Ev))
+		if j := len(runs); j > 0 && runs[j-3]+runs[j-1] == int32(i) {
+			runs[j-1]++
+		} else {
+			runs = append(runs, int32(i), k, 1)
+		}
+		rank[i] = k
+		nr.Ev = append(nr.Ev, ev)
+		if i >= r.nInit {
+			nr.tIdx[ev.ID.Thread] = append(nr.tIdx[ev.ID.Thread], k)
+		}
+	}
+	if len(nr.Ev) != n-1 {
+		panic("graph: Restrict of a graph that is not its parent's restriction plus one event")
+	}
+	s.queue = runs
+	for m := range r.mats {
+		src, dst := &r.mats[m], &nr.mats[m]
+		for i, k := range rank {
+			if k < 0 {
+				continue
+			}
+			from, to := src.Row(i), dst.Row(int(k))
+			clear(to)
+			for j := 0; j < len(runs); j += 3 {
+				copyBits(to, int(runs[j+1]), from, int(runs[j]), int(runs[j+2]))
+			}
+		}
+		clear(dst.Row(n - 1))
+	}
+	if r.topoState == topoValid {
+		nr.topo = int32Scratch(nr.topo, n)[:0]
+		for _, v := range r.topo {
+			if rank[v] >= 0 {
+				nr.topo = append(nr.topo, rank[v])
+			}
+		}
+		nr.topo, nr.topoState = nr.topo[:n], topoValid
+	}
+	acyclicPool.Put(s)
+	nr.addLast(g, e)
+	return nr
+}
+
+// copyBits ors the n bits of src that start at bit s into dst from bit d
+// on: one shift and mask per word boundary crossed on either side.
+func copyBits(dst []uint64, d int, src []uint64, s, n int) {
+	for n > 0 {
+		so, do := s%64, d%64
+		k := min(n, 64-so, 64-do)
+		dst[d/64] |= src[s/64] >> uint(so) & (^uint64(0) >> uint(64-k)) << uint(do)
+		s, d, n = s+k, d+k, n-k
+	}
+}
+
+// addLast completes relations that describe g without its newest event e
+// — matrices of g's dimension with the last row and column empty, the
+// index without e, topoState and (when valid) topo[:N-1] the smaller
+// graph's — by e's own edges. Extend and Restrict both end here.
+func (nr *Rels) addLast(g *Graph, e *Event) {
+	n := nr.N - 1
+	ni := n // dense index of the new event
+	nr.Ev = append(nr.Ev, e)
+	trow := nr.tIdx[e.ID.Thread]
+	nr.tIdx[e.ID.Thread] = append(trow, int32(ni))
+
+	scratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
 
 	// Cached topological order maintenance (see Rels.topo): while the
 	// relation edges are added below, track the extreme positions the
-	// new event's direct sb ∪ rf ∪ mo neighbors occupy in the parent's
+	// new event's direct sb ∪ rf ∪ mo neighbors occupy in the inherited
 	// order. When every in-neighbor sits before every out-neighbor, e
-	// slots in between and the parent's order extends by a single
-	// insertion; otherwise the order is re-derived (or the union was
-	// already cyclic, which extension can never undo). fr edges are
-	// deliberately not tracked — they are not part of the cached union.
+	// slots in between and the order extends by a single insertion;
+	// otherwise the order is re-derived (or the union was already cyclic,
+	// which extension can never undo). fr edges are deliberately not
+	// tracked — they are not part of the cached union.
 	var posOf []int32
 	maxIn, minOut := -1, n
-	if r.topoState == topoValid {
+	if nr.topoState == topoValid {
 		scratch.pos = int32Scratch(scratch.pos, n)
 		posOf = scratch.pos
-		for k, v := range r.topo {
+		for k, v := range nr.topo[:n] {
 			posOf[v] = int32(k)
 		}
 	}
@@ -103,11 +205,11 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 
 	// sb / sb-loc: inits and po predecessors precede e.
 	isAccess := e.Kind != KFence && e.Kind != KError
-	for i := 0; i < r.nInit; i++ {
+	for i := 0; i < nr.nInit; i++ {
 		nr.Sb.Set(i, ni)
 		SetBit(hbIn, i)
 		trackIn(i)
-		if isAccess && r.Ev[i].Loc == e.Loc {
+		if isAccess && nr.Ev[i].Loc == e.Loc {
 			nr.SbLoc.Set(i, ni)
 		}
 	}
@@ -121,21 +223,22 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		}
 	}
 
-	// rf and fr contributed by e's read part.
-	rf := g.rf[e.ID.Thread][e.ID.Index]
-	if e.IsReadLike() && !rf.Bottom {
-		wi := r.IndexOf(rf.W)
-		nr.RfM.Set(wi, ni)
-		SetBit(ecoIn, wi)
-		trackIn(wi)
-		if src := g.MoIndex(e.Loc, rf.W); src >= 0 {
-			for _, w := range g.Mo[e.Loc][src+1:] {
-				if w == e.ID {
-					continue // an update never fr-precedes itself
-				}
-				oi := r.IndexOf(w)
-				nr.FrM.Set(ni, oi)
-				SetBit(ecoOut, oi)
+	// rf, fr and sw contributed by e's read part: as the last event of its
+	// thread that nothing reads from yet, e only ever RECEIVES
+	// synchronizes-with edges — as an acquire read-like here, or as an
+	// acquire fence on behalf of the po-earlier reads of its thread.
+	// (Release sides of e affect only future events.)
+	if rf := g.rf[e.ID.Thread][e.ID.Index]; e.IsReadLike() && !rf.Bottom {
+		trackIn(nr.readEdges(g, e, ni, rf, hbIn, ecoIn, ecoOut))
+	}
+	if e.Kind == KFence && e.Mode.HasAcq() {
+		for _, rd := range g.Threads[e.ID.Thread][:e.ID.Index] {
+			if rd.IsReadLike() {
+				nr.swInto(g, e.Mode, g.rf[rd.ID.Thread][rd.ID.Index], func(s int) {
+					if s != ni {
+						SetBit(hbIn, s)
+					}
+				})
 			}
 		}
 	}
@@ -150,13 +253,13 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	if pos >= 0 {
 		order := g.Mo[e.Loc]
 		for _, w := range order[:pos] {
-			pi := r.IndexOf(w)
+			pi := nr.IndexOf(w)
 			nr.MoM.Set(pi, ni)
 			SetBit(ecoIn, pi)
 			trackIn(pi)
 		}
 		for _, w := range order[pos+1:] {
-			si := r.IndexOf(w)
+			si := nr.IndexOf(w)
 			nr.MoM.Set(ni, si)
 			SetBit(ecoOut, si)
 			trackOut(si)
@@ -173,7 +276,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 					continue
 				}
 				if src := g.MoIndex(e.Loc, rrf.W); src >= 0 && src < pos {
-					ri := r.IndexOf(re.ID)
+					ri := nr.IndexOf(re.ID)
 					nr.FrM.Set(ri, ni)
 					SetBit(ecoIn, ri)
 				}
@@ -181,56 +284,89 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		}
 	}
 
-	// sw: as the last event of its thread that nothing reads from yet,
-	// e only ever RECEIVES synchronizes-with edges — as an acquire
-	// read-like from the release sides of its rf source's release
-	// sequence, or as an acquire fence on behalf of the po-earlier reads
-	// of its thread. (Release sides of e affect only future events.)
-	emit := func(s int) {
-		if s != ni {
+	nr.closeOver(ni, hbIn, ecoIn, ecoOut, ecoCol, ecoRow)
+
+	// Cached topological order: e's only edges touch e itself, so the
+	// inherited order stays valid for all existing vertices and only e
+	// needs a position.
+	switch {
+	case nr.topoState == topoCyclic:
+		// Extension never removes edges, so a cyclic union stays cyclic.
+		acCyclicSt.Add(1)
+	case nr.topoState == topoValid && maxIn < minOut:
+		// Every in-neighbor precedes every out-neighbor: slot e directly
+		// before its earliest out-neighbor (or at the end). Inserting
+		// into the position→vertex slice shifts the later positions by
+		// one without touching any value, preserving validity.
+		copy(nr.topo[minOut+1:], nr.topo[minOut:n])
+		nr.topo[minOut] = int32(ni)
+		acExtends.Add(1)
+	default:
+		// A back edge (some out-neighbor placed before an in-neighbor)
+		// or an underived order: leave the child at topoNone, so the
+		// re-derivation happens lazily — only if this state survives to
+		// a check that wants the order (ensureTopo).
+		nr.topoState = topoNone
+	}
+	acyclicPool.Put(scratch)
+}
+
+// readEdges adds the edges into and out of the read part of e, the
+// event of dense index ei whose rf source is a write: rf from the
+// source, fr to every write mo-after it (an update never fr-precedes
+// itself) and, into hbIn, sw from the release sides of the source's
+// release sequence. It returns the source's index.
+func (nr *Rels) readEdges(g *Graph, e *Event, ei int, rf RF, hbIn, ecoIn, ecoOut []uint64) int {
+	wi := nr.IndexOf(rf.W)
+	nr.RfM.Set(wi, ei)
+	SetBit(ecoIn, wi)
+	if src := g.MoIndex(e.Loc, rf.W); src >= 0 {
+		for _, w := range g.Mo[e.Loc][src+1:] {
+			if w == e.ID {
+				continue
+			}
+			oi := nr.IndexOf(w)
+			nr.FrM.Set(ei, oi)
+			SetBit(ecoOut, oi)
+		}
+	}
+	nr.swInto(g, e.Mode, rf, func(s int) {
+		if s != ei {
 			SetBit(hbIn, s)
 		}
-	}
-	if e.IsReadLike() {
-		r.swInto(g, e.Mode, rf, emit)
-	}
-	if e.Kind == KFence && e.Mode.HasAcq() {
-		for _, rd := range g.Threads[e.ID.Thread][:e.ID.Index] {
-			if rd.IsReadLike() {
-				r.swInto(g, e.Mode, g.rf[rd.ID.Thread][rd.ID.Index], emit)
-			}
+	})
+	return wi
+}
+
+// closeOver folds the new direct edges of event ei — whose hb row and
+// eco row and column were empty — into the two closures. hb: every new
+// edge points into ei, so the old closure stays closed; ei's column is
+// the direct predecessors plus everything hb-before one of them. eco:
+// the column is everything that reaches a direct in-edge, the row
+// everything reachable from a direct out-edge, and the only new edges
+// between other events are self-loops on events that both reach and are
+// reached by ei. Rows are read in place: the bits set here are in column
+// ei, which no operand vector holds.
+func (nr *Rels) closeOver(ei int, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) {
+	for v := 0; v < nr.N; v++ {
+		if HasBit(hbIn, v) || nr.Hb.rowIntersects(v, hbIn) {
+			nr.Hb.Set(v, ei)
 		}
 	}
-
-	// hb: every new edge points into e, so the old closure stays closed;
-	// e's column is the direct predecessors plus everything hb-before
-	// one of them.
-	r.Hb.grownInto(nr.Hb)
-	for v := 0; v < n; v++ {
-		if HasBit(hbIn, v) || r.Hb.rowIntersects(v, hbIn) {
-			nr.Hb.Set(v, ni)
-		}
-	}
-
-	// eco: the column is everything that reaches a direct in-edge, the
-	// row everything reachable from a direct out-edge, and the only new
-	// edges between existing events are self-loops on events that both
-	// reach and are reached by e.
-	r.Eco.grownInto(nr.Eco)
 	copy(ecoRow, ecoOut)
-	for v := 0; v < n; v++ {
+	for v := 0; v < nr.N; v++ {
 		if HasBit(ecoOut, v) {
-			r.Eco.orRowInto(v, ecoRow)
+			nr.Eco.orRowInto(v, ecoRow)
 		}
-		if HasBit(ecoIn, v) || r.Eco.rowIntersects(v, ecoIn) {
+		if HasBit(ecoIn, v) || nr.Eco.rowIntersects(v, ecoIn) {
 			SetBit(ecoCol, v)
-			nr.Eco.Set(v, ni)
+			nr.Eco.Set(v, ei)
 		}
 	}
 	cyclic := false
-	for v := 0; v < n; v++ {
+	for v := 0; v < nr.N; v++ {
 		if HasBit(ecoRow, v) {
-			nr.Eco.Set(ni, v)
+			nr.Eco.Set(ei, v)
 			if HasBit(ecoCol, v) {
 				nr.Eco.Set(v, v)
 				cyclic = true
@@ -238,37 +374,8 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		}
 	}
 	if cyclic {
-		nr.Eco.Set(ni, ni)
+		nr.Eco.Set(ei, ei)
 	}
-
-	// Cached topological order: e's only edges touch e itself, so the
-	// parent's order stays valid for all existing vertices and only e
-	// needs a position.
-	switch {
-	case r.topoState == topoCyclic:
-		// Extension never removes edges, so a cyclic union stays cyclic.
-		nr.topoState = topoCyclic
-		acCyclicSt.Add(1)
-	case r.topoState == topoValid && maxIn < minOut:
-		// Every in-neighbor precedes every out-neighbor: slot e directly
-		// before its earliest out-neighbor (or at the end). Inserting
-		// into the position→vertex slice shifts the later positions by
-		// one without touching any value, preserving validity.
-		nr.topo = int32Scratch(nr.topo, n+1)
-		copy(nr.topo, r.topo[:minOut])
-		nr.topo[minOut] = int32(ni)
-		copy(nr.topo[minOut+1:], r.topo[minOut:])
-		nr.topoState = topoValid
-		acExtends.Add(1)
-	default:
-		// A back edge (some out-neighbor placed before an in-neighbor)
-		// or an underived parent: leave the child at topoNone, so the
-		// re-derivation happens lazily — only if this state survives to
-		// a check that wants the order (ensureTopo).
-	}
-	acyclicPool.Put(scratch)
-
-	return nr
 }
 
 // Resolve computes the relations of g incrementally, where g was
@@ -280,90 +387,24 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 // per candidate write and asks only for a consistency verdict.
 //
 // Soundness mirrors Extend: every new edge touches e. e gains rf/sw
-// in-edges and fr out-edges; as the last event of its thread it has no
-// sb successors, so its hb row stays empty and the old hb closure
-// remains closed once e's column absorbs the direct predecessors and
-// their hb-ancestors. Eco gains e's column (everything reaching the rf
-// source), e's row (everything reachable from the fr targets), and —
-// exactly as in Extend — the only new edges between existing events
-// are self-loops on events that both reach and are reached by e.
+// in-edges and fr out-edges (readEdges; it is not in mo, so there is no
+// incoming fr); as the last event of its thread it has no sb successors,
+// and it had no eco edges before (its rf was ⊥), which is what closeOver
+// asks for.
 func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
-	n := r.N
 	ei := r.IndexOf(e.ID)
-	nr, _ := g.fl.newRels(g, n) // the seven copies overwrite a used slab
+	nr, _ := g.fl.newRels(g, r.N) // the seven copies overwrite a used slab
 	nr.copyIndex(r)
 	// e was re-created with its new RVal/Degraded state: swap the node.
 	nr.Ev[ei] = e
-
-	copy(nr.Sb.bits, r.Sb.bits)
-	copy(nr.SbLoc.bits, r.SbLoc.bits)
-	copy(nr.RfM.bits, r.RfM.bits)
-	copy(nr.MoM.bits, r.MoM.bits)
-	copy(nr.FrM.bits, r.FrM.bits)
-	copy(nr.Hb.bits, r.Hb.bits)
-	copy(nr.Eco.bits, r.Eco.bits)
-
-	scratch, hbIn, ecoIn, ecoOut, ecoCol, rowVec := deltaScratch(nr.Sb.words)
-
-	rf := g.rf[e.ID.Thread][e.ID.Index]
-	wi := r.IndexOf(rf.W)
-	nr.RfM.Set(wi, ei)
-	SetBit(ecoIn, wi)
-
-	// fr: e now from-reads every write mo-after its source. e itself is
-	// not in mo (it resolved read-only), so there are no incoming fr.
-	if src := g.MoIndex(e.Loc, rf.W); src >= 0 {
-		for _, w := range g.Mo[e.Loc][src+1:] {
-			oi := r.IndexOf(w)
-			nr.FrM.Set(ei, oi)
-			SetBit(ecoOut, oi)
-		}
+	for i := range r.mats {
+		copy(nr.mats[i].bits, r.mats[i].bits)
 	}
 
-	// sw: e can only RECEIVE synchronization (it writes nothing and has
-	// no po successors, so there are no acquire fences after it).
-	r.swInto(g, e.Mode, rf, func(s int) {
-		if s != ei {
-			SetBit(hbIn, s)
-		}
-	})
-
-	// hb: e's row is empty (no sb successors), so the closure stays
-	// closed once e's column absorbs the direct predecessors and their
-	// hb-ancestors.
-	for v := 0; v < n; v++ {
-		if v != ei && (HasBit(hbIn, v) || r.Hb.rowIntersects(v, hbIn)) {
-			nr.Hb.Set(v, ei)
-		}
-	}
-
-	// eco: same column/row/self-loop update as Extend. e had no eco
-	// edges before (its rf was ⊥ and it holds no mo position), so the
-	// update is purely additive and e can never appear in its own
-	// column or row vectors.
-	copy(rowVec, ecoOut)
-	for v := 0; v < n; v++ {
-		if HasBit(ecoOut, v) {
-			r.Eco.orRowInto(v, rowVec)
-		}
-		if HasBit(ecoIn, v) || r.Eco.rowIntersects(v, ecoIn) {
-			SetBit(ecoCol, v)
-			nr.Eco.Set(v, ei)
-		}
-	}
-	cyclic := false
-	for v := 0; v < n; v++ {
-		if HasBit(rowVec, v) {
-			nr.Eco.Set(ei, v)
-			if HasBit(ecoCol, v) {
-				nr.Eco.Set(v, v)
-				cyclic = true
-			}
-		}
-	}
-	if cyclic {
-		nr.Eco.Set(ei, ei)
-	}
+	scratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
+	wi := nr.readEdges(g, e, ei, g.rf[e.ID.Thread][e.ID.Index], hbIn, ecoIn, ecoOut)
+	nr.closeOver(ei, hbIn, ecoIn, ecoOut, ecoCol, ecoRow)
+	acyclicPool.Put(scratch)
 
 	// Cached topological order: the only new union edge is rf (w → e),
 	// and both endpoints already have positions. When the parent's
@@ -389,7 +430,5 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 			acExtends.Add(1)
 		}
 	}
-
-	acyclicPool.Put(scratch)
 	return nr
 }

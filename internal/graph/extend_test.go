@@ -14,6 +14,26 @@ import (
 func randExtendHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int,
 	check func(prev *Rels, g *Graph, e *Event)) {
 	t.Helper()
+	randHistory(t, rng, nThreads, nLocs, nSteps, false, check)
+}
+
+// splits reports whether a write placed at mo position pos of loc would
+// come between a value-changing update and the write it read from.
+func splits(g *Graph, loc Loc, pos int) bool {
+	order := g.Mo[loc]
+	if pos >= len(order) {
+		return false
+	}
+	u := g.Event(order[pos])
+	return u.Kind == KUpdate && g.RfOf(u.ID) == FromW(order[pos-1])
+}
+
+// randHistory is randExtendHistory with a switch: atomic histories never
+// split an update from its rf source, so every graph of one satisfies
+// atomicity — which Rels.Restrict asks of its parent.
+func randHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int, atomic bool,
+	check func(prev *Rels, g *Graph, e *Event)) {
+	t.Helper()
 	initVals := make([]Val, nLocs)
 	names := make([]string, nLocs)
 	for l := range names {
@@ -38,8 +58,12 @@ func randExtendHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int
 			e.Kind = KWrite
 			e.Val = val
 			val++
+			pos := 1 + rng.Intn(len(g.Mo[loc]))
+			for atomic && splits(g, loc, pos) {
+				pos++
+			}
 			g.Append(e)
-			g.InsertMo(loc, e.ID, 1+rng.Intn(len(g.Mo[loc])))
+			g.InsertMo(loc, e.ID, pos)
 		case k < 6: // read (sometimes bottom)
 			e.Kind = KRead
 			if rng.Intn(4) == 0 {
@@ -62,6 +86,9 @@ func randExtendHistory(t *testing.T, rng *rand.Rand, nThreads, nLocs, nSteps int
 			}
 			order := g.Mo[loc]
 			src := rng.Intn(len(order))
+			for atomic && splits(g, loc, src+1) {
+				src++
+			}
 			w := order[src]
 			e.RVal = g.WriteVal(w)
 			if rng.Intn(3) == 0 {
@@ -173,9 +200,26 @@ func TestAllocsAdmit(t *testing.T) {
 	}
 }
 
+// assertSameRels fails unless got holds exactly the index and the seven
+// matrices of want, the relations BuildRels derived for g.
+func assertSameRels(t *testing.T, got, want *Rels, g *Graph, what string) {
+	t.Helper()
+	if d := diffRels(got, want); d != "" {
+		t.Fatalf("%s: %s\ngraph:\n%s", what, d, g.Render())
+	}
+}
+
 // TestExtendMatchesBuild is the correctness bar of the incremental
 // relations: on randomized exploration histories, Rels.Extend must
-// produce exactly the matrices BuildRels derives from scratch.
+// produce exactly the matrices BuildRels derives from scratch — and so
+// must Rels.Restrict on random revisits of the graphs of atomic
+// histories (randRevisit), small ones and ones past 64 events, where a
+// row is two words and a kept run crosses the boundary. Restrict's
+// contract, checked here: the parent satisfies atomicity (without it eco
+// paths through a dropped event have no shortcut, and the test fails
+// within a few trials when the switch is turned off); the child inherits
+// a valid parent order filtered, and a cyclic or underived one not at
+// all — it stays topoNone until somebody asks.
 func TestExtendMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -183,35 +227,143 @@ func TestExtendMatchesBuild(t *testing.T) {
 		nLocs := 1 + rng.Intn(3)
 		randExtendHistory(t, rng, nThreads, nLocs, 14, func(prev *Rels, g *Graph, e *Event) {
 			ext := prev.Extend(g, e)
-			full := BuildRels(g)
-			if ext.N != full.N {
-				t.Fatalf("trial %d: N=%d, want %d", trial, ext.N, full.N)
-			}
-			for i, ev := range full.Ev {
-				if ext.Ev[i].ID != ev.ID {
-					t.Fatalf("trial %d: Ev[%d] = %v, want %v", trial, i, ext.Ev[i].ID, ev.ID)
-				}
-			}
-			pairs := []struct {
-				name      string
-				got, want *BitMat
-			}{
-				{"sb", ext.Sb, full.Sb},
-				{"sbloc", ext.SbLoc, full.SbLoc},
-				{"rf", ext.RfM, full.RfM},
-				{"mo", ext.MoM, full.MoM},
-				{"fr", ext.FrM, full.FrM},
-				{"hb", ext.Hb, full.Hb},
-				{"eco", ext.Eco, full.Eco},
-			}
-			for _, p := range pairs {
-				if !p.got.Equal(p.want) {
-					t.Fatalf("trial %d: %s differs after appending %v\ngraph:\n%s",
-						trial, p.name, e, g.Render())
-				}
-			}
+			assertSameRels(t, ext, BuildRels(g), g, fmt.Sprintf("trial %d: appending %v", trial, e))
 			assertTopoInvariant(t, ext, g)
 		})
+	}
+	var revisits, wide, inherited int
+	for trial := 0; trial < 48; trial++ {
+		nThreads := 2 + rng.Intn(3)
+		nLocs := 1 + rng.Intn(3)
+		nSteps := 14
+		if trial%8 == 0 {
+			nSteps = 90
+		}
+		randHistory(t, rng, nThreads, nLocs, nSteps, true, func(prev *Rels, g *Graph, e *Event) {
+			// The parent's relations as the explorer holds them: extended or
+			// built, the order derived or not yet.
+			parent := prev.Extend(g, e)
+			if rng.Intn(3) == 0 {
+				parent = BuildRels(g)
+			}
+			if rng.Intn(2) == 0 {
+				parent.ensureTopo()
+			}
+			for k := 0; k < 3; k++ {
+				g3, wv := randRevisit(rng, g)
+				if g3 == nil {
+					continue
+				}
+				res := parent.Restrict(g3, wv)
+				assertSameRels(t, res, BuildRels(g3), g3, fmt.Sprintf("trial %d: revisit by %v of\n%s", trial, wv, g.Render()))
+				if parent.topoState != topoValid && res.topoState != topoNone {
+					t.Fatalf("trial %d: order state %d inherited from a parent in state %d", trial, res.topoState, parent.topoState)
+				}
+				if res.topoState == topoValid {
+					inherited++
+				}
+				assertTopoInvariant(t, res, g3)
+				revisits++
+				if crossesWord(parent, res) {
+					wide++
+				}
+			}
+		})
+	}
+	if revisits < 1000 || wide < 50 || inherited < 200 {
+		t.Fatalf("generator too thin: %d revisits, %d with a kept run across a word boundary, %d inheriting an order", revisits, wide, inherited)
+	}
+}
+
+// randRevisit cuts g the way a write→read revisit does: a fresh
+// write-like event wv is appended to a random thread, and a random
+// po-prefix-closed, rf-closed set of the other threads' events is kept
+// with it (reads whose source was dropped go too, as in the explorer's
+// closure-drop). It returns nil when the closure reached wv's own thread.
+func randRevisit(rng *rand.Rand, g *Graph) (*Graph, *Event) {
+	tw := rng.Intn(len(g.Threads))
+	cut := make([]int, len(g.Threads))
+	for t, evs := range g.Threads {
+		cut[t] = len(evs)
+		if t != tw && rng.Intn(3) > 0 {
+			cut[t] = rng.Intn(len(evs) + 1)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for t, evs := range g.Threads {
+			for i, e := range evs[:cut[t]] {
+				if rf := g.rf[t][i]; e.IsReadLike() && !rf.Bottom && !rf.W.IsInit() && rf.W.Index >= cut[rf.W.Thread] {
+					cut[t], changed = i, true
+					break
+				}
+			}
+		}
+	}
+	if cut[tw] != len(g.Threads[tw]) {
+		return nil, nil
+	}
+	loc := Loc(rng.Intn(len(g.Mo)))
+	var kept []int // mo positions of the writes wv may read from or follow
+	for i, w := range g.Mo[loc] {
+		if w.IsInit() || w.Index < cut[w.Thread] {
+			kept = append(kept, i)
+		}
+	}
+	wv := &Event{ID: EventID{Thread: tw, Index: len(g.Threads[tw])}, Kind: KWrite,
+		Mode: []Mode{Rlx, Rel, AcqRel, SC}[rng.Intn(4)], Loc: loc, Val: Val(1000 + g.NextStamp), AwaitSeq: -1}
+	g2 := g.Clone()
+	pos := 1 + rng.Intn(len(g.Mo[loc]))
+	if rng.Intn(2) == 0 {
+		src := kept[rng.Intn(len(kept))]
+		wv.Kind, wv.RVal, pos = KUpdate, g.WriteVal(g.Mo[loc][src]), src+1
+		g2.Append(wv)
+		g2.SetRF(wv.ID, FromW(g.Mo[loc][src]))
+	} else {
+		g2.Append(wv)
+	}
+	g2.InsertMo(loc, wv.ID, pos)
+	keep := NewEventSet(g2.NextStamp)
+	keep.Add(wv)
+	for t, evs := range g.Threads {
+		for _, e := range evs[:cut[t]] {
+			keep.Add(e)
+		}
+	}
+	g2.RestrictTo(keep)
+	return g2, wv
+}
+
+// crossesWord reports whether some run of consecutive kept indices of
+// parent lies across bit 64 of a row, in parent or in its restriction res.
+func crossesWord(parent, res *Rels) bool {
+	for i := 1; i < res.N-1; i++ {
+		a, b := parent.IndexOf(res.Ev[i-1].ID), parent.IndexOf(res.Ev[i].ID)
+		if b == a+1 && (b == 64 || i == 64) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCopyBits: the run copy under Restrict against its definition, at
+// every alignment of a three-word vector.
+func TestCopyBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20000; trial++ {
+		src := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+		n := 1 + rng.Intn(192)
+		s, d := rng.Intn(193-n), rng.Intn(193-n)
+		got, want := make([]uint64, 3), make([]uint64, 3)
+		copyBits(got, d, src, s, n)
+		for i := 0; i < n; i++ {
+			if HasBit(src, s+i) {
+				SetBit(want, d+i)
+			}
+		}
+		if got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Fatalf("copyBits(d=%d, s=%d, n=%d) of %x = %x, want %x", d, s, n, src, got, want)
+		}
 	}
 }
 
@@ -292,25 +444,7 @@ func TestResolveMatchesBuild(t *testing.T) {
 			g2.ReplaceEvent(e.ID, &e2)
 			g2.SetRF(e.ID, FromW(w))
 			res := prev.Resolve(g2, &e2)
-			full := BuildRels(g2)
-			pairs := []struct {
-				name      string
-				got, want *BitMat
-			}{
-				{"sb", res.Sb, full.Sb},
-				{"sbloc", res.SbLoc, full.SbLoc},
-				{"rf", res.RfM, full.RfM},
-				{"mo", res.MoM, full.MoM},
-				{"fr", res.FrM, full.FrM},
-				{"hb", res.Hb, full.Hb},
-				{"eco", res.Eco, full.Eco},
-			}
-			for _, p := range pairs {
-				if !p.got.Equal(p.want) {
-					t.Fatalf("trial %d: %s differs after resolving %v from %v\ngraph:\n%s",
-						trial, p.name, e.ID, w, g2.Render())
-				}
-			}
+			assertSameRels(t, res, BuildRels(g2), g2, fmt.Sprintf("trial %d: resolving %v from %v", trial, e.ID, w))
 			assertTopoInvariant(t, res, g2)
 		}
 	}

@@ -7,8 +7,9 @@ import "unsafe"
 // A Graph is born holding one reference — for whoever holds it: the
 // frontier item that carries it, or the step that built it and will
 // throw it away — and gains one per child that names it in an extension
-// hint (NoteExtended, NoteResolved). FreeList.Release drops a reference;
-// RelsOf drops the hint's once the child's relations are derived, and
+// hint (NoteExtended, NoteResolved, and NoteRestricted: a revisit on the
+// frontier keeps the graph it was cut from). FreeList.Release drops a
+// reference; RelsOf drops the hint's once the child's relations are derived, and
 // Release of a graph whose hint was never consumed (a duplicate, a state
 // that failed atomicity) drops it too. Whoever drops the last reference
 // — the step that popped the graph, or its last child's RelsOf or

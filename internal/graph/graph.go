@@ -67,11 +67,13 @@ type Graph struct {
 
 	// rels memoizes the derived relations of the current graph state
 	// (see RelsOf); every mutation invalidates it. extParent/extEvent
-	// record that this graph was derived from extParent by either
-	// appending exactly extEvent (extKind == extAppend, plus its rf/mo
-	// bookkeeping) or resolving the formerly-⊥ trailing read extEvent
-	// (extKind == extResolve), which lets RelsOf derive the relations
-	// incrementally from the parent instead of rebuilding from scratch.
+	// record that this graph was derived from extParent by appending
+	// exactly extEvent (extKind == extAppend, plus its rf/mo
+	// bookkeeping), by resolving the formerly-⊥ trailing read extEvent
+	// (extResolve), or by cutting it down to thread prefixes and then
+	// appending extEvent (extRestrict), which lets RelsOf derive the
+	// relations incrementally from the parent instead of rebuilding from
+	// scratch.
 	rels      *Rels
 	extParent *Graph
 	extEvent  *Event
@@ -90,6 +92,7 @@ const (
 	extNone uint8 = iota
 	extAppend
 	extResolve
+	extRestrict
 )
 
 // invalidate drops the memoized relations and the extension hint; every
@@ -108,10 +111,7 @@ func (g *Graph) invalidate() {
 // row/column instead of re-deriving everything. Call it after the last
 // mutation; any further mutation clears the hint. The hint holds a
 // reference to parent until RelsOf or FreeList.Release consumes it.
-func (g *Graph) NoteExtended(parent *Graph, e *Event) {
-	parent.refs.Add(1)
-	g.extParent, g.extEvent, g.extKind = parent, e, extAppend
-}
+func (g *Graph) NoteExtended(parent *Graph, e *Event) { g.note(parent, e, extAppend) }
 
 // NoteResolved records that g was derived from parent by resolving the
 // formerly-⊥ read e (the last event of its thread, replaced and given
@@ -119,9 +119,20 @@ func (g *Graph) NoteExtended(parent *Graph, e *Event) {
 // to patch the parent's relations with e's new edges instead of
 // rebuilding — the hot path of the await-termination resolvability
 // scan, which tries one such resolution per candidate write.
-func (g *Graph) NoteResolved(parent *Graph, e *Event) {
+func (g *Graph) NoteResolved(parent *Graph, e *Event) { g.note(parent, e, extResolve) }
+
+// NoteRestricted records that g is a write→read revisit of parent: the
+// write-like event e appended, then everything outside a po- and
+// rf-closed keep-set that holds e removed. Only the hint is stored — the
+// lengths of g's thread rows are the keep-set — and RelsOf selects rows
+// and columns of parent's relations instead of rebuilding (Rels.Restrict:
+// parent must satisfy atomicity, and the explorer revisits only from
+// graphs its model found consistent). Call it after RestrictTo.
+func (g *Graph) NoteRestricted(parent *Graph, e *Event) { g.note(parent, e, extRestrict) }
+
+func (g *Graph) note(parent *Graph, e *Event, kind uint8) {
 	parent.refs.Add(1)
-	g.extParent, g.extEvent, g.extKind = parent, e, extResolve
+	g.extParent, g.extEvent, g.extKind = parent, e, kind
 }
 
 // New returns an empty graph for nthreads threads and the given
@@ -236,18 +247,29 @@ func (g *Graph) Append(e *Event) {
 	}
 	e.Stamp = g.NextStamp
 	g.NextStamp++
-	g.Threads[t] = append(g.Threads[t], e)
 	// A full row reallocates on append (clones clamp capacities), which
 	// privatizes it: the graph may then SetRF in place. An append into
 	// existing slack leaves the shared prefix aliased, so the ownership
 	// state must not change.
-	if realloc := cap(g.rf[t]) == len(g.rf[t]); realloc && t < 64 {
-		g.rf[t] = append(g.rf[t], noRF)
+	if cap(g.rf[t]) == len(g.rf[t]) && t < 64 {
 		g.rfOwned |= 1 << uint(t)
-	} else {
-		g.rf[t] = append(g.rf[t], noRF)
 	}
+	g.Threads[t] = appendExact(g.Threads[t], e)
+	g.rf[t] = appendExact(g.rf[t], noRF)
 	g.invalidate()
+}
+
+// appendExact is append that grows a full slice by exactly one element:
+// the explorer appends to a row once and clones, Clone clamps the row's
+// capacity again, and geometric slack would only ever be copied.
+func appendExact[T any](s []T, v T) []T {
+	if len(s) < cap(s) {
+		return append(s, v)
+	}
+	ns := make([]T, len(s)+1)
+	copy(ns, s)
+	ns[len(s)] = v
+	return ns
 }
 
 // RfOf returns the reads-from choice of the read-like event r. It is

@@ -135,6 +135,10 @@ func (r *Rels) AcyclicSuperset(m *BitMat) bool {
 	return ok
 }
 
+// restrictHook, when set, sees every relation set Restrict derives for
+// RelsOf. Test-only: see CrossCheckRestrict in export_test.go.
+var restrictHook func(derived *Rels)
+
 // IndexOf returns the dense index of the event id.
 func (r *Rels) IndexOf(id EventID) int {
 	if id.IsInit() {
@@ -150,7 +154,8 @@ func (r *Rels) IndexOf(id EventID) int {
 // (NoteExtended) and its parent's relations are still memoized, the
 // result is computed incrementally from the parent instead of from
 // scratch — the common case during exploration, where every branch is
-// parent-plus-one-event.
+// parent-plus-one-event — or, for a revisit (NoteRestricted), part of the
+// parent plus one event.
 func RelsOf(g *Graph) *Rels {
 	if g.rels != nil {
 		return g.rels
@@ -161,6 +166,11 @@ func RelsOf(g *Graph) *Rels {
 		g.rels = parent.rels.Extend(g, g.extEvent)
 	case g.extKind == extResolve && parent != nil && parent.rels != nil:
 		g.rels = parent.rels.Resolve(g, g.extEvent)
+	case g.extKind == extRestrict && parent != nil && parent.rels != nil:
+		g.rels = parent.rels.Restrict(g, g.extEvent)
+		if restrictHook != nil {
+			restrictHook(g.rels)
+		}
 	default:
 		g.rels = BuildRels(g)
 	}

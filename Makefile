@@ -7,7 +7,7 @@ GO ?= go
 # caches this directory so warm runs skip already-decided AMC work.
 STORE ?= .vsync-store/verdicts.log
 
-.PHONY: build vet test test-short race allocs bench-smoke bench-check benchmark-smoke fmt-check suite suite-warm suite-shared stored chaos fuzz-smoke
+.PHONY: build vet test test-short race allocs bench-smoke benchmark-smoke loc fmt-check suite suite-warm suite-shared stored chaos fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -67,41 +67,9 @@ allocs:
 	$(GO) test -run TestAllocs ./internal/core ./internal/graph ./internal/mm ./internal/store
 
 # One cheap pass over the benchmark harness to catch bit-rot in the
-# table/figure emitters without running the full campaign, then the AMC
-# hot-path suite (one measured run per target) -> BENCH_amc.json, the
-# tracked record of the checker's own performance.
+# table/figure emitters without running the full campaign.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run=^$$ .
-	$(GO) run ./cmd/vsyncbench -amc -amcruns 1 -amcjson BENCH_amc.json
-
-# Regression gate: a fresh -amc run (best of 3 passes — load and
-# throttling only ever subtract from throughput) compared against a
-# baseline artifact; fails when any row's graphs_per_sec drops more
-# than the tolerance below it (default 25%). The default baseline is
-# the committed BENCH_amc.json, which only compares meaningfully on
-# hardware similar to the machine that recorded it — CI instead passes
-# BENCH_BASELINE pointing at an artifact cached from the previous run
-# on the same runner class. BENCH_CHECK_TOL overrides the tolerance,
-# BENCH_CHECK_SKIP=1 skips the gate.
-# BENCH_FRESH, when set, saves the gate's own denoised best-of-3
-# artifact there — CI promotes it to the next run's cached baseline,
-# so the baseline is always the careful measurement, never the 1-run
-# smoke artifact.
-BENCH_BASELINE ?= BENCH_amc.json
-BENCH_FRESH ?=
-
-bench-check:
-	@if [ "$$BENCH_CHECK_SKIP" = 1 ]; then \
-		echo "bench-check: skipped (BENCH_CHECK_SKIP=1)"; \
-	elif [ ! -f "$(BENCH_BASELINE)" ]; then \
-		echo "bench-check: skipped (no baseline at $(BENCH_BASELINE) yet)"; \
-		if [ -n "$(BENCH_FRESH)" ]; then \
-			$(GO) run ./cmd/vsyncbench -amc -amcruns 5 -amcbest 3 -amcjson "$(BENCH_FRESH)"; \
-		fi; \
-	else \
-		$(GO) run ./cmd/vsyncbench -amc -amcruns 5 -amcbest 3 -amcjson "$(BENCH_FRESH)" \
-			-amcbaseline "$(BENCH_BASELINE)" -amcchecktol $${BENCH_CHECK_TOL:-0.25}; \
-	fi
 
 # The benchmark of record (benchmark/, see BENCHMARK.json) is a module
 # of its own, so `go test ./...` at the root never descends into it:
@@ -109,6 +77,11 @@ bench-check:
 # BENCHMARK.json against its metric and workload tables (~4 s).
 benchmark-smoke:
 	cd benchmark && $(GO) test ./...
+
+# ROADMAP's size number: non-test Go lines outside benchmark/. Every
+# line-delta claim in CHANGES.md is this command before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
 # Incremental verification suite against the persistent verdict store:
 # decided cells cost a hash lookup, new verdicts are appended. Exit 3

@@ -22,12 +22,11 @@
 // copy-on-write graph branching, slab-allocated relation matrices
 // with pooled scratch, and shared replay snapshots — is documented
 // under "The work-graph explorer" and "Performance architecture" in
-// README.md and tracked as a machine-readable artifact (including the
-// worker scaling curve and the acyclicity micro rows); end-to-end time
-// to a verdict, the verdict store's cold and warm suite passes
-// included, is the benchmark of record in benchmark/:
+// README.md. A performance number has one home by kind: wall time to a
+// verdict, the verdict store's cold and warm suite passes included, is
+// the benchmark of record in benchmark/; deterministic state and
+// execution counts are pinned by tests; kernels are `go test -bench`:
 //
-//	go run ./cmd/vsyncbench -amc     # writes BENCH_amc.json
 //	bash benchmark/run.sh --all      # see BENCHMARK.json
 //
 // Every verification problem — from vsync.Run, VerifyMatrix or Resume —

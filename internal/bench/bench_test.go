@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -158,81 +157,5 @@ func TestTable1Renders(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Errorf("Table 1 missing row %q", needle)
 		}
-	}
-}
-
-// TestCompareAMC pins the regression-gate semantics: same-key rows
-// compare graphs/sec against the tolerance floor, verdict changes are
-// always flagged, and rows present on only one side are ignored.
-func TestCompareAMC(t *testing.T) {
-	row := func(name string, w int, verdict string, gps float64) bench.AMCResult {
-		return bench.AMCResult{Name: name, Workers: w, Verdict: verdict, GraphsPerSec: gps}
-	}
-	baseline := bench.AMCSuite{Results: []bench.AMCResult{
-		row("lock/mcs", 1, "ok", 100_000),
-		row("scale/mcs-t3", 4, "ok", 80_000),
-		row("lock/gone", 1, "ok", 50_000),
-	}}
-	fresh := bench.AMCSuite{Results: []bench.AMCResult{
-		row("lock/mcs", 1, "ok", 80_000),     // -20%: within 25%
-		row("scale/mcs-t3", 4, "ok", 50_000), // -37.5%: regression
-		row("lock/new-row", 1, "ok", 10),     // no baseline: ignored
-	}}
-	bad := bench.CompareAMC(baseline, fresh, 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "scale/mcs-t3") {
-		t.Fatalf("CompareAMC = %v, want exactly the mcs-t3 regression", bad)
-	}
-	if bad := bench.CompareAMC(baseline, fresh, 0.5); len(bad) != 0 {
-		t.Fatalf("CompareAMC at 50%% tolerance = %v, want none", bad)
-	}
-	fresh.Results[0].Verdict = "safety violation"
-	bad = bench.CompareAMC(baseline, fresh, 0.25)
-	found := false
-	for _, line := range bad {
-		if strings.Contains(line, "verdict changed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("CompareAMC = %v, want a verdict-change report", bad)
-	}
-}
-
-// TestAMCSuiteJSONRoundTrip: the artifact the gate reads back must be
-// the artifact the suite writes.
-func TestAMCSuiteJSONRoundTrip(t *testing.T) {
-	s := bench.AMCSuite{Schema: "amc-bench/v3", Go: "gotest", CPUs: 1,
-		Results: []bench.AMCResult{{Name: "micro/kahn-n96", Model: "bitmat", Workers: 1, Verdict: "ok", Runs: 3, GraphsPerSec: 42}}}
-	path := filepath.Join(t.TempDir(), "BENCH_amc.json")
-	if err := s.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := bench.ReadAMCSuite(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != s.Schema || len(got.Results) != 1 || got.Results[0] != s.Results[0] {
-		t.Fatalf("round trip mangled the artifact: %+v", got)
-	}
-}
-
-// TestBestOfAMC: the gate's noise armor keeps each row's best
-// measurement and unions rows across repeats.
-func TestBestOfAMC(t *testing.T) {
-	row := func(name string, gps float64) bench.AMCResult {
-		return bench.AMCResult{Name: name, Workers: 1, Verdict: "ok", GraphsPerSec: gps}
-	}
-	a := bench.AMCSuite{Schema: "amc-bench/v3", Results: []bench.AMCResult{row("x", 100), row("y", 50)}}
-	b := bench.AMCSuite{Schema: "amc-bench/v3", Results: []bench.AMCResult{row("x", 80), row("y", 70), row("z", 1)}}
-	m := bench.BestOfAMC(a, b)
-	if len(m.Results) != 3 {
-		t.Fatalf("merged %d rows, want 3", len(m.Results))
-	}
-	if m.Results[0].GraphsPerSec != 100 || m.Results[1].GraphsPerSec != 70 || m.Results[2].Name != "z" {
-		t.Fatalf("merge picked wrong rows: %+v", m.Results)
-	}
-	// The inputs must not be mutated by the merge.
-	if a.Results[1].GraphsPerSec != 50 {
-		t.Fatal("merge mutated its input")
 	}
 }

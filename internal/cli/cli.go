@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -58,7 +59,17 @@ func Par() *int {
 
 // Model registers the -model flag; resolve it with ParseModel.
 func Model() *string {
-	return flag.String("model", "wmm", "memory model: sc, tso or wmm")
+	return flag.String("model", "wmm", "memory model: "+modelNames())
+}
+
+// modelNames lists what -model accepts — every name mm.ByName resolves —
+// for the flag's help and for ParseModel's refusal.
+func modelNames() string {
+	var names []string
+	for _, m := range append(mm.All(), mm.Ablations()...) {
+		names = append(names, m.Name())
+	}
+	return strings.Join(names, ", ")
 }
 
 // MinHitRate registers the -min-hit-rate flag: the store-efficacy
@@ -127,12 +138,19 @@ func SignalContext(tool string) context.Context {
 // ParseModel resolves a -model value, exiting 2 with the uniform
 // message on an unknown name.
 func ParseModel(tool, name string) vsync.Model {
-	m := mm.ByName(name)
-	if m == nil {
-		fmt.Fprintf(os.Stderr, "%s: unknown model %q (sc, tso, wmm)\n", tool, name)
+	m, err := resolveModel(name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 		os.Exit(2)
 	}
 	return m
+}
+
+func resolveModel(name string) (vsync.Model, error) {
+	if m := mm.ByName(name); m != nil {
+		return m, nil
+	}
+	return nil, fmt.Errorf("unknown model %q (%s)", name, modelNames())
 }
 
 // Effective reports the parallel width a "0 = GOMAXPROCS" flag value

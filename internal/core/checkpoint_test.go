@@ -134,7 +134,7 @@ func TestBudgetSegmentedParallel(t *testing.T) {
 			if res.Verdict != base.Verdict {
 				t.Fatalf("%s par4 budget=%d: verdict %v, uninterrupted says %v", p.Name, bg, res.Verdict, base.Verdict)
 			}
-			if res.Stats.Executions != base.Stats.Executions || res.Stats.Blocked != base.Stats.Blocked {
+			if !sameEnumeration(res, base) {
 				t.Fatalf("%s par4 budget=%d (%d segments): enumeration diverged\nsegmented:     %+v\nuninterrupted: %+v",
 					p.Name, bg, segs, res.Stats, base.Stats)
 			}
@@ -339,7 +339,7 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 			c2.WorkersPerRun = workers
 			c2.Resume = dec
 			res2 := c2.Run(prog)
-			if res2.Verdict != base.Verdict || res2.Stats.Executions != base.Stats.Executions || res2.Stats.Blocked != base.Stats.Blocked {
+			if res2.Verdict != base.Verdict || !sameEnumeration(res2, base) {
 				t.Fatalf("workers=%d: resuming a periodic checkpoint diverged: %v/%d executions, want %v/%d",
 					workers, res2.Verdict, res2.Stats.Executions, base.Verdict, base.Stats.Executions)
 			}

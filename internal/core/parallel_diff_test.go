@@ -12,15 +12,13 @@ import (
 
 // The parallel differential bar: a work-graph exploration at any worker
 // count must be observably identical to the sequential DFS — the same
-// verdict, the same number of complete executions examined (AMC's
-// exactly-once enumeration guarantee, arbitrated by the visited set's
-// atomic insert-if-absent), the same count of maximal blocked graphs,
-// and — for violations — the same deterministic counterexample. The
-// traversal counters (Popped, Revisits, ...) are deliberately NOT
-// compared across worker counts: equal-fingerprint states carry
-// different stamp histories, the revisit restriction depends on stamp
-// order, and which representative a parallel schedule expands is timing
-// dependent (see the core.Stats doc).
+// verdict, the same enumeration (sameEnumeration below) and — for
+// violations — the same deterministic counterexample. The traversal
+// counters (Popped, Revisits, ...) are deliberately NOT compared across
+// worker counts: equal-fingerprint states carry different stamp
+// histories, the revisit restriction depends on stamp order, and which
+// representative a parallel schedule expands is timing dependent (see
+// the core.Stats doc).
 
 func runAt(t *testing.T, model mm.Model, p *vprog.Program, workers int) *core.Result {
 	t.Helper()
@@ -31,6 +29,25 @@ func runAt(t *testing.T, model mm.Model, p *vprog.Program, workers int) *core.Re
 		t.Fatalf("%s at %d workers: unexpected cancellation", p.Name, workers)
 	}
 	return res
+}
+
+// sameEnumeration is the one comparison of two complete runs of one
+// problem across worker counts or segmentations. Executions must always
+// agree: AMC's exactly-once guarantee, arbitrated by the visited set's
+// atomic insert-if-absent. Blocked must agree only when neither run
+// canonicalized on several workers — there it is a traversal counter
+// (see the core.Stats doc), and comparing it would be a flaky test.
+func sameEnumeration(a, b *core.Result) bool {
+	if a.Stats.Executions != b.Stats.Executions {
+		return false
+	}
+	return blockedDrifts(a) || blockedDrifts(b) || a.Stats.Blocked == b.Stats.Blocked
+}
+
+// blockedDrifts reports whether r ran with symmetry reduction in effect
+// on more than one worker.
+func blockedDrifts(r *core.Result) bool {
+	return r.Sched.Workers > 1 && r.Stats.CanonFast+r.Stats.CanonRefined > 0
 }
 
 // witnessKey fingerprints a counterexample graph (nil-safe).
@@ -56,14 +73,14 @@ func diffOne(t *testing.T, model mm.Model, p *vprog.Program) {
 		t.Fatalf("%s under %s: sequential says %v, parallel says %v",
 			p.Name, model.Name(), seq.Verdict, par4.Verdict)
 	}
-	if par2.Stats.Executions != par4.Stats.Executions || par2.Stats.Blocked != par4.Stats.Blocked {
+	if !sameEnumeration(par2, par4) {
 		t.Fatalf("%s under %s: execution enumeration diverged across worker counts\npar2: %+v\npar4: %+v",
 			p.Name, model.Name(), par2.Stats, par4.Stats)
 	}
 	if seq.Verdict == core.OK {
-		// Complete exploration everywhere: the execution and blocked-graph
-		// enumerations must match the sequential run exactly.
-		if seq.Stats.Executions != par4.Stats.Executions || seq.Stats.Blocked != par4.Stats.Blocked {
+		// Complete exploration everywhere: the enumeration must match the
+		// sequential run.
+		if !sameEnumeration(seq, par4) {
 			t.Fatalf("%s under %s: exploration diverged\nseq:  %+v\npar4: %+v",
 				p.Name, model.Name(), seq.Stats, par4.Stats)
 		}
@@ -125,10 +142,11 @@ func TestParallelStealingHappens(t *testing.T) {
 	p := harness.MutexClient(alg, alg.DefaultSpec(), 3, 2)
 	seq := runAt(t, mm.WMM, p, 1)
 	par := runAt(t, mm.WMM, p, 4)
-	// Executions is the schedule-independent canary; Blocked, like
-	// Popped, depends on which orbit representative a worker reaches
-	// first and may drift a few counts between worker counts.
-	if !par.Ok() || seq.Stats.Executions != par.Stats.Executions {
+	// Executions is the schedule-independent canary; with symmetry on,
+	// Blocked, like Popped, depends on which orbit representative a
+	// worker reaches first and may drift a few counts between worker
+	// counts (294–296 on the 2-worker qspin t=3 client).
+	if !par.Ok() || !sameEnumeration(seq, par) {
 		t.Fatalf("parallel mcs-t3 diverged:\nseq: %+v\npar: %+v", seq.Stats, par.Stats)
 	}
 	if par.Sched.Active < 2 {

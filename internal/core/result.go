@@ -87,11 +87,15 @@ func (v Verdict) LitmusLabel() string {
 // Stats counts the work performed by an exploration.
 //
 // Determinism across worker counts: for runs that explore to
-// completion, Executions and Blocked are schedule-independent — the
-// visited set's atomic insert-if-absent admits each structural
-// fingerprint once, and every complete execution (and maximal blocked
-// graph) is derived exactly once whichever worker reaches it first.
-// The traversal counters (Popped, Pushed, Revisits, Duplicates,
+// completion, Executions is schedule-independent — the visited set's
+// atomic insert-if-absent admits each structural fingerprint once, and
+// every complete execution is derived exactly once whichever worker
+// reaches it first. So is Blocked while symmetry reduction is off. With
+// it on, which member of an orbit arrives first decides the
+// representative that is expanded, the maximal blocked graphs below
+// different representatives need not match one for one, and Blocked
+// joins the traversal counters (294–296 on the 2-worker qspin t=3
+// client). The traversal counters (Popped, Pushed, Revisits, Duplicates,
 // Wasteful, Collapsed, Inconsist, Filtered, and the canonicalization
 // counters) can vary by a few percent between schedules: graphs with equal
 // fingerprints but different addition histories carry different stamp

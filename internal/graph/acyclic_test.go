@@ -216,3 +216,58 @@ func TestCrossCheckHook(t *testing.T) {
 		t.Fatal("cycle accepted under cross-check")
 	}
 }
+
+// BenchmarkAcyclic measures the acyclicity engine in isolation on a
+// union-shaped DAG of n=96 events (three transitive po chains plus
+// deterministic forward cross edges — the sb ∪ rf ∪ mo ∪ fr shape the
+// consistency predicates hand it): the transitive-closure oracle
+// (HasCycle), the closure-free Kahn pass (Acyclic), and the
+// order-seeded fast path (AcyclicWithOrder on a valid cached order).
+func BenchmarkAcyclic(b *testing.B) {
+	const n = 96
+	m := NewBitMat(n)
+	for c := 0; c < 3; c++ {
+		lo := c * 32
+		for i := lo; i < lo+32; i++ {
+			for j := i + 1; j < lo+32; j++ {
+				m.Set(i, j)
+			}
+		}
+	}
+	// Always low index to high, so the identity order is topological.
+	seed := uint64(0x9e3779b97f4a7c15)
+	for e := 0; e < 4*n; e++ {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		i := int(seed>>33) % n
+		j := int(seed>>13) % n
+		if i > j {
+			i, j = j, i
+		}
+		if i != j {
+			m.Set(i, j)
+		}
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for _, k := range []struct {
+		name    string
+		acyclic func() bool
+	}{
+		{"closure-n96", func() bool { return !m.HasCycle() }},
+		{"kahn-n96", func() bool { return m.Acyclic() }},
+		{"seeded-n96", func() bool { return m.AcyclicWithOrder(order) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			k.acyclic() // warm the pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !k.acyclic() {
+					b.Fatal("the DAG was judged cyclic")
+				}
+			}
+		})
+	}
+}

@@ -259,7 +259,10 @@ func TestPoisonCheckpointedStatesSurvive(t *testing.T) {
 					c2.WorkersPerRun = workers
 					c2.Resume = ck
 					got := observe(t, id, c2.Run(p))
-					if got.verdict != base.verdict || got.stats.Executions != base.stats.Executions || got.stats.Blocked != base.stats.Blocked {
+					// Blocked is a traversal counter on a symmetric multi-worker
+					// run (see the core.Stats doc): compared sequentially only.
+					if got.verdict != base.verdict || got.stats.Executions != base.stats.Executions ||
+						(workers == 1 && got.stats.Blocked != base.stats.Blocked) {
 						t.Fatalf("%s: resume %d from a periodic snapshot diverged: %+v, want %+v", id, again, got.stats, base.stats)
 					}
 				}

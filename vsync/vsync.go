@@ -102,11 +102,6 @@ type (
 	BenchConfig = bench.Config
 	// BenchRecord is one raw measurement (Table 2 row).
 	BenchRecord = bench.Record
-	// AMCSuite is the checker hot-path benchmark artifact
-	// (BENCH_amc.json): graphs/sec, ns/run and allocs/run per target.
-	AMCSuite = bench.AMCSuite
-	// AMCResult is one measured target of an AMCSuite.
-	AMCResult = bench.AMCResult
 	// Workload is one named family of verification programs over a
 	// thread count — the structure-agnostic seam locks and nonblocking
 	// structures are both built on (internal/workload).
@@ -279,11 +274,6 @@ func QuickBench() BenchConfig { return bench.Quick() }
 
 // RunBench executes a campaign and returns the raw records.
 func RunBench(cfg BenchConfig) []BenchRecord { return bench.RunCampaign(cfg) }
-
-// RunAMCBench measures the checker's own hot path (every litmus test
-// and representative lock client) with the given number of measured
-// runs per target; WriteJSON on the result produces BENCH_amc.json.
-func RunAMCBench(runs int) AMCSuite { return bench.RunAMCSuite(runs) }
 
 // BenchReport runs a campaign and renders Tables 2–5 and Figs. 23–26.
 func BenchReport(cfg BenchConfig) string { return bench.CampaignReport(cfg) }

@@ -39,12 +39,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/store"
 	"repro/internal/vprog"
-
-	// Linked for its store.RegisterCodeSource init: every tool sharing
-	// a verdict store must fold the same key-handling packages into the
-	// code epoch, or a store warmed by vsyncsuite would silently serve
-	// this tool zero hits (and vice versa).
-	_ "repro/vsync"
 )
 
 func main() {

@@ -21,13 +21,12 @@
 // What a magic means and what a payload holds is theirs as well.
 //
 // The package imports the standard library only. Its sources are part
-// of the verdict store's code epoch (SourceFiles): a bug here
-// mis-frames every record, and fixing it must orphan what the buggy
-// build wrote.
+// of the verdict store's code epoch (the root package's epoch.go lists
+// this directory): a bug here mis-frames every record, and fixing it
+// must orphan what the buggy build wrote.
 package frame
 
 import (
-	"embed"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,13 +34,6 @@ import (
 	"os"
 	"path/filepath"
 )
-
-//go:embed *.go
-var sourceFS embed.FS
-
-// SourceFiles exposes the package's embedded sources to the store's
-// code-identity epoch.
-func SourceFiles() embed.FS { return sourceFS }
 
 const (
 	// HeaderSize is the length of what precedes a payload: magic and

@@ -100,6 +100,8 @@ func (raModel) Consistent(g *graph.Graph) bool {
 		return false
 	}
 	r := graph.RelsOf(g)
+
+	// COHERENCE: irreflexive(hb ; eco?).
 	if !r.Hb.Irreflexive() {
 		return false
 	}
@@ -110,6 +112,8 @@ func (raModel) Consistent(g *graph.Graph) bool {
 	if r.Eco.IntersectsTranspose(r.Hb) {
 		return false
 	}
+
+	// NO-THIN-AIR: acyclic(sb ∪ rf).
 	return porfAcyclic(r)
 }
 
@@ -312,31 +316,10 @@ type wmmModel struct{}
 
 func (wmmModel) Name() string { return "wmm" }
 
+// Consistent is raModel's atomicity, coherence and no-thin-air plus
+// SC: acyclic(psc_base ∪ psc_f), RC11-style.
 func (wmmModel) Consistent(g *graph.Graph) bool {
-	if !atomicity(g) {
-		return false
-	}
-	r := graph.RelsOf(g)
-
-	// COHERENCE: irreflexive(hb ; eco?).
-	if !r.Hb.Irreflexive() {
-		return false
-	}
-	// Walk eco's set bits probing hb, not the other way around: the
-	// predicate (some pair in one relation reversed in the other) is
-	// symmetric, and eco — per-location chains — is much sparser than
-	// the closed hb.
-	if r.Eco.IntersectsTranspose(r.Hb) {
-		return false
-	}
-
-	// NO-THIN-AIR: acyclic(sb ∪ rf).
-	if !porfAcyclic(r) {
-		return false
-	}
-
-	// SC: acyclic(psc_base ∪ psc_f), RC11-style.
-	return pscAcyclic(r)
+	return raModel{}.Consistent(g) && pscAcyclic(graph.RelsOf(g))
 }
 
 // pscStackWords is the row width (in words) up to which pscAcyclic's

@@ -4,30 +4,8 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/store"
 )
-
-// cacheKey identifies one verification problem: memory model, the
-// 128-bit structural hash of the candidate spec, and the 128-bit
-// structural hash of the program (vprog.Program.Fingerprint128). The
-// program *name* is deliberately not part of the key: names are labels,
-// and keying on them let two clients sharing a name with different
-// shapes (thread count, iterations, even algorithm) silently reuse each
-// other's verdicts. The key itself is a comparable struct of four words
-// plus one string — no fmt, no concatenation; computing a program
-// fingerprint does interpret the program once, which is why the
-// optimizer memoizes fingerprints per spec (engine.fingerprints).
-type cacheKey struct {
-	model string
-	spec  graph.Hash128
-	prog  graph.Hash128
-}
-
-// storeKey converts a cacheKey to the persistent store's key shape.
-func (k cacheKey) storeKey() store.Key {
-	return store.Key{Model: k.model, Spec: k.spec, Prog: k.prog}
-}
 
 // probeOutcome classifies one cache probe. Distinguishing a genuine
 // miss from "this problem was judged, but its verdict was indecisive
@@ -43,11 +21,12 @@ const (
 )
 
 // Cache memoizes AMC verdicts across the optimization search. The key
-// is (memory model, candidate-spec fingerprint, program fingerprint):
-// the spec fully determines the barrier modes of the generated program
-// and the program fingerprint pins its structure (algorithm, thread
-// count, iterations), so two lookups with equal keys describe the same
-// verification problem. The greedy descent revisits assignments
+// is the persistent store's (memory model, candidate-spec fingerprint,
+// program fingerprint), never the program name: the spec fully
+// determines the barrier modes of the generated program and the program
+// fingerprint pins its structure (algorithm, thread count, iterations),
+// so two lookups with equal keys describe the same verification
+// problem. The greedy descent revisits assignments
 // whenever it runs more than one pass — pass n+1 re-tries every point
 // against a spec that pass n already judged for the points that settled
 // early — and the speculative ladder can race the same candidate from
@@ -67,8 +46,8 @@ const (
 // lock against growing client suites.
 type Cache struct {
 	mu        sync.Mutex
-	m         map[cacheKey]core.Verdict
-	undecided map[cacheKey]struct{}
+	m         map[store.Key]core.Verdict
+	undecided map[store.Key]struct{}
 	persist   *store.Session
 
 	hits, misses, undecidedProbes int
@@ -78,7 +57,7 @@ type Cache struct {
 
 // NewCache returns an empty in-memory verdict cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[cacheKey]core.Verdict)}
+	return &Cache{m: make(map[store.Key]core.Verdict)}
 }
 
 // NewCacheWithStore returns a verdict cache backed by the persistent
@@ -92,7 +71,7 @@ func NewCacheWithStore(st *store.Session) *Cache {
 
 // lookup returns the cached verdict for key, counting the probe and
 // classifying it (hit / miss / known-undecidable).
-func (c *Cache) lookup(key cacheKey) (core.Verdict, probeOutcome) {
+func (c *Cache) lookup(key store.Key) (core.Verdict, probeOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := c.m[key]; ok {
@@ -100,9 +79,9 @@ func (c *Cache) lookup(key cacheKey) (core.Verdict, probeOutcome) {
 		return v, probeHit
 	}
 	if c.persist != nil {
-		if v, ok := c.persist.Lookup(key.storeKey()); ok {
+		if v, ok := c.persist.Lookup(key); ok {
 			if c.m == nil {
-				c.m = make(map[cacheKey]core.Verdict)
+				c.m = make(map[store.Key]core.Verdict)
 			}
 			c.m[key] = v // promote: later probes stay off the store's lock
 			c.hits++
@@ -122,14 +101,14 @@ func (c *Cache) lookup(key cacheKey) (core.Verdict, probeOutcome) {
 // persistent tier is attached — on disk; Error marks the key undecided
 // (so re-probes are classified, not miscounted); Canceled is dropped
 // entirely, it says nothing about the problem.
-func (c *Cache) store(key cacheKey, name string, v core.Verdict) {
+func (c *Cache) store(key store.Key, name string, v core.Verdict) {
 	switch v {
 	case core.Canceled:
 		return
 	case core.Error:
 		c.mu.Lock()
 		if c.undecided == nil {
-			c.undecided = make(map[cacheKey]struct{})
+			c.undecided = make(map[store.Key]struct{})
 		}
 		c.undecided[key] = struct{}{}
 		c.mu.Unlock()
@@ -137,7 +116,7 @@ func (c *Cache) store(key cacheKey, name string, v core.Verdict) {
 	}
 	c.mu.Lock()
 	if c.m == nil {
-		c.m = make(map[cacheKey]core.Verdict)
+		c.m = make(map[store.Key]core.Verdict)
 	}
 	c.m[key] = v
 	delete(c.undecided, key) // a decisive re-run supersedes an old Error
@@ -149,7 +128,7 @@ func (c *Cache) store(key cacheKey, name string, v core.Verdict) {
 		// run's verdict memory-only. Failures don't block the search,
 		// but the first one is kept (StoreErr) so callers can warn that
 		// a run believed to be warming the store persisted nothing.
-		if err := persist.Put(key.storeKey(), v, name); err != nil {
+		if err := persist.Put(key, v, name); err != nil {
 			c.mu.Lock()
 			if c.putErr == nil {
 				c.putErr = err

@@ -42,6 +42,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mm"
+	"repro/internal/store"
 	"repro/internal/vprog"
 )
 
@@ -259,16 +260,16 @@ func (e *engine) checker() *core.Checker {
 func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verdict, error) {
 	progs := e.o.Programs(spec)
 	specFP := spec.Fingerprint128()
-	key := cacheKey{model: e.o.Model.Name(), spec: specFP}
+	key := store.Key{Model: e.o.Model.Name(), Spec: specFP}
 	progFPs := e.fingerprints(specFP, progs)
 	type run struct {
 		slot int // index in the suite
-		key  cacheKey
+		key  store.Key
 	}
 	var runs []run
 	deduped := 0
 	for pi := range progs {
-		key.prog = progFPs[pi]
+		key.Prog = progFPs[pi]
 		if e.cache != nil {
 			v, outcome := e.cache.lookup(key)
 			e.countProbe(outcome)

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/frame"
 	"repro/internal/graph"
-	"repro/internal/srcid"
 )
 
 // goldenRecords is what testdata/golden.log holds: written by the
@@ -88,37 +85,5 @@ func TestGoldenLog(t *testing.T) {
 	}
 	if written, _ := os.ReadFile(fresh); !bytes.Equal(written, trusted) {
 		t.Fatal("a session of this build does not write the golden bytes")
-	}
-}
-
-// TestEpochCoversFrame: the record layer's sources are part of the code
-// epoch, hashed right after the store's own — recomputed here by hand,
-// with and without them.
-func TestEpochCoversFrame(t *testing.T) {
-	want := currentEpoch()
-	extras := append([]epochSource(nil), epochExtras...)
-	sort.Slice(extras, func(i, j int) bool { return extras[i].name < extras[j].name })
-	digest := func(withFrame bool) graph.Hash128 {
-		base := srcid.Epoch()
-		h := graph.NewHasher128()
-		h.Word(base[0])
-		h.Word(base[1])
-		srcid.HashPackage(&h, "internal/store", sourceFS)
-		if withFrame {
-			srcid.HashPackage(&h, "internal/frame", frame.SourceFiles())
-		}
-		for _, e := range extras {
-			srcid.HashPackage(&h, e.name, e.files)
-		}
-		return h.Sum()
-	}
-	if got := digest(true); got != want {
-		t.Fatalf("code epoch %x is not the hash of srcid, store, frame and the registered sources (%x)", want, got)
-	}
-	if digest(false) == want {
-		t.Fatal("code epoch does not depend on internal/frame's sources")
-	}
-	if names, _ := frame.SourceFiles().ReadDir("."); len(names) < 2 {
-		t.Fatalf("internal/frame embeds %d files", len(names))
 	}
 }

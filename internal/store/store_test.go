@@ -441,6 +441,8 @@ func TestEpochInvalidation(t *testing.T) {
 	if CodeEpoch() == (graph.Hash128{}) {
 		t.Fatal("code epoch is zero")
 	}
+	// The same 32 digits every CLI prints in its "store:" banner.
+	t.Logf("code epoch %016x%016x", CodeEpoch()[0], CodeEpoch()[1])
 	path := filepath.Join(t.TempDir(), "verdicts.log")
 	s, err := OpenShared(path, nil)
 	if err != nil {

@@ -63,8 +63,8 @@ const (
 // trace-visible inputs. Across builds it is not — editing a lock's
 // contended-path source leaves the fingerprint unchanged — which is
 // why the persistent verdict store additionally stamps a code-identity
-// epoch (internal/srcid, a hash of the checker and program-constructor
-// sources) on every record and serves only same-epoch records; the
+// epoch (a hash of the verdict- and key-determining sources, listed in
+// the root package's epoch.go) on every record and serves only same-epoch records; the
 // fingerprint alone is never trusted across builds.
 //
 // Programs with validated symmetric thread groups (SymSpec != nil)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
-	"repro/internal/optimize"
 	"repro/internal/report"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -63,22 +62,12 @@ func OpenStoreWith(path string, opts *StoreOptions) (*VerdictStore, error) {
 }
 
 // StoreCodeEpoch returns the code-identity epoch this binary stamps on
-// every store record (a hash of the checker and program-constructor
-// sources, internal/srcid): verdicts persisted by a build with
-// different verification-relevant code are never served — retained for
+// every store record (a hash of the verdict- and key-determining
+// sources, listed in the root package's epoch.go): verdicts persisted
+// by a build with different verification-relevant code are never served — retained for
 // epoch flip-backs, compacted beyond a budget — so restoring a store
 // across commits is always sound and stays bounded.
 func StoreCodeEpoch() graph.Hash128 { return store.CodeEpoch() }
-
-// NewOptCacheWithStore returns a verdict cache whose misses fall
-// through to — and whose decisive verdicts are written through to —
-// the persistent session st. The session may simultaneously back other
-// runs (a VerifyMatrix in another process, a remote tier); the cache
-// layers its in-memory promotion on top of whatever the session
-// serves.
-func NewOptCacheWithStore(st *VerdictStore) *OptCache {
-	return optimize.NewCacheWithStore(st)
-}
 
 // MatrixConfig parameterizes an incremental suite run: which corpus to
 // cover and which persistent store (if any) to consult before spending

@@ -55,6 +55,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/optimize"
+	_ "repro/internal/structs" // registers the structure workloads (Workloads, WorkloadByName)
 	"repro/internal/vprog"
 	"repro/internal/wmsim"
 	"repro/internal/workload"
@@ -86,10 +87,8 @@ type (
 	// OptCache memoizes verification verdicts across optimization runs
 	// (keyed by model, spec fingerprint and program shape).
 	OptCache = optimize.Cache
-	// Pool schedules AMC work across a bounded worker set — whole runs
-	// and stolen intra-run exploration items through one scheduler.
-	Pool = core.Pool
-	// PoolStats is the per-worker accounting of a Pool.
+	// PoolStats is the per-worker accounting of the pool a Run or an
+	// Optimize schedules its AMC work on.
 	PoolStats = core.PoolStats
 	// SchedStats is the work-graph scheduler accounting of one run
 	// (active workers, steals, spills, shard contention).
@@ -149,10 +148,6 @@ func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result 
 	rr := Run(ModelWMM, []*Program{p}, RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true})
 	return rr.Results[0]
 }
-
-// NewPool returns a worker pool for fanning out AMC runs
-// (workers <= 0 selects GOMAXPROCS).
-func NewPool(workers int) *Pool { return core.NewPool(workers) }
 
 // NewOptCache returns an empty verdict cache to share across
 // optimization runs.

@@ -44,7 +44,11 @@ test-short:
 # of its parent's against BuildRels, on the same poisoned corpus: a
 # revisit item pins its parent until a possibly stolen child derives from
 # it) and the birth-rule audit (every revisit of a write rejected at birth
-# replays to a collapse), and the SC
+# replays to a collapse), the same corpus once more with every retired
+# replay snapshot block overwritten and the cases whose states keep or
+# give back a block on an unusual way out (a block read through a
+# reference already dropped ends the run with an error here, and a drop
+# that races a thief's is a reported race), and the SC
 # axiom's kernel against its reference on the harvested corpus and the
 # full random sweep (the kernel's scratch is stack and pool, shared by
 # nothing), and the verdict store's differential against its reference
@@ -55,6 +59,7 @@ race:
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
 	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym|TestBirthRuleAudit' ./internal/core
 	$(GO) test -race -run 'TestPoison|TestRestrict' ./internal/graph
+	$(GO) test -race -run 'TestPoison|TestSnap' ./internal/core
 	$(GO) test -race -run 'TestPsc' ./internal/mm
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
 	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff' ./internal/store

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/mm"
@@ -111,56 +114,107 @@ type ExploreState struct {
 	forcedW   graph.EventID
 
 	// snap, when non-nil, is the producing step's replay results (see
-	// snapshot), one per thread: the graph extends the producer's by
+	// snapBlock), one per thread: the graph extends the producer's by
 	// exactly one event of thread changed, and a thread's replay depends
 	// only on its own events and rf entries, so every other thread's
 	// result carries over verbatim and the pop re-replays one thread
-	// instead of all of them. Revisit states (whose restricted graphs
-	// differ in many threads) never carry a snapshot.
-	snap    []replayResult
+	// instead of all of them. The state holds one reference to the block.
+	// Revisit states (whose restricted graphs differ in many threads) and
+	// states out of a checkpoint never carry one.
+	snap    *snapBlock
 	changed int32
 }
 
-// snapshot copies rres out of the worker's replay scratch (which the
-// next pop overwrites) into an immutable copy shared by all children
-// the step pushes: one block of results, and one each for the spans and
-// for the reads of the freshly replayed threads. Threads whose results
-// came verbatim out of the producing state's own snapshot (from
-// non-nil: every thread but changed) already point into such blocks and
-// are aliased.
-func snapshot(rres, from []replayResult, changed int32) []replayResult {
-	res := make([]replayResult, len(rres))
-	copy(res, rres)
-	fresh := func(i int) bool { return from == nil || i == int(changed) }
+// snapBlock is one step's replay results, copied out of the worker's
+// replay scratch (which the next pop overwrites) for the children the
+// step pushes: the results, their spans and the spans' reads in three
+// arrays of one object. The copy is deep — a result taken verbatim out of
+// the popped state's own block is copied like a freshly replayed one — so
+// no block points into another and each is retired on its own. Who holds
+// references to it, and who retires it where, is written down with the
+// rule for graphs, at graph.FreeList.
+type snapBlock struct {
+	refs  atomic.Int32
+	home  *graph.FreeList // the list it was taken from; retired anywhere else, a thief did it
+	res   []replayResult
+	spans []iterRec
+	reads []graph.EventID
+}
+
+// ParkedBytes is what the block weighs on a free list (graph.Block).
+func (b *snapBlock) ParkedBytes() uint64 {
+	return uint64(unsafe.Sizeof(*b)) + uint64(cap(b.res))*uint64(unsafe.Sizeof(replayResult{})) +
+		uint64(cap(b.spans))*uint64(unsafe.Sizeof(iterRec{})) + uint64(cap(b.reads))*uint64(unsafe.Sizeof(graph.EventID{}))
+}
+
+// snapRef returns the current step's block with one more reference, for a
+// child about to be pushed. The block is taken and filled from w.rres at
+// the first call, so a step whose candidates are all filtered at birth
+// takes none.
+func (w *explorer) snapRef() *snapBlock {
+	b := w.cur
+	if b == nil {
+		b, _ = w.mem.TakeBlock().(*snapBlock)
+		if b == nil {
+			b = new(snapBlock)
+		}
+		b.home = &w.mem
+		b.refs.Store(1)
+		b.fill(w.rres)
+		w.cur = b
+	}
+	b.refs.Add(1)
+	return b
+}
+
+// fill deep-copies rres into b, reusing b's arrays where they are big
+// enough. Each array is sized before anything is appended to it: a window
+// into one that later grew would keep the outgrown array alive.
+func (b *snapBlock) fill(rres []replayResult) {
 	nspans, nreads := 0, 0
-	for i := range res {
-		if fresh(i) {
-			nspans += len(res[i].spans)
-			for _, sp := range res[i].spans {
-				nreads += len(sp.Reads)
-			}
+	for i := range rres {
+		nspans += len(rres[i].spans)
+		for k := range rres[i].spans {
+			nreads += len(rres[i].spans[k].Reads)
 		}
 	}
-	if nspans == 0 {
-		return res
-	}
-	spans := make([]iterRec, 0, nspans)
-	reads := make([]graph.EventID, 0, nreads)
-	for i := range res {
-		if !fresh(i) {
-			continue
-		}
-		lo := len(spans)
-		spans = append(spans, res[i].spans...)
-		res[i].spans = spans[lo:len(spans):len(spans)]
-		for k := range res[i].spans {
-			sp := &res[i].spans[k]
-			rlo := len(reads)
-			reads = append(reads, sp.Reads...)
-			sp.Reads = reads[rlo:len(reads):len(reads)]
+	b.res = append(b.res[:0], rres...)
+	b.spans = slices.Grow(b.spans[:0], nspans)
+	b.reads = slices.Grow(b.reads[:0], nreads)
+	for i := range b.res {
+		lo := len(b.spans)
+		b.spans = append(b.spans, b.res[i].spans...)
+		b.res[i].spans = b.spans[lo:len(b.spans):len(b.spans)]
+		for k := range b.res[i].spans {
+			sp := &b.res[i].spans[k]
+			rlo := len(b.reads)
+			b.reads = append(b.reads, sp.Reads...)
+			sp.Reads = b.reads[rlo:len(b.reads):len(b.reads)]
 		}
 	}
-	return res
+}
+
+// poisonSnap, when set, sees every block the moment it is retired, before
+// it is parked. Test-only: see PoisonSnapOnRelease in export_test.go.
+var poisonSnap func(b *snapBlock)
+
+// dropSnap drops one reference to b (nil: the state carried none) and, if
+// it was the last, retires b into w's list.
+func (w *explorer) dropSnap(b *snapBlock) {
+	if b == nil {
+		return
+	}
+	n := b.refs.Add(-1)
+	if n < 0 {
+		panic("core: snapshot block released more often than referenced")
+	}
+	if n > 0 {
+		return
+	}
+	if poisonSnap != nil {
+		poisonSnap(b)
+	}
+	w.mem.ParkBlock(b, b.home != &w.mem)
 }
 
 // keyLegacy is the historical string dedup key: the canonical graph
@@ -462,7 +516,9 @@ func (w *explorer) step(it ExploreState) *Result {
 	// Replay every thread against the graph (reconstructing the program
 	// state, Fig. 6), collecting pending ops and await iteration
 	// records. A state carrying its producer's replay snapshot only
-	// re-replays the one thread its extension changed.
+	// re-replays the one thread its extension changed; the other results
+	// point into that block until execute drops the state's reference,
+	// after this step.
 	if w.rres == nil {
 		w.rres = make([]replayResult, len(w.threads))
 		w.rmems = make([]replayMem, len(w.threads))
@@ -470,7 +526,7 @@ func (w *explorer) step(it ExploreState) *Result {
 	rres := w.rres
 	for t, fn := range w.threads {
 		if it.snap != nil && t != int(it.changed) {
-			rres[t] = it.snap[t]
+			rres[t] = it.snap.res[t]
 		} else {
 			rres[t] = replayThread(it.g, t, fn, w.vars.Vars, &w.rmems[t])
 		}
@@ -499,7 +555,7 @@ func (w *explorer) step(it ExploreState) *Result {
 			return &Result{Verdict: Error,
 				Err: fmt.Errorf("revisit target %v is not the next read of its thread", it.forcedR)}
 		}
-		w.extendReadLike(it.g, t, p, []graph.RF{graph.FromW(it.forcedW)}, false, snapshot(rres, it.snap, it.changed))
+		w.extendReadLike(it.g, t, p, []graph.RF{graph.FromW(it.forcedW)}, false)
 		return nil
 	}
 
@@ -581,9 +637,9 @@ func (w *explorer) step(it ExploreState) *Result {
 		e := w.mkEvent(g2, runnable, p)
 		g2.Append(e)
 		g2.NoteExtended(it.g, e)
-		w.push(ExploreState{g: g2, snap: snapshot(rres, it.snap, it.changed), changed: int32(runnable)})
+		w.push(ExploreState{g: g2}, runnable)
 	case opWrite:
-		w.extendWrite(it.g, runnable, p, snapshot(rres, it.snap, it.changed))
+		w.extendWrite(it.g, runnable, p)
 	case opRead, opUpdate:
 		choices := w.rfbuf[:0]
 		for _, wr := range it.g.Mo[p.loc] {
@@ -591,7 +647,7 @@ func (w *explorer) step(it ExploreState) *Result {
 		}
 		w.rfbuf = choices
 		withBottom := p.inAwait && w.bottomCandidate(it.g, p, rres[runnable].spans)
-		w.extendReadLike(it.g, runnable, p, choices, withBottom, snapshot(rres, it.snap, it.changed))
+		w.extendReadLike(it.g, runnable, p, choices, withBottom)
 	}
 	return nil
 }
@@ -706,7 +762,9 @@ func (w *explorer) mkEvent(g *graph.Graph, t int, p *pending) *graph.Event {
 	}
 }
 
-// push buffers a child state, guarding graph size. Children publish to
+// push buffers a child state, guarding graph size. A child that extends
+// the popped graph by one event of thread changed (≥ 0; a revisit passes
+// -1) takes a reference to the step's replay snapshot. Children publish to
 // the worker's deque only after the whole step finishes
 // (flushChildren), so thieves never observe a graph its producer is
 // still touching — which matters for writes as well as reads: the
@@ -714,12 +772,15 @@ func (w *explorer) mkEvent(g *graph.Graph, t int, p *pending) *graph.Event {
 // and Graph.Clone mutates its receiver (it clears the rf-row ownership
 // bits on both sides). The deferred publication is the happens-before
 // edge that keeps those mutations private.
-func (w *explorer) push(it ExploreState) {
+func (w *explorer) push(it ExploreState, changed int) {
 	if it.g.NumEvents() > w.c.MaxEvents {
 		// Dropping the branch would let the run end "ok" over a truncated
 		// state space: execute turns the flag into an Error verdict.
 		w.oversize = true
 		return
+	}
+	if changed >= 0 {
+		it.snap, it.changed = w.snapRef(), int32(changed)
 	}
 	w.stats.Pushed++
 	w.childBuf = append(w.childBuf, it)
@@ -742,18 +803,18 @@ func (w *explorer) admit(g *graph.Graph, c graph.Candidate) graph.Admission {
 
 // pushChild pushes the one-event child g2 of g, which gives thread t the
 // event e, if the birth filter admitted it.
-func (w *explorer) pushChild(a graph.Admission, g, g2 *graph.Graph, e *graph.Event, t int, snap []replayResult) {
+func (w *explorer) pushChild(a graph.Admission, g, g2 *graph.Graph, e *graph.Event, t int) {
 	if a == graph.Admissible {
 		g2.NoteExtended(g, e)
-		w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
+		w.push(ExploreState{g: g2}, t)
 	}
 }
 
 // extendWrite adds a plain write: one child per admissible
-// modification-order placement, each followed by its revisit children.
-// snap is the step's shared replay snapshot for the children (revisit
-// children, whose graphs are restrictions, never carry it).
-func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap []replayResult) {
+// modification-order placement, each followed by its revisit children
+// (which, their graphs being restrictions, never carry the step's replay
+// snapshot).
+func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending) {
 	npos := len(g.Mo[p.loc])
 	for pos := 1; pos <= npos; pos++ {
 		a := w.admit(g, graph.Candidate{Thread: t, Kind: graph.KWrite, Mode: p.mode, Loc: p.loc, MoPos: pos})
@@ -764,7 +825,7 @@ func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap []replayR
 		e := w.mkEvent(g2, t, p)
 		g2.Append(e)
 		g2.InsertMo(p.loc, e.ID, pos)
-		w.pushWrite(a, g, g2, e, t, p, snap)
+		w.pushWrite(a, g, g2, e, t, p)
 	}
 }
 
@@ -773,8 +834,8 @@ func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending, snap []replayR
 // then the revisits e seeds — unless collapsesAtBirth already knows their
 // fate: g2 is then counted as collapsed here instead of at its pop, and
 // nothing is pushed.
-func (w *explorer) pushWrite(a graph.Admission, g, g2 *graph.Graph, e *graph.Event, t int, p *pending, snap []replayResult) {
-	if w.collapsesAtBirth(g2, t, p, snap[t].spans) {
+func (w *explorer) pushWrite(a graph.Admission, g, g2 *graph.Graph, e *graph.Event, t int, p *pending) {
+	if w.collapsesAtBirth(g2, t, p, w.rres[t].spans) {
 		w.stats.Collapsed++
 		if auditBirth != nil {
 			auditBirth(w, g, g2, e)
@@ -782,7 +843,7 @@ func (w *explorer) pushWrite(a graph.Admission, g, g2 *graph.Graph, e *graph.Eve
 		w.mem.Release(g2)
 		return
 	}
-	w.pushChild(a, g, g2, e, t, snap)
+	w.pushChild(a, g, g2, e, t)
 	w.pushRevisits(g, g2, e, a == graph.SplitsUpdate)
 }
 
@@ -817,7 +878,7 @@ func (w *explorer) collapsesAtBirth(g2 *graph.Graph, t int, p *pending, spans []
 // extendReadLike adds a read or update with each admissible rf choice
 // in choices (plus a ⊥ branch when the read sits in an await), handling
 // update degradation, atomic mo placement, and revisits by the update's
-// write part. snap as in extendWrite.
+// write part.
 //
 // An incoherent candidate — the only way a read or degraded update is
 // rejected — is never built. An update rejected only because it splits
@@ -825,7 +886,7 @@ func (w *explorer) collapsesAtBirth(g2 *graph.Graph, t int, p *pending, spans []
 // write) is built but not pushed: it is the sole producer of the revisit
 // that swaps the two in mo, where a restriction has dropped the other
 // update.
-func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []graph.RF, withBottom bool, snap []replayResult) {
+func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []graph.RF, withBottom bool) {
 	for _, rf := range choices {
 		c := graph.Candidate{Thread: t, Kind: graph.KRead, Mode: p.mode, Loc: p.loc, RF: rf.W}
 		rval := g.WriteVal(rf.W)
@@ -856,9 +917,9 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 			g2.InsertMo(p.loc, e.ID, src+1)
 		}
 		if writes {
-			w.pushWrite(a, g, g2, e, t, p, snap)
+			w.pushWrite(a, g, g2, e, t, p)
 		} else {
-			w.pushChild(a, g, g2, e, t, snap)
+			w.pushChild(a, g, g2, e, t)
 		}
 	}
 	if withBottom {
@@ -875,7 +936,7 @@ func (w *explorer) extendReadLike(g *graph.Graph, t int, p *pending, choices []g
 		g2.Append(e)
 		g2.SetRF(e.ID, graph.BottomRF)
 		g2.NoteExtended(g, e)
-		w.push(ExploreState{g: g2, snap: snap, changed: int32(t)})
+		w.push(ExploreState{g: g2}, t)
 	}
 }
 
@@ -991,7 +1052,7 @@ func (w *explorer) pushRevisit(g, g2 *graph.Graph, wv *graph.Event, porf *graph.
 	g3.RestrictTo(keep)
 	g3.NoteRestricted(g, wv)
 	w.stats.Revisits++
-	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID})
+	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID}, -1)
 }
 
 // wasteful implements W(G) (Def. 2), generalized to multi-operation

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -61,5 +62,33 @@ func AuditBirthRule(on bool) (seen func() (seeds, revisits int, failure string))
 		mu.Lock()
 		defer mu.Unlock()
 		return seeds, revisits, failure
+	}
+}
+
+// PoisonSnapOnRelease makes every retired snapshot block unreadable
+// before it is parked, over the whole capacity of its arrays: each result
+// an error (a step that reads one ends the run with it), each span one
+// that collapses its state (a count changes), each read an id no graph
+// holds (an rf lookup panics). A state that reads replay results through
+// a reference it no longer has, or through a block that points into
+// another, then fails loudly instead of replaying plausibly. Toggle it
+// only while no checker is running.
+func PoisonSnapOnRelease(on bool) {
+	if !on {
+		poisonSnap = nil
+		return
+	}
+	stale := errors.New("core: replay results read out of a retired snapshot block")
+	poisonSnap = func(b *snapBlock) {
+		res, spans, reads := b.res[:cap(b.res)], b.spans[:cap(b.spans)], b.reads[:cap(b.reads)]
+		for i := range reads {
+			reads[i] = graph.EventID{Thread: -7, Index: -7}
+		}
+		for i := range spans {
+			spans[i] = iterRec{Seq: -1, Iter: 1, Complete: true, Reads: reads}
+		}
+		for i := range res {
+			res[i] = replayResult{err: stale, spans: spans}
+		}
 	}
 }

@@ -267,8 +267,9 @@ func (r *Result) Report() string {
 			a.OrderExtends, a.OrderDerives, a.OrderCyclic)
 	}
 	if m := r.Mem; m.SlabRequests+m.HeaderRequests > 0 {
-		fmt.Fprintf(&b, "memory: %d relation slabs requested (%d recycled, %d retired by a thief), %d graph headers requested (%d recycled, %d retired by a thief), free lists peaked at %d KB per worker\n",
-			m.SlabRequests, m.SlabHits, m.SlabThief, m.HeaderRequests, m.HeaderHits, m.HeaderThief, (m.HighWaterBytes+1023)/1024)
+		fmt.Fprintf(&b, "memory: %d relation slabs requested (%d recycled, %d retired by a thief), %d graph headers requested (%d recycled, %d retired by a thief), %d snapshot blocks requested (%d recycled, %d retired by a thief), free lists peaked at %d KB per worker\n",
+			m.SlabRequests, m.SlabHits, m.SlabThief, m.HeaderRequests, m.HeaderHits, m.HeaderThief,
+			m.BlockRequests, m.BlockHits, m.BlockThief, (m.HighWaterBytes+1023)/1024)
 	}
 	return b.String()
 }

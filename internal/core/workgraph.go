@@ -59,8 +59,9 @@ type explorer struct {
 	oversize bool // the current step built a child over MaxEvents (see push)
 	stealBuf [stealBatch]ExploreState
 
-	// mem recycles the graph headers and relation sets of the states this
-	// worker is the last to need (see graph.FreeList for the rule).
+	// mem recycles the graph headers, relation sets and replay snapshot
+	// blocks of the states this worker is the last to need (see
+	// graph.FreeList for the rule).
 	mem graph.FreeList
 
 	// Replay scratch, reused across every item this worker executes.
@@ -68,6 +69,7 @@ type explorer struct {
 	rmems []replayMem
 	probe replayMem // collapsesAtBirth's replay of one thread against a child
 	rfbuf []graph.RF
+	cur   *snapBlock // rres copied out for the children of the step in progress, once it pushes one (see snapRef)
 
 	// Symmetry-reduction state of the item being executed. curPerm is
 	// the relabeling onto the canonical representative (nil when the
@@ -289,6 +291,12 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 	w.stats.Popped++
 	w.executed++
 	res := w.step(st)
+	// The step is done reading the replay results st carried, and with
+	// filling its own block: drop st's reference, and the step's once the
+	// children that share the block are out.
+	w.dropSnap(st.snap)
+	cur := w.cur
+	w.cur = nil
 	if w.oversize {
 		w.oversize = false
 		res = &Result{Verdict: Error, Err: fmt.Errorf(
@@ -299,6 +307,7 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 		// — or this — drops the last reference recycles it. A deciding
 		// state is not released: its graph may be the witness.
 		w.flushChildren()
+		w.dropSnap(cur)
 		w.mem.Release(st.g)
 		return
 	}
@@ -649,9 +658,10 @@ func (x *exploration) buildCheckpoint() *Checkpoint {
 	return ck
 }
 
-// stripSnap drops the replay-snapshot perf cache from a state bound
-// for a checkpoint: it aliases the producing worker's pooled scratch
-// lineage and is rebuilt for free on the resuming pop.
+// stripSnap drops the replay snapshot from the copy of a state bound for
+// a checkpoint: the copy holds no reference to the block, which the run
+// recycles while the checkpoint is encoded, and the resuming pop replays
+// every thread instead.
 func stripSnap(st ExploreState) ExploreState {
 	st.snap = nil
 	st.changed = 0

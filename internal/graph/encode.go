@@ -39,7 +39,7 @@ func AppendGraph(buf []byte, g *Graph) []byte {
 		for i, e := range evs {
 			buf = appendEvent(buf, e)
 			if e.IsReadLike() {
-				rf := g.rf[t][i]
+				rf := g.rfAt(t, i)
 				buf = frame.AppendBool(buf, rf.Bottom)
 				if !rf.Bottom {
 					buf = binary.AppendVarint(buf, int64(rf.W.Thread))
@@ -129,7 +129,7 @@ func DecodeGraph(data []byte) (*Graph, int, error) {
 			return nil, 0, d.Err()
 		}
 		evs := make([]*Event, 0, nev)
-		rfs := make([]RF, 0, nev)
+		rfs := make([]rfCell, 0, nev)
 		for i := 0; i < nev; i++ {
 			e := decodeEvent(&d, EventID{Thread: t, Index: i})
 			if d.Err() != nil {
@@ -141,10 +141,14 @@ func DecodeGraph(data []byte) (*Graph, int, error) {
 					rf = BottomRF
 				} else {
 					rf = RF{W: EventID{Thread: int(d.Varint()), Index: int(d.Varint())}}
+					if !fitsCell(rf.W) {
+						d.Fail("rf source %v of %v is no event id", rf.W, e.ID)
+						return nil, 0, d.Err()
+					}
 				}
 			}
 			evs = append(evs, e)
-			rfs = append(rfs, rf)
+			rfs = append(rfs, cellOf(rf))
 		}
 		g.Threads[t] = evs
 		g.rf[t] = rfs

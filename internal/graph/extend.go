@@ -228,13 +228,13 @@ func (nr *Rels) addLast(g *Graph, e *Event) {
 	// synchronizes-with edges — as an acquire read-like here, or as an
 	// acquire fence on behalf of the po-earlier reads of its thread.
 	// (Release sides of e affect only future events.)
-	if rf := g.rf[e.ID.Thread][e.ID.Index]; e.IsReadLike() && !rf.Bottom {
+	if rf := g.RfOf(e.ID); e.IsReadLike() && !rf.Bottom {
 		trackIn(nr.readEdges(g, e, ni, rf, hbIn, ecoIn, ecoOut))
 	}
 	if e.Kind == KFence && e.Mode.HasAcq() {
 		for _, rd := range g.Threads[e.ID.Thread][:e.ID.Index] {
 			if rd.IsReadLike() {
-				nr.swInto(g, e.Mode, g.rf[rd.ID.Thread][rd.ID.Index], func(s int) {
+				nr.swInto(g, e.Mode, g.RfOf(rd.ID), func(s int) {
 					if s != ni {
 						SetBit(hbIn, s)
 					}
@@ -271,7 +271,7 @@ func (nr *Rels) addLast(g *Graph, e *Event) {
 				if !re.IsReadLike() || re.Loc != e.Loc || re.ID == e.ID {
 					continue
 				}
-				rrf := g.rf[t][i]
+				rrf := g.rfAt(t, i)
 				if rrf.Bottom {
 					continue
 				}
@@ -402,7 +402,7 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 	}
 
 	scratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
-	wi := nr.readEdges(g, e, ei, g.rf[e.ID.Thread][e.ID.Index], hbIn, ecoIn, ecoOut)
+	wi := nr.readEdges(g, e, ei, g.RfOf(e.ID), hbIn, ecoIn, ecoOut)
 	nr.closeOver(ei, hbIn, ecoIn, ecoOut, ecoCol, ecoRow)
 	acyclicPool.Put(scratch)
 

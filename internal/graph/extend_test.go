@@ -293,7 +293,7 @@ func randRevisit(rng *rand.Rand, g *Graph) (*Graph, *Event) {
 		changed = false
 		for t, evs := range g.Threads {
 			for i, e := range evs[:cut[t]] {
-				if rf := g.rf[t][i]; e.IsReadLike() && !rf.Bottom && !rf.W.IsInit() && rf.W.Index >= cut[rf.W.Thread] {
+				if rf := g.rfAt(t, i); e.IsReadLike() && !rf.Bottom && !rf.W.IsInit() && rf.W.Index >= cut[rf.W.Thread] {
 					cut[t], changed = i, true
 					break
 				}

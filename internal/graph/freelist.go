@@ -23,12 +23,26 @@ import "unsafe"
 // copy-on-write between clones and always belong to the garbage
 // collector.
 //
+// The third thing a state needs is its producer's replay results, and it
+// is owned the same way. A step that pushes a child copies its replay
+// scratch into one block (core.snapBlock: results, spans and reads in one
+// object that points into no other) and holds a reference to it; every
+// child that extends the popped graph holds one more. The step drops its
+// own after publishing the children, a child's is dropped after the
+// child's own step — which reads the block until then — and whoever drops
+// the last parks the block here (ParkBlock), where the next step on that
+// worker that pushes finds it (TakeBlock). This package sees a block only
+// as a Block: core knows the layout, the list counts it and its bytes.
+//
 // A release that is never made is safe: the garbage collector is the
 // fallback for every object here, and a list that runs dry allocates. A
 // release made twice, or made while someone still reads the graph, is
 // not: the memory is handed to an unrelated state. So four kinds of
 // graph are never released, and internal/graph/poison_test.go has a test
-// for each:
+// for each (internal/core/snap_test.go has the blocks' side of the first
+// three: a deciding state gives its block back and keeps its graph, a
+// pushed-back state keeps both, and a checkpoint's copy of a state is made
+// without the block, so that it holds no reference to one):
 //
 //   - a graph returned as core.Result.Witness — which is the popped
 //     graph itself whenever no thread relabeling applies (canonWitness's
@@ -50,17 +64,25 @@ import "unsafe"
 type FreeList struct {
 	rels   [][]*Rels // by slab size class (see slabClass); a header keeps its slab
 	graphs []*Graph
+	blocks []Block
 	parked uint64 // bytes sitting in the lists
 	c      MemCounters
 }
 
+// Block is something the list's owner recycles under the rule above
+// without this package knowing its layout: internal/core's replay
+// snapshot blocks. ParkedBytes must not change while the block is parked.
+type Block interface{ ParkedBytes() uint64 }
+
 // MemCounters reports what a run asked of its free lists. Slabs counts
 // relation sets (a Rels header and its bit slab travel together),
-// Headers counts Graph headers. A recycle rate — hits over requests —
+// Headers counts Graph headers, Blocks the owner's Block objects. A
+// recycle rate — hits over requests —
 // below about 90% on a long run is the first sign of a missed release.
 type MemCounters struct {
 	SlabRequests, SlabHits, SlabThief       uint64 // Thief: retired by a worker other than the one that built it
 	HeaderRequests, HeaderHits, HeaderThief uint64
+	BlockRequests, BlockHits, BlockThief    uint64
 	HighWaterBytes                          uint64 // most bytes parked in one worker's lists at once
 }
 
@@ -73,6 +95,9 @@ func (c *MemCounters) Add(o MemCounters) {
 	c.HeaderRequests += o.HeaderRequests
 	c.HeaderHits += o.HeaderHits
 	c.HeaderThief += o.HeaderThief
+	c.BlockRequests += o.BlockRequests
+	c.BlockHits += o.BlockHits
+	c.BlockThief += o.BlockThief
 	c.HighWaterBytes = max(c.HighWaterBytes, o.HighWaterBytes)
 }
 
@@ -161,6 +186,32 @@ func (fl *FreeList) retireRels(r *Rels, thief bool) {
 	fl.park(relsBytes(r))
 }
 
+// TakeBlock returns a parked block, or nil when there is none and the
+// caller makes one.
+func (fl *FreeList) TakeBlock() Block {
+	fl.c.BlockRequests++
+	n := len(fl.blocks)
+	if n == 0 {
+		return nil
+	}
+	b := fl.blocks[n-1]
+	fl.blocks[n-1] = nil
+	fl.blocks = fl.blocks[:n-1]
+	fl.parked -= b.ParkedBytes()
+	fl.c.BlockHits++
+	return b
+}
+
+// ParkBlock retires b, whose last reference the caller just dropped, into
+// fl; thief says that b was taken from another list.
+func (fl *FreeList) ParkBlock(b Block, thief bool) {
+	if thief {
+		fl.c.BlockThief++
+	}
+	fl.blocks = append(fl.blocks, b)
+	fl.park(b.ParkedBytes())
+}
+
 func (fl *FreeList) park(bytes uint64) {
 	fl.parked += bytes
 	fl.c.HighWaterBytes = max(fl.c.HighWaterBytes, fl.parked)
@@ -197,7 +248,7 @@ func (fl *FreeList) graph(nthreads, nlocs int) *Graph {
 	}
 	if cap(g.Threads) < nthreads || cap(g.rf) < nthreads || cap(g.Mo) < nlocs {
 		g.Threads = make([][]*Event, nthreads)
-		g.rf = make([][]RF, nthreads)
+		g.rf = make([][]rfCell, nthreads)
 		g.Mo = make([][]EventID, nlocs)
 	}
 	g.Threads, g.rf, g.Mo = g.Threads[:nthreads], g.rf[:nthreads], g.Mo[:nlocs]

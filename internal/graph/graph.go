@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -27,6 +28,42 @@ func FromW(w EventID) RF { return RF{W: w} }
 // a real choice: NoEvent identifies no event and Bottom is false.
 var noRF = RF{W: NoEvent}
 
+// rfCell is an RF as the rf rows store it, a third of the size: the
+// source's thread and index as int32, with ⊥ a sentinel thread of its
+// own. Init writes (thread -1) and noRF (NoEvent: thread -2) need none.
+// Rows are copied once per appended event and sit in every queued state,
+// which is why they are not []RF; nothing outside cellOf and rf knows the
+// layout.
+type rfCell struct{ thread, index int32 }
+
+const bottomThread = -3
+
+// fitsCell reports whether id can be the source in an rf cell: an init
+// write or an event of a thread, inside int32.
+func fitsCell(id EventID) bool {
+	return id.Thread >= InitThread && id.Thread <= math.MaxInt32 && id.Index >= 0 && id.Index <= math.MaxInt32
+}
+
+// cellOf packs rf. A source that does not fit is refused loudly: a cell
+// that wrapped around would name some other event.
+func cellOf(rf RF) rfCell {
+	if rf.Bottom {
+		return rfCell{thread: bottomThread}
+	}
+	if rf.W != NoEvent && !fitsCell(rf.W) {
+		panic(fmt.Sprintf("graph: rf source %v does not fit an rf cell", rf.W))
+	}
+	return rfCell{int32(rf.W.Thread), int32(rf.W.Index)}
+}
+
+// rf unpacks the cell.
+func (c rfCell) rf() RF {
+	if c.thread == bottomThread {
+		return BottomRF
+	}
+	return RF{W: EventID{Thread: int(c.thread), Index: int(c.index)}}
+}
+
 // Graph is an execution graph under construction or completed. Graphs
 // are value-ish: Clone produces an independent graph sharing immutable
 // Event nodes. The zero Graph is not usable; call New.
@@ -39,15 +76,15 @@ type Graph struct {
 	// LocNames holds rendering names for locations.
 	LocNames []string
 
-	// rf holds, per thread, the reads-from choice of each event,
-	// indexed in parallel with Threads. Entries of read-like events are
-	// set via SetRF (possibly Bottom); all other entries hold the noRF
-	// sentinel. Stored as slices rather than the historical
+	// rf holds, per thread, the reads-from choice of each event (packed:
+	// see rfCell; read through rfAt), indexed in parallel with Threads.
+	// Entries of read-like events are set via SetRF (possibly Bottom); all
+	// other entries hold the noRF sentinel. Stored as slices rather than the historical
 	// map[EventID]RF because exploration clones once per branch and
 	// looks an rf up once per read per replay: rows follow the same
 	// capacity-clamped copy-on-write discipline as Threads, making a
 	// clone O(threads) slice headers and a lookup two array indexes.
-	rf [][]RF
+	rf [][]rfCell
 	// rfOwned tracks (bit per thread, threads ≥ 64 always unowned)
 	// which rf rows are backed by arrays private to this graph: Append
 	// always privatizes a row (clamped capacities force reallocation),
@@ -142,7 +179,7 @@ func New(nthreads int, initVals []Val, locNames []string) *Graph {
 		Threads:   make([][]*Event, nthreads),
 		InitVals:  append([]Val(nil), initVals...),
 		LocNames:  append([]string(nil), locNames...),
-		rf:        make([][]RF, nthreads),
+		rf:        make([][]rfCell, nthreads),
 		Mo:        make([][]EventID, len(initVals)),
 		NextStamp: 1,
 	}
@@ -255,7 +292,7 @@ func (g *Graph) Append(e *Event) {
 		g.rfOwned |= 1 << uint(t)
 	}
 	g.Threads[t] = appendExact(g.Threads[t], e)
-	g.rf[t] = appendExact(g.rf[t], noRF)
+	g.rf[t] = appendExact(g.rf[t], cellOf(noRF))
 	g.invalidate()
 }
 
@@ -276,7 +313,10 @@ func appendExact[T any](s []T, v T) []T {
 // only meaningful for read-like events present in the graph (every one
 // has a choice set the moment it is added; asking for anything else
 // returns the internal "no entry" sentinel).
-func (g *Graph) RfOf(r EventID) RF { return g.rf[r.Thread][r.Index] }
+func (g *Graph) RfOf(r EventID) RF { return g.rfAt(r.Thread, r.Index) }
+
+// rfAt is RfOf by thread and index.
+func (g *Graph) rfAt(t, i int) RF { return g.rf[t][i].rf() }
 
 // SetRF records the reads-from choice for a read-like event. The row
 // is copied first unless this graph already owns its backing array
@@ -285,14 +325,14 @@ func (g *Graph) RfOf(r EventID) RF { return g.rf[r.Thread][r.Index] }
 func (g *Graph) SetRF(r EventID, rf RF) {
 	t := r.Thread
 	if t >= 64 || g.rfOwned&(1<<uint(t)) == 0 {
-		row := make([]RF, len(g.rf[t]))
+		row := make([]rfCell, len(g.rf[t]))
 		copy(row, g.rf[t])
 		g.rf[t] = row
 		if t < 64 {
 			g.rfOwned |= 1 << uint(t)
 		}
 	}
-	g.rf[t][r.Index] = rf
+	g.rf[t][r.Index] = cellOf(rf)
 	g.invalidate()
 }
 
@@ -364,7 +404,7 @@ func (g *Graph) BottomReads() []EventID {
 	var out []EventID
 	for t, evs := range g.Threads {
 		for i, e := range evs {
-			if e.IsReadLike() && g.rf[t][i].Bottom {
+			if e.IsReadLike() && g.rfAt(t, i).Bottom {
 				out = append(out, e.ID)
 			}
 		}
@@ -415,7 +455,7 @@ func (g *Graph) PorfPrefix(seeds ...EventID) *EventSet {
 		}
 		// rf source, if a read-like event.
 		if e.IsReadLike() {
-			if rf := g.rf[e.ID.Thread][e.ID.Index]; !rf.Bottom {
+			if rf := g.RfOf(e.ID); !rf.Bottom {
 				push(rf.W)
 			}
 		}
@@ -490,7 +530,7 @@ func (g *Graph) Fingerprint() string {
 		for i, e := range evs {
 			fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%t;", e.Kind, e.Mode, e.Loc, e.Val, e.RVal, e.Degraded)
 			if e.IsReadLike() {
-				rf := g.rf[t][i]
+				rf := g.rfAt(t, i)
 				if rf.Bottom {
 					b.WriteString("rf=⊥;")
 				} else {
@@ -526,11 +566,11 @@ func (g *Graph) CheckInvariants() error {
 				return fmt.Errorf("event %v stored at index %d", e.ID, i)
 			}
 			if !e.IsReadLike() {
-				if g.rf[t][i] != noRF {
+				if g.rfAt(t, i) != noRF {
 					return fmt.Errorf("non-read %v carries an rf entry", e.ID)
 				}
 			} else {
-				rf := g.rf[t][i]
+				rf := g.rfAt(t, i)
 				if rf == noRF {
 					return fmt.Errorf("read %v has no rf entry", e.ID)
 				}

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -304,4 +307,126 @@ func TestRowProducts(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRFCellRoundTrip: the rf rows hold 8-byte cells, and every reader
+// goes through one accessor. Each kind of entry — a thread's write, an
+// init write, ⊥, "no entry", and the largest thread and index a cell can
+// name — must come back from SetRF/RfOf, from the codec, and to the two
+// hashes that fold rf sources (Fingerprint128, the symmetry signature) as
+// the RF that went in; a source that does not fit is refused, by a panic
+// where a caller hands it over and by an error where a file does.
+func TestRFCellRoundTrip(t *testing.T) {
+	const big = math.MaxInt32
+	for _, rf := range []RF{
+		FromW(EventID{Thread: 2, Index: 5}),
+		FromW(EventID{Thread: InitThread, Index: 3}),
+		FromW(EventID{Thread: InitThread, Index: big}),
+		FromW(EventID{Thread: big, Index: big}),
+		BottomRF,
+		noRF,
+	} {
+		if got := cellOf(rf).rf(); got != rf {
+			t.Errorf("cell of %+v reads back %+v", rf, got)
+		}
+	}
+	for _, bad := range []EventID{{big + 1, 0}, {0, big + 1}, {0, -1}, {-2, 0}, {-3, 0}, {math.MinInt32 - 1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rf source %v was packed into a cell", bad)
+				}
+			}()
+			cellOf(FromW(bad))
+		}()
+	}
+
+	// A graph holding one of each: T0 writes x; T1 reads it, reads the
+	// init of y, fences (no entry) and reads ⊥.
+	g := New(2, []Val{0, 0}, []string{"x", "y"})
+	w := &Event{ID: EventID{0, 0}, Kind: KWrite, Mode: Rel, Loc: 0, Val: 1, AwaitSeq: -1}
+	g.Append(w)
+	g.InsertMo(0, w.ID, 1)
+	want := []RF{FromW(w.ID), FromW(EventID{Thread: InitThread, Index: 1}), noRF, BottomRF}
+	for i, e := range []*Event{
+		{Kind: KRead, Mode: Acq, Loc: 0, RVal: 1, AwaitSeq: -1},
+		{Kind: KRead, Mode: Rlx, Loc: 1, AwaitSeq: -1},
+		{Kind: KFence, Mode: SC, AwaitSeq: -1},
+		{Kind: KRead, Mode: Acq, Loc: 0, AwaitSeq: 0},
+	} {
+		e.ID = EventID{Thread: 1, Index: i}
+		g.Append(e)
+		if got := g.RfOf(e.ID); got != noRF {
+			t.Fatalf("%v: fresh entry is %+v, want the no-entry sentinel", e.ID, got)
+		}
+		if e.IsReadLike() {
+			g.SetRF(e.ID, want[i])
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	enc := AppendGraph(nil, g)
+	dec, _, err := DecodeGraph(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &SymSpec{N: 2, Groups: [][]int{{0, 1}}, LocOwner: []int32{-1, -1}, LocFam: []int32{-1, -1},
+		ValTagged: []bool{false, false}, ValShift: []uint8{0, 0}, ValBias: []int64{0, 0}}
+	if !spec.Finalize() {
+		t.Fatal("test spec did not finalize")
+	}
+	for i, rf := range want {
+		id := EventID{Thread: 1, Index: i}
+		if g.RfOf(id) != rf || dec.RfOf(id) != rf {
+			t.Errorf("%v: rf %+v set, %+v read, %+v decoded", id, rf, g.RfOf(id), dec.RfOf(id))
+		}
+	}
+	if !bytes.Equal(AppendGraph(nil, dec), enc) {
+		t.Error("re-encoding the decoded graph changed the bytes")
+	}
+	if g.Fingerprint128() != dec.Fingerprint128() || g.Fingerprint() != dec.Fingerprint() {
+		t.Error("fingerprints differ across the codec")
+	}
+	if spec.signature(g, 1) != spec.signature(dec, 1) || spec.signature(g, 1) == spec.signature(g, 0) {
+		t.Error("symmetry signature of the reading thread differs across the codec, or does not see its reads")
+	}
+	// Each rf entry reaches both hashes: changing one changes them.
+	for i, rf := range want {
+		if rf == noRF {
+			continue
+		}
+		g2 := g.Clone()
+		alt := BottomRF
+		if rf == alt {
+			alt = FromW(w.ID)
+		}
+		g2.SetRF(EventID{Thread: 1, Index: i}, alt)
+		if g2.Fingerprint128() == g.Fingerprint128() || spec.signature(g2, 1) == spec.signature(g, 1) {
+			t.Errorf("entry %d: changing %+v to %+v leaves a hash unchanged", i, rf, alt)
+		}
+		if g.RfOf(EventID{Thread: 1, Index: i}) != rf {
+			t.Errorf("entry %d: SetRF on a clone wrote through to its parent", i)
+		}
+	}
+
+	// A file naming an rf source outside a cell's range is refused, not
+	// wrapped around: patch T1.0's source thread (varint 0 → a 5-byte one).
+	g3 := New(1, []Val{0}, []string{"x"})
+	r := &Event{ID: EventID{0, 0}, Kind: KRead, Mode: Acq, Loc: 0, AwaitSeq: -1}
+	g3.Append(r)
+	g3.SetRF(r.ID, FromW(EventID{Thread: InitThread, Index: 0}))
+	good := AppendGraph(nil, g3)
+	at := bytes.LastIndex(good, []byte{0x00, 0x01, 0x00}) // not-⊥, thread -1 (zigzag 1), index 0
+	if _, _, err := DecodeGraph(good); err != nil || at < 0 {
+		t.Fatalf("the unpatched encoding must decode (%v) and hold the source at a known place (%d)", err, at)
+	}
+	for _, src := range []int64{big + 1, math.MinInt32 - 1, -3} {
+		patched := append([]byte(nil), good[:at+1]...)
+		patched = binary.AppendVarint(patched, src)
+		patched = append(patched, good[at+2:]...)
+		if _, _, err := DecodeGraph(patched); err == nil {
+			t.Errorf("an encoded rf source of thread %d decoded", src)
+		}
+	}
 }

@@ -91,7 +91,7 @@ func (g *Graph) Fingerprint128() Hash128 {
 			h.Word(e.Val)
 			h.Word(e.RVal)
 			if e.IsReadLike() {
-				rf := g.rf[t][e.ID.Index]
+				rf := g.rfAt(t, e.ID.Index)
 				if rf.Bottom {
 					h.Word(0xb0770e)
 				} else {

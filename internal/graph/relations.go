@@ -276,7 +276,7 @@ func BuildRels(g *Graph) *Rels {
 			if !e.IsReadLike() {
 				continue
 			}
-			rf := g.rf[t][i]
+			rf := g.rfAt(t, i)
 			if rf.Bottom {
 				continue
 			}
@@ -306,7 +306,7 @@ func BuildRels(g *Graph) *Rels {
 			if !e.IsReadLike() {
 				continue
 			}
-			rf := g.rf[t][i]
+			rf := g.rfAt(t, i)
 			if rf.Bottom {
 				continue
 			}
@@ -349,7 +349,7 @@ func (r *Rels) buildSw(sw *BitMat) {
 			if !re.IsReadLike() {
 				continue
 			}
-			rf := g.rf[t][i]
+			rf := g.rfAt(t, i)
 			if rf.Bottom {
 				continue
 			}
@@ -397,7 +397,7 @@ func (r *Rels) swFromBases(g *Graph, base EventID, emit func(relSide int)) {
 		if be.Kind != KUpdate {
 			return
 		}
-		prev := g.rf[base.Thread][base.Index]
+		prev := g.RfOf(base)
 		if prev.Bottom {
 			return
 		}

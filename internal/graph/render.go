@@ -47,7 +47,7 @@ func (g *Graph) Render() string {
 		for _, e := range evs {
 			fmt.Fprintf(&b, "  [%2d] %-28s", e.ID.Index, g.eventText(e))
 			if e.IsReadLike() {
-				rf := g.rf[t][e.ID.Index]
+				rf := g.rfAt(t, e.ID.Index)
 				if rf.Bottom {
 					b.WriteString("  rf: ⊥ (missing)")
 				} else {
@@ -106,7 +106,7 @@ func (g *Graph) DOT(title string) string {
 				continue
 			}
 			rd := e.ID
-			rf := g.rf[t][i]
+			rf := g.rfAt(t, i)
 			if rf.Bottom {
 				fmt.Fprintf(&b, "  bottom_%s [label=\"⊥\", shape=plaintext];\n  bottom_%s -> %s [label=\"rf\", color=red, style=dashed];\n",
 					name(rd), name(rd), name(rd))

@@ -228,7 +228,7 @@ func (s *SymSpec) fingerprintUnderPerm(g *Graph, perm, inv []int32) Hash128 {
 			h.Word(v)
 			h.Word(rv)
 			if e.IsReadLike() {
-				rf := g.rf[t][e.ID.Index]
+				rf := g.rfAt(t, e.ID.Index)
 				if rf.Bottom {
 					h.Word(0xb0770e)
 				} else {
@@ -331,7 +331,7 @@ func (s *SymSpec) signature(g *Graph, t int) Hash128 {
 		}
 		if e.IsReadLike() {
 			s.valToken(&h, t, e.Loc, e.RVal)
-			rf := g.rf[t][e.ID.Index]
+			rf := g.rfAt(t, e.ID.Index)
 			switch {
 			case rf.Bottom:
 				h.Word(sigRfBottom)
@@ -546,7 +546,7 @@ func (s *SymSpec) ApplyPerm(g *Graph, perm []int32) *Graph {
 		}
 		ng.Append(ne)
 		if e.IsReadLike() {
-			rf := g.rf[e.ID.Thread][e.ID.Index]
+			rf := g.RfOf(e.ID)
 			if rf.Bottom {
 				ng.SetRF(ne.ID, BottomRF)
 			} else {

@@ -153,30 +153,40 @@ func (w *msqueueWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 		t, k := decodeNode(id)
 		return nexts[t][k]
 	}
+	// The barrier modes, looked up once per build and not in the attempt
+	// closures, which every replay of every popped state runs again (an
+	// unknown point panics here).
+	tailRead := spec.M("msq.tail_read")
+	nextRead := spec.M("msq.next_read")
+	linkCAS := spec.M("msq.link_cas")
+	tailCAS := spec.M("msq.tail_cas")
+	headRead := spec.M("msq.head_read")
+	headCAS := spec.M("msq.head_cas")
+	record := spec.M("msq.record")
 	badLink := w.badLink
 
 	// One enqueue attempt: read the tail and its link word; link the
 	// new node if the tail is current (then swing the tail over it),
 	// else help the lagging tail forward. Reports success.
 	enqAttempt := func(m vprog.Mem, id uint64) bool {
-		tl := m.Load(tail, spec.M("msq.tail_read"))
-		nx := m.Load(nextOf(tl), spec.M("msq.next_read"))
+		tl := m.Load(tail, tailRead)
+		nx := m.Load(nextOf(tl), nextRead)
 		if nx == 0 {
 			done := false
 			if badLink {
-				m.Store(nextOf(tl), id, spec.M("msq.link_cas"))
+				m.Store(nextOf(tl), id, linkCAS)
 				done = true
 			} else {
-				_, done = m.CmpXchg(nextOf(tl), 0, id, spec.M("msq.link_cas"))
+				_, done = m.CmpXchg(nextOf(tl), 0, id, linkCAS)
 			}
 			if done {
 				// Swing the tail; a failure means someone helped.
-				m.CmpXchg(tail, tl, id, spec.M("msq.tail_cas"))
+				m.CmpXchg(tail, tl, id, tailCAS)
 				return true
 			}
 		} else {
 			// Tail lags behind a linked node: help it forward.
-			m.CmpXchg(tail, tl, nx, spec.M("msq.tail_cas"))
+			m.CmpXchg(tail, tl, nx, tailCAS)
 		}
 		m.Pause()
 		return false
@@ -185,20 +195,20 @@ func (w *msqueueWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 	// retry). The lagging-tail help path retries without Pause, as the
 	// bounded encoding's continue did.
 	deqAttempt := func(m vprog.Mem, got *uint64) bool {
-		hd := m.Load(head, spec.M("msq.head_read"))
-		nx := m.Load(nextOf(hd), spec.M("msq.next_read"))
+		hd := m.Load(head, headRead)
+		nx := m.Load(nextOf(hd), nextRead)
 		if nx == 0 {
 			*got = sawEmpty
 			return true
 		}
-		tl := m.Load(tail, spec.M("msq.tail_read"))
+		tl := m.Load(tail, tailRead)
 		if hd == tl {
 			// The tail lags behind the linked node: help before
 			// advancing head past it.
-			m.CmpXchg(tail, tl, nx, spec.M("msq.tail_cas"))
+			m.CmpXchg(tail, tl, nx, tailCAS)
 			return false
 		}
-		if _, ok := m.CmpXchg(head, hd, nx, spec.M("msq.head_cas")); ok {
+		if _, ok := m.CmpXchg(head, hd, nx, headCAS); ok {
 			*got = nx
 			return true
 		}
@@ -219,7 +229,7 @@ func (w *msqueueWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 		for k := range recs[c] {
 			got := uint64(incomplete)
 			m.AwaitDo(func() bool { return deqAttempt(m, &got) })
-			m.Store(recs[c][k], got, spec.M("msq.record"))
+			m.Store(recs[c][k], got, record)
 		}
 	}
 
@@ -248,7 +258,7 @@ func (w *msqueueWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 				deqAttempt(m, &got)
 			}
 			m.Assert(got != incomplete, "msqueue: dequeue retry bound exhausted")
-			m.Store(recs[c][k], got, spec.M("msq.record"))
+			m.Store(recs[c][k], got, record)
 		}
 	}
 

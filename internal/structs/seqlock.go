@@ -72,6 +72,12 @@ func (w *seqlockWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 	a := env.Var("slq.a", 0)
 	b := env.Var("slq.b", 0)
 
+	// The bad reader's barrier modes, looked up once per build as in
+	// treiber and msqueue.
+	begin := spec.M("seqlock.begin")
+	dataRead := spec.M("seqlock.data_read")
+	recheckFence := spec.M("seqlock.recheck_fence")
+	recheck := spec.M("seqlock.recheck")
 	writer := func(m vprog.Mem) {
 		for i := 0; i < iters; i++ {
 			sl.Write(m, func(store func(*vprog.Var, uint64)) {
@@ -98,11 +104,11 @@ func (w *seqlockWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 		for i := 0; i < iters; i++ {
 			var va, vb uint64
 			m.AwaitDo(func() bool {
-				s1 := m.Load(seq, spec.M("seqlock.begin"))
-				va = m.Load(a, spec.M("seqlock.data_read"))
-				vb = m.Load(b, spec.M("seqlock.data_read"))
-				m.Fence(spec.M("seqlock.recheck_fence"))
-				s2 := m.Load(seq, spec.M("seqlock.recheck"))
+				s1 := m.Load(seq, begin)
+				va = m.Load(a, dataRead)
+				vb = m.Load(b, dataRead)
+				m.Fence(recheckFence)
+				s2 := m.Load(seq, recheck)
 				return s2 == s1
 			})
 			m.Assert(va == vb, fmt.Sprintf("seqlock: torn read a=%d b=%d", va, vb))

@@ -138,15 +138,25 @@ func (w *treiberWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 	for t := 0; t < nthreads; t++ {
 		pops[t] = nodeVars(env, "treiber.pop", t, iters)
 	}
+	// The barrier modes, looked up once per build and not in the attempt
+	// closures, which every replay of every popped state runs again (an
+	// unknown point panics here).
+	pushRead := spec.M("treiber.push_read")
+	link := spec.M("treiber.link")
+	pushCAS := spec.M("treiber.push_cas")
+	popRead := spec.M("treiber.pop_read")
+	nextRead := spec.M("treiber.next_read")
+	popCAS := spec.M("treiber.pop_cas")
+	record := spec.M("treiber.record")
 	badPop := w.badPop
 
 	// One push attempt: read top, link the new node's next word (owned
 	// by the pushing thread, so a failed attempt's re-store is within
 	// the AwaitDo contract) and try to swing top. Reports success.
 	pushAttempt := func(m vprog.Mem, t, k int, id uint64) bool {
-		old := m.Load(top, spec.M("treiber.push_read"))
-		m.Store(nexts[t][k], old, spec.M("treiber.link"))
-		if _, ok := m.CmpXchg(top, old, id, spec.M("treiber.push_cas")); ok {
+		old := m.Load(top, pushRead)
+		m.Store(nexts[t][k], old, link)
+		if _, ok := m.CmpXchg(top, old, id, pushCAS); ok {
 			return true
 		}
 		m.Pause()
@@ -154,14 +164,14 @@ func (w *treiberWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 	}
 	// One pop attempt: the outcome lands in *got (incomplete = retry).
 	popAttempt := func(m vprog.Mem, got *uint64) bool {
-		old := m.Load(top, spec.M("treiber.pop_read"))
+		old := m.Load(top, popRead)
 		if old == 0 {
 			*got = sawEmpty
 			return true
 		}
 		ot, ok := decodeNode(old)
-		nxt := m.Load(nexts[ot][ok], spec.M("treiber.next_read"))
-		if _, ok := m.CmpXchg(top, old, nxt, spec.M("treiber.pop_cas")); ok || badPop {
+		nxt := m.Load(nexts[ot][ok], nextRead)
+		if _, ok := m.CmpXchg(top, old, nxt, popCAS); ok || badPop {
 			*got = old
 			return true
 		}
@@ -181,7 +191,7 @@ func (w *treiberWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 		for k := 0; k < iters; k++ {
 			got := uint64(incomplete)
 			m.AwaitDo(func() bool { return popAttempt(m, &got) })
-			m.Store(pops[t][k], got, spec.M("treiber.record"))
+			m.Store(pops[t][k], got, record)
 		}
 	}
 
@@ -209,7 +219,7 @@ func (w *treiberWorkload) New(env vprog.Env, spec *vprog.BarrierSpec, nthreads i
 				popAttempt(m, &got)
 			}
 			m.Assert(got != incomplete, "treiber: pop retry bound exhausted")
-			m.Store(pops[t][k], got, spec.M("treiber.record"))
+			m.Store(pops[t][k], got, record)
 		}
 	}
 

@@ -7,7 +7,7 @@ GO ?= go
 # caches this directory so warm runs skip already-decided AMC work.
 STORE ?= .vsync-store/verdicts.log
 
-.PHONY: build vet test test-short race allocs bench-smoke benchmark-smoke loc fmt-check suite suite-warm suite-shared stored chaos fuzz-smoke
+.PHONY: build vet test test-short race allocs bench-smoke benchmark-smoke loc fmt-check suite t4-segment suite-warm suite-shared stored chaos fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,19 @@ suite:
 	$$bin -store $(STORE) -structs structs/treiber,structs/seqlock,structs/msqueue -no-locks -no-litmus -threads 3 -budget 60s || [ $$? -eq 3 ]; \
 	$$bin -store $(STORE) -structs structs/treiber -no-locks -no-litmus -threads 4 -budget 90s -budget-graphs 1500000 || [ $$? -eq 3 ]
 
+# The cell every roadmap quotes and no benchmark row tracks yet: the
+# same treiber t=4 segment `make suite` ends on, at one worker and
+# through vsynccheck, whose report of an undecided run carries the
+# figures that matter there — how many states the segment left queued
+# and the most it ever held ("frontier peaked at"), and the memory line
+# (~12 s, ~360 MB). Exit 3 is the expected outcome; anything else fails.
+t4-segment:
+	@set -e; \
+	bin=$$(mktemp -t vsynccheck.XXXXXX); \
+	trap 'rm -f $$bin' EXIT; \
+	$(GO) build -o $$bin ./cmd/vsynccheck; \
+	$$bin -workload structs/treiber -threads 4 -workers 1 -budget-graphs 1500000 || [ $$? -eq 3 ]
+
 # Warm assertion: over an unchanged corpus the store must serve at
 # least 99% of the cells (CI runs `make suite` first, so in practice
 # 100% — the whole matrix without a single AMC run).
@@ -140,7 +153,8 @@ stored:
 # to an uninterrupted run), the fault-injection store tests (torn
 # appends, failed renames/flocks, remote outages), and the
 # checkpoint/budget differential corpus — everything gated out of
-# -short, run here without it.
+# -short, run here without it (TestResume takes in the treiber t=4
+# resume at a 36k-state frontier, ~35 s).
 chaos:
 	$(GO) test -run 'TestChaos' -count=1 -v ./vsync
 	$(GO) test -run 'Fault|Torn|Requeue|Backoff|Readyz' -count=1 ./internal/store

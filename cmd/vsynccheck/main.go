@@ -232,7 +232,8 @@ func main() {
 		os.Exit(2)
 	}
 	if res.Verdict == core.Undecided {
-		fmt.Println(res)
+		// The deepest runs this tool makes end here: report them in full.
+		fmt.Print(res.Report())
 		fmt.Println(resumeHint(dir))
 		os.Exit(cli.ExitUndecided)
 	}

@@ -2,15 +2,14 @@ package core
 
 import "sync"
 
-// Deque sizing. Each worker's deque grows by doubling up to dequeMaxCap;
-// a push into a full deque at the cap spills to the exploration's shared
-// overflow queue instead. 32k pending states is far beyond any frontier
-// the corpus produces (a DFS frontier holds one branch fan-out per graph
-// depth), so the bound caps worst-case memory without being a path real
-// explorations take.
+// Deque sizing. A deque starts at dequeInitCap and doubles whenever it is
+// full, without a ceiling: what a cap turns away needs a second queue, a
+// second queue is a second pop order, and both a depth-first frontier
+// (treiber t=4 holds 32k states by 1.35M pops) and an exact resume need
+// there to be one. What bounds a run's memory is Budget.MaxMemBytes: it
+// counts the graphs the queued states hold, not just the ring's cells.
 const (
 	dequeInitCap = 256
-	dequeMaxCap  = 1 << 15
 	// stealBatch caps how many states one steal operation moves. Thieves
 	// take up to half the victim's queue, amortizing the lock traffic,
 	// but never more than this — a huge transfer would just invert the
@@ -18,7 +17,7 @@ const (
 	stealBatch = 32
 )
 
-// deque is one worker's bounded work deque, the per-worker shard of the
+// deque is one worker's work deque, the per-worker shard of the
 // exploration frontier. The owner pushes and pops at the tail: LIFO
 // order is depth-first exploration, which keeps parent graphs hot in
 // cache and the frontier small. Thieves remove batches from the head,
@@ -36,24 +35,19 @@ type deque struct {
 	buf  []ExploreState // ring buffer; len is zero or a power of two
 	head int            // index of the oldest state (steal end)
 	size int
+	peak int // the largest size ever reached
 }
 
-// pushTail adds st at the LIFO end. It reports false when the deque is
-// at its hard bound; the caller spills the state to the shared overflow
-// queue instead of losing it.
-func (d *deque) pushTail(st ExploreState) bool {
+// pushTail adds st at the LIFO end, doubling the ring when it is full.
+func (d *deque) pushTail(st ExploreState) {
 	d.mu.Lock()
 	if d.size == len(d.buf) {
-		if len(d.buf) >= dequeMaxCap {
-			d.mu.Unlock()
-			return false
-		}
 		d.grow()
 	}
 	d.buf[(d.head+d.size)&(len(d.buf)-1)] = st
 	d.size++
+	d.peak = max(d.peak, d.size)
 	d.mu.Unlock()
-	return true
 }
 
 // popTail removes the most recently pushed state (the DFS child).

@@ -20,9 +20,7 @@ func TestDequeLIFOAndFIFO(t *testing.T) {
 	var d deque
 	const n = 1000 // forces several grow() doublings past dequeInitCap
 	for i := 0; i < n; i++ {
-		if !d.pushTail(mark(i)) {
-			t.Fatalf("push %d rejected below the bound", i)
-		}
+		d.pushTail(mark(i))
 	}
 	// Steal the FIFO end: the oldest states come out first.
 	var buf [stealBatch]ExploreState
@@ -67,24 +65,75 @@ func TestDequeStealHalf(t *testing.T) {
 	}
 }
 
-// TestDequeBound: pushes beyond the hard cap are rejected (the caller
-// spills them), and the deque still drains correctly afterwards.
-func TestDequeBound(t *testing.T) {
+// TestDequeGrowth: a deque has no bound. 100,000 pushes all land, and
+// every doubling on the way copies a wrapped ring — a steal out of the
+// full ring moves the head off cell 0, and the refill wraps — with the
+// steal end still FIFO, the snapshot still oldest→newest and the owner
+// end still LIFO afterwards.
+func TestDequeGrowth(t *testing.T) {
+	const n = 100000
 	var d deque
-	for i := 0; i < dequeMaxCap; i++ {
-		if !d.pushTail(mark(i)) {
-			t.Fatalf("push %d rejected below the bound", i)
+	var buf [stealBatch]ExploreState
+	next, oldest, peak := 0, 0, 0 // ids: next to push, at the head; largest size seen
+	doublings := 0
+	push := func() {
+		d.pushTail(mark(next))
+		next++
+		peak = max(peak, next-oldest)
+	}
+	steal := func() {
+		got := d.stealHead(buf[:], stealBatch)
+		if got != stealBatch {
+			t.Fatalf("stealHead took %d of %d, want %d", got, next-oldest, stealBatch)
+		}
+		for _, st := range buf[:got] {
+			if idOf(st) != oldest {
+				t.Fatalf("steal returned state %d, want the oldest, %d", idOf(st), oldest)
+			}
+			oldest++
 		}
 	}
-	if d.pushTail(mark(dequeMaxCap)) {
-		t.Fatal("push beyond dequeMaxCap must be rejected")
+	fill := func() {
+		for d.size < len(d.buf) {
+			push()
+		}
 	}
-	st, ok := d.popTail()
-	if !ok || idOf(st) != dequeMaxCap-1 {
-		t.Fatalf("popTail after bound = (%d, %v)", idOf(st), ok)
+	for push(); next < n; {
+		fill()
+		steal()
+		fill()
+		if d.head == 0 {
+			t.Fatalf("ring of %d is full but not wrapped: the doubling would copy nothing out of order", len(d.buf))
+		}
+		was := len(d.buf)
+		push()
+		if len(d.buf) != 2*was {
+			t.Fatalf("push into a full ring of %d left it at %d", was, len(d.buf))
+		}
+		doublings++
+		snap := d.snapshot(nil)
+		if len(snap) != next-oldest {
+			t.Fatalf("snapshot holds %d states, the deque %d", len(snap), next-oldest)
+		}
+		for i, st := range snap {
+			if idOf(st) != oldest+i {
+				t.Fatalf("after doubling to %d: snapshot[%d] is state %d, want %d", len(d.buf), i, idOf(st), oldest+i)
+			}
+		}
 	}
-	if !d.pushTail(mark(dequeMaxCap)) {
-		t.Fatal("push must succeed again after a pop")
+	if doublings < 3 {
+		t.Fatalf("%d pushes, %d doublings: the test did not grow the ring", next, doublings)
+	}
+	if d.size != next-oldest || d.peak != peak {
+		t.Fatalf("size %d, peak %d; want %d and %d", d.size, d.peak, next-oldest, peak)
+	}
+	for i := next - 1; i >= oldest; i-- {
+		if st, ok := d.popTail(); !ok || idOf(st) != i {
+			t.Fatalf("popTail returned (%d, %v), want state %d", idOf(st), ok, i)
+		}
+	}
+	if _, ok := d.popTail(); ok || d.peak != peak {
+		t.Fatalf("after the drain: popped again %v, peak %d (want %d)", ok, d.peak, peak)
 	}
 }
 

@@ -371,8 +371,7 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	res := x.merge()
 	if res.Verdict == Undecided {
 		// All workers have exited: every unprocessed state sits in a
-		// deque or the overflow queue, and collecting them races with
-		// nothing.
+		// deque, and collecting them races with nothing.
 		res.Checkpoint = x.buildCheckpoint()
 	}
 	return finish(res)
@@ -380,9 +379,10 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 
 // seedResume restores a checkpoint into the exploration: identity
 // validation, visited keys, cumulative counters, the violation
-// front-runner, and the frontier — pushed into worker 0's deque in
-// the order whose LIFO pops reproduce the interrupted run's pop
-// sequence exactly (which is what keeps the sequential explorer's
+// front-runner, and the frontier — pushed onto worker 0's deque in the
+// checkpoint's order, oldest first, which rebuilds a one-worker run's
+// deque exactly, however long: its pops continue the interrupted run's
+// (which is what keeps the sequential explorer's
 // first-violation-in-DFS-order contract intact across segments).
 // It returns a non-nil Error result when the checkpoint does not
 // belong to this (model, program) pair.
@@ -417,16 +417,12 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 		x.vio = &Result{Verdict: v.verdict, Message: v.message, Witness: v.witness}
 		x.vioStamp, x.vioKey = v.stamp, v.key
 	}
-	n := 0
 	for _, st := range ck.frontier {
 		st.g.Pin() // the caller still holds the checkpoint and may resume from it again
-		if !w0.dq.pushTail(st) {
-			x.spill(st)
-		}
-		n++
+		w0.dq.pushTail(st)
 	}
-	x.inflight.Store(int64(n))
-	x.queued.Store(int64(n))
+	x.inflight.Store(int64(len(ck.frontier)))
+	x.queued.Store(int64(len(ck.frontier)))
 	return nil
 }
 

@@ -154,14 +154,14 @@ func (s *Stats) Add(o Stats) {
 // Stats (whose equality across worker counts the differential tests
 // assert).
 type SchedStats struct {
-	Workers    int   // worker seats configured (WorkersPerRun, min 1)
-	Active     int   // workers that executed at least one item
-	Executed   []int // items executed per worker seat
-	Steals     int   // successful steal operations
-	Stolen     int   // items moved between workers by steals
-	Spills     int   // items spilled from full deques to the overflow queue
-	Contention int   // contended visited-shard lock acquisitions
-	Recruited  int   // pool slots borrowed for intra-run stealing
+	Workers      int   // worker seats configured (WorkersPerRun, min 1)
+	Active       int   // workers that executed at least one item
+	Executed     []int // items executed per worker seat
+	Steals       int   // successful steal operations
+	Stolen       int   // items moved between workers by steals
+	FrontierPeak int   // peak queued states: the deques' high-water marks summed (an upper bound past one worker)
+	Contention   int   // contended visited-shard lock acquisitions
+	Recruited    int   // pool slots borrowed for intra-run stealing
 }
 
 // Accumulate sums the portable counters of o into s for suite-level
@@ -177,7 +177,7 @@ func (s *SchedStats) Accumulate(o SchedStats) {
 	s.Executed = nil
 	s.Steals += o.Steals
 	s.Stolen += o.Stolen
-	s.Spills += o.Spills
+	s.FrontierPeak = max(s.FrontierPeak, o.FrontierPeak)
 	s.Contention += o.Contention
 	s.Recruited += o.Recruited
 }
@@ -249,8 +249,8 @@ func (r *Result) Report() string {
 	}
 	sc := r.Sched
 	if sc.Workers > 0 {
-		fmt.Fprintf(&b, "scheduler: %d/%d workers active, %d steals moving %d items, %d spills, %d contended shard locks",
-			sc.Active, sc.Workers, sc.Steals, sc.Stolen, sc.Spills, sc.Contention)
+		fmt.Fprintf(&b, "scheduler: %d/%d workers active, %d steals moving %d items, frontier peaked at %d states, %d contended shard locks",
+			sc.Active, sc.Workers, sc.Steals, sc.Stolen, sc.FrontierPeak, sc.Contention)
 		if sc.Recruited > 0 {
 			fmt.Fprintf(&b, ", %d pool slots borrowed", sc.Recruited)
 		}

@@ -15,7 +15,8 @@ import (
 // This file is the work-graph scheduler: one Checker.Run is no longer a
 // private recursive stack machine but a shared frontier of ExploreState
 // items that any number of workers execute cooperatively. Each worker
-// owns a bounded deque (LIFO-local execution, FIFO stealing); a
+// owns a deque (LIFO-local execution, FIFO stealing), and the deques,
+// which grow as they must, are the whole frontier; a
 // hash-sharded VisitedSet arbitrates which worker expands each state;
 // and results merge deterministically, so a parallel run is observably
 // identical to a sequential one (see merge below).
@@ -117,13 +118,7 @@ type exploration struct {
 
 	workers []*explorer
 
-	// overflow receives pushes that found their deque at the hard
-	// bound; every worker drains it before trying to steal.
-	ofMu     sync.Mutex
-	overflow []ExploreState
-	spills   int
-
-	queued   atomic.Int64 // states sitting in deques + overflow (advisory, for parking)
+	queued   atomic.Int64 // states sitting in deques (advisory, for parking)
 	inflight atomic.Int64 // queued + currently executing; 0 <=> exploration drained
 	popped   atomic.Int64 // MaxGraphs guard and cancellation cadence
 
@@ -161,9 +156,8 @@ type exploration struct {
 	// Periodic snapshots. Workers hold snapGate for reading around
 	// each (take item, execute) pair; the snapshotting worker takes it
 	// for writing, which quiesces everyone between items — the instant
-	// at which every unprocessed state sits in a deque or the overflow
-	// queue. snapping elects one snapshotter; lastSnap (unix nanos)
-	// paces them at snapEvery.
+	// at which every unprocessed state sits in a deque. snapping elects
+	// one snapshotter; lastSnap (unix nanos) paces them at snapEvery.
 	snapGate  sync.RWMutex
 	snapping  atomic.Bool
 	lastSnap  atomic.Int64
@@ -173,8 +167,8 @@ type exploration struct {
 }
 
 // runWorker is the scheduling loop every worker executes: take the next
-// item (local LIFO, then overflow, then steal), run it, and detect
-// global completion when the in-flight count drains to zero.
+// item (local LIFO, then steal), run it, and detect global completion
+// when the in-flight count drains to zero.
 //
 // When periodic snapshots are enabled the (take, execute, retire) unit
 // runs under the snapshot gate's read side, and parking happens only
@@ -238,13 +232,9 @@ func (x *exploration) tryNext(w *explorer) (st ExploreState, ok, wait bool) {
 		x.queued.Add(-1)
 		return st, true, false
 	}
-	if st, ok := x.takeOverflow(); ok {
-		x.queued.Add(-1)
-		return st, true, false
-	}
 	if x.single {
-		// One worker, empty deque, empty overflow: the run is drained
-		// (the inflight count hit zero on the previous decrement).
+		// One worker, empty deque: the run is drained (the inflight
+		// count hit zero on the previous decrement).
 		return ExploreState{}, false, false
 	}
 	if st, ok := x.steal(w); ok {
@@ -347,9 +337,7 @@ func (w *explorer) flushChildren() {
 	// see inflight dip to zero while states exist.
 	x.inflight.Add(int64(len(buf)))
 	for _, ch := range buf {
-		if !w.dq.pushTail(ch) {
-			x.spill(ch)
-		}
+		w.dq.pushTail(ch)
 	}
 	x.queued.Add(int64(len(buf)))
 	for i := range buf {
@@ -360,26 +348,6 @@ func (w *explorer) flushChildren() {
 		x.wake()
 		x.maybeRecruit()
 	}
-}
-
-func (x *exploration) spill(st ExploreState) {
-	x.ofMu.Lock()
-	x.overflow = append(x.overflow, st)
-	x.spills++
-	x.ofMu.Unlock()
-}
-
-func (x *exploration) takeOverflow() (ExploreState, bool) {
-	x.ofMu.Lock()
-	if len(x.overflow) == 0 {
-		x.ofMu.Unlock()
-		return ExploreState{}, false
-	}
-	st := x.overflow[0]
-	x.overflow[0] = ExploreState{}
-	x.overflow = x.overflow[1:]
-	x.ofMu.Unlock()
-	return st, true
 }
 
 // steal scans the other workers' deques round-robin from w and takes a
@@ -396,9 +364,7 @@ func (x *exploration) steal(w *explorer) (ExploreState, bool) {
 		w.stolen += n
 		st := w.stealBuf[0]
 		for j := 1; j < n; j++ {
-			if !w.dq.pushTail(w.stealBuf[j]) {
-				x.spill(w.stealBuf[j])
-			}
+			w.dq.pushTail(w.stealBuf[j])
 		}
 		for j := 0; j < n; j++ {
 			w.stealBuf[j] = ExploreState{}
@@ -477,9 +443,9 @@ func (x *exploration) overBudget(n int64) string {
 // result wins, and halt never lets Undecided displace a decisive
 // Error.
 //
-// The state returns to the TAIL of the worker's own deque, not the
-// overflow queue: it was the next state the uninterrupted run would
-// have executed, and the deque tail is the one position from which the
+// The state returns to the TAIL of the worker's own deque, where it
+// was popped from: it was the next state the uninterrupted run would
+// have executed, and the tail is the one position from which the
 // resumed run pops it first again — the sequential DFS's
 // first-violation-in-DFS-order contract depends on that exactness.
 func (x *exploration) haltUndecided(w *explorer, st ExploreState, msg string) {
@@ -487,9 +453,7 @@ func (x *exploration) haltUndecided(w *explorer, st ExploreState, msg string) {
 	// The state re-enters the frontier: re-increment inflight to cancel
 	// the decrement runWorker applies after execute returns.
 	x.inflight.Add(1)
-	if !w.dq.pushTail(st) {
-		x.spill(st)
-	}
+	w.dq.pushTail(st)
 	x.queued.Add(1)
 	x.halt(&Result{Verdict: Undecided, Message: msg})
 }
@@ -578,8 +542,8 @@ func (x *exploration) helperLoop(w *explorer, slot int) {
 // maybeSnapshot takes a periodic checkpoint when the interval has
 // elapsed. One worker wins the snapping claim, quiesces the others by
 // taking the snapshot gate for writing (every worker is then between
-// items: all unprocessed states sit in deques or the overflow queue),
-// copies the frontier and counters under the gate, and hands the
+// items: all unprocessed states sit in deques), copies
+// the frontier and counters under the gate, and hands the
 // checkpoint to the sink after releasing it — graphs are logically
 // immutable once published, so encoding them outside the quiesce
 // window races with nothing.
@@ -611,11 +575,11 @@ func (x *exploration) maybeSnapshot() {
 // holding the snapshot gate for writing, or because the run has
 // drained and every worker exited.
 //
-// Frontier order is chosen so that seedResume's pushTail sequence
-// makes worker 0's future pops reproduce the interrupted run's exact
-// pop order: pops come newest-first from the deque and then FIFO from
-// overflow, so the serialized order is reversed overflow first, then
-// each deque oldest→newest.
+// The frontier is each deque in turn, oldest→newest: seedResume
+// pushes it back in that order, so a one-worker run's deque is rebuilt
+// cell for cell, at any length, and its pops go on in the interrupted
+// run's exact order. (A parallel run's deques land end to end in worker
+// 0's; its verdict does not depend on pop order.)
 func (x *exploration) buildCheckpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Model:  x.c.Model.Name(),
@@ -626,22 +590,12 @@ func (x *exploration) buildCheckpoint() *Checkpoint {
 	}
 	for _, w := range x.workers {
 		ck.Stats.Add(w.stats)
-	}
-	x.ofMu.Lock()
-	for i := len(x.overflow) - 1; i >= 0; i-- {
-		ck.frontier = append(ck.frontier, stripSnap(x.overflow[i]))
-	}
-	x.ofMu.Unlock()
-	for _, w := range x.workers {
-		base := len(ck.frontier)
 		ck.frontier = w.dq.snapshot(ck.frontier)
-		for i := base; i < len(ck.frontier); i++ {
-			ck.frontier[i] = stripSnap(ck.frontier[i])
-		}
 	}
 	// The run may go on while the checkpoint is encoded: what it captured
 	// is never recycled.
-	for _, st := range ck.frontier {
+	for i, st := range ck.frontier {
+		ck.frontier[i] = stripSnap(st)
 		st.g.Pin()
 	}
 	if x.visited != nil {
@@ -701,8 +655,8 @@ func (x *exploration) merge() *Result {
 		}
 		sched.Steals += w.steals
 		sched.Stolen += w.stolen
+		sched.FrontierPeak += w.dq.peak
 	}
-	sched.Spills = x.spills
 	if x.visited != nil {
 		sched.Contention = x.visited.Contention()
 	}

@@ -91,7 +91,7 @@ type (
 	// Optimize schedules its AMC work on.
 	PoolStats = core.PoolStats
 	// SchedStats is the work-graph scheduler accounting of one run
-	// (active workers, steals, spills, shard contention).
+	// (active workers, steals, frontier peak, shard contention).
 	SchedStats = core.SchedStats
 	// Model is a weak memory model (consistency predicate).
 	Model = mm.Model

@@ -44,11 +44,11 @@ test-short:
 # of its parent's against BuildRels, on the same poisoned corpus: a
 # revisit item pins its parent until a possibly stolen child derives from
 # it) and the birth-rule audit (every revisit of a write rejected at birth
-# replays to a collapse), the same corpus once more with every retired
-# replay snapshot block overwritten and the cases whose states keep or
-# give back a block on an unusual way out (a block read through a
-# reference already dropped ends the run with an error here, and a drop
-# that races a thief's is a reported race), and the SC
+# replays to a collapse), the replay-memo audit (every memo hit replayed
+# afresh and compared, over the corpus at 1 and 2 workers, and over the
+# states whose shared replay results leave by an unusual way: a thief
+# reads entries its victim made, so a write to one is a reported race
+# here), and the SC
 # axiom's kernel against its reference on the harvested corpus and the
 # full random sweep (the kernel's scratch is stack and pool, shared by
 # nothing), and the verdict store's differential against its reference
@@ -59,7 +59,7 @@ race:
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
 	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym|TestBirthRuleAudit' ./internal/core
 	$(GO) test -race -run 'TestPoison|TestRestrict' ./internal/graph
-	$(GO) test -race -run 'TestPoison|TestSnap' ./internal/core
+	$(GO) test -race -run 'TestMemo|TestSnap' ./internal/core
 	$(GO) test -race -run 'TestPsc' ./internal/mm
 	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
 	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff' ./internal/store
@@ -154,7 +154,7 @@ stored:
 # appends, failed renames/flocks, remote outages), and the
 # checkpoint/budget differential corpus — everything gated out of
 # -short, run here without it (TestResume takes in the treiber t=4
-# resume at a 36k-state frontier, ~35 s).
+# resume at 300,000 + 100,000 pops, ~8 s).
 chaos:
 	$(GO) test -run 'TestChaos' -count=1 -v ./vsync
 	$(GO) test -run 'Fault|Torn|Requeue|Backoff|Readyz' -count=1 ./internal/store

@@ -58,9 +58,8 @@ func perState(t *testing.T, p *vprog.Program) allocated {
 // TestAllocsExploreStep bounds the allocations per popped exploration
 // state on the MCS client — the per-step cost of clone + replay +
 // consistency check + dedup, amortized over a full verification run of
-// 292 states, short enough that the fixed costs of a run (program
-// build, the visited set's shards, the free lists' first fills) are a
-// third of it.
+// 56 states, short enough that the fixed costs of a run (program build,
+// the visited set's shards, the free lists' first fills) weigh on it.
 func TestAllocsExploreStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation regression bars are not run in -short")
@@ -68,10 +67,14 @@ func TestAllocsExploreStep(t *testing.T) {
 	alg := locks.ByName("mcs")
 	objects := perState(t, harness.MutexClient(alg, alg.DefaultSpec(), 2, 1)).objects
 	t.Logf("mcs t=2: %.1f objects per popped state", objects)
-	// Measured 10.6 to 11.5 objects per popped graph, run to run (12.4
-	// before replay snapshots were recycled, 25.3 before relation slabs
-	// and graph headers were and replay stopped allocating per read); bar
-	// at 17.
+	// Measured 9.7 to 10.5 objects per popped graph (10.6 to 11.5 before the
+	// replay memo, 12.4 before replay snapshots were recycled, 25.3 before
+	// relation slabs and graph headers were and replay stopped allocating
+	// per read); bar at 17. A run this short misses its memo far more
+	// often than treiber t=3 does — 36 distinct rows for 65 replays — and
+	// pays for each miss in replay closures, as every pop did before, but
+	// not per entry: entries are carved from arenas, so the memo costs a
+	// few chunk allocations per run rather than one per row.
 	const maxPerStep = 17
 	if objects > maxPerStep {
 		t.Errorf("explore step allocates %.1f objects/graph, regression bar is %d", objects, maxPerStep)
@@ -82,21 +85,23 @@ func TestAllocsExploreStep(t *testing.T) {
 // BENCHMARK.json): 30,831 states, long enough that only the steady state
 // counts. The run lives on a 2 MB heap, under Go's 4 MB minimum goal, so
 // its garbage is its collection count: 36.4 MB and 14 cycles in 0.2 s
-// before a step's replay snapshot was a recycled block and rf rows were
-// 8-byte cells, 14.9 MB and 7 cycles since (30.3 objects and 4,589 B per
-// state when relations, headers and replay records all went to the
-// allocator). It measures 6.8 objects and 482 B per state, 208.5k objects
-// and 14.9 MB per run; the bars are 1.15x that. What is left, per state,
-// in objects (allocation profile, sampling every object): 2.7 closures
-// the workload itself makes (one per AwaitDo call of a replay, in
-// internal/structs), 3.0 for an appended event and the copy-on-write rows
-// that take it (mkEvent, and Append growing the extended thread's event
-// and rf rows, which clones share — by exactly one slot, since the next
-// Clone clamps them again), 0.4 mo rows (InsertMo), 0.1 headers and slabs
-// the free lists could not serve, and 0.01 for snapshot blocks, which was
-// 2.5 — the ≤ 5 of ROADMAP stays the stretch goal, and the closures are
-// what stands in front of it. The per-run bars are what holds a
-// regression that a change of the state count would hide.
+// before rf rows were 8-byte cells and replay results were shared (30.3
+// objects and 4,589 B per state when relations, headers and replay
+// records all went to the allocator; 6.8 objects and 463 B before the
+// replay memo). It measures 3.8 to 3.9 objects and 414 to 434 B per
+// state, 119.0k objects and 13.4 MB per run; the bars are 1.15x the
+// highest. What is left, per state, in objects (allocation profile,
+// sampling every object): 3.0 for an appended event and the
+// copy-on-write rows that take it (mkEvent,
+// and Append growing the extended thread's event and rf rows, which
+// clones share — by exactly one slot, since the next Clone clamps them
+// again), 0.4 mo rows (InsertMo), 0.2 closures the workload makes (one
+// per AwaitDo call of a replay, in internal/structs — 2.7 when every pop
+// replayed; now only a memo miss replays, 2,985 of 34,629), 0.1 headers
+// and slabs the free lists could not serve, and 0.02 for the arenas the
+// memo's entries and the steps' shared results are carved from. The
+// per-run bars are what holds a regression that a change of the state
+// count would hide.
 func TestAllocsTreiberT3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation regression bars are not run in -short")
@@ -104,17 +109,17 @@ func TestAllocsTreiberT3(t *testing.T) {
 	a := perState(t, workload.Program(workload.ByName("structs/treiber"), nil, 3))
 	t.Logf("treiber t=3: %.1f objects, %.0f B per popped state; %.1fk objects, %.1f MB per run",
 		a.objects, a.bytes, a.runObjects/1e3, a.runBytes/1e6)
-	if a.objects > 7.8 {
-		t.Errorf("treiber t=3 allocates %.1f objects per popped state, regression bar is 7.8", a.objects)
+	if a.objects > 4.5 {
+		t.Errorf("treiber t=3 allocates %.1f objects per popped state, regression bar is 4.5", a.objects)
 	}
-	if a.bytes > 555 {
-		t.Errorf("treiber t=3 allocates %.0f B per popped state, regression bar is 555", a.bytes)
+	if a.bytes > 500 {
+		t.Errorf("treiber t=3 allocates %.0f B per popped state, regression bar is 500", a.bytes)
 	}
-	if a.runObjects > 240e3 {
-		t.Errorf("treiber t=3 allocates %.1fk objects per run, regression bar is 240k", a.runObjects/1e3)
+	if a.runObjects > 137e3 {
+		t.Errorf("treiber t=3 allocates %.1fk objects per run, regression bar is 137k", a.runObjects/1e3)
 	}
-	if a.runBytes > 17.1e6 {
-		t.Errorf("treiber t=3 allocates %.1f MB per run, regression bar is 17.1 MB", a.runBytes/1e6)
+	if a.runBytes > 15.4e6 {
+		t.Errorf("treiber t=3 allocates %.1f MB per run, regression bar is 15.4 MB", a.runBytes/1e6)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // progress and may produce the writes others wait for — is explored in
 // a separate branch (the rf alternative pushed when the read was added,
 // or a revisit), so this graph is discarded as redundant.
-func (w *explorer) unresolvableBottom(g *graph.Graph, rres []replayResult) (graph.EventID, bool) {
+func (w *explorer) unresolvableBottom(g *graph.Graph, rres []*replayResult) (graph.EventID, bool) {
 	witness := graph.NoEvent
 	for t, res := range rres {
 		if !res.blocked {

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -108,113 +106,31 @@ func New(model mm.Model) *Checker {
 // ExploreState is therefore self-contained — whichever worker pops it
 // (its producer, or a thief) executes it identically.
 type ExploreState struct {
-	g         *graph.Graph
+	g       *graph.Graph
+	forcedR graph.EventID
+	forcedW graph.EventID
+
+	// snap, when non-nil, points at the first of the producing step's
+	// replay results, one memo entry per thread (see snapOf), shared by
+	// all the step's children: the graph extends the producer's by one
+	// event of thread changed, and a replay reads only its thread's row,
+	// so the pop replays just that thread. Entries are immutable, so the
+	// results need no owner but the collector; a pointer, not a slice,
+	// keeps the state the deques hold by value at seven words. Revisit
+	// states and states out of a checkpoint never carry one.
+	snap      **replayResult
+	changed   int32
 	hasForced bool
-	forcedR   graph.EventID
-	forcedW   graph.EventID
-
-	// snap, when non-nil, is the producing step's replay results (see
-	// snapBlock), one per thread: the graph extends the producer's by
-	// exactly one event of thread changed, and a thread's replay depends
-	// only on its own events and rf entries, so every other thread's
-	// result carries over verbatim and the pop re-replays one thread
-	// instead of all of them. The state holds one reference to the block.
-	// Revisit states (whose restricted graphs differ in many threads) and
-	// states out of a checkpoint never carry one.
-	snap    *snapBlock
-	changed int32
 }
 
-// snapBlock is one step's replay results, copied out of the worker's
-// replay scratch (which the next pop overwrites) for the children the
-// step pushes: the results, their spans and the spans' reads in three
-// arrays of one object. The copy is deep — a result taken verbatim out of
-// the popped state's own block is copied like a freshly replayed one — so
-// no block points into another and each is retired on its own. Who holds
-// references to it, and who retires it where, is written down with the
-// rule for graphs, at graph.FreeList.
-type snapBlock struct {
-	refs  atomic.Int32
-	home  *graph.FreeList // the list it was taken from; retired anywhere else, a thief did it
-	res   []replayResult
-	spans []iterRec
-	reads []graph.EventID
-}
-
-// ParkedBytes is what the block weighs on a free list (graph.Block).
-func (b *snapBlock) ParkedBytes() uint64 {
-	return uint64(unsafe.Sizeof(*b)) + uint64(cap(b.res))*uint64(unsafe.Sizeof(replayResult{})) +
-		uint64(cap(b.spans))*uint64(unsafe.Sizeof(iterRec{})) + uint64(cap(b.reads))*uint64(unsafe.Sizeof(graph.EventID{}))
-}
-
-// snapRef returns the current step's block with one more reference, for a
-// child about to be pushed. The block is taken and filled from w.rres at
-// the first call, so a step whose candidates are all filtered at birth
-// takes none.
-func (w *explorer) snapRef() *snapBlock {
-	b := w.cur
-	if b == nil {
-		b, _ = w.mem.TakeBlock().(*snapBlock)
-		if b == nil {
-			b = new(snapBlock)
-		}
-		b.home = &w.mem
-		b.refs.Store(1)
-		b.fill(w.rres)
-		w.cur = b
+// snapOf returns the current step's replay results for a child about to
+// be pushed: built at the first call, so a step whose candidates are all
+// filtered at birth builds none, and shared by every later one.
+func (w *explorer) snapOf() **replayResult {
+	if w.cur == nil {
+		w.cur = carve(&w.snaps, w.rres)
 	}
-	b.refs.Add(1)
-	return b
-}
-
-// fill deep-copies rres into b, reusing b's arrays where they are big
-// enough. Each array is sized before anything is appended to it: a window
-// into one that later grew would keep the outgrown array alive.
-func (b *snapBlock) fill(rres []replayResult) {
-	nspans, nreads := 0, 0
-	for i := range rres {
-		nspans += len(rres[i].spans)
-		for k := range rres[i].spans {
-			nreads += len(rres[i].spans[k].Reads)
-		}
-	}
-	b.res = append(b.res[:0], rres...)
-	b.spans = slices.Grow(b.spans[:0], nspans)
-	b.reads = slices.Grow(b.reads[:0], nreads)
-	for i := range b.res {
-		lo := len(b.spans)
-		b.spans = append(b.spans, b.res[i].spans...)
-		b.res[i].spans = b.spans[lo:len(b.spans):len(b.spans)]
-		for k := range b.res[i].spans {
-			sp := &b.res[i].spans[k]
-			rlo := len(b.reads)
-			b.reads = append(b.reads, sp.Reads...)
-			sp.Reads = b.reads[rlo:len(b.reads):len(b.reads)]
-		}
-	}
-}
-
-// poisonSnap, when set, sees every block the moment it is retired, before
-// it is parked. Test-only: see PoisonSnapOnRelease in export_test.go.
-var poisonSnap func(b *snapBlock)
-
-// dropSnap drops one reference to b (nil: the state carried none) and, if
-// it was the last, retires b into w's list.
-func (w *explorer) dropSnap(b *snapBlock) {
-	if b == nil {
-		return
-	}
-	n := b.refs.Add(-1)
-	if n < 0 {
-		panic("core: snapshot block released more often than referenced")
-	}
-	if n > 0 {
-		return
-	}
-	if poisonSnap != nil {
-		poisonSnap(b)
-	}
-	w.mem.ParkBlock(b, b.home != &w.mem)
+	return &w.cur[0]
 }
 
 // keyLegacy is the historical string dedup key: the canonical graph
@@ -511,21 +427,23 @@ func (w *explorer) step(it ExploreState) *Result {
 
 	// Replay every thread against the graph (reconstructing the program
 	// state, Fig. 6), collecting pending ops and await iteration
-	// records. A state carrying its producer's replay snapshot only
-	// re-replays the one thread its extension changed; the other results
-	// point into that block until execute drops the state's reference,
-	// after this step.
+	// records, each through the worker's replay memo. A state carrying its
+	// producer's results takes them for every thread but the one its
+	// extension changed.
 	if w.rres == nil {
-		w.rres = make([]replayResult, len(w.threads))
-		w.rmems = make([]replayMem, len(w.threads))
+		w.rres = make([]*replayResult, len(w.threads))
 	}
 	rres := w.rres
-	for t, fn := range w.threads {
-		if it.snap != nil && t != int(it.changed) {
-			rres[t] = it.snap.res[t]
-		} else {
-			rres[t] = replayThread(it.g, t, fn, w.vars.Vars, &w.rmems[t])
+	var snap []*replayResult
+	if it.snap != nil {
+		snap = unsafe.Slice(it.snap, len(rres))
+	}
+	for t := range w.threads {
+		if snap != nil && t != int(it.changed) {
+			rres[t] = snap[t]
+			continue
 		}
+		rres[t] = w.replay(it.g, t)
 		if rres[t].err != nil {
 			return &Result{Verdict: Error, Err: rres[t].err}
 		}
@@ -760,7 +678,7 @@ func (w *explorer) mkEvent(g *graph.Graph, t int, p *pending) *graph.Event {
 
 // push buffers a child state, guarding graph size. A child that extends
 // the popped graph by one event of thread changed (≥ 0; a revisit passes
-// -1) takes a reference to the step's replay snapshot. Children publish to
+// -1) shares the step's replay results. Children publish to
 // the worker's deque only after the whole step finishes
 // (flushChildren), so thieves never observe a graph its producer is
 // still touching — which matters for writes as well as reads: the
@@ -776,7 +694,7 @@ func (w *explorer) push(it ExploreState, changed int) {
 		return
 	}
 	if changed >= 0 {
-		it.snap, it.changed = w.snapRef(), int32(changed)
+		it.snap, it.changed = w.snapOf(), int32(changed)
 	}
 	w.stats.Pushed++
 	w.childBuf = append(w.childBuf, it)
@@ -809,7 +727,7 @@ func (w *explorer) pushChild(a graph.Admission, g, g2 *graph.Graph, e *graph.Eve
 // extendWrite adds a plain write: one child per admissible
 // modification-order placement, each followed by its revisit children
 // (which, their graphs being restrictions, never carry the step's replay
-// snapshot).
+// results).
 func (w *explorer) extendWrite(g *graph.Graph, t int, p *pending) {
 	npos := len(g.Mo[p.loc])
 	for pos := 1; pos <= npos; pos++ {
@@ -867,8 +785,8 @@ func (w *explorer) collapsesAtBirth(g2 *graph.Graph, t int, p *pending, spans []
 			return false
 		}
 	}
-	res := replayThread(g2, t, w.threads[t], w.vars.Vars, &w.probe)
-	return res.err == nil && collapsedRetry([]replayResult{res})
+	res := w.replay(g2, t)
+	return res.err == nil && res.collapsed()
 }
 
 // extendReadLike adds a read or update with each admissible rf choice
@@ -1096,31 +1014,39 @@ func (w *explorer) pushRevisit(g, g2 *graph.Graph, wv *graph.Event, porf *graph.
 // when an iteration succeeds, so the failed-iteration chains that feed
 // the ⊥ analysis — and the G∞* witnesses at their ends, where no
 // iteration ever succeeds — are never touched.
-func collapsedRetry(rres []replayResult) bool {
+func collapsedRetry(rres []*replayResult) bool {
 	for _, res := range rres {
-		seq := -1
-		wrote := false
-		for i := range res.spans {
-			s := &res.spans[i]
-			if s.Seq != seq {
-				seq, wrote = s.Seq, false
-			}
-			if !s.Complete {
-				continue
-			}
-			if s.Failed {
-				wrote = wrote || s.Wrote
-				continue
-			}
-			if s.Iter > 0 && !wrote {
-				return true
-			}
+		if res.collapsed() {
+			return true
 		}
 	}
 	return false
 }
 
-func wasteful(g *graph.Graph, rres []replayResult) bool {
+// collapsed is collapsedRetry for one thread's result.
+func (res *replayResult) collapsed() bool {
+	seq := -1
+	wrote := false
+	for i := range res.spans {
+		s := &res.spans[i]
+		if s.Seq != seq {
+			seq, wrote = s.Seq, false
+		}
+		if !s.Complete {
+			continue
+		}
+		if s.Failed {
+			wrote = wrote || s.Wrote
+			continue
+		}
+		if s.Iter > 0 && !wrote {
+			return true
+		}
+	}
+	return false
+}
+
+func wasteful(g *graph.Graph, rres []*replayResult) bool {
 	for _, res := range rres {
 		spans := res.spans
 		for i := 0; i+1 < len(spans); i++ {

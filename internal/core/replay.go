@@ -367,11 +367,10 @@ func (m *replayMem) Assert(ok bool, msg string) {
 
 // replayThread runs fn against g, reporting the thread's next pending
 // operation (or completion/blockage) and its await iteration records.
-// m is caller-provided scratch (one per worker per thread, reused
-// across pops so replays stop allocating); its previous spans and reads
-// backing arrays are recycled, which is safe because a step consumes its
-// replay results — or copies them out for its children (snapshot) —
-// before popping the next state.
+// m is caller-provided scratch (one per worker, reused across replays so
+// they stop allocating); its previous spans and reads backing arrays are
+// recycled, which is safe because the caller copies each result out (the
+// replay memo's keep) before the next replay.
 func replayThread(g *graph.Graph, tid int, fn vprog.ThreadFunc, vars []*vprog.Var, m *replayMem) (res replayResult) {
 	spans, reads := m.res.spans[:0], m.reads[:0]
 	*m = replayMem{g: g, tid: tid, vars: vars, curSeq: -1, reads: reads}

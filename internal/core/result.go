@@ -162,6 +162,8 @@ type SchedStats struct {
 	FrontierPeak int   // peak queued states: the deques' high-water marks summed (an upper bound past one worker)
 	Contention   int   // contended visited-shard lock acquisitions
 	Recruited    int   // pool slots borrowed for intra-run stealing
+	MemoRows     int   // distinct thread rows replayed, summed over the workers' replay memos
+	MemoReplays  int   // replays asked of the memos; all but MemoRows were served from them
 }
 
 // Accumulate sums the portable counters of o into s for suite-level
@@ -180,6 +182,8 @@ func (s *SchedStats) Accumulate(o SchedStats) {
 	s.FrontierPeak = max(s.FrontierPeak, o.FrontierPeak)
 	s.Contention += o.Contention
 	s.Recruited += o.Recruited
+	s.MemoRows += o.MemoRows
+	s.MemoReplays += o.MemoReplays
 }
 
 // Result is the outcome of Checker.Run.
@@ -267,9 +271,13 @@ func (r *Result) Report() string {
 			a.OrderExtends, a.OrderDerives, a.OrderCyclic)
 	}
 	if m := r.Mem; m.SlabRequests+m.HeaderRequests > 0 {
-		fmt.Fprintf(&b, "memory: %d relation slabs requested (%d recycled, %d retired by a thief), %d graph headers requested (%d recycled, %d retired by a thief), %d snapshot blocks requested (%d recycled, %d retired by a thief), free lists peaked at %d KB per worker\n",
+		served := 0.0
+		if sc.MemoReplays > 0 {
+			served = 100 * float64(sc.MemoReplays-sc.MemoRows) / float64(sc.MemoReplays)
+		}
+		fmt.Fprintf(&b, "memory: %d relation slabs requested (%d recycled, %d retired by a thief), %d graph headers requested (%d recycled, %d retired by a thief), replay memo: %d rows for %d replays (%.0f%% served), free lists peaked at %d KB per worker\n",
 			m.SlabRequests, m.SlabHits, m.SlabThief, m.HeaderRequests, m.HeaderHits, m.HeaderThief,
-			m.BlockRequests, m.BlockHits, m.BlockThief, (m.HighWaterBytes+1023)/1024)
+			sc.MemoRows, sc.MemoReplays, served, (m.HighWaterBytes+1023)/1024)
 	}
 	return b.String()
 }

@@ -60,17 +60,21 @@ type explorer struct {
 	oversize bool // the current step built a child over MaxEvents (see push)
 	stealBuf [stealBatch]ExploreState
 
-	// mem recycles the graph headers, relation sets and replay snapshot
-	// blocks of the states this worker is the last to need (see
-	// graph.FreeList for the rule).
+	// mem recycles the graph headers and relation sets of the states this
+	// worker is the last to need (see graph.FreeList for the rule).
 	mem graph.FreeList
 
-	// Replay scratch, reused across every item this worker executes.
-	rres  []replayResult
-	rmems []replayMem
-	probe replayMem // collapsesAtBirth's replay of one thread against a child
+	// Replay state. memo serves every replay (see replayMemo); rmem is the
+	// scratch its misses replay in; rres is the popped state's results,
+	// one entry per thread; cur is rres copied out for the children of the
+	// step in progress, once it pushes one (see snapOf), and snaps the
+	// arena such copies are carved from.
+	memo  replayMemo
+	rmem  replayMem
+	rres  []*replayResult
+	cur   []*replayResult
+	snaps []*replayResult
 	rfbuf []graph.RF
-	cur   *snapBlock // rres copied out for the children of the step in progress, once it pushes one (see snapRef)
 
 	// Symmetry-reduction state of the item being executed. curPerm is
 	// the relabeling onto the canonical representative (nil when the
@@ -281,11 +285,6 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 	w.stats.Popped++
 	w.executed++
 	res := w.step(st)
-	// The step is done reading the replay results st carried, and with
-	// filling its own block: drop st's reference, and the step's once the
-	// children that share the block are out.
-	w.dropSnap(st.snap)
-	cur := w.cur
 	w.cur = nil
 	if w.oversize {
 		w.oversize = false
@@ -297,7 +296,6 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 		// — or this — drops the last reference recycles it. A deciding
 		// state is not released: its graph may be the witness.
 		w.flushChildren()
-		w.dropSnap(cur)
 		w.mem.Release(st.g)
 		return
 	}
@@ -612,10 +610,9 @@ func (x *exploration) buildCheckpoint() *Checkpoint {
 	return ck
 }
 
-// stripSnap drops the replay snapshot from the copy of a state bound for
-// a checkpoint: the copy holds no reference to the block, which the run
-// recycles while the checkpoint is encoded, and the resuming pop replays
-// every thread instead.
+// stripSnap drops the replay results from the copy of a state bound for
+// a checkpoint, as encoding it would: a state resumed from memory then
+// replays every thread, like one decoded from a file.
 func stripSnap(st ExploreState) ExploreState {
 	st.snap = nil
 	st.changed = 0
@@ -656,6 +653,8 @@ func (x *exploration) merge() *Result {
 		sched.Steals += w.steals
 		sched.Stolen += w.stolen
 		sched.FrontierPeak += w.dq.peak
+		sched.MemoRows += len(w.memo.rows)
+		sched.MemoReplays += w.memo.replays
 	}
 	if x.visited != nil {
 		sched.Contention = x.visited.Contention()

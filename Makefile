@@ -113,14 +113,24 @@ suite:
 # same treiber t=4 segment `make suite` ends on, at one worker and
 # through vsynccheck, whose report of an undecided run carries the
 # figures that matter there — how many states the segment left queued
-# and the most it ever held ("frontier peaked at"), and the memory line
-# (~12 s, ~360 MB). Exit 3 is the expected outcome; anything else fails.
+# and the most it ever held ("frontier peaked at"), and the memory line.
+# It runs twice through one temporary -checkpoint-dir: both runs must
+# exit 3 (undecided, checkpointed), and the second must resume the
+# first's frontier, which its report shows as 3,000,000 graphs explored
+# in all — a per-segment budget lets a resumed run go on as long as the
+# first one did (~36 s on 2 vCPUs; the resumed run peaks at ~1.2 GB RSS).
 t4-segment:
 	@set -e; \
-	bin=$$(mktemp -t vsynccheck.XXXXXX); \
-	trap 'rm -f $$bin' EXIT; \
+	bin=$$(mktemp -t vsynccheck.XXXXXX); dir=$$(mktemp -d -t vsyncckpt.XXXXXX); \
+	trap 'rm -rf $$bin $$dir' EXIT; \
 	$(GO) build -o $$bin ./cmd/vsynccheck; \
-	$$bin -workload structs/treiber -threads 4 -workers 1 -budget-graphs 1500000 || [ $$? -eq 3 ]
+	for seg in 1 2; do \
+		code=0; \
+		$$bin -workload structs/treiber -threads 4 -workers 1 -budget-graphs 1500000 -checkpoint-dir $$dir > $$dir/log || code=$$?; \
+		cat $$dir/log; \
+		if [ $$code -ne 3 ]; then echo "t4-segment: run $$seg exited $$code, want 3" >&2; exit 1; fi; \
+	done; \
+	grep -q '(3000000 graphs explored' $$dir/log || { echo "t4-segment: the second run did not resume the first" >&2; exit 1; }
 
 # Warm assertion: over an unchanged corpus the store must serve at
 # least 99% of the cells (CI runs `make suite` first, so in practice

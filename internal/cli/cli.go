@@ -85,7 +85,7 @@ func MinHitRate() *float64 {
 // resumes where it stopped.
 func BudgetFlags() func() vsync.Budget {
 	d := flag.Duration("budget", 0, "wall-clock budget per run segment (0 = unbounded); on exhaustion the run checkpoints and exits undecided")
-	g := flag.Int64("budget-graphs", 0, "popped-graph budget per run segment (0 = unbounded)")
+	g := flag.Int64("budget-graphs", 0, "popped-graph budget per run segment (0 = the default, 2,000,000)")
 	m := flag.Int64("budget-mem", 0, "absolute heap budget in bytes, sampled during exploration (0 = unbounded)")
 	return func() vsync.Budget {
 		return vsync.Budget{MaxDuration: *d, MaxGraphs: *g, MaxMemBytes: uint64(max(*m, 0))}

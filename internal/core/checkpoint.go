@@ -12,26 +12,32 @@ import (
 	"repro/internal/graph"
 )
 
-// Budget bounds one run segment. A zero Budget is unbounded. When any
-// limit trips, the run drains cleanly and returns an Undecided result
-// carrying a Checkpoint instead of discarding the work: MaxGraphs and
-// MaxDuration are per-segment caps (a resumed segment gets a fresh
-// allowance — that is what makes "keep resuming until decided" make
-// progress under any budget), while MaxMemBytes is an absolute cap on
-// the Go heap observed at a sampling cadence.
+// Budget bounds one run segment. When any limit trips, the run drains
+// cleanly and returns an Undecided result carrying a Checkpoint instead
+// of discarding the work: MaxGraphs and MaxDuration are per-segment caps
+// (a resumed segment gets a fresh allowance — that is what makes "keep
+// resuming until decided" make progress under any budget), while
+// MaxMemBytes is an absolute cap on the Go heap observed at a sampling
+// cadence. A zero MaxDuration or MaxMemBytes sets no limit.
 type Budget struct {
 	// MaxDuration caps the wall-clock time of this segment.
 	MaxDuration time.Duration
-	// MaxGraphs caps the number of states this segment pops.
+	// MaxGraphs caps the number of states this segment pops; zero means
+	// 2,000,000. There is no unbounded setting: a program outside the
+	// Bounded-Length principle never finishes.
 	MaxGraphs int64
 	// MaxMemBytes caps the process heap (runtime.ReadMemStats
 	// HeapAlloc, sampled every few thousand pops).
 	MaxMemBytes uint64
 }
 
-// active reports whether any limit is set.
-func (b Budget) active() bool {
-	return b.MaxDuration > 0 || b.MaxGraphs > 0 || b.MaxMemBytes > 0
+// graphCap returns the number of pops the segment may make: MaxGraphs,
+// or the default every caller that sets none gets.
+func (b Budget) graphCap() int64 {
+	if b.MaxGraphs > 0 {
+		return b.MaxGraphs
+	}
+	return 2_000_000
 }
 
 // Checkpoint is the resumable remainder of an interrupted exploration:

@@ -16,10 +16,6 @@ import (
 type Checker struct {
 	// Model is the memory model to verify against.
 	Model mm.Model
-	// MaxGraphs bounds the number of popped exploration states; the run
-	// fails with Verdict Error when exceeded (guards against programs
-	// outside AMC's fragment).
-	MaxGraphs int
 	// MaxEvents bounds the size of a single execution graph.
 	MaxEvents int
 	// WorkersPerRun is the number of workers sharing this run's
@@ -60,7 +56,8 @@ type Checker struct {
 	// bytes). A budget hit drains the workers cleanly — every running
 	// step completes and publishes its children — and the run returns
 	// an Undecided result carrying a Checkpoint of the remaining
-	// frontier instead of losing the work. Zero means unbounded.
+	// frontier instead of losing the work. A zero Budget still caps the
+	// segment at 2,000,000 popped states (see Budget.MaxGraphs).
 	Budget Budget
 	// Resume seeds the run from a checkpoint instead of the program's
 	// root graph: the frontier, visited-set keys, cumulative counters,
@@ -94,7 +91,7 @@ type Checker struct {
 
 // New returns a Checker for the given memory model with default limits.
 func New(model mm.Model) *Checker {
-	return &Checker{Model: model, MaxGraphs: 2_000_000, MaxEvents: 4096}
+	return &Checker{Model: model, MaxEvents: 4096}
 }
 
 // ExploreState is one unit of work in the exploration work-graph: a
@@ -183,7 +180,7 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	if workers < 1 {
 		workers = 1
 	}
-	x := &exploration{c: c, prog: p, ctx: ctx, single: workers == 1, start: start}
+	x := &exploration{c: c, prog: p, ctx: ctx, single: workers == 1, start: start, maxPops: c.Budget.graphCap()}
 	x.parkCond = sync.NewCond(&x.parkMu)
 	if !c.DisableDedup {
 		if c.LegacyDedup {
@@ -214,16 +211,15 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 		return res
 	}
 
-	// Checkpoint-aware runs pin the program identity up front and pay
-	// one structural fingerprint for it; plain runs skip all of this.
-	ckptable := c.Resume != nil || c.CheckpointSink != nil || c.CheckpointOnCancel || c.Budget.active()
-	if ckptable {
+	// Checkpoint-aware runs arm their checks up front; plain runs skip
+	// all of this. Neither fingerprints the program before a checkpoint
+	// is built or a resume validated.
+	if c.Resume != nil || c.CheckpointSink != nil || c.CheckpointOnCancel || c.Budget != (Budget{}) {
 		if c.LegacyDedup {
 			return finish(&Result{Verdict: Error,
 				Err: fmt.Errorf("checkpointing requires the hashed visited set (LegacyDedup is test-only)")})
 		}
-		x.budgetOn = c.Budget.active()
-		x.progFP = p.Fingerprint128()
+		x.budgetOn = c.Budget.MaxDuration > 0 || c.Budget.MaxMemBytes > 0
 		if c.CheckpointSink != nil && c.CheckpointInterval > 0 {
 			x.snapEvery = int64(c.CheckpointInterval)
 			x.lastSnap.Store(start.UnixNano())
@@ -307,9 +303,9 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 		return &Result{Verdict: Error, Err: fmt.Errorf(
 			"checkpoint was taken under model %q, this run verifies %q", ck.Model, want)}
 	}
-	if ck.Prog != x.progFP {
+	if fp := x.prog.Fingerprint128(); ck.Prog != fp {
 		return &Result{Verdict: Error, Err: fmt.Errorf(
-			"checkpoint program fingerprint %x does not match this program (%x)", ck.Prog, x.progFP)}
+			"checkpoint program fingerprint %x does not match this program (%x)", ck.Prog, fp)}
 	}
 	if ck.Sym != (x.sym != nil) {
 		return &Result{Verdict: Error, Err: fmt.Errorf(

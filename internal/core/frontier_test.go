@@ -21,9 +21,13 @@ import (
 // it.
 func TestResumeDeepFrontierRoundTrip(t *testing.T) {
 	const n = 100000
+	prog := &vprog.Program{Name: "lone", Build: func(env vprog.Env) ([]vprog.ThreadFunc, vprog.FinalCheck) {
+		env.Var("x", 0)
+		return []vprog.ThreadFunc{func(vprog.Mem) {}}, nil
+	}}
 	lone := func() (*exploration, *explorer) {
 		c := New(mm.WMM)
-		x := &exploration{c: c, single: true}
+		x := &exploration{c: c, prog: prog, single: true}
 		w := &explorer{x: x, c: c, threads: make([]vprog.ThreadFunc, 1), vars: &vprog.VarSet{}}
 		w.vars.Var("x", 0)
 		x.workers = []*explorer{w}

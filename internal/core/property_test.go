@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -161,14 +162,28 @@ func TestAMCWastefulFilterEffect(t *testing.T) {
 	}
 }
 
-// TestMaxGraphsGuard: the MaxGraphs limit turns a too-large exploration
-// into a clean error instead of a hang.
+// TestMaxGraphsGuard: the pop budget turns a too-large exploration into
+// a resumable Undecided — a checkpoint, and a message that says what to
+// do — instead of a hang or an error, and segments of that budget add
+// up to exactly the uninterrupted run.
 func TestMaxGraphsGuard(t *testing.T) {
+	p := harness.MutexClient(locks.ByName("mcs"), locks.ByName("mcs").DefaultSpec(), 2, 1)
 	c := core.New(mm.WMM)
-	c.MaxGraphs = 10
-	res := c.Run(harness.MutexClient(locks.ByName("mcs"), locks.ByName("mcs").DefaultSpec(), 2, 1))
-	if res.Verdict != core.Error {
-		t.Fatalf("want Error on MaxGraphs, got %v", res)
+	c.Budget = core.Budget{MaxGraphs: 10}
+	res := c.Run(p)
+	if res.Verdict != core.Undecided || res.Checkpoint == nil {
+		t.Fatalf("want Undecided with a checkpoint at 10 pops, got %v", res)
+	}
+	for _, want := range []string{"MaxGraphs=10 popped states", "resume", "raise the budget", "Bounded-Length principle never finishes"} {
+		if !strings.Contains(res.Message, want) {
+			t.Errorf("message %q does not say %q", res.Message, want)
+		}
+	}
+	whole := core.New(mm.WMM).Run(p)
+	seg, segs := runSegmented(t, mm.WMM, p, 1, core.Budget{MaxGraphs: 10}, false)
+	if !whole.Ok() || !seg.Ok() || seg.Stats.Popped != whole.Stats.Popped {
+		t.Fatalf("uninterrupted %v, %d popped; in %d segments of 10 pops %v, %d popped",
+			whole.Verdict, whole.Stats.Popped, segs, seg.Verdict, seg.Stats.Popped)
 	}
 }
 

@@ -124,7 +124,7 @@ type exploration struct {
 
 	queued   atomic.Int64 // states sitting in deques (advisory, for parking)
 	inflight atomic.Int64 // queued + currently executing; 0 <=> exploration drained
-	popped   atomic.Int64 // MaxGraphs guard and cancellation cadence
+	popped   atomic.Int64 // this segment's pops: the graph cap and cancellation cadence
 
 	parkMu   sync.Mutex
 	parkCond *sync.Cond
@@ -147,13 +147,12 @@ type exploration struct {
 	recruited atomic.Int32
 
 	// Crash-safety state (see checkpoint.go). start anchors the
-	// MaxDuration budget; budgetOn gates the per-pop budget checks;
-	// progFP pins the program identity into checkpoints; baseStats and
-	// basePopped carry the counters of prior segments when this run
-	// resumed from a checkpoint.
+	// MaxDuration budget; maxPops is the graph cap; budgetOn gates the
+	// sampled budget checks; baseStats and basePopped carry the counters
+	// of prior segments when this run resumed from a checkpoint.
 	start      time.Time
+	maxPops    int64
 	budgetOn   bool
-	progFP     graph.Hash128
 	baseStats  Stats
 	basePopped int64
 
@@ -253,8 +252,8 @@ func (x *exploration) tryNext(w *explorer) (st ExploreState, ok, wait bool) {
 	return ExploreState{}, false, true
 }
 
-// execute runs one item: global guards (cancellation cadence, budget,
-// MaxGraphs), then the step, then either publishes the children or
+// execute runs one item: global guards (cancellation cadence, graph cap,
+// budget), then the step, then either publishes the children or
 // merges the violation. Every guard fires BEFORE the state is counted
 // as processed, so a guard-stopped state can be returned to the
 // frontier intact (haltUndecided) and the checkpoint's counters agree
@@ -271,16 +270,16 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 		}
 		return
 	}
+	if n > x.maxPops {
+		x.haltUndecided(w, st, fmt.Sprintf("budget: segment reached MaxGraphs=%d popped states; resume from the checkpoint "+
+			"or raise the budget (-budget-graphs) — a program outside the Bounded-Length principle never finishes", x.maxPops))
+		return
+	}
 	if x.budgetOn {
 		if msg := x.overBudget(n); msg != "" {
 			x.haltUndecided(w, st, msg)
 			return
 		}
-	}
-	if x.basePopped+n > int64(x.c.MaxGraphs) {
-		x.halt(&Result{Verdict: Error, Err: fmt.Errorf(
-			"exceeded MaxGraphs=%d (program may violate the Bounded-Length principle)", x.c.MaxGraphs)})
-		return
 	}
 	w.stats.Popped++
 	w.executed++
@@ -409,15 +408,12 @@ func (x *exploration) stopAll() {
 	x.parkMu.Unlock()
 }
 
-// overBudget checks this segment's budget against the nth pop. The
-// graph cap is exact (a compare per pop); the wall-clock and heap caps
-// are sampled at cadences that keep their cost invisible. It returns
-// the stop reason, or "" to proceed.
+// overBudget checks this segment's wall-clock and heap caps against the
+// nth pop, sampled at cadences that keep their cost invisible (the
+// graph cap is execute's one compare per pop). It returns the stop
+// reason, or "" to proceed.
 func (x *exploration) overBudget(n int64) string {
 	b := x.c.Budget
-	if b.MaxGraphs > 0 && n > b.MaxGraphs {
-		return fmt.Sprintf("budget: segment reached MaxGraphs=%d", b.MaxGraphs)
-	}
 	if b.MaxDuration > 0 && n%64 == 0 {
 		if el := time.Since(x.start); el > b.MaxDuration {
 			return fmt.Sprintf("budget: segment ran %v (MaxDuration %v)", el.Round(time.Millisecond), b.MaxDuration)
@@ -581,7 +577,7 @@ func (x *exploration) maybeSnapshot() {
 func (x *exploration) buildCheckpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Model:  x.c.Model.Name(),
-		Prog:   x.progFP,
+		Prog:   x.prog.Fingerprint128(),
 		Sym:    x.sym != nil,
 		Popped: x.basePopped + x.popped.Load(),
 		Stats:  x.baseStats,
@@ -622,9 +618,9 @@ func stripSnap(st ExploreState) ExploreState {
 // merge assembles the final Result: the deterministic violation winner
 // if the run found any, else the hard stop (Error/Canceled), else OK —
 // with statistics summed over every worker that participated. A true
-// counterexample outranks a MaxGraphs error or a cancellation: it is a
-// sound verdict about the program, where the others only describe the
-// run. The one exception is a budget stop: Undecided outranks a found
+// counterexample outranks an error or a cancellation: it is a sound
+// verdict about the program, where the others only describe the run.
+// The one exception is a budget stop: Undecided outranks a found
 // violation, because the deterministic-counterexample contract picks
 // the minimum over ALL violations of a complete exploration — the
 // front-runner travels in the checkpoint and wins only once the

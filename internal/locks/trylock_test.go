@@ -72,9 +72,9 @@ func TestTryThenAwaitPattern(t *testing.T) {
 
 // TestBoundedEffectViolationDiagnosed: an await whose failed iterations
 // perform value-changing writes violates the Bounded-Effect principle;
-// the exploration space becomes unbounded and the checker must degrade
-// to a clean resource-limit error rather than hang (§2.2: the paper
-// forbids such writes outright).
+// the exploration space becomes unbounded and the checker must stop
+// rather than hang — with the diagnosis as an Error, or at a limit: the
+// pop budget's Undecided (§2.2: the paper forbids such writes outright).
 func TestBoundedEffectViolationDiagnosed(t *testing.T) {
 	p := &vprog.Program{
 		Name: "bad/await-with-writes",
@@ -100,13 +100,13 @@ func TestBoundedEffectViolationDiagnosed(t *testing.T) {
 		},
 	}
 	c := core.New(mm.WMM)
-	c.MaxGraphs = 20_000
+	c.Budget = core.Budget{MaxGraphs: 20_000}
 	res := c.Run(p)
-	if res.Verdict != core.Error {
+	if res.Verdict != core.Error && res.Verdict != core.Undecided {
 		// Some explorations may converge if t1 finishes early; if so the
 		// verdict must still be sound (OK or ATViolation, not a hang).
 		t.Logf("bounded-effect violation explored without hitting limits: %v", res)
 		return
 	}
-	t.Logf("diagnosed: %v", res.Err)
+	t.Logf("diagnosed: %v", res)
 }

@@ -39,11 +39,11 @@ const (
 // checking.
 //
 // Only decisive verdicts (OK, SafetyViolation, ATViolation) are stored;
-// Error and Canceled runs carry no reusable information. Error-judged
-// keys are remembered (in memory only) so their re-probes count as
-// "undecided" rather than misses. A Cache is safe for concurrent use
-// and may be shared across Optimizer runs — e.g. optimizing the same
-// lock against growing client suites.
+// Error, Undecided and Canceled runs carry no reusable information. Keys
+// judged Error or Undecided are remembered (in memory only) so their
+// re-probes count as "undecided" rather than misses. A Cache is safe for
+// concurrent use and may be shared across Optimizer runs — e.g.
+// optimizing the same lock against growing client suites.
 type Cache struct {
 	mu        sync.Mutex
 	m         map[store.Key]core.Verdict
@@ -98,14 +98,14 @@ func (c *Cache) lookup(key store.Key) (core.Verdict, probeOutcome) {
 }
 
 // store records a verdict. Decisive ones land in memory and — when a
-// persistent tier is attached — on disk; Error marks the key undecided
-// (so re-probes are classified, not miscounted); Canceled is dropped
-// entirely, it says nothing about the problem.
+// persistent tier is attached — on disk; Error and Undecided mark the key
+// undecided (re-probes are classified, never served as hits); Canceled
+// is dropped entirely, it says nothing about the problem.
 func (c *Cache) store(key store.Key, name string, v core.Verdict) {
 	switch v {
 	case core.Canceled:
 		return
-	case core.Error:
+	case core.Error, core.Undecided:
 		c.mu.Lock()
 		if c.undecided == nil {
 			c.undecided = make(map[store.Key]struct{})
@@ -162,8 +162,8 @@ func (c *Cache) Misses() int {
 }
 
 // Undecided returns the number of probes for problems that were judged
-// but produced no storable verdict (engine errors) — not hits, but not
-// honest misses either.
+// but produced no storable verdict (engine errors, budget stops) — not
+// hits, but not honest misses either.
 func (c *Cache) Undecided() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -74,8 +74,8 @@ type Result struct {
 	// CacheHits and CacheLookups count memo-cache probes made during
 	// this run (zero when the optimizer has no Cache). CacheUndecided
 	// counts probes of problems judged before but without a storable
-	// verdict (engine errors) — neither hits nor honest misses;
-	// CacheLookups includes them.
+	// verdict (engine errors, budget stops) — neither hits nor honest
+	// misses; CacheLookups includes them.
 	CacheHits, CacheLookups, CacheUndecided int
 	// Deduped counts programs served by the run of an equal-fingerprint
 	// sibling in the same suite; Skipped counts runs never started
@@ -108,8 +108,6 @@ type Optimizer struct {
 	// It must be safe for concurrent invocation: the parallel engine
 	// builds several candidates' program suites at once.
 	Programs func(spec *vprog.BarrierSpec) []*vprog.Program
-	// MaxGraphs bounds each AMC run (0 = checker default).
-	MaxGraphs int
 	// Passes caps the number of full point sweeps (0 or 1 = single
 	// pass). Because the greedy descent is order-dependent, a point
 	// rejected early can become relaxable after later points settle;
@@ -139,6 +137,9 @@ type Optimizer struct {
 	// multi-pass sweeps, shared caches across runs, store-backed caches
 	// across processes — are never re-verified.
 	Cache *Cache
+	// budget bounds each AMC run (zero: the checker's default); tests set
+	// it to stop runs, whose Undecided rejects a candidate unverified.
+	budget core.Budget
 }
 
 // rank orders modes for descent; equal-rank modes (Acq/Rel) are both
@@ -241,9 +242,7 @@ func (e *engine) countProbe(outcome probeOutcome) {
 // must not be shared across concurrent runs.
 func (e *engine) checker() *core.Checker {
 	c := core.New(e.o.Model)
-	if e.o.MaxGraphs > 0 {
-		c.MaxGraphs = e.o.MaxGraphs
-	}
+	c.Budget = e.o.budget
 	c.WorkersPerRun = e.o.WorkersPerRun
 	return c
 }
@@ -489,9 +488,9 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 }
 
 // Report renders the optimization in the shape of Fig. 20: one line per
-// point, with the accepted relaxation marked, followed by the mode
-// tally and — for parallel/cached runs — the engine accounting: cache
-// effectiveness and the per-worker timing breakdown.
+// point, with the accepted relaxation marked, followed by the mode tally,
+// the candidates left undecided, and — for parallel/cached runs — the
+// engine accounting: cache effectiveness and per-worker timing.
 func (r *Result) Report() string {
 	out := ""
 	for _, p := range r.Initial.Points() {
@@ -509,6 +508,15 @@ func (r *Result) Report() string {
 	c := r.Final.Counts()
 	out += fmt.Sprintf("modes: rlx=%d acq=%d rel=%d acqrel=%d sc=%d removed=%d | %d verifications in %v\n",
 		c.Rlx, c.Acq, c.Rel, c.AcqRel, c.SC, c.Removed, r.Verifications, r.Duration)
+	undecided := 0
+	for _, s := range r.Steps {
+		if s.Verdict == core.Undecided {
+			undecided++
+		}
+	}
+	if undecided > 0 {
+		out += fmt.Sprintf("undecided: %d candidates stopped at their budget and were rejected unverified; the result may be stronger than locally maximal\n", undecided)
+	}
 	if r.CacheLookups+r.Deduped+r.Skipped > 0 {
 		out += fmt.Sprintf("cache: %d hits / %d lookups", r.CacheHits, r.CacheLookups)
 		if r.CacheUndecided > 0 {

@@ -1,9 +1,12 @@
 package optimize_test
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
@@ -71,35 +74,60 @@ func TestCacheSameNameDifferentShape(t *testing.T) {
 	}
 }
 
-// TestCacheUndecidedAccounting: an Error-judged problem must not be
-// re-counted as a miss forever — re-probes land in the undecided
-// bucket, and misses stay put.
+// TestCacheUndecidedAccounting: a candidate whose run its budget stopped
+// is Undecided — rejected, never accepted — and the cache must neither
+// serve it as a hit later nor re-count it as a miss forever: its
+// re-probes land in the undecided bucket, and misses stay put. The
+// budget lets the initial spec's one-event client verify and stops the
+// real lock client every candidate spec gets.
 func TestCacheUndecidedAccounting(t *testing.T) {
 	cache := optimize.NewCache()
-	mk := func() *optimize.Optimizer {
-		return &optimize.Optimizer{
+	alg := locks.ByName("ttas")
+	initial := alg.DefaultSpec().AllSC()
+	run := func() *optimize.Result {
+		t.Helper()
+		opt := &optimize.Optimizer{
 			Model: mm.WMM, Parallelism: 1, Cache: cache,
-			MaxGraphs: 1, // guarantees an Error verdict on any real client
 			Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
-				alg := locks.ByName("ttas")
+				if spec.Fingerprint128() == initial.Fingerprint128() {
+					return []*vprog.Program{namedProgram("client/tiny", 1, true)}
+				}
 				return []*vprog.Program{harness.MutexClient(alg, spec, 2, 1)}
 			},
 		}
+		optimize.SetBudget(opt, core.Budget{MaxGraphs: 5})
+		res, err := opt.Run(initial.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Steps) == 0 {
+			t.Fatal("no candidate was tried")
+		}
+		for _, s := range res.Steps {
+			if s.Accepted || s.Verdict != core.Undecided {
+				t.Fatalf("%s=%s: accepted %v, verdict %v; want a budget-stopped rejection", s.Point, s.Tried, s.Accepted, s.Verdict)
+			}
+		}
+		if res.Final.Fingerprint128() != initial.Fingerprint128() {
+			t.Fatalf("undecided candidates relaxed the spec:\n%s", res.Changed())
+		}
+		want := fmt.Sprintf("undecided: %d candidates stopped at their budget", len(res.Steps))
+		if !strings.Contains(res.Report(), want) {
+			t.Errorf("report does not say %q:\n%s", want, res.Report())
+		}
+		return res
 	}
-	if _, err := mk().Run(locks.ByName("ttas").DefaultSpec().AllSC()); err == nil {
-		t.Fatal("MaxGraphs=1 run unexpectedly succeeded")
+	first := run()
+	n := len(first.Steps)
+	if cache.Misses() != 1+n || cache.Undecided() != 0 || cache.Hits() != 0 {
+		t.Fatalf("first run: %d misses / %d undecided / %d hits, want %d / 0 / 0", cache.Misses(), cache.Undecided(), cache.Hits(), 1+n)
 	}
-	if cache.Misses() != 1 || cache.Undecided() != 0 {
-		t.Fatalf("first run: %d misses / %d undecided, want 1 / 0", cache.Misses(), cache.Undecided())
+	second := run()
+	if second.CacheHits != 1 || second.CacheUndecided != n {
+		t.Errorf("second run: %d hits and %d undecided re-probes, want 1 (the initial spec) and %d", second.CacheHits, second.CacheUndecided, n)
 	}
-	if _, err := mk().Run(locks.ByName("ttas").DefaultSpec().AllSC()); err == nil {
-		t.Fatal("second MaxGraphs=1 run unexpectedly succeeded")
-	}
-	if cache.Misses() != 1 {
-		t.Errorf("re-probe of an undecidable problem counted as a miss: %d misses", cache.Misses())
-	}
-	if cache.Undecided() != 1 {
-		t.Errorf("re-probe not classified undecided: %d", cache.Undecided())
+	if cache.Misses() != 1+n {
+		t.Errorf("re-probes of undecided candidates counted as misses: %d misses", cache.Misses())
 	}
 	if cache.Lookups() != cache.Hits()+cache.Misses()+cache.Undecided() {
 		t.Errorf("lookup accounting does not add up: %d != %d+%d+%d",

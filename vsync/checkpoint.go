@@ -17,7 +17,8 @@ import (
 // statistics and counterexample an uninterrupted run would have
 // produced. MaxDuration and MaxGraphs are per-segment (so every
 // resumed segment gets a fresh allowance and the search always makes
-// progress); MaxMemBytes is an absolute heap cap.
+// progress); MaxMemBytes is an absolute heap cap. MaxGraphs has no
+// unbounded setting: zero means 2,000,000 pops per segment.
 type Budget = core.Budget
 
 // Checkpoint is the resumable remainder of an interrupted exploration:

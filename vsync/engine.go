@@ -120,9 +120,6 @@ func resolve(ctx context.Context, probs []problem, opts RunOptions, failFast boo
 		c := core.New(rep.model)
 		c.WorkersPerRun = opts.WorkersPerRun
 		c.NoSymmetry = opts.NoSymmetry
-		if opts.MaxGraphs > 0 {
-			c.MaxGraphs = opts.MaxGraphs
-		}
 		ckpt := armCheckpoints(c, &opts, rep)
 		jobs[j] = core.Job{Checker: c, Program: rep.prog, Wrap: func(run func() *Result) *Result {
 			if st != nil {

@@ -109,11 +109,10 @@ type MatrixConfig struct {
 	// WorkersPerRun enables intra-run work stealing per cell
 	// (0 = GOMAXPROCS, 1 = sequential).
 	WorkersPerRun int
-	// MaxGraphs bounds each AMC run (0 = checker default).
-	MaxGraphs int
 	// Budget bounds each cell's AMC run segment; a budget hit leaves
 	// the cell Undecided (neither failure nor error) with its frontier
-	// checkpointed when CheckpointDir is set. Zero means unbounded.
+	// checkpointed when CheckpointDir is set. Zero still caps each
+	// segment at 2,000,000 popped states (see Budget.MaxGraphs).
 	Budget Budget
 	// CheckpointDir, when non-empty, makes the suite crash-safe: each
 	// cell checkpoints its interrupted frontier to a content-addressed
@@ -374,7 +373,6 @@ func VerifyMatrixCtx(ctx context.Context, cfg MatrixConfig) *MatrixResult {
 		Store:              cfg.Store,
 		Parallelism:        cfg.Parallelism,
 		WorkersPerRun:      cfg.WorkersPerRun,
-		MaxGraphs:          cfg.MaxGraphs,
 		Budget:             cfg.Budget,
 		CheckpointDir:      cfg.CheckpointDir,
 		CheckpointInterval: cfg.CheckpointInterval,

@@ -34,8 +34,6 @@ type RunOptions struct {
 	// keys each program by ProblemKey(model, nil, p) — sound, but a
 	// different address than spec-aware callers use.
 	StoreKeys []StoreKey
-	// MaxGraphs bounds each AMC run (0 = checker default).
-	MaxGraphs int
 	// NoSymmetry disables thread-symmetry reduction
 	// (core.Checker.NoSymmetry): programs declaring symmetric thread
 	// groups are explored without collapsing relabeled states. The
@@ -43,9 +41,9 @@ type RunOptions struct {
 	// and a diagnostic knob, not a correctness choice. Note that
 	// checkpoints record the setting and resume only under the same one.
 	NoSymmetry bool
-	// Budget bounds each AMC run segment (wall clock, popped graphs,
-	// heap). A budget hit returns Undecided with a Checkpoint instead
-	// of losing the work; see Budget and Resume. Zero means unbounded.
+	// Budget bounds each AMC run segment (wall clock; popped graphs,
+	// 2,000,000 when zero; heap). A budget hit returns Undecided with a
+	// Checkpoint instead of losing the work; see Budget and Resume.
 	Budget Budget
 	// CheckpointDir, when non-empty, makes runs crash-safe: each
 	// program checkpoints to a content-addressed file in this directory

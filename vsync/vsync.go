@@ -208,8 +208,6 @@ type OptimizeOptions struct {
 	Cache *OptCache
 	// Passes caps full point sweeps (0 or 1 = single pass).
 	Passes int
-	// MaxGraphs bounds each AMC run (0 = checker default).
-	MaxGraphs int
 }
 
 // DefaultOptimizeOptions is the fast push-button configuration:
@@ -231,7 +229,6 @@ func Optimize(model Model, programs func(*BarrierSpec) []*Program, initial *Barr
 	opt := &optimize.Optimizer{
 		Model:         model,
 		Programs:      programs,
-		MaxGraphs:     opts.MaxGraphs,
 		Passes:        opts.Passes,
 		Parallelism:   opts.Parallelism,
 		WorkersPerRun: opts.WorkersPerRun,

@@ -28,8 +28,10 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detect the packages that exercise the parallel verification
-# engine (worker pool, speculative ladder, verdict cache), then the
-# work-graph explorer's own bars without -short: the full
+# engine (the worker pool, the speculative ladder, and the one problem
+# lifecycle — key → store → run → persist, internal/problem — that
+# vsync.Run, VerifyMatrix, Resume and the optimizer all decide
+# through), then the work-graph explorer's own bars without -short: the full
 # parallel-vs-sequential differential corpus, the symmetry-reduction
 # differential corpus (canonicalization runs on every worker, sharing
 # nothing but the visited set), the await-vs-bounded structure
@@ -56,7 +58,7 @@ test-short:
 # two-sessions-one-log variant.
 race:
 	$(GO) test -race -short -count=5 ./vsync
-	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/store ./internal/structs ./internal/workload
+	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
 	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym|TestBirthRuleAudit' ./internal/core
 	$(GO) test -race -run 'TestPoison|TestRestrict' ./internal/graph
 	$(GO) test -race -run 'TestMemo|TestSnap' ./internal/core

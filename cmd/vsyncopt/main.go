@@ -19,10 +19,13 @@
 //	         [-store PATH] [-remote URL] [-par N] [-workers N]
 //	         [-passes N] [-no-speculate] [-no-cache]
 //
-// -store PATH backs the verdict cache with the shared persistent store
-// at PATH: candidates some earlier process (a previous vsyncopt run,
-// the vsyncsuite orchestrator, a concurrent invocation, CI) already
-// judged cost a hash lookup instead of a model-checking run, and every
+// Candidates go through the same problem lifecycle as vsynccheck and
+// vsyncsuite (key → store → run → persist), and the store is the
+// verdict cache: an in-memory session by default, none with -no-cache.
+// -store PATH puts the shared persistent store at PATH in its place:
+// candidates some earlier process (a previous vsyncopt run, the
+// vsyncsuite orchestrator, a concurrent invocation, CI) already judged
+// cost a hash lookup instead of a model-checking run, and every
 // decisive verdict this run computes is appended for the next one.
 // -remote URL tiers lookups through a vsyncstored verdict service.
 package main
@@ -84,7 +87,7 @@ func main() {
 	st := cli.OpenStore("vsyncopt", *storePath, *remote)
 	if st != nil {
 		defer st.Close()
-		opt.Cache = optimize.NewCacheWithStore(st)
+		opt.Cache = st
 	} else if !*noCache {
 		opt.Cache = optimize.NewCache()
 	}
@@ -108,7 +111,7 @@ func main() {
 	}
 	fmt.Println(res.Report())
 	if st != nil {
-		if err := opt.Cache.StoreErr(); err != nil && !errors.Is(err, store.ErrConflict) {
+		if err := res.StoreErr; err != nil && !errors.Is(err, store.ErrConflict) {
 			// A failed write-through is silent at verdict time (the search
 			// itself is unaffected), but the operator believes this run is
 			// warming the store — say loudly that it may not be. Conflicts
@@ -124,9 +127,9 @@ func main() {
 				s.RemoteHits, s.RemotePuts, s.RemoteFailures)
 		}
 		if s.Conflicts > 0 {
-			// The cache's write-through is best-effort, but a conflict is
-			// never routine: it means two runs judged one key differently,
-			// i.e. the fingerprint keying (or the checker) broke.
+			// Persisting is best-effort, but a conflict is never
+			// routine: it means two runs judged one key differently, i.e.
+			// the fingerprint keying (or the checker) broke.
 			fmt.Fprintf(os.Stderr, "vsyncopt: warning: %d verdict conflicts — the store and this run disagree on already-stored problems; distrust the store file\n", s.Conflicts)
 			os.Exit(2)
 		}

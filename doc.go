@@ -29,9 +29,9 @@
 //
 //	bash benchmark/run.sh --all      # see BENCHMARK.json
 //
-// Every verification problem — from vsync.Run, VerifyMatrix or Resume —
-// goes through one lifecycle (vsync/engine.go): key, store lookup,
-// checkpoint, AMC run, persist.
+// Every verification problem — from vsync.Run, VerifyMatrix, Resume or
+// an optimizer candidate — goes through one lifecycle
+// (internal/problem): key, store lookup, checkpoint, AMC run, persist.
 // Verdicts persist in a shared, content-addressed store: any number of
 // processes open sessions on one log (appends are record-atomic under
 // a short-held sidecar lock; Refresh observes concurrent writers),

@@ -12,7 +12,7 @@ import (
 // the only place that says so: every directory whose code can change an
 // AMC verdict (graph, mm, core), the program a verdict is about (vprog,
 // locks, workload, structs, harness), or the key and bytes a verdict is
-// filed under (frame, store, optimize, vsync). A directory that is
+// filed under (frame, store, problem, optimize, vsync). A directory that is
 // renamed or removed fails the build here; a new one that the listed
 // sources import fails TestEpochImportClosure until it is listed or
 // exempted by name.
@@ -28,7 +28,7 @@ import (
 // below, ~100 KiB of binary): a list of file names would leave a newly
 // added source file out of the epoch without anyone noticing.
 //
-//go:embed internal/graph/*.go internal/mm/*.go internal/core/*.go internal/vprog/*.go internal/locks/*.go internal/workload/*.go internal/structs/*.go internal/harness/*.go internal/frame/*.go internal/store/*.go internal/optimize/*.go vsync/*.go
+//go:embed internal/graph/*.go internal/mm/*.go internal/core/*.go internal/vprog/*.go internal/locks/*.go internal/workload/*.go internal/structs/*.go internal/harness/*.go internal/frame/*.go internal/store/*.go internal/problem/*.go internal/optimize/*.go vsync/*.go
 var sources embed.FS
 
 // CodeEpoch hashes the embedded sources. It is the same value in every

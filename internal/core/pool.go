@@ -20,7 +20,7 @@ type Job struct {
 	// Wrap, when non-nil, runs on the job's slot in place of the bare
 	// checker run: it decides whether to call run (at most once) and
 	// returns the job's result. The verdict-store lifecycle of package
-	// vsync hangs here — a late store hit skips the run, and the verdict
+	// problem hangs here — a late store hit skips the run, and the verdict
 	// is persisted the moment the run ends, not when the batch does.
 	Wrap func(run func() *Result) *Result
 }
@@ -216,28 +216,6 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 	p.waiting.Add(-1)
 	wg.Wait()
 	return results
-}
-
-// VerifyAll runs every job with fail-fast cancellation and reduces the
-// results to a single verdict: OK only if every job verified, otherwise
-// the lowest-indexed decisive (non-canceled) failure. It returns the
-// index of the deciding job (-1 when all verified) and the per-job
-// results so callers can cache completed verdicts.
-func (p *Pool) VerifyAll(ctx context.Context, jobs []Job) (Verdict, int, []*Result) {
-	results := p.RunAll(ctx, jobs, true)
-	for i, res := range results {
-		if res.Verdict != OK && res.Verdict != Canceled {
-			return res.Verdict, i, results
-		}
-	}
-	for i, res := range results {
-		if res.Verdict == Canceled {
-			// Only possible when the parent ctx itself was canceled (a
-			// fail-fast cancel implies a decisive failure above).
-			return Canceled, i, results
-		}
-	}
-	return OK, -1, results
 }
 
 // ErrNotStarted is the Err of a job RunAll never admitted: its context

@@ -97,14 +97,11 @@ func TestPoolFailFastCancels(t *testing.T) {
 		{Checker: core.New(mm.WMM), Program: heavy},
 	}
 	t0 := time.Now()
-	verdict, failed, results := pool.VerifyAll(context.Background(), jobs)
+	results := pool.RunAll(context.Background(), jobs, true)
 	elapsed := time.Since(t0)
 
-	if verdict != core.SafetyViolation {
-		t.Fatalf("verdict = %v, want safety violation", verdict)
-	}
-	if failed != 0 || results[failed].Message == "" {
-		t.Fatalf("deciding job = %d (%v), want the fail-fast program with its message", failed, results[failed])
+	if results[0].Verdict != core.SafetyViolation || results[0].Message == "" {
+		t.Fatalf("fail-fast program: %v, want a safety violation with its message", results[0])
 	}
 	if results[1].Verdict != core.Canceled {
 		t.Errorf("heavy sibling verdict = %v, want canceled", results[1].Verdict)

@@ -132,6 +132,9 @@ func TestDescentPinned(t *testing.T) {
 							t.Errorf("%s, suite order %v, Parallelism %d, Speculate %v, cache %v: descent moved\ngot:\n%swant:\n%s",
 								name, perm, par, speculate, cached, got, pins[name])
 						}
+						if c.lock == "qspin" && par == 1 && slices.IsSorted(perm) {
+							checkQspinAccounting(t, res, cached)
+						}
 					}
 				}
 			}
@@ -145,5 +148,28 @@ func TestDescentPinned(t *testing.T) {
 		if err := os.WriteFile(descentPinFile, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// checkQspinAccounting pins what the benchmark pins of vsyncopt -lock
+// qspin -threads 3 -par 1 [-no-cache], and the lines it prints besides:
+// 29 verifications, 87 lookups with a cache (three per verification)
+// and none without, no hits in a single pass, one deduped program per
+// verification (the three-thread client is listed twice) and nine
+// candidates refuted before their second run started.
+func checkQspinAccounting(t *testing.T, res *optimize.Result, cached bool) {
+	t.Helper()
+	lookups := 0
+	if cached {
+		lookups = 87
+	}
+	got := fmt.Sprintf("%d verifications, %d hits / %d lookups, %d deduped, %d not started",
+		res.Verifications, res.CacheHits, res.CacheLookups, res.Deduped, res.Skipped)
+	if want := fmt.Sprintf("29 verifications, 0 hits / %d lookups, 29 deduped, 9 not started", lookups); got != want {
+		t.Errorf("qspin one-at-a-time, cache %v: %s, want %s", cached, got, want)
+	}
+	c := res.Counts()
+	if got := fmt.Sprintf("rlx=%d acq=%d rel=%d", c.Rlx, c.Acq, c.Rel); got != "rlx=7 acq=6 rel=3" {
+		t.Errorf("qspin one-at-a-time, cache %v: final modes %s, want rlx=7 acq=6 rel=3", cached, got)
 	}
 }

@@ -22,18 +22,19 @@
 // sequential descent would have accepted; and with WorkersPerRun > 1
 // the runs and the ladder share one scheduler — idle pool slots are
 // borrowed for intra-run work stealing inside whichever exploration is
-// still going, instead of nesting a second pool under the first. A
-// Cache memoizes verdicts so multi-pass descents never re-verify an
-// assignment already judged. Within one candidate there is one run per
-// distinct problem — client programs with equal fingerprints share it —
-// and the runs start cheapest first, so the program most likely to
-// refute a candidate is also the first to try.
+// still going, instead of nesting a second pool under the first. Every
+// candidate's suite is decided through internal/problem, the lifecycle
+// vsync.Run uses: a store session (Cache, in memory or on disk) serves
+// the problems already judged, so multi-pass descents never re-verify
+// an assignment; within one candidate there is one run per distinct
+// problem — client programs with equal fingerprints share it — and the
+// runs start cheapest first, so the program most likely to refute a
+// candidate is also the first to try.
 package optimize
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mm"
+	"repro/internal/problem"
 	"repro/internal/store"
 	"repro/internal/vprog"
 )
@@ -71,16 +73,20 @@ type Result struct {
 	// the initial check and any speculative attempts the ladder launched
 	// beyond the greedy minimum.
 	Verifications int
-	// CacheHits and CacheLookups count memo-cache probes made during
-	// this run (zero when the optimizer has no Cache). CacheUndecided
-	// counts probes of problems judged before but without a storable
-	// verdict (engine errors, budget stops) — neither hits nor honest
-	// misses; CacheLookups includes them.
-	CacheHits, CacheLookups, CacheUndecided int
+	// CacheLookups counts the problems probed in the Cache before any
+	// run (zero when the optimizer has no Cache); CacheHits counts those
+	// it served. A budget-stopped or errored problem is never stored, so
+	// its re-probe is a miss and runs again.
+	CacheHits, CacheLookups int
 	// Deduped counts programs served by the run of an equal-fingerprint
 	// sibling in the same suite; Skipped counts runs never started
 	// because a cheaper one had already refuted the candidate.
 	Deduped, Skipped int
+	// StoreErr is the first failed Cache append (a disk error or a
+	// verdict conflict, errors.Is store.ErrConflict), or nil. It never
+	// taints a verdict, but a run believed to be warming a store on disk
+	// persisted less than it decided.
+	StoreErr error
 	// Workers is the AMC concurrency the run used (1 = sequential).
 	Workers int
 	// Pool is the worker-pool accounting: per-worker busy time and job
@@ -123,7 +129,8 @@ type Optimizer struct {
 	// only the slowest candidate is still verifying — are borrowed for
 	// intra-run work stealing instead of sitting dead. Verdicts (and
 	// therefore the final spec) are identical at any value; only the
-	// wall-clock shape of the search changes.
+	// wall-clock shape of the search changes. Zero or one is one worker
+	// per run, unlike vsync.RunOptions, whose zero is GOMAXPROCS.
 	WorkersPerRun int
 	// Speculate races each point's candidate ladder concurrently
 	// (weakest→strongest launched together, weakest verified accepted)
@@ -134,9 +141,11 @@ type Optimizer struct {
 	Speculate bool
 	// Cache, when non-nil, memoizes verdicts by (model, spec
 	// fingerprint, program fingerprint) so repeated assignments —
-	// multi-pass sweeps, shared caches across runs, store-backed caches
-	// across processes — are never re-verified.
-	Cache *Cache
+	// multi-pass sweeps, caches shared across runs, a store on disk
+	// across processes — are never re-verified: a memory session
+	// (NewCache) or a store.OpenShared one. Only decisive verdicts are
+	// kept; the optimizer never closes it.
+	Cache *store.Session
 	// budget bounds each AMC run (zero: the checker's default); tests set
 	// it to stop runs, whose Undecided rejects a candidate unverified.
 	budget core.Budget
@@ -178,11 +187,14 @@ func candidates(spec *vprog.BarrierSpec, point string) []vprog.Mode {
 	return out
 }
 
+// NewCache returns an empty memory session to memoize verdicts in.
+func NewCache() *store.Session { return store.NewMemory() }
+
 // engine carries the mutable state of one optimization run.
 type engine struct {
 	o     *Optimizer
-	pool  *core.Pool // one slot: strictly sequential
-	cache *Cache     // nil: memoization disabled
+	pool  *core.Pool // Parallelism slots; one is strictly sequential
+	knobs problem.Knobs
 	res   *Result
 
 	// mu guards the res counters and popped: ladder candidates verify
@@ -226,102 +238,84 @@ func (e *engine) fingerprints(specFP graph.Hash128, progs []*vprog.Program) []gr
 	return fps
 }
 
-func (e *engine) countProbe(outcome probeOutcome) {
-	e.mu.Lock()
-	e.res.CacheLookups++
-	switch outcome {
-	case probeHit:
-		e.res.CacheHits++
-	case probeUndecided:
-		e.res.CacheUndecided++
-	}
-	e.mu.Unlock()
-}
-
-// checker builds a fresh Checker for one job; checkers are mutable and
-// must not be shared across concurrent runs.
-func (e *engine) checker() *core.Checker {
-	c := core.New(e.o.Model)
-	c.Budget = e.o.budget
-	c.WorkersPerRun = e.o.WorkersPerRun
-	return c
-}
-
 // verify runs AMC on the client programs of spec; it returns OK only if
 // all verify, otherwise a decisive failure verdict — or Canceled when
 // ctx was canceled first (the speculative ladder pruning a candidate
-// that can no longer win). Decisive per-program verdicts are memoized;
-// cached failures decide without any AMC run. Programs with equal
-// fingerprints are one problem and share one run, and runs are
-// submitted cheapest first — by the states the slot's last finished run
-// popped, ties in suite order — so that under fail-fast a small litmus
-// refutes a candidate before a large client is started for it.
+// that can no longer win). The suite is one problem.Resolve call with
+// fail-fast: decisive per-program verdicts are memoized in the Cache,
+// cached failures decide without any AMC run, and programs with equal
+// fingerprints are one problem and share one run. The problems are
+// listed cheapest first — by the states the slot's last finished run
+// popped, ties in suite order — so that a small litmus refutes a
+// candidate before a large client is started for it.
 func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verdict, error) {
 	progs := e.o.Programs(spec)
 	specFP := spec.Fingerprint128()
-	key := store.Key{Model: e.o.Model.Name(), Spec: specFP}
 	progFPs := e.fingerprints(specFP, progs)
-	type run struct {
-		slot int // index in the suite
-		key  store.Key
-	}
-	var runs []run
-	deduped := 0
-	for pi := range progs {
-		key.Prog = progFPs[pi]
-		if e.cache != nil {
-			v, outcome := e.cache.lookup(key)
-			e.countProbe(outcome)
-			if outcome == probeHit {
-				if v != core.OK {
-					return v, nil
-				}
-				continue // already known to verify
-			}
-		}
-		if slices.ContainsFunc(runs, func(r run) bool { return r.key == key }) {
-			deduped++
-			continue
-		}
-		runs = append(runs, run{slot: pi, key: key})
-	}
-	if len(runs) == 0 {
-		return core.OK, nil
-	}
 
 	e.mu.Lock()
-	e.res.Deduped += deduped
 	if n := len(progs) - len(e.popped); n > 0 {
 		e.popped = append(e.popped, make([]int, n)...)
 	}
-	sort.SliceStable(runs, func(a, b int) bool { return e.popped[runs[a].slot] < e.popped[runs[b].slot] })
-	e.mu.Unlock()
-	jobs := make([]core.Job, len(runs))
-	for i, r := range runs {
-		jobs[i] = core.Job{Checker: e.checker(), Program: progs[r.slot]}
+	order := make([]int, len(progs)) // run order: problem i is suite slot order[i]
+	for i := range order {
+		order[i] = i
 	}
-	verdict, failed, results := e.pool.VerifyAll(ctx, jobs)
+	sort.SliceStable(order, func(a, b int) bool { return e.popped[order[a]] < e.popped[order[b]] })
+	e.mu.Unlock()
+	probs := make([]problem.Problem, len(progs))
+	for i, slot := range order {
+		probs[i] = problem.Problem{
+			Model: e.o.Model, Prog: progs[slot], Name: progs[slot].Name,
+			Key: store.Key{Model: e.o.Model.Name(), Spec: specFP, Prog: progFPs[slot]},
+		}
+	}
+	outs := problem.Resolve(ctx, e.pool, probs, e.knobs, true)
+
+	// The first failure in run order decides; a cancellation only when
+	// nothing failed (the caller's ctx died: a fail-fast cancel implies
+	// a failure).
+	verdict, failed := core.OK, -1
+	for i, o := range outs {
+		if v := o.Res.Verdict; v != core.OK && v != core.Canceled {
+			verdict, failed = v, i
+			break
+		}
+	}
+	if failed < 0 && slices.ContainsFunc(outs, func(o problem.Outcome) bool { return o.Res.Verdict == core.Canceled }) {
+		verdict = core.Canceled
+	}
 
 	e.mu.Lock()
-	for i, r := range results {
-		switch r.Verdict {
-		case core.Error:
-		case core.Canceled:
-			if r.Err == core.ErrNotStarted && verdict != core.Canceled {
+	if e.o.Cache != nil {
+		e.res.CacheLookups += len(outs)
+	}
+	for i, o := range outs {
+		switch r := o.Res; {
+		case o.FromStore:
+			e.res.CacheHits++
+		case o.Deduped:
+			e.res.Deduped++
+		case r.Err == core.ErrNotStarted:
+			if verdict != core.Canceled {
 				e.res.Skipped++ // a sibling refuted the candidate first
 			}
-		default:
-			e.popped[runs[i].slot] = r.Stats.Popped
+		case r.Verdict != core.Error && r.Verdict != core.Canceled:
+			// The estimate of every slot this run decided, its deduped
+			// equals included.
+			for j := range probs {
+				if probs[j].Key == probs[i].Key {
+					e.popped[order[j]] = r.Stats.Popped
+				}
+			}
+		}
+		if o.Err != nil && e.res.StoreErr == nil {
+			e.res.StoreErr = o.Err
 		}
 	}
 	e.mu.Unlock()
-	if e.cache != nil {
-		for i, r := range results {
-			e.cache.store(runs[i].key, progs[runs[i].slot].Name, r.Verdict) // drops indecisive verdicts
-		}
-	}
 	if verdict == core.Error {
-		return core.Error, fmt.Errorf("optimizer: checking %s: %w", progs[runs[failed].slot].Name, results[failed].Err)
+		return core.Error, fmt.Errorf("optimizer: checking %s: %w", probs[failed].Name, outs[failed].Res.Err)
 	}
 	return verdict, nil
 }
@@ -403,11 +397,15 @@ func (o *Optimizer) Run(initial *vprog.BarrierSpec) (*Result, error) {
 // RunCtx is Run with cooperative cancellation.
 func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Result, error) {
 	start := time.Now()
-	workers := o.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e := &engine{o: o, pool: core.NewPool(workers), cache: o.Cache, res: &Result{Initial: initial.Clone(), Workers: workers}}
+	pool := core.NewPool(o.Parallelism)
+	workers := pool.Workers
+	e := &engine{o: o, pool: pool, res: &Result{Initial: initial.Clone(), Workers: workers}, knobs: problem.Knobs{
+		Store:  o.Cache,
+		Budget: o.budget,
+		// Here zero means sequential, where vsync.RunOptions' zero means
+		// GOMAXPROCS: Resolve takes the count as given.
+		WorkersPerRun: max(1, o.WorkersPerRun),
+	}}
 	spec := initial.Clone()
 
 	v, err := e.verify(ctx, spec)
@@ -518,11 +516,8 @@ func (r *Result) Report() string {
 		out += fmt.Sprintf("undecided: %d candidates stopped at their budget and were rejected unverified; the result may be stronger than locally maximal\n", undecided)
 	}
 	if r.CacheLookups+r.Deduped+r.Skipped > 0 {
-		out += fmt.Sprintf("cache: %d hits / %d lookups", r.CacheHits, r.CacheLookups)
-		if r.CacheUndecided > 0 {
-			out += fmt.Sprintf(" (%d undecided re-probes)", r.CacheUndecided)
-		}
-		out += fmt.Sprintf(", %d deduped, %d not started\n", r.Deduped, r.Skipped)
+		out += fmt.Sprintf("cache: %d hits / %d lookups, %d deduped, %d not started\n",
+			r.CacheHits, r.CacheLookups, r.Deduped, r.Skipped)
 	}
 	if r.Pool.Workers > 0 {
 		out += fmt.Sprintf("parallel: %d workers, %d runs canceled by short-circuit, %d slots borrowed for intra-run stealing, busy %v total\n",

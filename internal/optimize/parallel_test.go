@@ -77,7 +77,9 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestCacheHitCounts: a multi-pass descent revisits assignments the
 // first pass already judged; the cache must catch them and the run must
-// report the hits.
+// report the hits. The session's own probes are the run's lookups plus
+// one per AMC run: the re-check on the run's slot, right before it
+// starts, which always misses in a sequential descent.
 func TestCacheHitCounts(t *testing.T) {
 	alg := locks.ByName("ttas")
 	cache := optimize.NewCache()
@@ -92,14 +94,18 @@ func TestCacheHitCounts(t *testing.T) {
 	if res.CacheHits == 0 {
 		t.Errorf("multi-pass run recorded no cache hits (lookups=%d)", res.CacheLookups)
 	}
-	if res.CacheHits != cache.Hits() {
-		t.Errorf("Result.CacheHits=%d but cache counted %d", res.CacheHits, cache.Hits())
+	if res.CacheLookups != res.Verifications {
+		t.Errorf("CacheLookups=%d, want one per verification of the one-program suite (%d)", res.CacheLookups, res.Verifications)
 	}
-	if res.CacheLookups != cache.Lookups() {
-		t.Errorf("Result.CacheLookups=%d but cache counted %d", res.CacheLookups, cache.Lookups())
+	st := cache.Stats()
+	if st.Hits != res.CacheHits {
+		t.Errorf("Result.CacheHits=%d but the session served %d", res.CacheHits, st.Hits)
 	}
-	if cache.Len() == 0 {
-		t.Error("cache stored no verdicts")
+	if runs := res.CacheLookups - res.CacheHits; st.Misses != 2*runs {
+		t.Errorf("session counted %d misses, want %d: a probe and a slot re-check per each of %d runs", st.Misses, 2*runs, runs)
+	}
+	if cache.Len() == 0 || cache.Len() != st.Appended {
+		t.Errorf("cache holds %d verdicts, appended %d", cache.Len(), st.Appended)
 	}
 }
 
@@ -303,5 +309,47 @@ func TestCheapRefuterFirst(t *testing.T) {
 	}
 	if res.Skipped != len(res.Steps) {
 		t.Errorf("Skipped = %d, want one per refuted candidate (%d)", res.Skipped, len(res.Steps))
+	}
+}
+
+// TestWorkersPerRunZeroIsSequential: the optimizer's zero WorkersPerRun
+// means one worker per run, not vsync's GOMAXPROCS. A sequential run
+// stops at its first counterexample where a parallel one explores to
+// completion, so the descent must cost exactly the consistency checks
+// of standalone sequential runs of every spec it tried.
+func TestWorkersPerRunZeroIsSequential(t *testing.T) {
+	alg := locks.ByName("ttas")
+	client := func(spec *vprog.BarrierSpec) *vprog.Program { return harness.MutexClient(alg, spec, 2, 1) }
+	m := &countingModel{}
+	opt := &optimize.Optimizer{
+		Model: m, Parallelism: 1,
+		Programs: func(spec *vprog.BarrierSpec) []*vprog.Program { return []*vprog.Program{client(spec)} },
+	}
+	initial := alg.DefaultSpec().AllSC()
+	res, err := opt.Run(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	solo := &countingModel{}
+	c := core.New(solo)
+	c.WorkersPerRun = 1
+	c.Run(client(initial))
+	spec, refuted := initial.Clone(), 0
+	for _, s := range res.Steps {
+		tried := spec.Clone()
+		tried.Set(s.Point, s.Tried)
+		if r := c.Run(client(tried)); !r.Ok() {
+			refuted++
+		}
+		if s.Accepted {
+			spec = tried
+		}
+	}
+	if refuted == 0 {
+		t.Fatal("no candidate was refuted: nothing tells a sequential run from a parallel one")
+	}
+	if got, want := m.calls.Load(), solo.calls.Load(); got != want {
+		t.Errorf("the descent made %d consistency checks, sequential runs of its specs %d", got, want)
 	}
 }

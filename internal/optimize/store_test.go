@@ -75,19 +75,20 @@ func TestCacheSameNameDifferentShape(t *testing.T) {
 }
 
 // TestCacheUndecidedAccounting: a candidate whose run its budget stopped
-// is Undecided — rejected, never accepted — and the cache must neither
-// serve it as a hit later nor re-count it as a miss forever: its
-// re-probes land in the undecided bucket, and misses stay put. The
-// budget lets the initial spec's one-event client verify and stops the
-// real lock client every candidate spec gets.
+// is Undecided — rejected unverified, never accepted — and the cache
+// keeps no verdict for it: a second descent sharing the session is
+// served the initial spec alone, and re-runs AMC for every candidate.
+// The budget lets the initial spec's one-event client verify and stops
+// the real lock client every candidate spec gets.
 func TestCacheUndecidedAccounting(t *testing.T) {
 	cache := optimize.NewCache()
 	alg := locks.ByName("ttas")
 	initial := alg.DefaultSpec().AllSC()
-	run := func() *optimize.Result {
+	run := func() (*optimize.Result, int64) {
 		t.Helper()
+		m := &countingModel{}
 		opt := &optimize.Optimizer{
-			Model: mm.WMM, Parallelism: 1, Cache: cache,
+			Model: m, Parallelism: 1, Cache: cache,
 			Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
 				if spec.Fingerprint128() == initial.Fingerprint128() {
 					return []*vprog.Program{namedProgram("client/tiny", 1, true)}
@@ -111,32 +112,31 @@ func TestCacheUndecidedAccounting(t *testing.T) {
 		if res.Final.Fingerprint128() != initial.Fingerprint128() {
 			t.Fatalf("undecided candidates relaxed the spec:\n%s", res.Changed())
 		}
-		want := fmt.Sprintf("undecided: %d candidates stopped at their budget", len(res.Steps))
+		want := fmt.Sprintf("undecided: %d candidates stopped at their budget and were rejected unverified", len(res.Steps))
 		if !strings.Contains(res.Report(), want) {
 			t.Errorf("report does not say %q:\n%s", want, res.Report())
 		}
-		return res
+		return res, m.calls.Load()
 	}
-	first := run()
+	first, _ := run()
 	n := len(first.Steps)
-	if cache.Misses() != 1+n || cache.Undecided() != 0 || cache.Hits() != 0 {
-		t.Fatalf("first run: %d misses / %d undecided / %d hits, want %d / 0 / 0", cache.Misses(), cache.Undecided(), cache.Hits(), 1+n)
+	if first.CacheHits != 0 || first.CacheLookups != 1+n {
+		t.Fatalf("first run: %d hits / %d lookups, want 0 / %d", first.CacheHits, first.CacheLookups, 1+n)
 	}
-	second := run()
-	if second.CacheHits != 1 || second.CacheUndecided != n {
-		t.Errorf("second run: %d hits and %d undecided re-probes, want 1 (the initial spec) and %d", second.CacheHits, second.CacheUndecided, n)
+	second, calls := run()
+	if second.CacheHits != 1 || second.CacheLookups != 1+n {
+		t.Errorf("second run: %d hits / %d lookups, want 1 (the initial spec) / %d", second.CacheHits, second.CacheLookups, 1+n)
 	}
-	if cache.Misses() != 1+n {
-		t.Errorf("re-probes of undecided candidates counted as misses: %d misses", cache.Misses())
+	if calls == 0 {
+		t.Error("second run checked no graph: the undecided candidates were not run again")
 	}
-	if cache.Lookups() != cache.Hits()+cache.Misses()+cache.Undecided() {
-		t.Errorf("lookup accounting does not add up: %d != %d+%d+%d",
-			cache.Lookups(), cache.Hits(), cache.Misses(), cache.Undecided())
+	if cache.Len() != 1 {
+		t.Errorf("cache holds %d verdicts, want 1: the initial spec's, no undecided one", cache.Len())
 	}
 }
 
-// TestCachePersistentTier: a cache backed by the verdict store makes a
-// fresh process's re-run pure lookup — the across-restart version of
+// TestCachePersistentTier: a verdict store on disk as the cache makes
+// a fresh process's re-run pure lookup — the across-restart version of
 // TestCacheAvoidsReverification.
 func TestCachePersistentTier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.log")
@@ -144,7 +144,7 @@ func TestCachePersistentTier(t *testing.T) {
 	run := func(st *store.Session) *optimize.Result {
 		t.Helper()
 		opt := &optimize.Optimizer{
-			Model: mm.WMM, Parallelism: 1, Cache: optimize.NewCacheWithStore(st),
+			Model: mm.WMM, Parallelism: 1, Cache: st,
 			Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
 				return []*vprog.Program{harness.MutexClient(alg, spec, 2, 1)}
 			},
@@ -168,16 +168,15 @@ func TestCachePersistentTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "New process": a fresh store handle and a fresh (empty) memory
-	// cache; everything must be served by the persistent tier.
+	// "New process": a fresh store handle; everything must be served
+	// from the log.
 	st2, err := store.OpenShared(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	cache := optimize.NewCacheWithStore(st2)
 	opt := &optimize.Optimizer{
-		Model: mm.WMM, Parallelism: 1, Cache: cache,
+		Model: mm.WMM, Parallelism: 1, Cache: st2,
 		Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
 			return []*vprog.Program{harness.MutexClient(alg, spec, 2, 1)}
 		},
@@ -190,8 +189,8 @@ func TestCachePersistentTier(t *testing.T) {
 		t.Errorf("restarted run should be all hits: %d hits / %d lookups",
 			second.CacheHits, second.CacheLookups)
 	}
-	if cache.PersistHits() == 0 {
-		t.Error("no hits attributed to the persistent tier")
+	if hits := st2.Stats().Hits; hits == 0 || hits != second.CacheHits {
+		t.Errorf("the store served %d lookups, the run counted %d hits", hits, second.CacheHits)
 	}
 	if st2.Stats().Appended != 0 {
 		t.Errorf("restarted run appended %d records; corpus unchanged, want 0", st2.Stats().Appended)
@@ -204,7 +203,7 @@ func TestCachePersistentTier(t *testing.T) {
 // TestCacheStoreErr: a failed write-through must not stay silent — a
 // run believed to be warming the store may persist nothing, and the
 // next run silently redoes all the AMC work. The first failure is
-// recorded and exposed so callers (vsyncopt) can warn.
+// recorded on the Result so callers (vsyncopt) can warn.
 func TestCacheStoreErr(t *testing.T) {
 	st, err := store.OpenShared(filepath.Join(t.TempDir(), "verdicts.log"), nil)
 	if err != nil {
@@ -215,17 +214,17 @@ func TestCacheStoreErr(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cache := optimize.NewCacheWithStore(st)
 	opt := &optimize.Optimizer{
-		Model: mm.WMM, Parallelism: 1, Cache: cache,
+		Model: mm.WMM, Parallelism: 1, Cache: st,
 		Programs: func(*vprog.BarrierSpec) []*vprog.Program {
 			return []*vprog.Program{namedProgram("client/storeerr", 2, true)}
 		},
 	}
-	if _, err := opt.Run(vprog.NewSpec().Def("pt", vprog.SC)); err != nil {
+	res, err := opt.Run(vprog.NewSpec().Def("pt", vprog.SC))
+	if err != nil {
 		t.Fatalf("the search itself must survive a dead store: %v", err)
 	}
-	if cache.StoreErr() == nil {
-		t.Fatal("write-through to a closed store failed silently: StoreErr is nil")
+	if res.StoreErr == nil {
+		t.Fatal("write-through to a closed store failed silently: Result.StoreErr is nil")
 	}
 }

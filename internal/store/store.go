@@ -317,6 +317,7 @@ type Session struct {
 	stats Stats
 
 	staleBytes int64 // foreign-epoch/version bytes as of the last full scan
+	mem        bool  // a memory session (NewMemory): no file, no lock
 
 	remote   *remoteTier
 	pending  []WireRecord
@@ -362,6 +363,17 @@ func OpenShared(path string, opts *Options) (*Session, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// NewMemory returns a session with no log behind it: the same image
+// and index as a session on a file, filled only by its own Puts, so it
+// serves exactly what this process decided. Refresh and Close are
+// no-ops; nothing touches the file system. It memoizes a search whose
+// verdicts need not outlive the process (the optimizer's default).
+func NewMemory() *Session {
+	s := &Session{mem: true}
+	s.tab.init(0)
+	return s
 }
 
 // withFileLock runs fn holding the cross-process append lock. The lock
@@ -551,6 +563,9 @@ func (s *Session) refreshLocked() error {
 func (s *Session) Refresh() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.mem {
+		return 0, nil
+	}
 	if s.f == nil {
 		return 0, fmt.Errorf("store: %s: Refresh after Close", s.path)
 	}
@@ -692,7 +707,7 @@ func (s *Session) Put(k Key, v core.Verdict, name string) error {
 	id := recordID{currentEpoch(), k.Hash()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.f == nil && !s.mem {
 		return fmt.Errorf("store: %s: Put after Close", s.path)
 	}
 	s.stats.Puts++
@@ -725,6 +740,10 @@ func (s *Session) putLocked(id recordID, v core.Verdict, name string, push bool)
 	if prev, _, ok := s.lookupLocked(id); ok {
 		return s.dupOrConflict(prev, v, name)
 	}
+	if s.mem {
+		s.indexLocked(id, encodeRecord(id.epoch, id.key, v, name))
+		return nil
+	}
 	err := s.withFileLock(func() error {
 		if err := s.refreshLocked(); err != nil {
 			return err
@@ -755,19 +774,25 @@ func (s *Session) putLocked(id recordID, v core.Verdict, name string, push bool)
 			}
 			return fmt.Errorf("store: appending to %s: %w", s.path, err)
 		}
-		s.img = append(s.img, rec...)
-		s.tab.insert(s.img, len(s.img)-len(rec)+recIDOff)
-		s.stats.Appended++
-		if id.epoch != currentEpoch() {
-			s.stats.Stale++
-			s.staleBytes += int64(len(rec))
-		}
+		s.indexLocked(id, rec)
 		return nil
 	})
 	if err == nil && push {
 		s.enqueueRemoteLocked(id, v, name)
 	}
 	return err
+}
+
+// indexLocked adds an appended record to the image and the index.
+// Caller holds mu.
+func (s *Session) indexLocked(id recordID, rec []byte) {
+	s.img = append(s.img, rec...)
+	s.tab.insert(s.img, len(s.img)-len(rec)+recIDOff)
+	s.stats.Appended++
+	if id.epoch != currentEpoch() {
+		s.stats.Stale++
+		s.staleBytes += int64(len(rec))
+	}
 }
 
 // dupOrConflict resolves a put against an already-indexed verdict:

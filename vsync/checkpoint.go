@@ -3,10 +3,10 @@ package vsync
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/problem"
 )
 
 // Budget bounds one run segment: wall clock, popped exploration
@@ -47,8 +47,7 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 // inside dir: content-addressed by the store key hash, so the same
 // verification problem resumes its own frontier and nothing else's.
 func CheckpointPath(dir string, key StoreKey) string {
-	h := key.Hash()
-	return filepath.Join(dir, fmt.Sprintf("%016x%016x.ckpt", h[0], h[1]))
+	return problem.CheckpointPath(dir, key)
 }
 
 // Resume continues a checkpointed exploration of p under model. The
@@ -81,11 +80,11 @@ func ResumeCtx(ctx context.Context, model Model, p *Program, ck *Checkpoint, opt
 			ck.Epoch[0], ck.Epoch[1], StoreCodeEpoch()[0], StoreCodeEpoch()[1])}
 	}
 	probs := opts.problems(model, []*Program{p})
-	probs[0].seed = ck
+	probs[0].Seed = ck
 	opts.Parallelism = 1
 	o := resolve(ctx, probs, opts, false)[0]
-	if o.res.Err == nil {
-		o.res.Err = o.err
+	if o.Res.Err == nil {
+		o.Res.Err = o.Err
 	}
-	return o.res
+	return o.Res
 }

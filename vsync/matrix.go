@@ -12,6 +12,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
+	"repro/internal/problem"
 	"repro/internal/report"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -20,8 +21,9 @@ import (
 // VerdictStore is a shared session on the persistent, content-
 // addressed AMC verdict store (internal/store): an append-only
 // checksummed log keyed by (model, spec fingerprint, program
-// fingerprint). Shared by optimize.Cache's persistent tier, the
-// VerifyMatrix suite runner and Run.
+// fingerprint). Shared by Run, the VerifyMatrix suite runner and
+// Optimize (OptimizeOptions.Cache); NewOptCache returns the same type
+// with no log behind it.
 //
 // Sharing semantics: the log is multi-writer. Any number of sessions —
 // in this process or others — may hold one path open simultaneously;
@@ -260,7 +262,7 @@ func (r *MatrixResult) Report() string {
 // cells and, parallel to them, the problems that decide them — in
 // deterministic order: locks × thread ladder × models, then structures
 // × ladder × models, then litmus × strength × models.
-func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem) {
+func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem.Problem) {
 	models := cfg.Models
 	if models == nil {
 		models = mm.All()
@@ -289,7 +291,7 @@ func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem) {
 			}
 			key.Model, cell.Model = m.Name(), m.Name()
 			cells = append(cells, cell)
-			probs = append(probs, problem{model: m, prog: p, key: key, name: cell.Program})
+			probs = append(probs, problem.Problem{Model: m, Prog: p, Key: key, Name: cell.Program})
 		}
 	}
 	// Locks are one workload family among others: each enters as the
@@ -385,17 +387,17 @@ func VerifyMatrixCtx(ctx context.Context, cfg MatrixConfig) *MatrixResult {
 
 	for i, o := range outs {
 		c := &cells[i]
-		c.Verdict, c.Err, c.Duration = o.res.Verdict, o.res.Err, o.res.Duration
-		c.FromStore, c.Deduped = o.fromStore, o.deduped
+		c.Verdict, c.Err, c.Duration = o.Res.Verdict, o.Res.Err, o.Res.Duration
+		c.FromStore, c.Deduped = o.FromStore, o.Deduped
 		switch {
-		case errors.Is(o.err, store.ErrConflict):
+		case errors.Is(o.Err, store.ErrConflict):
 			// A conflict means the keying broke; surface it as a cell
 			// error rather than silently trusting either side.
-			c.Verdict, c.Err = core.Error, o.err
-		case o.err != nil && res.StoreErr == nil:
+			c.Verdict, c.Err = core.Error, o.Err
+		case o.Err != nil && res.StoreErr == nil:
 			// A plain append failure, or a lost checkpoint, is NOT a cell
 			// error — the verdict is sound, it just was not persisted.
-			res.StoreErr = o.err
+			res.StoreErr = o.Err
 		}
 		switch {
 		case c.FromStore:

@@ -2,9 +2,11 @@ package vsync
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/problem"
 )
 
 // RunOptions parameterizes Run, the single entry point for verifying
@@ -86,40 +88,69 @@ type RunResult struct {
 }
 
 // Run model-checks programs under model: each program is one problem
-// taken through the package's single lifecycle (key → store →
-// checkpoint → run → persist, see engine.go), the AMC runs fanned out
+// taken through the single problem lifecycle (key → store → checkpoint
+// → run → persist, see internal/problem), the AMC runs fanned out
 // across a worker pool in program order with fail-fast cancellation.
 // Programs whose keys are equal are one problem and share one run.
 //
-// Single-program runs with Parallelism 1 execute the checker
-// standalone, so WorkersPerRun > 1 spawns that run's own worker set;
-// everything else goes through a core.Pool, where extra workers arrive
-// by borrowing idle slots. The verdict always agrees with the
-// sequential explorer; among parallel runs (WorkersPerRun > 1) the
-// execution count and counterexample are additionally identical at
-// every worker count, because they explore to completion and merge
-// deterministically — the sequential explorer instead stops at its
-// first DFS counterexample, so on violating programs its statistics
-// and witness reflect that partial search.
+// Every run goes through a core.Pool. With Parallelism 1 the pool has
+// one slot and nothing to lend, so each run of the call — not only a
+// single program's — staffs its own WorkersPerRun; with more slots,
+// extra workers arrive by borrowing idle ones. The verdict always
+// agrees with the sequential explorer; among parallel runs
+// (WorkersPerRun > 1) the execution count and counterexample are
+// additionally identical at every worker count, because they explore
+// to completion and merge deterministically — the sequential explorer
+// instead stops at its first DFS counterexample, so on violating
+// programs its statistics and witness reflect that partial search.
 func Run(model Model, programs []*Program, opts RunOptions) *RunResult {
 	return RunCtx(context.Background(), model, programs, opts)
+}
+
+// ProblemKey is the content address of verifying prog — built under
+// spec — against model: what VerdictStore records and checkpoint files
+// are keyed by. A nil spec is the zero fingerprint, the address of
+// self-contained programs (litmus tests) and of callers that do not
+// know the BarrierSpec behind a program.
+func ProblemKey(model Model, spec *BarrierSpec, prog *Program) StoreKey {
+	return problem.Key(model, spec, prog)
 }
 
 // problems pairs programs with their keys: the caller's, or — only when
 // a store or a checkpoint directory needs an address — the spec-less
 // ProblemKey.
-func (opts *RunOptions) problems(model Model, programs []*Program) []problem {
+func (opts *RunOptions) problems(model Model, programs []*Program) []problem.Problem {
 	keyed := opts.Store != nil || opts.CheckpointDir != ""
-	probs := make([]problem, len(programs))
+	probs := make([]problem.Problem, len(programs))
 	for i, p := range programs {
-		probs[i] = problem{model: model, prog: p, name: p.Name}
+		probs[i] = problem.Problem{Model: model, Prog: p, Name: p.Name}
 		if i < len(opts.StoreKeys) {
-			probs[i].key = opts.StoreKeys[i]
+			probs[i].Key = opts.StoreKeys[i]
 		} else if keyed {
-			probs[i].key = ProblemKey(model, nil, p)
+			probs[i].Key = ProblemKey(model, nil, p)
 		}
 	}
 	return probs
+}
+
+// resolve takes probs through the problem lifecycle on a pool of
+// opts.Parallelism slots. Of opts it reads the engine knobs only; keys
+// come with the problems.
+func resolve(ctx context.Context, probs []problem.Problem, opts RunOptions, failFast bool) []problem.Outcome {
+	workers := opts.WorkersPerRun
+	if workers <= 0 {
+		// The checker itself clamps <1 to sequential, which is not what
+		// the documented "0 = GOMAXPROCS" promises.
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return problem.Resolve(ctx, core.NewPool(opts.Parallelism), probs, problem.Knobs{
+		Store:              opts.Store,
+		WorkersPerRun:      workers,
+		NoSymmetry:         opts.NoSymmetry,
+		Budget:             opts.Budget,
+		CheckpointDir:      opts.CheckpointDir,
+		CheckpointInterval: opts.CheckpointInterval,
+	}, failFast)
 }
 
 // RunCtx is Run with cooperative cancellation: canceling ctx stops
@@ -130,12 +161,12 @@ func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptio
 	results := make([]*Result, len(outs))
 	fromStore := make([]bool, len(outs))
 	for i, o := range outs {
-		results[i], fromStore[i] = o.res, o.fromStore
-		if o.fromStore {
+		results[i], fromStore[i] = o.Res, o.FromStore
+		if o.FromStore {
 			rr.StoreHits++
 		}
-		if o.err != nil && rr.StoreErr == nil {
-			rr.StoreErr = o.err
+		if o.Err != nil && rr.StoreErr == nil {
+			rr.StoreErr = o.Err
 		}
 	}
 	if opts.CollectResults {

@@ -9,10 +9,11 @@
 //     termination on a weak memory model, in finite time, with
 //     counterexample execution graphs on failure. Run is the one entry
 //     point (single runs, parallel suites, verdict-store integration
-//     via RunOptions); Run, VerifyMatrix and Resume take every problem
-//     through one lifecycle — key (ProblemKey) → store → checkpoint →
-//     run → persist — so what a store hit, an equal-key duplicate or a
-//     resumable checkpoint means is defined once.
+//     via RunOptions); Run, VerifyMatrix, Resume and Optimize take
+//     every problem through one lifecycle (internal/problem) — key
+//     (ProblemKey) → store → checkpoint → run → persist — so what a
+//     store hit, an equal-key duplicate or a resumable checkpoint means
+//     is defined once.
 //     Programs come from the structure-agnostic workload layer
 //     (internal/workload): locks are one Workload family, the
 //     nonblocking structures of internal/structs (Treiber stack,
@@ -32,7 +33,9 @@
 //
 //   - Optimize: push-button barrier relaxation — start from the all-SC
 //     assignment and relax every barrier point as far as verification
-//     allows (§3.3, Table 1).
+//     allows (§3.3, Table 1). Its candidates' verdicts are memoized in
+//     a VerdictStore: a memory session by default, a log on disk to
+//     carry them across processes.
 //
 //   - Benchmark: the §4.2 microbenchmark campaign of the sc-only vs
 //     optimized variants on simulated ARMv8 and x86 platforms, plus the
@@ -84,9 +87,6 @@ type (
 	Verdict = core.Verdict
 	// OptResult is a barrier-optimization outcome.
 	OptResult = optimize.Result
-	// OptCache memoizes verification verdicts across optimization runs
-	// (keyed by model, spec fingerprint and program shape).
-	OptCache = optimize.Cache
 	// PoolStats is the per-worker accounting of the pool a Run or an
 	// Optimize schedules its AMC work on.
 	PoolStats = core.PoolStats
@@ -149,9 +149,9 @@ func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result 
 	return rr.Results[0]
 }
 
-// NewOptCache returns an empty verdict cache to share across
-// optimization runs.
-func NewOptCache() *OptCache { return optimize.NewCache() }
+// NewOptCache returns an empty memory session to share across
+// optimization runs as OptimizeOptions.Cache.
+func NewOptCache() *VerdictStore { return optimize.NewCache() }
 
 // Locks returns every registered algorithm (including the buggy study-
 // case variants, marked Buggy).
@@ -200,22 +200,21 @@ type OptimizeOptions struct {
 	// Speculate races each point's candidate modes concurrently and
 	// accepts the weakest verified one.
 	Speculate bool
-	// Cache memoizes verdicts across candidates and passes. A nil Cache
-	// with CacheOn set uses a fresh private cache.
-	CacheOn bool
-	// Cache, when non-nil, is used (and shared) instead of a private
-	// one; it implies CacheOn.
-	Cache *OptCache
+	// Cache memoizes verdicts across candidates and passes, and —
+	// shared — across calls: a memory session (NewOptCache) or a store
+	// on disk (OpenStore). Nil uses a private memory session;
+	// memoization never changes a verdict.
+	Cache *VerdictStore
 	// Passes caps full point sweeps (0 or 1 = single pass).
 	Passes int
 }
 
 // DefaultOptimizeOptions is the fast push-button configuration:
-// GOMAXPROCS workers, speculative ladders, memoization on. Intra-run
-// stealing stays off: the descent is dominated by failing candidates,
-// which want the sequential early exit (see WorkersPerRun).
+// GOMAXPROCS workers, speculative ladders, a private memory session.
+// Intra-run stealing stays off: the descent is dominated by failing
+// candidates, which want the sequential early exit (see WorkersPerRun).
 func DefaultOptimizeOptions() OptimizeOptions {
-	return OptimizeOptions{Parallelism: 0, Speculate: true, CacheOn: true}
+	return OptimizeOptions{Parallelism: 0, Speculate: true}
 }
 
 // Optimize runs the barrier-relaxation search with explicit engine
@@ -223,7 +222,7 @@ func DefaultOptimizeOptions() OptimizeOptions {
 // verify, initial is the (verified) starting assignment.
 func Optimize(model Model, programs func(*BarrierSpec) []*Program, initial *BarrierSpec, opts OptimizeOptions) (*OptResult, error) {
 	cache := opts.Cache
-	if cache == nil && opts.CacheOn {
+	if cache == nil {
 		cache = optimize.NewCache()
 	}
 	opt := &optimize.Optimizer{

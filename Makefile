@@ -27,8 +27,20 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# testrun runs `go test $(3) -run '$(1)' $(2)`, but first fails unless
+# every |-separated alternative of the pattern $(1) lists at least one
+# test in the packages $(2): go test passes on a -run pattern that
+# matches nothing, so a renamed or deleted test would otherwise leave
+# its line silently empty.
+testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" $(2) | grep -Eq '^(Test|Fuzz|Example)' || \
+		{ echo "no test in $(2) matches -run alternative $$alt" >&2; exit 1; }; \
+	done; \
+	echo "$(GO) test $(3) -run '$(1)' $(2)"; \
+	$(GO) test $(3) -run '$(1)' $(2)
+
 # Race-detect the packages that exercise the parallel verification
-# engine (the worker pool, the speculative ladder, and the one problem
+# engine (the run pool, the speculative ladder, and the one problem
 # lifecycle — key → store → run → persist, internal/problem — that
 # vsync.Run, VerifyMatrix, Resume and the optimizer all decide
 # through), then the work-graph explorer's own bars without -short: the full
@@ -37,8 +49,9 @@ test-short:
 # nothing but the visited set), the await-vs-bounded structure
 # differential (the await reductions pinned against the explicit
 # bounded-retry encodings at 1/2/4 workers, treiber t=3 included),
-# the stealing/pool-borrow integration runs, the sharded visited set
-# under concurrent load, and the poison-on-release corpus (the whole
+# the stealing runs and two-worker runs side by side on one pool, the
+# sharded visited set under concurrent load, and the poison-on-release
+# corpus (the whole
 # differential corpus with every retired slab and header poisoned: a
 # stolen state's parent retires on the thief, and a release made too
 # early is a wrong count there and a reported race here) together with
@@ -55,16 +68,16 @@ test-short:
 # full random sweep (the kernel's scratch is stack and pool, shared by
 # nothing), and the verdict store's differential against its reference
 # loader at full size: every seed, the every-byte tear sweep and the
-# two-sessions-one-log variant.
+# two-sessions-one-log variant. Every -run line goes through testrun.
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
-	$(GO) test -race -run 'TestParallel|TestVisitedSet|TestPoolSlot|TestSym|TestBirthRuleAudit' ./internal/core
-	$(GO) test -race -run 'TestPoison|TestRestrict' ./internal/graph
-	$(GO) test -race -run 'TestMemo|TestSnap' ./internal/core
-	$(GO) test -race -run 'TestPsc' ./internal/mm
-	$(GO) test -race -run 'TestAwaitDifferential' ./internal/structs
-	$(GO) test -race -run 'TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff' ./internal/store
+	@$(call testrun,TestParallel|TestVisitedSet|TestPoolRunsOwnWorkers|TestSym|TestBirthRuleAudit,./internal/core,-race)
+	@$(call testrun,TestPoison|TestRestrict,./internal/graph,-race)
+	@$(call testrun,TestMemo|TestSnap,./internal/core,-race)
+	@$(call testrun,TestPsc,./internal/mm,-race)
+	@$(call testrun,TestAwaitDifferential,./internal/structs,-race)
+	@$(call testrun,TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff,./internal/store,-race)
 
 # Allocation-regression bars (objects and bytes per popped state and, for
 # the benchmark's treiber cell, per run; zero allocations on a warm free
@@ -166,11 +179,12 @@ stored:
 # appends, failed renames/flocks, remote outages), and the
 # checkpoint/budget differential corpus — everything gated out of
 # -short, run here without it (TestResume takes in the treiber t=4
-# resume at 300,000 + 100,000 pops, ~8 s).
+# resume at 300,000 + 100,000 pops, ~8 s). Every -run line goes through
+# testrun, as in race.
 chaos:
-	$(GO) test -run 'TestChaos' -count=1 -v ./vsync
-	$(GO) test -run 'Fault|Torn|Requeue|Backoff|Readyz' -count=1 ./internal/store
-	$(GO) test -run 'TestBudget|TestCheckpoint|TestResume|TestCancelCheckpoint|TestPeriodicCheckpoint' -count=1 ./internal/core ./vsync
+	@$(call testrun,TestChaos,./vsync,-count=1 -v)
+	@$(call testrun,Fault|Torn|Requeue|Backoff|Readyz,./internal/store,-count=1)
+	@$(call testrun,TestBudget|TestCheckpoint|TestResume|TestCancelCheckpoint|TestPeriodicCheckpoint,./internal/core ./vsync,-count=1)
 	$(GO) test ./internal/faultinject
 
 # Brief coverage-guided fuzz of the three decoders over internal/frame:

@@ -30,10 +30,9 @@
 // failure cancels the remaining runs.
 //
 // -workers enables intra-run work stealing: the exploration frontier of
-// each single run is shared by up to N workers (0 = GOMAXPROCS,
-// 1 = the sequential DFS). Under -all the same pool slots serve both
-// whole runs and stolen items, so the last big run soaks up slots its
-// finished siblings released.
+// each single run is shared by N workers of its own (0 = GOMAXPROCS,
+// 1 = the sequential DFS). Under -all each of the -par concurrent runs
+// staffs its own, so at most -par × -workers workers run at once.
 //
 // -no-symmetry disables thread-symmetry reduction, exploring every
 // thread relabeling instead of one canonical representative per orbit —
@@ -124,7 +123,7 @@ func main() {
 	// What both modes below ask of Run; each adds its programs' keys, its
 	// parallelism and its store.
 	opts := vsync.RunOptions{
-		WorkersPerRun:      *workers,
+		WorkersPerRun:      workers(),
 		Budget:             budget(),
 		CheckpointDir:      dir,
 		CheckpointInterval: *ckptInt,
@@ -143,7 +142,7 @@ func main() {
 			opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
 		}
 		fmt.Printf("checking %d algorithms under %s (%d threads × %d iterations, %d workers, %d per run)...\n",
-			len(ps), m.Name(), *threads, *iters, cli.Effective(*par), cli.Effective(*workers))
+			len(ps), m.Name(), *threads, *iters, cli.Effective(*par), opts.WorkersPerRun)
 		opts.Parallelism, opts.Store = *par, st
 		rr := vsync.RunCtx(ctx, m, ps, opts)
 		if rr.StoreHits > 0 {
@@ -212,7 +211,7 @@ func main() {
 		runStore = nil
 	}
 	fmt.Printf("checking %s under %s (%d threads × %d iterations, %d workers)...\n",
-		p.Name, m.Name(), *threads, *iters, cli.Effective(*workers))
+		p.Name, m.Name(), *threads, *iters, opts.WorkersPerRun)
 	opts.Parallelism, opts.Store, opts.CollectResults = 1, runStore, true
 	opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
 	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, opts)

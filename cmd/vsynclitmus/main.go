@@ -79,7 +79,7 @@ func main() {
 			// matching the suite matrix's litmus keys.
 			rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, vsync.RunOptions{
 				Parallelism:    1,
-				WorkersPerRun:  *workers,
+				WorkersPerRun:  workers(),
 				CollectResults: true,
 				Store:          st,
 			})

@@ -7,11 +7,11 @@
 // The verification engine is parallel by default: candidate specs fan
 // their client programs across -par workers, each point's candidate
 // ladder is raced speculatively, and verdicts are memoized. -workers N
-// additionally lets every AMC run share its exploration frontier with
-// idle pool slots through intra-run work stealing — one scheduler for
-// whole runs and stolen items. -par 1 -no-speculate -no-cache recovers
-// the strictly sequential search; the resulting spec is identical
-// whatever the engine settings.
+// additionally lets every AMC run share its exploration frontier among
+// N workers of its own through intra-run work stealing (0 = GOMAXPROCS),
+// so at most -par × -workers workers run at once. -par 1 -no-speculate
+// -no-cache recovers the strictly sequential search; the resulting spec
+// is identical whatever the engine settings.
 //
 // Usage:
 //
@@ -81,7 +81,7 @@ func main() {
 		},
 		Passes:        *passes,
 		Parallelism:   *par,
-		WorkersPerRun: *workers,
+		WorkersPerRun: workers(),
 		Speculate:     !*noSpeculate,
 	}
 	st := cli.OpenStore("vsyncopt", *storePath, *remote)

@@ -89,7 +89,7 @@ func main() {
 		NoLocks:            *noLocks,
 		NoStructs:          *noStructs,
 		Parallelism:        *par,
-		WorkersPerRun:      *workers,
+		WorkersPerRun:      workers(),
 		Budget:             budget(),
 		CheckpointDir:      cli.EnsureCheckpointDir("vsyncsuite", *ckptDir),
 		CheckpointInterval: *ckptInt,

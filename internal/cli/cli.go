@@ -6,13 +6,14 @@
 // -workers 4` mean exactly the same thing.
 //
 // The constructors register on the default flag.CommandLine set (which
-// is what every tool parses) and return the value pointer, so a main
-// reads:
+// is what every tool parses) and return the value pointer — or, where
+// the value is resolved after parsing, a closure — so a main reads:
 //
 //	storePath := cli.Store()
 //	workers := cli.Workers()
 //	flag.Parse()
 //	st := cli.OpenStore("vsynccheck", *storePath, *remote)
+//	opts := vsync.RunOptions{WorkersPerRun: workers()}
 package cli
 
 import (
@@ -47,9 +48,13 @@ func Remote() *string {
 	return flag.String("remote", "", "base URL of a vsyncstored verdict service backing -store (best-effort: unreachable degrades to local-only)")
 }
 
-// Workers registers the -workers flag: intra-run work stealing.
-func Workers() *int {
-	return flag.Int("workers", 1, "intra-run work-stealing workers per AMC run (0 = GOMAXPROCS, 1 = sequential)")
+// Workers registers the -workers flag, intra-run work stealing, and
+// returns a closure reading it after flag.Parse with 0 resolved to
+// GOMAXPROCS: the library's zero WorkersPerRun is one worker, so the
+// flag's zero is resolved here, once for every tool.
+func Workers() func() int {
+	n := flag.Int("workers", 1, "intra-run work-stealing workers per AMC run (0 = GOMAXPROCS, 1 = sequential)")
+	return func() int { return Effective(*n) }
 }
 
 // Par registers the -par flag: whole-run fan-out.
@@ -154,7 +159,7 @@ func resolveModel(name string) (vsync.Model, error) {
 }
 
 // Effective reports the parallel width a "0 = GOMAXPROCS" flag value
-// resolves to, for banner printing.
+// resolves to.
 func Effective(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -24,5 +25,23 @@ func TestModelNames(t *testing.T) {
 	Model()
 	if usage := flag.Lookup("model").Usage; !strings.HasSuffix(usage, list) {
 		t.Errorf("-model help %q does not end with the list %q", usage, list)
+	}
+}
+
+// TestWorkersZeroIsGOMAXPROCS: -workers 0 promises GOMAXPROCS workers
+// per run, and the library's zero WorkersPerRun is one worker, so the
+// flag resolves its zero before any tool hands it on; 1 stays 1.
+func TestWorkersZeroIsGOMAXPROCS(t *testing.T) {
+	workers := Workers()
+	for _, c := range []struct {
+		flag string
+		want int
+	}{{"0", runtime.GOMAXPROCS(0)}, {"1", 1}, {"3", 3}} {
+		if err := flag.Set("workers", c.flag); err != nil {
+			t.Fatal(err)
+		}
+		if got := workers(); got != c.want {
+			t.Errorf("-workers %s resolves to %d, want %d", c.flag, got, c.want)
+		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 )
 
 // TestAblationDedup: disabling the visited set must not change the
-// verdict (it only costs duplicated work), and the duplication must be
-// measurable — evidence that the fingerprint set earns its keep.
+// verdict of a run that still finishes, and must cost at least as many
+// pops — evidence that the fingerprint set earns its keep. The client is
+// small on purpose: without the set a run may not terminate at all
+// (treiber t=3 is Undecided at 2,000,000 pops).
 func TestAblationDedup(t *testing.T) {
 	p := harness.MutexClient(locks.ByName("ttas"), locks.ByName("ttas").DefaultSpec(), 2, 1)
 

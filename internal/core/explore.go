@@ -34,7 +34,9 @@ type Checker struct {
 	// DisableDedup turns off the visited-graph set (ablation: the
 	// closure-dropping revisit scheme re-derives some graphs along
 	// multiple paths; the fingerprint set prunes them and guarantees
-	// termination; disabling it shows the duplication cost).
+	// termination). A run without it may not terminate: treiber t=3 is
+	// still Undecided at 2,000,000 popped states. Where it does finish,
+	// the verdict is unchanged.
 	DisableDedup bool
 	// LegacyDedup keys the visited set on canonical fingerprint strings
 	// instead of 128-bit structural hashes. Test-only: the differential
@@ -82,11 +84,6 @@ type Checker struct {
 	// Undecided with a Checkpoint instead of a bare Canceled. This is
 	// how SIGINT becomes "checkpoint, then exit".
 	CheckpointOnCancel bool
-
-	// pool, when set by Pool.RunAll, lets the run borrow idle pool
-	// slots (up to WorkersPerRun) for intra-run work stealing instead
-	// of spawning private workers.
-	pool *Pool
 }
 
 // New returns a Checker for the given memory model with default limits.
@@ -257,23 +254,13 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	}
 
 	if !x.single {
-		if c.pool != nil {
-			// Borrow idle pool slots on demand; worker ids 1..n-1 are the
-			// borrowable seats.
-			x.freeSlots = make([]int, 0, workers-1)
-			for id := workers - 1; id >= 1; id-- {
-				x.freeSlots = append(x.freeSlots, id)
-			}
-		} else {
-			// Standalone parallel run: staff every seat up front.
-			for _, w := range x.workers[1:] {
-				x.wg.Add(1)
-				go func(w *explorer) {
-					defer x.wg.Done()
-					w.build()
-					x.runWorker(w)
-				}(w)
-			}
+		for _, w := range x.workers[1:] {
+			x.wg.Add(1)
+			go func(w *explorer) {
+				defer x.wg.Done()
+				w.build()
+				x.runWorker(w)
+			}(w)
 		}
 	}
 
@@ -872,8 +859,8 @@ func (w *explorer) pushRevisits(g, g2 *graph.Graph, wv *graph.Event, splits bool
 		split = g2.Event(order[g2.MoIndex(wv.Loc, wv.ID)+1])
 	}
 	porf := g2.PorfPrefix(wv.ID)
-	// Same-location reads in (thread, index) order — the iteration
-	// ReadsOf would return, without materializing the slice per write.
+	// Every same-location read, in (thread, index) order, visited in
+	// place: no slice of them is built per write.
 	for _, revs := range g2.Threads {
 		for _, rdEv := range revs {
 			if !rdEv.IsReadLike() || rdEv.Loc != wv.Loc {

@@ -163,39 +163,3 @@ func TestParallelStealingHappens(t *testing.T) {
 		t.Errorf("per-worker executed items sum to %d, want Popped=%d", total, par.Stats.Popped)
 	}
 }
-
-// TestPoolSlotBorrowing: a single big job on a multi-slot pool borrows
-// the idle slots for intra-run stealing — the unified scheduler putting
-// otherwise-dead capacity to work — and returns them.
-func TestPoolSlotBorrowing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second exploration; not run in -short")
-	}
-	alg := locks.ByName("mcs")
-	p := harness.MutexClient(alg, alg.DefaultSpec(), 3, 1)
-	pool := core.NewPool(4)
-	c := core.New(mm.WMM)
-	c.WorkersPerRun = 4
-	results := pool.RunAll(t.Context(), []core.Job{{Checker: c, Program: p}}, false)
-	res := results[0]
-	if !res.Ok() {
-		t.Fatalf("mcs-t3 should verify: %v", res)
-	}
-	if res.Sched.Recruited == 0 {
-		t.Error("run on an idle 4-slot pool never borrowed a slot")
-	}
-	if st := pool.Stats().Borrows; st == 0 {
-		t.Error("pool accounting recorded no borrows")
-	}
-	// Borrowed slots must all be back: a full second job acquires all
-	// four slots without deadlock.
-	jobs := make([]core.Job, 4)
-	for i := range jobs {
-		jobs[i] = core.Job{Checker: core.New(mm.WMM), Program: harness.MutexClient(alg, alg.DefaultSpec(), 2, 1)}
-	}
-	for i, r := range pool.RunAll(t.Context(), jobs, false) {
-		if !r.Ok() {
-			t.Fatalf("follow-up job %d: %v", i, r)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/vprog"
@@ -33,7 +32,6 @@ type PoolStats struct {
 	Busy     []time.Duration // cumulative in-checker time per worker slot
 	Jobs     []int           // completed jobs per worker slot (canceled runs included)
 	Canceled int             // jobs that ended Canceled (short-circuited)
-	Borrows  int             // idle slots lent out for intra-run work stealing
 }
 
 // TotalBusy sums the per-worker busy time (the CPU-side cost the pool
@@ -46,34 +44,25 @@ func (s PoolStats) TotalBusy() time.Duration {
 	return t
 }
 
-// Pool is the scheduler shared by both granularities of AMC work: whole
-// runs (jobs submitted to RunAll, the PR 1 behavior) and stolen
-// intra-run exploration items. Every job's checker is attached to the
-// pool, so a run whose WorkersPerRun exceeds 1 can borrow slots that
-// would otherwise idle and point them at its own frontier
-// (exploration.maybeRecruit). Whole runs always have priority: a borrow
-// is refused while any job is waiting for a slot, and a borrowed slot
-// returns to the pool the moment the frontier has nothing left to
-// steal. A one-slot pool has nothing to lend — its only slot is the one
-// the run holds — so its runs are not attached and staff their own
-// WorkersPerRun, like a run outside any pool.
+// Pool bounds how many whole runs (jobs submitted to RunAll) execute at
+// once: each job holds one slot for its whole run. A job's checker
+// staffs its own WorkersPerRun workers, so a pool of Workers slots runs
+// at most Workers × WorkersPerRun workers in all.
 //
 // It is safe for concurrent use: overlapping RunAll calls (e.g. the
 // optimizer's speculative ladder verifying several candidate specs at
-// once) share the same worker slots, so total concurrency never exceeds
-// Workers.
+// once) share the same slots, so no more than Workers runs are ever in
+// flight.
 type Pool struct {
 	// Workers is the concurrency bound, fixed at NewPool time.
 	Workers int
 
-	slots   chan int     // free worker slot ids; receiving acquires a slot
-	waiting atomic.Int32 // RunAll calls with jobs still to admit
+	slots chan int // free slot ids; receiving acquires a slot
 
 	mu       sync.Mutex
 	busy     []time.Duration
 	jobs     []int
 	canceled int
-	borrows  int
 }
 
 // NewPool returns a pool with the given concurrency; workers <= 0
@@ -103,33 +92,7 @@ func (p *Pool) Stats() PoolStats {
 		Busy:     append([]time.Duration(nil), p.busy...),
 		Jobs:     append([]int(nil), p.jobs...),
 		Canceled: p.canceled,
-		Borrows:  p.borrows,
 	}
-}
-
-// tryAcquire hands out a free slot for intra-run work stealing, without
-// blocking and never while a whole run is waiting for one — queued jobs
-// outrank borrows in the unified scheduler.
-func (p *Pool) tryAcquire() (int, bool) {
-	if p.waiting.Load() > 0 {
-		return 0, false
-	}
-	select {
-	case s := <-p.slots:
-		return s, true
-	default:
-		return 0, false
-	}
-}
-
-// finishBorrow returns a borrowed slot, crediting its active time to
-// the slot's busy accounting.
-func (p *Pool) finishBorrow(slot int, d time.Duration) {
-	p.mu.Lock()
-	p.busy[slot] += d
-	p.borrows++
-	p.mu.Unlock()
-	p.slots <- slot
 }
 
 // acquire blocks until a slot is free or ctx is done. A slot won in the
@@ -147,19 +110,6 @@ func (p *Pool) acquire(ctx context.Context) (int, bool) {
 	}
 }
 
-// attach returns the checker one job runs on: a copy, so the caller's
-// Checker is never mutated and never retains a pool reference past the
-// job, attached to the pool so the run can borrow idle slots for
-// intra-run stealing (bounded by WorkersPerRun) — unless the pool has
-// one slot and so nothing to lend.
-func (p *Pool) attach(c *Checker) *Checker {
-	cp := *c
-	if p.Workers > 1 {
-		cp.pool = p
-	}
-	return &cp
-}
-
 // RunAll executes every job on the pool and returns the results in job
 // order. Jobs are admitted in index order — the submitting loop takes
 // each job's slot before its goroutine starts — so a one-slot pool runs
@@ -173,8 +123,6 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 
 	results := make([]*Result, len(jobs))
 	var wg sync.WaitGroup
-	// Queued jobs outrank borrows for as long as any is left to admit.
-	p.waiting.Add(1)
 	for i, job := range jobs {
 		slot, ok := p.acquire(ctx)
 		if !ok {
@@ -187,8 +135,7 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := p.attach(job.Checker)
-			run := func() *Result { return c.RunCtx(ctx, job.Program) }
+			run := func() *Result { return job.Checker.RunCtx(ctx, job.Program) }
 			t0 := time.Now()
 			var res *Result
 			if job.Wrap != nil {
@@ -213,7 +160,6 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job, failFast bool) []*Result 
 			p.slots <- slot
 		}()
 	}
-	p.waiting.Add(-1)
 	wg.Wait()
 	return results
 }

@@ -170,30 +170,30 @@ func TestPoolOrderedAdmission(t *testing.T) {
 	}
 }
 
-// TestOneSlotPoolLendsNothing: a one-slot pool's only slot is the one
-// the running job holds, so its runs staff their own WorkersPerRun
-// instead of waiting for helpers that cannot come (that its runs are
-// not attached to the pool is TestOneSlotPoolDoesNotAttach's, inside
-// the package). Two three-thread clients in sequence on one slot each
-// get both of their seats and borrow none. Whether the second worker
-// executes anything is the scheduler's business: a 229-state frontier
-// can drain before it is first scheduled.
-func TestOneSlotPoolLendsNothing(t *testing.T) {
+// TestPoolRunsOwnWorkers: a pool bounds whole runs and nothing else —
+// every job staffs its own WorkersPerRun, whatever the pool's width. Two
+// three-thread clients at two workers each on a two-slot pool both get
+// both of their seats, and the pool counts the two jobs. Whether a
+// second worker executes anything is the scheduler's business: a
+// 229-state frontier can drain before it is first scheduled.
+func TestPoolRunsOwnWorkers(t *testing.T) {
+	alg := locks.ByName("mcs")
+	p := harness.MutexClient(alg, alg.DefaultSpec(), 3, 1)
 	var jobs []core.Job
-	for _, name := range []string{"mcs", "ttas"} {
-		alg := locks.ByName(name)
+	for range 2 {
 		c := core.New(mm.WMM)
 		c.WorkersPerRun = 2
-		jobs = append(jobs, core.Job{Checker: c, Program: harness.MutexClient(alg, alg.DefaultSpec(), 3, 1)})
+		jobs = append(jobs, core.Job{Checker: c, Program: p})
 	}
-	pool := core.NewPool(1)
+	pool := core.NewPool(2)
 	for i, r := range pool.RunAll(context.Background(), jobs, false) {
-		if r.Verdict != core.OK || r.Sched.Workers != 2 || len(r.Sched.Executed) != 2 || r.Sched.Recruited != 0 {
-			t.Errorf("job %d: %v, %d seats (executed %v), %d recruited, want OK on 2 seats of its own",
-				i, r.Verdict, r.Sched.Workers, r.Sched.Executed, r.Sched.Recruited)
+		if r.Verdict != core.OK || r.Sched.Workers != 2 || len(r.Sched.Executed) != 2 {
+			t.Errorf("job %d: %v, %d seats (executed %v), want OK on 2 seats of its own",
+				i, r.Verdict, r.Sched.Workers, r.Sched.Executed)
 		}
 	}
-	if st := pool.Stats(); st.Borrows != 0 || st.Jobs[0] != 2 {
-		t.Errorf("one-slot pool: %d borrows, %d jobs on its slot, want 0 and 2", st.Borrows, st.Jobs[0])
+	st := pool.Stats()
+	if n := st.Jobs[0] + st.Jobs[1]; n != 2 {
+		t.Errorf("pool counted %d jobs, want 2", n)
 	}
 }

@@ -161,7 +161,6 @@ type SchedStats struct {
 	Stolen       int   // items moved between workers by steals
 	FrontierPeak int   // peak queued states: the deques' high-water marks summed (an upper bound past one worker)
 	Contention   int   // contended visited-shard lock acquisitions
-	Recruited    int   // pool slots borrowed for intra-run stealing
 	MemoRows     int   // distinct thread rows replayed, summed over the workers' replay memos
 	MemoReplays  int   // replays asked of the memos; all but MemoRows were served from them
 }
@@ -181,7 +180,6 @@ func (s *SchedStats) Accumulate(o SchedStats) {
 	s.Stolen += o.Stolen
 	s.FrontierPeak = max(s.FrontierPeak, o.FrontierPeak)
 	s.Contention += o.Contention
-	s.Recruited += o.Recruited
 	s.MemoRows += o.MemoRows
 	s.MemoReplays += o.MemoReplays
 }
@@ -253,12 +251,8 @@ func (r *Result) Report() string {
 	}
 	sc := r.Sched
 	if sc.Workers > 0 {
-		fmt.Fprintf(&b, "scheduler: %d/%d workers active, %d steals moving %d items, frontier peaked at %d states, %d contended shard locks",
+		fmt.Fprintf(&b, "scheduler: %d/%d workers active, %d steals moving %d items, frontier peaked at %d states, %d contended shard locks\n",
 			sc.Active, sc.Workers, sc.Steals, sc.Stolen, sc.FrontierPeak, sc.Contention)
-		if sc.Recruited > 0 {
-			fmt.Fprintf(&b, ", %d pool slots borrowed", sc.Recruited)
-		}
-		b.WriteByte('\n')
 		if sc.Workers > 1 {
 			for i, n := range sc.Executed {
 				fmt.Fprintf(&b, "  worker %d: %d items\n", i, n)

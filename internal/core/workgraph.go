@@ -21,22 +21,9 @@ import (
 // and results merge deterministically, so a parallel run is observably
 // identical to a sequential one (see merge below).
 //
-// Workers come from two sources, scheduled through one mechanism:
-//
-//   - standalone runs with WorkersPerRun > 1 spawn their workers
-//     up front;
-//   - runs launched through a Pool borrow idle pool slots on demand
-//     (maybeRecruit), so the same slots that fan out whole runs —
-//     PR 1's scheduling unit — also execute stolen intra-run items
-//     when no whole run is waiting for them. Queued runs always have
-//     priority over borrows (Pool.tryAcquire refuses while a run
-//     waits), so intra-run stealing only soaks up capacity that would
-//     otherwise idle.
-
-// recruitThreshold is how many queued states a run must have before it
-// tries to borrow an idle pool slot: below this the run would finish
-// before the helper warmed up.
-const recruitThreshold = 8
+// A run with WorkersPerRun > 1 starts all of its workers up front and
+// keeps them until the frontier drains: the workers are the run's own,
+// whether it was launched alone or as one job of a Pool.
 
 // explorer is one worker's private view of an exploration. Everything
 // a step touches — its own build of the program (thread closures are
@@ -44,16 +31,14 @@ const recruitThreshold = 8
 // buffer, statistics — lives here, so executing an item never contends
 // beyond the deque locks and the visited set.
 type explorer struct {
-	x      *exploration
-	c      *Checker
-	id     int
-	helper bool // borrowed pool slot: exits when idle instead of parking
+	x  *exploration
+	c  *Checker
+	id int
 
 	// Per-worker instantiation of the program under test.
 	threads []vprog.ThreadFunc
 	vars    *vprog.VarSet
 	final   vprog.FinalCheck
-	built   bool
 
 	dq       deque
 	childBuf []ExploreState
@@ -99,7 +84,6 @@ type explorer struct {
 func (w *explorer) build() {
 	w.vars = &vprog.VarSet{}
 	w.threads, w.final = w.x.prog.Build(w.vars)
-	w.built = true
 }
 
 // exploration is the shared work-graph of one Checker run.
@@ -140,11 +124,6 @@ type exploration struct {
 	vio      *Result
 	vioStamp int
 	vioKey   graph.Hash128
-
-	// Pool-slot borrowing.
-	helperMu  sync.Mutex
-	freeSlots []int
-	recruited atomic.Int32
 
 	// Crash-safety state (see checkpoint.go). start anchors the
 	// MaxDuration budget; maxPops is the graph cap; budgetOn gates the
@@ -219,16 +198,9 @@ const snapCheckEvery = 16
 
 // tryNext finds work for w without blocking. ok means st is valid;
 // otherwise wait distinguishes "park and retry" (frontier momentarily
-// empty) from "worker is finished" (done flag, sequential drain, or a
-// pool helper yielding its slot).
+// empty) from "worker is finished" (done flag or sequential drain).
 func (x *exploration) tryNext(w *explorer) (st ExploreState, ok, wait bool) {
 	if x.done.Load() {
-		return ExploreState{}, false, false
-	}
-	if w.helper && x.c.pool.waiting.Load() > 0 {
-		// A whole run is queued on the pool: yield the borrowed slot
-		// immediately — jobs outrank borrows. Anything left in this
-		// worker's deque stays stealable by the run's other workers.
 		return ExploreState{}, false, false
 	}
 	if st, ok := w.dq.popTail(); ok {
@@ -243,11 +215,6 @@ func (x *exploration) tryNext(w *explorer) (st ExploreState, ok, wait bool) {
 	if st, ok := x.steal(w); ok {
 		x.queued.Add(-1)
 		return st, true, false
-	}
-	if w.helper {
-		// A borrowed slot with nothing to steal goes back to the pool;
-		// the run re-recruits if its frontier grows again.
-		return ExploreState{}, false, false
 	}
 	return ExploreState{}, false, true
 }
@@ -343,7 +310,6 @@ func (w *explorer) flushChildren() {
 	w.childBuf = buf[:0]
 	if !x.single {
 		x.wake()
-		x.maybeRecruit()
 	}
 }
 
@@ -489,50 +455,6 @@ func keyLess(a, b graph.Hash128) bool {
 	return a[1] < b[1]
 }
 
-// maybeRecruit tries to borrow one idle pool slot for this run. It is
-// called after publications, costs an atomic load when the run is not
-// pool-attached or already fully staffed, and backs off whenever the
-// pool has whole runs waiting — those always win the slot.
-func (x *exploration) maybeRecruit() {
-	pool := x.c.pool
-	if pool == nil || x.queued.Load() < recruitThreshold {
-		return
-	}
-	x.helperMu.Lock()
-	if len(x.freeSlots) == 0 {
-		x.helperMu.Unlock()
-		return
-	}
-	slot, ok := pool.tryAcquire()
-	if !ok {
-		x.helperMu.Unlock()
-		return
-	}
-	id := x.freeSlots[len(x.freeSlots)-1]
-	x.freeSlots = x.freeSlots[:len(x.freeSlots)-1]
-	x.helperMu.Unlock()
-	x.recruited.Add(1)
-	x.wg.Add(1)
-	go x.helperLoop(x.workers[id], slot)
-}
-
-// helperLoop runs a borrowed pool slot as a worker until the frontier
-// has nothing for it, then returns the slot (its busy time credited to
-// the pool's accounting) and frees its worker id for a later borrow.
-func (x *exploration) helperLoop(w *explorer, slot int) {
-	defer x.wg.Done()
-	t0 := time.Now()
-	if !w.built {
-		w.build()
-	}
-	w.helper = true
-	x.runWorker(w)
-	x.helperMu.Lock()
-	x.freeSlots = append(x.freeSlots, w.id)
-	x.helperMu.Unlock()
-	x.c.pool.finishBorrow(slot, time.Since(t0))
-}
-
 // maybeSnapshot takes a periodic checkpoint when the interval has
 // elapsed. One worker wins the snapping claim, quiesces the others by
 // taking the snapshot gate for writing (every worker is then between
@@ -655,7 +577,6 @@ func (x *exploration) merge() *Result {
 	if x.visited != nil {
 		sched.Contention = x.visited.Contention()
 	}
-	sched.Recruited = int(x.recruited.Load())
 	res.Sched = sched
 	return res
 }

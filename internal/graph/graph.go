@@ -385,20 +385,6 @@ func (g *Graph) MoMax(loc Loc) EventID {
 // FinalVal returns the final (mo-maximal) value of loc.
 func (g *Graph) FinalVal(loc Loc) Val { return g.WriteVal(g.MoMax(loc)) }
 
-// ReadsOf returns the ids of all read-like events on loc, across all
-// threads, in (thread, index) order.
-func (g *Graph) ReadsOf(loc Loc) []EventID {
-	var out []EventID
-	for _, evs := range g.Threads {
-		for _, e := range evs {
-			if e.IsReadLike() && e.Loc == loc {
-				out = append(out, e.ID)
-			}
-		}
-	}
-	return out
-}
-
 // BottomReads returns the read-like events whose rf choice is Bottom.
 func (g *Graph) BottomReads() []EventID {
 	var out []EventID

@@ -20,9 +20,8 @@
 // speculative-ladder mode the candidate modes of one point race each
 // other, the weakest verified one winning — exactly the mode the
 // sequential descent would have accepted; and with WorkersPerRun > 1
-// the runs and the ladder share one scheduler — idle pool slots are
-// borrowed for intra-run work stealing inside whichever exploration is
-// still going, instead of nesting a second pool under the first. Every
+// every run additionally shares its exploration frontier among that
+// many workers of its own (intra-run work stealing). Every
 // candidate's suite is decided through internal/problem, the lifecycle
 // vsync.Run uses: a store session (Cache, in memory or on disk) serves
 // the problems already judged, so multi-pass descents never re-verify
@@ -124,13 +123,11 @@ type Optimizer struct {
 	// spec is identical either way.
 	Parallelism int
 	// WorkersPerRun, when > 1, lets every AMC run of the search share
-	// its exploration frontier through the pool's unified scheduler:
-	// idle pool slots — e.g. at the tail of a speculative ladder when
-	// only the slowest candidate is still verifying — are borrowed for
-	// intra-run work stealing instead of sitting dead. Verdicts (and
-	// therefore the final spec) are identical at any value; only the
-	// wall-clock shape of the search changes. Zero or one is one worker
-	// per run, unlike vsync.RunOptions, whose zero is GOMAXPROCS.
+	// its exploration frontier among that many workers of its own
+	// (intra-run work stealing); zero or one is one worker per run. The
+	// search runs at most Parallelism × WorkersPerRun workers at once.
+	// Verdicts (and therefore the final spec) are identical at any
+	// value; only the wall-clock shape of the search changes.
 	WorkersPerRun int
 	// Speculate races each point's candidate ladder concurrently
 	// (weakest→strongest launched together, weakest verified accepted)
@@ -400,11 +397,9 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 	pool := core.NewPool(o.Parallelism)
 	workers := pool.Workers
 	e := &engine{o: o, pool: pool, res: &Result{Initial: initial.Clone(), Workers: workers}, knobs: problem.Knobs{
-		Store:  o.Cache,
-		Budget: o.budget,
-		// Here zero means sequential, where vsync.RunOptions' zero means
-		// GOMAXPROCS: Resolve takes the count as given.
-		WorkersPerRun: max(1, o.WorkersPerRun),
+		Store:         o.Cache,
+		Budget:        o.budget,
+		WorkersPerRun: o.WorkersPerRun,
 	}}
 	spec := initial.Clone()
 
@@ -520,8 +515,8 @@ func (r *Result) Report() string {
 			r.CacheHits, r.CacheLookups, r.Deduped, r.Skipped)
 	}
 	if r.Pool.Workers > 0 {
-		out += fmt.Sprintf("parallel: %d workers, %d runs canceled by short-circuit, %d slots borrowed for intra-run stealing, busy %v total\n",
-			r.Pool.Workers, r.Pool.Canceled, r.Pool.Borrows, r.Pool.TotalBusy().Round(time.Millisecond))
+		out += fmt.Sprintf("parallel: %d workers, %d runs canceled by short-circuit, busy %v total\n",
+			r.Pool.Workers, r.Pool.Canceled, r.Pool.TotalBusy().Round(time.Millisecond))
 		for i := range r.Pool.Busy {
 			out += fmt.Sprintf("  worker %d: %3d jobs, %v busy\n",
 				i, r.Pool.Jobs[i], r.Pool.Busy[i].Round(time.Millisecond))

@@ -313,7 +313,7 @@ func TestCheapRefuterFirst(t *testing.T) {
 }
 
 // TestWorkersPerRunZeroIsSequential: the optimizer's zero WorkersPerRun
-// means one worker per run, not vsync's GOMAXPROCS. A sequential run
+// means one worker per run, as everywhere else. A sequential run
 // stops at its first counterexample where a parallel one explores to
 // completion, so the descent must cost exactly the consistency checks
 // of standalone sequential runs of every spec it tried.

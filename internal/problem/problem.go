@@ -50,8 +50,8 @@ type Knobs struct {
 	// Store, when non-nil, is consulted before any AMC work and
 	// receives every decisive verdict computed.
 	Store *store.Session
-	// WorkersPerRun is taken as given: callers resolve their own zero
-	// value (GOMAXPROCS for vsync, sequential for the optimizer).
+	// WorkersPerRun is each run's own worker count (core.Checker's:
+	// zero or one is one worker).
 	WorkersPerRun int
 	NoSymmetry    bool
 	Budget        core.Budget

@@ -108,8 +108,9 @@ type MatrixConfig struct {
 	Store *VerdictStore
 	// Parallelism bounds concurrent AMC runs (0 = GOMAXPROCS).
 	Parallelism int
-	// WorkersPerRun enables intra-run work stealing per cell
-	// (0 = GOMAXPROCS, 1 = sequential).
+	// WorkersPerRun shares each cell's run among this many workers of
+	// its own (0 or 1 = one worker, the sequential explorer); the suite
+	// runs at most Parallelism × WorkersPerRun workers at once.
 	WorkersPerRun int
 	// Budget bounds each cell's AMC run segment; a budget hit leaves
 	// the cell Undecided (neither failure nor error) with its frontier

@@ -2,7 +2,6 @@ package vsync
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -10,16 +9,17 @@ import (
 )
 
 // RunOptions parameterizes Run, the single entry point for verifying
-// programs. The zero value verifies on every CPU: GOMAXPROCS runs at a
-// time, each sharing its frontier among as many workers, no store.
+// programs. The zero value runs GOMAXPROCS programs at a time, each on
+// one worker (the sequential explorer), with no store.
 type RunOptions struct {
 	// Parallelism bounds concurrent AMC runs (0 = GOMAXPROCS,
 	// 1 = one run at a time).
 	Parallelism int
-	// WorkersPerRun shares each run's exploration frontier among up to
-	// this many workers (0 = GOMAXPROCS, 1 = sequential). The verdict
-	// is identical at every worker count; see Run for the statistics
-	// fine print.
+	// WorkersPerRun shares each run's exploration frontier among this
+	// many workers of its own (0 or 1 = one worker, the sequential
+	// explorer). A call runs at most Parallelism × WorkersPerRun
+	// workers at once. The verdict is identical at every worker count;
+	// see Run for the statistics fine print.
 	WorkersPerRun int
 	// CollectResults retains every program's individual result (and
 	// its per-program store provenance) on the RunResult; off, only
@@ -93,10 +93,9 @@ type RunResult struct {
 // across a worker pool in program order with fail-fast cancellation.
 // Programs whose keys are equal are one problem and share one run.
 //
-// Every run goes through a core.Pool. With Parallelism 1 the pool has
-// one slot and nothing to lend, so each run of the call — not only a
-// single program's — staffs its own WorkersPerRun; with more slots,
-// extra workers arrive by borrowing idle ones. The verdict always
+// Every run goes through a core.Pool of Parallelism slots, one run per
+// slot, and staffs its own WorkersPerRun workers up front: a call runs
+// at most Parallelism × WorkersPerRun workers at once. The verdict always
 // agrees with the sequential explorer; among parallel runs
 // (WorkersPerRun > 1) the execution count and counterexample are
 // additionally identical at every worker count, because they explore
@@ -137,15 +136,9 @@ func (opts *RunOptions) problems(model Model, programs []*Program) []problem.Pro
 // opts.Parallelism slots. Of opts it reads the engine knobs only; keys
 // come with the problems.
 func resolve(ctx context.Context, probs []problem.Problem, opts RunOptions, failFast bool) []problem.Outcome {
-	workers := opts.WorkersPerRun
-	if workers <= 0 {
-		// The checker itself clamps <1 to sequential, which is not what
-		// the documented "0 = GOMAXPROCS" promises.
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return problem.Resolve(ctx, core.NewPool(opts.Parallelism), probs, problem.Knobs{
 		Store:              opts.Store,
-		WorkersPerRun:      workers,
+		WorkersPerRun:      opts.WorkersPerRun,
 		NoSymmetry:         opts.NoSymmetry,
 		Budget:             opts.Budget,
 		CheckpointDir:      opts.CheckpointDir,

@@ -2,10 +2,12 @@ package vsync_test
 
 import (
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/locks"
+	"repro/internal/vprog"
 	"repro/internal/workload"
 	"repro/vsync"
 )
@@ -195,5 +197,52 @@ func TestRunSharedKey(t *testing.T) {
 	}
 	if st.Len() != 1 || st.Stats().Appended != 1 {
 		t.Errorf("store gained %d records (%d appends), want 1", st.Len(), st.Stats().Appended)
+	}
+}
+
+// TestZeroWorkersPerRunIsOne: WorkersPerRun's zero is one worker per run
+// everywhere — in Run and VerifyMatrix as in core.Checker — however wide
+// the pool. Run's reduced result keeps the widest run's seat count.
+// VerifyMatrix keeps no scheduler counters per cell, so its runs are
+// counted through the lock's New, which every worker of a run calls
+// once when it builds the program: a zero-worker suite builds exactly
+// as often as a one-worker suite, and a two-worker suite once more per
+// run.
+func TestZeroWorkersPerRunIsOne(t *testing.T) {
+	var ps []*vsync.Program
+	for _, name := range []string{"ttas", "mcs", "ticket"} {
+		alg := locks.ByName(name)
+		ps = append(ps, vsync.MutexClient(alg, alg.DefaultSpec(), 2, 1))
+	}
+	rr := vsync.Run(vsync.ModelWMM, ps, vsync.RunOptions{})
+	if rr.Failed >= 0 || rr.Result.Sched.Workers != 1 {
+		t.Errorf("Run with RunOptions{}: failed %d, widest run on %d workers, want every run OK on 1",
+			rr.Failed, rr.Result.Sched.Workers)
+	}
+
+	var builds atomic.Int64
+	counted := *locks.ByName("ttas")
+	newLock := counted.New
+	counted.New = func(env vprog.Env, spec *vprog.BarrierSpec, n int) locks.Lock {
+		builds.Add(1)
+		return newLock(env, spec, n)
+	}
+	suite := func(workers int) (int64, int) {
+		builds.Store(0)
+		res := vsync.VerifyMatrix(vsync.MatrixConfig{
+			Models: []vsync.Model{vsync.ModelWMM}, Locks: []*vsync.Algorithm{&counted},
+			Threads: []int{2, 3}, NoStructs: true, NoLitmus: true, WorkersPerRun: workers,
+		})
+		if res.Errors+res.Failures > 0 {
+			t.Fatalf("WorkersPerRun %d: %s", workers, res.Summary())
+		}
+		return builds.Load(), res.Misses
+	}
+	zero, runs := suite(0)
+	one, _ := suite(1)
+	two, _ := suite(2)
+	if runs == 0 || zero != one || two != one+int64(runs) {
+		t.Errorf("lock builds over %d runs: %d at WorkersPerRun 0, %d at 1, %d at 2; want 0 equal to 1 and 2 one more per run",
+			runs, zero, one, two)
 	}
 }

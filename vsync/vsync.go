@@ -145,7 +145,7 @@ var (
 // and await termination.
 func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result {
 	p := harness.MutexClient(alg, spec, nthreads, iters)
-	rr := Run(ModelWMM, []*Program{p}, RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true})
+	rr := Run(ModelWMM, []*Program{p}, RunOptions{Parallelism: 1, CollectResults: true})
 	return rr.Results[0]
 }
 
@@ -188,10 +188,9 @@ type OptimizeOptions struct {
 	// strictly sequential.
 	Parallelism int
 	// WorkersPerRun lets each AMC run additionally share its
-	// exploration frontier with idle pool slots via intra-run work
-	// stealing (0 or 1 = off). Late in a speculative ladder, when only
-	// the slowest candidate is still verifying, its run soaks up the
-	// slots its finished siblings released. Note the trade-off: a
+	// exploration frontier among this many workers of its own via
+	// intra-run work stealing (0 or 1 = off); the search runs at most
+	// Parallelism × WorkersPerRun workers at once. Note the trade-off: a
 	// parallel run explores to completion on violations (for
 	// deterministic merging), so candidates expected to FAIL lose the
 	// sequential early exit — worth it for big verifying runs, not for

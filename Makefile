@@ -40,18 +40,20 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 	$(GO) test $(3) -run '$(1)' $(2)
 
 # Race-detect the packages that exercise the parallel verification
-# engine (the run pool, the speculative ladder, and the one problem
-# lifecycle — key → store → run → persist, internal/problem — that
-# vsync.Run, VerifyMatrix, Resume and the optimizer all decide
-# through), then the work-graph explorer's own bars without -short: the full
+# engine (the speculative ladder, and the one problem lifecycle — key →
+# store → run → persist, internal/problem — that vsync.Run,
+# VerifyMatrix and the optimizer all decide through, with the run pool
+# Resolve schedules on, which lives there too: its fail-fast,
+# ordered-admission and own-workers tests run on their own line below,
+# without -short), then the work-graph
+# explorer's own bars without -short: the full
 # parallel-vs-sequential differential corpus, the symmetry-reduction
 # differential corpus (canonicalization runs on every worker, sharing
 # nothing but the visited set), the await-vs-bounded structure
 # differential (the await reductions pinned against the explicit
 # bounded-retry encodings at 1/2/4 workers, treiber t=3 included),
-# the stealing runs and two-worker runs side by side on one pool, the
-# sharded visited set under concurrent load, and the poison-on-release
-# corpus (the whole
+# the stealing runs, the sharded visited set under concurrent load, and
+# the poison-on-release corpus (the whole
 # differential corpus with every retired slab and header poisoned: a
 # stolen state's parent retires on the thief, and a release made too
 # early is a wrong count there and a reported race here) together with
@@ -72,7 +74,8 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
-	@$(call testrun,TestParallel|TestVisitedSet|TestPoolRunsOwnWorkers|TestSym|TestBirthRuleAudit,./internal/core,-race)
+	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestBirthRuleAudit,./internal/core,-race)
+	@$(call testrun,TestPool|TestResolve,./internal/problem,-race)
 	@$(call testrun,TestPoison|TestRestrict,./internal/graph,-race)
 	@$(call testrun,TestMemo|TestSnap,./internal/core,-race)
 	@$(call testrun,TestPsc,./internal/mm,-race)

@@ -212,7 +212,7 @@ func main() {
 	}
 	fmt.Printf("checking %s under %s (%d threads × %d iterations, %d workers)...\n",
 		p.Name, m.Name(), *threads, *iters, opts.WorkersPerRun)
-	opts.Parallelism, opts.Store, opts.CollectResults = 1, runStore, true
+	opts.Parallelism, opts.Store = 1, runStore
 	opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
 	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, opts)
 	res := rr.Results[0]

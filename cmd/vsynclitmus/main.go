@@ -78,10 +78,9 @@ func main() {
 			// — the program is self-contained, there is no barrier spec —
 			// matching the suite matrix's litmus keys.
 			rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, vsync.RunOptions{
-				Parallelism:    1,
-				WorkersPerRun:  workers(),
-				CollectResults: true,
-				Store:          st,
+				Parallelism:   1,
+				WorkersPerRun: workers(),
+				Store:         st,
 			})
 			res := rr.Results[0]
 			hits += rr.StoreHits

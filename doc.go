@@ -29,9 +29,10 @@
 //
 //	bash benchmark/run.sh --all      # see BENCHMARK.json
 //
-// Every verification problem — from vsync.Run, VerifyMatrix, Resume or
-// an optimizer candidate — goes through one lifecycle
-// (internal/problem): key, store lookup, checkpoint, AMC run, persist.
+// Every verification problem — from vsync.Run, VerifyMatrix or an
+// optimizer candidate — goes through one lifecycle (internal/problem):
+// key, store lookup, checkpoint, AMC run, persist, on a run pool of
+// its own.
 // Verdicts persist in a shared, content-addressed store: any number of
 // processes open sessions on one log (appends are record-atomic under
 // a short-held sidecar lock; Refresh observes concurrent writers),

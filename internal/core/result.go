@@ -205,7 +205,7 @@ type Result struct {
 	// not part of Stats, which checkpoints carry.
 	Mem      graph.MemCounters
 	Duration time.Duration
-	Err      error // set when Verdict == Error; ErrNotStarted on a job its pool never admitted
+	Err      error // set when Verdict == Error or Canceled (the context's error; problem.ErrNotStarted when no run started)
 	// Checkpoint carries the drained frontier of an Undecided run: the
 	// unexplored states, the visited-set summary, and the cumulative
 	// counters a resumed run needs to continue deterministically. Nil

@@ -23,7 +23,7 @@ import (
 //
 // A run with WorkersPerRun > 1 starts all of its workers up front and
 // keeps them until the frontier drains: the workers are the run's own,
-// whether it was launched alone or as one job of a Pool.
+// whatever launched it.
 
 // explorer is one worker's private view of an exploration. Everything
 // a step touches — its own build of the program (thread closures are

@@ -173,3 +173,29 @@ func checkQspinAccounting(t *testing.T, res *optimize.Result, cached bool) {
 		t.Errorf("qspin one-at-a-time, cache %v: final modes %s, want rlx=7 acq=6 rel=3", cached, got)
 	}
 }
+
+// TestCacheSecondRunAccounting: every lookup of a second descent over
+// the same session is accounted for — served by the cache, deduped onto
+// a sibling's run, or not started because a stored failure refuted the
+// candidate first — as vsyncopt -lock qspin -threads 3 -par 1 -store F
+// prints on its second run.
+func TestCacheSecondRunAccounting(t *testing.T) {
+	alg := locks.ByName("qspin")
+	cache := optimize.NewCache()
+	var res *optimize.Result
+	for range 2 {
+		opt := &optimize.Optimizer{Model: mm.WMM, Parallelism: 1, Programs: descentSuite(alg, 3), Cache: cache}
+		var err error
+		if res, err = opt.Run(alg.DefaultSpec().AllSC()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := res.CacheHits + res.Deduped + res.Skipped; n != res.CacheLookups {
+		t.Errorf("second run: %d hits + %d deduped + %d not started = %d, want the %d lookups",
+			res.CacheHits, res.Deduped, res.Skipped, n, res.CacheLookups)
+	}
+	got := fmt.Sprintf("%d hits / %d lookups, %d deduped, %d not started", res.CacheHits, res.CacheLookups, res.Deduped, res.Skipped)
+	if want := "69 hits / 87 lookups, 0 deduped, 18 not started"; got != want {
+		t.Errorf("second run: %s, want %s", got, want)
+	}
+}

@@ -15,8 +15,9 @@
 //
 // The independent AMC runs of the search are embarrassingly parallel,
 // and the engine exploits that on three axes without changing the
-// result: the client programs of one candidate spec fan out across a
-// core.Pool (a failing program cancels its siblings); in
+// result: the client programs of one candidate spec fan out across the
+// run pool internal/problem schedules on (a failing program cancels its
+// siblings); in
 // speculative-ladder mode the candidate modes of one point race each
 // other, the weakest verified one winning — exactly the mode the
 // sequential descent would have accepted; and with WorkersPerRun > 1
@@ -79,7 +80,8 @@ type Result struct {
 	CacheHits, CacheLookups int
 	// Deduped counts programs served by the run of an equal-fingerprint
 	// sibling in the same suite; Skipped counts runs never started
-	// because a cheaper one had already refuted the candidate.
+	// because a cheaper run or a stored verdict had already refuted the
+	// candidate.
 	Deduped, Skipped int
 	// StoreErr is the first failed Cache append (a disk error or a
 	// verdict conflict, errors.Is store.ErrConflict), or nil. It never
@@ -88,10 +90,10 @@ type Result struct {
 	StoreErr error
 	// Workers is the AMC concurrency the run used (1 = sequential).
 	Workers int
-	// Pool is the worker-pool accounting: per-worker busy time and job
+	// Pool is the run-pool accounting: per-slot busy time and run
 	// counts, and how many runs the fail-fast short-circuit canceled.
 	// Zero-valued for sequential runs.
-	Pool core.PoolStats
+	Pool problem.PoolStats
 	// Duration is the total wall time — the paper's Table 1 "Time"
 	// column (11 minutes for qspinlock on their setup).
 	Duration time.Duration
@@ -190,7 +192,7 @@ func NewCache() *store.Session { return store.NewMemory() }
 // engine carries the mutable state of one optimization run.
 type engine struct {
 	o     *Optimizer
-	pool  *core.Pool // Parallelism slots; one is strictly sequential
+	pool  *problem.Pool // Parallelism slots; one is strictly sequential
 	knobs problem.Knobs
 	res   *Result
 
@@ -293,7 +295,7 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 			e.res.CacheHits++
 		case o.Deduped:
 			e.res.Deduped++
-		case r.Err == core.ErrNotStarted:
+		case r.Err == problem.ErrNotStarted:
 			if verdict != core.Canceled {
 				e.res.Skipped++ // a sibling refuted the candidate first
 			}
@@ -394,7 +396,7 @@ func (o *Optimizer) Run(initial *vprog.BarrierSpec) (*Result, error) {
 // RunCtx is Run with cooperative cancellation.
 func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Result, error) {
 	start := time.Now()
-	pool := core.NewPool(o.Parallelism)
+	pool := problem.NewPool(o.Parallelism)
 	workers := pool.Workers
 	e := &engine{o: o, pool: pool, res: &Result{Initial: initial.Clone(), Workers: workers}, knobs: problem.Knobs{
 		Store:         o.Cache,

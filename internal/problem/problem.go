@@ -1,9 +1,11 @@
 // Package problem is the one place that knows the life of a
 // verification problem: key → store → checkpoint → run → persist.
-// vsync's Run, VerifyMatrix and Resume and the optimizer's candidate
-// suites describe their problems, call Resolve, and shape the outcomes
-// into their own result types; nothing else outside internal/store
-// touches a store session's Lookup/Put/Refresh or a checkpoint file.
+// vsync's Run and VerifyMatrix and the optimizer's candidate suites
+// describe their problems, call Resolve, and shape the outcomes into
+// their own result types; nothing else outside internal/store touches
+// a store session's Lookup/Put/Refresh or a checkpoint file, and
+// nothing else schedules whole runs: Resolve takes a slot of its Pool
+// for each run.
 package problem
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -28,8 +31,7 @@ type Problem struct {
 	// file. An empty Key.Model means unkeyed — no store, no checkpoint
 	// directory, no caller-supplied key — and spares the fingerprint.
 	Key  store.Key
-	Name string           // with the model, the label of the store record
-	Seed *core.Checkpoint // continue from here, not from the file
+	Name string // with the model, the label of the store record
 }
 
 // Outcome is what Resolve learned about one problem. Res is the AMC
@@ -87,17 +89,17 @@ func CheckpointPath(dir string, key store.Key) string {
 
 // Resolve decides every problem, in order of preference: from the
 // store, from an equal-key sibling's run in this same call, from an AMC
-// run. Runs go through pool, admitted in problem order. With failFast
+// run. Runs take their slots of pool in problem order. With failFast
 // the first non-OK verdict, stored or computed, cancels what has not
 // finished.
-func Resolve(ctx context.Context, pool *core.Pool, probs []Problem, k Knobs, failFast bool) []Outcome {
+func Resolve(ctx context.Context, pool *Pool, probs []Problem, k Knobs, failFast bool) []Outcome {
 	st := k.Store
 	out := make([]Outcome, len(probs))
 	if st != nil {
 		// The session is shared: observe verdicts concurrent processes
 		// appended since its last scan. Best-effort — a closed or
 		// unreadable store degrades to memory-only lookups and surfaces
-		// through the Put below.
+		// through the Put in decide.
 		st.Refresh()
 	}
 
@@ -133,54 +135,75 @@ func Resolve(ctx context.Context, pool *core.Pool, probs []Problem, k Knobs, fai
 		// A stored failure fails the call before any AMC work.
 		for i := range out {
 			if out[i].Res == nil {
-				out[i].Res = &core.Result{Verdict: core.Canceled, Message: "canceled: stored verdict failed fail-fast"}
+				out[i].Res = notStarted()
 			}
 		}
 		return out
 	}
 
-	jobs := make([]core.Job, len(groups))
-	for j, g := range groups {
-		rep, sv := &probs[g[0]], &out[g[0]] // the slot records FromStore and Err
-		c := core.New(rep.Model)
-		c.WorkersPerRun = k.WorkersPerRun
-		c.NoSymmetry = k.NoSymmetry
-		ckpt := armCheckpoints(c, &k, rep)
-		jobs[j] = core.Job{Checker: c, Program: rep.Prog, Wrap: func(run func() *core.Result) *core.Result {
-			if st != nil {
-				// Re-check on the slot, right before spending AMC work:
-				// with two live suites on one store the other process may
-				// have decided this problem while it queued. The Refresh
-				// is an incremental tail re-scan, cheap when nothing
-				// changed.
-				st.Refresh()
-				if v, ok := st.Lookup(rep.Key); ok {
-					sv.FromStore = true
-					return &core.Result{Verdict: v}
-				}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		// The submitting loop takes each group's slot before its
+		// goroutine starts, so a one-slot pool runs them strictly in
+		// problem order.
+		rep, o := &probs[g[0]], &out[g[0]]
+		slot, ok := pool.acquire(ctx)
+		if !ok {
+			o.Res = notStarted()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			decide(ctx, rep, &k, o)
+			// Cancel before the slot is free again, or the next run in
+			// line could start what the failure has already doomed.
+			if failFast && o.Res.Verdict != core.OK && o.Res.Verdict != core.Canceled {
+				cancel()
 			}
-			r := run()
-			// Persist the moment the run ends: an interrupted call keeps
-			// everything it decided so far, including what finished
-			// before a fail-fast cancellation.
-			if st != nil {
-				sv.Err = st.Put(rep.Key, r.Verdict, rep.Model.Name()+"/"+rep.Name)
-			}
-			if err := finishCheckpoint(ckpt, r); sv.Err == nil {
-				sv.Err = err
-			}
-			return r
-		}}
+			pool.release(slot, time.Since(t0), o.Res)
+		}()
 	}
-	results := pool.RunAll(ctx, jobs, failFast)
-	for j, g := range groups {
-		r, sv := results[j], &out[g[0]]
-		sv.Res = r
+	wg.Wait()
+	for _, g := range groups {
+		o := &out[g[0]]
 		for _, i := range g[1:] {
-			out[i] = Outcome{Res: &core.Result{Verdict: r.Verdict, Err: r.Err}, FromStore: sv.FromStore, Deduped: !sv.FromStore, Err: sv.Err}
+			out[i] = Outcome{Res: &core.Result{Verdict: o.Res.Verdict, Err: o.Res.Err}, FromStore: o.FromStore, Deduped: !o.FromStore, Err: o.Err}
 		}
 	}
 	return out
+}
+
+// decide resolves one problem on its slot. It re-checks the store
+// right before spending AMC work — with two live suites on one store
+// the other process may have decided the problem while it queued (the
+// Refresh is an incremental tail re-scan, cheap when nothing changed)
+// — and otherwise runs it and persists the verdict the moment the run
+// ends: an interrupted call keeps everything it decided so far,
+// including what finished before a fail-fast cancellation.
+func decide(ctx context.Context, p *Problem, k *Knobs, o *Outcome) {
+	st := k.Store
+	if st != nil {
+		st.Refresh()
+		if v, ok := st.Lookup(p.Key); ok {
+			o.Res, o.FromStore = &core.Result{Verdict: v}, true
+			return
+		}
+	}
+	c := core.New(p.Model)
+	c.WorkersPerRun = k.WorkersPerRun
+	c.NoSymmetry = k.NoSymmetry
+	path := armCheckpoints(c, k, p)
+	o.Res = c.RunCtx(ctx, p.Prog)
+	if st != nil {
+		o.Err = st.Put(p.Key, o.Res.Verdict, p.Model.Name()+"/"+p.Name)
+	}
+	if err := finishCheckpoint(path, o.Res); o.Err == nil {
+		o.Err = err
+	}
 }
 
 // armCheckpoints wires one checker for budgeted, resumable execution
@@ -188,26 +211,22 @@ func Resolve(ctx context.Context, pool *core.Pool, probs []Problem, k Knobs, fai
 // configured). With a directory, a cancellation (SIGINT in the CLIs)
 // also snapshots instead of discarding, an existing compatible
 // checkpoint seeds the run, and an interval additionally snapshots
-// periodically so even kill -9 loses at most one interval of work. A
-// caller-supplied seed outranks the file.
+// periodically so even kill -9 loses at most one interval of work. The
+// file is read here, on the run's slot, when the run starts.
 func armCheckpoints(c *core.Checker, k *Knobs, p *Problem) string {
 	c.Budget = k.Budget
-	c.Resume = p.Seed
 	if k.CheckpointDir == "" {
 		return ""
 	}
 	path := CheckpointPath(k.CheckpointDir, p.Key)
 	c.CheckpointOnCancel = true
-	if c.Resume == nil {
-		if ck, err := core.LoadCheckpointFile(path); err == nil && ck.Epoch == store.CodeEpoch() {
-			c.Resume = ck
-		}
-		// A checkpoint stamped by a different code epoch is ignored, not
-		// an error: a frontier produced by different checker code is not
-		// trustworthy even over the same program, and the fresh run will
-		// overwrite it. Same stance the verdict store takes on stale
-		// records.
+	if ck, err := core.LoadCheckpointFile(path); err == nil && ck.Epoch == store.CodeEpoch() {
+		c.Resume = ck
 	}
+	// A checkpoint stamped by a different code epoch is ignored, not an
+	// error: a frontier produced by different checker code is not
+	// trustworthy even over the same program, and the fresh run will
+	// overwrite it. Same stance the verdict store takes on stale records.
 	if k.CheckpointInterval > 0 {
 		c.CheckpointInterval = k.CheckpointInterval
 		c.CheckpointSink = func(ck *core.Checkpoint) error {

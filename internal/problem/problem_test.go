@@ -20,13 +20,13 @@ func prob(p *vprog.Program) problem.Problem {
 // TestResolveOutcomes pins what the outcomes say, which is all the
 // optimizer's accounting reads: an equal-key problem is Deduped onto one
 // run, a stored verdict is FromStore, a stored failure under fail-fast
-// runs nothing, and a run fail-fast kept out of the pool is
-// ErrNotStarted.
+// runs nothing, and a problem fail-fast kept from running — by a
+// stored failure or out of the pool — is ErrNotStarted.
 func TestResolveOutcomes(t *testing.T) {
 	weak, strong := harness.SB(vprog.Rlx, vprog.Rlx, vprog.ModeNone), harness.SB(vprog.SC, vprog.SC, vprog.ModeNone)
 	st := store.NewMemory()
 	k := problem.Knobs{Store: st, WorkersPerRun: 1}
-	pool := core.NewPool(1)
+	pool := problem.NewPool(1)
 
 	outs := problem.Resolve(context.Background(), pool, []problem.Problem{prob(strong), prob(weak), prob(strong)}, k, false)
 	if outs[0].Res.Verdict != core.OK || outs[1].Res.Verdict != core.SafetyViolation {
@@ -50,14 +50,14 @@ func TestResolveOutcomes(t *testing.T) {
 	// problem is canceled, not started and not deduped.
 	fresh := harness.MP(vprog.SC, vprog.SC)
 	outs = problem.Resolve(context.Background(), pool, []problem.Problem{prob(fresh), prob(weak)}, k, true)
-	if o := outs[0]; o.FromStore || o.Deduped || o.Res.Verdict != core.Canceled || o.Res.Err != nil {
-		t.Errorf("beside a stored failure: %+v, %v; want canceled before any run", o, o.Res)
+	if o := outs[0]; o.FromStore || o.Deduped || o.Res.Verdict != core.Canceled || o.Res.Err != problem.ErrNotStarted {
+		t.Errorf("beside a stored failure: %+v, %v; want not started", o, o.Res)
 	}
 
 	// Without a store the failing run comes first and keeps its sibling
 	// out of the one slot.
-	outs = problem.Resolve(context.Background(), core.NewPool(1), []problem.Problem{prob(weak), prob(fresh)}, problem.Knobs{WorkersPerRun: 1}, true)
-	if outs[0].Res.Verdict != core.SafetyViolation || outs[1].Res.Err != core.ErrNotStarted {
+	outs = problem.Resolve(context.Background(), problem.NewPool(1), []problem.Problem{prob(weak), prob(fresh)}, problem.Knobs{WorkersPerRun: 1}, true)
+	if outs[0].Res.Verdict != core.SafetyViolation || outs[1].Res.Err != problem.ErrNotStarted {
 		t.Errorf("fail-fast: %v then %v (%v); want a violation, then not started", outs[0].Res.Verdict, outs[1].Res.Verdict, outs[1].Res.Err)
 	}
 }

@@ -5,155 +5,68 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/locks"
+	"repro/internal/problem"
 	"repro/vsync"
 )
 
-// TestRunBudgetResumeDifferential: a budgeted Run that hits its limit
-// must return Undecided with a resumable checkpoint, and driving the
-// Resume loop to completion must reproduce the uninterrupted run's
-// verdict and statistics exactly — segmentation is invisible in the
-// answer.
-func TestRunBudgetResumeDifferential(t *testing.T) {
-	p := goodProgram(t)
-	base := verify(vsync.ModelWMM, p)
-	if base.Verdict != vsync.OK {
-		t.Fatalf("baseline: %v", base.Verdict)
-	}
-
-	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, vsync.RunOptions{
-		Parallelism:   1,
-		WorkersPerRun: 1,
-		Budget:        vsync.Budget{MaxGraphs: 7},
-	})
-	if rr.Result.Verdict != vsync.Undecided {
-		t.Fatalf("budgeted run verdict %v, want Undecided", rr.Result.Verdict)
-	}
-	if rr.Result.Checkpoint == nil {
-		t.Fatal("Undecided result carries no checkpoint")
-	}
-
-	res, segments := rr.Result, 1
-	for res.Verdict == vsync.Undecided {
-		if segments > 10_000 {
-			t.Fatal("resume loop does not converge")
-		}
-		res = vsync.Resume(vsync.ModelWMM, p, res.Checkpoint, vsync.RunOptions{
-			WorkersPerRun: 1,
-			Budget:        vsync.Budget{MaxGraphs: 7},
-		})
-		segments++
-	}
-	if segments < 2 {
-		t.Fatalf("budget of 7 graphs finished in %d segment(s); it did not actually segment", segments)
-	}
-	if res.Verdict != base.Verdict {
-		t.Fatalf("segmented verdict %v, baseline %v", res.Verdict, base.Verdict)
-	}
-	if res.Stats != base.Stats {
-		t.Errorf("segmented stats %+v diverge from baseline %+v", res.Stats, base.Stats)
-	}
-}
-
-// TestResumeRefusesForeignCheckpoint: a checkpoint stamped with a
-// different code epoch, or presented with the wrong program, must be
-// refused with an Error — never silently explored.
-func TestResumeRefusesForeignCheckpoint(t *testing.T) {
-	p := goodProgram(t)
-	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, vsync.RunOptions{
-		Parallelism: 1, WorkersPerRun: 1, Budget: vsync.Budget{MaxGraphs: 5},
-	})
-	ck := rr.Result.Checkpoint
-	if ck == nil {
-		t.Fatal("no checkpoint to tamper with")
-	}
-
-	ck.Epoch = graph.Hash128{0xbad, 0xbeef}
-	if r := vsync.Resume(vsync.ModelWMM, p, ck, vsync.RunOptions{}); r.Err == nil || r.Verdict == vsync.OK {
-		t.Fatalf("foreign-epoch resume: verdict %v err %v, want Error", r.Verdict, r.Err)
-	}
-
-	ck.Epoch = graph.Hash128{} // unstamped: identity still validated by core
-	other := badProgram(t)
-	if r := vsync.Resume(vsync.ModelWMM, other, ck, vsync.RunOptions{}); r.Err == nil {
-		t.Fatalf("wrong-program resume: verdict %v, want Error", r.Verdict)
-	}
-
-	if r := vsync.Resume(vsync.ModelWMM, p, nil, vsync.RunOptions{}); r.Err == nil {
-		t.Fatal("nil-checkpoint resume did not error")
-	}
-}
-
 // TestRunCheckpointDir: with a checkpoint directory, budgeted Run calls
-// persist their interrupted frontier to a content-addressed file and
+// persist their interrupted frontier to the file their key names and
 // later calls resume from it automatically — repeat the same Run until
-// the verdict is decisive, then the file must be retired.
+// the verdict is decisive: it and its statistics must be the
+// uninterrupted run's, and the file must then be retired. The keyed
+// case carries the spec in StoreKeys, as vsynccheck does: re-running
+// with the same key resumes that file and then deletes it.
 func TestRunCheckpointDir(t *testing.T) {
-	p := goodProgram(t)
-	base := verify(vsync.ModelWMM, p)
-	dir := t.TempDir()
-
-	opts := vsync.RunOptions{
-		Parallelism:    1,
-		WorkersPerRun:  1,
-		CollectResults: true,
-		Budget:         vsync.Budget{MaxGraphs: 7},
-		CheckpointDir:  dir,
-	}
-	var res *vsync.Result
-	calls := 0
-	for {
-		calls++
-		if calls > 10_000 {
-			t.Fatal("checkpoint-dir run loop does not converge")
-		}
-		res = vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, opts).Results[0]
-		if res.Verdict != vsync.Undecided {
-			break
-		}
-		if n := ckptFiles(t, dir); n != 1 {
-			t.Fatalf("after undecided segment: %d checkpoint files, want 1", n)
-		}
-	}
-	if calls < 2 {
-		t.Fatal("run decided within one segment; budget did not bite")
-	}
-	if res.Verdict != base.Verdict {
-		t.Fatalf("verdict %v, baseline %v", res.Verdict, base.Verdict)
-	}
-	if res.Stats != base.Stats {
-		t.Errorf("stats %+v diverge from baseline %+v", res.Stats, base.Stats)
-	}
-	if n := ckptFiles(t, dir); n != 0 {
-		t.Errorf("decisive verdict left %d checkpoint file(s) behind", n)
-	}
-}
-
-// TestResumeRetiresKeyedCheckpoint: Resume addresses the checkpoint
-// file by the key the interrupted Run used, so the decisive resume
-// retires it instead of leaving it for the next Run to re-load.
-func TestResumeRetiresKeyedCheckpoint(t *testing.T) {
 	alg := locks.ByName("ttas")
 	spec := alg.DefaultSpec()
 	p := vsync.MutexClient(alg, spec, 2, 1)
-	opts := vsync.RunOptions{
-		Parallelism:   1,
-		StoreKeys:     []vsync.StoreKey{vsync.ProblemKey(vsync.ModelWMM, spec, p)},
-		Budget:        vsync.Budget{MaxGraphs: 30},
-		CheckpointDir: t.TempDir(),
-	}
-	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, opts)
-	if rr.Result.Verdict != vsync.Undecided || ckptFiles(t, opts.CheckpointDir) != 1 {
-		t.Fatalf("budgeted run: %v with %d checkpoint files, want undecided with 1", rr.Result.Verdict, ckptFiles(t, opts.CheckpointDir))
-	}
-	opts.Budget = vsync.Budget{}
-	res := vsync.Resume(vsync.ModelWMM, p, rr.Result.Checkpoint, opts)
-	if res.Verdict != vsync.OK || res.Err != nil {
-		t.Fatalf("resume: %v (err %v)", res.Verdict, res.Err)
-	}
-	if n := ckptFiles(t, opts.CheckpointDir); n != 0 {
-		t.Errorf("decisive resume left %d checkpoint file(s) behind", n)
+	base := verify(vsync.ModelWMM, p)
+	for _, keyed := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := vsync.RunOptions{
+			Parallelism:   1,
+			WorkersPerRun: 1,
+			Budget:        vsync.Budget{MaxGraphs: 7},
+			CheckpointDir: dir,
+		}
+		key := vsync.ProblemKey(vsync.ModelWMM, nil, p)
+		if keyed {
+			key = vsync.ProblemKey(vsync.ModelWMM, spec, p)
+			opts.StoreKeys = []vsync.StoreKey{key}
+		}
+		var res *vsync.Result
+		calls := 0
+		for {
+			calls++
+			if calls > 10_000 {
+				t.Fatalf("keyed %v: checkpoint-dir run loop does not converge", keyed)
+			}
+			res = vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, opts).Results[0]
+			if res.Verdict != vsync.Undecided {
+				break
+			}
+			if n := ckptFiles(t, dir); n != 1 {
+				t.Fatalf("keyed %v: after undecided segment: %d checkpoint files, want 1", keyed, n)
+			}
+			if _, err := os.Stat(problem.CheckpointPath(dir, key)); err != nil {
+				t.Fatalf("keyed %v: the checkpoint is not where its key names it: %v", keyed, err)
+			}
+		}
+		if calls < 2 {
+			t.Fatalf("keyed %v: run decided within one segment; budget did not bite", keyed)
+		}
+		if res.Verdict != base.Verdict || res.Err != nil {
+			t.Fatalf("keyed %v: verdict %v (err %v), baseline %v", keyed, res.Verdict, res.Err, base.Verdict)
+		}
+		if res.Stats != base.Stats {
+			t.Errorf("keyed %v: stats %+v diverge from baseline %+v", keyed, res.Stats, base.Stats)
+		}
+		if n := ckptFiles(t, dir); n != 0 {
+			t.Errorf("keyed %v: decisive verdict left %d checkpoint file(s) behind", keyed, n)
+		}
 	}
 }
 
@@ -225,7 +138,7 @@ func TestMatrixBudgetResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileAPI: the exported file round-trip, plus the
+// TestCheckpointFileAPI: the checkpoint file round-trip, plus the
 // stale-epoch ignore path — a checkpoint from "another build" in the
 // directory must not poison a fresh run.
 func TestCheckpointFileAPI(t *testing.T) {
@@ -241,11 +154,11 @@ func TestCheckpointFileAPI(t *testing.T) {
 
 	dir := t.TempDir()
 	key := vsync.ProblemKey(vsync.ModelWMM, nil, p)
-	path := vsync.CheckpointPath(dir, key)
-	if err := vsync.WriteCheckpointFile(path, ck); err != nil {
+	path := problem.CheckpointPath(dir, key)
+	if err := core.WriteCheckpointFile(path, ck); err != nil {
 		t.Fatal(err)
 	}
-	got, err := vsync.LoadCheckpointFile(path)
+	got, err := core.LoadCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +171,7 @@ func TestCheckpointFileAPI(t *testing.T) {
 	// (start from scratch, same verdict as ever) rather than resume or
 	// error.
 	res := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, vsync.RunOptions{
-		Parallelism: 1, WorkersPerRun: 1, CollectResults: true, CheckpointDir: dir,
+		Parallelism: 1, WorkersPerRun: 1, CheckpointDir: dir,
 	}).Results[0]
 	if res.Verdict != vsync.OK {
 		t.Fatalf("run with stale checkpoint in dir: %v (err %v)", res.Verdict, res.Err)

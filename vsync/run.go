@@ -21,10 +21,6 @@ type RunOptions struct {
 	// workers at once. The verdict is identical at every worker count;
 	// see Run for the statistics fine print.
 	WorkersPerRun int
-	// CollectResults retains every program's individual result (and
-	// its per-program store provenance) on the RunResult; off, only
-	// the reduced Result/Failed pair is kept.
-	CollectResults bool
 	// Store, when non-nil, is consulted before any AMC work — a stored
 	// verdict serves its program without a run — and receives every
 	// decisive verdict this run computes. The session is shared: a
@@ -45,7 +41,8 @@ type RunOptions struct {
 	NoSymmetry bool
 	// Budget bounds each AMC run segment (wall clock; popped graphs,
 	// 2,000,000 when zero; heap). A budget hit returns Undecided with a
-	// Checkpoint instead of losing the work; see Budget and Resume.
+	// Checkpoint instead of losing the work; see Budget and
+	// CheckpointDir.
 	Budget Budget
 	// CheckpointDir, when non-empty, makes runs crash-safe: each
 	// program checkpoints to a content-addressed file in this directory
@@ -60,6 +57,28 @@ type RunOptions struct {
 	CheckpointInterval time.Duration
 }
 
+// Budget bounds one run segment: wall clock, popped exploration
+// states, or process heap. A budget hit does not lose the work — the
+// run drains cleanly and returns an Undecided result carrying a
+// Checkpoint of the remaining frontier; with RunOptions.CheckpointDir
+// the next run of the same problem resumes from it, continuing the
+// exploration exactly where it stopped, with the same final verdict,
+// statistics and counterexample an uninterrupted run would have
+// produced. MaxDuration and MaxGraphs are per-segment (so every
+// resumed segment gets a fresh allowance and the search always makes
+// progress); MaxMemBytes is an absolute heap cap. MaxGraphs has no
+// unbounded setting: zero means 2,000,000 pops per segment.
+type Budget = core.Budget
+
+// Checkpoint is the resumable remainder of an interrupted exploration:
+// the unexplored frontier, the visited-set keys, cumulative counters,
+// and the best violation found so far. An Undecided Result carries
+// one; RunOptions.CheckpointDir is where runs persist theirs (atomic
+// write, CRC-framed records, torn files refused entirely) and the one
+// way to resume: a run finds its problem's file there by key. A file
+// from another code epoch is ignored and overwritten by the fresh run.
+type Checkpoint = core.Checkpoint
+
 // RunResult is the outcome of one Run call.
 type RunResult struct {
 	// Result reduces the run: the lowest-indexed decisive failure, or
@@ -70,13 +89,12 @@ type RunResult struct {
 	// every program verified.
 	Failed int
 	// Results holds each program's individual result, in program
-	// order, when RunOptions.CollectResults is set (nil otherwise).
-	// Programs canceled by the fail-fast report Canceled; programs
+	// order. Programs canceled by the fail-fast report Canceled; programs
 	// served by the store, or by the run of an earlier program with an
 	// equal key, report a synthetic result carrying only the verdict.
 	Results []*Result
 	// FromStore marks, parallel to Results, the programs whose verdict
-	// was served by the store (only with CollectResults).
+	// was served by the store.
 	FromStore []bool
 	// StoreHits counts programs served by the store.
 	StoreHits int
@@ -93,15 +111,16 @@ type RunResult struct {
 // across a worker pool in program order with fail-fast cancellation.
 // Programs whose keys are equal are one problem and share one run.
 //
-// Every run goes through a core.Pool of Parallelism slots, one run per
-// slot, and staffs its own WorkersPerRun workers up front: a call runs
-// at most Parallelism × WorkersPerRun workers at once. The verdict always
-// agrees with the sequential explorer; among parallel runs
-// (WorkersPerRun > 1) the execution count and counterexample are
-// additionally identical at every worker count, because they explore
-// to completion and merge deterministically — the sequential explorer
-// instead stops at its first DFS counterexample, so on violating
-// programs its statistics and witness reflect that partial search.
+// Every run holds one of Parallelism pool slots (internal/problem
+// schedules the runs) and staffs its own WorkersPerRun workers up
+// front: a call runs at most Parallelism × WorkersPerRun workers at
+// once. The verdict always agrees with the sequential explorer; among
+// parallel runs (WorkersPerRun > 1) the execution count and
+// counterexample are additionally identical at every worker count,
+// because they explore to completion and merge deterministically — the
+// sequential explorer instead stops at its first DFS counterexample,
+// so on violating programs its statistics and witness reflect that
+// partial search.
 func Run(model Model, programs []*Program, opts RunOptions) *RunResult {
 	return RunCtx(context.Background(), model, programs, opts)
 }
@@ -136,7 +155,7 @@ func (opts *RunOptions) problems(model Model, programs []*Program) []problem.Pro
 // opts.Parallelism slots. Of opts it reads the engine knobs only; keys
 // come with the problems.
 func resolve(ctx context.Context, probs []problem.Problem, opts RunOptions, failFast bool) []problem.Outcome {
-	return problem.Resolve(ctx, core.NewPool(opts.Parallelism), probs, problem.Knobs{
+	return problem.Resolve(ctx, problem.NewPool(opts.Parallelism), probs, problem.Knobs{
 		Store:              opts.Store,
 		WorkersPerRun:      opts.WorkersPerRun,
 		NoSymmetry:         opts.NoSymmetry,
@@ -150,11 +169,9 @@ func resolve(ctx context.Context, probs []problem.Problem, opts RunOptions, fail
 // pending and running AMC work, which reports Canceled.
 func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptions) *RunResult {
 	outs := resolve(ctx, opts.problems(model, programs), opts, true)
-	rr := &RunResult{Failed: -1}
-	results := make([]*Result, len(outs))
-	fromStore := make([]bool, len(outs))
+	rr := &RunResult{Failed: -1, Results: make([]*Result, len(outs)), FromStore: make([]bool, len(outs))}
 	for i, o := range outs {
-		results[i], fromStore[i] = o.Res, o.FromStore
+		rr.Results[i], rr.FromStore[i] = o.Res, o.FromStore
 		if o.FromStore {
 			rr.StoreHits++
 		}
@@ -162,16 +179,13 @@ func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptio
 			rr.StoreErr = o.Err
 		}
 	}
-	if opts.CollectResults {
-		rr.Results, rr.FromStore = results, fromStore
-	}
 
 	// Reduce: the lowest-indexed decisive failure wins; then an
 	// undecided run (its result carries the checkpoint to resume from);
 	// then a cancellation; else aggregate OK.
 	rank := map[Verdict]int{Canceled: 1, Undecided: 2, SafetyViolation: 3, ATViolation: 3, core.Error: 3}
 	worst := 0
-	for i, r := range results {
+	for i, r := range rr.Results {
 		if k := rank[r.Verdict]; k > worst {
 			worst, rr.Result, rr.Failed = k, r, i
 		}
@@ -180,7 +194,7 @@ func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptio
 		return rr
 	}
 	agg := &Result{Verdict: core.OK}
-	for _, r := range results {
+	for _, r := range rr.Results {
 		agg.Stats.Add(r.Stats)
 		agg.Sched.Accumulate(r.Sched)
 		if r.Duration > agg.Duration {

@@ -36,7 +36,7 @@ func badProgram(t *testing.T) *vsync.Program {
 // verify is one standalone sequential run.
 func verify(model vsync.Model, p *vsync.Program) *vsync.Result {
 	return vsync.Run(model, []*vsync.Program{p},
-		vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, CollectResults: true}).Results[0]
+		vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1}).Results[0]
 }
 
 // TestRunWithStore: Run's store integration — cold run populates,
@@ -52,7 +52,7 @@ func TestRunWithStore(t *testing.T) {
 	defer st.Close()
 
 	ps := []*vsync.Program{good, bad}
-	cold := vsync.Run(vsync.ModelWMM, ps, vsync.RunOptions{Parallelism: 1, Store: st, CollectResults: true})
+	cold := vsync.Run(vsync.ModelWMM, ps, vsync.RunOptions{Parallelism: 1, Store: st})
 	if cold.StoreHits != 0 || cold.Failed != 1 {
 		t.Fatalf("cold run: hits=%d failed=%d, want 0 and 1", cold.StoreHits, cold.Failed)
 	}
@@ -60,7 +60,7 @@ func TestRunWithStore(t *testing.T) {
 		t.Fatalf("cold run store error: %v", cold.StoreErr)
 	}
 
-	warm := vsync.Run(vsync.ModelWMM, ps, vsync.RunOptions{Parallelism: 1, Store: st, CollectResults: true})
+	warm := vsync.Run(vsync.ModelWMM, ps, vsync.RunOptions{Parallelism: 1, Store: st})
 	if warm.StoreHits == 0 {
 		t.Fatalf("warm run hit nothing")
 	}
@@ -121,7 +121,7 @@ func TestRunStoreKeys(t *testing.T) {
 			// Litmus "failures" are observations: go on behind each (on one
 			// slot everything before it has finished).
 			for lo := 0; lo < len(ps); {
-				rr := vsync.Run(m, ps[lo:], vsync.RunOptions{Parallelism: 1, Store: st, StoreKeys: keys[lo:], CollectResults: true})
+				rr := vsync.Run(m, ps[lo:], vsync.RunOptions{Parallelism: 1, Store: st, StoreKeys: keys[lo:]})
 				if rr.StoreErr != nil {
 					t.Fatal(rr.StoreErr)
 				}
@@ -185,7 +185,7 @@ func TestRunSharedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p, q}, vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, Store: st, CollectResults: true})
+	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p, q}, vsync.RunOptions{Parallelism: 1, WorkersPerRun: 1, Store: st})
 	if rr.Failed != -1 || rr.StoreErr != nil || rr.StoreHits != 0 {
 		t.Fatalf("shared-key run: %+v", rr)
 	}

@@ -9,8 +9,8 @@
 //     termination on a weak memory model, in finite time, with
 //     counterexample execution graphs on failure. Run is the one entry
 //     point (single runs, parallel suites, verdict-store integration
-//     via RunOptions); Run, VerifyMatrix, Resume and Optimize take
-//     every problem through one lifecycle (internal/problem) — key
+//     via RunOptions); Run, VerifyMatrix and Optimize take every
+//     problem through one lifecycle (internal/problem) — key
 //     (ProblemKey) → store → checkpoint → run → persist — so what a
 //     store hit, an equal-key duplicate or a resumable checkpoint means
 //     is defined once.
@@ -22,8 +22,9 @@
 //     supported thread count, and VerifyMatrix covers the structure
 //     rows next to the lock × thread ladder.
 //     Runs are crash-safe: RunOptions.Budget bounds a segment, and
-//     CheckpointDir persists interrupted frontiers so a resumed run
-//     reproduces the uninterrupted one exactly (see Resume and
+//     CheckpointDir persists interrupted frontiers and is the one way
+//     to resume them: the next run of the same problem picks its file
+//     up and reproduces the uninterrupted run exactly (see
 //     Checkpoint). Symmetric thread groups (Program.SymGroups; the
 //     generated lock clients declare theirs automatically) are explored
 //     one canonical representative per thread-relabeling orbit, cutting
@@ -58,6 +59,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/optimize"
+	"repro/internal/problem"
 	_ "repro/internal/structs" // registers the structure workloads (Workloads, WorkloadByName)
 	"repro/internal/vprog"
 	"repro/internal/wmsim"
@@ -87,9 +89,9 @@ type (
 	Verdict = core.Verdict
 	// OptResult is a barrier-optimization outcome.
 	OptResult = optimize.Result
-	// PoolStats is the per-worker accounting of the pool a Run or an
-	// Optimize schedules its AMC work on.
-	PoolStats = core.PoolStats
+	// PoolStats is the per-slot accounting of the run pool an Optimize
+	// schedules its AMC work on (OptResult.Pool).
+	PoolStats = problem.PoolStats
 	// SchedStats is the work-graph scheduler accounting of one run
 	// (active workers, steals, frontier peak, shard contention).
 	SchedStats = core.SchedStats
@@ -145,7 +147,7 @@ var (
 // and await termination.
 func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result {
 	p := harness.MutexClient(alg, spec, nthreads, iters)
-	rr := Run(ModelWMM, []*Program{p}, RunOptions{Parallelism: 1, CollectResults: true})
+	rr := Run(ModelWMM, []*Program{p}, RunOptions{Parallelism: 1})
 	return rr.Results[0]
 }
 

@@ -70,6 +70,38 @@ func TestRunCheckpointDir(t *testing.T) {
 	}
 }
 
+// TestResumeRetiresKeyedCheckpoint: a keyed Run (spec in StoreKeys,
+// as vsynccheck passes it) leaves its checkpoint at the file its key
+// names; re-running with the same key and no budget resumes that file
+// and the decisive verdict retires it instead of leaving it behind.
+func TestResumeRetiresKeyedCheckpoint(t *testing.T) {
+	alg := locks.ByName("ttas")
+	spec := alg.DefaultSpec()
+	p := vsync.MutexClient(alg, spec, 2, 1)
+	key := vsync.ProblemKey(vsync.ModelWMM, spec, p)
+	opts := vsync.RunOptions{
+		Parallelism:   1,
+		StoreKeys:     []vsync.StoreKey{key},
+		Budget:        vsync.Budget{MaxGraphs: 30},
+		CheckpointDir: t.TempDir(),
+	}
+	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, opts)
+	if rr.Result.Verdict != vsync.Undecided || ckptFiles(t, opts.CheckpointDir) != 1 {
+		t.Fatalf("budgeted run: %v with %d checkpoint files, want undecided with 1", rr.Result.Verdict, ckptFiles(t, opts.CheckpointDir))
+	}
+	if _, err := os.Stat(problem.CheckpointPath(opts.CheckpointDir, key)); err != nil {
+		t.Fatalf("the checkpoint is not where its key names it: %v", err)
+	}
+	opts.Budget = vsync.Budget{}
+	res := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, opts).Results[0]
+	if res.Verdict != vsync.OK || res.Err != nil {
+		t.Fatalf("resume: %v (err %v)", res.Verdict, res.Err)
+	}
+	if n := ckptFiles(t, opts.CheckpointDir); n != 0 {
+		t.Errorf("decisive resume left %d checkpoint file(s) behind", n)
+	}
+}
+
 // TestMatrixBudgetResume: a budgeted VerifyMatrix leaves the expensive
 // cells Undecided (neither failures nor errors) with checkpoints on
 // disk; re-running the same config must resume them — strictly fewer

@@ -40,10 +40,10 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 	$(GO) test $(3) -run '$(1)' $(2)
 
 # Race-detect the packages that exercise the parallel verification
-# engine (the speculative ladder, and the one problem lifecycle — key →
-# store → run → persist, internal/problem — that vsync.Run,
-# VerifyMatrix and the optimizer all decide through, with the run pool
-# Resolve schedules on, which lives there too: its fail-fast,
+# engine (the one problem lifecycle — key → store → run → persist,
+# internal/problem — that vsync.Run, VerifyMatrix and the optimizer all
+# decide through; the optimizer's only concurrency is a candidate's
+# programs on Resolve's pool, which lives there too: its fail-fast,
 # ordered-admission and own-workers tests run on their own line below,
 # without -short), then the work-graph
 # explorer's own bars without -short: the full

@@ -94,11 +94,10 @@ func BenchmarkTable1_QspinlockOptimization(b *testing.B) {
 }
 
 // BenchmarkTable1_QspinlockOptimizationParallel is Table 1 on the
-// parallel verification engine: client programs fan across GOMAXPROCS
-// workers, candidate ladders race speculatively, and verdicts are
-// memoized. The final spec is identical to the sequential run; the
-// wall-clock difference (and the per-worker breakdown in the report) is
-// the point.
+// parallel verification engine: each candidate's client programs fan
+// across GOMAXPROCS workers, and verdicts are memoized. The final spec
+// is identical to the sequential run; the wall-clock difference (and
+// the per-worker breakdown in the report) is the point.
 func BenchmarkTable1_QspinlockOptimizationParallel(b *testing.B) {
 	if testing.Short() {
 		b.Skip("qspinlock optimization takes minutes")
@@ -115,7 +114,6 @@ func BenchmarkTable1_QspinlockOptimizationParallel(b *testing.B) {
 				}
 			},
 			Parallelism: 0, // GOMAXPROCS
-			Speculate:   true,
 			Cache:       optimize.NewCache(),
 		}
 		res, err := opt.Run(alg.DefaultSpec().AllSC())

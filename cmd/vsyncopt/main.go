@@ -4,25 +4,26 @@
 // Checking allows, and the resulting Fig. 20-style mode listing is
 // printed.
 //
-// The verification engine is parallel by default: candidate specs fan
-// their client programs across -par workers, each point's candidate
-// ladder is raced speculatively, and verdicts are memoized. -workers N
-// additionally lets every AMC run share its exploration frontier among
-// N workers of its own through intra-run work stealing (0 = GOMAXPROCS),
-// so at most -par × -workers workers run at once. -par 1 -no-speculate
-// -no-cache recovers the strictly sequential search; the resulting spec
-// is identical whatever the engine settings.
+// Candidates are tried one at a time, weakest first; the verification
+// engine is parallel by default in that each candidate spec fans its
+// client programs across -par workers, and verdicts are memoized.
+// -workers N additionally lets every AMC run share its exploration
+// frontier among N workers of its own through intra-run work stealing
+// (0 = GOMAXPROCS), so at most -par × -workers workers run at once.
+// -par 1 -no-cache recovers the strictly sequential search; the
+// resulting spec is identical whatever the engine settings.
 //
 // Usage:
 //
 //	vsyncopt -lock qspinlock [-model wmm] [-threads 2] [-from-default]
 //	         [-store PATH] [-remote URL] [-par N] [-workers N]
-//	         [-passes N] [-no-speculate] [-no-cache]
+//	         [-passes N] [-no-cache]
 //
 // Candidates go through the same problem lifecycle as vsynccheck and
 // vsyncsuite (key → store → run → persist), and the store is the
 // verdict cache: an in-memory session by default, none with -no-cache.
-// -store PATH puts the shared persistent store at PATH in its place:
+// -store PATH puts the shared persistent store at PATH in its place (so
+// it refuses -no-cache):
 // candidates some earlier process (a previous vsyncopt run, the
 // vsyncsuite orchestrator, a concurrent invocation, CI) already judged
 // cost a hash lookup instead of a model-checking run, and every
@@ -53,7 +54,6 @@ func main() {
 		par         = cli.Par()
 		workers     = cli.Workers()
 		passes      = flag.Int("passes", 1, "full point sweeps (descent repeats until fixpoint or cap)")
-		noSpeculate = flag.Bool("no-speculate", false, "disable the speculative candidate ladder")
 		noCache     = flag.Bool("no-cache", false, "disable verdict memoization")
 		storePath   = cli.Store()
 		remote      = cli.Remote()
@@ -64,6 +64,10 @@ func main() {
 	alg := locks.ByName(*lockName)
 	if alg == nil {
 		fmt.Fprintf(os.Stderr, "vsyncopt: unknown lock %q\n", *lockName)
+		os.Exit(2)
+	}
+	if *noCache && *storePath != "" {
+		fmt.Fprintln(os.Stderr, "vsyncopt: -no-cache contradicts -store (the store is the verdict cache)")
 		os.Exit(2)
 	}
 	m := cli.ParseModel("vsyncopt", *model)
@@ -82,7 +86,6 @@ func main() {
 		Passes:        *passes,
 		Parallelism:   *par,
 		WorkersPerRun: workers(),
-		Speculate:     !*noSpeculate,
 	}
 	st := cli.OpenStore("vsyncopt", *storePath, *remote)
 	if st != nil {

@@ -20,10 +20,10 @@ import (
 // the client suite and the model alone. testdata/descent_pins.txt holds
 // it for four locks as the engine produced it before verify learned to
 // share a run among equal programs and to submit the cheapest first;
-// no engine setting and no order of the suite may move it. A ladder
-// (Parallelism > 1 with Speculate) records every candidate of a point,
-// the one-at-a-time engine stops at the accepted one, so each lock is
-// pinned once for either.
+// no engine setting and no order of the suite may move it. Every
+// setting tries a point's candidates one at a time and stops at the
+// accepted one, so each lock has one section, and a section no setting
+// produces fails the test rather than outliving its engine.
 var updateDescentPins = flag.Bool("update-descent-pins", false, "rewrite testdata/descent_pins.txt from this build's descents")
 
 const descentPinFile = "testdata/descent_pins.txt"
@@ -89,54 +89,57 @@ func TestDescentPinned(t *testing.T) {
 		}
 	}
 
-	var pinned []string // update mode: the sections in the order first produced
+	var pinned []string // the sections produced, in the order first produced
 	for _, c := range cases {
 		alg := locks.ByName(c.lock)
 		suite := descentSuite(alg, c.threads)
 		perms := permutations(len(suite(alg.DefaultSpec())))
 		for _, perm := range perms {
 			for _, par := range []int{1, 2} {
-				for _, speculate := range []bool{false, true} {
-					for _, cached := range []bool{false, true} {
-						if testing.Short() && c.lock == "qspin" && (!slices.IsSorted(perm) || par == 1 || cached) {
-							continue // -short, which the race lane runs: qspin in suite order on two workers, uncached
-						}
-						opt := &optimize.Optimizer{
-							Model: mm.WMM, Parallelism: par, Speculate: speculate,
-							Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
-								ps := suite(spec)
-								shuffled := make([]*vprog.Program, len(ps))
-								for i, from := range perm {
-									shuffled[i] = ps[from]
-								}
-								return shuffled
-							},
-						}
-						if cached {
-							opt.Cache = optimize.NewCache()
-						}
-						res, err := opt.Run(alg.DefaultSpec().AllSC())
-						if err != nil {
-							t.Fatalf("%s: %v", c.lock, err)
-						}
-						engine := "one-at-a-time"
-						if par > 1 && speculate {
-							engine = "ladder"
-						}
-						name, got := c.lock+" "+engine, renderDescent(res)
-						if _, ok := pins[name]; !ok && *updateDescentPins {
+				for _, cached := range []bool{false, true} {
+					if testing.Short() && c.lock == "qspin" && (!slices.IsSorted(perm) || par == 1 || cached) {
+						continue // -short, which the race lane runs: qspin in suite order on two workers, uncached
+					}
+					opt := &optimize.Optimizer{
+						Model: mm.WMM, Parallelism: par,
+						Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
+							ps := suite(spec)
+							shuffled := make([]*vprog.Program, len(ps))
+							for i, from := range perm {
+								shuffled[i] = ps[from]
+							}
+							return shuffled
+						},
+					}
+					if cached {
+						opt.Cache = optimize.NewCache()
+					}
+					res, err := opt.Run(alg.DefaultSpec().AllSC())
+					if err != nil {
+						t.Fatalf("%s: %v", c.lock, err)
+					}
+					name, got := c.lock+" one-at-a-time", renderDescent(res)
+					if !slices.Contains(pinned, name) {
+						pinned = append(pinned, name)
+						if *updateDescentPins {
 							pins[name] = got
-							pinned = append(pinned, name)
-						}
-						if got != pins[name] {
-							t.Errorf("%s, suite order %v, Parallelism %d, Speculate %v, cache %v: descent moved\ngot:\n%swant:\n%s",
-								name, perm, par, speculate, cached, got, pins[name])
-						}
-						if c.lock == "qspin" && par == 1 && slices.IsSorted(perm) {
-							checkQspinAccounting(t, res, cached)
 						}
 					}
+					if got != pins[name] {
+						t.Errorf("%s, suite order %v, Parallelism %d, cache %v: descent moved\ngot:\n%swant:\n%s",
+							name, perm, par, cached, got, pins[name])
+					}
+					if c.lock == "qspin" && par == 1 && slices.IsSorted(perm) {
+						checkQspinAccounting(t, res, cached)
+					}
 				}
+			}
+		}
+	}
+	if !*updateDescentPins && !testing.Short() {
+		for name := range pins {
+			if !slices.Contains(pinned, name) {
+				t.Errorf("%s: pinned in %s but produced by no configuration; delete the section", name, descentPinFile)
 			}
 		}
 	}
@@ -177,25 +180,40 @@ func checkQspinAccounting(t *testing.T, res *optimize.Result, cached bool) {
 // TestCacheSecondRunAccounting: every lookup of a second descent over
 // the same session is accounted for — served by the cache, deduped onto
 // a sibling's run, or not started because a stored failure refuted the
-// candidate first — as vsyncopt -lock qspin -threads 3 -par 1 -store F
-// prints on its second run.
+// candidate first — and no AMC run starts, at one slot and at two. At
+// one slot the split is pinned, as vsyncopt -lock qspin -threads 3 -par
+// 1 -store F prints it on its second run; at two, which of a refuted
+// candidate's programs the first descent finished depends on timing, so
+// only the sum is.
 func TestCacheSecondRunAccounting(t *testing.T) {
 	alg := locks.ByName("qspin")
-	cache := optimize.NewCache()
-	var res *optimize.Result
-	for range 2 {
-		opt := &optimize.Optimizer{Model: mm.WMM, Parallelism: 1, Programs: descentSuite(alg, 3), Cache: cache}
-		var err error
-		if res, err = opt.Run(alg.DefaultSpec().AllSC()); err != nil {
-			t.Fatal(err)
+	for _, par := range []int{1, 2} {
+		cache := optimize.NewCache()
+		var res *optimize.Result
+		for range 2 {
+			opt := &optimize.Optimizer{Model: mm.WMM, Parallelism: par, Programs: descentSuite(alg, 3), Cache: cache}
+			var err error
+			if res, err = opt.Run(alg.DefaultSpec().AllSC()); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if n := res.CacheHits + res.Deduped + res.Skipped; n != res.CacheLookups {
-		t.Errorf("second run: %d hits + %d deduped + %d not started = %d, want the %d lookups",
-			res.CacheHits, res.Deduped, res.Skipped, n, res.CacheLookups)
-	}
-	got := fmt.Sprintf("%d hits / %d lookups, %d deduped, %d not started", res.CacheHits, res.CacheLookups, res.Deduped, res.Skipped)
-	if want := "69 hits / 87 lookups, 0 deduped, 18 not started"; got != want {
-		t.Errorf("second run: %s, want %s", got, want)
+		if n := res.CacheHits + res.Deduped + res.Skipped; n != res.CacheLookups {
+			t.Errorf("Parallelism %d, second run: %d hits + %d deduped + %d not started = %d, want the %d lookups",
+				par, res.CacheHits, res.Deduped, res.Skipped, n, res.CacheLookups)
+		}
+		if par == 1 {
+			got := fmt.Sprintf("%d hits / %d lookups, %d deduped, %d not started", res.CacheHits, res.CacheLookups, res.Deduped, res.Skipped)
+			if want := "69 hits / 87 lookups, 0 deduped, 18 not started"; got != want {
+				t.Errorf("second run: %s, want %s", got, want)
+			}
+			continue
+		}
+		runs := 0
+		for _, n := range res.Pool.Jobs {
+			runs += n
+		}
+		if len(res.Pool.Jobs) != par || runs != 0 {
+			t.Errorf("Parallelism %d, second run: %d AMC runs on %d reported slots, want none on %d", par, runs, len(res.Pool.Jobs), par)
+		}
 	}
 }

@@ -13,15 +13,12 @@
 // multiple maximally-relaxed combinations exist; the greedy result is
 // one of them.
 //
-// The independent AMC runs of the search are embarrassingly parallel,
-// and the engine exploits that on three axes without changing the
-// result: the client programs of one candidate spec fan out across the
-// run pool internal/problem schedules on (a failing program cancels its
-// siblings); in
-// speculative-ladder mode the candidate modes of one point race each
-// other, the weakest verified one winning — exactly the mode the
-// sequential descent would have accepted; and with WorkersPerRun > 1
-// every run additionally shares its exploration frontier among that
+// Candidates are tried one at a time, at every engine setting. The
+// independent AMC runs of one candidate are what runs concurrently, on
+// two axes that never change the result: the client programs of the
+// candidate spec fan out across the run pool internal/problem schedules
+// on (a failing program cancels its siblings), and with WorkersPerRun >
+// 1 every run additionally shares its exploration frontier among that
 // many workers of its own (intra-run work stealing). Every
 // candidate's suite is decided through internal/problem, the lifecycle
 // vsync.Run uses: a store session (Cache, in memory or on disk) serves
@@ -37,7 +34,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -48,13 +44,10 @@ import (
 	"repro/internal/vprog"
 )
 
-// Step records one attempted relaxation. Speculative-ladder runs also
-// record the overshoot: candidates stronger than the accepted one that
-// the sequential descent would never have tried; those appear with
-// Verdict Canceled when the short-circuit stopped them early. Accepted
-// does not depend on the order the suite's programs ran in; the Verdict
-// of a candidate that several programs refute names the failure of
-// whichever ran first, the cheapest as a rule, and may be either.
+// Step records one attempted relaxation. Accepted does not depend on
+// the order the suite's programs ran in; the Verdict of a candidate
+// that several programs refute names the failure of whichever ran
+// first, the cheapest as a rule, and may be either.
 type Step struct {
 	Point    string
 	Tried    vprog.Mode
@@ -70,8 +63,7 @@ type Result struct {
 	// Steps lists every attempted relaxation in order.
 	Steps []Step
 	// Verifications counts spec-level verification attempts, including
-	// the initial check and any speculative attempts the ladder launched
-	// beyond the greedy minimum.
+	// the initial check.
 	Verifications int
 	// CacheLookups counts the problems probed in the Cache before any
 	// run (zero when the optimizer has no Cache); CacheHits counts those
@@ -112,17 +104,16 @@ type Optimizer struct {
 	Model mm.Model
 	// Programs builds the client programs that must verify for a spec to
 	// be accepted (typically MutexClient instances of varying shapes).
-	// It must be safe for concurrent invocation: the parallel engine
-	// builds several candidates' program suites at once.
 	Programs func(spec *vprog.BarrierSpec) []*vprog.Program
 	// Passes caps the number of full point sweeps (0 or 1 = single
 	// pass). Because the greedy descent is order-dependent, a point
 	// rejected early can become relaxable after later points settle;
 	// additional passes run until a fixpoint or the cap.
 	Passes int
-	// Parallelism bounds the number of concurrent AMC runs: 0 selects
-	// GOMAXPROCS, 1 forces the strictly sequential engine. The final
-	// spec is identical either way.
+	// Parallelism bounds the number of concurrent AMC runs a candidate's
+	// client programs fan out across (the first failure cancels the
+	// rest): 0 selects GOMAXPROCS, 1 runs them one after another. The
+	// final spec is identical either way.
 	Parallelism int
 	// WorkersPerRun, when > 1, lets every AMC run of the search share
 	// its exploration frontier among that many workers of its own
@@ -131,12 +122,7 @@ type Optimizer struct {
 	// Verdicts (and therefore the final spec) are identical at any
 	// value; only the wall-clock shape of the search changes.
 	WorkersPerRun int
-	// Speculate races each point's candidate ladder concurrently
-	// (weakest→strongest launched together, weakest verified accepted)
-	// instead of trying candidates one at a time. Requires
-	// Parallelism != 1 to have any effect. Speculation can launch
-	// verifications the sequential descent would have skipped — wall
-	// clock improves, total CPU may not.
+	// Deprecated: has no effect; candidates are tried one at a time. Kept only because benchmark/layers.go sets it; ROADMAP item 9(c) deletes both.
 	Speculate bool
 	// Cache, when non-nil, memoizes verdicts by (model, spec
 	// fingerprint, program fingerprint) so repeated assignments —
@@ -196,51 +182,35 @@ type engine struct {
 	knobs problem.Knobs
 	res   *Result
 
-	// mu guards the res counters and popped: ladder candidates verify
-	// concurrently.
-	mu sync.Mutex
 	// popped is the cost estimate verify orders runs by: the states the
 	// last finished run of each suite slot popped (unknown: 0).
 	popped []int
 
 	// fpBySpec caches the per-program structural fingerprints of a
 	// candidate's suite, keyed by the spec fingerprint: Programs(spec) is
-	// deterministic, so multi-pass sweeps and ladder re-probes of an
-	// already-judged spec skip re-interpreting the programs and pay only
-	// a map lookup — keeping cache hits nearly as cheap as the old
-	// (unsound) name keys.
-	fpMu     sync.Mutex
+	// deterministic, so multi-pass sweeps over an already-judged spec
+	// skip re-interpreting the programs and pay only a map lookup —
+	// keeping cache hits nearly as cheap as the old (unsound) name keys.
 	fpBySpec map[graph.Hash128][]graph.Hash128
 }
 
 // fingerprints returns the structural fingerprints of progs, memoized
-// per spec fingerprint. The computation runs outside the lock so
-// concurrent ladder candidates don't serialize; a duplicated racing
-// computation is deterministic and harmless.
+// per spec fingerprint.
 func (e *engine) fingerprints(specFP graph.Hash128, progs []*vprog.Program) []graph.Hash128 {
-	e.fpMu.Lock()
-	fps, ok := e.fpBySpec[specFP]
-	e.fpMu.Unlock()
-	if ok && len(fps) == len(progs) {
+	if fps, ok := e.fpBySpec[specFP]; ok && len(fps) == len(progs) {
 		return fps
 	}
-	fps = make([]graph.Hash128, len(progs))
+	fps := make([]graph.Hash128, len(progs))
 	for i, p := range progs {
 		fps[i] = p.Fingerprint128()
 	}
-	e.fpMu.Lock()
-	if e.fpBySpec == nil {
-		e.fpBySpec = make(map[graph.Hash128][]graph.Hash128)
-	}
 	e.fpBySpec[specFP] = fps
-	e.fpMu.Unlock()
 	return fps
 }
 
 // verify runs AMC on the client programs of spec; it returns OK only if
 // all verify, otherwise a decisive failure verdict — or Canceled when
-// ctx was canceled first (the speculative ladder pruning a candidate
-// that can no longer win). The suite is one problem.Resolve call with
+// ctx was canceled first. The suite is one problem.Resolve call with
 // fail-fast: decisive per-program verdicts are memoized in the Cache,
 // cached failures decide without any AMC run, and programs with equal
 // fingerprints are one problem and share one run. The problems are
@@ -252,7 +222,6 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 	specFP := spec.Fingerprint128()
 	progFPs := e.fingerprints(specFP, progs)
 
-	e.mu.Lock()
 	if n := len(progs) - len(e.popped); n > 0 {
 		e.popped = append(e.popped, make([]int, n)...)
 	}
@@ -261,7 +230,6 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return e.popped[order[a]] < e.popped[order[b]] })
-	e.mu.Unlock()
 	probs := make([]problem.Problem, len(progs))
 	for i, slot := range order {
 		probs[i] = problem.Problem{
@@ -285,7 +253,6 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 		verdict = core.Canceled
 	}
 
-	e.mu.Lock()
 	if e.o.Cache != nil {
 		e.res.CacheLookups += len(outs)
 	}
@@ -312,79 +279,10 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 			e.res.StoreErr = o.Err
 		}
 	}
-	e.mu.Unlock()
 	if verdict == core.Error {
 		return core.Error, fmt.Errorf("optimizer: checking %s: %w", probs[failed].Name, outs[failed].Res.Err)
 	}
 	return verdict, nil
-}
-
-// ladder speculatively races every candidate mode of one point and
-// returns the index of the accepted candidate (-1: none verified).
-// The accepted index is the lowest one whose suite verified — the same
-// mode the sequential weakest-first sweep accepts — and once some
-// candidate verifies, every stronger candidate still in flight is
-// canceled, since it can no longer be chosen.
-func (e *engine) ladder(ctx context.Context, spec *vprog.BarrierSpec, point string, cands []vprog.Mode) (int, error) {
-	parent, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	cctx := make([]context.Context, len(cands))
-	cancel := make([]context.CancelFunc, len(cands))
-	for i := range cands {
-		cctx[i], cancel[i] = context.WithCancel(parent)
-	}
-
-	type outcome struct {
-		verdict core.Verdict
-		err     error
-		dur     time.Duration
-	}
-	outcomes := make([]outcome, len(cands))
-	best := len(cands)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, cand := range cands {
-		wg.Add(1)
-		go func(i int, cand vprog.Mode) {
-			defer wg.Done()
-			s := spec.Clone()
-			s.Set(point, cand)
-			t0 := time.Now()
-			v, err := e.verify(cctx[i], s)
-			outcomes[i] = outcome{verdict: v, err: err, dur: time.Since(t0)}
-			if v == core.OK {
-				mu.Lock()
-				if i < best {
-					best = i
-					for j := i + 1; j < len(cands); j++ {
-						cancel[j]()
-					}
-				}
-				mu.Unlock()
-			}
-		}(i, cand)
-	}
-	wg.Wait()
-
-	accepted := -1
-	if best < len(cands) {
-		accepted = best
-	}
-	// The sequential descent would have evaluated candidates 0..accepted
-	// in order; an Error among those aborts the run exactly as it would
-	// have there. Candidates beyond the accepted one are speculative
-	// overshoot — recorded for the report, never fatal.
-	for i, oc := range outcomes {
-		if oc.err != nil && (accepted < 0 || i <= accepted) {
-			return -1, oc.err
-		}
-		e.res.Steps = append(e.res.Steps, Step{
-			Point: point, Tried: cands[i], Accepted: i == accepted,
-			Verdict: oc.verdict, Duration: oc.dur,
-		})
-		e.res.Verifications++
-	}
-	return accepted, nil
 }
 
 // Run optimizes the spec. The initial spec must verify; Run then
@@ -402,7 +300,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 		Store:         o.Cache,
 		Budget:        o.budget,
 		WorkersPerRun: o.WorkersPerRun,
-	}}
+	}, fpBySpec: make(map[graph.Hash128][]graph.Hash128)}
 	spec := initial.Clone()
 
 	v, err := e.verify(ctx, spec)
@@ -424,29 +322,8 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 	for pass := 0; pass < passes; pass++ {
 		changed := false
 		for _, point := range spec.Points() {
-			cands := candidates(spec, point)
-			if len(cands) == 0 {
-				continue
-			}
-			if workers > 1 && o.Speculate && len(cands) > 1 {
-				accepted, err := e.ladder(ctx, spec, point, cands)
-				if err != nil {
-					return nil, err
-				}
-				if ctx.Err() != nil {
-					// A dead caller context makes every ladder outcome
-					// Canceled; without this check the descent would
-					// "finish" with a truncated, under-relaxed spec.
-					return nil, ctx.Err()
-				}
-				if accepted >= 0 {
-					spec.Set(point, cands[accepted])
-					changed = true
-				}
-				continue
-			}
 			orig := spec.M(point)
-			for _, cand := range cands {
+			for _, cand := range candidates(spec, point) {
 				spec.Set(point, cand)
 				t0 := time.Now()
 				verdict, err := e.verify(ctx, spec)

@@ -35,9 +35,8 @@ func (s PoolStats) TotalBusy() time.Duration {
 // checker staffs its own WorkersPerRun workers, so a pool of Workers
 // slots runs at most Workers × WorkersPerRun workers in all.
 //
-// It is safe for concurrent use: overlapping Resolve calls (e.g. the
-// optimizer's speculative ladder verifying several candidate specs at
-// once) share the same slots, so no more than Workers runs are ever in
+// It is safe for concurrent use: overlapping Resolve calls on one pool
+// share the same slots, so no more than Workers runs are ever in
 // flight.
 type Pool struct {
 	// Workers is the concurrency bound, fixed at NewPool time.

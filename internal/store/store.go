@@ -4,7 +4,7 @@
 // program fingerprint — rather than by what it is called. Verdicts are
 // pure functions of those inputs (AMC is deterministic and exhaustive),
 // so a verdict computed once is valid forever: the push-button descent,
-// multi-pass ladders, CI runs and the suite orchestrator
+// its multi-pass sweeps, CI runs and the suite orchestrator
 // (vsync.VerifyMatrix) all consult the store before spending minutes of
 // model checking on a problem some earlier process already decided.
 //

@@ -62,7 +62,7 @@ func TestFacadeOptimizeOptions(t *testing.T) {
 	res, err := vsync.Optimize(vsync.ModelWMM, func(spec *vsync.BarrierSpec) []*vsync.Program {
 		return []*vsync.Program{vsync.MutexClient(alg, spec, 2, 1)}
 	}, alg.DefaultSpec().AllSC(), vsync.OptimizeOptions{
-		Parallelism: 2, Speculate: true, Cache: cache,
+		Parallelism: 2, Cache: cache,
 	})
 	if err != nil {
 		t.Fatal(err)

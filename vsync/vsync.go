@@ -184,10 +184,12 @@ func WorkloadProgram(w Workload, spec *BarrierSpec, nthreads int) *Program {
 
 // OptimizeOptions tunes the optimizer's parallel verification engine.
 // The final spec is identical whatever the settings; they only change
-// how fast (and with how much speculative work) it is reached.
+// how fast it is reached. The zero value is the push-button default
+// OptimizeLock and OptimizeWith use: GOMAXPROCS slots, one worker per
+// run, a private memory session, one pass.
 type OptimizeOptions struct {
-	// Parallelism bounds concurrent AMC runs: 0 = GOMAXPROCS, 1 =
-	// strictly sequential.
+	// Parallelism bounds the concurrent AMC runs a candidate's client
+	// programs fan out across: 0 = GOMAXPROCS, 1 = strictly sequential.
 	Parallelism int
 	// WorkersPerRun lets each AMC run additionally share its
 	// exploration frontier among this many workers of its own via
@@ -198,9 +200,6 @@ type OptimizeOptions struct {
 	// sequential early exit — worth it for big verifying runs, not for
 	// descents dominated by failing candidates.
 	WorkersPerRun int
-	// Speculate races each point's candidate modes concurrently and
-	// accepts the weakest verified one.
-	Speculate bool
 	// Cache memoizes verdicts across candidates and passes, and —
 	// shared — across calls: a memory session (NewOptCache) or a store
 	// on disk (OpenStore). Nil uses a private memory session;
@@ -208,14 +207,6 @@ type OptimizeOptions struct {
 	Cache *VerdictStore
 	// Passes caps full point sweeps (0 or 1 = single pass).
 	Passes int
-}
-
-// DefaultOptimizeOptions is the fast push-button configuration:
-// GOMAXPROCS workers, speculative ladders, a private memory session.
-// Intra-run stealing stays off: the descent is dominated by failing
-// candidates, which want the sequential early exit (see WorkersPerRun).
-func DefaultOptimizeOptions() OptimizeOptions {
-	return OptimizeOptions{Parallelism: 0, Speculate: true}
 }
 
 // Optimize runs the barrier-relaxation search with explicit engine
@@ -232,7 +223,6 @@ func Optimize(model Model, programs func(*BarrierSpec) []*Program, initial *Barr
 		Passes:        opts.Passes,
 		Parallelism:   opts.Parallelism,
 		WorkersPerRun: opts.WorkersPerRun,
-		Speculate:     opts.Speculate,
 		Cache:         cache,
 	}
 	return opt.Run(initial)
@@ -240,18 +230,18 @@ func Optimize(model Model, programs func(*BarrierSpec) []*Program, initial *Barr
 
 // OptimizeLock relaxes a lock's barriers from the all-SC baseline until
 // maximally relaxed while the nthreads-client still verifies under WMM,
-// using the fast default engine options.
+// with the zero OptimizeOptions.
 func OptimizeLock(alg *Algorithm, nthreads int) (*OptResult, error) {
 	return Optimize(ModelWMM, func(spec *BarrierSpec) []*Program {
 		return []*Program{harness.MutexClient(alg, spec, nthreads, 1)}
-	}, alg.DefaultSpec().AllSC(), DefaultOptimizeOptions())
+	}, alg.DefaultSpec().AllSC(), OptimizeOptions{})
 }
 
 // OptimizeWith runs the optimizer with a caller-supplied client set and
 // starting spec (for multi-client searches like the qspinlock study),
-// using the fast default engine options.
+// with the zero OptimizeOptions.
 func OptimizeWith(model Model, programs func(*BarrierSpec) []*Program, initial *BarrierSpec) (*OptResult, error) {
-	return Optimize(model, programs, initial, DefaultOptimizeOptions())
+	return Optimize(model, programs, initial, OptimizeOptions{})
 }
 
 // Machines returns the simulated evaluation platforms (ARMv8, x86_64).

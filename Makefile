@@ -60,8 +60,11 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 # the restriction differential (every relation set a revisit derives out
 # of its parent's against BuildRels, on the same poisoned corpus: a
 # revisit item pins its parent until a possibly stolen child derives from
-# it) and the birth-rule audit (every revisit of a write rejected at birth
-# replays to a collapse), the replay-memo audit (every memo hit replayed
+# it), the incremental audit on the short corpus (every signature state a
+# popped child carries over from its parent, possibly across workers,
+# refolded from scratch, and every coherence flag decided by delta
+# against a full scan) and the birth-rule audit (every revisit of a write
+# rejected at birth replays to a collapse), the replay-memo audit (every memo hit replayed
 # afresh and compared, over the corpus at 1 and 2 workers, and over the
 # states whose shared replay results leave by an unusual way: a thief
 # reads entries its victim made, so a write to one is a reported race
@@ -77,6 +80,7 @@ race:
 	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestBirthRuleAudit,./internal/core,-race)
 	@$(call testrun,TestPool|TestResolve,./internal/problem,-race)
 	@$(call testrun,TestPoison|TestRestrict,./internal/graph,-race)
+	@$(call testrun,TestIncrementalAudit,./internal/graph,-race -short)
 	@$(call testrun,TestMemo|TestSnap,./internal/core,-race)
 	@$(call testrun,TestPsc,./internal/mm,-race)
 	@$(call testrun,TestAwaitDifferential,./internal/structs,-race)

@@ -1,7 +1,7 @@
 // Benchmark harness: one target per table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). Each target
-// regenerates its artifact and prints it once; the benchmark timings
-// measure the cost of producing the artifact on this machine.
+// evaluation. Each target regenerates its artifact and prints it once;
+// the benchmark timings measure the cost of producing the artifact on
+// this machine.
 //
 //	go test -bench=. -benchmem .
 //	go test -bench=BenchmarkTable5 .

@@ -3,11 +3,9 @@
 // Primitives on Weak Memory Models" (Oberhauser et al., ASPLOS 2021;
 // technical report arXiv:2102.06590).
 //
-// The public API lives in repro/vsync; see README.md for a tour,
-// DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmark harness
-// in bench_test.go regenerates every table and figure of the paper's
-// evaluation:
+// The public API lives in repro/vsync; see README.md for a tour. The
+// benchmark harness in bench_test.go regenerates every table and figure
+// of the paper's evaluation:
 //
 //	go test -bench=. -benchmem .
 //

@@ -103,8 +103,8 @@ func TestLB(t *testing.T) {
 	for _, model := range mm.All() {
 		// Our WMM follows RC11's no-thin-air (acyclic(po ∪ rf)), so load
 		// buffering is forbidden on every built-in model. This is a
-		// documented divergence from hardware ARMv8 / IMM, which allow LB
-		// without dependencies (DESIGN.md §2, substitutions).
+		// deliberate divergence from hardware ARMv8 / IMM, which allow LB
+		// without dependencies.
 		if reachable(t, model, relaxed) {
 			t.Errorf("%s must forbid load buffering (no-thin-air)", model.Name())
 		}

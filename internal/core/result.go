@@ -203,7 +203,10 @@ type Result struct {
 	// Mem sums what the workers' free lists were asked for and could
 	// serve (see graph.FreeList); diagnostic like Acyclic, and like it
 	// not part of Stats, which checkpoints carry.
-	Mem      graph.MemCounters
+	Mem graph.MemCounters
+	// Sig sums how the workers' canonicalizations came by their thread
+	// signatures (see graph.SigCounters); diagnostic like Mem.
+	Sig      graph.SigCounters
 	Duration time.Duration
 	Err      error // set when Verdict == Error or Canceled (the context's error; problem.ErrNotStarted when no run started)
 	// Checkpoint carries the drained frontier of an Undecided run: the
@@ -246,8 +249,8 @@ func (r *Result) Report() string {
 	fmt.Fprintf(&b, "exploration: %d popped, %d pushed, %d executions, %d revisits, %d duplicates, %d wasteful, %d collapsed, %d inconsistent, %d filtered at birth, %d blocked\n",
 		s.Popped, s.Pushed, s.Executions, s.Revisits, s.Duplicates, s.Wasteful, s.Collapsed, s.Inconsist, s.Filtered, s.Blocked)
 	if s.CanonFast+s.CanonRefined > 0 {
-		fmt.Fprintf(&b, "symmetry: %d states canonicalized (%d fast-path, %d refined), %d permutations pruned\n",
-			s.Canonicalized, s.CanonFast, s.CanonRefined, s.CanonPruned)
+		fmt.Fprintf(&b, "symmetry: %d states canonicalized (%d fast-path, %d refined), %d permutations pruned; signatures: %d inherited, %d extended, %d from scratch\n",
+			s.Canonicalized, s.CanonFast, s.CanonRefined, s.CanonPruned, r.Sig.Inherited, r.Sig.Extended, r.Sig.Scratch)
 	}
 	sc := r.Sched
 	if sc.Workers > 0 {
@@ -260,9 +263,9 @@ func (r *Result) Report() string {
 		}
 	}
 	if a := r.Acyclic; a.Checks+a.TopoShortcuts > 0 {
-		fmt.Fprintf(&b, "acyclicity: %d checks (%d order-seeded, %d kahn passes, %d cyclic), %d order-state shortcuts; order: %d extended, %d derived, %d cyclic states\n",
+		fmt.Fprintf(&b, "acyclicity: %d checks (%d order-seeded, %d kahn passes, %d cyclic), %d order-state shortcuts; order: %d extended, %d derived, %d cyclic states; coherence: %d by delta, %d full scans\n",
 			a.Checks, a.SeedHits, a.KahnPasses, a.CyclesFound, a.TopoShortcuts,
-			a.OrderExtends, a.OrderDerives, a.OrderCyclic)
+			a.OrderExtends, a.OrderDerives, a.OrderCyclic, a.CohDelta, a.CohScans)
 	}
 	if m := r.Mem; m.SlabRequests+m.HeaderRequests > 0 {
 		served := 0.0

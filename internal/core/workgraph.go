@@ -564,6 +564,7 @@ func (x *exploration) merge() *Result {
 	for i, w := range x.workers {
 		res.Stats.Add(w.stats)
 		res.Mem.Add(w.mem.Counters())
+		res.Sig.Add(w.symSc.Sigs)
 		sched.Executed[i] = w.executed
 		if w.executed > 0 {
 			sched.Active++

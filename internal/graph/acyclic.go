@@ -74,6 +74,8 @@ var (
 	acExtends   atomic.Uint64
 	acDerives   atomic.Uint64
 	acCyclicSt  atomic.Uint64
+	acCohDelta  atomic.Uint64
+	acCohScans  atomic.Uint64
 )
 
 // AcyclicCounters is a snapshot of the acyclicity engine's cumulative
@@ -89,6 +91,8 @@ type AcyclicCounters struct {
 	OrderExtends  uint64 // Extend maintained the cached order by insertion
 	OrderDerives  uint64 // lazy full derivations (first use of an underived state — fresh builds and back-edge parks alike)
 	OrderCyclic   uint64 // states whose sb ∪ rf ∪ mo union is cyclic
+	CohDelta      uint64 // coherence verdicts carried over by a one-event delta (Rels.Coherent)
+	CohScans      uint64 // coherence verdicts derived by a full eco scan
 }
 
 // AcyclicCountersNow returns the current cumulative counters.
@@ -102,6 +106,8 @@ func AcyclicCountersNow() AcyclicCounters {
 		OrderExtends:  acExtends.Load(),
 		OrderDerives:  acDerives.Load(),
 		OrderCyclic:   acCyclicSt.Load(),
+		CohDelta:      acCohDelta.Load(),
+		CohScans:      acCohScans.Load(),
 	}
 }
 
@@ -116,6 +122,8 @@ func (c AcyclicCounters) Sub(o AcyclicCounters) AcyclicCounters {
 		OrderExtends:  c.OrderExtends - o.OrderExtends,
 		OrderDerives:  c.OrderDerives - o.OrderDerives,
 		OrderCyclic:   c.OrderCyclic - o.OrderCyclic,
+		CohDelta:      c.CohDelta - o.CohDelta,
+		CohScans:      c.CohScans - o.CohScans,
 	}
 }
 

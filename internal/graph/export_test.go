@@ -29,7 +29,60 @@ func PoisonOnRelease(on bool) {
 		}
 		if g != nil {
 			g.Threads, g.rf, g.Mo = nil, nil, nil
+			g.sig = g.sig[:cap(g.sig)]
+			for i := range g.sig {
+				g.sig[i] = Hasher128{^uint64(0), ^uint64(0)}
+			}
 		}
+	}
+}
+
+// AuditIncremental arms (or, with on false, disarms) the audit of what a
+// popped state carries over from its parent: every graph whose symmetry
+// signature states Canonicalize inherited or extended has each grouped
+// thread's row folded again from scratch, and every coherence flag
+// closeOver decided from the one-event delta is compared with a full
+// scan of eco against hb. It returns what the armed period has seen so
+// far: graphs and flags audited, and the first mismatch ("" if none).
+// Toggle it only while no checker is running.
+func AuditIncremental(on bool) (seen func() (graphs, flags int, mismatch string)) {
+	if !on {
+		auditSig, auditCoh = nil, nil
+		return nil
+	}
+	var mu sync.Mutex
+	var graphs, flags int
+	var mismatch string
+	note := func(counter *int, bad string) {
+		mu.Lock()
+		*counter++
+		if bad != "" && mismatch == "" {
+			mismatch = bad
+		}
+		mu.Unlock()
+	}
+	auditSig = func(s *SymSpec, g *Graph) {
+		bad := ""
+		for _, grp := range s.Groups {
+			for _, t := range grp {
+				if got, want := g.sig[t], s.sigState(g, t); got != want && bad == "" {
+					bad = fmt.Sprintf("thread %d carried signature state %x, its row folds to %x:\n%s", t, got, want, g.Render())
+				}
+			}
+		}
+		note(&graphs, bad)
+	}
+	auditCoh = func(r *Rels) {
+		bad := ""
+		if got, want := r.coh == cohOK, !r.Eco.IntersectsTranspose(r.Hb); got != want {
+			bad = fmt.Sprintf("coherence carried as %v, a full scan finds %v:\n%s", got, want, r.G.Render())
+		}
+		note(&flags, bad)
+	}
+	return func() (int, int, string) {
+		mu.Lock()
+		defer mu.Unlock()
+		return graphs, flags, mismatch
 	}
 }
 

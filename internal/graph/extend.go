@@ -13,15 +13,15 @@ func wordScratch(n int) (*acyclicScratch, []uint64) {
 	return s, s.seen
 }
 
-// deltaScratch carves the five working bit-vectors of an incremental
-// relation delta (addLast, Resolve) out of one pooled strip of 5*words
+// deltaScratch carves the six working bit-vectors of an incremental
+// relation delta (addLast, Resolve) out of one pooled strip of 6*words
 // zeroed words: hbIn, the direct sb ∪ sw edges u -> e; ecoIn/ecoOut, the
-// direct rf ∪ mo ∪ fr edges into/out of e; ecoCol/ecoRow, the working
-// sets of the closure update (closeOver).
-func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) {
-	s, v := wordScratch(5 * words)
-	return s, v[0*words : 1*words], v[1*words : 2*words],
-		v[2*words : 3*words], v[3*words : 4*words], v[4*words : 5*words]
+// direct rf ∪ mo ∪ fr edges into/out of e; hbCol/ecoCol/ecoRow, the
+// working sets of the closure update (closeOver).
+func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, hbCol, ecoCol, ecoRow []uint64) {
+	s, v := wordScratch(6 * words)
+	return s, v[0*words : 1*words], v[1*words : 2*words], v[2*words : 3*words],
+		v[3*words : 4*words], v[4*words : 5*words], v[5*words : 6*words]
 }
 
 // Extend computes the relations of g incrementally, where g was derived
@@ -47,8 +47,12 @@ func deltaScratch(words int) (s *acyclicScratch, hbIn, ecoIn, ecoOut, ecoCol, ec
 //     direct mo or fr edge between the existing endpoints — except when
 //     the two endpoints coincide, which is exactly the self-loop case.
 //
-// TestExtendMatchesBuild cross-checks every matrix against BuildRels on
-// randomized exploration histories.
+// The cached order and coherence state (see Coherent) carry over the
+// same way, updated by the new event's edges alone.
+//
+// TestExtendMatchesBuild cross-checks every matrix and the coherence
+// state against BuildRels and a full scan on randomized exploration
+// histories.
 func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 	// Header, index arrays and slab come from g's free list (grownInto
 	// overwrites every word of a used slab).
@@ -61,6 +65,7 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 		nr.topo = int32Scratch(nr.topo, nr.N)
 		copy(nr.topo, r.topo)
 	}
+	nr.coh = r.coh
 	nr.addLast(g, e)
 	return nr
 }
@@ -83,7 +88,8 @@ func (r *Rels) Extend(g *Graph, e *Event) *Rels {
 // Dense indices are ranks among the kept ones (both orders are stamp
 // order), and r's cached topological order, filtered, still orders the
 // smaller union; a cyclic or underived order is not inherited — cutting
-// down can break the cycle — and leaves the child at topoNone.
+// down can break the cycle — and leaves the child at topoNone. Likewise
+// only a coherent state is inherited: the kept pairs are some of r's.
 //
 // TestExtendMatchesBuild checks restrictions of random atomic graphs
 // against BuildRels, TestRestrictDifferential every one a run derives.
@@ -142,6 +148,9 @@ func (r *Rels) Restrict(g *Graph, e *Event) *Rels {
 		}
 		nr.topo, nr.topoState = nr.topo[:n], topoValid
 	}
+	if r.coh == cohOK {
+		nr.coh = cohOK // the kept pairs are some of r's
+	}
 	acyclicPool.Put(s)
 	nr.addLast(g, e)
 	return nr
@@ -169,7 +178,7 @@ func (nr *Rels) addLast(g *Graph, e *Event) {
 	trow := nr.tIdx[e.ID.Thread]
 	nr.tIdx[e.ID.Thread] = append(trow, int32(ni))
 
-	scratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
+	scratch, hbIn, ecoIn, ecoOut, hbCol, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
 
 	// Cached topological order maintenance (see Rels.topo): while the
 	// relation edges are added below, track the extreme positions the
@@ -284,7 +293,7 @@ func (nr *Rels) addLast(g *Graph, e *Event) {
 		}
 	}
 
-	nr.closeOver(ni, hbIn, ecoIn, ecoOut, ecoCol, ecoRow)
+	nr.closeOver(ni, hbIn, ecoIn, ecoOut, hbCol, ecoCol, ecoRow)
 
 	// Cached topological order: e's only edges touch e itself, so the
 	// inherited order stays valid for all existing vertices and only e
@@ -347,9 +356,13 @@ func (nr *Rels) readEdges(g *Graph, e *Event, ei int, rf RF, hbIn, ecoIn, ecoOut
 // between other events are self-loops on events that both reach and are
 // reached by ei. Rows are read in place: the bits set here are in column
 // ei, which no operand vector holds.
-func (nr *Rels) closeOver(ei int, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) {
+// A known-coherent state (see Coherent) stays so unless a new pair
+// breaks it: ei's eco row against its hb column, its hb row against its
+// eco column, or a new eco self-loop on an hb self-loop.
+func (nr *Rels) closeOver(ei int, hbIn, ecoIn, ecoOut, hbCol, ecoCol, ecoRow []uint64) {
 	for v := 0; v < nr.N; v++ {
 		if HasBit(hbIn, v) || nr.Hb.rowIntersects(v, hbIn) {
+			SetBit(hbCol, v)
 			nr.Hb.Set(v, ei)
 		}
 	}
@@ -363,20 +376,34 @@ func (nr *Rels) closeOver(ei int, hbIn, ecoIn, ecoOut, ecoCol, ecoRow []uint64) 
 			nr.Eco.Set(v, ei)
 		}
 	}
-	cyclic := false
+	cyclic, hbLoop := false, false
 	for v := 0; v < nr.N; v++ {
 		if HasBit(ecoRow, v) {
 			nr.Eco.Set(ei, v)
 			if HasBit(ecoCol, v) {
 				nr.Eco.Set(v, v)
 				cyclic = true
+				hbLoop = hbLoop || nr.Hb.Get(v, v)
 			}
 		}
 	}
 	if cyclic {
 		nr.Eco.Set(ei, ei)
 	}
+	if nr.coh == cohOK {
+		acCohDelta.Add(1)
+		if hbLoop || nr.Eco.rowIntersects(ei, hbCol) || nr.Hb.rowIntersects(ei, ecoCol) {
+			nr.coh = cohBad
+		}
+		if auditCoh != nil {
+			auditCoh(nr)
+		}
+	}
 }
+
+// auditCoh, when set, sees every coherence state closeOver decided.
+// Test-only: see AuditIncremental in export_test.go.
+var auditCoh func(r *Rels)
 
 // Resolve computes the relations of g incrementally, where g was
 // derived from the graph r describes by resolving the formerly-⊥ read
@@ -401,9 +428,9 @@ func (r *Rels) Resolve(g *Graph, e *Event) *Rels {
 		copy(nr.mats[i].bits, r.mats[i].bits)
 	}
 
-	scratch, hbIn, ecoIn, ecoOut, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
+	scratch, hbIn, ecoIn, ecoOut, hbCol, ecoCol, ecoRow := deltaScratch(nr.Sb.words)
 	wi := nr.readEdges(g, e, ei, g.RfOf(e.ID), hbIn, ecoIn, ecoOut)
-	nr.closeOver(ei, hbIn, ecoIn, ecoOut, ecoCol, ecoRow)
+	nr.closeOver(ei, hbIn, ecoIn, ecoOut, hbCol, ecoCol, ecoRow)
 	acyclicPool.Put(scratch)
 
 	// Cached topological order: the only new union edge is rf (w → e),

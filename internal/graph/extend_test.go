@@ -200,6 +200,24 @@ func TestAllocsAdmit(t *testing.T) {
 	}
 }
 
+// assertCoherence fails unless r's coherence state, when known, is what a
+// full scan of eco against hb finds, or unless r knows it when its
+// parent did (known: Extend inherits every state, Restrict a coherent
+// one). It reports whether r is known incoherent.
+func assertCoherence(t *testing.T, r *Rels, known bool, g *Graph, what string) (incoherent bool) {
+	t.Helper()
+	if r.coh == cohUnknown {
+		if known {
+			t.Fatalf("%s: the parent's coherence state was not carried over\ngraph:\n%s", what, g.Render())
+		}
+		return false
+	}
+	if got, want := r.coh == cohOK, !r.Eco.IntersectsTranspose(r.Hb); got != want {
+		t.Fatalf("%s: coherence carried as %v, a full scan finds %v\ngraph:\n%s", what, got, want, g.Render())
+	}
+	return r.coh == cohBad
+}
+
 // assertSameRels fails unless got holds exactly the index and the seven
 // matrices of want, the relations BuildRels derived for g.
 func assertSameRels(t *testing.T, got, want *Rels, g *Graph, what string) {
@@ -219,16 +237,27 @@ func assertSameRels(t *testing.T, got, want *Rels, g *Graph, what string) {
 // paths through a dropped event have no shortcut, and the test fails
 // within a few trials when the switch is turned off); the child inherits
 // a valid parent order filtered, and a cyclic or underived one not at
-// all — it stays topoNone until somebody asks.
+// all — it stays topoNone until somebody asks. Both carry the parent's
+// coherence state over when it is known (a coherent one, for Restrict)
+// and must agree with a full scan; the histories have to reach a state
+// the one-event delta finds incoherent.
 func TestExtendMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var broken int // coherent parents whose child the delta found incoherent
 	for trial := 0; trial < 60; trial++ {
 		nThreads := 2 + rng.Intn(2)
 		nLocs := 1 + rng.Intn(3)
 		randExtendHistory(t, rng, nThreads, nLocs, 14, func(prev *Rels, g *Graph, e *Event) {
+			if rng.Intn(4) > 0 {
+				prev.Coherent()
+			}
 			ext := prev.Extend(g, e)
-			assertSameRels(t, ext, BuildRels(g), g, fmt.Sprintf("trial %d: appending %v", trial, e))
+			what := fmt.Sprintf("trial %d: appending %v", trial, e)
+			assertSameRels(t, ext, BuildRels(g), g, what)
 			assertTopoInvariant(t, ext, g)
+			if assertCoherence(t, ext, prev.coh != cohUnknown, g, what) && prev.coh == cohOK {
+				broken++
+			}
 		})
 	}
 	var revisits, wide, inherited int
@@ -249,13 +278,20 @@ func TestExtendMatchesBuild(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				parent.ensureTopo()
 			}
+			if rng.Intn(4) > 0 {
+				parent.Coherent()
+			}
 			for k := 0; k < 3; k++ {
 				g3, wv := randRevisit(rng, g)
 				if g3 == nil {
 					continue
 				}
 				res := parent.Restrict(g3, wv)
-				assertSameRels(t, res, BuildRels(g3), g3, fmt.Sprintf("trial %d: revisit by %v of\n%s", trial, wv, g.Render()))
+				what := fmt.Sprintf("trial %d: revisit by %v of\n%s", trial, wv, g.Render())
+				assertSameRels(t, res, BuildRels(g3), g3, what)
+				if assertCoherence(t, res, parent.coh == cohOK, g3, what) && parent.coh == cohOK {
+					broken++
+				}
 				if parent.topoState != topoValid && res.topoState != topoNone {
 					t.Fatalf("trial %d: order state %d inherited from a parent in state %d", trial, res.topoState, parent.topoState)
 				}
@@ -270,9 +306,11 @@ func TestExtendMatchesBuild(t *testing.T) {
 			}
 		})
 	}
-	if revisits < 1000 || wide < 50 || inherited < 200 {
-		t.Fatalf("generator too thin: %d revisits, %d with a kept run across a word boundary, %d inheriting an order", revisits, wide, inherited)
+	if revisits < 1000 || wide < 50 || inherited < 200 || broken == 0 {
+		t.Fatalf("generator too thin: %d revisits, %d with a kept run across a word boundary, %d inheriting an order, %d made incoherent by a delta",
+			revisits, wide, inherited, broken)
 	}
+	t.Logf("%d revisits, %d coherent parents made incoherent by a delta", revisits, broken)
 }
 
 // randRevisit cuts g the way a write→read revisit does: a fresh

@@ -14,11 +14,11 @@ import "unsafe"
 // that failed atomicity) drops it too. Whoever drops the last reference
 // — the step that popped the graph, or its last child's RelsOf or
 // discard, possibly on a thief — retires the graph's header (with its
-// outer Threads/rf/Mo arrays) and its memoized Rels (header, Ev, tIdx,
-// topo and bit slab, which comes in size classes) into the FreeList of
-// the worker doing the dropping, where the next Clone, Extend or
-// BuildRels on that worker finds them. Lists start empty and hold only
-// what was retired into them.
+// outer Threads/rf/Mo arrays and its signature states) and its memoized
+// Rels (header, Ev, tIdx, topo and bit slab, which comes in size
+// classes) into the FreeList of the worker doing the dropping, where the
+// next Clone, Extend or BuildRels on that worker finds them. Lists start
+// empty and hold only what was retired into them.
 // The per-thread and per-location rows a header points to are shared
 // copy-on-write between clones and always belong to the garbage
 // collector.
@@ -136,7 +136,7 @@ func (fl *FreeList) Release(g *Graph) {
 	clear(g.Threads)
 	clear(g.rf)
 	clear(g.Mo)
-	*g = Graph{Threads: g.Threads[:0], rf: g.rf[:0], Mo: g.Mo[:0]}
+	*g = Graph{Threads: g.Threads[:0], rf: g.rf[:0], Mo: g.Mo[:0], sig: g.sig[:0]}
 	if poisonHook != nil {
 		poisonHook(nil, g)
 	}
@@ -149,7 +149,7 @@ func (fl *FreeList) retireRels(r *Rels, thief bool) {
 		fl.c.SlabThief++
 	}
 	clear(r.Ev)
-	r.G, r.N, r.Ev, r.topo, r.topoState = nil, 0, r.Ev[:0], r.topo[:0], topoNone
+	r.G, r.N, r.Ev, r.topo, r.topoState, r.coh = nil, 0, r.Ev[:0], r.topo[:0], topoNone, cohUnknown
 	r.mats = [numMats]BitMat{}
 	if poisonHook != nil {
 		poisonHook(r, nil)
@@ -167,7 +167,7 @@ func (fl *FreeList) park(bytes uint64) {
 }
 
 func graphBytes(g *Graph) uint64 {
-	return uint64(unsafe.Sizeof(*g)) + 24*uint64(cap(g.Threads)+cap(g.rf)+cap(g.Mo))
+	return uint64(unsafe.Sizeof(*g)) + 24*uint64(cap(g.Threads)+cap(g.rf)+cap(g.Mo)) + 16*uint64(cap(g.sig))
 }
 
 func relsBytes(r *Rels) uint64 {
@@ -179,8 +179,8 @@ func relsBytes(r *Rels) uint64 {
 }
 
 // graph returns a header for a graph of the given shape: refs 1, homed on
-// fl, outer arrays sized and every other field zero. Row contents are the
-// caller's to fill.
+// fl, outer arrays sized, signature states empty and every other field
+// zero. Row contents are the caller's to fill.
 func (fl *FreeList) graph(nthreads, nlocs int) *Graph {
 	var g *Graph
 	if fl != nil {
@@ -200,7 +200,7 @@ func (fl *FreeList) graph(nthreads, nlocs int) *Graph {
 		g.rf = make([][]rfCell, nthreads)
 		g.Mo = make([][]EventID, nlocs)
 	}
-	g.Threads, g.rf, g.Mo = g.Threads[:nthreads], g.rf[:nthreads], g.Mo[:nlocs]
+	g.Threads, g.rf, g.Mo, g.sig = g.Threads[:nthreads], g.rf[:nthreads], g.Mo[:nlocs], g.sig[:0]
 	g.fl = fl
 	g.refs.Store(1)
 	return g

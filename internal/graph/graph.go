@@ -116,6 +116,12 @@ type Graph struct {
 	extEvent  *Event
 	extKind   uint8
 
+	// sig keeps each grouped thread's symmetry signature state (the hash
+	// before its Sum) for one-event children (see SymSpec.signatures). It
+	// is valid while its length is the thread count: every mutation and
+	// every reuse of the header empties it.
+	sig []Hasher128
+
 	// refs counts who still needs this graph and its relations, fl is the
 	// list its clones and relations are taken from, and moved records
 	// that another worker's list was here first (see FreeList).
@@ -138,6 +144,7 @@ const (
 // the explorer mutates a graph only before it notes the hint.
 func (g *Graph) invalidate() {
 	g.rels = nil
+	g.sig = g.sig[:0]
 	g.extParent, g.extEvent = nil, nil
 	g.extKind = extNone
 }

@@ -388,7 +388,7 @@ func TestRFCellRoundTrip(t *testing.T) {
 	if g.Fingerprint128() != dec.Fingerprint128() || g.Fingerprint() != dec.Fingerprint() {
 		t.Error("fingerprints differ across the codec")
 	}
-	if spec.signature(g, 1) != spec.signature(dec, 1) || spec.signature(g, 1) == spec.signature(g, 0) {
+	if spec.sigState(g, 1) != spec.sigState(dec, 1) || spec.sigState(g, 1) == spec.sigState(g, 0) {
 		t.Error("symmetry signature of the reading thread differs across the codec, or does not see its reads")
 	}
 	// Each rf entry reaches both hashes: changing one changes them.
@@ -402,7 +402,7 @@ func TestRFCellRoundTrip(t *testing.T) {
 			alt = FromW(w.ID)
 		}
 		g2.SetRF(EventID{Thread: 1, Index: i}, alt)
-		if g2.Fingerprint128() == g.Fingerprint128() || spec.signature(g2, 1) == spec.signature(g, 1) {
+		if g2.Fingerprint128() == g.Fingerprint128() || spec.sigState(g2, 1) == spec.sigState(g, 1) {
 			t.Errorf("entry %d: changing %+v to %+v leaves a hash unchanged", i, rf, alt)
 		}
 		if g.RfOf(EventID{Thread: 1, Index: i}) != rf {

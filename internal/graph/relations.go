@@ -45,7 +45,17 @@ type Rels struct {
 	// fact, since extension only ever adds edges.
 	topo      []int32
 	topoState uint8
+
+	// coh records whether eco ∩ hb⁻¹ is empty (see Coherent).
+	coh uint8
 }
+
+// coh states: not derived yet, eco ∩ hb⁻¹ empty, not empty.
+const (
+	cohUnknown uint8 = iota
+	cohOK
+	cohBad
+)
 
 // topo cache states. The zero value (topoNone) means "not derived
 // yet": the order is computed lazily on first use, so states that die
@@ -133,6 +143,22 @@ func (r *Rels) AcyclicSuperset(m *BitMat) bool {
 	}
 	m.crossCheck(ok)
 	return ok
+}
+
+// Coherent reports whether no eco pair is reversed in hb (eco ∩ hb⁻¹ =
+// ∅), the coherence axiom irreflexive(hb;eco?) short of hb's own
+// irreflexivity. Extend and Restrict carry a parent's answer over (see
+// closeOver); otherwise one walk of eco's set bits, probing the much
+// denser hb, derives it.
+func (r *Rels) Coherent() bool {
+	if r.coh == cohUnknown {
+		acCohScans.Add(1)
+		r.coh = cohOK
+		if r.Eco.IntersectsTranspose(r.Hb) {
+			r.coh = cohBad
+		}
+	}
+	return r.coh == cohOK
 }
 
 // restrictHook, when set, sees every relation set Restrict derives for

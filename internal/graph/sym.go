@@ -303,51 +303,108 @@ func (s *SymSpec) valToken(h *Hasher128, t int, l Loc, v uint64) {
 	h.Word(v & (uint64(1)<<sh - 1)) // residue bits below the id field
 }
 
-// signature computes the equivariant structural hash of thread t's row.
-func (s *SymSpec) signature(g *Graph, t int) Hash128 {
-	h := NewHasher128()
-	for _, e := range g.Threads[t] {
-		degr := uint64(0)
-		if e.Degraded {
-			degr = 1
-		}
-		h.Word(uint64(e.Kind)<<56 | uint64(e.Mode)<<48 | degr<<40)
-		if e.Kind == KFence || e.Kind == KError {
-			continue
-		}
-		if o := s.LocOwner[e.Loc]; o < 0 {
-			h.Word(sigLocPlain | uint64(uint32(e.Loc)))
-		} else if int(o) == t {
-			h.Word(sigLocSelf | uint64(uint32(s.LocFam[e.Loc])))
-		} else if s.groupOf[o] < 0 {
-			h.Word(sigLocFixed | uint64(uint32(e.Loc)))
-		} else if s.groupOf[o] == s.groupOf[t] {
-			h.Word(sigLocPeer | uint64(uint32(s.LocFam[e.Loc])))
-		} else {
-			h.Word(sigLocGroup | uint64(uint32(s.groupOf[o]))<<20 | uint64(uint32(s.LocFam[e.Loc])))
-		}
-		if e.Kind == KWrite || (e.Kind == KUpdate && !e.Degraded) {
-			s.valToken(&h, t, e.Loc, e.Val)
-		}
-		if e.IsReadLike() {
-			s.valToken(&h, t, e.Loc, e.RVal)
-			rf := g.rfAt(t, e.ID.Index)
-			switch {
-			case rf.Bottom:
-				h.Word(sigRfBottom)
-			case rf.W.IsInit():
-				h.Word(sigRfInit)
-			default:
-				h.Word(s.threadToken(t, rf.W.Thread, sigRfSelf, sigRfPeer, sigRfFixed, sigRfGroup))
-				h.Word(uint64(uint32(rf.W.Index)))
-			}
-		}
-		if e.IsWriteLike() {
-			h.Word(sigMoPos | uint64(uint32(g.MoIndex(e.Loc, e.ID))))
+// sigFold folds event e of thread t into the equivariant structural hash
+// of t's row, the signature: a signature is the Sum of the folds of the
+// whole row in po order. Every word but the last depends only on e, its
+// rf source and the spec; the sigMoPos word reads e's mo position, which
+// moves when a write is inserted mo-before e.
+func (s *SymSpec) sigFold(h *Hasher128, g *Graph, t int, e *Event) {
+	degr := uint64(0)
+	if e.Degraded {
+		degr = 1
+	}
+	h.Word(uint64(e.Kind)<<56 | uint64(e.Mode)<<48 | degr<<40)
+	if e.Kind == KFence || e.Kind == KError {
+		return
+	}
+	if o := s.LocOwner[e.Loc]; o < 0 {
+		h.Word(sigLocPlain | uint64(uint32(e.Loc)))
+	} else if int(o) == t {
+		h.Word(sigLocSelf | uint64(uint32(s.LocFam[e.Loc])))
+	} else if s.groupOf[o] < 0 {
+		h.Word(sigLocFixed | uint64(uint32(e.Loc)))
+	} else if s.groupOf[o] == s.groupOf[t] {
+		h.Word(sigLocPeer | uint64(uint32(s.LocFam[e.Loc])))
+	} else {
+		h.Word(sigLocGroup | uint64(uint32(s.groupOf[o]))<<20 | uint64(uint32(s.LocFam[e.Loc])))
+	}
+	if e.Kind == KWrite || (e.Kind == KUpdate && !e.Degraded) {
+		s.valToken(h, t, e.Loc, e.Val)
+	}
+	if e.IsReadLike() {
+		s.valToken(h, t, e.Loc, e.RVal)
+		rf := g.rfAt(t, e.ID.Index)
+		switch {
+		case rf.Bottom:
+			h.Word(sigRfBottom)
+		case rf.W.IsInit():
+			h.Word(sigRfInit)
+		default:
+			h.Word(s.threadToken(t, rf.W.Thread, sigRfSelf, sigRfPeer, sigRfFixed, sigRfGroup))
+			h.Word(uint64(uint32(rf.W.Index)))
 		}
 	}
-	return h.Sum()
+	if e.IsWriteLike() {
+		h.Word(sigMoPos | uint64(uint32(g.MoIndex(e.Loc, e.ID))))
+	}
 }
+
+// sigState folds thread t's whole row: its signature before the Sum.
+func (s *SymSpec) sigState(g *Graph, t int) Hasher128 {
+	h := NewHasher128()
+	for _, e := range g.Threads[t] {
+		s.sigFold(&h, g, t, e)
+	}
+	return h
+}
+
+// signatures leaves the signature of every grouped thread of g in
+// sc.sigs and keeps their states on g (Graph.sig), for g's children. A
+// child that appends one event to a parent whose states are kept starts
+// from them: a thread whose row did not change inherits its state, the
+// appending thread folds only the new event onto its own, and a thread
+// that owns a write placed mo-after a new write — its sigMoPos word
+// moved — is folded from scratch, as is every thread of any other graph.
+func (s *SymSpec) signatures(g *Graph, sc *SymScratch) {
+	p, e := g.extParent, g.extEvent
+	carry := g.extKind == extAppend && p != nil && len(p.sig) == len(g.Threads)
+	var moved uint64 // threads < 64 that own a write mo-after e
+	if carry && e.IsWriteLike() {
+		if pos := g.MoIndex(e.Loc, e.ID); pos >= 0 {
+			for _, w := range g.Mo[e.Loc][pos+1:] {
+				if w.Thread < 64 {
+					moved |= 1 << uint(w.Thread)
+				}
+			}
+		}
+	}
+	g.sig = append(g.sig[:0], make([]Hasher128, len(g.Threads))...)
+	for _, grp := range s.Groups {
+		for _, t := range grp {
+			h := &g.sig[t]
+			switch {
+			case !carry || t >= 64 || moved&(1<<uint(t)) != 0:
+				*h = s.sigState(g, t)
+				sc.Sigs.Scratch++
+			case t == e.ID.Thread:
+				*h = p.sig[t]
+				s.sigFold(h, g, t, e)
+				sc.Sigs.Extended++
+			default:
+				*h = p.sig[t]
+				sc.Sigs.Inherited++
+			}
+			sc.sigs[t] = h.Sum()
+		}
+	}
+	if carry && auditSig != nil {
+		auditSig(s, g)
+	}
+}
+
+// auditSig, when set, sees every graph whose signature states were
+// carried over. Test-only: see AuditIncremental in export_test.go.
+var auditSig func(s *SymSpec, g *Graph)
 
 // Less128 orders Hash128s lexicographically.
 func Less128(a, b Hash128) bool {
@@ -357,13 +414,29 @@ func Less128(a, b Hash128) bool {
 	return a[1] < b[1]
 }
 
-// SymScratch holds the per-worker scratch of Canonicalize; the zero
-// value is ready to use and is resized lazily.
+// SymScratch holds the per-worker scratch of Canonicalize, and what its
+// calls have counted; the zero value is ready to use and is resized
+// lazily.
 type SymScratch struct {
+	Sigs            SigCounters
 	perm, inv, best []int32
 	sigs            []Hash128
 	order           []int32 // grouped threads in signature-sorted slot order
 	classes         []int32 // tie-class boundaries into order (start indices)
+}
+
+// SigCounters counts how Canonicalize came by the thread signatures it
+// sorted: carried over unchanged from the parent graph, extended by the
+// parent's one new event, or folded from the thread's whole row.
+type SigCounters struct {
+	Inherited, Extended, Scratch uint64
+}
+
+// Add accumulates o into c.
+func (c *SigCounters) Add(o SigCounters) {
+	c.Inherited += o.Inherited
+	c.Extended += o.Extended
+	c.Scratch += o.Scratch
 }
 
 // sized ensures the scratch slices cover n threads.
@@ -404,6 +477,9 @@ func IsIdentityPerm(perm []int32) bool {
 // two argmin permutations of one state differ by an automorphism of
 // the canonical graph — so everything derived from the permutation
 // (canonical witnesses, extension-slot choices) is orbit-stable too.
+// The thread signatures are kept on g (see signatures) for its one-event
+// children to start from: one graph is canonicalized by one goroutine at
+// a time.
 func (s *SymSpec) Canonicalize(g *Graph, sc *SymScratch, hasForced bool, forcedR, forcedW EventID) (key Hash128, perm []int32, fast bool, tried int) {
 	n := len(g.Threads)
 	sc.sized(n)
@@ -412,10 +488,8 @@ func (s *SymSpec) Canonicalize(g *Graph, sc *SymScratch, hasForced bool, forcedR
 	}
 	// Signature-sort each group's members onto the group's own slots;
 	// equal signatures form tie classes to refine by brute force.
+	s.signatures(g, sc)
 	for _, grp := range s.Groups {
-		for _, t := range grp {
-			sc.sigs[t] = s.signature(g, t)
-		}
 		start := len(sc.order)
 		for _, t := range grp {
 			sc.order = append(sc.order, int32(t))

@@ -197,7 +197,7 @@ func (l *clhLock) Contended(m vprog.Mem, token uint64) bool {
 // global CLH queue. This preserves the NUMA-locality trait measured in
 // the evaluation (cluster peers queue locally and only cluster leaders
 // contend globally); the original's queue-splicing optimization is not
-// reproduced (DESIGN.md, substitutions).
+// reproduced.
 type hclhLock struct {
 	global *clhLock
 	local  []*clhLock

@@ -1,7 +1,7 @@
 // Package mm implements weak memory models as consistency predicates
 // over execution graphs (the consM of the paper, §1.1).
 //
-// Three models are provided:
+// Four models are provided:
 //
 //   - SC: sequential consistency — a single total order refines po, rf,
 //     mo and fr. The strongest model; used for the "sc-only" baseline
@@ -12,6 +12,8 @@
 //     paper's IMM: per-location coherence, RMW atomicity,
 //     release/acquire synchronization (sw ⊆ hb), SC-fence/access
 //     ordering (psc), and no-thin-air (acyclic(po ∪ rf)).
+//   - RA: WMM without psc, an ablation model (see Ablations): which
+//     verdicts depend on SC accesses and fences.
 //
 // All models share the RMW atomicity axiom: a non-degraded update must
 // read from its immediate mo-predecessor.
@@ -23,7 +25,8 @@
 // sb ∪ rf ∪ mo that Rels carries across Extend. Two verdicts come
 // straight from that cached order state: a cyclic union rejects SC
 // without building anything, and a valid order proves porf (a subset)
-// acyclic for free.
+// acyclic for free. Coherence (eco ∩ hb⁻¹ = ∅) is a fact Rels carries
+// across Extend as well, so RA and WMM ask it rather than scan for it.
 //
 // The SC axiom of WMM, acyclic(psc), is composition-free as well: psc is
 // defined through scb = sb ∪ (sb\sbloc);hb;(sb\sbloc) ∪ hb|loc ∪ mo ∪ fr
@@ -105,11 +108,7 @@ func (raModel) Consistent(g *graph.Graph) bool {
 	if !r.Hb.Irreflexive() {
 		return false
 	}
-	// Walk eco's set bits probing hb, not the other way around: the
-	// predicate (some pair in one relation reversed in the other) is
-	// symmetric, and eco — per-location chains — is much sparser than
-	// the closed hb.
-	if r.Eco.IntersectsTranspose(r.Hb) {
+	if !r.Coherent() {
 		return false
 	}
 

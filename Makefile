@@ -94,9 +94,11 @@ allocs:
 	$(GO) test -run TestAllocs ./internal/core ./internal/graph ./internal/mm ./internal/store
 
 # One cheap pass over the benchmark harness to catch bit-rot in the
-# table/figure emitters without running the full campaign.
+# table/figure emitters without running the full campaign, and one open
+# of the store's 200,000-record log, so its benchmark cannot rot either.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -run='^$$' -bench=Open200k -benchtime=1x ./internal/store
 
 # The benchmark of record (benchmark/, see BENCHMARK.json) is a module
 # of its own, so `go test ./...` at the root never descends into it:

@@ -206,6 +206,7 @@ func OpenStore(tool, path, remote string) *vsync.VerdictStore {
 	if remote != "" {
 		fmt.Printf(", remote tier %s", remote)
 	}
-	fmt.Println()
+	round := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
+	fmt.Printf("; open: read %v, check %v, index %v\n", round(s.OpenRead), round(s.OpenCheck), round(s.OpenIndex))
 	return st
 }

@@ -44,7 +44,8 @@ type visitedShard struct {
 // arrays of their shard maps — across runs. Optimization descents run
 // thousands of AMC instances back to back; before pooling, each run's
 // fresh dedup map rehashed its way up from empty and dominated the
-// allocation churn. release clears the maps but keeps their storage.
+// allocation churn. release clears the maps but keeps their storage,
+// up to visitedKeep keys a shard.
 var visitedPool = sync.Pool{New: func() any {
 	v := &VisitedSet{}
 	for i := range v.shards {
@@ -57,14 +58,32 @@ var visitedPool = sync.Pool{New: func() any {
 // when available.
 func NewVisitedSet() *VisitedSet { return visitedPool.Get().(*VisitedSet) }
 
-// release clears the set and returns it to the pool. Callers must not
+// visitedKeep is the most keys a shard map may have held for release
+// to keep its storage. clear costs a map's full capacity, not its
+// length, so a map one big run grew would tax every small run the set
+// is recycled into after it; past this size the map is dropped and
+// made afresh instead.
+const visitedKeep = 4096
+
+// release empties the set and returns it to the pool. Callers must not
 // retain references past this.
 func (v *VisitedSet) release() {
+	v.reset()
+	visitedPool.Put(v)
+}
+
+// reset empties the set: each shard map is cleared in place, or
+// replaced by a fresh one when it held more than visitedKeep keys.
+func (v *VisitedSet) reset() {
 	for i := range v.shards {
-		clear(v.shards[i].m)
+		sh := &v.shards[i]
+		if len(sh.m) > visitedKeep {
+			sh.m = make(map[graph.Hash128]struct{})
+		} else {
+			clear(sh.m)
+		}
 	}
 	v.contention.Store(0)
-	visitedPool.Put(v)
 }
 
 // InsertNew adds k and reports whether it was absent — the atomic

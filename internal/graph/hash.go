@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Hash128 is a 128-bit structural hash. The explorer's visited set, the
 // optimizer's verdict cache and BarrierSpec memo keys all key on these
@@ -41,21 +44,19 @@ func (h *Hasher128) Word(x uint64) {
 	h.hi ^= h.hi >> 29
 }
 
-// String folds a string into the hash, 8 bytes per word, with a length
-// word so concatenation boundaries stay distinguishable.
+// String folds a string into the hash, 8 bytes per little-endian word
+// (a short last word zero-padded), after a length word so
+// concatenation boundaries stay distinguishable.
 func (h *Hasher128) String(s string) {
 	h.Word(uint64(len(s)))
-	var w uint64
-	shift := uint(0)
-	for i := 0; i < len(s); i++ {
-		w |= uint64(s[i]) << shift
-		shift += 8
-		if shift == 64 {
-			h.Word(w)
-			w, shift = 0, 0
-		}
+	for ; len(s) >= 8; s = s[8:] {
+		h.Word(binary.LittleEndian.Uint64([]byte(s[:8])))
 	}
-	if shift > 0 {
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
 		h.Word(w)
 	}
 }

@@ -45,44 +45,50 @@ func (s *Session) Merge(srcPath string) (MergeStats, error) {
 		if err := s.refreshLocked(); err != nil {
 			return err
 		}
-		// New records go straight onto the image and into the index, so
-		// the source dedups against itself as it streams by; the file
-		// catches up in one write, and until it has, a reopen undoes
-		// everything.
-		base, stale, staleBytes := len(s.img), 0, 0
-		over := int64(0) // the size the log would first have passed the bound at
-		cur := currentEpoch()
+		// The source's trusted records are listed first, then indexed in
+		// source order: new ones go straight onto the image and into the
+		// index, so the source dedups against itself as it streams by;
+		// the file catches up in one write, and until it has, a reopen
+		// undoes everything.
+		ids := positions(data)
 		valid, scanErr := scan(data, func(off, end int, p []byte) {
 			ms.Scanned++
 			if !decodable(p) {
 				ms.Skipped++
 				return
 			}
-			if pos, _ := s.tab.find(s.img, p[idOff:idOff+idSize]); pos != 0 {
-				if s.img[int(pos)+idSize] == p[idOff+idSize] {
+			ids = append(ids, uint32(off+recIDOff))
+		})
+		base, stale, staleBytes := len(s.img), 0, 0
+		over := int64(0) // the size the log would first have passed the bound at
+		cur := currentEpoch()
+		for _, p := range ids {
+			if pos, _ := s.tab.find(s.img, data[p:p+idSize]); pos != 0 {
+				if s.img[int(pos)+idSize] == data[p+idSize] {
 					ms.Duplicates++
 				} else {
 					ms.Conflicts++
 					s.stats.Conflicts++
 				}
-				return
+				continue
 			}
 			if over != 0 {
-				return
+				continue
 			}
+			off, end := recordSpan(data, int(p))
 			if size := int64(len(s.img) + end - off); size > maxLogBytes {
 				over = size
-				return
+				continue
 			}
 			pos := len(s.img) + recIDOff
 			s.img = append(s.img, data[off:end]...)
 			s.tab.insert(s.img, pos)
 			ms.Added++
-			if epochOf(p) != cur {
+			if epochOf(data[int(p)-idOff:]) != cur {
 				stale++
 				staleBytes += end - off
 			}
-		})
+		}
 		var err error
 		switch {
 		case notAStore(valid, scanErr):

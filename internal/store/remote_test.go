@@ -193,7 +193,8 @@ func TestRemoteDegradesGracefully(t *testing.T) {
 }
 
 // TestServiceStatsCarryOpenCost: /v1/stats says what the service's last
-// full scan of its log read and how long it took, beside the counters.
+// full scan of its log read and how long it took — in all, and split
+// into the read and the two passes — beside the counters.
 func TestServiceStatsCarryOpenCost(t *testing.T) {
 	path := fillerLog(t, 500)
 	backend, err := OpenShared(path, nil)
@@ -214,5 +215,10 @@ func TestServiceStatsCarryOpenCost(t *testing.T) {
 	}
 	if fi, _ := os.Stat(path); st.Loaded != 500 || st.OpenBytes != fi.Size() || st.OpenTime <= 0 {
 		t.Fatalf("/v1/stats = %+v, want 500 records loaded from %d bytes in a positive time", st, fi.Size())
+	}
+	if want := backend.Stats(); st.OpenRead != want.OpenRead || st.OpenCheck != want.OpenCheck || st.OpenIndex != want.OpenIndex ||
+		st.OpenCheck <= 0 || st.OpenIndex <= 0 || st.OpenRead+st.OpenCheck+st.OpenIndex > st.OpenTime {
+		t.Fatalf("/v1/stats splits the open into read %v, check %v, index %v of %v; the session's split is %v, %v, %v",
+			st.OpenRead, st.OpenCheck, st.OpenIndex, st.OpenTime, want.OpenRead, want.OpenCheck, want.OpenIndex)
 	}
 }

@@ -74,13 +74,21 @@
 // only when someone asks for it (LookupEpoch). Records are indexed in
 // write order and an identity already in the table is left alone, so
 // the first record of an identity wins — the order the file keeps —
-// without anything to remember about the later ones. Opening is one
-// read of exactly the file's size and one pass over it that checksums,
-// validates, counts and indexes each record; Put appends its record to
-// the file and to the image, Refresh reads the unseen tail of the file
-// onto the end of the image and scans only that. A session therefore
-// costs the log's size plus 8–16 bytes per indexed record, and opening
-// allocates twice (image, table) however many records there are.
+// without anything to remember about the later ones.
+//
+// Opening is one read of exactly the file's size and two passes over
+// it. The first walks the image in order: it checksums and validates
+// each record, counts it, and lists the position of every record it
+// trusts. The second only inserts that list into the table, in log
+// order. Kept apart from the checksums, the table's cache misses — one
+// random slot per record — are independent of each other and overlap.
+// Refresh reads the unseen
+// tail of the file onto the end of the image and runs both passes over
+// that alone; Merge runs them over its source; Put appends its record
+// to the file and to the image. A session therefore costs the log's
+// size plus 8–16 bytes per indexed record, and opening allocates three
+// times (image, position list, table) however many records there are;
+// the list, 4 bytes per record, is garbage once the table is built.
 // Positions are 32-bit: a log beyond 4 GiB is refused at open, and a
 // Put or Merge that would cross the bound fails, rather than wrap.
 //
@@ -157,6 +165,7 @@ const (
 	headerSize    = frame.HeaderSize
 	payloadFixed  = 1 + 16 + 16 + 1 + 2 // version + code epoch + key + verdict + name length
 	maxPayload    = payloadFixed + 4096 // name length is bounded; anything bigger is corruption
+	minRecord     = frame.Overhead + payloadFixed
 
 	// Where a payload keeps its identity (epoch‖key), how long that is,
 	// and where that puts it in a record.
@@ -278,7 +287,10 @@ type Stats struct {
 	Conflicts int // decisive verdicts contradicting a stored one (kept out)
 
 	OpenBytes int64         // bytes read by the last full scan (open, or a reopen after the file was replaced)
-	OpenTime  time.Duration // what that scan took: read, checksum, validate, index
+	OpenTime  time.Duration // what that scan took in all, opening the file included
+	OpenRead  time.Duration // of which reading the file into the image
+	OpenCheck time.Duration // of which the first pass: framing, checksums, validation, counting
+	OpenIndex time.Duration // of which the second pass: building the table
 
 	RemoteHits     int // lookups served by the remote tier (and promoted locally)
 	RemotePuts     int // records acknowledged by batched remote PUTs
@@ -387,14 +399,17 @@ func (s *Session) withFileLock(fn func() error) error {
 	return fn()
 }
 
-// scan walks data from its start, handing fn every well-formed record —
-// its byte span and its payload, which aliases data — and returns the
-// trusted byte count and what ended the scan (nil at a clean end). The
+// scan is the first pass of every load (open, refresh, merge): it walks
+// data from its start, handing fn every well-formed record — its byte
+// span and its payload, which aliases data — and returns the trusted
+// byte count and what ended the scan (nil at a clean end). The
 // first record that does not frame ends it — a mid-log tear must not
-// resynchronize on garbage-controlled framing. The length bound is
-// version-agnostic: a checksummed record of an older (shorter) format
-// must scan as a stale record to retain, not end the scan as a corrupt
-// tail — that would truncate a v1 user's entire history on upgrade.
+// resynchronize on garbage-controlled framing, and nothing after the
+// tear reaches the second pass, which only indexes what fn listed. The
+// length bound is version-agnostic: a checksummed record of an older
+// (shorter) format must scan as a stale record to retain, not end the
+// scan as a corrupt tail — that would truncate a v1 user's entire
+// history on upgrade.
 func scan(data []byte, fn func(off, end int, payload []byte)) (int, error) {
 	valid := 0
 	for valid < len(data) {
@@ -407,6 +422,20 @@ func scan(data []byte, fn func(off, end int, payload []byte)) (int, error) {
 		valid = end
 	}
 	return valid, nil
+}
+
+// positions returns an empty list with room for the identity position
+// of every record data can hold: no record this build decodes is
+// shorter than minRecord, so the first pass never grows it.
+func positions(data []byte) []uint32 {
+	return make([]uint32, 0, len(data)/minRecord)
+}
+
+// recordSpan is the byte span of the decodable record whose identity
+// sits at data[pos:].
+func recordSpan(data []byte, pos int) (off, end int) {
+	off = pos - recIDOff
+	return off, off + minRecord + int(binary.LittleEndian.Uint16(data[pos+idSize+1:]))
 }
 
 // notAStore reports whether a scan that trusted nothing ended because
@@ -428,6 +457,7 @@ func (s *Session) openLocked() error {
 		s.f.Close()
 		s.f = nil
 	}
+	currentEpoch() // hashed once a process, not by every open: off the clock
 	start := time.Now()
 	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
@@ -449,11 +479,13 @@ func (s *Session) openLocked() error {
 	return nil
 }
 
-// loadLocked is the scan under openLocked: one read of the size bytes
-// the file was just seen to hold, one pass over them that checksums,
-// validates, counts and indexes each record. On success the session
-// owns f; a file that is refused is closed.
+// loadLocked is the load under openLocked: one read of the size bytes
+// the file was just seen to hold, the first pass over them — checksum,
+// validate and count each record, list the trusted ones — and the
+// second, which indexes the list. On success the session owns f; a file
+// that is refused is closed.
 func (s *Session) loadLocked(f *os.File, size int64) error {
+	start := time.Now()
 	data := make([]byte, size)
 	n, err := io.ReadFull(f, data)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -464,8 +496,8 @@ func (s *Session) loadLocked(f *os.File, size int64) error {
 	// a peer can do that) gives fewer bytes than asked for: what arrived
 	// is scanned, the zeroes behind it are not.
 	data = data[:n]
-	var tab table
-	tab.init(len(data) / (frame.Overhead + payloadFixed + 16))
+	read := time.Now()
+	ids := positions(data)
 	loaded, stale, staleBytes := 0, 0, 0
 	cur := currentEpoch()
 	valid, scanErr := scan(data, func(off, end int, p []byte) {
@@ -483,9 +515,7 @@ func (s *Session) loadLocked(f *os.File, size int64) error {
 			staleBytes += end - off
 		}
 		if ok {
-			// First record wins: the log is authoritative in write
-			// order, matching Put's conflict stance.
-			tab.insert(data, off+recIDOff)
+			ids = append(ids, uint32(off+recIDOff))
 		}
 	})
 	if notAStore(valid, scanErr) {
@@ -494,6 +524,15 @@ func (s *Session) loadLocked(f *os.File, size int64) error {
 		f.Close()
 		return fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
 	}
+	checked := time.Now()
+	// First record wins: the log is authoritative in write order,
+	// matching Put's conflict stance, and the list is in write order.
+	var tab table
+	tab.init(len(ids))
+	for _, p := range ids {
+		tab.insert(data, int(p))
+	}
+	s.stats.OpenRead, s.stats.OpenCheck, s.stats.OpenIndex = read.Sub(start), checked.Sub(read), time.Since(checked)
 	s.f, s.img, s.tab = f, data[:valid], tab
 	s.stats.Loaded, s.stats.Stale, s.staleBytes = loaded, stale, int64(staleBytes)
 	if corrupt := len(data) - valid; corrupt > 0 {
@@ -507,9 +546,10 @@ func (s *Session) loadLocked(f *os.File, size int64) error {
 }
 
 // refreshLocked brings image and index up to date with the on-disk log:
-// the unexamined tail is read onto the end of the image and scanned in
-// the common case, a full reopen when the file was replaced (another
-// process compacted it) or truncated beneath the trusted prefix. A torn
+// the unexamined tail is read onto the end of the image and put through
+// both passes in the common case, a full reopen when the file was
+// replaced (another process compacted it) or truncated beneath the
+// trusted prefix. A torn
 // tail is healed — the caller holds the append lock, so torn bytes can
 // only be a crashed writer's leftovers, never a live writer mid-record.
 // Caller holds mu and the file lock.
@@ -532,20 +572,30 @@ func (s *Session) refreshLocked() error {
 	if _, err := io.ReadFull(io.NewSectionReader(s.f, int64(base), size-int64(base)), img[base:]); err != nil {
 		return fmt.Errorf("store: reading tail of %s: %w", s.path, err)
 	}
-	cur := currentEpoch()
+	ids := positions(img[base:])
 	valid, _ := scan(img[base:], func(off, end int, p []byte) {
 		if decodable(p) {
-			if !s.tab.insert(img, base+off+recIDOff) {
-				return
-			}
-			if epochOf(p) == cur {
-				s.stats.Refreshed++
-				return
-			}
+			ids = append(ids, uint32(base+off+recIDOff))
+			return
 		}
 		s.stats.Stale++
 		s.staleBytes += int64(end - off)
 	})
+	// Only a record that takes its identity's slot counts: a later copy
+	// of an indexed identity is neither fresh nor stale.
+	cur := currentEpoch()
+	for _, p := range ids {
+		if !s.tab.insert(img, int(p)) {
+			continue
+		}
+		if epochOf(img[int(p)-idOff:]) == cur {
+			s.stats.Refreshed++
+			continue
+		}
+		off, end := recordSpan(img, int(p))
+		s.stats.Stale++
+		s.staleBytes += int64(end - off)
+	}
 	s.img = img[:base+valid]
 	if torn := int(size) - len(s.img); torn > 0 {
 		if err := s.f.Truncate(int64(len(s.img))); err == nil {

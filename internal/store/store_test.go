@@ -605,16 +605,24 @@ func BenchmarkOpen200k(b *testing.B) {
 	const n = 200_000
 	path := fillerLog(b, n)
 	b.ReportAllocs()
-	var open time.Duration
+	var sum Stats
 	for b.Loop() {
 		s, err := OpenShared(path, nil)
-		if err != nil || s.Stats().Loaded != n {
-			b.Fatalf("open: %v, %+v", err, s.Stats())
+		st := s.Stats()
+		if err != nil || st.Loaded != n {
+			b.Fatalf("open: %v, %+v", err, st)
 		}
-		open += s.Stats().OpenTime
+		sum.OpenTime += st.OpenTime
+		sum.OpenRead += st.OpenRead
+		sum.OpenCheck += st.OpenCheck
+		sum.OpenIndex += st.OpenIndex
 		s.Close()
 	}
-	b.ReportMetric(float64(open.Nanoseconds())/float64(b.N)/n, "ns/record")
+	perOpen := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(float64(sum.OpenTime.Nanoseconds())/float64(b.N)/n, "ns/record")
+	b.ReportMetric(perOpen(sum.OpenRead), "read-ms/op")
+	b.ReportMetric(perOpen(sum.OpenCheck), "check-ms/op")
+	b.ReportMetric(perOpen(sum.OpenIndex), "index-ms/op")
 }
 
 // The reference loader: the list-and-map loader this package used
@@ -1133,6 +1141,59 @@ func TestDiffTearSweep(t *testing.T) {
 	}
 }
 
+// TestDiffBadChecksumMidLog: a record whose checksum fails in the
+// middle of a log ends the trusted prefix, though well-formed records
+// follow it — a new identity, and a copy of an earlier identity with a
+// contradicting verdict. A load that checks every record before it
+// indexes any must still index nothing past the bad one, on open and on
+// a Refresh over a peer's appends alike, and must truncate the file
+// there.
+func TestDiffBadChecksumMidLog(t *testing.T) {
+	rec := func(i int, v core.Verdict) []byte {
+		return encodeRecord(currentEpoch(), testKey(i).Hash(), v, fmt.Sprintf("mid-%d", i))
+	}
+	head := append(rec(0, verdictFor(0)), rec(1, verdictFor(1))...)
+	bad := rec(2, verdictFor(2))
+	bad[len(bad)-1] ^= 0x10 // a bit of the checksum
+	tail := append(append(bad, rec(3, verdictFor(3))...), rec(0, verdictFor(1))...)
+
+	check := func(what string, s *Session) {
+		t.Helper()
+		if !bytes.Equal(readLog(t, s.path), head) {
+			t.Fatalf("%s: file is %d bytes, want the %d before the bad record", what, len(readLog(t, s.path)), len(head))
+		}
+		if s.Len() != 2 {
+			t.Fatalf("%s: %d records indexed, want the 2 before the bad record", what, s.Len())
+		}
+		for i, want := range []core.Verdict{verdictFor(0), verdictFor(1)} {
+			if v, ok := s.Lookup(testKey(i)); !ok || v != want {
+				t.Fatalf("%s: verdict %d = (%v, %v), want %v", what, i, v, ok, want)
+			}
+		}
+		for _, i := range []int{2, 3} {
+			if _, ok := s.Lookup(testKey(i)); ok {
+				t.Fatalf("%s: verdict %d, at or after the bad record, is served", what, i)
+			}
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "v.log")
+	s, _ := openAgainstRef(t, "open", path, append(head[:len(head):len(head)], tail...))
+	check("open", s)
+	s.Close()
+
+	s, ref := openAgainstRef(t, "refresh", path, head)
+	defer s.Close()
+	appendRaw(t, path, tail)
+	ref.refresh(tail)
+	if n, err := s.Refresh(); err != nil || n != ref.fresh || n != 0 {
+		t.Fatalf("refresh = (%d, %v), reference saw %d fresh verdicts, want 0", n, err, ref.fresh)
+	}
+	checkView(t, "refresh", s, ref)
+	checkCounters(t, "refresh", s, ref)
+	check("refresh", s)
+}
+
 // TestDiffSessions: two sessions and a raw appender share one log, each
 // step a random one of put, refresh, merge, compact or a peer's raw
 // append (sometimes torn). A session that has just taken the file lock
@@ -1333,9 +1394,9 @@ func TestLogSizeLimit(t *testing.T) {
 }
 
 // TestAllocsOpen: opening a log allocates a fixed handful of objects —
-// file handles, the image, the table — however many records it holds,
-// where the list-and-map loader allocated one and more per record; and
-// a warm lookup allocates nothing.
+// file handles, the image, the position list, the table — however many
+// records it holds, where the list-and-map loader allocated one and
+// more per record; and a warm lookup allocates nothing.
 func TestAllocsOpen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation bars run under make allocs")
@@ -1351,8 +1412,8 @@ func TestAllocsOpen(t *testing.T) {
 		})
 	}
 	small, big := opens(1000), opens(20000)
-	// The table is sized from the file's length; a log of unusually
-	// short records doubles it once or twice more.
+	// The position list is sized from the file's length and the table
+	// from the records the first pass trusted, so neither grows.
 	if big > 40 || big-small > 2 {
 		t.Errorf("open allocates %.0f objects for 1,000 records and %.0f for 20,000; want the same, and at most 40", small, big)
 	}

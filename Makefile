@@ -7,7 +7,7 @@ GO ?= go
 # caches this directory so warm runs skip already-decided AMC work.
 STORE ?= .vsync-store/verdicts.log
 
-.PHONY: build vet test test-short race allocs bench-smoke benchmark-smoke loc fmt-check suite t4-segment suite-warm suite-shared stored chaos fuzz-smoke
+.PHONY: build vet test test-short race allocs bench-smoke benchmark-smoke loc fmt-check quickstart suite t4-segment suite-warm suite-shared stored chaos fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,26 @@ bench-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) test ./...
 
+# README's "Quick start" block, run as written: every `go run ./PKG
+# ARGS` line of its sh fence is built once (each PKG into one temporary
+# directory) and run from there, and any failure fails the target. A
+# line that is not `go run`, or a fence that has none, fails it too, so
+# a command the docs still show cannot outlive the tool behind it.
+quickstart:
+	@set -e; \
+	dir=$$(mktemp -d -t vsyncqs.XXXXXX); \
+	trap 'rm -rf $$dir' EXIT; \
+	awk '/^## Quick start/ { q = 1 } q && /^```sh/ { b = 1; next } b && /^```/ { exit } b && NF' README.md | \
+		sed 's/[[:space:]]*#.*//' > $$dir/cmds; \
+	test -s $$dir/cmds || { echo "quickstart: no commands in README's Quick start block" >&2; exit 1; }; \
+	if grep -v '^go run \./' $$dir/cmds; then echo "quickstart: the lines above are not 'go run ./PKG'" >&2; exit 1; fi; \
+	$(GO) build -o $$dir/ $$(awk '{ print $$3 }' $$dir/cmds | sort -u); \
+	while read -r line; do \
+		cmd=$$(echo "$$line" | sed "s|^go run \./\([^ ]*/\)*|$$dir/|"); \
+		echo "+ $$line"; \
+		$$cmd < /dev/null; \
+	done < $$dir/cmds
+
 # ROADMAP's size number: non-test Go lines outside benchmark/. Every
 # line-delta claim in CHANGES.md is this command before and after.
 loc:
@@ -177,8 +197,8 @@ suite-shared:
 	wait $$pid1; wait $$pid2; \
 	$$bin -store $(STORE) -min-hit-rate 1
 
-# The shared verdict service: vsynccheck/vsyncopt/vsyncsuite/vsynclitmus
-# point -remote at it to tier lookups through a fleet-wide corpus.
+# The shared verdict service: vsynccheck/vsyncopt/vsyncsuite point
+# -remote at it to tier lookups through a fleet-wide corpus.
 stored:
 	$(GO) run ./cmd/vsyncstored -store $(STORE)
 

@@ -1,11 +1,10 @@
-// vsynccheck model-checks a synchronization primitive (or a built-in
-// litmus test) with Await Model Checking.
+// vsynccheck model-checks one synchronization primitive — a lock's
+// generic client or a registered workload — with Await Model Checking.
 //
 // Usage:
 //
 //	vsynccheck -lock mcs [-model wmm] [-threads 2] [-iters 1] [-sc] [-dot out.dot] [-workers N] [-no-symmetry]
 //	vsynccheck -workload structs/treiber [-model wmm] [-threads 2] [-sc] [-dot out.dot] [-workers N] [-no-symmetry]
-//	vsynccheck -all [-par N] [-workers N]
 //	vsynccheck -list
 //	vsynccheck ... [-budget 30s] [-budget-graphs N] [-budget-mem BYTES]
 //	              [-checkpoint-dir DIR] [-checkpoint-interval 5s]
@@ -25,14 +24,14 @@
 // verdicts, and -remote URL additionally tiers lookups through a
 // vsyncstored verdict service.
 //
-// -all verifies every registered correct (non-study-case) algorithm,
-// fanning the AMC runs across -par workers (0 = GOMAXPROCS); the first
-// failure cancels the remaining runs.
-//
 // -workers enables intra-run work stealing: the exploration frontier of
-// each single run is shared by N workers of its own (0 = GOMAXPROCS,
-// 1 = the sequential DFS). Under -all each of the -par concurrent runs
-// staffs its own, so at most -par × -workers workers run at once.
+// the run is shared by N workers of its own (0 = GOMAXPROCS, 1 = the
+// sequential DFS).
+//
+// vsynccheck checks one problem. A corpus — every correct lock, every
+// structure, the litmus tests — is vsyncsuite's job: for example
+// `vsyncsuite -no-structs -no-litmus -models wmm -threads 3` verifies
+// every correct lock's client at t=2 and t=3.
 //
 // -no-symmetry disables thread-symmetry reduction, exploring every
 // thread relabeling instead of one canonical representative per orbit —
@@ -76,9 +75,7 @@ func main() {
 		scOnly    = flag.Bool("sc", false, "verify the sc-only (all-SC barrier) variant")
 		dotOut    = flag.String("dot", "", "write the counterexample graph as Graphviz DOT to this file")
 		list      = flag.Bool("list", false, "list registered algorithms and exit")
-		all       = flag.Bool("all", false, "verify every registered correct algorithm in parallel")
 		noSym     = flag.Bool("no-symmetry", false, "disable thread-symmetry reduction (differential oracle: same verdict, every thread relabeling explored)")
-		par       = cli.Par()
 		workers   = cli.Workers()
 		storePath = cli.Store()
 		remote    = cli.Remote()
@@ -119,51 +116,6 @@ func main() {
 	st := cli.OpenStore("vsynccheck", *storePath, *remote)
 	if st != nil {
 		defer st.Close()
-	}
-	// What both modes below ask of Run; each adds its programs' keys, its
-	// parallelism and its store.
-	opts := vsync.RunOptions{
-		WorkersPerRun:      workers(),
-		Budget:             budget(),
-		CheckpointDir:      dir,
-		CheckpointInterval: *ckptInt,
-		NoSymmetry:         *noSym,
-	}
-
-	if *all {
-		var ps []*vsync.Program
-		for _, alg := range locks.All() {
-			if alg.Buggy {
-				continue
-			}
-			spec := alg.DefaultSpec()
-			p := harness.MutexClient(alg, spec, *threads, *iters)
-			ps = append(ps, p)
-			opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
-		}
-		fmt.Printf("checking %d algorithms under %s (%d threads × %d iterations, %d workers, %d per run)...\n",
-			len(ps), m.Name(), *threads, *iters, cli.Effective(*par), opts.WorkersPerRun)
-		opts.Parallelism, opts.Store = *par, st
-		rr := vsync.RunCtx(ctx, m, ps, opts)
-		if rr.StoreHits > 0 {
-			fmt.Printf("store: %d of %d algorithms served without an AMC run\n", rr.StoreHits, len(ps))
-		}
-		if rr.StoreErr != nil {
-			fmt.Fprintln(os.Stderr, "vsynccheck: warning:", rr.StoreErr)
-		}
-		if rr.Failed >= 0 {
-			fmt.Printf("%s: %s\n", ps[rr.Failed].Name, rr.Result)
-			switch rr.Result.Verdict {
-			case core.Error:
-				os.Exit(2)
-			case core.Undecided:
-				fmt.Println(resumeHint(dir))
-				os.Exit(cli.ExitUndecided)
-			}
-			os.Exit(1)
-		}
-		fmt.Println(rr.Result)
-		return
 	}
 	if (*lockName == "") == (*wlName == "") {
 		fmt.Fprintln(os.Stderr, "vsynccheck: exactly one of -lock or -workload is required (try -list)")
@@ -210,10 +162,18 @@ func main() {
 		fmt.Println("note: -dot requested, bypassing the verdict store for this check")
 		runStore = nil
 	}
+	opts := vsync.RunOptions{
+		Parallelism:        1,
+		WorkersPerRun:      workers(),
+		Store:              runStore,
+		StoreKeys:          []vsync.StoreKey{vsync.ProblemKey(m, spec, p)},
+		Budget:             budget(),
+		CheckpointDir:      dir,
+		CheckpointInterval: *ckptInt,
+		NoSymmetry:         *noSym,
+	}
 	fmt.Printf("checking %s under %s (%d threads × %d iterations, %d workers)...\n",
 		p.Name, m.Name(), *threads, *iters, opts.WorkersPerRun)
-	opts.Parallelism, opts.Store = 1, runStore
-	opts.StoreKeys = append(opts.StoreKeys, vsync.ProblemKey(m, spec, p))
 	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, opts)
 	res := rr.Results[0]
 	if rr.StoreHits > 0 {

@@ -43,10 +43,10 @@ func main() {
 	}
 
 	fmt.Println("\n== optimizer on the fixed lock ==")
-	opt, err := vsync.OptimizeWith(vsync.ModelWMM,
+	opt, err := vsync.Optimize(vsync.ModelWMM,
 		func(spec *vsync.BarrierSpec) []*vsync.Program {
 			return []*vsync.Program{vsync.MutexClient(fixed, spec, 2, 1)}
-		}, fixed.DefaultSpec())
+		}, fixed.DefaultSpec(), vsync.OptimizeOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 
 	fmt.Println("optimizing qspinlock from the sc-only baseline…")
 	start := time.Now()
-	res, err := vsync.OptimizeWith(vsync.ModelWMM, programs, alg.DefaultSpec().AllSC())
+	res, err := vsync.Optimize(vsync.ModelWMM, programs, alg.DefaultSpec().AllSC(), vsync.OptimizeOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -54,7 +54,12 @@ func Remote() *string {
 // flag's zero is resolved here, once for every tool.
 func Workers() func() int {
 	n := flag.Int("workers", 1, "intra-run work-stealing workers per AMC run (0 = GOMAXPROCS, 1 = sequential)")
-	return func() int { return Effective(*n) }
+	return func() int {
+		if *n <= 0 {
+			return runtime.GOMAXPROCS(0)
+		}
+		return *n
+	}
 }
 
 // Par registers the -par flag: whole-run fan-out.
@@ -156,15 +161,6 @@ func resolveModel(name string) (vsync.Model, error) {
 		return m, nil
 	}
 	return nil, fmt.Errorf("unknown model %q (%s)", name, modelNames())
-}
-
-// Effective reports the parallel width a "0 = GOMAXPROCS" flag value
-// resolves to.
-func Effective(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // OpenStore opens the shared verdict session the -store/-remote pair

@@ -952,23 +952,6 @@ func (w *explorer) pushRevisit(g, g2 *graph.Graph, wv *graph.Event, porf *graph.
 	w.push(ExploreState{g: g3, hasForced: true, forcedR: rd, forcedW: wv.ID}, -1)
 }
 
-// wasteful implements W(G) (Def. 2), generalized to multi-operation
-// iterations: some await's reads (position by position — loads and
-// updates alike) observe the same rf vector in two consecutive complete
-// iterations, the first of which failed. Thread bodies are
-// deterministic in the values their reads return, and rf-equal reads
-// return equal values, so the second iteration retraces the first —
-// same branches, same (value-identical) owned stores — and under the
-// Bounded-Effect contracts it cannot have changed what any other
-// thread observes: the execution is a longer witness of a behavior a
-// shorter graph already covers. A successful value-changing update in
-// iteration two is impossible here — it would sit mo-adjacent to
-// iteration one's update on the same rf source, which atomicity
-// (checked at birth, and again by Model.Consistent before this filter)
-// already rules out.
-// Iterations of unequal read counts never compare equal: determinism
-// again — a same-rf prefix replays identically, so the counts could
-// not diverge.
 // collapsedRetry implements the retry-free-twin collapse, the reduction
 // that makes await encodings of CAS loops cheaper than their bounded
 // unrollings: a graph in which some await *succeeded* at iteration
@@ -1029,6 +1012,23 @@ func (res *replayResult) collapsed() bool {
 	return false
 }
 
+// wasteful implements W(G) (Def. 2), generalized to multi-operation
+// iterations: some await's reads (position by position — loads and
+// updates alike) observe the same rf vector in two consecutive complete
+// iterations, the first of which failed. Thread bodies are
+// deterministic in the values their reads return, and rf-equal reads
+// return equal values, so the second iteration retraces the first —
+// same branches, same (value-identical) owned stores — and under the
+// Bounded-Effect contracts it cannot have changed what any other
+// thread observes: the execution is a longer witness of a behavior a
+// shorter graph already covers. A successful value-changing update in
+// iteration two is impossible here — it would sit mo-adjacent to
+// iteration one's update on the same rf source, which atomicity
+// (checked at birth, and again by Model.Consistent before this filter)
+// already rules out.
+// Iterations of unequal read counts never compare equal: determinism
+// again — a same-rf prefix replays identically, so the counts could
+// not diverge.
 func wasteful(g *graph.Graph, rres []*replayResult) bool {
 	for _, res := range rres {
 		spans := res.spans

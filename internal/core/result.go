@@ -59,9 +59,9 @@ func (v Verdict) String() string {
 // final-state check, so running the checker answers reachability: OK
 // means the outcome is forbidden, a safety violation means it is
 // ALLOWED. The remaining verdicts answer neither way and get explicit
-// labels too — every consumer of a conformance matrix (vsynclitmus,
-// vsync.MatrixResult.Report) maps through here so no raw verdict
-// string ever lands in a table cell unexplained.
+// labels too — the suite's conformance cells (vsync.MatrixResult.Report,
+// vsyncsuite -v) map through here so no raw verdict string ever lands
+// in a table cell unexplained.
 func (v Verdict) LitmusLabel() string {
 	switch v {
 	case OK:

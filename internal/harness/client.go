@@ -6,16 +6,19 @@ import (
 	"repro/internal/workload"
 )
 
-// The lock clients below are thin veneers over the structure-agnostic
-// workload layer (internal/workload), which carries the actual thread
-// bodies, specs and candidate symmetry declarations: locks.Algorithm
-// is one Workload family there, next to the nonblocking structures in
-// internal/structs. The veneers exist for source compatibility and
-// keep the historical program shapes bit-for-bit — same variable names
-// and allocation order, same operation sequences, same final-check
+// MutexClient and RWClient name the two lock clients that callers build
+// by shape (threads, iterations, readers and writers); the thread
+// bodies, specs and candidate symmetry declarations live in the
+// structure-agnostic workload layer (internal/workload), where
+// locks.Algorithm is one Workload family next to the nonblocking
+// structures of internal/structs. Other lock clients — the recursive
+// one, for instance — are built there directly:
+// workload.Program(workload.Recursive(alg), spec, n). The programs keep
+// the historical shapes bit-for-bit — same variable names and
+// allocation order, same operation sequences, same final-check
 // messages, same symmetry groups — so every Program.Fingerprint128
 // (and with it every verdict-store key) is byte-identical to the
-// pre-refactor builders. The differential test in this package pins
+// pre-workload builders. The differential test in this package pins
 // that equivalence against inline copies of the old closures.
 
 // MutexClient is the paper's generic client code (§1.2): nthreads
@@ -29,23 +32,9 @@ func MutexClient(alg *locks.Algorithm, spec *vprog.BarrierSpec, nthreads, iters 
 	return workload.Program(workload.Mutex(alg, iters), spec, nthreads)
 }
 
-// HandoffClient verifies the asymmetric scenario of the study cases
-// (§3.1): thread 0 acquires, enters the critical section and releases;
-// thread 1 then acquires. This is the two-thread shape under which AMC
-// exhibits the DPDK hang (Alice enqueues while Bob releases).
-func HandoffClient(alg *locks.Algorithm, spec *vprog.BarrierSpec) *vprog.Program {
-	return MutexClient(alg, spec, 2, 1)
-}
-
 // RWClient verifies a reader-writer lock: a writer updates two
 // variables atomically (under the write lock), a reader snapshots both
 // under the read lock and asserts it never observes a torn pair.
 func RWClient(alg *locks.Algorithm, spec *vprog.BarrierSpec, writers, readers, iters int) *vprog.Program {
 	return workload.Program(workload.RW(alg, writers, readers, iters), spec, writers+readers)
-}
-
-// RecursiveClient verifies re-entrant acquisition: each thread acquires
-// the lock twice (nested), increments, and releases in LIFO order.
-func RecursiveClient(alg *locks.Algorithm, spec *vprog.BarrierSpec, nthreads int) *vprog.Program {
-	return workload.Program(workload.Recursive(alg), spec, nthreads)
 }

@@ -8,16 +8,17 @@ import (
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/vprog"
+	"repro/internal/workload"
 )
 
-// The refactor bar: the lock clients rebuilt as veneers over
-// internal/workload must be indistinguishable from the pre-refactor
-// builders at the program level — same reporting name, same candidate
-// symmetry groups, and byte-identical Program.Fingerprint128, which is
-// the program half of every verdict-store key. The old builders are
-// inlined below verbatim (from the pre-workload client.go) as the
-// oracle; any drift in the adapters shows up here before it can orphan
-// the pooled verdict corpus.
+// The refactor bar: the lock clients rebuilt over internal/workload
+// must be indistinguishable from the pre-refactor builders at the
+// program level — same reporting name, same candidate symmetry groups,
+// and byte-identical Program.Fingerprint128, which is the program half
+// of every verdict-store key. The old builders are inlined below
+// verbatim (from the pre-workload client.go) as the oracle; any drift
+// in the adapters shows up here before it can orphan the pooled
+// verdict corpus.
 
 // oldSymGroup is the pre-refactor harness helper, verbatim.
 func oldSymGroup(alg *locks.Algorithm, lo, hi int) [][]int {
@@ -176,7 +177,6 @@ func TestWorkloadVeneerFingerprints(t *testing.T) {
 				oldMutexClient(alg, spec, s.nthreads, s.iters),
 				harness.MutexClient(alg, spec, s.nthreads, s.iters))
 		}
-		samePrograms(t, oldMutexClient(alg, spec, 2, 1), harness.HandoffClient(alg, spec))
 	}
 }
 
@@ -204,6 +204,6 @@ func TestWorkloadVeneerFingerprintsRecursive(t *testing.T) {
 	for n := 1; n <= 3; n++ {
 		samePrograms(t,
 			oldRecursiveClient(alg, spec, n),
-			harness.RecursiveClient(alg, spec, n))
+			workload.Program(workload.Recursive(alg), spec, n))
 	}
 }

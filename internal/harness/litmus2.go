@@ -136,9 +136,11 @@ func CoWR() *vprog.Program {
 	}
 }
 
-// Litmus names every built-in litmus program for the vsynclitmus tool,
-// mapping a name to a builder at a given strength: "weak" (fully
-// relaxed) or "strong" (release/acquire, SC where relevant).
+// Litmus names every built-in litmus program for the suite's litmus
+// slice (vsync.VerifyMatrix, vsyncsuite), mapping a name to a builder
+// at a given strength: "weak" (fully relaxed) or "strong"
+// (release/acquire, SC where relevant). It returns nil for a name
+// LitmusNames does not list.
 func Litmus(name string, strong bool) *vprog.Program {
 	w, r := vprog.Rlx, vprog.Rlx
 	if strong {

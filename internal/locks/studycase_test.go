@@ -8,6 +8,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
+	"repro/internal/workload"
 )
 
 // TestDPDKMCSBug reproduces §3.1: the shipped DPDK v20.05 MCS lock
@@ -16,6 +17,8 @@ import (
 // the waiter (Alice) hangs forever. AMC reports the await-termination
 // violation of Fig. 14; the same code verifies under SC and TSO (the
 // bug needs a weak model), and the Fig. 15 fix verifies everywhere.
+// The client is the two-thread, one-section mutex client: the shape
+// under which Alice enqueues while Bob releases.
 func TestDPDKMCSBug(t *testing.T) {
 	buggy := locks.ByName("dpdkmcs-buggy")
 	fixed := locks.ByName("dpdkmcs")
@@ -23,7 +26,7 @@ func TestDPDKMCSBug(t *testing.T) {
 		t.Fatal("dpdk algorithms not registered")
 	}
 
-	res := core.New(mm.WMM).Run(harness.HandoffClient(buggy, buggy.DefaultSpec()))
+	res := core.New(mm.WMM).Run(harness.MutexClient(buggy, buggy.DefaultSpec(), 2, 1))
 	if res.Verdict != core.ATViolation {
 		t.Fatalf("buggy DPDK lock on WMM: want AT violation, got %v", res)
 	}
@@ -32,12 +35,12 @@ func TestDPDKMCSBug(t *testing.T) {
 	}
 
 	for _, model := range []mm.Model{mm.SC, mm.TSO} {
-		if res := core.New(model).Run(harness.HandoffClient(buggy, buggy.DefaultSpec())); !res.Ok() {
+		if res := core.New(model).Run(harness.MutexClient(buggy, buggy.DefaultSpec(), 2, 1)); !res.Ok() {
 			t.Errorf("buggy DPDK lock must verify under %s (bug needs weak memory), got %v", model.Name(), res)
 		}
 	}
 	for _, model := range mm.All() {
-		if res := core.New(model).Run(harness.HandoffClient(fixed, fixed.DefaultSpec())); !res.Ok() {
+		if res := core.New(model).Run(harness.MutexClient(fixed, fixed.DefaultSpec(), 2, 1)); !res.Ok() {
 			t.Errorf("fixed DPDK lock must verify under %s, got %v", model.Name(), res)
 		}
 	}
@@ -54,7 +57,7 @@ func TestHuaweiMCSBug(t *testing.T) {
 		t.Fatal("huawei algorithms not registered")
 	}
 
-	res := core.New(mm.WMM).Run(harness.HandoffClient(buggy, buggy.DefaultSpec()))
+	res := core.New(mm.WMM).Run(harness.MutexClient(buggy, buggy.DefaultSpec(), 2, 1))
 	if res.Verdict != core.SafetyViolation {
 		t.Fatalf("buggy Huawei lock on WMM: want safety violation (lost update), got %v", res)
 	}
@@ -63,11 +66,11 @@ func TestHuaweiMCSBug(t *testing.T) {
 	}
 
 	// On SC the bug cannot manifest.
-	if res := core.New(mm.SC).Run(harness.HandoffClient(buggy, buggy.DefaultSpec())); !res.Ok() {
+	if res := core.New(mm.SC).Run(harness.MutexClient(buggy, buggy.DefaultSpec(), 2, 1)); !res.Ok() {
 		t.Errorf("buggy Huawei lock must verify under SC, got %v", res)
 	}
 	for _, model := range mm.All() {
-		if res := core.New(model).Run(harness.HandoffClient(fixed, fixed.DefaultSpec())); !res.Ok() {
+		if res := core.New(model).Run(harness.MutexClient(fixed, fixed.DefaultSpec(), 2, 1)); !res.Ok() {
 			t.Errorf("fixed Huawei lock must verify under %s, got %v", model.Name(), res)
 		}
 	}
@@ -92,7 +95,7 @@ func TestRWClient(t *testing.T) {
 // CAS lock (a plain CAS lock would deadlock this client).
 func TestRecursiveClient(t *testing.T) {
 	alg := locks.ByName("recspin")
-	p := harness.RecursiveClient(alg, alg.DefaultSpec(), 2)
+	p := workload.Program(workload.Recursive(alg), alg.DefaultSpec(), 2)
 	if res := core.New(mm.WMM).Run(p); !res.Ok() {
 		t.Fatalf("recursive lock failed re-entrant verification: %v\n%s", res, witness(res))
 	}

@@ -122,7 +122,7 @@ type Optimizer struct {
 	// Verdicts (and therefore the final spec) are identical at any
 	// value; only the wall-clock shape of the search changes.
 	WorkersPerRun int
-	// Deprecated: has no effect; candidates are tried one at a time. Kept only because benchmark/layers.go sets it; ROADMAP item 9(c) deletes both.
+	// Deprecated: has no effect; candidates are tried one at a time. Kept only because benchmark/layers.go sets it; ROADMAP item 10 deletes both.
 	Speculate bool
 	// Cache, when non-nil, memoizes verdicts by (model, spec
 	// fingerprint, program fingerprint) so repeated assignments —

@@ -176,13 +176,3 @@ func X86() *Machine {
 
 // Machines returns the two evaluation platforms.
 func Machines() []*Machine { return []*Machine{ARMv8(), X86()} }
-
-// MachineByName returns the named platform or nil.
-func MachineByName(name string) *Machine {
-	for _, m := range Machines() {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
-}

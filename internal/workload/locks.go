@@ -9,8 +9,10 @@ import (
 
 // This file adapts locks.Algorithm onto the Workload seam: the generic
 // mutex, reader-writer and recursive clients that used to be built
-// directly in internal/harness are one workload family here, and the
-// harness builders are thin veneers over these adapters. The adapted
+// directly in internal/harness are one workload family here.
+// harness.MutexClient and harness.RWClient are one-line shorthands for
+// Program over Mutex and RW; the recursive client has none and is built
+// as Program(Recursive(alg), spec, n). The adapted
 // programs are structurally identical to the pre-refactor clients —
 // same variable names and allocation order, same operation sequences,
 // same final-check messages, same candidate symmetry groups — so their

@@ -17,11 +17,12 @@
 //
 // Programs built here must obey vprog's Bounded-Length and
 // Bounded-Effect principles: in particular, the CAS retry loops of
-// nonblocking structures are bounded plain loops (each failed CAS
-// implies another thread's successful one, so the retry count is
-// bounded by the total writes others can perform), never AwaitWhile —
-// a failed CAS attempt re-stores link words, which an await iteration
-// is not allowed to do.
+// nonblocking structures (treiber, msqueue, and the seqlock's read
+// side) are AwaitDo loops, never AwaitWhile — a failed CAS attempt
+// re-stores link words the thread owns, which the effect-bounded retry
+// contract of AwaitDo permits and a read-only AwaitWhile does not. The
+// "/bounded" twins keep the older encoding, a pigeonhole-bounded plain
+// loop, as the differential oracle for the await reduction.
 package workload
 
 import (

@@ -89,19 +89,14 @@ type MatrixConfig struct {
 	Structs []Workload
 	// NoStructs drops the structure rows from the matrix.
 	NoStructs bool
-	// Threads is the client thread-count ladder; nil selects
-	// 2..MaxThreads (and MaxThreads <= 2 means just {2}).
-	Threads []int
-	// MaxThreads tops the default ladder when Threads is nil.
+	// MaxThreads tops the client thread-count ladder 2..MaxThreads
+	// (MaxThreads <= 2 means just {2}).
 	MaxThreads int
 	// Iters is the critical sections per client thread (default 1).
 	Iters int
 	// NoLitmus drops the litmus corpus (weak + strong variants of every
 	// built-in test) from the matrix.
 	NoLitmus bool
-	// Litmus selects specific litmus tests by name; nil selects all
-	// (ignored when NoLitmus is set).
-	Litmus []string
 	// Store, when non-nil, is consulted before every cell — a stored
 	// verdict skips the AMC run entirely — and receives every decisive
 	// verdict the run computes.
@@ -223,8 +218,9 @@ func (r *MatrixResult) Summary() string {
 }
 
 // Report renders the full per-cell table followed by the summary. Lock
-// cells read ok/FAILED; litmus cells read ALLOWED/forbidden — the
-// vsynclitmus matrix folded into the suite view.
+// and structure cells read ok/FAILED; litmus cells read
+// ALLOWED/forbidden — the litmus conformance table, one cell per row
+// (`vsyncsuite -no-locks -no-structs -models sc,tso,wmm,ra -v`).
 func (r *MatrixResult) Report() string {
 	t := report.NewTable("verification matrix (incremental)", "cell", "model", "verdict", "source", "time")
 	for i := range r.Cells {
@@ -232,8 +228,8 @@ func (r *MatrixResult) Report() string {
 		verdict := c.Verdict.String()
 		switch {
 		case c.Litmus:
-			// Same vocabulary as vsynclitmus — litmus cells answer
-			// observability, and engine failures stay distinguishable.
+			// Litmus cells answer observability, and engine failures
+			// stay distinguishable.
 			verdict = c.Verdict.LitmusLabel()
 		case c.Verdict == core.Error:
 			verdict = "ERROR"
@@ -268,15 +264,9 @@ func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem.Problem
 	if models == nil {
 		models = mm.All()
 	}
-	threads := cfg.Threads
-	if threads == nil {
-		max := cfg.MaxThreads
-		if max < 2 {
-			max = 2
-		}
-		for t := 2; t <= max; t++ {
-			threads = append(threads, t)
-		}
+	var threads []int
+	for t := 2; t <= max(cfg.MaxThreads, 2); t++ {
+		threads = append(threads, t)
 	}
 	iters := cfg.Iters
 	if iters < 1 {
@@ -326,16 +316,9 @@ func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem.Problem
 		}
 	}
 	if !cfg.NoLitmus {
-		names := cfg.Litmus
-		if names == nil {
-			names = harness.LitmusNames()
-		}
-		for _, n := range names {
+		for _, n := range harness.LitmusNames() {
 			for _, strong := range []bool{false, true} {
 				p := harness.Litmus(n, strong)
-				if p == nil {
-					continue
-				}
 				// Label by registry name, not p.Name: several registry
 				// entries share a program Name (SB and SB+fences are both
 				// "litmus/SB") and the table must keep them apart.

@@ -1,11 +1,15 @@
 package vsync_test
 
 import (
+	"bufio"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/locks"
+	"repro/internal/mm"
 	"repro/vsync"
 )
 
@@ -290,4 +294,78 @@ func TestMergeMakesMatrixWarm(t *testing.T) {
 	if full.Misses != 0 || full.Hits+full.Deduped != len(full.Cells) {
 		t.Fatalf("merged store did not make the full matrix warm: %s", full.Summary())
 	}
+}
+
+// TestLitmusConformanceGolden pins the whole litmus conformance table:
+// every built-in litmus test, weak and strong, under SC, TSO, WMM and
+// the psc-ablation model RA — the suite's litmus slice, as
+// `vsyncsuite -no-locks -no-structs -models sc,tso,wmm,ra -v` prints
+// it. testdata/litmus_conformance.txt is the table the standalone
+// litmus tool printed for both strengths before the suite absorbed it;
+// every one of its 88 labels must come back from VerifyMatrix.
+func TestLitmusConformanceGolden(t *testing.T) {
+	want := readConformance(t, "testdata/litmus_conformance.txt")
+	res := vsync.VerifyMatrix(vsync.MatrixConfig{
+		Models:    []vsync.Model{mm.SC, mm.TSO, mm.WMM, mm.RA},
+		NoLocks:   true,
+		NoStructs: true,
+	})
+	if len(res.Cells) != len(want) {
+		t.Errorf("litmus slice has %d cells, the golden table %d labels", len(res.Cells), len(want))
+	}
+	for _, c := range res.Cells {
+		key := c.Program + "|" + c.Model
+		w, ok := want[key]
+		if !ok {
+			t.Errorf("cell %s under %s is not in the golden table", c.Program, c.Model)
+			continue
+		}
+		if got := c.Verdict.LitmusLabel(); got != w {
+			t.Errorf("%s under %s: %s, golden table says %s", c.Program, c.Model, got, w)
+		}
+		delete(want, key)
+	}
+	for key := range want {
+		t.Errorf("golden label %s has no cell", key)
+	}
+}
+
+// readConformance parses the weak and strong conformance tables into
+// labels keyed by "litmus/<test>/<strength>|<model>", the cell names
+// VerifyMatrix gives the litmus slice.
+func readConformance(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	labels := make(map[string]string)
+	var strength string
+	var models []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		fields := strings.Fields(line)
+		switch {
+		case strings.Contains(line, "(weak variants)"):
+			strength = "weak"
+		case strings.Contains(line, "(strong variants)"):
+			strength = "strong"
+		case len(fields) == 0 || strings.HasPrefix(line, "---"):
+		case fields[0] == "litmus":
+			models = fields[1:]
+		default:
+			if strength == "" || len(fields) != len(models)+1 {
+				t.Fatalf("%s: malformed row %q", path, line)
+			}
+			for i, m := range models {
+				labels["litmus/"+fields[0]+"/"+strength+"|"+m] = fields[i+1]
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return labels
 }

@@ -231,7 +231,7 @@ func TestZeroWorkersPerRunIsOne(t *testing.T) {
 		builds.Store(0)
 		res := vsync.VerifyMatrix(vsync.MatrixConfig{
 			Models: []vsync.Model{vsync.ModelWMM}, Locks: []*vsync.Algorithm{&counted},
-			Threads: []int{2, 3}, NoStructs: true, NoLitmus: true, WorkersPerRun: workers,
+			MaxThreads: 3, NoStructs: true, NoLitmus: true, WorkersPerRun: workers,
 		})
 		if res.Errors+res.Failures > 0 {
 			t.Fatalf("WorkersPerRun %d: %s", workers, res.Summary())

@@ -185,8 +185,8 @@ func WorkloadProgram(w Workload, spec *BarrierSpec, nthreads int) *Program {
 // OptimizeOptions tunes the optimizer's parallel verification engine.
 // The final spec is identical whatever the settings; they only change
 // how fast it is reached. The zero value is the push-button default
-// OptimizeLock and OptimizeWith use: GOMAXPROCS slots, one worker per
-// run, a private memory session, one pass.
+// OptimizeLock uses: GOMAXPROCS slots, one worker per run, a private
+// memory session, one pass.
 type OptimizeOptions struct {
 	// Parallelism bounds the concurrent AMC runs a candidate's client
 	// programs fan out across: 0 = GOMAXPROCS, 1 = strictly sequential.
@@ -235,13 +235,6 @@ func OptimizeLock(alg *Algorithm, nthreads int) (*OptResult, error) {
 	return Optimize(ModelWMM, func(spec *BarrierSpec) []*Program {
 		return []*Program{harness.MutexClient(alg, spec, nthreads, 1)}
 	}, alg.DefaultSpec().AllSC(), OptimizeOptions{})
-}
-
-// OptimizeWith runs the optimizer with a caller-supplied client set and
-// starting spec (for multi-client searches like the qspinlock study),
-// with the zero OptimizeOptions.
-func OptimizeWith(model Model, programs func(*BarrierSpec) []*Program, initial *BarrierSpec) (*OptResult, error) {
-	return Optimize(model, programs, initial, OptimizeOptions{})
 }
 
 // Machines returns the simulated evaluation platforms (ARMv8, x86_64).

@@ -84,7 +84,7 @@ race:
 	@$(call testrun,TestMemo|TestSnap,./internal/core,-race)
 	@$(call testrun,TestPsc,./internal/mm,-race)
 	@$(call testrun,TestAwaitDifferential,./internal/structs,-race)
-	@$(call testrun,TestOpenShared|TestRefresh|TestMerge|TestCompact|TestRemote|TestMultiProcess|TestDiff,./internal/store,-race)
+	@$(call testrun,TestOpenShared|TestRefresh|TestCompact|TestRemote|TestMultiProcess|TestDiff,./internal/store,-race)
 
 # Allocation-regression bars (objects and bytes per popped state and, for
 # the benchmark's treiber cell, per run; zero allocations on a warm free

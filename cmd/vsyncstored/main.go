@@ -6,7 +6,7 @@
 // unreachable (clients degrade to local-only with backoff).
 //
 // The store file is the same append-only log the tools use locally, so
-// it can be seeded from, merged with, or inspected as any other store;
+// it can be seeded from or inspected as any other store;
 // the server is just another shared session on it, and a local
 // vsyncsuite may even run against the same file concurrently.
 //
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/store"
-	_ "repro/vsync" // registers vsync's code sources so epochs match client builds
 )
 
 func main() {

@@ -33,9 +33,8 @@
 // its own.
 // Verdicts persist in a shared, content-addressed store: any number of
 // processes open sessions on one log (appends are record-atomic under
-// a short-held sidecar lock; Refresh observes concurrent writers),
-// store files merge as a dedup-union, and an optional HTTP tier
-// (cmd/vsyncstored, `make stored`) pools a corpus across machines with
-// graceful local-only degradation. See "Sharing the verdict store" in
+// a short-held sidecar lock; Refresh observes concurrent writers), and
+// an optional HTTP tier (cmd/vsyncstored, `make stored`) pools a corpus
+// across machines with graceful local-only degradation. See "Sharing the verdict store" in
 // README.md.
 package repro

@@ -164,9 +164,9 @@ func TestSymReductionFactor(t *testing.T) {
 // seqlockT3Inversion names the one cell where the reduction costs states
 // instead of saving them: the seqlock's two readers are a validated
 // symmetric pair, yet canonical exploration pops 2.6x what the unreduced
-// run does. Nobody has said why; ROADMAP item 1(d) is to root-cause it.
+// run does. Nobody has said why; ROADMAP item 5(1) is to root-cause it.
 // Until then the counts are pinned, so a fix and a worsening both show.
-const seqlockT3Inversion = "known anomaly seqlock-t3-inversion (ROADMAP 1(d))"
+const seqlockT3Inversion = "known anomaly seqlock-t3-inversion (ROADMAP 5(1))"
 
 // TestSymTwinRows: one sequential run with the reduction and one without
 // on every symmetric cell whose state-count ratio is worth knowing — the

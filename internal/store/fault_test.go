@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,8 +21,8 @@ func testHash(i int) graph.Hash128 { return graph.Hash128{uint64(i) + 1, uint64(
 
 // These tests drive the store's failure paths through the injected
 // failpoints (internal/faultinject): append errors, torn tails from a
-// simulated crash mid-append, compaction rename failures, and lock
-// acquisition failures. The invariant under every fault is the same —
+// simulated crash mid-append, failed truncations of a torn tail,
+// compaction rename failures, and lock acquisition failures. The invariant under every fault is the same —
 // no wrong verdict is ever served, and the log heals to a well-formed
 // state at the next locked operation.
 
@@ -106,6 +107,66 @@ func TestTornAppendHeals(t *testing.T) {
 		if _, ok := s2.Lookup(testKey(k)); !ok {
 			t.Fatalf("committed verdict %d lost to the heal", k)
 		}
+	}
+}
+
+// TestFaultTruncateTornTail: a torn tail that cannot be truncated — a
+// log with the append-only attribute refuses truncation but not writes —
+// fails the next Put rather than appending behind the tear, where the
+// next open's scan would stop and truncate the new record away. Once
+// truncation works again a retried Put heals the tear and lands.
+func TestFaultTruncateTornTail(t *testing.T) {
+	defer faultinject.Reset()
+	path := filepath.Join(t.TempDir(), "v.log")
+	s, err := OpenShared(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put(testKey(1), core.OK, "committed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure("store.append.torn:on=1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey(2), core.SafetyViolation, "torn"); err == nil {
+		t.Fatal("torn append did not surface as an error")
+	}
+	faultinject.Reset()
+	torn := readLog(t, path)
+
+	if err := faultinject.Configure("store.truncate:err"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey(3), core.ATViolation, "behind-tear"); err == nil {
+		t.Fatal("put over a tear that could not be truncated succeeded")
+	}
+	if !bytes.Equal(readLog(t, path), torn) {
+		t.Fatalf("log went from %d to %d bytes: a record landed behind the tear", len(torn), len(readLog(t, path)))
+	}
+	if _, ok := s.Lookup(testKey(3)); ok {
+		t.Fatal("the refused verdict is served")
+	}
+
+	faultinject.Reset()
+	if err := s.Put(testKey(3), core.ATViolation, "retry"); err != nil {
+		t.Fatalf("retried put: %v", err)
+	}
+	s2, err := OpenShared(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Loaded != 2 || st.Corrupted != 0 {
+		t.Fatalf("reopened log: %+v, want 2 loaded, 0 corrupted", st)
+	}
+	for k, want := range map[int]core.Verdict{1: core.OK, 3: core.ATViolation} {
+		if v, ok := s2.Lookup(testKey(k)); !ok || v != want {
+			t.Fatalf("reopened log: verdict %d = (%v, %v), want %v", k, v, ok, want)
+		}
+	}
+	if _, ok := s2.Lookup(testKey(2)); ok {
+		t.Fatal("the torn (uncommitted) verdict is being served")
 	}
 }
 

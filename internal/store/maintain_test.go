@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,148 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 )
-
-// TestMergeDisjoint: two stores populated by different runs merge into
-// the union — the fleet-pooling contract. Every source verdict must be
-// servable from the destination afterwards, with nothing lost and
-// nothing duplicated.
-func TestMergeDisjoint(t *testing.T) {
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.log")
-	pathB := filepath.Join(dir, "b.log")
-
-	a, err := OpenShared(pathA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := a.Put(testKey(i), verdictFor(i), fmt.Sprintf("a-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	b, err := OpenShared(pathB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 20; i < 50; i++ {
-		if err := b.Put(testKey(i), verdictFor(i), fmt.Sprintf("b-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ms, err := a.Merge(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Scanned != 30 || ms.Added != 30 || ms.Duplicates != 0 || ms.Conflicts != 0 || ms.Skipped != 0 {
-		t.Fatalf("disjoint merge stats %+v, want 30 scanned = 30 added", ms)
-	}
-	if a.Len() != 50 {
-		t.Fatalf("merged store indexes %d verdicts, want 50", a.Len())
-	}
-	for i := 0; i < 50; i++ {
-		if v, ok := a.Lookup(testKey(i)); !ok || v != verdictFor(i) {
-			t.Fatalf("merged store: verdict %d = (%v, %v), want (%v, true)", i, v, ok, verdictFor(i))
-		}
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The merged log must round-trip: a fresh session loads the union.
-	a2, err := OpenShared(pathA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a2.Close()
-	if a2.Stats().Loaded != 50 {
-		t.Fatalf("reopened merged store loaded %d records, want 50", a2.Stats().Loaded)
-	}
-}
-
-// TestMergeOverlapAndConflict: merge is idempotent on the overlap
-// (dedup-union) and the destination wins a contradiction.
-func TestMergeOverlapAndConflict(t *testing.T) {
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.log")
-	pathB := filepath.Join(dir, "b.log")
-
-	a, err := OpenShared(pathA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := OpenShared(pathB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := a.Put(testKey(i), verdictFor(i), "a"); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Put(testKey(i), verdictFor(i), "b"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One contradicting record in the source.
-	bad := verdictFor(3)
-	if bad == core.OK {
-		bad = core.SafetyViolation
-	} else {
-		bad = core.OK
-	}
-	if err := b.Put(testKey(77), bad, "b-extra"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put(testKey(77), verdictFor(77), "a-authoritative"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ms, err := a.Merge(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Duplicates != 10 || ms.Added != 0 || ms.Conflicts != 1 {
-		t.Fatalf("overlap merge stats %+v, want 10 duplicates, 0 added, 1 conflict", ms)
-	}
-	// Destination wins the conflict.
-	if v, ok := a.Lookup(testKey(77)); !ok || v != verdictFor(77) {
-		t.Fatalf("conflict overwrote destination verdict: (%v, %v)", v, ok)
-	}
-	// Merging a store into itself is a total no-op.
-	ms, err = a.Merge(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Added != 0 || ms.Duplicates != ms.Scanned-ms.Conflicts {
-		t.Fatalf("self-merge stats %+v, want everything deduped", ms)
-	}
-}
-
-// TestMergeRejectsGarbage: a non-store source file must be refused, not
-// half-merged.
-func TestMergeRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	garbage := filepath.Join(dir, "garbage.log")
-	if err := os.WriteFile(garbage, []byte("this is not a store\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenShared(filepath.Join(dir, "a.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Merge(garbage); err == nil {
-		t.Fatal("merge of a non-store file succeeded")
-	}
-}
 
 // TestCompactDedupsAndPreservesVerdicts: duplicate records (racing
 // processes append the same verdict before either re-scans) are the

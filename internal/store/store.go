@@ -43,11 +43,11 @@
 //	payload = [1B version][16B code epoch][16B key hash][1B verdict]
 //	          [2B name len][name]
 //
-// Records are content-addressed and order-independent, which makes
-// Merge a dedup-union: a record is identified by (code epoch, key
-// hash), two stores merge by appending the records the destination has
-// not seen, and provenance (the writing build's epoch, the
-// human-readable name) rides along unchanged.
+// Records are content-addressed: a record is identified by (code epoch,
+// key hash), the first record of an identity is the one served, and
+// provenance (the writing build's epoch, the human-readable name) rides
+// along unchanged. Processes pool verdicts by sharing one log or one
+// remote tier, never by copying logs into each other.
 //
 // The load scan is corruption-tolerant: the first record whose magic,
 // length bound or checksum fails ends the trusted prefix, everything
@@ -76,21 +76,23 @@
 // the first record of an identity wins — the order the file keeps —
 // without anything to remember about the later ones.
 //
-// Opening is one read of exactly the file's size and two passes over
-// it. The first walks the image in order: it checksums and validates
-// each record, counts it, and lists the position of every record it
-// trusts. The second only inserts that list into the table, in log
-// order. Kept apart from the checksums, the table's cache misses — one
-// random slot per record — are independent of each other and overlap.
-// Refresh reads the unseen
-// tail of the file onto the end of the image and runs both passes over
-// that alone; Merge runs them over its source; Put appends its record
-// to the file and to the image. A session therefore costs the log's
-// size plus 8–16 bytes per indexed record, and opening allocates three
-// times (image, position list, table) however many records there are;
-// the list, 4 bytes per record, is garbage once the table is built.
-// Positions are 32-bit: a log beyond 4 GiB is refused at open, and a
-// Put or Merge that would cross the bound fails, rather than wrap.
+// Records come in from the file one way, loadLocked: one read of the
+// bytes past the image onto its end, and two passes over them. The
+// first walks them in order: it checksums and validates each record,
+// counts it, and lists the position of every record it trusts. The
+// second only inserts that list into the table, in log order. Kept
+// apart from the checksums, the table's cache misses — one random slot
+// per record — are independent of each other and overlap. An open is
+// that load from byte 0 into an empty image; Refresh is the same load
+// of the unseen tail. Either way a record counts — as loaded or
+// refreshed, or as stale — only when it takes its identity's slot. Put
+// appends its record to the file and to the image. A session therefore
+// costs the log's size plus 8–16 bytes per indexed record, and opening
+// allocates three times (image, position list, table) however many
+// records there are; the list, 4 bytes per record, is garbage once the
+// table is built. Positions are 32-bit: a log beyond 4 GiB is refused
+// at open, and a Put or Refresh that would cross the bound fails,
+// rather than wrap.
 //
 // # Invalidation
 //
@@ -127,7 +129,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -201,9 +202,9 @@ func (s *Session) tooBig(size int64) error {
 }
 
 // recordID is a record's content address: the code epoch of the build
-// that wrote it plus the key hash. Merge dedups on this identity, and
-// the index holds every epoch's records so foreign-epoch history is
-// queryable (the remote service stores records for every client epoch).
+// that wrote it plus the key hash. The index holds one record per
+// identity, of every epoch, so foreign-epoch history is queryable (the
+// remote service stores records for every client epoch).
 type recordID struct {
 	epoch, key graph.Hash128
 }
@@ -228,13 +229,24 @@ type table struct {
 	n     int // slots taken
 }
 
-// init empties the table, sized for the given number of records.
-func (t *table) init(records int) {
-	size := 16
-	for size < 2*records {
+// reserve makes room for more records with the table at most half
+// full, growing it — and rehashing what it holds — only when it must.
+// An empty table gets at least 16 slots.
+func (t *table) reserve(img []byte, more int) {
+	size := max(len(t.slots), 16)
+	for size < 2*(t.n+more) {
 		size <<= 1
 	}
+	if size == len(t.slots) {
+		return
+	}
+	old := t.slots
 	*t = table{slots: make([]uint32, size)}
+	for _, p := range old {
+		if p != 0 {
+			t.insert(img, int(p))
+		}
+	}
 }
 
 // find returns the position of the record indexed under id, or 0, and
@@ -263,32 +275,26 @@ func (t *table) insert(img []byte, pos int) bool {
 	t.slots[i] = uint32(pos)
 	t.n++
 	if 2*t.n > len(t.slots) {
-		old := t.slots
-		t.init(len(old))
-		for _, p := range old {
-			if p != 0 {
-				t.insert(img, int(p))
-			}
-		}
+		t.reserve(img, 0)
 	}
 	return true
 }
 
 // Stats is the cumulative accounting of one open session.
 type Stats struct {
-	Loaded    int // records trusted by the opening scan
-	Stale     int // well-formed records from another code epoch or record version: not served, retained up to a budget
+	Loaded    int // current-epoch records the opening scan indexed
+	Stale     int // well-formed records from another code epoch or record version, less later copies of an indexed identity: not served, retained up to a budget
 	Corrupted int // bytes discarded by scans (torn/corrupt tails, healed)
-	Refreshed int // current-epoch records observed by tail re-scans after open (written by concurrent processes)
+	Refreshed int // current-epoch records indexed by tail re-scans after open (written by concurrent processes)
 	Hits      int // Lookup probes answered (local or remote)
 	Misses    int // Lookup probes not answered
 	Puts      int // Put calls with a decisive verdict
-	Appended  int // records actually written (puts minus duplicates, plus merges and remote promotions)
+	Appended  int // records actually written (puts minus duplicates, plus remote promotions)
 	Conflicts int // decisive verdicts contradicting a stored one (kept out)
 
-	OpenBytes int64         // bytes read by the last full scan (open, or a reopen after the file was replaced)
-	OpenTime  time.Duration // what that scan took in all, opening the file included
-	OpenRead  time.Duration // of which reading the file into the image
+	OpenBytes int64         // bytes read by the last load from byte 0 (an open, a reopen after the file was replaced, a refresh of an empty log)
+	OpenTime  time.Duration // what the last open took in all, opening the file included
+	OpenRead  time.Duration // of the last load from byte 0: reading the file into the image
 	OpenCheck time.Duration // of which the first pass: framing, checksums, validation, counting
 	OpenIndex time.Duration // of which the second pass: building the table
 
@@ -384,7 +390,7 @@ func OpenShared(path string, opts *Options) (*Session, error) {
 // verdicts need not outlive the process (the optimizer's default).
 func NewMemory() *Session {
 	s := &Session{mem: true}
-	s.tab.init(0)
+	s.tab.reserve(nil, 0)
 	return s
 }
 
@@ -399,17 +405,17 @@ func (s *Session) withFileLock(fn func() error) error {
 	return fn()
 }
 
-// scan is the first pass of every load (open, refresh, merge): it walks
-// data from its start, handing fn every well-formed record — its byte
-// span and its payload, which aliases data — and returns the trusted
-// byte count and what ended the scan (nil at a clean end). The
-// first record that does not frame ends it — a mid-log tear must not
-// resynchronize on garbage-controlled framing, and nothing after the
-// tear reaches the second pass, which only indexes what fn listed. The
-// length bound is version-agnostic: a checksummed record of an older
-// (shorter) format must scan as a stale record to retain, not end the
-// scan as a corrupt tail — that would truncate a v1 user's entire
-// history on upgrade.
+// scan is the first pass of the load (open, refresh) and compaction's
+// walk: it walks data from its start, handing fn every well-formed
+// record — its byte span and its payload, which aliases data — and
+// returns the trusted byte count and what ended the scan (nil at a
+// clean end). The first record that does not frame ends it — a mid-log
+// tear must not resynchronize on garbage-controlled framing, and
+// nothing after the tear reaches the second pass, which only indexes
+// what fn listed. The length bound is version-agnostic: a checksummed
+// record of an older (shorter) format must scan as a stale record to
+// retain, not end the scan as a corrupt tail — that would truncate a v1
+// user's entire history on upgrade.
 func scan(data []byte, fn func(off, end int, payload []byte)) (int, error) {
 	valid := 0
 	for valid < len(data) {
@@ -422,13 +428,6 @@ func scan(data []byte, fn func(off, end int, payload []byte)) (int, error) {
 		valid = end
 	}
 	return valid, nil
-}
-
-// positions returns an empty list with room for the identity position
-// of every record data can hold: no record this build decodes is
-// shorter than minRecord, so the first pass never grows it.
-func positions(data []byte) []uint32 {
-	return make([]uint32, 0, len(data)/minRecord)
 }
 
 // recordSpan is the byte span of the decodable record whose identity
@@ -447,11 +446,11 @@ func notAStore(valid int, scanErr error) bool {
 	return valid == 0 && errors.Is(scanErr, frame.ErrMagic)
 }
 
-// openLocked (re)opens the log from its path and rebuilds image and
-// index from a full scan, truncating away any corrupt or torn tail.
-// Caller holds mu (or is constructing) and the file lock. Loaded/Stale/
-// staleBytes describe the current log and are recomputed; cumulative
-// counters (Hits, Puts, ...) are preserved.
+// openLocked (re)opens the log from its path and loads it from byte 0:
+// image, index, Loaded, Stale and staleBytes are the file's as it now
+// is, and a corrupt or torn tail is truncated away; cumulative counters
+// (Hits, Puts, ...) are preserved. Caller holds mu (or is constructing)
+// and the file lock.
 func (s *Session) openLocked() error {
 	if s.f != nil {
 		s.f.Close()
@@ -468,141 +467,136 @@ func (s *Session) openLocked() error {
 		f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	if fi.Size() > maxLogBytes {
-		f.Close()
-		return s.tooBig(fi.Size())
-	}
-	if err := s.loadLocked(f, fi.Size()); err != nil {
-		return err
-	}
-	s.fi, s.stats.OpenTime = fi, time.Since(start)
-	return nil
+	s.f, s.fi, s.img, s.tab = f, fi, nil, table{}
+	s.stats.Stale, s.staleBytes = 0, 0
+	s.stats.Loaded, err = s.loadLocked(fi.Size())
+	s.stats.OpenTime = time.Since(start)
+	return err
 }
 
-// loadLocked is the load under openLocked: one read of the size bytes
-// the file was just seen to hold, the first pass over them — checksum,
-// validate and count each record, list the trusted ones — and the
-// second, which indexes the list. On success the session owns f; a file
-// that is refused is closed.
-func (s *Session) loadLocked(f *os.File, size int64) error {
+// loadLocked is the one way records come into a session from its file:
+// it reads what lies past the image, up to the size bytes the file was
+// just seen to hold, onto the image's end, and runs two passes over it.
+// The first checksums, validates and counts each record in log order
+// and lists the position of every record it trusts; the second only
+// inserts that list into the table. A corrupt or torn tail is then
+// truncated away — the caller holds the append lock, so torn bytes can
+// only be a crashed writer's leftovers, never a live writer mid-record —
+// and a failed truncation is an error, since an append behind the tear
+// would be lost to the next scan. An open loads from byte 0, a refresh
+// the unseen tail; only from byte 0 is a file that does not begin with
+// the record magic refused, and only then is the cost kept as the
+// open's.
+//
+// A record counts — fresh (returned, for the caller to file as Loaded
+// or Refreshed) or Stale — only when it takes its identity's slot: a
+// later copy of an indexed identity is neither. The first pass counts
+// every record and the second takes the rare later copy off again, so
+// its loop stays bare. Caller holds mu and the file lock.
+func (s *Session) loadLocked(size int64) (fresh int, err error) {
+	if size > maxLogBytes {
+		return 0, s.tooBig(size)
+	}
 	start := time.Now()
-	data := make([]byte, size)
-	n, err := io.ReadFull(f, data)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		f.Close()
-		return fmt.Errorf("store: reading %s: %w", s.path, err)
+	base := len(s.img)
+	if cap(s.img) < int(size) {
+		// An open's image is exact; a refresh keeps a quarter to spare,
+		// so a reader that follows a writer does not copy its image at
+		// every append it observes.
+		img := make([]byte, size, int(size)+base/4)
+		copy(img, s.img)
+		s.img = img[:base]
+	}
+	img := s.img[:size]
+	n, err := s.f.ReadAt(img[base:], int64(base))
+	if err != nil && err != io.EOF {
+		return 0, fmt.Errorf("store: reading %s: %w", s.path, err)
 	}
 	// A file that shrank since it was sized (on a platform without flock
 	// a peer can do that) gives fewer bytes than asked for: what arrived
 	// is scanned, the zeroes behind it are not.
-	data = data[:n]
+	img = img[:base+n]
 	read := time.Now()
-	ids := positions(data)
-	loaded, stale, staleBytes := 0, 0, 0
+	// Room for the identity position of every record the bytes can hold:
+	// no record this build decodes is shorter than minRecord, so the first
+	// pass never grows the list.
+	ids := make([]uint32, 0, (len(img)-base)/minRecord)
+	stale, staleBytes := 0, 0
 	cur := currentEpoch()
-	valid, scanErr := scan(data, func(off, end int, p []byte) {
-		ok := decodable(p)
-		if ok && epochOf(p) == cur {
-			loaded++
-		} else {
-			// A well-formed record from another record version or code
-			// epoch cannot be served by this build, but it is not
-			// garbage: a bisect or branch switch may build the epoch
-			// that wrote it again tomorrow, and deleting it would
-			// silently destroy minutes of AMC work. Retain it — up to
-			// staleRetainBytes, enforced by compactLocked.
-			stale++
-			staleBytes += end - off
+	valid, scanErr := scan(img[base:], func(off, end int, p []byte) {
+		if decodable(p) {
+			ids = append(ids, uint32(base+off+recIDOff))
+			if epochOf(p) == cur {
+				fresh++
+				return
+			}
 		}
-		if ok {
-			ids = append(ids, uint32(off+recIDOff))
-		}
+		// A well-formed record from another record version or code epoch
+		// cannot be served by this build, but it is not garbage: a bisect
+		// or branch switch may build the epoch that wrote it again
+		// tomorrow, and deleting it would silently destroy minutes of AMC
+		// work. Retain it — up to staleRetainBytes, enforced by
+		// compactLocked.
+		stale++
+		staleBytes += end - off
 	})
-	if notAStore(valid, scanErr) {
+	if base == 0 && notAStore(valid, scanErr) {
 		// Refuse loudly instead of truncating a file the caller mistyped
 		// the path of.
-		f.Close()
-		return fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
+		return 0, fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
 	}
 	checked := time.Now()
 	// First record wins: the log is authoritative in write order,
 	// matching Put's conflict stance, and the list is in write order.
-	var tab table
-	tab.init(len(ids))
+	tab := s.tab
+	tab.reserve(img, len(ids))
 	for _, p := range ids {
-		tab.insert(data, int(p))
-	}
-	s.stats.OpenRead, s.stats.OpenCheck, s.stats.OpenIndex = read.Sub(start), checked.Sub(read), time.Since(checked)
-	s.f, s.img, s.tab = f, data[:valid], tab
-	s.stats.Loaded, s.stats.Stale, s.staleBytes = loaded, stale, int64(staleBytes)
-	if corrupt := len(data) - valid; corrupt > 0 {
-		if err := f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("store: truncating corrupt tail of %s: %w", s.path, err)
+		if !tab.insert(img, int(p)) {
+			if epochOf(img[int(p)-idOff:]) == cur {
+				fresh--
+			} else {
+				off, end := recordSpan(img, int(p))
+				stale--
+				staleBytes -= end - off
+			}
 		}
-		s.stats.Corrupted += corrupt
 	}
-	s.stats.OpenBytes = int64(len(data))
-	return nil
+	if base == 0 {
+		s.stats.OpenBytes = int64(len(img))
+		s.stats.OpenRead, s.stats.OpenCheck, s.stats.OpenIndex = read.Sub(start), checked.Sub(read), time.Since(checked)
+	}
+	s.img, s.tab = img[:base+valid], tab
+	s.stats.Stale += stale
+	s.staleBytes += int64(staleBytes)
+	if torn := len(img) - len(s.img); torn > 0 {
+		err := faultinject.Fire("store.truncate")
+		if err == nil {
+			err = s.f.Truncate(int64(len(s.img)))
+		}
+		if err != nil {
+			return fresh, fmt.Errorf("store: truncating corrupt tail of %s: %w", s.path, err)
+		}
+		s.stats.Corrupted += torn
+	}
+	return fresh, nil
 }
 
 // refreshLocked brings image and index up to date with the on-disk log:
-// the unexamined tail is read onto the end of the image and put through
-// both passes in the common case, a full reopen when the file was
-// replaced (another process compacted it) or truncated beneath the
-// trusted prefix. A torn
-// tail is healed — the caller holds the append lock, so torn bytes can
-// only be a crashed writer's leftovers, never a live writer mid-record.
-// Caller holds mu and the file lock.
+// the loader reads the unexamined tail in the common case, and a full
+// reopen runs when the file was replaced (another process compacted it)
+// or truncated beneath the trusted prefix. Caller holds mu and the file
+// lock.
 func (s *Session) refreshLocked() error {
 	pfi, err := os.Stat(s.path)
-	if err != nil || s.fi == nil || !os.SameFile(pfi, s.fi) {
+	if err != nil || s.fi == nil || !os.SameFile(pfi, s.fi) || pfi.Size() < int64(len(s.img)) {
 		return s.openLocked()
 	}
-	base, size := len(s.img), pfi.Size()
-	if size < int64(base) {
-		return s.openLocked()
-	}
-	if size == int64(base) {
+	if pfi.Size() == int64(len(s.img)) {
 		return nil
 	}
-	if size > maxLogBytes {
-		return s.tooBig(size)
-	}
-	img := slices.Grow(s.img, int(size)-base)[:size]
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, int64(base), size-int64(base)), img[base:]); err != nil {
-		return fmt.Errorf("store: reading tail of %s: %w", s.path, err)
-	}
-	ids := positions(img[base:])
-	valid, _ := scan(img[base:], func(off, end int, p []byte) {
-		if decodable(p) {
-			ids = append(ids, uint32(base+off+recIDOff))
-			return
-		}
-		s.stats.Stale++
-		s.staleBytes += int64(end - off)
-	})
-	// Only a record that takes its identity's slot counts: a later copy
-	// of an indexed identity is neither fresh nor stale.
-	cur := currentEpoch()
-	for _, p := range ids {
-		if !s.tab.insert(img, int(p)) {
-			continue
-		}
-		if epochOf(img[int(p)-idOff:]) == cur {
-			s.stats.Refreshed++
-			continue
-		}
-		off, end := recordSpan(img, int(p))
-		s.stats.Stale++
-		s.staleBytes += int64(end - off)
-	}
-	s.img = img[:base+valid]
-	if torn := int(size) - len(s.img); torn > 0 {
-		if err := s.f.Truncate(int64(len(s.img))); err == nil {
-			s.stats.Corrupted += torn
-		}
-	}
-	return nil
+	fresh, err := s.loadLocked(pfi.Size())
+	s.stats.Refreshed += fresh
+	return err
 }
 
 // Refresh re-scans the log tail, observing records appended by

@@ -305,6 +305,19 @@ func TestGarbageFile(t *testing.T) {
 	if !bytes.Equal(after, content) {
 		t.Fatal("refused open still modified the file")
 	}
+
+	// A session that opened the file empty loads it from byte 0 at its
+	// next refresh, and refuses it the same way.
+	empty := filepath.Join(t.TempDir(), "empty.log")
+	s, err := OpenShared(empty, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendRaw(t, empty, content)
+	if _, err := s.Refresh(); err == nil || !bytes.Equal(readLog(t, empty), content) {
+		t.Fatalf("refresh of an empty log that became a non-store: %v, file modified: %v", err, !bytes.Equal(readLog(t, empty), content))
+	}
 }
 
 // TestTornFirstRecord: a store whose very first append tore mid-record
@@ -627,10 +640,11 @@ func BenchmarkOpen200k(b *testing.B) {
 
 // The reference loader: the list-and-map loader this package used
 // before the image and offset table, moved here verbatim (scanLog,
-// decodePayload, and the loops of openLocked, refreshLocked and
-// compactLocked over their result). It shares frame.Next with the
-// session and nothing else; the differential tests below hold the
-// session to it byte for byte.
+// decodePayload, and the loops of refreshLocked and compactLocked over
+// their result). An open is its refresh run from an empty state, which
+// alone refuses a file that was never a store. It shares frame.Next
+// with the session and nothing else; the differential tests below hold
+// the session to it byte for byte.
 
 type entry struct {
 	v    core.Verdict
@@ -690,35 +704,24 @@ type refState struct {
 	notAStore                       bool
 }
 
-// refLoad is the old openLocked over data.
+// refLoad is an open of data: the reference refresh from an empty
+// state, its fresh records counted as loaded.
 func refLoad(data []byte) refState {
-	recs, valid, scanErr := scanLog(data)
-	if notAStore(valid, scanErr) {
-		return refState{notAStore: true}
-	}
-	ref := refState{index: make(map[recordID]entry, len(recs))}
-	cur := currentEpoch()
-	for _, r := range recs {
-		if r.decodable && r.id.epoch == cur {
-			ref.loaded++
-		} else {
-			ref.stale++
-			ref.staleBytes += r.end - r.start
-		}
-		if r.decodable {
-			if _, dup := ref.index[r.id]; !dup {
-				ref.index[r.id] = entry{r.v, r.name}
-			}
-		}
-	}
-	ref.scanned = valid
-	ref.corrupted = len(data) - valid
+	ref := refState{index: make(map[recordID]entry)}
+	ref.refresh(data)
+	ref.loaded, ref.fresh = ref.fresh, 0
 	return ref
 }
 
-// refresh is the old refreshLocked over the bytes a peer appended.
+// refresh is the old refreshLocked over the bytes a peer appended. A
+// record counts only when it takes its identity's slot: a later copy of
+// an indexed identity is neither fresh nor stale.
 func (ref *refState) refresh(buf []byte) {
-	recs, valid, _ := scanLog(buf)
+	recs, valid, scanErr := scanLog(buf)
+	if ref.scanned == 0 && notAStore(valid, scanErr) {
+		ref.notAStore = true
+		return
+	}
 	cur := currentEpoch()
 	for _, r := range recs {
 		if !r.decodable {
@@ -786,35 +789,6 @@ func refCompact(data []byte) ([]byte, int) {
 		buf = append(buf, data[sp.start:sp.end]...)
 	}
 	return buf, dropped
-}
-
-// refMerge says what merging src into a log the reference loaded as
-// dst must append and report. First record wins across destination and
-// source alike, so the result reloads to what the session then serves.
-func refMerge(dst refState, src []byte) ([]byte, MergeStats) {
-	var ms MergeStats
-	var add []byte
-	recs, _, _ := scanLog(src)
-	seen := map[recordID]core.Verdict{}
-	for id, e := range dst.index {
-		seen[id] = e.v
-	}
-	for _, r := range recs {
-		ms.Scanned++
-		switch prev, dup := seen[r.id]; {
-		case !r.decodable:
-			ms.Skipped++
-		case !dup:
-			seen[r.id] = r.v
-			add = append(add, src[r.start:r.end]...)
-			ms.Added++
-		case prev == r.v:
-			ms.Duplicates++
-		default:
-			ms.Conflicts++
-		}
-	}
-	return add, ms
 }
 
 // reseal recomputes a record's checksum after its payload was edited,
@@ -1004,15 +978,13 @@ func readLog(t *testing.T, path string) []byte {
 
 // TestDiffLoad: over seeded logs, a session opens to what the reference
 // loader makes of the same bytes, and stays equal to it through a put
-// of every kind, a refresh over a peer's appends, a merge and a
-// compaction.
+// of every kind, a refresh over a peer's appends and a compaction.
 func TestDiffLoad(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
 		seeds = 60
 	}
-	dir := t.TempDir()
-	path, srcPath := filepath.Join(dir, "v.log"), filepath.Join(dir, "src.log")
+	path := filepath.Join(t.TempDir(), "v.log")
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		what := fmt.Sprintf("seed %d", seed)
@@ -1055,27 +1027,6 @@ func TestDiffLoad(t *testing.T) {
 		}
 		checkView(t, what+" after refresh", s, ref)
 		checkCounters(t, what+" after refresh", s, ref)
-
-		// Merge: the source is a generated log of its own.
-		src := genLog(rng, 30)
-		if err := os.WriteFile(srcPath, src, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := readLog(t, path)
-		add, wantMS := refMerge(ref, src)
-		ms, err := s.Merge(srcPath)
-		if refLoad(src).notAStore {
-			if err == nil {
-				t.Fatalf("%s: merged a source the reference refuses", what)
-			}
-			add = nil
-		} else if err != nil || ms != wantMS {
-			t.Fatalf("%s: Merge = (%+v, %v), reference %+v", what, ms, err, wantMS)
-		}
-		if after := readLog(t, path); !bytes.Equal(after, append(before, add...)) {
-			t.Fatalf("%s: merge left %d bytes, reference appends %d to %d", what, len(after), len(add), len(before))
-		}
-		checkView(t, what+" after merge", s, refLoad(readLog(t, path)))
 
 		// Compact, some of the time under a retention budget tight
 		// enough to bite: the rewrite is the reference's, byte for byte,
@@ -1195,8 +1146,8 @@ func TestDiffBadChecksumMidLog(t *testing.T) {
 }
 
 // TestDiffSessions: two sessions and a raw appender share one log, each
-// step a random one of put, refresh, merge, compact or a peer's raw
-// append (sometimes torn). A session that has just taken the file lock
+// step a random one of put, refresh, compact or a peer's raw append
+// (sometimes torn). A session that has just taken the file lock
 // is level with the file, so after each of its operations it serves
 // what the reference loads from the file as it then is.
 func TestDiffSessions(t *testing.T) {
@@ -1204,8 +1155,7 @@ func TestDiffSessions(t *testing.T) {
 	if testing.Short() {
 		rounds = 6
 	}
-	dir := t.TempDir()
-	path, srcPath := filepath.Join(dir, "v.log"), filepath.Join(dir, "src.log")
+	path := filepath.Join(t.TempDir(), "v.log")
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(2000 + round)))
 		var head []byte
@@ -1227,7 +1177,7 @@ func TestDiffSessions(t *testing.T) {
 			s := ss[rng.Intn(2)]
 			what := fmt.Sprintf("round %d step %d", round, step)
 			var err error
-			switch op := rng.Intn(6); op {
+			switch op := rng.Intn(5); op {
 			case 0, 1:
 				id := genIDs()[rng.Intn(3*genKeys)]
 				if err = s.PutRaw(id.epoch, id.key, verdictFor(rng.Intn(3)), what); errors.Is(err, ErrConflict) {
@@ -1244,15 +1194,8 @@ func TestDiffSessions(t *testing.T) {
 			case 2:
 				_, err = s.Refresh()
 			case 3:
-				if werr := os.WriteFile(srcPath, genLog(rng, 10), 0o644); werr != nil {
-					t.Fatal(werr)
-				}
-				if _, err = s.Merge(srcPath); err != nil && refLoad(readLog(t, srcPath)).notAStore {
-					err = nil
-				}
-			case 4:
 				_, err = s.Compact()
-			case 5:
+			case 4:
 				rec := genRecord(rng)
 				if rng.Intn(3) == 0 {
 					rec = rec[:rng.Intn(len(rec))]
@@ -1292,8 +1235,9 @@ func TestOpenShortRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &Session{path: path}
-		if err := s.loadLocked(f, int64(len(data))); err != nil { // the size the file had when it was sized
+		s := &Session{path: path, f: f}
+		s.stats.Loaded, err = s.loadLocked(int64(len(data))) // the size the file had when it was sized
+		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		ref := refLoad(data[:len(data)-cut])
@@ -1308,13 +1252,12 @@ func TestOpenShortRead(t *testing.T) {
 
 // TestLogSizeLimit: positions in the image are 32-bit, so a log past
 // the bound is an explicit error wherever it would come about — at
-// open, at Put, at Merge, at a Refresh over a peer's appends — that
+// open, at Put, at a Refresh over a peer's appends — that
 // leaves the file as it was and the session serving what it served.
 func TestLogSizeLimit(t *testing.T) {
 	limit := maxLogBytes
 	defer func() { maxLogBytes = limit }()
-	dir := t.TempDir()
-	path, srcPath := filepath.Join(dir, "v.log"), filepath.Join(dir, "src.log")
+	path := filepath.Join(t.TempDir(), "v.log")
 	rec := func(i int) []byte {
 		return encodeRecord(currentEpoch(), testKey(i).Hash(), verdictFor(i), "limit")
 	}
@@ -1364,21 +1307,6 @@ func TestLogSizeLimit(t *testing.T) {
 	served("after a refused put", 12)
 	if err := s.Put(testKey(3), verdictFor(3), "limit"); err != nil {
 		t.Fatalf("agreeing put into a full log: %v", err)
-	}
-
-	// A merge whose first new record fits and whose second does not adds
-	// neither.
-	maxLogBytes = 13 * recLen
-	if err := os.WriteFile(srcPath, append(append(rec(5), rec(20)...), rec(21)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := readLog(t, path)
-	if ms, err := s.Merge(srcPath); err == nil || ms.Added != 0 || !bytes.Equal(readLog(t, path), before) {
-		t.Fatalf("merge over the bound: %+v, %v, file modified: %v", ms, err, !bytes.Equal(readLog(t, path), before))
-	}
-	served("after a refused merge", 12)
-	if _, ok := s.Lookup(testKey(20)); ok {
-		t.Fatal("a record of the refused merge is served")
 	}
 
 	// A peer with a wider bound grows the file past this session's.

@@ -33,10 +33,11 @@ import (
 // last scan; VerifyMatrix and Run call VerdictStore.Refresh to pull in
 // verdicts concurrent processes appended, so two simultaneous suite
 // runs share one live store: each serves cells the other already
-// decided and appends only what it computed first. Merge pools two
-// stores into one, Compact rewrites a log in place (dropping
-// duplicates and over-budget foreign-epoch history) — both safe
-// against live sessions elsewhere.
+// decided and appends only what it computed first. Machines that share
+// no file pool their verdicts through a remote tier (StoreOptions,
+// cmd/vsyncstored). Compact rewrites a log in place (dropping
+// duplicates and over-budget foreign-epoch history), safe against live
+// sessions elsewhere.
 type VerdictStore = store.Session
 
 // StoreKey identifies one verification problem in a VerdictStore.

@@ -3,6 +3,7 @@ package vsync_test
 import (
 	"bufio"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/locks"
 	"repro/internal/mm"
+	"repro/internal/store"
 	"repro/vsync"
 )
 
@@ -243,11 +245,12 @@ func TestMatrixStructsCells(t *testing.T) {
 	}
 }
 
-// TestMergeMakesMatrixWarm: two stores that each verified a disjoint
-// half of the corpus merge into one whose full-corpus re-run is
-// entirely warm — the fleet story: CI shards verify halves, the merged
-// corpus serves everything.
-func TestMergeMakesMatrixWarm(t *testing.T) {
+// TestRemoteTierMakesMatrixWarm: two shard stores that each verify a
+// disjoint half of the corpus against one verdict service leave a
+// third, empty store on that service entirely warm — the fleet story:
+// CI shards verify halves, and every machine behind the service is
+// served the whole corpus without a model-checking run.
+func TestRemoteTierMakesMatrixWarm(t *testing.T) {
 	var half1, half2 []*vsync.Algorithm
 	for i, alg := range vsync.Locks() {
 		if alg.Buggy {
@@ -260,39 +263,52 @@ func TestMergeMakesMatrixWarm(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	stA, err := vsync.OpenStore(filepath.Join(dir, "a.log"))
+	served, err := store.OpenShared(filepath.Join(dir, "service.log"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stA.Close()
-	stB, err := vsync.OpenStore(filepath.Join(dir, "b.log"))
-	if err != nil {
-		t.Fatal(err)
+	defer served.Close()
+	srv := httptest.NewServer(store.NewHandler(served))
+	defer srv.Close()
+	open := func(name string) *vsync.VerdictStore {
+		st, err := vsync.OpenStoreWith(filepath.Join(dir, name), &vsync.StoreOptions{Remote: srv.URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
 
 	// Shard A takes half the locks, shard B the other half plus the
 	// litmus and structure corpora — disjoint cells, together the full
-	// default matrix.
+	// default matrix. Close pushes what each has not yet pushed.
+	stA, stB := open("a.log"), open("b.log")
 	ra := vsync.VerifyMatrix(vsync.MatrixConfig{Locks: half1, NoLitmus: true, NoStructs: true, Store: stA})
 	rb := vsync.VerifyMatrix(vsync.MatrixConfig{Locks: half2, Store: stB})
 	if ra.Errors > 0 || rb.Errors > 0 || ra.StoreErr != nil || rb.StoreErr != nil {
 		t.Fatalf("shard passes not clean: %s / %s", ra.Summary(), rb.Summary())
 	}
-	if err := stB.Close(); err != nil {
-		t.Fatal(err)
+	for _, st := range []*vsync.VerdictStore{stA, stB} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s := st.Stats(); s.RemotePuts == 0 || s.RemoteFailures != 0 {
+			t.Fatalf("shard %s pushed %d verdicts with %d failures", st.Path(), s.RemotePuts, s.RemoteFailures)
+		}
+	}
+	if s := served.Stats(); s.Conflicts != 0 {
+		t.Fatalf("the shards' verdicts conflict at the service: %+v", s)
 	}
 
-	ms, err := stA.Merge(stB.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Conflicts != 0 || ms.Added == 0 {
-		t.Fatalf("merge of disjoint shards: %+v", ms)
-	}
-
-	full := vsync.VerifyMatrix(vsync.MatrixConfig{Store: stA})
+	stC := open("c.log")
+	defer stC.Close()
+	full := vsync.VerifyMatrix(vsync.MatrixConfig{Store: stC})
 	if full.Misses != 0 || full.Hits+full.Deduped != len(full.Cells) {
-		t.Fatalf("merged store did not make the full matrix warm: %s", full.Summary())
+		t.Fatalf("the service did not make the full matrix warm: %s", full.Summary())
+	}
+	// What the service served is promoted into the local log, so a
+	// cell sharing a key with an earlier one hits locally.
+	if s := stC.Stats(); s.RemoteHits == 0 || s.Puts != 0 || s.Appended != s.RemoteHits {
+		t.Fatalf("empty local store: %d remote hits, %d puts, %d appended; want every record promoted from the service", s.RemoteHits, s.Puts, s.Appended)
 	}
 }
 

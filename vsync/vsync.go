@@ -60,6 +60,7 @@ import (
 	"repro/internal/mm"
 	"repro/internal/optimize"
 	"repro/internal/problem"
+	"repro/internal/store"
 	_ "repro/internal/structs" // registers the structure workloads (Workloads, WorkloadByName)
 	"repro/internal/vprog"
 	"repro/internal/wmsim"
@@ -153,7 +154,7 @@ func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result 
 
 // NewOptCache returns an empty memory session to share across
 // optimization runs as OptimizeOptions.Cache.
-func NewOptCache() *VerdictStore { return optimize.NewCache() }
+func NewOptCache() *VerdictStore { return store.NewMemory() }
 
 // Locks returns every registered algorithm (including the buggy study-
 // case variants, marked Buggy).
@@ -215,7 +216,7 @@ type OptimizeOptions struct {
 func Optimize(model Model, programs func(*BarrierSpec) []*Program, initial *BarrierSpec, opts OptimizeOptions) (*OptResult, error) {
 	cache := opts.Cache
 	if cache == nil {
-		cache = optimize.NewCache()
+		cache = store.NewMemory()
 	}
 	opt := &optimize.Optimizer{
 		Model:         model,

@@ -45,43 +45,40 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 # decide through; the optimizer's only concurrency is a candidate's
 # programs on Resolve's pool, which lives there too: its fail-fast,
 # ordered-admission and own-workers tests run on their own line below,
-# without -short), then the work-graph
-# explorer's own bars without -short: the full
-# parallel-vs-sequential differential corpus, the symmetry-reduction
-# differential corpus (canonicalization runs on every worker, sharing
-# nothing but the visited set), the await-vs-bounded structure
-# differential (the await reductions pinned against the explicit
-# bounded-retry encodings at 1/2/4 workers, treiber t=3 included),
-# the stealing runs, the sharded visited set under concurrent load, and
-# the poison-on-release corpus (the whole
-# differential corpus with every retired slab and header poisoned: a
-# stolen state's parent retires on the thief, and a release made too
-# early is a wrong count there and a reported race here) together with
-# the restriction differential (every relation set a revisit derives out
-# of its parent's against BuildRels, on the same poisoned corpus: a
-# revisit item pins its parent until a possibly stolen child derives from
-# it), the incremental audit on the short corpus (every signature state a
-# popped child carries over from its parent, possibly across workers,
-# refolded from scratch, and every coherence flag decided by delta
-# against a full scan) and the birth-rule audit (every revisit of a write
-# rejected at birth replays to a collapse), the replay-memo audit (every memo hit replayed
-# afresh and compared, over the corpus at 1 and 2 workers, and over the
-# states whose shared replay results leave by an unusual way: a thief
-# reads entries its victim made, so a write to one is a reported race
-# here), and the SC
-# axiom's kernel against its reference on the harvested corpus and the
-# full random sweep (the kernel's scratch is stack and pool, shared by
-# nothing), and the verdict store's differential against its reference
-# loader at full size: every seed, the every-byte tear sweep and the
+# without -short), then the work-graph explorer's own bars without
+# -short: the full parallel-vs-sequential differential corpus, the
+# symmetry-reduction differential corpus (canonicalization runs on every
+# worker, sharing nothing but the visited set), the await-vs-bounded
+# structure differential (the await reductions pinned against the
+# explicit bounded-retry encodings at 1/2/4 workers, treiber t=3
+# included), the stealing runs, the sharded visited set under concurrent
+# load, and each package's audited corpus (one exploration per cell,
+# model and worker count with every audit armed, run once by
+# TestAuditedCorpus and judged audit by audit by the tests named after
+# the audits). In internal/core that is the birth-rule audit, the replay-memo audit (a
+# thief reads entries its victim made, so a write to one is a reported
+# race here) and the acyclicity oracle, next to the memo's own bars for
+# the states whose shared replay results leave by an unusual way
+# (TestSnap*). In internal/graph it is poison-on-release (a stolen
+# state's parent retires on the thief, and a release made too early is a
+# wrong count there and a reported race here), the restriction
+# differential (a revisit item pins its parent until a possibly stolen
+# child derives from it) and the incremental audit (every signature
+# state and coherence flag a child carries over, possibly across
+# workers, derived again), next to the other poison and restriction
+# tests; its msqueue t=3 subtest is skipped (seconds without the
+# detector, minutes with it). Then the SC axiom's kernel against its
+# reference on the harvested corpus and the full random sweep (the
+# kernel's scratch is stack and pool, shared by nothing), and the
+# verdict store's differential against its reference loader at full
+# size: every seed, the every-byte tear sweep and the
 # two-sessions-one-log variant. Every -run line goes through testrun.
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
-	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestBirthRuleAudit,./internal/core,-race)
+	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestAuditedCorpus|TestBirthRuleAudit|TestMemoAuditCorpus|TestSnap,./internal/core,-race)
 	@$(call testrun,TestPool|TestResolve,./internal/problem,-race)
-	@$(call testrun,TestPoison|TestRestrict,./internal/graph,-race)
-	@$(call testrun,TestIncrementalAudit,./internal/graph,-race -short)
-	@$(call testrun,TestMemo|TestSnap,./internal/core,-race)
+	@$(call testrun,TestAuditedCorpus|TestIncrementalAudit|TestPoison|TestRestrict,./internal/graph,-race -skip TestAuditedCorpus/msqueue-t3)
 	@$(call testrun,TestPsc,./internal/mm,-race)
 	@$(call testrun,TestAwaitDifferential,./internal/structs,-race)
 	@$(call testrun,TestOpenShared|TestRefresh|TestCompact|TestRemote|TestMultiProcess|TestDiff,./internal/store,-race)

@@ -15,6 +15,10 @@
 // threads; -iters does not apply — each workload carries its own
 // operation count. -list prints both corpora, locks first, then
 // workloads with their supported thread ranges, in stable name order.
+// -lock checks the lock's generic client, the workload mutex/NAME with
+// -iters critical sections per thread. Either way -threads must lie in
+// the workload's range (t>=1 for a lock) and -iters must be at least
+// 1, or vsynccheck exits 2 with one line.
 //
 // -store PATH consults the persistent verdict store first — a problem
 // some earlier run already decided (same model, same barrier spec, same
@@ -59,7 +63,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/workload"
 	"repro/vsync"
@@ -121,40 +124,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vsynccheck: exactly one of -lock or -workload is required (try -list)")
 		os.Exit(2)
 	}
-	var p *vsync.Program
-	var spec *vsync.BarrierSpec
+	// A lock is checked through its generic client, which is one more
+	// workload: both kinds take the same range check and builder.
+	var w workload.Workload
 	if *lockName != "" {
 		alg := locks.ByName(*lockName)
 		if alg == nil {
 			fmt.Fprintf(os.Stderr, "vsynccheck: unknown lock %q (try -list)\n", *lockName)
 			os.Exit(2)
 		}
-		spec = alg.DefaultSpec()
-		if *scOnly {
-			spec = spec.AllSC()
-		}
-		p = harness.MutexClient(alg, spec, *threads, *iters)
-	} else {
-		w := workload.ByName(*wlName)
-		if w == nil {
-			fmt.Fprintf(os.Stderr, "vsynccheck: unknown workload %q (try -list)\n", *wlName)
+		if *iters < 1 {
+			fmt.Fprintf(os.Stderr, "vsynccheck: -iters %d: a client needs at least one critical section per thread\n", *iters)
 			os.Exit(2)
 		}
-		lo, hi := w.Threads()
-		if *threads < lo || (hi > 0 && *threads > hi) {
-			if hi == 0 {
-				fmt.Fprintf(os.Stderr, "vsynccheck: workload %s needs at least %d threads\n", w.Name(), lo)
-			} else {
-				fmt.Fprintf(os.Stderr, "vsynccheck: workload %s supports %d..%d threads\n", w.Name(), lo, hi)
-			}
-			os.Exit(2)
-		}
-		spec = w.DefaultSpec()
-		if *scOnly {
-			spec = spec.AllSC()
-		}
-		p = workload.Program(w, spec, *threads)
+		w = workload.Mutex(alg, *iters)
+	} else if w = workload.ByName(*wlName); w == nil {
+		fmt.Fprintf(os.Stderr, "vsynccheck: unknown workload %q (try -list)\n", *wlName)
+		os.Exit(2)
 	}
+	if err := workload.CheckThreads(w, *threads); err != nil {
+		fmt.Fprintln(os.Stderr, "vsynccheck:", err)
+		os.Exit(2)
+	}
+	spec := w.DefaultSpec()
+	if *scOnly {
+		spec = spec.AllSC()
+	}
+	p := workload.Program(w, spec, *threads)
 	runStore := st
 	if st != nil && *dotOut != "" {
 		// A counterexample graph only exists on a real run; don't let a

@@ -19,6 +19,9 @@
 //	         [-store PATH] [-remote URL] [-par N] [-workers N]
 //	         [-passes N] [-no-cache]
 //
+// -threads is checked against the range of the lock's client (t>=1),
+// as vsynccheck checks it: a count outside exits 2 with one line.
+//
 // Candidates go through the same problem lifecycle as vsynccheck and
 // vsyncsuite (key → store → run → persist), and the store is the
 // verdict cache: an in-memory session by default, none with -no-cache.
@@ -43,6 +46,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/store"
 	"repro/internal/vprog"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -64,6 +68,10 @@ func main() {
 	alg := locks.ByName(*lockName)
 	if alg == nil {
 		fmt.Fprintf(os.Stderr, "vsyncopt: unknown lock %q\n", *lockName)
+		os.Exit(2)
+	}
+	if err := workload.CheckThreads(workload.Mutex(alg, 1), *threads); err != nil {
+		fmt.Fprintln(os.Stderr, "vsyncopt:", err)
 		os.Exit(2)
 	}
 	if *noCache && *storePath != "" {

@@ -19,12 +19,12 @@ import (
 
 // A replay served from a worker's memo must be the replay the worker
 // would have run. These tests arm core.AuditReplayMemo, which replays
-// every hit afresh and compares field for field, over the whole corpus
-// and over the ways a state's shared replay results (ExploreState.snap)
-// leave the ordinary pop path: a deciding state, a state a budget stop
-// pushes back, and a checkpoint's copy of the frontier. A key that
-// misses something replayThread reads, or an entry that aliases scratch
-// a later replay overwrites, fails here.
+// every hit afresh and compares field for field, over the ways a
+// state's shared replay results (ExploreState.snap) leave the ordinary
+// pop path: a deciding state, a state a budget stop pushes back, and a
+// checkpoint's copy of the frontier; the audited pass arms it over the
+// whole corpus. A key that misses something replayThread reads, or an
+// entry that aliases scratch a later replay overwrites, fails here.
 
 // audited runs f with the memo audit armed and fails the test on the
 // first hit that differs from its fresh replay; it returns the hits.
@@ -64,32 +64,6 @@ func sameUnderAudit(t *testing.T, id string, clean, dirty *core.Result) {
 	}
 	if w := clean.Witness; w != nil && !bytes.Equal(graph.AppendGraph(nil, w), graph.AppendGraph(nil, dirty.Witness)) {
 		t.Fatalf("%s: witness bytes changed under the audit", id)
-	}
-}
-
-// TestMemoAuditCorpus: harness.Corpus — every lock client, every
-// structure workload with its seeded-bug and /bounded twins, the litmus
-// tests at both strengths — under SC, TSO, WMM and RA (the three-thread
-// cells under WMM only), at 1 and 2 workers, every memo hit audited.
-func TestMemoAuditCorpus(t *testing.T) {
-	hits := 0
-	for _, cell := range harness.Corpus(testing.Short()) {
-		for _, m := range cellModels(cell) {
-			for _, workers := range []int{1, 2} {
-				id := fmt.Sprintf("%s under %s at %d workers", cell.Program.Name, m.Name(), workers)
-				hits += audited(t, func() {
-					c := core.New(m)
-					c.WorkersPerRun = workers
-					if res := c.Run(cell.Program); res.Verdict == core.Error || res.Verdict == core.Canceled {
-						t.Fatalf("%s: %v: %v", id, res.Verdict, res.Err)
-					}
-				})
-			}
-		}
-	}
-	t.Logf("%d memo hits audited", hits)
-	if hits == 0 {
-		t.Fatal("no replay was served from a memo, so nothing was audited")
 	}
 }
 

@@ -22,9 +22,13 @@ import (
 // is filled with ones and every header has its slices dropped before it
 // is parked, so a state that is read after its last reference went —
 // or released while a witness, a checkpoint or a revisit still needs it
-// — changes a verdict, a count or a witness byte, or panics. They live
-// here, not in internal/core, because the hook is this package's
-// export_test.go: production code has no switch for it.
+// — changes a verdict, a count or a witness byte, or panics. The whole
+// corpus runs poisoned in the audited pass of audited_test.go, which
+// TestPoisonCorpus judges; the tests here drive the ways a state
+// outlives its pop: a budget stop, a periodic checkpoint, a witness and
+// a child rejected at birth. They live here, not in internal/core,
+// because the hook is this package's export_test.go: production code
+// has no switch for it.
 
 // poisoned runs f with poison-on-release in force.
 func poisoned(f func()) {
@@ -63,42 +67,37 @@ func observe(t *testing.T, id string, res *core.Result) observed {
 	return o
 }
 
-// same compares a poisoned run with its clean twin. Sequential runs
-// repeat exactly, blocked count and witness bytes included; parallel
-// runs explore to completion and agree on the verdict, the execution
-// count and the counterexample (Blocked drifts by a count or two between
-// schedules on the three-thread cells, with or without recycling).
-func same(t *testing.T, id string, clean, dirty observed, workers int) {
-	t.Helper()
+// differ compares a poisoned run with its clean twin and says how they
+// differ, or returns "". Sequential runs repeat exactly, blocked count
+// and witness bytes included; parallel runs explore to completion and
+// agree on the verdict, the execution count and the counterexample
+// (Blocked drifts by a count or two between schedules on the
+// three-thread cells, with or without recycling).
+func differ(clean, dirty observed, workers int) string {
 	if clean.verdict != dirty.verdict {
-		t.Fatalf("%s: verdict %v clean, %v with poisoned free lists", id, clean.verdict, dirty.verdict)
+		return fmt.Sprintf("verdict %v clean, %v with poisoned free lists", clean.verdict, dirty.verdict)
 	}
 	if workers == 1 {
 		if clean.stats != dirty.stats || clean.message != dirty.message || !bytes.Equal(clean.witness, dirty.witness) {
-			t.Fatalf("%s: sequential run changed under poison\nclean: %q %+v\ndirty: %q %+v", id, clean.message, clean.stats, dirty.message, dirty.stats)
+			return fmt.Sprintf("sequential run changed under poison\nclean: %q %+v\ndirty: %q %+v", clean.message, clean.stats, dirty.message, dirty.stats)
 		}
-		return
+		return ""
 	}
 	if clean.stats.Executions != dirty.stats.Executions {
-		t.Fatalf("%s: enumeration changed under poison\nclean: %+v\ndirty: %+v", id, clean.stats, dirty.stats)
+		return fmt.Sprintf("enumeration changed under poison\nclean: %+v\ndirty: %+v", clean.stats, dirty.stats)
 	}
 	if clean.key != dirty.key {
-		t.Fatalf("%s: counterexample changed under poison", id)
+		return "counterexample changed under poison"
 	}
+	return ""
 }
 
-// poisonCorpus is harness.Corpus — the differential corpus of
-// internal/core and internal/structs in one table — plus one more
-// three-thread cell (mcs). Big cells run under WMM and skip the
-// NoSymmetry twin (their orbits are what makes them affordable); the
-// rest run under all four models.
-func poisonCorpus() []harness.CorpusCell {
-	cells := harness.Corpus(testing.Short())
-	if !testing.Short() {
-		mcs := locks.ByName("mcs")
-		cells = append(cells, harness.CorpusCell{Program: harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1), Big: true})
+// same fails the test where differ finds a difference.
+func same(t *testing.T, id string, clean, dirty observed, workers int) {
+	t.Helper()
+	if d := differ(clean, dirty, workers); d != "" {
+		t.Fatalf("%s: %s", id, d)
 	}
-	return cells
 }
 
 func runCell(model mm.Model, p *vprog.Program, workers int, nosym bool) *core.Result {
@@ -106,52 +105,6 @@ func runCell(model mm.Model, p *vprog.Program, workers int, nosym bool) *core.Re
 	c.WorkersPerRun = workers
 	c.NoSymmetry = nosym
 	return c.Run(p)
-}
-
-// TestPoisonCorpus: the whole corpus at 1, 2 and 4 workers, symmetry on
-// and (for the two-thread cells) off, clean and poisoned.
-func TestPoisonCorpus(t *testing.T) {
-	type run struct {
-		cell, model, workers int
-		nosym                bool
-	}
-	each := func(f func(r run, id string, m mm.Model, p *vprog.Program)) {
-		for ci, cell := range poisonCorpus() {
-			models := append(mm.All(), mm.Ablations()...)
-			if cell.Big {
-				models = []mm.Model{mm.WMM}
-			}
-			for mi, m := range models {
-				for _, nosym := range []bool{false, true} {
-					if nosym && cell.Big {
-						continue
-					}
-					for _, workers := range []int{1, 2, 4} {
-						id := fmt.Sprintf("%s under %s at %d workers (nosym=%v)", cell.Program.Name, m.Name(), workers, nosym)
-						f(run{ci, mi, workers, nosym}, id, m, cell.Program)
-					}
-				}
-			}
-		}
-	}
-	clean := map[run]observed{}
-	each(func(r run, id string, m mm.Model, p *vprog.Program) {
-		clean[r] = observe(t, id, runCell(m, p, r.workers, r.nosym))
-	})
-	var mem graph.MemCounters
-	poisoned(func() {
-		each(func(r run, id string, m mm.Model, p *vprog.Program) {
-			res := runCell(m, p, r.workers, r.nosym)
-			same(t, id, clean[r], observe(t, id, res), r.workers)
-			mem.Add(res.Mem)
-		})
-	})
-	if mem.SlabHits == 0 || mem.HeaderHits == 0 {
-		t.Fatalf("nothing was recycled, so nothing was tested: %+v", mem)
-	}
-	if !testing.Short() && mem.SlabThief+mem.HeaderThief == 0 {
-		t.Errorf("no state was ever retired by a thief: %+v", mem)
-	}
 }
 
 // segmented resumes a budgeted run from its own checkpoints until it

@@ -1,51 +1,11 @@
 package graph_test
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/harness"
 	"repro/internal/mm"
 	"repro/internal/workload"
 )
-
-// TestRestrictDifferential: with graph.CrossCheckRestrict armed, every
-// relation set the explorer derives for a revisit out of its parent's
-// (Rels.Restrict, reached through RelsOf by the revisits that survive
-// dedup) is compared with BuildRels of the same graph. The corpus is
-// poison_test.go's, at 1, 2 and 4 workers, with retired slabs and headers
-// poisoned: a revisit item pins its parent until the child derives from
-// it, possibly on a thief, and a parent released before that is read as
-// all-ones here instead of as a plausible relation.
-func TestRestrictDifferential(t *testing.T) {
-	seen := graph.CrossCheckRestrict(true)
-	defer graph.CrossCheckRestrict(false)
-	poisoned(func() {
-		for _, cell := range harness.Corpus(testing.Short()) {
-			models := append(mm.All(), mm.Ablations()...)
-			if cell.Big {
-				models = []mm.Model{mm.WMM}
-			}
-			for _, m := range models {
-				for _, workers := range []int{1, 2, 4} {
-					res := runCell(m, cell.Program, workers, false)
-					id := fmt.Sprintf("%s under %s at %d workers", cell.Program.Name, m.Name(), workers)
-					if res.Verdict == core.Error || res.Verdict == core.Canceled {
-						t.Fatalf("%s: unexpected %v: %v", id, res.Verdict, res.Err)
-					}
-					if _, mismatch := seen(); mismatch != "" {
-						t.Fatalf("%s: a restricted derivation differs from BuildRels: %s", id, mismatch)
-					}
-				}
-			}
-		}
-	})
-	if derived, _ := seen(); derived < 1000 {
-		t.Fatalf("only %d restricted derivations were compared: the hint is not wired", derived)
-	}
-}
 
 // TestRestrictReplacesBuild: no revisit of a run reaches BuildRels — the
 // one order derived from scratch is the root's — and everything the new

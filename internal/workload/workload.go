@@ -90,14 +90,29 @@ func Group(lo, hi int) [][]int {
 	return [][]int{grp}
 }
 
-// Program instantiates w at nthreads under spec (nil selects
-// w.DefaultSpec) as a checkable vprog.Program. It panics when nthreads
-// is outside the workload's supported range — a programming error at
-// the call site, not a run-time condition.
-func Program(w Workload, spec *vprog.BarrierSpec, nthreads int) *vprog.Program {
+// CheckThreads returns nil when w supports nthreads client threads, and
+// otherwise an error naming w and its range the way -list prints it:
+// "t=2..3", or "t>=1" when the range is open above. Callers that take
+// the count from a user check it here; Program panics on it.
+func CheckThreads(w Workload, nthreads int) error {
 	lo, hi := w.Threads()
-	if nthreads < lo || (hi > 0 && nthreads > hi) {
-		panic(fmt.Sprintf("workload: %s does not support %d threads (range %d..%d)", w.Name(), nthreads, lo, hi))
+	if nthreads >= lo && (hi == 0 || nthreads <= hi) {
+		return nil
+	}
+	rng := fmt.Sprintf("t=%d..%d", lo, hi)
+	if hi == 0 {
+		rng = fmt.Sprintf("t>=%d", lo)
+	}
+	return fmt.Errorf("%s does not support %d threads (range %s)", w.Name(), nthreads, rng)
+}
+
+// Program instantiates w at nthreads under spec (nil selects
+// w.DefaultSpec) as a checkable vprog.Program. It panics when
+// CheckThreads rejects nthreads — a programming error at the call
+// site, not a run-time condition.
+func Program(w Workload, spec *vprog.BarrierSpec, nthreads int) *vprog.Program {
+	if err := CheckThreads(w, nthreads); err != nil {
+		panic("workload: " + err.Error())
 	}
 	if spec == nil {
 		spec = w.DefaultSpec()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/locks"
 	"repro/internal/vprog"
 	"repro/internal/workload"
 )
@@ -96,6 +97,37 @@ func TestProgramRange(t *testing.T) {
 	unbounded := &fakeWorkload{name: "test/fake-unbounded", lo: 1, hi: 0}
 	workload.Program(unbounded, nil, 9) // hi == 0: any count above lo
 	mustPanic("below unbounded lo", func() { workload.Program(unbounded, nil, 0) })
+}
+
+// TestCheckThreads: the one range rule, as the CLIs report it — nil
+// inside the range, and outside it one line that names the workload,
+// the count and the range as -list prints it.
+func TestCheckThreads(t *testing.T) {
+	bounded := &fakeWorkload{name: "test/fake-bounded", lo: 2, hi: 3}
+	open := &fakeWorkload{name: "test/fake-open", lo: 1}
+	for _, c := range []struct {
+		w    workload.Workload
+		n    int
+		want string
+	}{
+		{bounded, 2, ""},
+		{bounded, 3, ""},
+		{bounded, 1, "test/fake-bounded does not support 1 threads (range t=2..3)"},
+		{bounded, 4, "test/fake-bounded does not support 4 threads (range t=2..3)"},
+		{open, 1, ""},
+		{open, 1 << 20, ""},
+		{open, 0, "test/fake-open does not support 0 threads (range t>=1)"},
+		{open, -1, "test/fake-open does not support -1 threads (range t>=1)"},
+		{workload.Mutex(locks.ByName("ttas"), 1), 0, "mutex/ttas does not support 0 threads (range t>=1)"},
+	} {
+		got := ""
+		if err := workload.CheckThreads(c.w, c.n); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("CheckThreads(%s, %d) = %q, want %q", c.w.Name(), c.n, got, c.want)
+		}
+	}
 }
 
 // TestRegistry: registration, lookup, stable ordering, the Buggy

@@ -307,9 +307,8 @@ func buildMatrix(cfg *MatrixConfig) (cells []MatrixCell, probs []problem.Problem
 	}
 	for _, w := range ws {
 		spec := w.DefaultSpec()
-		lo, hi := w.Threads()
 		for _, t := range threads {
-			if t < lo || (hi > 0 && t > hi) {
+			if workload.CheckThreads(w, t) != nil {
 				continue
 			}
 			p := workload.Program(w, spec, t)

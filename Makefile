@@ -19,7 +19,8 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
-# Full suite, including the slow optimization studies (minutes).
+# Full suite, including what -short gates off (the big corpus cells and
+# every qspin descent of TestDescentPinned; under a minute).
 test:
 	$(GO) test ./...
 

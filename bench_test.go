@@ -22,7 +22,6 @@ import (
 	"repro/internal/mm"
 	"repro/internal/native"
 	"repro/internal/optimize"
-	"repro/internal/vprog"
 	"repro/internal/wmsim"
 )
 
@@ -63,24 +62,16 @@ func emit(name, artifact string) {
 
 // BenchmarkTable1_QspinlockOptimization regenerates Table 1: the
 // push-button barrier optimization of the Linux qspinlock from the
-// all-SC baseline, verified by AMC against the fast-path client, the
-// queue-path litmus and the three-thread queue client (paper: 11
-// minutes on GenMC; acq/rel/sc = 7/2/1).
+// all-SC baseline, verified by AMC against the lock's client suite
+// (optimize.LockSuite: the fast-path client, the queue-path litmus and
+// the three-thread queue client; paper: 11 minutes on GenMC; acq/rel/sc
+// = 7/2/1).
 func BenchmarkTable1_QspinlockOptimization(b *testing.B) {
-	if testing.Short() {
-		b.Skip("qspinlock optimization takes minutes")
-	}
 	alg := locks.ByName("qspin")
 	for i := 0; i < b.N; i++ {
 		opt := &optimize.Optimizer{
-			Model: mm.WMM,
-			Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
-				return []*vprog.Program{
-					harness.MutexClient(alg, spec, 2, 1),
-					harness.QspinQueuePathLitmus(spec),
-					harness.MutexClient(alg, spec, 3, 1),
-				}
-			},
+			Model:       mm.WMM,
+			Programs:    optimize.LockSuite(alg, 2),
 			Parallelism: 1, // the paper-faithful sequential baseline
 		}
 		start := time.Now()
@@ -99,20 +90,11 @@ func BenchmarkTable1_QspinlockOptimization(b *testing.B) {
 // is identical to the sequential run; the wall-clock difference (and
 // the per-worker breakdown in the report) is the point.
 func BenchmarkTable1_QspinlockOptimizationParallel(b *testing.B) {
-	if testing.Short() {
-		b.Skip("qspinlock optimization takes minutes")
-	}
 	alg := locks.ByName("qspin")
 	for i := 0; i < b.N; i++ {
 		opt := &optimize.Optimizer{
-			Model: mm.WMM,
-			Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
-				return []*vprog.Program{
-					harness.MutexClient(alg, spec, 2, 1),
-					harness.QspinQueuePathLitmus(spec),
-					harness.MutexClient(alg, spec, 3, 1),
-				}
-			},
+			Model:       mm.WMM,
+			Programs:    optimize.LockSuite(alg, 2),
 			Parallelism: 0, // GOMAXPROCS
 			Cache:       optimize.NewCache(),
 		}

@@ -12,7 +12,7 @@
 // -workload checks a registered workload from the structure-agnostic
 // workload layer (the nonblocking structures of internal/structs:
 // Treiber stack, Michael–Scott queue, seqlock) at -threads client
-// threads; -iters does not apply — each workload carries its own
+// threads; it refuses -iters, for each workload carries its own
 // operation count. -list prints both corpora, locks first, then
 // workloads with their supported thread ranges, in stable name order.
 // -lock checks the lock's generic client, the workload mutex/NAME with
@@ -115,11 +115,14 @@ func main() {
 		}
 		return
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "iters" && *wlName != "" {
+			fmt.Fprintln(os.Stderr, "vsynccheck: -iters does not apply to -workload (a workload carries its own operation count)")
+			os.Exit(2)
+		}
+	})
+	cli.CheckCounts("vsynccheck", cli.Min{Flag: "iters", Least: 1}, cli.Min{Flag: "workers"})
 	m := cli.ParseModel("vsynccheck", *model)
-	st := cli.OpenStore("vsynccheck", *storePath, *remote)
-	if st != nil {
-		defer st.Close()
-	}
 	if (*lockName == "") == (*wlName == "") {
 		fmt.Fprintln(os.Stderr, "vsynccheck: exactly one of -lock or -workload is required (try -list)")
 		os.Exit(2)
@@ -133,10 +136,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "vsynccheck: unknown lock %q (try -list)\n", *lockName)
 			os.Exit(2)
 		}
-		if *iters < 1 {
-			fmt.Fprintf(os.Stderr, "vsynccheck: -iters %d: a client needs at least one critical section per thread\n", *iters)
-			os.Exit(2)
-		}
 		w = workload.Mutex(alg, *iters)
 	} else if w = workload.ByName(*wlName); w == nil {
 		fmt.Fprintf(os.Stderr, "vsynccheck: unknown workload %q (try -list)\n", *wlName)
@@ -145,6 +144,10 @@ func main() {
 	if err := workload.CheckThreads(w, *threads); err != nil {
 		fmt.Fprintln(os.Stderr, "vsynccheck:", err)
 		os.Exit(2)
+	}
+	st := cli.OpenStore("vsynccheck", *storePath, *remote)
+	if st != nil {
+		defer st.Close()
 	}
 	spec := w.DefaultSpec()
 	if *scOnly {
@@ -168,8 +171,11 @@ func main() {
 		CheckpointInterval: *ckptInt,
 		NoSymmetry:         *noSym,
 	}
-	fmt.Printf("checking %s under %s (%d threads × %d iterations, %d workers)...\n",
-		p.Name, m.Name(), *threads, *iters, opts.WorkersPerRun)
+	shape := fmt.Sprintf("%d threads × %d iterations", *threads, *iters)
+	if *wlName != "" {
+		shape = fmt.Sprintf("%d threads", *threads)
+	}
+	fmt.Printf("checking %s under %s (%s, %d workers)...\n", p.Name, m.Name(), shape, opts.WorkersPerRun)
 	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, opts)
 	res := rr.Results[0]
 	if rr.StoreHits > 0 {

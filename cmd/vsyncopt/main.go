@@ -4,29 +4,33 @@
 // Checking allows, and the resulting Fig. 20-style mode listing is
 // printed.
 //
+// A candidate must verify optimize.LockSuite, as in vsync.OptimizeLock:
+// the -threads client, and for qspin the queue-path litmus and the
+// three-thread client too.
+//
 // Candidates are tried one at a time, weakest first; the verification
 // engine is parallel by default in that each candidate spec fans its
 // client programs across -par workers, and verdicts are memoized.
 // -workers N additionally lets every AMC run share its exploration
 // frontier among N workers of its own through intra-run work stealing
 // (0 = GOMAXPROCS), so at most -par × -workers workers run at once.
-// -par 1 -no-cache recovers the strictly sequential search; the
-// resulting spec is identical whatever the engine settings.
+// -par 1 recovers the strictly sequential search; the resulting spec is
+// identical whatever the engine settings.
 //
 // Usage:
 //
 //	vsyncopt -lock qspinlock [-model wmm] [-threads 2] [-from-default]
 //	         [-store PATH] [-remote URL] [-par N] [-workers N]
-//	         [-passes N] [-no-cache]
+//	         [-passes N]
 //
 // -threads is checked against the range of the lock's client (t>=1),
-// as vsynccheck checks it: a count outside exits 2 with one line.
+// as vsynccheck checks it, and -passes must be at least 1, -par and
+// -workers at least 0: a count outside exits 2 with one line.
 //
 // Candidates go through the same problem lifecycle as vsynccheck and
 // vsyncsuite (key → store → run → persist), and the store is the
-// verdict cache: an in-memory session by default, none with -no-cache.
-// -store PATH puts the shared persistent store at PATH in its place (so
-// it refuses -no-cache):
+// verdict cache: an in-memory session by default, or with -store PATH
+// the shared persistent store at PATH:
 // candidates some earlier process (a previous vsyncopt run, the
 // vsyncsuite orchestrator, a concurrent invocation, CI) already judged
 // cost a hash lookup instead of a model-checking run, and every
@@ -41,11 +45,9 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/optimize"
 	"repro/internal/store"
-	"repro/internal/vprog"
 	"repro/internal/workload"
 )
 
@@ -58,7 +60,6 @@ func main() {
 		par         = cli.Par()
 		workers     = cli.Workers()
 		passes      = flag.Int("passes", 1, "full point sweeps (descent repeats until fixpoint or cap)")
-		noCache     = flag.Bool("no-cache", false, "disable verdict memoization")
 		storePath   = cli.Store()
 		remote      = cli.Remote()
 	)
@@ -74,33 +75,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vsyncopt:", err)
 		os.Exit(2)
 	}
-	if *noCache && *storePath != "" {
-		fmt.Fprintln(os.Stderr, "vsyncopt: -no-cache contradicts -store (the store is the verdict cache)")
-		os.Exit(2)
-	}
+	cli.CheckCounts("vsyncopt", cli.Min{Flag: "passes", Least: 1}, cli.Min{Flag: "par"}, cli.Min{Flag: "workers"})
 	m := cli.ParseModel("vsyncopt", *model)
 	opt := &optimize.Optimizer{
-		Model: m,
-		Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
-			ps := []*vprog.Program{harness.MutexClient(alg, spec, *threads, 1)}
-			if alg.Name == "qspin" {
-				// Cover the MCS queue paths (see §3.3 and the Fig. 1
-				// extraction methodology).
-				ps = append(ps, harness.QspinQueuePathLitmus(spec),
-					harness.MutexClient(alg, spec, 3, 1))
-			}
-			return ps
-		},
+		Model:         m,
+		Programs:      optimize.LockSuite(alg, *threads),
 		Passes:        *passes,
 		Parallelism:   *par,
 		WorkersPerRun: workers(),
+		Cache:         store.NewMemory(),
 	}
 	st := cli.OpenStore("vsyncopt", *storePath, *remote)
 	if st != nil {
 		defer st.Close()
 		opt.Cache = st
-	} else if !*noCache {
-		opt.Cache = optimize.NewCache()
 	}
 	initial := alg.DefaultSpec().AllSC()
 	if *fromDefault {

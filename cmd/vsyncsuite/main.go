@@ -23,9 +23,11 @@
 //	           [-budget 30s] [-budget-graphs N] [-budget-mem BYTES]
 //	           [-checkpoint-dir DIR] [-checkpoint-interval 5s]
 //
-// -threads N covers the ladder 2..N (default 2). -min-hit-rate F exits
-// non-zero when the store served less than fraction F of the cells —
-// CI uses it to assert that a warm pass did near-zero AMC work.
+// -threads N covers the ladder 2..N (default 2); -threads below 2,
+// -iters below 1 and -par or -workers below 0 exit 2 with one line.
+// -min-hit-rate F exits non-zero when the store served less than
+// fraction F of the cells — CI uses it to assert that a warm pass did
+// near-zero AMC work.
 //
 // -structs selects specific workloads by registry name (vsynccheck
 // -list prints them); -no-structs drops the structure rows and
@@ -80,6 +82,8 @@ func main() {
 		verbose    = flag.Bool("v", false, "print the full per-cell table, not just the summary")
 	)
 	flag.Parse()
+	cli.CheckCounts("vsyncsuite", cli.Min{Flag: "threads", Least: 2}, cli.Min{Flag: "iters", Least: 1},
+		cli.Min{Flag: "par"}, cli.Min{Flag: "workers"})
 	ctx := cli.SignalContext("vsyncsuite")
 
 	cfg := vsync.MatrixConfig{

@@ -43,10 +43,8 @@ func main() {
 	}
 
 	fmt.Println("\n== optimizer on the fixed lock ==")
-	opt, err := vsync.Optimize(vsync.ModelWMM,
-		func(spec *vsync.BarrierSpec) []*vsync.Program {
-			return []*vsync.Program{vsync.MutexClient(fixed, spec, 2, 1)}
-		}, fixed.DefaultSpec(), vsync.OptimizeOptions{})
+	optimizer := &vsync.Optimizer{Model: vsync.ModelWMM, Programs: vsync.LockSuite(fixed, 2)}
+	opt, err := optimizer.Run(fixed.DefaultSpec())
 	if err != nil {
 		panic(err)
 	}

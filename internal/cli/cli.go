@@ -55,7 +55,7 @@ func Remote() *string {
 func Workers() func() int {
 	n := flag.Int("workers", 1, "intra-run work-stealing workers per AMC run (0 = GOMAXPROCS, 1 = sequential)")
 	return func() int {
-		if *n <= 0 {
+		if *n == 0 {
 			return runtime.GOMAXPROCS(0)
 		}
 		return *n
@@ -65,6 +65,33 @@ func Workers() func() int {
 // Par registers the -par flag: whole-run fan-out.
 func Par() *int {
 	return flag.Int("par", 0, "concurrent AMC runs (0 = GOMAXPROCS, 1 = one at a time)")
+}
+
+// Min is the least value a count flag of a tool accepts.
+type Min struct {
+	Flag  string
+	Least int
+}
+
+// CheckCounts is the one check of the counts a tool takes on its
+// command line (-threads, -iters, -passes, -par, -workers), after
+// flag.Parse: the first flag below its least value exits 2 with one
+// line naming it. A range that depends on the problem, such as a
+// workload's thread range, is workload.CheckThreads'.
+func CheckCounts(tool string, mins ...Min) {
+	if err := checkCounts(flag.CommandLine, mins); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		os.Exit(2)
+	}
+}
+
+func checkCounts(fs *flag.FlagSet, mins []Min) error {
+	for _, m := range mins {
+		if n := fs.Lookup(m.Flag).Value.(flag.Getter).Get().(int); n < m.Least {
+			return fmt.Errorf("-%s %d: the least value is %d", m.Flag, n, m.Least)
+		}
+	}
+	return nil
 }
 
 // Model registers the -model flag; resolve it with ParseModel.

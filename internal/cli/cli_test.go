@@ -45,3 +45,39 @@ func TestWorkersZeroIsGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckCounts: the one count check refuses the first flag below its
+// least value, naming the flag, the value and the least; a value at the
+// least passes, and a Min with no Least is a floor of zero.
+func TestCheckCounts(t *testing.T) {
+	mins := []Min{{"threads", 2}, {"iters", 1}, {Flag: "workers"}}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"-threads", "2", "-iters", "1", "-workers", "0"}, ""},
+		{[]string{"-threads", "5", "-iters", "3", "-workers", "4"}, ""},
+		{[]string{"-threads", "0"}, "-threads 0: the least value is 2"},
+		{[]string{"-threads", "1"}, "-threads 1: the least value is 2"},
+		{[]string{"-iters", "0"}, "-iters 0: the least value is 1"},
+		{[]string{"-iters", "-2"}, "-iters -2: the least value is 1"},
+		{[]string{"-workers", "-3"}, "-workers -3: the least value is 0"},
+		{[]string{"-threads", "0", "-iters", "0"}, "-threads 0: the least value is 2"},
+	} {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.Int("threads", 2, "")
+		fs.Int("iters", 1, "")
+		fs.Int("workers", 1, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if err := checkCounts(fs, mins); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("%v: got %q, want %q", c.args, got, c.want)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/optimize"
@@ -18,29 +17,16 @@ import (
 // The descent — which relaxations are tried, in which order, which are
 // accepted, and the spec it ends on — is a function of the algorithm,
 // the client suite and the model alone. testdata/descent_pins.txt holds
-// it for four locks as the engine produced it before verify learned to
-// share a run among equal programs and to submit the cheapest first;
-// no engine setting and no order of the suite may move it. Every
-// setting tries a point's candidates one at a time and stops at the
-// accepted one, so each lock has one section, and a section no setting
-// produces fails the test rather than outliving its engine.
+// it for four locks, over optimize.LockSuite, as the engine produced it
+// before verify learned to share a run among equal programs and to
+// submit the cheapest first; no engine setting and no order of the
+// suite may move it. Every setting tries a point's candidates one at a
+// time and stops at the accepted one, so each lock has one section, and
+// a section no setting produces fails the test rather than outliving
+// its engine.
 var updateDescentPins = flag.Bool("update-descent-pins", false, "rewrite testdata/descent_pins.txt from this build's descents")
 
 const descentPinFile = "testdata/descent_pins.txt"
-
-// descentSuite is vsyncopt's client set for alg: the mutex client at
-// the given thread count, and for qspin the queue-path litmus and the
-// three-thread client as well — which at threads=3 is the first one
-// again, as vsyncopt -lock qspin -threads 3 has it.
-func descentSuite(alg *locks.Algorithm, threads int) func(*vprog.BarrierSpec) []*vprog.Program {
-	return func(spec *vprog.BarrierSpec) []*vprog.Program {
-		ps := []*vprog.Program{harness.MutexClient(alg, spec, threads, 1)}
-		if alg.Name == "qspin" {
-			ps = append(ps, harness.QspinQueuePathLitmus(spec), harness.MutexClient(alg, spec, 3, 1))
-		}
-		return ps
-	}
-}
 
 // renderDescent is the pinned view of a result: verdicts and timings,
 // which may legitimately differ between engines, are left out.
@@ -92,7 +78,7 @@ func TestDescentPinned(t *testing.T) {
 	var pinned []string // the sections produced, in the order first produced
 	for _, c := range cases {
 		alg := locks.ByName(c.lock)
-		suite := descentSuite(alg, c.threads)
+		suite := optimize.LockSuite(alg, c.threads)
 		perms := permutations(len(suite(alg.DefaultSpec())))
 		for _, perm := range perms {
 			for _, par := range []int{1, 2} {
@@ -155,7 +141,7 @@ func TestDescentPinned(t *testing.T) {
 }
 
 // checkQspinAccounting pins what the benchmark pins of vsyncopt -lock
-// qspin -threads 3 -par 1 [-no-cache], and the lines it prints besides:
+// qspin -threads 3 -par 1, and the lines it prints besides:
 // 29 verifications, 87 lookups with a cache (three per verification)
 // and none without, no hits in a single pass, one deduped program per
 // verification (the three-thread client is listed twice) and nine
@@ -191,7 +177,7 @@ func TestCacheSecondRunAccounting(t *testing.T) {
 		cache := optimize.NewCache()
 		var res *optimize.Result
 		for range 2 {
-			opt := &optimize.Optimizer{Model: mm.WMM, Parallelism: par, Programs: descentSuite(alg, 3), Cache: cache}
+			opt := &optimize.Optimizer{Model: mm.WMM, Parallelism: par, Programs: optimize.LockSuite(alg, 3), Cache: cache}
 			var err error
 			if res, err = opt.Run(alg.DefaultSpec().AllSC()); err != nil {
 				t.Fatal(err)

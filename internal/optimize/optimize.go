@@ -38,6 +38,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/harness"
+	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/problem"
 	"repro/internal/store"
@@ -103,7 +105,7 @@ type Optimizer struct {
 	// we use its WMM stand-in by default).
 	Model mm.Model
 	// Programs builds the client programs that must verify for a spec to
-	// be accepted (typically MutexClient instances of varying shapes).
+	// be accepted; for a lock, LockSuite.
 	Programs func(spec *vprog.BarrierSpec) []*vprog.Program
 	// Passes caps the number of full point sweeps (0 or 1 = single
 	// pass). Because the greedy descent is order-dependent, a point
@@ -128,12 +130,29 @@ type Optimizer struct {
 	// fingerprint, program fingerprint) so repeated assignments —
 	// multi-pass sweeps, caches shared across runs, a store on disk
 	// across processes — are never re-verified: a memory session
-	// (NewCache) or a store.OpenShared one. Only decisive verdicts are
-	// kept; the optimizer never closes it.
+	// (store.NewMemory) or a store.OpenShared one; nil memoizes nothing.
+	// Only decisive verdicts are kept; the optimizer never closes it.
 	Cache *store.Session
 	// budget bounds each AMC run (zero: the checker's default); tests set
 	// it to stop runs, whose Undecided rejects a candidate unverified.
 	budget core.Budget
+}
+
+// LockSuite is the client suite a lock's candidate specs must verify:
+// the threads-thread generic mutex client at one iteration, and for the
+// Linux qspinlock also the extracted queue-path litmus (the MCS hand-off
+// between two queued waiters, the path whose missing barrier was the
+// Linux 4.16 bug; §3.3 and the Fig. 1 methodology) and the three-thread
+// client, which runs the queue end to end. At threads=3 qspin's first
+// and last programs are equal, and the engine runs them once.
+func LockSuite(alg *locks.Algorithm, threads int) func(*vprog.BarrierSpec) []*vprog.Program {
+	return func(spec *vprog.BarrierSpec) []*vprog.Program {
+		ps := []*vprog.Program{harness.MutexClient(alg, spec, threads, 1)}
+		if alg.Name == "qspin" {
+			ps = append(ps, harness.QspinQueuePathLitmus(spec), harness.MutexClient(alg, spec, 3, 1))
+		}
+		return ps
+	}
 }
 
 // rank orders modes for descent; equal-rank modes (Acq/Rel) are both
@@ -172,7 +191,8 @@ func candidates(spec *vprog.BarrierSpec, point string) []vprog.Mode {
 	return out
 }
 
-// NewCache returns an empty memory session to memoize verdicts in.
+// NewCache returns an empty memory session to memoize verdicts in. Kept
+// only because benchmark/layers.go calls it; ROADMAP item 10 deletes it.
 func NewCache() *store.Session { return store.NewMemory() }
 
 // engine carries the mutable state of one optimization run.

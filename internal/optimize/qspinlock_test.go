@@ -3,35 +3,22 @@ package optimize_test
 import (
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/optimize"
-	"repro/internal/vprog"
 )
 
 // TestQspinlockOptimize is the Table 1 experiment: push-button barrier
 // optimization of the Linux qspinlock from the all-SC baseline. The
-// candidate specs are verified against a two-thread client (fast-path +
-// pending path) and a three-thread client (MCS queue path), mirroring
-// the paper's generic client code. The expected outcome is the shape of
+// candidate specs are verified against LockSuite(qspin, 2): a two-thread
+// client (fast path + pending path), the queue-path litmus (MCS hand-off
+// between two waiters) and a three-thread client (MCS queue path end to
+// end), mirroring the paper's generic client code. The expected outcome is the shape of
 // Table 1's VSYNC row: a handful of acquire points, a couple of release
 // points, about one SC point, everything else relaxed.
 func TestQspinlockOptimize(t *testing.T) {
-	if testing.Short() {
-		t.Skip("qspinlock optimization explores the 3-thread queue path (minutes)")
-	}
 	alg := locks.ByName("qspin")
-	opt := &optimize.Optimizer{
-		Model: mm.WMM,
-		Programs: func(spec *vprog.BarrierSpec) []*vprog.Program {
-			return []*vprog.Program{
-				harness.MutexClient(alg, spec, 2, 1), // fast + pending path (cheap filter)
-				harness.QspinQueuePathLitmus(spec),   // MCS hand-off between two waiters
-				harness.MutexClient(alg, spec, 3, 1), // queue path end to end
-			}
-		},
-	}
+	opt := &optimize.Optimizer{Model: mm.WMM, Programs: optimize.LockSuite(alg, 2)}
 	res, err := opt.Run(alg.DefaultSpec().AllSC())
 	if err != nil {
 		t.Fatal(err)

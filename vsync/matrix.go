@@ -21,9 +21,8 @@ import (
 // VerdictStore is a shared session on the persistent, content-
 // addressed AMC verdict store (internal/store): an append-only
 // checksummed log keyed by (model, spec fingerprint, program
-// fingerprint). Shared by Run, the VerifyMatrix suite runner and
-// Optimize (OptimizeOptions.Cache); NewOptCache returns the same type
-// with no log behind it.
+// fingerprint). Shared by Run, the VerifyMatrix suite runner and an
+// Optimizer (Optimizer.Cache).
 //
 // Sharing semantics: the log is multi-writer. Any number of sessions —
 // in this process or others — may hold one path open simultaneously;

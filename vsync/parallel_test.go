@@ -1,6 +1,8 @@
 package vsync_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -54,16 +56,18 @@ func TestVerifySuiteFailFast(t *testing.T) {
 	}
 }
 
-// TestFacadeOptimizeOptions: the options path works end to end and the
-// report carries the engine accounting.
-func TestFacadeOptimizeOptions(t *testing.T) {
+// TestFacadeOptimizer: an Optimizer built on the facade works end to
+// end over a shared store session, and the report carries the engine
+// accounting.
+func TestFacadeOptimizer(t *testing.T) {
 	alg := vsync.LockByName("ttas")
-	cache := vsync.NewOptCache()
-	res, err := vsync.Optimize(vsync.ModelWMM, func(spec *vsync.BarrierSpec) []*vsync.Program {
-		return []*vsync.Program{vsync.MutexClient(alg, spec, 2, 1)}
-	}, alg.DefaultSpec().AllSC(), vsync.OptimizeOptions{
-		Parallelism: 2, Cache: cache,
-	})
+	cache, err := vsync.OpenStore(filepath.Join(t.TempDir(), "verdicts.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	opt := &vsync.Optimizer{Model: vsync.ModelWMM, Programs: vsync.LockSuite(alg, 2), Parallelism: 2, Cache: cache}
+	res, err := opt.Run(alg.DefaultSpec().AllSC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +79,20 @@ func TestFacadeOptimizeOptions(t *testing.T) {
 		t.Errorf("report missing engine accounting:\n%s", rep)
 	}
 	if cache.Len() == 0 {
-		t.Error("shared cache not populated")
+		t.Error("shared store not populated")
+	}
+}
+
+// TestOptimizeLockIsVsyncopt: the library's push-button door verifies
+// against the same client suite as vsyncopt, so qspin at t=2 lands on
+// vsyncopt -lock qspin's Table 1 row, not on the t=2-only result.
+func TestOptimizeLockIsVsyncopt(t *testing.T) {
+	res, err := vsync.OptimizeLock(vsync.LockByName("qspin"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Counts()
+	if got := fmt.Sprintf("rlx=%d acq=%d rel=%d", c.Rlx, c.Acq, c.Rel); got != "rlx=7 acq=6 rel=3" {
+		t.Errorf("OptimizeLock(qspin, 2): %s, want vsyncopt -lock qspin's rlx=7 acq=6 rel=3\n%s", got, res.Report())
 	}
 }

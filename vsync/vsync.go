@@ -9,7 +9,7 @@
 //     termination on a weak memory model, in finite time, with
 //     counterexample execution graphs on failure. Run is the one entry
 //     point (single runs, parallel suites, verdict-store integration
-//     via RunOptions); Run, VerifyMatrix and Optimize take every
+//     via RunOptions); Run, VerifyMatrix and Optimizer take every
 //     problem through one lifecycle (internal/problem) — key
 //     (ProblemKey) → store → checkpoint → run → persist — so what a
 //     store hit, an equal-key duplicate or a resumable checkpoint means
@@ -34,9 +34,11 @@
 //
 //   - Optimize: push-button barrier relaxation — start from the all-SC
 //     assignment and relax every barrier point as far as verification
-//     allows (§3.3, Table 1). Its candidates' verdicts are memoized in
-//     a VerdictStore: a memory session by default, a log on disk to
-//     carry them across processes.
+//     allows (§3.3, Table 1). OptimizeLock is the push-button door; an
+//     Optimizer sets the engine, and a lock's client suite is
+//     LockSuite whichever door is used. Optimizer.Cache memoizes
+//     candidates' verdicts in a VerdictStore (OpenStore carries them
+//     across processes); nil memoizes nothing.
 //
 //   - Benchmark: the §4.2 microbenchmark campaign of the sc-only vs
 //     optimized variants on simulated ARMv8 and x86 platforms, plus the
@@ -60,7 +62,6 @@ import (
 	"repro/internal/mm"
 	"repro/internal/optimize"
 	"repro/internal/problem"
-	"repro/internal/store"
 	_ "repro/internal/structs" // registers the structure workloads (Workloads, WorkloadByName)
 	"repro/internal/vprog"
 	"repro/internal/wmsim"
@@ -88,9 +89,13 @@ type (
 	Result = core.Result
 	// Verdict classifies a verification outcome.
 	Verdict = core.Verdict
+	// Optimizer is the barrier-relaxation search and its engine knobs
+	// (Parallelism, WorkersPerRun, Cache, Passes); nil Cache memoizes
+	// nothing.
+	Optimizer = optimize.Optimizer
 	// OptResult is a barrier-optimization outcome.
 	OptResult = optimize.Result
-	// PoolStats is the per-slot accounting of the run pool an Optimize
+	// PoolStats is the per-slot accounting of the run pool an Optimizer
 	// schedules its AMC work on (OptResult.Pool).
 	PoolStats = problem.PoolStats
 	// SchedStats is the work-graph scheduler accounting of one run
@@ -152,10 +157,6 @@ func VerifyLock(alg *Algorithm, spec *BarrierSpec, nthreads, iters int) *Result 
 	return rr.Results[0]
 }
 
-// NewOptCache returns an empty memory session to share across
-// optimization runs as OptimizeOptions.Cache.
-func NewOptCache() *VerdictStore { return store.NewMemory() }
-
 // Locks returns every registered algorithm (including the buggy study-
 // case variants, marked Buggy).
 func Locks() []*Algorithm { return locks.All() }
@@ -183,59 +184,19 @@ func WorkloadProgram(w Workload, spec *BarrierSpec, nthreads int) *Program {
 	return workload.Program(w, spec, nthreads)
 }
 
-// OptimizeOptions tunes the optimizer's parallel verification engine.
-// The final spec is identical whatever the settings; they only change
-// how fast it is reached. The zero value is the push-button default
-// OptimizeLock uses: GOMAXPROCS slots, one worker per run, a private
-// memory session, one pass.
-type OptimizeOptions struct {
-	// Parallelism bounds the concurrent AMC runs a candidate's client
-	// programs fan out across: 0 = GOMAXPROCS, 1 = strictly sequential.
-	Parallelism int
-	// WorkersPerRun lets each AMC run additionally share its
-	// exploration frontier among this many workers of its own via
-	// intra-run work stealing (0 or 1 = off); the search runs at most
-	// Parallelism × WorkersPerRun workers at once. Note the trade-off: a
-	// parallel run explores to completion on violations (for
-	// deterministic merging), so candidates expected to FAIL lose the
-	// sequential early exit — worth it for big verifying runs, not for
-	// descents dominated by failing candidates.
-	WorkersPerRun int
-	// Cache memoizes verdicts across candidates and passes, and —
-	// shared — across calls: a memory session (NewOptCache) or a store
-	// on disk (OpenStore). Nil uses a private memory session;
-	// memoization never changes a verdict.
-	Cache *VerdictStore
-	// Passes caps full point sweeps (0 or 1 = single pass).
-	Passes int
-}
-
-// Optimize runs the barrier-relaxation search with explicit engine
-// options; programs builds the client suite a candidate spec must
-// verify, initial is the (verified) starting assignment.
-func Optimize(model Model, programs func(*BarrierSpec) []*Program, initial *BarrierSpec, opts OptimizeOptions) (*OptResult, error) {
-	cache := opts.Cache
-	if cache == nil {
-		cache = store.NewMemory()
-	}
-	opt := &optimize.Optimizer{
-		Model:         model,
-		Programs:      programs,
-		Passes:        opts.Passes,
-		Parallelism:   opts.Parallelism,
-		WorkersPerRun: opts.WorkersPerRun,
-		Cache:         cache,
-	}
-	return opt.Run(initial)
+// LockSuite is the client suite a lock's candidate specs must verify,
+// in OptimizeLock and in vsyncopt alike.
+func LockSuite(alg *Algorithm, nthreads int) func(*BarrierSpec) []*Program {
+	return optimize.LockSuite(alg, nthreads)
 }
 
 // OptimizeLock relaxes a lock's barriers from the all-SC baseline until
-// maximally relaxed while the nthreads-client still verifies under WMM,
-// with the zero OptimizeOptions.
+// maximally relaxed while LockSuite(alg, nthreads) still verifies under
+// WMM, on the zero Optimizer's engine: GOMAXPROCS concurrent runs, one
+// worker each, no memo, one pass.
 func OptimizeLock(alg *Algorithm, nthreads int) (*OptResult, error) {
-	return Optimize(ModelWMM, func(spec *BarrierSpec) []*Program {
-		return []*Program{harness.MutexClient(alg, spec, nthreads, 1)}
-	}, alg.DefaultSpec().AllSC(), OptimizeOptions{})
+	opt := &Optimizer{Model: ModelWMM, Programs: LockSuite(alg, nthreads)}
+	return opt.Run(alg.DefaultSpec().AllSC())
 }
 
 // Machines returns the simulated evaluation platforms (ARMv8, x86_64).

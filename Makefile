@@ -47,20 +47,21 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 # programs on Resolve's pool, which lives there too: its fail-fast,
 # ordered-admission and own-workers tests run on their own line below,
 # without -short), then the work-graph explorer's own bars without
-# -short: the full parallel-vs-sequential differential corpus, the
-# symmetry-reduction differential corpus (canonicalization runs on every
-# worker, sharing nothing but the visited set), the await-vs-bounded
-# structure differential (the await reductions pinned against the
-# explicit bounded-retry encodings at 1/2/4 workers, treiber t=3
-# included), the stealing runs, the sharded visited set under concurrent
-# load, and each package's audited corpus (one exploration per cell,
-# model and worker count with every audit armed, run once by
-# TestAuditedCorpus and judged audit by audit by the tests named after
-# the audits). In internal/core that is the birth-rule audit, the replay-memo audit (a
-# thief reads entries its victim made, so a write to one is a reported
-# race here) and the acyclicity oracle, next to the memo's own bars for
-# the states whose shared replay results leave by an unusual way
-# (TestSnap*). In internal/graph it is poison-on-release (a stolen
+# -short: the await-vs-bounded structure differential (the await
+# reductions pinned against the explicit bounded-retry encodings at
+# 1/2/4 workers, treiber t=3 included), the stealing runs, the
+# symmetry tests (canonicalization runs on every worker, sharing
+# nothing but the visited set), the sharded visited set under
+# concurrent load, and each package's audited corpus (one exploration
+# per cell, model, symmetry setting and worker count with every audit
+# armed, run once by TestAuditedCorpus and judged check by check by the
+# tests named after the checks). In internal/core that is the
+# birth-rule audit, the replay-memo audit (a thief reads entries its
+# victim made, so a write to one is a reported race here), the dedup-key
+# audit and the acyclicity oracle, and the comparisons across each
+# row's worker counts (TestParallelDifferential) and symmetry settings
+# (TestSymDifferential), next to the memo's own bars for the states
+# whose shared replay results leave by an unusual way (TestSnap*). In internal/graph it is poison-on-release (a stolen
 # state's parent retires on the thief, and a release made too early is a
 # wrong count there and a reported race here), the restriction
 # differential (a revisit item pins its parent until a possibly stolen
@@ -77,7 +78,7 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
-	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestAuditedCorpus|TestBirthRuleAudit|TestMemoAuditCorpus|TestSnap,./internal/core,-race)
+	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestAuditedCorpus|TestBirthRuleAudit|TestMemoAuditCorpus|TestDedupDifferential|TestSnap,./internal/core,-race)
 	@$(call testrun,TestPool|TestResolve,./internal/problem,-race)
 	@$(call testrun,TestAuditedCorpus|TestIncrementalAudit|TestPoison|TestRestrict,./internal/graph,-race -skip TestAuditedCorpus/msqueue-t3)
 	@$(call testrun,TestPsc,./internal/mm,-race)

@@ -79,7 +79,7 @@ func BenchmarkTable1_QspinlockOptimization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		emit("table1", bench.Table1(res.Counts(), time.Since(start).Round(time.Second).String())+
+		emit("table1", bench.Table1(res.Counts(), time.Since(start).Round(time.Millisecond).String())+
 			"\n"+res.Report())
 	}
 }
@@ -102,7 +102,7 @@ func BenchmarkTable1_QspinlockOptimizationParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		emit("table1par", bench.Table1(res.Counts(), res.Duration.Round(time.Second).String())+
+		emit("table1par", bench.Table1(res.Counts(), res.Duration.Round(time.Millisecond).String())+
 			"\n"+res.Report())
 	}
 }

@@ -88,7 +88,6 @@ func main() {
 	)
 	flag.Parse()
 	ctx := cli.SignalContext("vsynccheck")
-	dir := cli.EnsureCheckpointDir("vsynccheck", *ckptDir)
 
 	if *list {
 		// Stable order for scripting: locks.All and workload.All both
@@ -121,7 +120,8 @@ func main() {
 			os.Exit(2)
 		}
 	})
-	cli.CheckCounts("vsynccheck", cli.Min{Flag: "iters", Least: 1}, cli.Min{Flag: "workers"})
+	cli.CheckCounts("vsynccheck", cli.Min{Flag: "iters", Least: 1})
+	dir := cli.EnsureCheckpointDir("vsynccheck", *ckptDir)
 	m := cli.ParseModel("vsynccheck", *model)
 	if (*lockName == "") == (*wlName == "") {
 		fmt.Fprintln(os.Stderr, "vsynccheck: exactly one of -lock or -workload is required (try -list)")

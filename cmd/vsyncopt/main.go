@@ -75,7 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vsyncopt:", err)
 		os.Exit(2)
 	}
-	cli.CheckCounts("vsyncopt", cli.Min{Flag: "passes", Least: 1}, cli.Min{Flag: "par"}, cli.Min{Flag: "workers"})
+	cli.CheckCounts("vsyncopt", cli.Min{Flag: "passes", Least: 1})
 	m := cli.ParseModel("vsyncopt", *model)
 	opt := &optimize.Optimizer{
 		Model:         m,

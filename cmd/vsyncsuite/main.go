@@ -82,8 +82,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print the full per-cell table, not just the summary")
 	)
 	flag.Parse()
-	cli.CheckCounts("vsyncsuite", cli.Min{Flag: "threads", Least: 2}, cli.Min{Flag: "iters", Least: 1},
-		cli.Min{Flag: "par"}, cli.Min{Flag: "workers"})
+	cli.CheckCounts("vsyncsuite", cli.Min{Flag: "threads", Least: 2}, cli.Min{Flag: "iters", Least: 1})
 	ctx := cli.SignalContext("vsyncsuite")
 
 	cfg := vsync.MatrixConfig{

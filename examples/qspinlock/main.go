@@ -32,7 +32,7 @@ func main() {
 	fmt.Println()
 	fmt.Println(res.Report())
 
-	fmt.Println(bench.Table1(res.Counts(), time.Since(start).Round(time.Second).String()))
+	fmt.Println(bench.Table1(res.Counts(), time.Since(start).Round(time.Millisecond).String()))
 	fmt.Println("(barrier counts differ slightly from the paper's IMM/LKMM results;")
 	fmt.Println(" multiple maximally-relaxed assignments exist — §3.3.)")
 }

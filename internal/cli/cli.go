@@ -54,6 +54,7 @@ func Remote() *string {
 // flag's zero is resolved here, once for every tool.
 func Workers() func() int {
 	n := flag.Int("workers", 1, "intra-run work-stealing workers per AMC run (0 = GOMAXPROCS, 1 = sequential)")
+	shared = append(shared, Min{Flag: "workers"})
 	return func() int {
 		if *n == 0 {
 			return runtime.GOMAXPROCS(0)
@@ -64,22 +65,33 @@ func Workers() func() int {
 
 // Par registers the -par flag: whole-run fan-out.
 func Par() *int {
-	return flag.Int("par", 0, "concurrent AMC runs (0 = GOMAXPROCS, 1 = one at a time)")
+	p := flag.Int("par", 0, "concurrent AMC runs (0 = GOMAXPROCS, 1 = one at a time)")
+	shared = append(shared, Min{Flag: "par"})
+	return p
 }
 
-// Min is the least value a count flag of a tool accepts.
+// Min is the range a numeric flag (int, int64, float64 or duration) of
+// a tool accepts: at least Least and, when Most is nonzero, at most Most,
+// a duration counted in seconds. A flag that names Needs may be nonzero
+// only when the string flag Needs names is set too.
 type Min struct {
-	Flag  string
-	Least int
+	Flag        string
+	Least, Most float64
+	Needs       string
 }
 
-// CheckCounts is the one check of the counts a tool takes on its
-// command line (-threads, -iters, -passes, -par, -workers), after
-// flag.Parse: the first flag below its least value exits 2 with one
+// shared holds the ranges of the flags this package's constructors
+// registered: every CheckCounts checks them after the tool's own.
+var shared []Min
+
+// CheckCounts is the one check of the numbers a tool takes on its
+// command line (its own, such as -threads, -iters and -passes, and the
+// shared -par, -workers, -min-hit-rate, budget and checkpoint flags),
+// after flag.Parse: the first flag out of its range exits 2 with one
 // line naming it. A range that depends on the problem, such as a
 // workload's thread range, is workload.CheckThreads'.
 func CheckCounts(tool string, mins ...Min) {
-	if err := checkCounts(flag.CommandLine, mins); err != nil {
+	if err := checkCounts(flag.CommandLine, append(mins, shared...)); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 		os.Exit(2)
 	}
@@ -87,8 +99,25 @@ func CheckCounts(tool string, mins ...Min) {
 
 func checkCounts(fs *flag.FlagSet, mins []Min) error {
 	for _, m := range mins {
-		if n := fs.Lookup(m.Flag).Value.(flag.Getter).Get().(int); n < m.Least {
-			return fmt.Errorf("-%s %d: the least value is %d", m.Flag, n, m.Least)
+		f := fs.Lookup(m.Flag)
+		var n float64
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			n = float64(v)
+		case int64:
+			n = float64(v)
+		case float64:
+			n = v
+		case time.Duration:
+			n = v.Seconds()
+		}
+		switch {
+		case n < m.Least:
+			return fmt.Errorf("-%s %s: the least value is %v", m.Flag, f.Value, m.Least)
+		case m.Most != 0 && n > m.Most:
+			return fmt.Errorf("-%s %s: the greatest value is %v", m.Flag, f.Value, m.Most)
+		case m.Needs != "" && n != 0 && fs.Lookup(m.Needs).Value.String() == "":
+			return fmt.Errorf("-%s %s needs -%s", m.Flag, f.Value, m.Needs)
 		}
 	}
 	return nil
@@ -112,7 +141,9 @@ func modelNames() string {
 // MinHitRate registers the -min-hit-rate flag: the store-efficacy
 // floor CI uses to assert a warm pass did near-zero AMC work.
 func MinHitRate() *float64 {
-	return flag.Float64("min-hit-rate", 0, "fail unless the store served at least this fraction of cells")
+	r := flag.Float64("min-hit-rate", 0, "fail unless the store served at least this fraction of cells (0 to 1)")
+	shared = append(shared, Min{Flag: "min-hit-rate", Most: 1})
+	return r
 }
 
 // BudgetFlags registers the -budget / -budget-graphs / -budget-mem
@@ -124,6 +155,7 @@ func BudgetFlags() func() vsync.Budget {
 	d := flag.Duration("budget", 0, "wall-clock budget per run segment (0 = unbounded); on exhaustion the run checkpoints and exits undecided")
 	g := flag.Int64("budget-graphs", 0, "popped-graph budget per run segment (0 = the default, 2,000,000)")
 	m := flag.Int64("budget-mem", 0, "absolute heap budget in bytes, sampled during exploration (0 = unbounded)")
+	shared = append(shared, Min{Flag: "budget"}, Min{Flag: "budget-graphs"}, Min{Flag: "budget-mem"})
 	return func() vsync.Budget {
 		return vsync.Budget{MaxDuration: *d, MaxGraphs: *g, MaxMemBytes: uint64(max(*m, 0))}
 	}
@@ -136,9 +168,12 @@ func CheckpointDir() *string {
 	return flag.String("checkpoint-dir", "", "directory for run checkpoints: budget-exhausted or interrupted runs persist their frontier here and a rerun resumes it")
 }
 
-// CheckpointInterval registers the -checkpoint-interval flag.
+// CheckpointInterval registers the -checkpoint-interval flag, which
+// needs -checkpoint-dir.
 func CheckpointInterval() *time.Duration {
-	return flag.Duration("checkpoint-interval", 0, "additionally snapshot live frontiers to -checkpoint-dir at this cadence, bounding what a crash can lose (0 = only on budget hit or interrupt)")
+	d := flag.Duration("checkpoint-interval", 0, "additionally snapshot live frontiers to -checkpoint-dir at this cadence, bounding what a crash can lose (0 = only on budget hit or interrupt)")
+	shared = append(shared, Min{Flag: "checkpoint-interval", Needs: "checkpoint-dir"})
+	return d
 }
 
 // EnsureCheckpointDir validates/creates a -checkpoint-dir value,

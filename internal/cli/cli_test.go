@@ -46,11 +46,15 @@ func TestWorkersZeroIsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestCheckCounts: the one count check refuses the first flag below its
-// least value, naming the flag, the value and the least; a value at the
-// least passes, and a Min with no Least is a floor of zero.
+// TestCheckCounts: the one count check refuses the first flag out of its
+// range, naming the flag, the value and the bound; a value at a bound
+// passes, a Min with no Least is a floor of zero, and int64, float and
+// duration flags are held to theirs the same way. A flag that needs
+// another may be nonzero only with the other set.
 func TestCheckCounts(t *testing.T) {
-	mins := []Min{{"threads", 2}, {"iters", 1}, {Flag: "workers"}}
+	mins := []Min{{Flag: "threads", Least: 2}, {Flag: "iters", Least: 1}, {Flag: "workers"},
+		{Flag: "budget"}, {Flag: "budget-graphs"}, {Flag: "budget-mem"},
+		{Flag: "min-hit-rate", Most: 1}, {Flag: "checkpoint-interval", Needs: "checkpoint-dir"}}
 	for _, c := range []struct {
 		args []string
 		want string
@@ -64,11 +68,29 @@ func TestCheckCounts(t *testing.T) {
 		{[]string{"-iters", "-2"}, "-iters -2: the least value is 1"},
 		{[]string{"-workers", "-3"}, "-workers -3: the least value is 0"},
 		{[]string{"-threads", "0", "-iters", "0"}, "-threads 0: the least value is 2"},
+		{[]string{"-budget", "30s", "-budget-graphs", "1500000", "-budget-mem", "0"}, ""},
+		{[]string{"-budget", "-1s"}, "-budget -1s: the least value is 0"},
+		{[]string{"-budget-graphs", "-5"}, "-budget-graphs -5: the least value is 0"},
+		{[]string{"-budget-mem", "-5"}, "-budget-mem -5: the least value is 0"},
+		{[]string{"-min-hit-rate", "0.99"}, ""},
+		{[]string{"-min-hit-rate", "1"}, ""},
+		{[]string{"-min-hit-rate", "2"}, "-min-hit-rate 2: the greatest value is 1"},
+		{[]string{"-min-hit-rate", "-1"}, "-min-hit-rate -1: the least value is 0"},
+		{[]string{"-checkpoint-interval", "5s", "-checkpoint-dir", "d"}, ""},
+		{[]string{"-checkpoint-dir", "d"}, ""},
+		{[]string{"-checkpoint-interval", "1s"}, "-checkpoint-interval 1s needs -checkpoint-dir"},
+		{[]string{"-checkpoint-interval", "-1s", "-checkpoint-dir", "d"}, "-checkpoint-interval -1s: the least value is 0"},
 	} {
 		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 		fs.Int("threads", 2, "")
 		fs.Int("iters", 1, "")
 		fs.Int("workers", 1, "")
+		fs.Duration("budget", 0, "")
+		fs.Int64("budget-graphs", 0, "")
+		fs.Int64("budget-mem", 0, "")
+		fs.Float64("min-hit-rate", 0, "")
+		fs.Duration("checkpoint-interval", 0, "")
+		fs.String("checkpoint-dir", "", "")
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}

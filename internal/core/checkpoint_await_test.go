@@ -25,7 +25,7 @@ import (
 func TestCheckpointMidRetryRoundTrip(t *testing.T) {
 	for _, w := range []workload.Workload{structs.Treiber(1), structs.MSQueue(1)} {
 		p := workload.Program(w, nil, 2)
-		base := runAt(t, mm.WMM, p, 1)
+		base := run(t, mm.WMM, p, 1, false)
 		if base.Stats.Collapsed == 0 {
 			t.Fatalf("%s: no collapsed retries at t=2 — the corpus no longer crosses budget boundaries mid-retry", p.Name)
 		}

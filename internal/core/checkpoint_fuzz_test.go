@@ -116,7 +116,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if seg := c.Run(mcsClient()); seg.Checkpoint == nil || !bytes.Equal(sortVisited(seg.Checkpoint.Encode()), sortVisited(golden)) {
 		t.Fatal("this build's 40-pop segment of mcs t=2 does not encode to the golden bytes")
 	}
-	base := runAt(t, mm.WMM, mcsClient(), 1)
+	base := run(t, mm.WMM, mcsClient(), 1, false)
 	c = core.New(mm.WMM)
 	c.Resume = ck
 	if res := c.Run(mcsClient()); res.Verdict != core.OK || res.Stats != base.Stats {
@@ -132,7 +132,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	}
 	dpdk := locks.ByName("dpdkmcs-buggy")
 	bug := harness.MutexClient(dpdk, dpdk.DefaultSpec(), 2, 1)
-	want := runAt(t, mm.WMM, bug, 2)
+	want := run(t, mm.WMM, bug, 2, false)
 	c = core.New(mm.WMM)
 	c.WorkersPerRun = 2
 	c.Resume = ck

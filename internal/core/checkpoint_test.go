@@ -98,7 +98,7 @@ func runSegmented(t *testing.T, model mm.Model, p *vprog.Program, workers int, b
 // counter.
 func TestBudgetSegmentedSequentialExact(t *testing.T) {
 	for _, p := range ckptCorpus() {
-		base := runAt(t, mm.WMM, p, 1)
+		base := run(t, mm.WMM, p, 1, false)
 		for _, bg := range []int64{1, 7, 50} {
 			res, segs := runSegmented(t, mm.WMM, p, 1, core.Budget{MaxGraphs: bg}, false)
 			if res.Verdict != base.Verdict {
@@ -128,7 +128,7 @@ func TestBudgetSegmentedSequentialExact(t *testing.T) {
 // traveling between segments as a checkpoint record.
 func TestBudgetSegmentedParallel(t *testing.T) {
 	for _, p := range ckptCorpus() {
-		base := runAt(t, mm.WMM, p, 4)
+		base := run(t, mm.WMM, p, 4, false)
 		for _, bg := range []int64{7, 50} {
 			res, segs := runSegmented(t, mm.WMM, p, 4, core.Budget{MaxGraphs: bg}, false)
 			if res.Verdict != base.Verdict {
@@ -161,14 +161,14 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	bug := harness.MutexClient(dpdk, dpdk.DefaultSpec(), 2, 1)
 
 	for _, workers := range []int{1, 4} {
-		base := runAt(t, mm.WMM, ok, workers)
+		base := run(t, mm.WMM, ok, workers, false)
 		res, _ := runSegmented(t, mm.WMM, ok, workers, core.Budget{MaxGraphs: 7}, true)
 		if res.Verdict != base.Verdict || res.Stats.Executions != base.Stats.Executions {
 			t.Fatalf("mcs workers=%d through encode/decode: %v/%d executions, want %v/%d",
 				workers, res.Verdict, res.Stats.Executions, base.Verdict, base.Stats.Executions)
 		}
 	}
-	base := runAt(t, mm.WMM, bug, 2)
+	base := run(t, mm.WMM, bug, 2, false)
 	res, _ := runSegmented(t, mm.WMM, bug, 2, core.Budget{MaxGraphs: 1}, true)
 	if res.Verdict != base.Verdict || witnessKey(res) != witnessKey(base) {
 		t.Fatalf("dpdkmcs-buggy through encode/decode: verdict %v witness %x, want %v %x",
@@ -270,8 +270,7 @@ func TestCheckpointDecodeRejectsDamage(t *testing.T) {
 
 // TestResumeIdentityValidation: a checkpoint resumes only against the
 // (model, program) pair it was taken from; anything else is an Error,
-// not a silent wrong answer. Checkpointing also refuses the test-only
-// legacy dedup path, whose string keys a checkpoint cannot carry.
+// not a silent wrong answer.
 func TestResumeIdentityValidation(t *testing.T) {
 	ck := interruptedCheckpoint(t)
 	mcs := locks.ByName("mcs")
@@ -287,12 +286,6 @@ func TestResumeIdentityValidation(t *testing.T) {
 	c.Resume = ck
 	if res := c.Run(harness.MutexClient(ticket, ticket.DefaultSpec(), 2, 1)); res.Verdict != core.Error {
 		t.Fatalf("resume against the wrong program: %v, want error", res.Verdict)
-	}
-	c = core.New(mm.WMM)
-	c.LegacyDedup = true
-	c.Budget = core.Budget{MaxGraphs: 10}
-	if res := c.Run(prog); res.Verdict != core.Error {
-		t.Fatalf("budgeted legacy-dedup run: %v, want error", res.Verdict)
 	}
 	// The happy path still works after the refusals.
 	c = core.New(mm.WMM)
@@ -310,7 +303,7 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 	mcs := locks.ByName("mcs")
 	prog := harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
 	for _, workers := range []int{1, 4} {
-		base := runAt(t, mm.WMM, prog, workers)
+		base := run(t, mm.WMM, prog, workers, false)
 		var mu sync.Mutex
 		var snaps []*core.Checkpoint
 		c := core.New(mm.WMM)
@@ -357,7 +350,7 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 func TestCancelCheckpoint(t *testing.T) {
 	qspin := locks.ByName("qspin")
 	prog := harness.MutexClient(qspin, qspin.DefaultSpec(), 3, 1)
-	base := runAt(t, mm.WMM, prog, 1)
+	base := run(t, mm.WMM, prog, 1, false)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -387,7 +380,7 @@ func TestCancelCheckpoint(t *testing.T) {
 func TestBudgetDuration(t *testing.T) {
 	mcs := locks.ByName("mcs")
 	prog := harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
-	base := runAt(t, mm.WMM, prog, 1)
+	base := run(t, mm.WMM, prog, 1, false)
 	res, _ := runSegmented(t, mm.WMM, prog, 1, core.Budget{MaxDuration: time.Microsecond}, false)
 	if res.Verdict != base.Verdict || res.Stats != base.Stats {
 		t.Fatalf("duration-segmented run diverged: %v %+v, want %v %+v",

@@ -36,22 +36,22 @@ type Checker struct {
 	// multiple paths; the fingerprint set prunes them and guarantees
 	// termination). A run without it may not terminate: treiber t=3 is
 	// still Undecided at 2,000,000 popped states. Where it does finish,
-	// the verdict is unchanged.
+	// the verdict is unchanged: the audited corpus pass of this package's
+	// tests runs every two-thread cell without it at one worker and
+	// checks so.
 	DisableDedup bool
-	// LegacyDedup keys the visited set on canonical fingerprint strings
-	// instead of 128-bit structural hashes. Test-only: the differential
-	// tests run both paths and assert identical exploration (same pop
-	// counts, same verdicts); the hashed path is strictly faster.
-	LegacyDedup bool
 	// NoSymmetry disables thread-symmetry reduction even for programs
 	// that declare symmetric thread groups (vprog.Program.SymGroups):
 	// every state keeps its raw structural key instead of the canonical
 	// (minimal-over-permutations) one, so symmetric siblings are explored
 	// separately. The escape hatch exists as the differential oracle —
-	// the symmetry tests assert that both settings reach the same verdict
-	// over the whole corpus — and as a diagnostic when a symmetry
-	// declaration is suspected wrong. Symmetry is also off whenever the
-	// dedup spine it keys is off (DisableDedup, LegacyDedup).
+	// the audited corpus pass of this package's tests runs every
+	// two-thread cell of the corpus, under each model and at 1, 2 and 4
+	// workers, with and without it, and asserts the same verdict, no more
+	// executions with the reduction, and identical counters where the
+	// program has no symmetric groups — and as a diagnostic when a
+	// symmetry declaration is suspected wrong. Symmetry is also off
+	// whenever the dedup spine it keys is off (DisableDedup).
 	NoSymmetry bool
 
 	// Budget bounds this run segment (wall clock, popped graphs, heap
@@ -127,17 +127,6 @@ func (w *explorer) snapOf() **replayResult {
 	return &w.cur[0]
 }
 
-// keyLegacy is the historical string dedup key: the canonical graph
-// fingerprint plus a fmt-built forced-rf suffix. Kept only for the
-// differential tests (Checker.LegacyDedup).
-func (it ExploreState) keyLegacy() string {
-	k := it.g.Fingerprint()
-	if it.hasForced {
-		k += fmt.Sprintf("|F%v<-%v", it.forcedR, it.forcedW)
-	}
-	return k
-}
-
 // key returns the 128-bit structural dedup key: the graph's hash with
 // any forced (read, write) revisit pair folded in — no strings, no fmt,
 // two words per state.
@@ -180,17 +169,13 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	x := &exploration{c: c, prog: p, ctx: ctx, single: workers == 1, start: start, maxPops: c.Budget.graphCap()}
 	x.parkCond = sync.NewCond(&x.parkMu)
 	if !c.DisableDedup {
-		if c.LegacyDedup {
-			x.legacy = newLegacyVisited()
-		} else {
-			x.visited = NewVisitedSet()
-			if !c.NoSymmetry {
-				// Symmetry reduction rides on the hashed dedup spine: when
-				// the program declares (and vprog validates) symmetric
-				// thread groups, every state is keyed by its canonical
-				// representative and only one member per orbit is expanded.
-				x.sym = p.SymSpec()
-			}
+		x.visited = NewVisitedSet()
+		if !c.NoSymmetry {
+			// Symmetry reduction rides on the dedup spine: when the
+			// program declares (and vprog validates) symmetric thread
+			// groups, every state is keyed by its canonical representative
+			// and only one member per orbit is expanded.
+			x.sym = p.SymSpec()
 		}
 	}
 	x.workers = make([]*explorer, workers)
@@ -212,10 +197,6 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	// all of this. Neither fingerprints the program before a checkpoint
 	// is built or a resume validated.
 	if c.Resume != nil || c.CheckpointSink != nil || c.CheckpointOnCancel || c.Budget != (Budget{}) {
-		if c.LegacyDedup {
-			return finish(&Result{Verdict: Error,
-				Err: fmt.Errorf("checkpointing requires the hashed visited set (LegacyDedup is test-only)")})
-		}
 		x.budgetOn = c.Budget.MaxDuration > 0 || c.Budget.MaxMemBytes > 0
 		if c.CheckpointSink != nil && c.CheckpointInterval > 0 {
 			x.snapEvery = int64(c.CheckpointInterval)
@@ -359,39 +340,35 @@ func (w *explorer) step(it ExploreState) *Result {
 	w.curPerm = nil
 	w.mem.Adopt(it.g)
 	if !w.c.DisableDedup {
-		if w.c.LegacyDedup {
-			if !x.legacy.insertNew(it.keyLegacy()) {
-				w.stats.Duplicates++
-				return nil
+		if x.sym != nil {
+			// Symmetry reduction: dedup on the canonical key — the
+			// minimal fingerprint over the declared thread permutations —
+			// so an orbit of up to t! relabeled states collapses to
+			// whichever member arrives first. curPerm (the relabeling onto
+			// the canonical representative) then steers this step's thread
+			// choice and witnesses so the explored subtree is the same
+			// whichever member that was.
+			k, perm, fast, tried := x.sym.Canonicalize(it.g, &w.symSc, it.hasForced, it.forcedR, it.forcedW)
+			if !graph.IsIdentityPerm(perm) {
+				w.stats.Canonicalized++
+				w.curPerm = perm
 			}
-		} else {
-			if x.sym != nil {
-				// Symmetry reduction: dedup on the canonical key — the
-				// minimal fingerprint over the declared thread
-				// permutations — so an orbit of up to t! relabeled states
-				// collapses to whichever member arrives first. curPerm
-				// (the relabeling onto the canonical representative) then
-				// steers this step's thread choice and witnesses so the
-				// explored subtree is the same whichever member that was.
-				k, perm, fast, tried := x.sym.Canonicalize(it.g, &w.symSc, it.hasForced, it.forcedR, it.forcedW)
-				if !graph.IsIdentityPerm(perm) {
-					w.stats.Canonicalized++
-					w.curPerm = perm
-				}
-				if fast {
-					w.stats.CanonFast++
-				} else {
-					w.stats.CanonRefined++
-				}
-				w.stats.CanonPruned += x.sym.PermCount() - tried
-				w.lastKey = k
+			if fast {
+				w.stats.CanonFast++
 			} else {
-				w.lastKey = it.key()
+				w.stats.CanonRefined++
 			}
-			if !x.visited.InsertNew(w.lastKey) {
-				w.stats.Duplicates++
-				return nil
+			w.stats.CanonPruned += x.sym.PermCount() - tried
+			w.lastKey = k
+		} else {
+			w.lastKey = it.key()
+			if auditKey != nil {
+				auditKey(x, it, w.lastKey)
 			}
+		}
+		if !x.visited.InsertNew(w.lastKey) {
+			w.stats.Duplicates++
+			return nil
 		}
 	}
 
@@ -506,10 +483,18 @@ func (w *explorer) step(it ExploreState) *Result {
 					return it.g.FinalVal(graph.Loc(v.ID))
 				})
 				if !ok {
+					// Like the witness, the message is the canonical
+					// representative's: every orbit member reports the same.
+					wit := w.canonWitness(it.g)
+					if wit != it.g {
+						_, msg = w.final(func(v *vprog.Var) uint64 {
+							return wit.FinalVal(graph.Loc(v.ID))
+						})
+					}
 					return &Result{
 						Verdict: SafetyViolation,
 						Message: "final-state check failed: " + msg,
-						Witness: w.canonWitness(it.g),
+						Witness: wit,
 					}
 				}
 			}
@@ -743,6 +728,11 @@ func (w *explorer) pushWrite(a graph.Admission, g, g2 *graph.Graph, e *graph.Eve
 	w.pushChild(a, g, g2, e, t)
 	w.pushRevisits(g, g2, e, a == graph.SplitsUpdate)
 }
+
+// auditKey, when set, sees every raw structural key step computes, with
+// the state it keys, before the visited set is asked. Test-only: see
+// AuditDedupKey in export_test.go.
+var auditKey func(x *exploration, it ExploreState, k graph.Hash128)
 
 // auditBirth, when set, sees every child pushWrite rejects, before it is
 // released. Test-only: see AuditBirthRule in export_test.go.

@@ -98,6 +98,59 @@ func AuditReplayMemo(on bool) (seen func() (hits int, failure string)) {
 	}
 }
 
+// AuditDedupKey arms (or, with on false, disarms) the audit of the
+// visited set's key: for every raw structural key step computes — every
+// pop of a run without symmetry in effect — the state's string
+// fingerprint (Graph.Fingerprint, plus its forced revisit pair) is
+// formed too, and within one run a key must map to one string and a
+// string to one key. A hash that forgets a part of the graph shows as a
+// key with two strings; one that folds in something outside it, as a
+// string with two keys. It returns what the audit has seen: keys
+// audited while armed, and the first key or string with two partners
+// since it was last asked ("" if none), so a caller that asks after
+// each run learns which run failed. Toggle it only while no checker is
+// running, and run one checker at a time while it is armed.
+func AuditDedupKey(on bool) (seen func() (keys int, failure string)) {
+	if !on {
+		auditKey = nil
+		return nil
+	}
+	var mu sync.Mutex
+	var keys int
+	var failure string
+	var run *exploration
+	var byKey map[graph.Hash128]string
+	var byString map[string]graph.Hash128
+	auditKey = func(x *exploration, it ExploreState, k graph.Hash128) {
+		str := it.g.Fingerprint()
+		if it.hasForced {
+			str += fmt.Sprintf("|F%v<-%v", it.forcedR, it.forcedW)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if x != run {
+			run, byKey, byString = x, map[graph.Hash128]string{}, map[string]graph.Hash128{}
+		}
+		keys++
+		if failure != "" {
+			return
+		}
+		if other, ok := byKey[k]; ok && other != str {
+			failure = fmt.Sprintf("key %x stands for two strings in one run of %s:\n%s\n%s", k, x.prog.Name, other, str)
+		} else if other, ok := byString[str]; ok && other != k {
+			failure = fmt.Sprintf("string %s has two keys in one run of %s: %x and %x", str, x.prog.Name, other, k)
+		}
+		byKey[k], byString[str] = str, k
+	}
+	return func() (int, string) {
+		mu.Lock()
+		defer mu.Unlock()
+		f := failure
+		failure = ""
+		return keys, f
+	}
+}
+
 // diffReplay names the first field in which the memo entry e differs
 // from the fresh replay want, or returns "".
 func diffReplay(want, e *replayResult) string {

@@ -39,7 +39,7 @@ func TestFilterKeepsRacingCASRevisit(t *testing.T) {
 	}
 	for _, model := range allModels {
 		clear(finals)
-		res := runFilter(t, model, p, 1)
+		res := run(t, model, p, 1, false)
 		if !res.Ok() || res.Stats.Executions != 2 || finals[1] != 1 || finals[2] != 1 {
 			t.Fatalf("under %s: %v, final values seen %v — want one execution per mo order", model.Name(), res, finals)
 		}
@@ -67,9 +67,9 @@ func (m *countingModel) Consistent(g *graph.Graph) bool {
 func TestFilterIgnoresModelIdentity(t *testing.T) {
 	p := workload.Program(workload.ByName("structs/treiber"), nil, 2)
 	for _, model := range allModels {
-		bare := runFilter(t, model, p, 1)
+		bare := run(t, model, p, 1, false)
 		wrapped := &countingModel{Model: model}
-		res := runFilter(t, wrapped, p, 1)
+		res := run(t, wrapped, p, 1, false)
 		if res.Stats != bare.Stats {
 			t.Fatalf("under %s: a wrapped model changed the exploration\nbare:    %+v\nwrapped: %+v", model.Name(), bare.Stats, res.Stats)
 		}

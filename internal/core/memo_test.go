@@ -41,13 +41,12 @@ func audited(t *testing.T, f func()) int {
 }
 
 // sameUnderAudit compares an audited run with its unaudited twin: a
-// sequential run repeats exactly, message and witness bytes included;
-// parallel runs agree on what is schedule-independent (sameEnumeration)
-// and on the counterexample — not on the message of a final-state check,
-// which names the values of whichever orbit member was popped.
+// sequential run repeats exactly, witness bytes included; parallel runs
+// agree on what is schedule-independent (sameEnumeration); both agree
+// on the verdict, the message and the counterexample.
 func sameUnderAudit(t *testing.T, id string, clean, dirty *core.Result) {
 	t.Helper()
-	if clean.Verdict != dirty.Verdict || (clean.Sched.Workers == 1 && clean.Message != dirty.Message) {
+	if clean.Verdict != dirty.Verdict || clean.Message != dirty.Message {
 		t.Fatalf("%s: %v (%q) clean, %v (%q) audited", id, clean.Verdict, clean.Message, dirty.Verdict, dirty.Message)
 	}
 	if (clean.Witness == nil) != (dirty.Witness == nil) || witnessKey(clean) != witnessKey(dirty) {
@@ -83,12 +82,12 @@ func TestSnapWitnessSurvives(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			id := fmt.Sprintf("%s at %d workers", p.Name, workers)
-			clean := runSymAt(t, mm.WMM, p, workers, false)
+			clean := run(t, mm.WMM, p, workers, false)
 			if clean.Witness == nil {
 				t.Fatalf("%s: expected a violation, got %v", id, clean.Verdict)
 			}
 			audited(t, func() {
-				dirty := runSymAt(t, mm.WMM, p, workers, false)
+				dirty := run(t, mm.WMM, p, workers, false)
 				if err := dirty.Witness.CheckInvariants(); err != nil {
 					t.Fatalf("%s: malformed witness: %v", id, err)
 				}
@@ -105,7 +104,7 @@ func TestSnapWitnessSurvives(t *testing.T) {
 // run must still repeat the uninterrupted one.
 func TestSnapHaltedStateResumes(t *testing.T) {
 	for _, p := range ckptCorpus() {
-		seq, par := runAt(t, mm.WMM, p, 1), runAt(t, mm.WMM, p, 4)
+		seq, par := run(t, mm.WMM, p, 1, false), run(t, mm.WMM, p, 4, false)
 		audited(t, func() {
 			for _, budget := range []int64{1, 7, 50} {
 				id := fmt.Sprintf("%s in segments of %d", p.Name, budget)
@@ -131,7 +130,7 @@ func TestSnapCheckpointedFrontier(t *testing.T) {
 	p := harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
 	for _, workers := range []int{1, 4} {
 		id := fmt.Sprintf("%s at %d workers", p.Name, workers)
-		base := runAt(t, mm.WMM, p, workers)
+		base := run(t, mm.WMM, p, workers, false)
 		audited(t, func() {
 			var mu sync.Mutex
 			var snaps []*core.Checkpoint

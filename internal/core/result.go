@@ -90,12 +90,16 @@ func (v Verdict) LitmusLabel() string {
 // completion, Executions is schedule-independent — the visited set's
 // atomic insert-if-absent admits each structural fingerprint once, and
 // every complete execution is derived exactly once whichever worker
-// reaches it first. So is Blocked while symmetry reduction is off. With
-// it on, which member of an orbit arrives first decides the
-// representative that is expanded, the maximal blocked graphs below
-// different representatives need not match one for one, and Blocked
-// joins the traversal counters (294–296 on the 2-worker qspin t=3
-// client). The traversal counters (Popped, Pushed, Revisits, Duplicates,
+// reaches it first. Blocked agrees too while symmetry reduction is off
+// on every cell of harness.Corpus, where core's audited pass compares
+// it, but not on every program: a blocked graph still waits on a later
+// write, so whether the schedule reaches it can vary, and the qspin t=3
+// client without the reduction counts 294 at one worker and 294–296 at
+// 2 and 4. With the reduction on, which member of an orbit arrives
+// first decides the representative that is expanded, the maximal
+// blocked graphs below different representatives need not match one
+// for one, and Blocked joins the traversal counters on more than one
+// worker. The traversal counters (Popped, Pushed, Revisits, Duplicates,
 // Wasteful, Collapsed, Inconsist, Filtered, and the canonicalization
 // counters) can vary by a few percent between schedules: graphs with equal
 // fingerprints but different addition histories carry different stamp

@@ -12,120 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// The symmetry differential bar: exploring only canonical orbit
-// representatives must be invisible in every observable except the
-// work counters — same verdict, and for violations a counterexample of
-// the same shape (the canonical witness is a relabeling of some graph
-// the unreduced run reports, so its event count matches even though
-// thread names may not). Within a symmetry-on run the usual parallel
-// bar holds too: worker count must not change the enumeration or the
-// deterministic counterexample. Checker.NoSymmetry is the oracle
-// switch — it bypasses canonicalization entirely, so these tests are
-// an end-to-end check of the whole reduction, not of one layer.
-
-func runSymAt(t *testing.T, model mm.Model, p *vprog.Program, workers int, nosym bool) *core.Result {
-	t.Helper()
-	c := core.New(model)
-	c.WorkersPerRun = workers
-	c.NoSymmetry = nosym
-	res := c.Run(p)
-	if res.Verdict == core.Canceled || res.Verdict == core.Error {
-		t.Fatalf("%s at %d workers (nosym=%v): unexpected %v: %v", p.Name, workers, nosym, res.Verdict, res.Err)
-	}
-	return res
-}
-
-// symDiffOne asserts the bar for one program: symmetry-on at 1, 2 and
-// 4 workers against symmetry-off at 1 and 4.
-func symDiffOne(t *testing.T, model mm.Model, p *vprog.Program) {
-	t.Helper()
-	on1 := runSymAt(t, model, p, 1, false)
-	on2 := runSymAt(t, model, p, 2, false)
-	on4 := runSymAt(t, model, p, 4, false)
-	off1 := runSymAt(t, model, p, 1, true)
-	off4 := runSymAt(t, model, p, 4, true)
-
-	if on1.Verdict != on4.Verdict || on2.Verdict != on4.Verdict {
-		t.Fatalf("%s: symmetry-on verdict is worker-count dependent: %v/%v/%v",
-			p.Name, on1.Verdict, on2.Verdict, on4.Verdict)
-	}
-	if on4.Verdict != off4.Verdict || off1.Verdict != off4.Verdict {
-		t.Fatalf("%s: symmetry changed the verdict: on %v, off %v/%v",
-			p.Name, on4.Verdict, off1.Verdict, off4.Verdict)
-	}
-
-	if p.SymSpec() == nil {
-		// No validated groups: the reduction must be a strict no-op, down
-		// to the last counter.
-		if on1.Stats != off1.Stats {
-			t.Fatalf("%s: no symmetric groups, yet stats differ\non:  %+v\noff: %+v", p.Name, on1.Stats, off1.Stats)
-		}
-	} else if on4.Stats.Executions > off4.Stats.Executions || on4.Stats.Blocked > off4.Stats.Blocked {
-		t.Fatalf("%s: reduction enumerated MORE than the full run\non:  %+v\noff: %+v", p.Name, on4.Stats, off4.Stats)
-	}
-
-	// Within symmetry-on, worker count must not change the enumeration.
-	if !sameEnumeration(on2, on4) {
-		t.Fatalf("%s: symmetry-on enumeration diverged across worker counts\non2: %+v\non4: %+v",
-			p.Name, on2.Stats, on4.Stats)
-	}
-	if on4.Verdict == core.OK {
-		if !sameEnumeration(on1, on4) {
-			t.Fatalf("%s: symmetry-on enumeration diverged seq vs parallel\non1: %+v\non4: %+v",
-				p.Name, on1.Stats, on4.Stats)
-		}
-		// Symmetry off, Blocked is schedule-independent too, and compared.
-		if !sameEnumeration(off1, off4) {
-			t.Fatalf("%s: symmetry-off enumeration diverged seq vs parallel\noff1: %+v\noff4: %+v",
-				p.Name, off1.Stats, off4.Stats)
-		}
-		return
-	}
-	// Violations: the parallel runs explore to completion and must agree
-	// on the deterministic canonical counterexample exactly; against the
-	// unreduced run only the witness shape is comparable (the canonical
-	// witness is a relabeling, and the two runs minimize over different
-	// key spaces).
-	if witnessKey(on2) != witnessKey(on4) || on2.Message != on4.Message {
-		t.Fatalf("%s: symmetry-on counterexample is schedule-dependent: %q vs %q", p.Name, on2.Message, on4.Message)
-	}
-	if on4.Witness == nil || off4.Witness == nil {
-		t.Fatalf("%s: violation without a witness (on %v, off %v)", p.Name, on4.Witness != nil, off4.Witness != nil)
-	}
-	if on4.Witness.NumEvents() != off4.Witness.NumEvents() {
-		t.Fatalf("%s: canonical witness has %d events, unreduced run's has %d",
-			p.Name, on4.Witness.NumEvents(), off4.Witness.NumEvents())
-	}
-	if err := on4.Witness.CheckInvariants(); err != nil {
-		t.Fatalf("%s: canonical witness is malformed: %v", p.Name, err)
-	}
-}
-
-// TestSymDifferentialLitmus: the full litmus corpus, both strengths.
-// Litmus threads are pairwise distinct programs, so none declares
-// symmetric groups — the suite proves the reduction stands down
-// perfectly rather than perturbing asymmetric workloads.
-func TestSymDifferentialLitmus(t *testing.T) {
-	for _, name := range harness.LitmusNames() {
-		for _, strong := range []bool{false, true} {
-			symDiffOne(t, mm.WMM, harness.Litmus(name, strong))
-		}
-	}
-}
-
-// TestSymDifferentialLocks: the lock corpus at two and — for the
-// decisive cases — three clients, including the buggy study locks
-// whose violations exercise canonical-witness reporting.
-func TestSymDifferentialLocks(t *testing.T) {
-	for _, p := range harness.DiffLocks(testing.Short()) {
-		symDiffOne(t, mm.WMM, p)
-	}
-	if !testing.Short() {
-		mcs := locks.ByName("mcs")
-		symDiffOne(t, mm.WMM, harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1))
-	}
-}
-
 // TestSymReductionFactor: for the mcs client no complete execution is
 // fixed by a nontrivial relabeling (the critical-section order always
 // distinguishes the threads), so every orbit has exactly t! members and
@@ -133,8 +19,8 @@ func TestSymDifferentialLocks(t *testing.T) {
 func TestSymReductionFactor(t *testing.T) {
 	mcs := locks.ByName("mcs")
 	p2 := harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
-	on := runSymAt(t, mm.WMM, p2, 1, false)
-	off := runSymAt(t, mm.WMM, p2, 1, true)
+	on := run(t, mm.WMM, p2, 1, false)
+	off := run(t, mm.WMM, p2, 1, true)
 	if off.Stats.Executions != 2*on.Stats.Executions {
 		t.Fatalf("mcs t=2: %d executions reduced, %d full — want an exact factor 2",
 			on.Stats.Executions, off.Stats.Executions)
@@ -149,8 +35,11 @@ func TestSymReductionFactor(t *testing.T) {
 		return
 	}
 	p3 := harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1)
-	on3 := runSymAt(t, mm.WMM, p3, 4, false)
-	off3 := runSymAt(t, mm.WMM, p3, 4, true)
+	on3 := run(t, mm.WMM, p3, 4, false)
+	off3 := run(t, mm.WMM, p3, 4, true)
+	if on3.Verdict != core.OK || off3.Verdict != core.OK {
+		t.Fatalf("mcs t=3: verdict %v reduced, %v full — want ok both ways", on3.Verdict, off3.Verdict)
+	}
 	if off3.Stats.Executions != 6*on3.Stats.Executions {
 		t.Fatalf("mcs t=3: %d executions reduced, %d full — want an exact factor 3! = 6",
 			on3.Stats.Executions, off3.Stats.Executions)
@@ -169,21 +58,15 @@ func TestSymReductionFactor(t *testing.T) {
 const seqlockT3Inversion = "known anomaly seqlock-t3-inversion (ROADMAP 5(1))"
 
 // TestSymTwinRows: one sequential run with the reduction and one without
-// on every symmetric cell whose state-count ratio is worth knowing — the
-// verdict must not move, the reduced run must not enumerate more
-// executions, and outside the named anomaly it must not pop more states.
-// The ratio is logged (go test -v).
+// on the symmetric cells outside harness.Corpus whose state-count ratio
+// is worth knowing (the audited pass compares every corpus row the same
+// way) — the verdict must not move, the reduced run must not enumerate
+// more executions, and outside the named anomaly it must not pop more
+// states. The ratio is logged (go test -v).
 func TestSymTwinRows(t *testing.T) {
 	type counts struct{ popped, executions, duplicates int }
 	of := func(r *core.Result) counts {
 		return counts{r.Stats.Popped, r.Stats.Executions, r.Stats.Duplicates}
-	}
-	lock := func(name string, threads int) *vprog.Program {
-		alg := locks.ByName(name)
-		return harness.MutexClient(alg, alg.DefaultSpec(), threads, 1)
-	}
-	cell := func(w workload.Workload, threads int) *vprog.Program {
-		return workload.Program(w, nil, threads)
 	}
 	for _, row := range []struct {
 		name    string
@@ -191,16 +74,8 @@ func TestSymTwinRows(t *testing.T) {
 		prog    *vprog.Program
 		on, off *counts // pinned exactly when set
 	}{
-		{name: "lock/spin", prog: lock("spin", 2)},
-		{name: "lock/ttas", prog: lock("ttas", 2)},
-		{name: "lock/ticket", prog: lock("ticket", 2)},
-		{name: "lock/mcs", prog: lock("mcs", 2)},
-		{name: "lock/clh", prog: lock("clh", 2)},
-		{name: "lock/qspin", prog: lock("qspin", 2)},
-		{name: "lock/mcs-t3", slow: true, prog: lock("mcs", 3)},
-		{name: "structs/treiber", prog: cell(structs.Treiber(1), 2)},
-		{name: "structs/msqueue-t4", slow: true, prog: cell(structs.MSQueue(1), 4)},
-		{name: "structs/seqlock-t3", prog: cell(structs.SeqlockPair(1), 3),
+		{name: "structs/msqueue-t4", slow: true, prog: workload.Program(structs.MSQueue(1), nil, 4)},
+		{name: "structs/seqlock-t3", prog: workload.Program(structs.SeqlockPair(1), nil, 3),
 			on: &counts{814, 3, 28}, off: &counts{310, 4, 0}},
 	} {
 		if row.slow && testing.Short() {
@@ -210,7 +85,7 @@ func TestSymTwinRows(t *testing.T) {
 		if p.SymSpec() == nil {
 			t.Fatalf("%s: no validated symmetric group; the row measures nothing", row.name)
 		}
-		on, off := runSymAt(t, mm.WMM, p, 1, false), runSymAt(t, mm.WMM, p, 1, true)
+		on, off := run(t, mm.WMM, p, 1, false), run(t, mm.WMM, p, 1, true)
 		t.Logf("%-20s %6d pops on, %6d off: %.2fx", row.name, on.Stats.Popped, off.Stats.Popped,
 			float64(off.Stats.Popped)/float64(on.Stats.Popped))
 		if on.Verdict != off.Verdict {
@@ -272,8 +147,8 @@ func TestSymRelabeledProgramsUnify(t *testing.T) {
 	if p1.Fingerprint128() != p2.Fingerprint128() {
 		t.Fatal("relabeled builds produced different store keys")
 	}
-	r1 := runSymAt(t, mm.WMM, p1, 1, false)
-	r2 := runSymAt(t, mm.WMM, p2, 1, false)
+	r1 := run(t, mm.WMM, p1, 1, false)
+	r2 := run(t, mm.WMM, p2, 1, false)
 	if r1.Verdict != r2.Verdict || r1.Stats != r2.Stats {
 		t.Fatalf("relabeled builds explored different spaces:\np1: %v %+v\np2: %v %+v",
 			r1.Verdict, r1.Stats, r2.Verdict, r2.Stats)
@@ -288,7 +163,7 @@ func TestSymRelabeledProgramsUnify(t *testing.T) {
 func TestSymSegmentedExact(t *testing.T) {
 	mcs := locks.ByName("mcs")
 	p := harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
-	base := runSymAt(t, mm.WMM, p, 1, false)
+	base := run(t, mm.WMM, p, 1, false)
 	if base.Stats.CanonFast+base.Stats.CanonRefined == 0 {
 		t.Fatal("baseline run was not reduced; the segmented test would be vacuous")
 	}

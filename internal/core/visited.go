@@ -145,39 +145,3 @@ func (v *VisitedSet) Snapshot(dst []graph.Hash128) []graph.Hash128 {
 	}
 	return dst
 }
-
-// legacyVisited is the sharded variant of the historical string-keyed
-// visited set, kept only for the Checker.LegacyDedup differential tests
-// (which assert the hashed and string-keyed explorations are
-// identical). Strings are sharded by FNV-1a.
-type legacyVisited struct {
-	shards [visitedShards]legacyShard
-}
-
-type legacyShard struct {
-	mu sync.Mutex
-	m  map[string]bool
-}
-
-func newLegacyVisited() *legacyVisited {
-	v := &legacyVisited{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[string]bool)
-	}
-	return v
-}
-
-func (v *legacyVisited) insertNew(k string) bool {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint64(k[i])) * 1099511628211
-	}
-	sh := &v.shards[h&(visitedShards-1)]
-	sh.mu.Lock()
-	dup := sh.m[k]
-	if !dup {
-		sh.m[k] = true
-	}
-	sh.mu.Unlock()
-	return !dup
-}

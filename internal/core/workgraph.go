@@ -97,7 +97,6 @@ type exploration struct {
 	single bool
 
 	visited *VisitedSet
-	legacy  *legacyVisited
 	// sym, when non-nil, is the program's validated thread-symmetry
 	// spec: states are deduplicated (and violations tie-broken) on
 	// canonical keys, collapsing each orbit of relabeled states to one
@@ -278,7 +277,7 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 	// worker's next Canonicalize is at its next pop), the raw structural
 	// key otherwise.
 	key := w.lastKey
-	if x.c.DisableDedup || x.c.LegacyDedup {
+	if x.c.DisableDedup {
 		key = st.key()
 	}
 	x.offerViolation(st, res, key)

@@ -9,24 +9,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/locks"
 	"repro/internal/mm"
 	"repro/internal/workload"
 )
-
-// poisonCorpus is harness.Corpus — the differential corpus of
-// internal/core and internal/structs in one table — plus one more
-// three-thread cell (mcs). Big cells run under WMM and skip the
-// NoSymmetry twin (their orbits are what makes them affordable); the
-// rest run under all four models.
-func poisonCorpus() []harness.CorpusCell {
-	cells := harness.Corpus(testing.Short())
-	if !testing.Short() {
-		mcs := locks.ByName("mcs")
-		cells = append(cells, harness.CorpusCell{Program: harness.MutexClient(mcs, mcs.DefaultSpec(), 3, 1), Big: true})
-	}
-	return cells
-}
 
 // tally is what the armed runs of a pass have seen, audit by audit:
 // each audit's counters and the first finding it reported.
@@ -78,11 +63,12 @@ func (tl *tally) run(id string, poison bool, explore func() *core.Result) *core.
 	return res
 }
 
-// pass is the one audited pass over poisonCorpus of this test binary:
-// every configuration — a cell under a model, symmetry on and (for
-// two-thread cells) off, at 1, 2 and 4 workers — explored once clean
-// and once with every check of this package's export_test.go armed
-// together:
+// pass is the one audited pass over harness.Corpus (the corpus of
+// internal/core's audited pass too) of this test binary: every
+// configuration — a cell under a model (a Big cell under WMM only),
+// symmetry on and, except for the Big cells, off, at 1, 2 and 4
+// workers — explored once clean and once with every check of this
+// package's export_test.go armed together:
 //   - PoisonOnRelease fills every retired slab with ones and drops the
 //     slices of every retired header, so a state read after its release,
 //     or released while a witness, a checkpoint or a revisit still needs
@@ -122,7 +108,7 @@ func auditedPass(t *testing.T) *pass {
 func runPass(t *testing.T) *pass {
 	t.Helper()
 	ps := &pass{}
-	for _, cell := range poisonCorpus() {
+	for _, cell := range harness.Corpus(testing.Short()) {
 		models := append(mm.All(), mm.Ablations()...)
 		if cell.Big {
 			models = []mm.Model{mm.WMM}

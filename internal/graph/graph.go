@@ -514,8 +514,9 @@ func (g *Graph) RestrictTo(keep *EventSet) {
 
 // Fingerprint returns a canonical string identifying the graph up to
 // exploration-irrelevant details (stamps). Two graphs with equal
-// fingerprints generate identical futures, so the explorer uses it to
-// deduplicate work.
+// fingerprints generate identical futures. The explorer keys its visited
+// set on the hashed Fingerprint128 instead; this string is the
+// reference the explorer's tests audit that key against.
 func (g *Graph) Fingerprint() string {
 	var b strings.Builder
 	for t, evs := range g.Threads {

@@ -6,29 +6,8 @@ import (
 	"repro/internal/workload"
 )
 
-// DiffLocks and Corpus are what the explorer's differential tests run
-// (internal/core's *_diff_test.go, internal/graph's poison corpus), kept
-// next to the builders so the packages share one list; short is the
-// caller's testing.Short().
-
-// DiffLocks returns the two-thread mutex clients of four structurally
-// different locks and the two buggy study cases, plus ttas and clh
-// outside short mode.
-func DiffLocks(short bool) []*vprog.Program {
-	names := []string{"spin", "ticket", "mcs", "qspin", "dpdkmcs-buggy", "huaweimcs-buggy"}
-	if !short {
-		names = append(names, "ttas", "clh")
-	}
-	var ps []*vprog.Program
-	for _, name := range names {
-		alg := locks.ByName(name)
-		ps = append(ps, MutexClient(alg, alg.DefaultSpec(), 2, 1))
-	}
-	return ps
-}
-
 // CorpusCell is one program of Corpus. Big marks the three-thread
-// cells, which are affordable under WMM with symmetry reduction only.
+// cells, which the audited passes run under WMM only.
 type CorpusCell struct {
 	Program *vprog.Program
 	Big     bool
@@ -36,10 +15,17 @@ type CorpusCell struct {
 
 // Corpus returns every registered lock's mutex client and every
 // registered workload at two threads — seeded-bug and /bounded twins
-// included — then the litmus tests at both strengths, then, outside
-// short mode, the three-thread cells where most rf/mo candidates die
-// and thieves retire what they did not build. The order is pinned by
+// included — then the litmus tests at both strengths and the
+// revisit-heavy qspinlock queue-path litmus, then, outside short mode,
+// the three-thread cells where most rf/mo candidates die and thieves
+// retire what they did not build; short is the caller's
+// testing.Short(). The order is pinned by
 // internal/core/testdata/filter_pins.txt.
+//
+// Corpus is what the explorer's audited tests run — internal/core's and
+// internal/graph's audited passes, each cell under its models, symmetry
+// on and off, at 1, 2 and 4 workers — kept next to the builders so the
+// packages share one list.
 func Corpus(short bool) []CorpusCell {
 	var cells []CorpusCell
 	for _, alg := range locks.All() {
@@ -51,12 +37,15 @@ func Corpus(short bool) []CorpusCell {
 	for _, name := range LitmusNames() {
 		cells = append(cells, CorpusCell{Program: Litmus(name, false)}, CorpusCell{Program: Litmus(name, true)})
 	}
+	qspin := locks.ByName("qspin")
+	cells = append(cells, CorpusCell{Program: QspinQueuePathLitmus(qspin.DefaultSpec())})
 	if !short {
-		qspin := locks.ByName("qspin")
+		mcs := locks.ByName("mcs")
 		cells = append(cells,
 			CorpusCell{MutexClient(qspin, qspin.DefaultSpec(), 3, 1), true},
 			CorpusCell{workload.Program(workload.ByName("structs/treiber"), nil, 3), true},
-			CorpusCell{workload.Program(workload.ByName("structs/treiber-badpop"), nil, 3), true})
+			CorpusCell{workload.Program(workload.ByName("structs/treiber-badpop"), nil, 3), true},
+			CorpusCell{MutexClient(mcs, mcs.DefaultSpec(), 3, 1), true})
 	}
 	return cells
 }

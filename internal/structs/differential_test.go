@@ -10,7 +10,7 @@ import (
 )
 
 // awaitDiff is the await-encoding instance of the differential bar
-// (pattern: TestSymDifferential*): the await encoding of a structure
+// (pattern: internal/core's TestSymDifferential): the await encoding of a structure
 // must reach the same verdict as its bounded-loop twin — at 1, 2 and 4
 // workers — and must never enumerate more popped states than the twin.
 // The twin runs once at one worker; its verdict is the oracle.

@@ -74,7 +74,11 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 # kernel's scratch is stack and pool, shared by nothing), and the
 # verdict store's differential against its reference loader at full
 # size: every seed, the every-byte tear sweep and the
-# two-sessions-one-log variant. Every -run line goes through testrun.
+# two-sessions-one-log variant. The store's loader runs its reader,
+# checker and indexer on goroutines of their own, so its tests run five
+# times more at -short, at the default chunk size and at chunks of 1, 7
+# and 64 bytes (TestChunkBoundaries), as the vsync line runs five times.
+# Every -run line goes through testrun.
 race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
@@ -84,6 +88,7 @@ race:
 	@$(call testrun,TestPsc,./internal/mm,-race)
 	@$(call testrun,TestAwaitDifferential,./internal/structs,-race)
 	@$(call testrun,TestOpenShared|TestRefresh|TestCompact|TestRemote|TestMultiProcess|TestDiff,./internal/store,-race)
+	@$(call testrun,TestDiff|TestChunkBoundaries|TestOpenShortRead|TestLogSizeLimit|TestServiceStatsCarryOpenCost|TestMultiProcess,./internal/store,-race -short -count=5)
 
 # Allocation-regression bars (objects and bytes per popped state and, for
 # the benchmark's treiber cell, per run; zero allocations on a warm free

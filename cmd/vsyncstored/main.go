@@ -18,7 +18,7 @@
 //
 //	GET /v1/verdict?epoch=HEX&key=HEX   one verdict, 404 on miss
 //	PUT /v1/verdicts                    idempotent batch ingest
-//	GET /v1/stats                       session counters, and what the last full scan of the log cost (OpenBytes, OpenTime; OpenRead, OpenCheck, OpenIndex)
+//	GET /v1/stats                       session counters (Hits and Misses count GETs; a PUT counts none), and what the last full scan of the log cost (OpenBytes, OpenTime; OpenRead, OpenCheck, OpenIndex: until its last byte was read, then checked, then indexed)
 //	GET /v1/healthz                     liveness (200 for the whole process lifetime)
 //	GET /v1/readyz                      routability (503 once a drain starts)
 //

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,8 +22,9 @@ func testHash(i int) graph.Hash128 { return graph.Hash128{uint64(i) + 1, uint64(
 
 // These tests drive the store's failure paths through the injected
 // failpoints (internal/faultinject): append errors, torn tails from a
-// simulated crash mid-append, failed truncations of a torn tail,
-// compaction rename failures, and lock acquisition failures. The invariant under every fault is the same —
+// simulated crash mid-append, failed truncations of a torn tail, a
+// read that fails mid-load, compaction rename failures, and lock
+// acquisition failures. The invariant under every fault is the same —
 // no wrong verdict is ever served, and the log heals to a well-formed
 // state at the next locked operation.
 
@@ -167,6 +169,57 @@ func TestFaultTruncateTornTail(t *testing.T) {
 	}
 	if _, ok := s2.Lookup(testKey(2)); ok {
 		t.Fatal("the torn (uncommitted) verdict is being served")
+	}
+}
+
+// TestFaultReadKeepsChecked: a read that fails partway through a
+// refresh keeps the records the checker trusted before the failure —
+// the image stays the file's prefix and the table indexes all of it —
+// truncates nothing, and is an error; the next Refresh loads the rest.
+func TestFaultReadKeepsChecked(t *testing.T) {
+	defer faultinject.Reset()
+	defer func(n int) { chunkBytes = n }(chunkBytes)
+	rec := func(i int) []byte { return encodeRecord(currentEpoch(), testKey(i).Hash(), verdictFor(i), "read") }
+	path := filepath.Join(t.TempDir(), "v.log")
+	if err := os.WriteFile(path, rec(0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenShared(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var tail []byte
+	for i := 1; i <= 10; i++ {
+		tail = append(tail, rec(i)...)
+	}
+	appendRaw(t, path, tail)
+
+	// Two chunks land, the third read fails: the records wholly inside
+	// the first two chunks are checked, the one across the boundary is not.
+	chunkBytes = 64
+	if err := faultinject.Configure("store.read:on=3"); err != nil {
+		t.Fatal(err)
+	}
+	kept := 2 * chunkBytes / len(rec(0))
+	if n, err := s.Refresh(); !errors.Is(err, faultinject.ErrInjected) || n != kept {
+		t.Fatalf("Refresh over a failing read = (%d, %v), want the %d records it checked and the failure", n, err, kept)
+	}
+	file := readLog(t, path)
+	if want := append(rec(0), tail...); !bytes.Equal(file, want) {
+		t.Fatalf("a failed read changed the log: %d bytes, want %d", len(file), len(want))
+	}
+	if s.Len() != 1+kept || !bytes.Equal(s.img, file[:len(s.img)]) || len(s.img) != (1+kept)*len(rec(0)) {
+		t.Fatalf("after a failed read the session indexes %d records in a %d-byte image, want %d in %d", s.Len(), len(s.img), 1+kept, (1+kept)*len(rec(0)))
+	}
+
+	faultinject.Reset()
+	if n, err := s.Refresh(); err != nil || n != 10-kept {
+		t.Fatalf("Refresh after the failure = (%d, %v), want the other %d records", n, err, 10-kept)
+	}
+	checkView(t, "after the retried refresh", s, refLoad(readLog(t, path)))
+	if st := s.Stats(); st.Refreshed != 10 || st.Corrupted != 0 {
+		t.Fatalf("%d refreshed, %d corrupted; want 10 and 0", st.Refreshed, st.Corrupted)
 	}
 }
 

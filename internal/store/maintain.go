@@ -44,7 +44,7 @@ func (s *Session) compactLocked() (int, error) {
 	// does not point at is a later copy — and whether it is live
 	// (current epoch, this record version). It returns the duplicates.
 	walk := func(fn func(off, end int, live bool)) (dups int) {
-		scan(s.img, func(off, end int, p []byte) {
+		scan(s.img, nil, func(off, end int, p []byte) {
 			ok := decodable(p)
 			if ok {
 				if pos, _ := s.tab.find(s.img, p[idOff:idOff+idSize]); int(pos) != off+recIDOff {

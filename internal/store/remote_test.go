@@ -138,6 +138,47 @@ func TestRemotePutBatch(t *testing.T) {
 	}
 }
 
+// TestRemotePutCountsNoLookup: a PUT of new and already-stored records
+// tells them apart — appended, duplicates — without counting a hit or a
+// miss: no client looked anything up.
+func TestRemotePutCountsNoLookup(t *testing.T) {
+	srv, backend := serveStore(t, t.TempDir())
+	put := func(from, to int) map[string]int {
+		t.Helper()
+		var batch []WireRecord
+		for i := from; i < to; i++ {
+			batch = append(batch, WireRecord{Epoch: hashHex(testHash(60)), Key: hashHex(testKey(i).Hash()), Verdict: uint8(verdictFor(i)), Name: "put"})
+		}
+		body, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/verdicts", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got map[string]int
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := put(0, 3); got["appended"] != 3 || got["duplicates"] != 0 {
+		t.Fatalf("PUT of 3 new records: %v", got)
+	}
+	if got := put(1, 5); got["appended"] != 2 || got["duplicates"] != 2 {
+		t.Fatalf("PUT of 2 stored and 2 new records: %v", got)
+	}
+	if st := backend.Stats(); st.Hits != 0 || st.Misses != 0 || st.Appended != 5 {
+		t.Fatalf("after two PUTs: %d hits, %d misses, %d appended; want 0, 0 and 5", st.Hits, st.Misses, st.Appended)
+	}
+}
+
 // TestRemoteDegradesGracefully is the acceptance bar for the remote
 // tier: the service dying mid-run must cost backoff-logged misses, not
 // a failed run — every Put and Lookup keeps working local-only, and
@@ -194,7 +235,7 @@ func TestRemoteDegradesGracefully(t *testing.T) {
 
 // TestServiceStatsCarryOpenCost: /v1/stats says what the service's last
 // full scan of its log read and how long it took — in all, and split
-// into the read and the two passes — beside the counters.
+// into consecutive read, check and index segments — beside the counters.
 func TestServiceStatsCarryOpenCost(t *testing.T) {
 	path := fillerLog(t, 500)
 	backend, err := OpenShared(path, nil)

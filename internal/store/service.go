@@ -86,7 +86,7 @@ func NewHandler(s *Session) *Handler {
 				rejected++
 				continue
 			}
-			if prev, _, ok := s.LookupEpoch(epoch, key); ok && prev == core.Verdict(rec.Verdict) {
+			if prev, ok := s.stored(epoch, key); ok && prev == core.Verdict(rec.Verdict) {
 				duplicates++
 				continue
 			}

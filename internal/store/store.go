@@ -76,23 +76,22 @@
 // the first record of an identity wins — the order the file keeps —
 // without anything to remember about the later ones.
 //
-// Records come in from the file one way, loadLocked: one read of the
-// bytes past the image onto its end, and two passes over them. The
-// first walks them in order: it checksums and validates each record,
-// counts it, and lists the position of every record it trusts. The
-// second only inserts that list into the table, in log order. Kept
-// apart from the checksums, the table's cache misses — one random slot
-// per record — are independent of each other and overlap. An open is
-// that load from byte 0 into an empty image; Refresh is the same load
-// of the unseen tail. Either way a record counts — as loaded or
-// refreshed, or as stale — only when it takes its identity's slot. Put
-// appends its record to the file and to the image. A session therefore
-// costs the log's size plus 8–16 bytes per indexed record, and opening
-// allocates three times (image, position list, table) however many
-// records there are; the list, 4 bytes per record, is garbage once the
-// table is built. Positions are 32-bit: a log beyond 4 GiB is refused
-// at open, and a Put or Refresh that would cross the bound fails,
-// rather than wrap.
+// Records come in from the file one way, loadLocked, in three stages
+// that overlap: a reader lands the bytes past the image on its end a
+// chunk at a time; a checker follows it in log order, checksumming,
+// validating and counting each record and batching the position of
+// every record it trusts; one indexer inserts the batches, in log
+// order, into the table, whose cache misses — one random slot per
+// record — are independent of each other and overlap. An open is that
+// load from byte 0 into an empty image; Refresh is the same load of the
+// unseen tail. Either way a record counts — as loaded or refreshed, or
+// as stale — only when it takes its identity's slot. Put appends its
+// record to the file and to the image. A session therefore costs the
+// log's size plus 8–16 bytes per indexed record, and an open allocates
+// the same couple of dozen objects (image, table, a fixed ring of
+// position batches, the stages' goroutines and channels) however many
+// records there are. Positions are 32-bit: a log beyond 4 GiB is refused
+// at open, and a Put or Refresh that would cross the bound fails.
 //
 // # Invalidation
 //
@@ -293,10 +292,10 @@ type Stats struct {
 	Conflicts int // decisive verdicts contradicting a stored one (kept out)
 
 	OpenBytes int64         // bytes read by the last load from byte 0 (an open, a reopen after the file was replaced, a refresh of an empty log)
-	OpenTime  time.Duration // what the last open took in all, opening the file included
-	OpenRead  time.Duration // of the last load from byte 0: reading the file into the image
-	OpenCheck time.Duration // of which the first pass: framing, checksums, validation, counting
-	OpenIndex time.Duration // of which the second pass: building the table
+	OpenTime  time.Duration // what the last open took in all, opening the file and hashing the code epoch included
+	OpenRead  time.Duration // of the last load from byte 0, three consecutive segments: until the file's last byte landed in the image
+	OpenCheck time.Duration // then until the checker (framing, checksums, validation, counting) passed the last record
+	OpenIndex time.Duration // then until the indexer put the last record in the table
 
 	RemoteHits     int // lookups served by the remote tier (and promoted locally)
 	RemotePuts     int // records acknowledged by batched remote PUTs
@@ -405,29 +404,80 @@ func (s *Session) withFileLock(fn func() error) error {
 	return fn()
 }
 
-// scan is the first pass of the load (open, refresh) and compaction's
+// scan is the checker of the load (open, refresh) and compaction's
 // walk: it walks data from its start, handing fn every well-formed
 // record — its byte span and its payload, which aliases data — and
 // returns the trusted byte count and what ended the scan (nil at a
-// clean end). The first record that does not frame ends it — a mid-log
-// tear must not resynchronize on garbage-controlled framing, and
-// nothing after the tear reaches the second pass, which only indexes
-// what fn listed. The length bound is version-agnostic: a checksummed
-// record of an older (shorter) format must scan as a stale record to
-// retain, not end the scan as a corrupt tail — that would truncate a v1
-// user's entire history on upgrade.
-func scan(data []byte, fn func(off, end int, payload []byte)) (int, error) {
-	valid := 0
-	for valid < len(data) {
-		payload, rest, err := frame.Next(data[valid:], recordMagic, maxPayload)
+// clean end). Given landed, data is the reader's: scan goes no further
+// than the last count received. The first record that does not frame
+// ends it — a mid-log tear must not resynchronize on garbage-controlled
+// framing, and nothing after the tear is indexed. The length bound is
+// version-agnostic: a checksummed record of an older (shorter) format
+// must scan as a stale record to retain, not end the scan as a corrupt
+// tail — that would truncate a v1 user's entire history on upgrade.
+func scan(data []byte, landed <-chan int, fn func(off, end int, payload []byte)) (int, error) {
+	valid, have, eof := 0, len(data), landed == nil
+	if !eof {
+		have = 0
+	}
+	for valid < have || !eof {
+		payload, rest, err := frame.Next(data[valid:have], recordMagic, maxPayload)
+		if errors.Is(err, frame.ErrTruncated) && !eof {
+			if n, ok := <-landed; ok {
+				have = n
+			} else {
+				eof = true
+			}
+			continue
+		}
 		if err != nil {
 			return valid, err
 		}
-		end := len(data) - len(rest)
+		end := have - len(rest)
 		fn(valid, end, payload)
 		valid = end
 	}
 	return valid, nil
+}
+
+// chunkBytes is how much the loader's reader reads at a time; a batch
+// of positions holds a chunk's worth. A variable so tests can shrink it.
+var chunkBytes = 64 << 10
+
+// ringLen is how many batches of positions the checker may fill ahead.
+const ringLen = 16
+
+// reader is the load's first stage: it lands the file in the image a
+// chunk at a time, sends the count landed after each, and closes landed
+// once n, err (the read's failure) and last (when it ended) are final.
+type reader struct {
+	landed chan int
+	n      int
+	err    error
+	last   time.Time
+}
+
+// read fills data from the file at off. A file that shrank since it was
+// sized (on a platform without flock a peer can do that) ends it early.
+func (r *reader) read(f *os.File, data []byte, off int64) {
+	for r.n < len(data) {
+		m, err := 0, faultinject.Fire("store.read")
+		if err == nil {
+			m, err = f.ReadAt(data[r.n:min(r.n+chunkBytes, len(data))], off+int64(r.n))
+		}
+		if r.n += m; err != nil {
+			if err != io.EOF {
+				r.err = err
+			}
+			break
+		}
+		if r.n < len(data) {
+			r.landed <- r.n
+		}
+	}
+	r.last = time.Now()
+	r.landed <- r.n
+	close(r.landed)
 }
 
 // recordSpan is the byte span of the decodable record whose identity
@@ -456,7 +506,6 @@ func (s *Session) openLocked() error {
 		s.f.Close()
 		s.f = nil
 	}
-	currentEpoch() // hashed once a process, not by every open: off the clock
 	start := time.Now()
 	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
@@ -475,23 +524,21 @@ func (s *Session) openLocked() error {
 }
 
 // loadLocked is the one way records come into a session from its file:
-// it reads what lies past the image, up to the size bytes the file was
-// just seen to hold, onto the image's end, and runs two passes over it.
-// The first checksums, validates and counts each record in log order
-// and lists the position of every record it trusts; the second only
-// inserts that list into the table. A corrupt or torn tail is then
-// truncated away — the caller holds the append lock, so torn bytes can
-// only be a crashed writer's leftovers, never a live writer mid-record —
-// and a failed truncation is an error, since an append behind the tear
-// would be lost to the next scan. An open loads from byte 0, a refresh
-// the unseen tail; only from byte 0 is a file that does not begin with
-// the record magic refused, and only then is the cost kept as the
-// open's.
+// its reader lands what lies past the image, up to the size bytes the
+// file was just seen to hold, and its checker (scan, on this goroutine)
+// and indexer take it in. A corrupt or torn tail is then truncated away
+// — the caller holds the append lock, so torn bytes can only be a
+// crashed writer's leftovers — and a failed truncation is an error,
+// since an append behind the tear would be lost to the next scan; a
+// failed read keeps what was checked before it. An open loads from byte
+// 0, a refresh the unseen tail; only from byte 0 is a file that does not
+// begin with the record magic refused, and the cost kept as the open's:
+// until the last byte landed, then was checked, then was indexed.
 //
 // A record counts — fresh (returned, for the caller to file as Loaded
 // or Refreshed) or Stale — only when it takes its identity's slot: a
-// later copy of an indexed identity is neither. The first pass counts
-// every record and the second takes the rare later copy off again, so
+// later copy of an indexed identity is neither. The checker counts
+// every record and the indexer takes the rare later copy off again, so
 // its loop stays bare. Caller holds mu and the file lock.
 func (s *Session) loadLocked(size int64) (fresh int, err error) {
 	if size > maxLogBytes {
@@ -508,24 +555,25 @@ func (s *Session) loadLocked(size int64) (fresh int, err error) {
 		s.img = img[:base]
 	}
 	img := s.img[:size]
-	n, err := s.f.ReadAt(img[base:], int64(base))
-	if err != nil && err != io.EOF {
-		return 0, fmt.Errorf("store: reading %s: %w", s.path, err)
+	rd := &reader{landed: make(chan int, (int(size)-base)/chunkBytes+1)} // never full: the reader never waits
+	go rd.read(s.f, img[base:], int64(base))
+	cur := currentEpoch() // hashed once a process, while the first chunk lands
+
+	per := max(min(chunkBytes, int(size)-base)/minRecord, 1)
+	ring := make([]uint32, ringLen*per)
+	ix := &indexer{tab: s.tab, full: make(chan []uint32, ringLen), free: make(chan []uint32, ringLen), done: make(chan struct{})}
+	for i := range ringLen {
+		ix.free <- ring[i*per : i*per : (i+1)*per]
 	}
-	// A file that shrank since it was sized (on a platform without flock
-	// a peer can do that) gives fewer bytes than asked for: what arrived
-	// is scanned, the zeroes behind it are not.
-	img = img[:base+n]
-	read := time.Now()
-	// Room for the identity position of every record the bytes can hold:
-	// no record this build decodes is shorter than minRecord, so the first
-	// pass never grows the list.
-	ids := make([]uint32, 0, (len(img)-base)/minRecord)
+	go ix.run(img, cur)
+	batch := <-ix.free
 	stale, staleBytes := 0, 0
-	cur := currentEpoch()
-	valid, scanErr := scan(img[base:], func(off, end int, p []byte) {
+	valid, scanErr := scan(img[base:], rd.landed, func(off, end int, p []byte) {
 		if decodable(p) {
-			ids = append(ids, uint32(base+off+recIDOff))
+			if len(batch) == cap(batch) { // expect as many records per byte in the load
+				batch = ix.send(img, batch, int(int64(len(batch))*(size-int64(base))/int64(off)), false)
+			}
+			batch = append(batch, uint32(base+off+recIDOff))
 			if epochOf(p) == cur {
 				fresh++
 				return
@@ -540,35 +588,31 @@ func (s *Session) loadLocked(size int64) (fresh int, err error) {
 		stale++
 		staleBytes += end - off
 	})
+	checked := time.Since(start)
+	ix.send(img, batch, len(batch), true)
+	for range rd.landed { // the reader reads on past a corrupt record, to count what it discards
+	}
+	<-ix.done
 	if base == 0 && notAStore(valid, scanErr) {
 		// Refuse loudly instead of truncating a file the caller mistyped
 		// the path of.
 		return 0, fmt.Errorf("store: %s is not a verdict store (bad leading magic); refusing to truncate it — delete or move the file if it really is the store", s.path)
 	}
-	checked := time.Now()
-	// First record wins: the log is authoritative in write order,
-	// matching Put's conflict stance, and the list is in write order.
-	tab := s.tab
-	tab.reserve(img, len(ids))
-	for _, p := range ids {
-		if !tab.insert(img, int(p)) {
-			if epochOf(img[int(p)-idOff:]) == cur {
-				fresh--
-			} else {
-				off, end := recordSpan(img, int(p))
-				stale--
-				staleBytes -= end - off
-			}
-		}
-	}
 	if base == 0 {
-		s.stats.OpenBytes = int64(len(img))
-		s.stats.OpenRead, s.stats.OpenCheck, s.stats.OpenIndex = read.Sub(start), checked.Sub(read), time.Since(checked)
+		read := rd.last.Sub(start)
+		checked = max(checked, read) // a corrupt record ends the check early
+		indexed := max(ix.last.Sub(start), checked)
+		s.stats.OpenBytes = int64(rd.n)
+		s.stats.OpenRead, s.stats.OpenCheck, s.stats.OpenIndex = read, checked-read, indexed-checked
 	}
-	s.img, s.tab = img[:base+valid], tab
-	s.stats.Stale += stale
-	s.staleBytes += int64(staleBytes)
-	if torn := len(img) - len(s.img); torn > 0 {
+	s.img, s.tab = img[:base+valid], ix.tab
+	fresh -= ix.fresh
+	s.stats.Stale += stale - ix.stale
+	s.staleBytes += int64(staleBytes - ix.staleBytes)
+	if rd.err != nil {
+		return fresh, fmt.Errorf("store: reading %s: %w", s.path, rd.err)
+	}
+	if torn := rd.n - valid; torn > 0 {
 		err := faultinject.Fire("store.truncate")
 		if err == nil {
 			err = s.f.Truncate(int64(len(s.img)))
@@ -579,6 +623,57 @@ func (s *Session) loadLocked(size int64) (fresh int, err error) {
 		s.stats.Corrupted += torn
 	}
 	return fresh, nil
+}
+
+// indexer is the load's last stage: it inserts the checker's batches of
+// positions into tab, in log order, and hands each back on free. fresh,
+// stale and staleBytes count later copies, which take no slot.
+type indexer struct {
+	tab                      table
+	full, free               chan []uint32
+	sent                     bool
+	last                     time.Time // when the last record was indexed
+	done                     chan struct{}
+	fresh, stale, staleBytes int
+}
+
+// send hands the indexer a batch and returns an empty one, or nil after
+// the last. The first sizes the table for expect records, exactly when
+// the load is one batch; should more come, the table grows.
+func (ix *indexer) send(img []byte, batch []uint32, expect int, last bool) []uint32 {
+	if !ix.sent {
+		ix.tab.reserve(img, expect)
+		ix.sent = true
+	}
+	ix.full <- batch
+	if last {
+		close(ix.full)
+		return nil
+	}
+	return <-ix.free
+}
+
+func (ix *indexer) run(img []byte, cur graph.Hash128) {
+	for batch := range ix.full {
+		for _, p := range batch {
+			if ix.tab.insert(img, int(p)) {
+				continue
+			}
+			// First record wins: the log is authoritative in write order,
+			// matching Put's conflict stance, and batches come in write
+			// order.
+			if epochOf(img[int(p)-idOff:]) == cur {
+				ix.fresh++
+			} else {
+				off, end := recordSpan(img, int(p))
+				ix.stale++
+				ix.staleBytes += end - off
+			}
+		}
+		ix.free <- batch[:0]
+	}
+	ix.last = time.Now()
+	close(ix.done)
 }
 
 // refreshLocked brings image and index up to date with the on-disk log:
@@ -679,11 +774,7 @@ func decisive(v core.Verdict) bool {
 // a remote hit is promoted into the local log so the next process is
 // warm without the network.
 func (s *Session) Lookup(k Key) (core.Verdict, bool) {
-	return s.lookupHash(k.Hash())
-}
-
-func (s *Session) lookupHash(h graph.Hash128) (core.Verdict, bool) {
-	id := recordID{currentEpoch(), h}
+	id := recordID{currentEpoch(), k.Hash()}
 	s.mu.Lock()
 	if v, _, ok := s.lookupLocked(id); ok {
 		s.stats.Hits++
@@ -725,6 +816,15 @@ func (s *Session) LookupEpoch(epoch, key graph.Hash128) (core.Verdict, string, b
 	s.stats.Hits++
 	name := s.img[pos+idSize+3:]
 	return v, string(name[:binary.LittleEndian.Uint16(s.img[pos+idSize+1:])]), true
+}
+
+// stored is the verdict held for an identity, found without counting a
+// lookup: the service's ingest tells duplicates from new records by it.
+func (s *Session) stored(epoch, key graph.Hash128) (core.Verdict, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, _, ok := s.lookupLocked(recordID{epoch, key})
+	return v, ok
 }
 
 // ErrConflict marks a Put whose decisive verdict contradicts the one

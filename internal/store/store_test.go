@@ -1073,7 +1073,10 @@ func TestDiffTearSweep(t *testing.T) {
 		reseal(otherVersion),
 		reseal(forged),
 	}
-	if !testing.Short() {
+	if !testing.Short() && chunkBytes >= 64 {
+		// Cut at each of its 4,110 bytes and read a byte or seven at a
+		// time, the maximal name is half a minute of system calls; it
+		// straddles 64 chunks at 64 bytes.
 		lasts = append(lasts, encodeRecord(currentEpoch(), key, core.OK, strings.Repeat("n", 4096)))
 	}
 	path := filepath.Join(t.TempDir(), "v.log")
@@ -1216,6 +1219,62 @@ func TestDiffSessions(t *testing.T) {
 	}
 }
 
+// TestDiffRefreshChunks: a peer appends a tail several of the loader's
+// chunks long — torn or whole — and a Refresh over it serves what the
+// reference makes of the same bytes.
+func TestDiffRefreshChunks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.log")
+	for seed, torn := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(int64(3000 + seed)))
+		what := fmt.Sprintf("chunks of %d bytes, torn %v", chunkBytes, torn)
+		s, ref := openAgainstRef(t, what, path, genLog(rng, 10))
+		if s == nil {
+			continue
+		}
+		var tail []byte
+		for n := 0; len(tail) <= 3*chunkBytes || n < 8; n++ {
+			tail = append(tail, genRecord(rng)...)
+		}
+		if torn {
+			tail = tail[:len(tail)-5]
+		}
+		ref.loaded, ref.stale, ref.staleBytes = s.stats.Loaded, s.stats.Stale, int(s.staleBytes)
+		ref.corrupted = s.stats.Corrupted
+		appendRaw(t, path, tail)
+		ref.refresh(tail)
+		if n, err := s.Refresh(); err != nil || n != ref.fresh {
+			t.Fatalf("%s: Refresh = (%d, %v), reference saw %d fresh verdicts", what, n, err, ref.fresh)
+		}
+		checkView(t, what, s, ref)
+		checkCounters(t, what, s, ref)
+		s.Close()
+	}
+}
+
+// TestChunkBoundaries: the loader's reader lands the log a chunk at a
+// time and its checker follows, so a record may straddle any number of
+// chunks, and a batch of positions may hold one record. At chunks of
+// 1, 7 and 64 bytes the loader agrees with the reference wherever it is
+// held to it at the default size: the differential tests, the short
+// read, a refresh over a tail of many chunks and the fuzz seeds.
+func TestChunkBoundaries(t *testing.T) {
+	defer func(n int) { chunkBytes = n }(chunkBytes)
+	for _, n := range []int{1, 7, 64} {
+		chunkBytes = n
+		t.Run(fmt.Sprintf("chunk=%d", n), func(t *testing.T) {
+			t.Run("DiffLoad", TestDiffLoad)
+			t.Run("DiffTearSweep", TestDiffTearSweep)
+			t.Run("DiffBadChecksumMidLog", TestDiffBadChecksumMidLog)
+			t.Run("DiffSessions", TestDiffSessions)
+			t.Run("DiffRefreshChunks", TestDiffRefreshChunks)
+			t.Run("OpenShortRead", TestOpenShortRead)
+			for i, seed := range storeLoadSeeds() {
+				t.Run(fmt.Sprintf("FuzzStoreLoad/seed#%d", i), func(t *testing.T) { checkLoad(t, seed) })
+			}
+		})
+	}
+}
+
 // TestOpenShortRead: the open sizes the file and then reads it, and on a
 // platform without flock a compacting peer can shrink it in between.
 // The read then returns fewer bytes than were asked for; those are
@@ -1322,9 +1381,10 @@ func TestLogSizeLimit(t *testing.T) {
 }
 
 // TestAllocsOpen: opening a log allocates a fixed handful of objects —
-// file handles, the image, the position list, the table — however many
-// records it holds, where the list-and-map loader allocated one and
-// more per record; and a warm lookup allocates nothing.
+// file handles, the image, the ring of position batches, the table, the
+// loader's goroutines and channels — however many records it holds,
+// where the list-and-map loader allocated one and more per record; and
+// a warm lookup allocates nothing.
 func TestAllocsOpen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation bars run under make allocs")
@@ -1340,8 +1400,8 @@ func TestAllocsOpen(t *testing.T) {
 		})
 	}
 	small, big := opens(1000), opens(20000)
-	// The position list is sized from the file's length and the table
-	// from the records the first pass trusted, so neither grows.
+	// The ring is fixed and the table sized from the records the first
+	// batch leads to expect, so neither grows.
 	if big > 40 || big-small > 2 {
 		t.Errorf("open allocates %.0f objects for 1,000 records and %.0f for 20,000; want the same, and at most 40", small, big)
 	}

@@ -99,10 +99,12 @@ allocs:
 
 # One cheap pass over the benchmark harness to catch bit-rot in the
 # table/figure emitters without running the full campaign, and one open
-# of the store's 200,000-record log, so its benchmark cannot rot either.
+# of the store's 200,000-record log at one and at two cores, so its
+# benchmark cannot rot either and the one-core cost of the overlapped
+# loader (its stages take turns there) is printed next to the two-core one.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -run='^$$' -bench=Open200k -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench=Open200k -benchtime=1x -cpu 1,2 ./internal/store
 
 # The benchmark of record (benchmark/, see BENCHMARK.json) is a module
 # of its own, so `go test ./...` at the root never descends into it:

@@ -51,48 +51,9 @@ func MCSImpls() []MCSImpl {
 	}
 }
 
-// runSpec is RunOne generalized to an explicit spec (used by Fig. 27
-// and the cs/es sweeps).
-func runSpec(mc *wmsim.Machine, alg *locks.Algorithm, spec *vprog.BarrierSpec,
-	threads, run int, cycles uint64, csSize, esSize int) Record {
-
-	seed := uint64(run+17)*99_991 ^ uint64(threads)<<24
-	sim := wmsim.NewSim(mc, threads, cycles, seed)
-	env := sim.Env()
-	lk := alg.New(env, spec, threads)
-	cs := make([]*vprog.Var, csSize)
-	for i := range cs {
-		cs[i] = env.Var(fmt.Sprintf("bench.cs.%d", i), 0)
-	}
-	es := make([][]*vprog.Var, threads)
-	for t := range es {
-		es[t] = make([]*vprog.Var, esSize)
-		for j := range es[t] {
-			es[t][j] = env.Var(fmt.Sprintf("bench.es.%d.%d", t, j), 0)
-		}
-	}
-	counts, elapsed := sim.Run(func(m vprog.Mem, tid int, done func()) {
-		tok := lk.Acquire(m)
-		for _, v := range cs {
-			m.Store(v, m.Load(v, vprog.Rlx)+1, vprog.Rlx)
-		}
-		lk.Release(m, tok)
-		for _, v := range es[tid] {
-			m.Store(v, m.Load(v, vprog.Rlx)+1, vprog.Rlx)
-		}
-		done()
-	})
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	dur := float64(elapsed) / (mc.FreqGHz * 1e9)
-	r := Record{Arch: mc.Name, Algorithm: alg.Name, Threads: threads, Run: run,
-		Count: total, Duration: dur}
-	if dur > 0 {
-		r.Throughput = float64(total) / dur
-	}
-	return r
+// figSeed is the simulator seed of Fig. 27 and the cs/es sweeps.
+func figSeed(threads, run int) uint64 {
+	return uint64(run+17)*99_991 ^ uint64(threads)<<24
 }
 
 // Fig27 compares the MCS implementations across thread counts on one
@@ -114,7 +75,7 @@ func Fig27(mc *wmsim.Machine, threads []int, runs int, cycles uint64) string {
 		for _, im := range impls {
 			var xs []float64
 			for run := 1; run <= runs; run++ {
-				r := runSpec(mc, im.Alg, im.Spec(), th, run, cycles, 1, 0)
+				r := runSpec(mc, im.Alg, im.Spec(), th, run, figSeed(th, run), cycles, 1, 0)
 				xs = append(xs, r.Throughput/1e6)
 			}
 			row = append(row, stats.Summarize(xs).Median)
@@ -135,8 +96,8 @@ func CSSweep(mc *wmsim.Machine, algName string, threads int, sizes []int, cycles
 		"cs_size", "opt (cs/s)", "seq (cs/s)", "speedup")
 	out := map[int]float64{}
 	for _, size := range sizes {
-		opt := runSpec(mc, alg, alg.DefaultSpec(), threads, 1, cycles, size, 0)
-		seq := runSpec(mc, alg, alg.DefaultSpec().AllSC(), threads, 1, cycles, size, 0)
+		opt := runSpec(mc, alg, alg.DefaultSpec(), threads, 1, figSeed(threads, 1), cycles, size, 0)
+		seq := runSpec(mc, alg, alg.DefaultSpec().AllSC(), threads, 1, figSeed(threads, 1), cycles, size, 0)
 		sp := 0.0
 		if seq.Throughput > 0 {
 			sp = opt.Throughput/seq.Throughput - 1
@@ -156,8 +117,8 @@ func ESSweep(mc *wmsim.Machine, algName string, threads int, sizes []int, cycles
 		"es_size", "opt (cs/s)", "seq (cs/s)", "speedup")
 	out := map[int]float64{}
 	for _, size := range sizes {
-		opt := runSpec(mc, alg, alg.DefaultSpec(), threads, 1, cycles, 1, size)
-		seq := runSpec(mc, alg, alg.DefaultSpec().AllSC(), threads, 1, cycles, 1, size)
+		opt := runSpec(mc, alg, alg.DefaultSpec(), threads, 1, figSeed(threads, 1), cycles, 1, size)
+		seq := runSpec(mc, alg, alg.DefaultSpec().AllSC(), threads, 1, figSeed(threads, 1), cycles, 1, size)
 		sp := 0.0
 		if seq.Throughput > 0 {
 			sp = opt.Throughput/seq.Throughput - 1

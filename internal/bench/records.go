@@ -84,19 +84,31 @@ func RunOne(mc *wmsim.Machine, alg *locks.Algorithm, variant string,
 		spec = spec.AllSC()
 	}
 	seed := uint64(run+1)*1_000_003 ^ uint64(threads)<<32 ^ uint64(len(alg.Name))
-	sim := wmsim.NewSim(mc, threads, cfg.Cycles, seed)
+	r := runSpec(mc, alg, spec, threads, run, seed, cfg.Cycles, cfg.CSSize, cfg.ESSize)
+	r.Variant = variant
+	return r
+}
+
+// runSpec is the Listing-1 driver every §4.2 measurement runs: each
+// thread acquires the lock, increments csSize shared lines, releases,
+// then touches esSize private lines, for cycles of virtual time under
+// the simulator's seed. The record's Variant is the caller's to set.
+func runSpec(mc *wmsim.Machine, alg *locks.Algorithm, spec *vprog.BarrierSpec,
+	threads, run int, seed, cycles uint64, csSize, esSize int) Record {
+
+	sim := wmsim.NewSim(mc, threads, cycles, seed)
 	env := sim.Env()
 	lk := alg.New(env, spec, threads)
 
 	// Shared cache lines touched inside the critical section.
-	cs := make([]*vprog.Var, cfg.CSSize)
+	cs := make([]*vprog.Var, csSize)
 	for i := range cs {
 		cs[i] = env.Var(fmt.Sprintf("bench.cs.%d", i), 0)
 	}
 	// Private lines touched outside the critical section.
 	es := make([][]*vprog.Var, threads)
 	for t := range es {
-		es[t] = make([]*vprog.Var, cfg.ESSize)
+		es[t] = make([]*vprog.Var, esSize)
 		for j := range es[t] {
 			es[t][j] = env.Var(fmt.Sprintf("bench.es.%d.%d", t, j), 0)
 		}
@@ -119,10 +131,8 @@ func RunOne(mc *wmsim.Machine, alg *locks.Algorithm, variant string,
 		total += c
 	}
 	dur := float64(elapsed) / (mc.FreqGHz * 1e9)
-	r := Record{
-		Arch: mc.Name, Algorithm: alg.Name, Variant: variant,
-		Threads: threads, Run: run, Count: total, Duration: dur,
-	}
+	r := Record{Arch: mc.Name, Algorithm: alg.Name, Threads: threads, Run: run,
+		Count: total, Duration: dur}
 	if dur > 0 {
 		r.Throughput = float64(total) / dur
 	}

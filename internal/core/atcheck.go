@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -66,37 +68,10 @@ func (w *explorer) resolvable(g *graph.Graph, e *graph.Event, spans []iterRec) b
 	// the way to the end.)
 	var forbidden *graph.RF
 	if e.AwaitIter > 0 {
-		var cur, prev *iterRec
-		for i := range spans {
-			s := &spans[i]
-			if s.Seq != e.AwaitSeq {
-				continue
-			}
-			switch s.Iter {
-			case e.AwaitIter:
-				cur = s
-			case e.AwaitIter - 1:
-				prev = s
-			}
-		}
+		cur, prev := iterPair(spans, e.AwaitSeq, e.AwaitIter)
 		if cur != nil && prev != nil {
-			pos := -1
-			for k, id := range cur.Reads {
-				if id == e.ID {
-					pos = k
-					break
-				}
-			}
-			if pos >= 0 && pos == len(prev.Reads)-1 {
-				prefixSame := true
-				for k := 0; k < pos; k++ {
-					if g.RfOf(cur.Reads[k]) != g.RfOf(prev.Reads[k]) {
-						prefixSame = false
-						break
-					}
-				}
-				if prefixSame {
-					rf := g.RfOf(prev.Reads[pos])
+			if pos := slices.Index(cur.Reads, e.ID); pos >= 0 {
+				if rf, ok := forbiddenSource(g, cur.Reads[:pos], prev); ok {
 					forbidden = &rf
 				}
 			}

@@ -128,17 +128,12 @@ func (w *explorer) snapOf() **replayResult {
 }
 
 // key returns the 128-bit structural dedup key: the graph's hash with
-// any forced (read, write) revisit pair folded in — no strings, no fmt,
-// two words per state.
+// any forced (read, write) revisit pair folded in by graph.ForcedKey —
+// no strings, no fmt, two words per state.
 func (it ExploreState) key() graph.Hash128 {
 	k := it.g.Fingerprint128()
 	if it.hasForced {
-		h := graph.NewHasher128()
-		h.Word(k[0])
-		h.Word(k[1])
-		h.Word(uint64(uint32(it.forcedR.Thread))<<32 | uint64(uint32(it.forcedR.Index)))
-		h.Word(uint64(uint32(it.forcedW.Thread))<<32 | uint64(uint32(it.forcedW.Index)))
-		k = h.Sum()
+		k = graph.ForcedKey(k, it.forcedR, it.forcedW)
 	}
 	return k
 }
@@ -567,36 +562,62 @@ func (w *explorer) bottomCandidate(g *graph.Graph, p *pending, spans []iterRec) 
 	if p.awaitIter == 0 {
 		return false // no previous iteration: always resolvable
 	}
-	var cur, prev *iterRec
-	for i := range spans {
-		s := &spans[i]
-		if s.Seq != p.awaitSeq {
-			continue
-		}
-		switch s.Iter {
-		case p.awaitIter:
-			cur = s
-		case p.awaitIter - 1:
-			prev = s
-		}
-	}
+	cur, prev := iterPair(spans, p.awaitSeq, p.awaitIter)
 	if cur == nil || prev == nil || !prev.Complete || !prev.Failed {
 		return true // defensive: keep the ⊥ branch when spans are surprising
 	}
-	pos := len(cur.Reads) // the pending read's position once added
-	if pos != len(prev.Reads)-1 {
+	// The pending read sits at position len(cur.Reads) once added.
+	forbidden, ok := forbiddenSource(g, cur.Reads, prev)
+	if !ok {
 		return false
-	}
-	for k := 0; k < pos; k++ {
-		if g.RfOf(cur.Reads[k]) != g.RfOf(prev.Reads[k]) {
-			return false
-		}
 	}
 	mo := g.Mo[p.loc]
 	if len(mo) == 0 {
 		return true
 	}
-	return g.RfOf(prev.Reads[pos]) == graph.FromW(mo[len(mo)-1])
+	return forbidden == graph.FromW(mo[len(mo)-1])
+}
+
+// iterPair returns the records of iteration iter of await seq and of
+// the iteration before it, nil where spans holds none.
+func iterPair(spans []iterRec, seq, iter int) (cur, prev *iterRec) {
+	for i := range spans {
+		s := &spans[i]
+		if s.Seq != seq {
+			continue
+		}
+		switch s.Iter {
+		case iter:
+			cur = s
+		case iter - 1:
+			prev = s
+		}
+	}
+	return cur, prev
+}
+
+// sameSources reports whether the reads of a read from the same writes
+// as the reads of b at the same positions; b holds at least len(a).
+func sameSources(g *graph.Graph, a, b []graph.EventID) bool {
+	for k := range a {
+		if g.RfOf(a[k]) != g.RfOf(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// forbiddenSource is the one rf choice that would make the read at
+// position len(prefix) of an await iteration complete prev's rf vector
+// again (W(G), see wasteful): prev's last read's source, when the read
+// is at prev's last position and prefix repeats prev's sources up to it.
+// Anywhere else every source makes progress, and ok is false.
+func forbiddenSource(g *graph.Graph, prefix []graph.EventID, prev *iterRec) (rf graph.RF, ok bool) {
+	pos := len(prefix)
+	if pos != len(prev.Reads)-1 || !sameSources(g, prefix, prev.Reads) {
+		return graph.RF{}, false
+	}
+	return g.RfOf(prev.Reads[pos]), true
 }
 
 // canonWitness maps a violating graph onto the canonical representative
@@ -1030,17 +1051,7 @@ func wasteful(g *graph.Graph, rres []*replayResult) bool {
 			if !a.Complete || !a.Failed || !b.Complete {
 				continue
 			}
-			if len(a.Reads) != len(b.Reads) {
-				continue
-			}
-			same := true
-			for k := range a.Reads {
-				if g.RfOf(a.Reads[k]) != g.RfOf(b.Reads[k]) {
-					same = false
-					break
-				}
-			}
-			if same {
+			if len(a.Reads) == len(b.Reads) && sameSources(g, a.Reads, b.Reads) {
 				return true
 			}
 		}

@@ -90,22 +90,24 @@ func (v Verdict) LitmusLabel() string {
 // completion, Executions is schedule-independent — the visited set's
 // atomic insert-if-absent admits each structural fingerprint once, and
 // every complete execution is derived exactly once whichever worker
-// reaches it first. Blocked agrees too while symmetry reduction is off
-// on every cell of harness.Corpus, where core's audited pass compares
-// it, but not on every program: a blocked graph still waits on a later
-// write, so whether the schedule reaches it can vary, and the qspin t=3
-// client without the reduction counts 294 at one worker and 294–296 at
-// 2 and 4. With the reduction on, which member of an orbit arrives
-// first decides the representative that is expanded, the maximal
-// blocked graphs below different representatives need not match one
-// for one, and Blocked joins the traversal counters on more than one
-// worker. The traversal counters (Popped, Pushed, Revisits, Duplicates,
-// Wasteful, Collapsed, Inconsist, Filtered, and the canonicalization
-// counters) can vary by a few percent between schedules: graphs with equal
-// fingerprints but different addition histories carry different stamp
-// orders, the revisit restriction depends on stamp order, and which
-// representative a parallel run expands depends on pop timing. The
-// verdict and the counterexample never do (see
+// reaches it first. A run at one worker is deterministic counter for
+// counter, and so is a one-worker run split into segments. On more
+// than one worker every other counter is a traversal counter (Popped,
+// Pushed, Revisits, Duplicates, Wasteful, Collapsed, Inconsist,
+// Filtered, Blocked and the canonicalization counters) and can vary by
+// a few percent between schedules. The cause is that the dedup key
+// leaves out stamps while revisit generation reads them: graphs with
+// equal fingerprints but different addition histories carry different
+// stamp orders, the revisit restriction keeps the events stamped before
+// the revisited read (explorer.pushRevisit), so their subtrees differ,
+// and which one the visited set admits first depends on pop timing.
+// With the reduction on, which member of an orbit arrives first also
+// decides the representative. A blocked graph is one such subtree's
+// node: the qspin t=3 client without the reduction counts 294 at one
+// worker and 294–296 at 2 and 4, while Executions is 600 in every run.
+// (Folding the stamp order into the key makes every counter identical
+// at 1, 2 and 4 workers, at ten times the executions: it is the cause,
+// not a cure.) The verdict and the counterexample never vary (see
 // exploration.offerViolation). Collapsed counts one predicate at two
 // places: collapsedRetry at a pop, and the same test of a value-changing
 // write the moment it is built (explorer.pushWrite), which is then

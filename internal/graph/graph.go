@@ -513,9 +513,10 @@ func (g *Graph) RestrictTo(keep *EventSet) {
 }
 
 // Fingerprint returns a canonical string identifying the graph up to
-// exploration-irrelevant details (stamps). Two graphs with equal
-// fingerprints generate identical futures. The explorer keys its visited
-// set on the hashed Fingerprint128 instead; this string is the
+// stamps. Two graphs with equal fingerprints lead to the same complete
+// executions (the revisit restriction reads stamps, so the states on
+// the way can differ: see the core.Stats doc). The explorer keys its
+// visited set on the hashed Fingerprint128 instead; this string is the
 // reference the explorer's tests audit that key against.
 func (g *Graph) Fingerprint() string {
 	var b strings.Builder

@@ -75,37 +75,24 @@ func hashID(id EventID) uint64 {
 // Fingerprint128 returns a 128-bit structural hash of the graph,
 // covering exactly the information of Fingerprint: per-thread event
 // structure (kind, mode, loc, values, degradation), rf choices, and the
-// per-location modification orders — everything that determines the
-// graph's exploration future, and nothing that doesn't (stamps). Two
-// graphs with equal fingerprints generate identical futures; the
-// explorer's visited set keys on this hash.
+// per-location modification orders, and not the stamps. Two graphs with
+// equal fingerprints lead to the same complete executions; the
+// explorer's visited set keys on this hash. (The states on the way can
+// differ: the revisit restriction keeps events by stamp, see the
+// core.Stats doc.) It is the one key fold, fingerprintUnderPerm, under
+// the identity relabeling, so a symmetric run's canonical keys and a
+// plain run's keys are words of one layout.
 func (g *Graph) Fingerprint128() Hash128 {
+	return (*SymSpec)(nil).fingerprintUnderPerm(g, nil, nil)
+}
+
+// ForcedKey folds a state's forced (read, write) revisit pair into its
+// graph key k: the dedup key of a state that carries one.
+func ForcedKey(k Hash128, r, w EventID) Hash128 {
 	h := NewHasher128()
-	for t, evs := range g.Threads {
-		h.Word(0xa11ce<<20 | uint64(t))
-		for _, e := range evs {
-			degr := uint64(0)
-			if e.Degraded {
-				degr = 1
-			}
-			h.Word(uint64(e.Kind)<<56 | uint64(e.Mode)<<48 | degr<<40 | uint64(uint32(e.Loc)))
-			h.Word(e.Val)
-			h.Word(e.RVal)
-			if e.IsReadLike() {
-				rf := g.rfAt(t, e.ID.Index)
-				if rf.Bottom {
-					h.Word(0xb0770e)
-				} else {
-					h.Word(hashID(rf.W))
-				}
-			}
-		}
-	}
-	for l, order := range g.Mo {
-		h.Word(0x0d0e<<20 | uint64(l))
-		for _, w := range order {
-			h.Word(hashID(w))
-		}
-	}
+	h.Word(k[0])
+	h.Word(k[1])
+	h.Word(hashID(r))
+	h.Word(hashID(w))
 	return h.Sum()
 }

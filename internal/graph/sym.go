@@ -148,8 +148,11 @@ func (s *SymSpec) AllPerms() [][]int32 {
 
 // MapLoc returns the location l lands on under perm: owned locations
 // follow their owner to perm[owner]'s family member, everything else is
-// fixed.
+// fixed. A nil spec relabels nothing.
 func (s *SymSpec) MapLoc(perm []int32, l Loc) Loc {
+	if s == nil {
+		return l
+	}
 	o := s.LocOwner[l]
 	if o < 0 {
 		return l
@@ -177,8 +180,11 @@ func (s *SymSpec) MapVal(perm []int32, l Loc, v uint64) uint64 {
 }
 
 // MapID relabels an event id: thread ids move under perm, init ids
-// follow their location.
+// follow their location. A nil spec relabels nothing.
 func (s *SymSpec) MapID(perm []int32, id EventID) EventID {
+	if s == nil {
+		return id
+	}
 	if id.Thread == InitThread {
 		return EventID{Thread: InitThread, Index: int(s.MapLoc(perm, Loc(id.Index)))}
 	}
@@ -191,9 +197,9 @@ func (s *SymSpec) MapID(perm []int32, id EventID) EventID {
 // (replay builds their pendings without them), reads never set Val, and
 // degraded updates write nothing — rewriting junk fields would make
 // relabeled graphs differ from the graphs the explorer actually builds
-// for the permuted schedule.
+// for the permuted schedule. A nil spec relabels nothing.
 func (s *SymSpec) mappedLVR(perm []int32, e *Event) (Loc, Val, Val) {
-	if e.Kind == KFence || e.Kind == KError {
+	if s == nil || e.Kind == KFence || e.Kind == KError {
 		return e.Loc, e.Val, e.RVal
 	}
 	l := s.MapLoc(perm, e.Loc)
@@ -207,16 +213,20 @@ func (s *SymSpec) mappedLVR(perm []int32, e *Event) (Loc, Val, Val) {
 	return l, v, rv
 }
 
-// fingerprintUnderPerm computes Fingerprint128 of τ_perm(g) without
-// materializing the relabeled graph. It must mirror Fingerprint128
-// word for word: canonical slot s folds the events of source thread
+// fingerprintUnderPerm is the one fold of a graph's key: the
+// Fingerprint128 of τ_perm(g), computed without materializing the
+// relabeled graph. Canonical slot s folds the events of source thread
 // inv[s] with mapped loc/values/rf ids, and the mo section folds, for
 // each canonical location, the mapped row of the source location that
-// lands on it.
+// lands on it. A nil spec (with nil perm and inv) is the identity
+// relabeling: that is Fingerprint128.
 func (s *SymSpec) fingerprintUnderPerm(g *Graph, perm, inv []int32) Hash128 {
 	h := NewHasher128()
 	for slot := range g.Threads {
-		t := int(inv[slot])
+		t := slot
+		if inv != nil {
+			t = int(inv[slot])
+		}
 		h.Word(0xa11ce<<20 | uint64(slot))
 		for _, e := range g.Threads[t] {
 			degr := uint64(0)
@@ -467,8 +477,8 @@ func IsIdentityPerm(perm []int32) bool {
 
 // Canonicalize returns the canonical dedup key of (g, forced-rf pair):
 // the minimal Fingerprint128 over the candidate permutations, with the
-// forced read/write ids folded in under each candidate exactly the way
-// ExploreState.key folds them — so two states whose graphs and forced
+// forced read/write ids folded in under each candidate by ForcedKey,
+// as ExploreState.key folds them — so two states whose graphs and forced
 // pairs are relabelings of each other collapse to one key. It also
 // returns the argmin permutation (source thread -> canonical slot,
 // valid until the next Canonicalize on the same scratch), whether the
@@ -535,12 +545,7 @@ func (s *SymSpec) keyUnder(g *Graph, sc *SymScratch, p []int32, hasForced bool, 
 	}
 	k := s.fingerprintUnderPerm(g, p, sc.inv)
 	if hasForced {
-		h := NewHasher128()
-		h.Word(k[0])
-		h.Word(k[1])
-		h.Word(hashID(s.MapID(p, forcedR)))
-		h.Word(hashID(s.MapID(p, forcedW)))
-		k = h.Sum()
+		k = ForcedKey(k, s.MapID(p, forcedR), s.MapID(p, forcedW))
 	}
 	return k
 }

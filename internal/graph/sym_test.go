@@ -59,11 +59,13 @@ func invOf(perm []int32) []int32 {
 	return inv
 }
 
-// TestApplyPermMatchesVirtualFingerprint: the materialized relabeling
-// and the allocation-free fingerprintUnderPerm must agree word for
-// word, and the relabeled graph must be a well-formed graph — this is
-// the contract that lets Canonicalize search keys without building
-// graphs and counterexample reporting build the one graph that won.
+// TestApplyPermMatchesVirtualFingerprint: fingerprintUnderPerm is the
+// one key fold, and Fingerprint128 is that fold under the identity, so
+// the materialized relabeling keyed the plain way and the virtual
+// relabeling keyed by perm must agree, and the relabeled graph must be
+// a well-formed graph — this is the contract that lets Canonicalize
+// search keys without building graphs and counterexample reporting
+// build the one graph that won.
 func TestApplyPermMatchesVirtualFingerprint(t *testing.T) {
 	s := symTestSpec(t)
 	g := symTestGraph()

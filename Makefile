@@ -61,7 +61,10 @@ testrun = for alt in $$(echo '$(1)' | tr '|' ' '); do \
 # audit and the acyclicity oracle, and the comparisons across each
 # row's worker counts (TestParallelDifferential) and symmetry settings
 # (TestSymDifferential), next to the memo's own bars for the states
-# whose shared replay results leave by an unusual way (TestSnap*). In internal/graph it is poison-on-release (a stolen
+# whose shared replay results leave by an unusual way (TestSnap*); the
+# segmented parallel runs, where a violation races other workers'
+# budget stops, run five times more. In internal/graph it is
+# poison-on-release (a stolen
 # state's parent retires on the thief, and a release made too early is a
 # wrong count there and a reported race here), the restriction
 # differential (a revisit item pins its parent until a possibly stolen
@@ -83,6 +86,7 @@ race:
 	$(GO) test -race -short -count=5 ./vsync
 	$(GO) test -race -short ./internal/core ./internal/frame ./internal/optimize ./internal/problem ./internal/store ./internal/structs ./internal/workload
 	@$(call testrun,TestParallel|TestVisitedSet|TestSym|TestAuditedCorpus|TestBirthRuleAudit|TestMemoAuditCorpus|TestDedupDifferential|TestSnap,./internal/core,-race)
+	@$(call testrun,TestBudgetSegmentedParallel|TestSnapHaltedStateResumes,./internal/core,-race -count=5)
 	@$(call testrun,TestPool|TestResolve,./internal/problem,-race)
 	@$(call testrun,TestAuditedCorpus|TestIncrementalAudit|TestPoison|TestRestrict,./internal/graph,-race -skip TestAuditedCorpus/msqueue-t3)
 	@$(call testrun,TestPsc,./internal/mm,-race)

@@ -30,7 +30,10 @@
 //
 // -workers enables intra-run work stealing: the exploration frontier of
 // the run is shared by N workers of its own (0 = GOMAXPROCS, 1 = the
-// sequential DFS).
+// sequential DFS). The first violation any worker reaches ends the run,
+// which is then run again from the root at one worker: a violation is
+// reported as one worker reports it, and the report's scheduler line
+// counts the parallel phase's pops.
 //
 // vsynccheck checks one problem. A corpus — every correct lock, every
 // structure, the litmus tests — is vsyncsuite's job: for example
@@ -199,7 +202,7 @@ func main() {
 		os.Exit(cli.ExitUndecided)
 	}
 	if !res.Ok() {
-		fmt.Println(res)
+		fmt.Print(res.Report())
 		if res.Witness != nil {
 			fmt.Println("\ncounterexample execution graph:")
 			fmt.Println(res.Witness.Render())

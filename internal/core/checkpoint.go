@@ -41,11 +41,10 @@ func (b Budget) graphCap() int64 {
 }
 
 // Checkpoint is the resumable remainder of an interrupted exploration:
-// every frontier state not yet popped, the visited-set keys, the
-// cumulative counters, and the best violation found so far (parallel
-// runs continue past violations, so the deterministic-counterexample
-// contract must survive segmentation). A Checkpoint is self-contained
-// — Resume needs only it, the model, and the program.
+// every frontier state not yet popped, the visited-set keys, and the
+// cumulative counters. A violation ends a run, so no checkpoint ever
+// holds one. A Checkpoint is self-contained — Resume needs only it, the
+// model, and the program.
 //
 // Identity fields pin what the checkpoint belongs to. Model and Prog
 // are validated by the core explorer itself on resume; Epoch is opaque
@@ -67,19 +66,13 @@ type Checkpoint struct {
 	Popped int64 // states popped across all prior segments
 	Stats  Stats // work counters accumulated across all prior segments
 
+	// rerun marks a segment of the one-worker run that reports a
+	// violation a parallel run found: it resumes at one worker whatever
+	// the resuming checker's WorkersPerRun (see Checker.Resume).
+	rerun bool
+
 	frontier []ExploreState
 	visited  []graph.Hash128
-	vio      *vioCheckpoint
-}
-
-// vioCheckpoint preserves the running minimum of offerViolation across
-// segments.
-type vioCheckpoint struct {
-	verdict Verdict
-	message string
-	stamp   int
-	key     graph.Hash128
-	witness *graph.Graph
 }
 
 // FrontierLen returns the number of unexplored states the checkpoint
@@ -91,24 +84,22 @@ func (c *Checkpoint) FrontierLen() int { return len(c.frontier) }
 func (c *Checkpoint) VisitedLen() int { return len(c.visited) }
 
 // Checkpoint file format: internal/frame records under the magic
-// "VSCK", one per region, in fixed order: a header, the optional
-// violation, the visited keys, one record per frontier state, and a
-// trailing END record repeating the counts. A file whose records do
-// not parse, whose CRCs do not match, or whose END counts disagree is
-// refused ENTIRELY: a partially loaded frontier could silently hide
-// the violating branch, so torn or truncated checkpoints fall back to
-// a cold run rather than an unsound resume. (The store can truncate
-// torn tails because its records are independent facts; checkpoint
-// records are jointly one fact.)
+// "VSCK", one per region, in fixed order: a header, the visited keys,
+// one record per frontier state, and a trailing END record repeating
+// the counts. A file whose records do not parse, whose CRCs do not
+// match, or whose END counts disagree is refused ENTIRELY: a partially
+// loaded frontier could silently hide the violating branch, so torn or
+// truncated checkpoints fall back to a cold run rather than an unsound
+// resume. (The store can truncate torn tails because its records are
+// independent facts; checkpoint records are jointly one fact.)
 const (
 	ckptMagic   = 0x4b435356 // "VSCK" little-endian
-	ckptVersion = 4          // v4: birth-filter counter in Stats (v3: retry-collapse counter; v2: symmetry flag, canonicalization counters)
+	ckptVersion = 5          // v5: rerun flag, no violation record (v4: birth-filter counter in Stats; v3: retry-collapse counter; v2: symmetry flag, canonicalization counters)
 
-	ckRecHeader    = 'H'
-	ckRecViolation = 'B'
-	ckRecVisited   = 'V'
-	ckRecState     = 'S'
-	ckRecEnd       = 'E'
+	ckRecHeader  = 'H'
+	ckRecVisited = 'V'
+	ckRecState   = 'S'
+	ckRecEnd     = 'E'
 )
 
 // Encode serializes the checkpoint into the framed record format.
@@ -119,21 +110,12 @@ func (c *Checkpoint) Encode() []byte {
 	p = frame.AppendHash128(p, c.Prog)
 	p = frame.AppendHash128(p, c.Epoch)
 	p = frame.AppendBool(p, c.Sym)
+	p = frame.AppendBool(p, c.rerun)
 	p = binary.AppendUvarint(p, uint64(c.Popped))
 	for _, n := range c.Stats.counters() {
 		p = binary.AppendUvarint(p, uint64(*n))
 	}
 	buf := frame.Append(nil, ckptMagic, p)
-
-	// Best violation so far, if any.
-	if v := c.vio; v != nil {
-		p = []byte{ckRecViolation, byte(v.verdict)}
-		p = binary.AppendUvarint(p, uint64(v.stamp))
-		p = frame.AppendHash128(p, v.key)
-		p = frame.AppendStr(p, v.message)
-		p = graph.AppendGraph(p, v.witness)
-		buf = frame.Append(buf, ckptMagic, p)
-	}
 
 	// Visited keys.
 	p = []byte{ckRecVisited}
@@ -181,7 +163,7 @@ func graphTail(d *frame.Cursor) *graph.Graph {
 
 // ckptFollows lists, for each record type, the types that may follow it
 // (0: the start of the file) — the one order Encode writes.
-var ckptFollows = map[byte]string{0: "H", ckRecHeader: "BV", ckRecViolation: "V", ckRecVisited: "SE", ckRecState: "SE", ckRecEnd: ""}
+var ckptFollows = map[byte]string{0: "H", ckRecHeader: "V", ckRecVisited: "SE", ckRecState: "SE", ckRecEnd: ""}
 
 // DecodeCheckpoint parses a checkpoint file image. Any framing error,
 // CRC mismatch, record out of order, missing END record, or count
@@ -211,20 +193,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			c.Prog = d.Hash128()
 			c.Epoch = d.Hash128()
 			c.Sym = d.Bool()
+			c.rerun = d.Bool()
 			c.Popped = int64(d.Uvarint())
 			for _, n := range c.Stats.counters() {
 				*n = int(d.Uvarint())
 			}
-		case ckRecViolation:
-			v := &vioCheckpoint{verdict: Verdict(d.Byte())}
-			if v.verdict != SafetyViolation && v.verdict != ATViolation {
-				d.Fail("invalid violation verdict %d", v.verdict)
-			}
-			v.stamp = int(d.Uvarint())
-			v.key = d.Hash128()
-			v.message = d.Str()
-			v.witness = graphTail(&d)
-			c.vio = v
 		case ckRecVisited:
 			n := d.Count("visited key")
 			c.visited = make([]graph.Hash128, 0, min(n, len(payload)/16))

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/binary"
+	"flag"
 	"os"
 	"sort"
 	"strings"
@@ -91,15 +92,31 @@ func mcsClient() *vprog.Program {
 	return harness.MutexClient(mcs, mcs.DefaultSpec(), 2, 1)
 }
 
-// TestGoldenCheckpoint: checkpoint format v4 did not move. The files
-// the parent's code wrote — mcs t=2 interrupted after 40 pops (two of
-// its seven states carry a forced rf), and a two-worker dpdkmcs-buggy
-// run interrupted while holding a violation front-runner — decode,
-// re-encode byte for byte and resume to the uninterrupted verdicts; and
-// this build's own 40-pop segment writes the golden bytes (the visited
-// keys, a set, compared in sorted order).
+var updateCheckpointGolden = flag.Bool("update-checkpoint-golden", false, "rewrite testdata/golden_mcs_t2.ckpt from this build's 40-pop segment")
+
+// TestGoldenCheckpoint: checkpoint format v5 did not move. The file an
+// earlier build wrote — mcs t=2 interrupted after 40 pops (two of its
+// seven states carry a forced rf) — decodes, re-encodes byte for byte
+// and resumes to the uninterrupted verdict; and this build's own 40-pop
+// segment writes the golden bytes (the visited keys, a set, compared in
+// sorted order). A v4 file — a two-worker dpdkmcs-buggy run interrupted
+// while it held the violation record v5 dropped — is refused by its
+// version byte. A change of format regenerates the golden with
+// -update-checkpoint-golden, and its diff is read.
 func TestGoldenCheckpoint(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_mcs_t2.ckpt")
+	const goldenFile = "testdata/golden_mcs_t2.ckpt"
+	c := core.New(mm.WMM)
+	c.Budget = core.Budget{MaxGraphs: 40}
+	seg := c.Run(mcsClient())
+	if seg.Checkpoint == nil {
+		t.Fatalf("the 40-pop segment of mcs t=2 ended %v, without a checkpoint", seg.Verdict)
+	}
+	if *updateCheckpointGolden {
+		if err := os.WriteFile(goldenFile, sortVisited(seg.Checkpoint.Encode()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +128,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Fatalf("golden mcs checkpoint decoded to model %q, %d popped, %d states, re-encoding equal: %v",
 			ck.Model, ck.Popped, ck.FrontierLen(), bytes.Equal(ck.Encode(), golden))
 	}
-	c := core.New(mm.WMM)
-	c.Budget = core.Budget{MaxGraphs: 40}
-	if seg := c.Run(mcsClient()); seg.Checkpoint == nil || !bytes.Equal(sortVisited(seg.Checkpoint.Encode()), sortVisited(golden)) {
+	if !bytes.Equal(sortVisited(seg.Checkpoint.Encode()), sortVisited(golden)) {
 		t.Fatal("this build's 40-pop segment of mcs t=2 does not encode to the golden bytes")
 	}
 	base := run(t, mm.WMM, mcsClient(), 1, false)
@@ -127,18 +142,8 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck, err = core.DecodeCheckpoint(golden); err != nil || !bytes.Equal(ck.Encode(), golden) {
-		t.Fatalf("golden dpdkmcs-buggy checkpoint: decode %v, or re-encoding differs", err)
-	}
-	dpdk := locks.ByName("dpdkmcs-buggy")
-	bug := harness.MutexClient(dpdk, dpdk.DefaultSpec(), 2, 1)
-	want := run(t, mm.WMM, bug, 2, false)
-	c = core.New(mm.WMM)
-	c.WorkersPerRun = 2
-	c.Resume = ck
-	if res := c.Run(bug); res.Verdict != core.ATViolation || witnessKey(res) != witnessKey(want) {
-		t.Fatalf("resumed golden dpdkmcs-buggy checkpoint: %v (%v), witness %x, want %x",
-			res.Verdict, res.Err, witnessKey(res), witnessKey(want))
+	if _, err := core.DecodeCheckpoint(golden); err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("the v4 dpdkmcs-buggy checkpoint: %v, want a refusal naming version 4", err)
 	}
 }
 

@@ -124,11 +124,12 @@ func TestBudgetSegmentedSequentialExact(t *testing.T) {
 
 // TestBudgetSegmentedParallel: the same bar for work-graph runs, on the
 // schedule-independent observables — verdict, execution enumeration,
-// and the deterministic minimal counterexample, which must survive
-// traveling between segments as a checkpoint record.
+// and the counterexample and message of the uninterrupted one-worker
+// run, which a violation's one-worker rerun must reach whatever segment
+// it starts in and however many segments it spans.
 func TestBudgetSegmentedParallel(t *testing.T) {
 	for _, p := range ckptCorpus() {
-		base := run(t, mm.WMM, p, 4, false)
+		base := run(t, mm.WMM, p, 1, false)
 		for _, bg := range []int64{7, 50} {
 			res, segs := runSegmented(t, mm.WMM, p, 4, core.Budget{MaxGraphs: bg}, false)
 			if res.Verdict != base.Verdict {
@@ -152,8 +153,10 @@ func TestBudgetSegmentedParallel(t *testing.T) {
 // through the binary format: every intermediate checkpoint is decoded
 // from its own bytes before resuming, so any field the encoding drops
 // or distorts shows up as a verdict or stats divergence. dpdkmcs-buggy
-// exercises the violation record (a front-runner found mid-run must
-// ride the checkpoint) and revisit-generated forced-rf states.
+// at two workers exercises the rerun flag — its violation ends the
+// parallel phase, and the one-worker rerun's checkpoints must keep
+// resuming at one worker, or each segment would start the rerun over —
+// and revisit-generated forced-rf states.
 func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	mcs := locks.ByName("mcs")
 	dpdk := locks.ByName("dpdkmcs-buggy")
@@ -168,11 +171,37 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 				workers, res.Verdict, res.Stats.Executions, base.Verdict, base.Stats.Executions)
 		}
 	}
-	base := run(t, mm.WMM, bug, 2, false)
+	base := run(t, mm.WMM, bug, 1, false)
 	res, _ := runSegmented(t, mm.WMM, bug, 2, core.Budget{MaxGraphs: 1}, true)
-	if res.Verdict != base.Verdict || witnessKey(res) != witnessKey(base) {
-		t.Fatalf("dpdkmcs-buggy through encode/decode: verdict %v witness %x, want %v %x",
-			res.Verdict, witnessKey(res), base.Verdict, witnessKey(base))
+	if res.Verdict != base.Verdict || witnessKey(res) != witnessKey(base) || res.Message != base.Message || res.Stats != base.Stats {
+		t.Fatalf("dpdkmcs-buggy through encode/decode: %v %q witness %x %+v, want the one-worker %v %q %x %+v",
+			res.Verdict, res.Message, witnessKey(res), res.Stats, base.Verdict, base.Message, witnessKey(base), base.Stats)
+	}
+}
+
+// TestHaltDecisiveWins: when results race to end a run, a violation
+// displaces any other result, an Error displaces a budget stop or a
+// cancellation — the state that decided was popped and counted, so no
+// checkpoint holds it and a resumed run would never see it again — and
+// Undecided displaces Canceled; otherwise the first result stands.
+func TestHaltDecisiveWins(t *testing.T) {
+	for _, tc := range []struct {
+		first, then, want core.Verdict
+	}{
+		{core.Undecided, core.Error, core.Error},
+		{core.Undecided, core.ATViolation, core.ATViolation},
+		{core.Canceled, core.SafetyViolation, core.SafetyViolation},
+		{core.Canceled, core.Undecided, core.Undecided},
+		{core.Error, core.Undecided, core.Error},
+		{core.SafetyViolation, core.Canceled, core.SafetyViolation},
+		{core.Undecided, core.Canceled, core.Undecided},
+		{core.ATViolation, core.SafetyViolation, core.ATViolation},
+		{core.Error, core.SafetyViolation, core.SafetyViolation},
+		{core.ATViolation, core.Error, core.ATViolation},
+	} {
+		if got := core.HaltVerdict(&core.Result{Verdict: tc.first}, &core.Result{Verdict: tc.then}); got != tc.want {
+			t.Errorf("%v, then %v: the run reports %v, want %v", tc.first, tc.then, got, tc.want)
+		}
 	}
 }
 

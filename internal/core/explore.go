@@ -19,17 +19,18 @@ type Checker struct {
 	// MaxEvents bounds the size of a single execution graph.
 	MaxEvents int
 	// WorkersPerRun is the number of workers sharing this run's
-	// exploration frontier. 1 (or less) selects the historical strictly
-	// sequential DFS, which stops at the first violation it reaches.
+	// exploration frontier. 1 (or less) selects the sequential DFS.
 	// With more workers the frontier becomes a work-graph: each worker
-	// executes its own deque LIFO and steals FIFO from the others, the
-	// visited set arbitrates expansions, and the run explores to
-	// completion with deterministic result merging — the verdict always
-	// agrees with the sequential DFS, and execution count and
-	// counterexample are identical at any worker count above 1 (the
-	// sequential explorer's early exit makes its violation-run counts a
-	// partial search instead; see Stats for which counters are
-	// schedule-independent).
+	// executes its own deque LIFO and steals FIFO from the others, and
+	// the visited set arbitrates expansions. At any worker count the
+	// first violation reached ends the run. A parallel run that ends so
+	// is run again from the root at one worker, under what is left of
+	// the segment's budget, and reports that run's verdict, witness,
+	// message and Stats (its own pops are SchedStats.ParallelPopped):
+	// many workers find a bug fast, one deterministic search reports
+	// it. So a violation reads the same at every worker count, and a
+	// complete run agrees on the verdict and Executions (see Stats for
+	// which other counters depend on the schedule).
 	WorkersPerRun int
 	// DisableDedup turns off the visited-graph set (ablation: the
 	// closure-dropping revisit scheme re-derives some graphs along
@@ -62,11 +63,16 @@ type Checker struct {
 	// segment at 2,000,000 popped states (see Budget.MaxGraphs).
 	Budget Budget
 	// Resume seeds the run from a checkpoint instead of the program's
-	// root graph: the frontier, visited-set keys, cumulative counters,
-	// and best violation so far are restored, and the run continues to
-	// exactly the verdict an uninterrupted run would reach. The
-	// checkpoint's Model and Prog identity are validated here; Epoch is
-	// the caller's to check (see Checkpoint).
+	// root graph: the frontier, visited-set keys and cumulative counters
+	// are restored, and the run continues to the verdict an
+	// uninterrupted run would reach — at one worker, to the same
+	// counters and counterexample too. A checkpoint of a one-worker run
+	// may be resumed at more workers. A checkpoint taken during the
+	// one-worker rerun that reports a parallel run's violation (see
+	// WorkersPerRun) resumes at one worker whatever WorkersPerRun says:
+	// resumed in parallel, each segment would start the rerun over and
+	// never finish it. The checkpoint's Model and Prog identity are
+	// validated here; Epoch is the caller's to check (see Checkpoint).
 	Resume *Checkpoint
 	// CheckpointInterval, together with CheckpointSink, enables
 	// periodic snapshots: at most every interval, one worker briefly
@@ -157,11 +163,34 @@ const cancelCheckEvery = 256
 func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	start := time.Now()
 	acy0 := graph.AcyclicCountersNow()
-	workers := c.WorkersPerRun
-	if workers < 1 {
+	workers := max(c.WorkersPerRun, 1)
+	rerun := c.Resume != nil && c.Resume.rerun
+	if rerun {
 		workers = 1
 	}
-	x := &exploration{c: c, prog: p, ctx: ctx, single: workers == 1, start: start, maxPops: c.Budget.graphCap()}
+	x := c.newExploration(ctx, p, workers, start, c.Budget.graphCap())
+	x.rerun = rerun
+	res := x.run(c.Resume)
+	if workers > 1 && (res.Verdict == SafetyViolation || res.Verdict == ATViolation) {
+		// Which violation a parallel run reaches first depends on the
+		// schedule; the one-worker run from the root reports one that
+		// does not.
+		pops := x.popped.Load()
+		y := c.newExploration(ctx, p, 1, start, max(x.maxPops-pops, 0))
+		y.rerun = true
+		acy0 = graph.AcyclicCountersNow()
+		res = y.run(nil)
+		res.Sched.ParallelPopped = int(pops)
+	}
+	res.Acyclic = graph.AcyclicCountersNow().Sub(acy0)
+	res.Duration = time.Since(start)
+	return res
+}
+
+// newExploration sets up an exploration of p at the given worker count
+// whose segment started at start and may pop maxPops states.
+func (c *Checker) newExploration(ctx context.Context, p *vprog.Program, workers int, start time.Time, maxPops int64) *exploration {
+	x := &exploration{c: c, prog: p, ctx: ctx, single: workers == 1, start: start, maxPops: maxPops}
 	x.parkCond = sync.NewCond(&x.parkMu)
 	if !c.DisableDedup {
 		x.visited = NewVisitedSet()
@@ -177,17 +206,6 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	for i := range x.workers {
 		x.workers[i] = &explorer{x: x, c: c, id: i}
 	}
-
-	finish := func(res *Result) *Result {
-		if x.visited != nil {
-			x.visited.release()
-			x.visited = nil
-		}
-		res.Acyclic = graph.AcyclicCountersNow().Sub(acy0)
-		res.Duration = time.Since(start)
-		return res
-	}
-
 	// Checkpoint-aware runs arm their checks up front; plain runs skip
 	// all of this. Neither fingerprints the program before a checkpoint
 	// is built or a resume validated.
@@ -198,29 +216,40 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 			x.lastSnap.Store(start.UnixNano())
 		}
 	}
+	return x
+}
 
+// run explores from the checkpoint ck, or from the program's root graph
+// when ck is nil, until the frontier drains or a result halts it.
+func (x *exploration) run(ck *Checkpoint) *Result {
+	defer func() {
+		if x.visited != nil {
+			x.visited.release()
+			x.visited = nil
+		}
+	}()
 	w0 := x.workers[0]
 	w0.build()
 	if len(w0.threads) == 0 {
-		return finish(&Result{
+		return &Result{
 			Verdict: Error,
-			Err:     fmt.Errorf("program %q has no threads", p.Name),
-		})
+			Err:     fmt.Errorf("program %q has no threads", x.prog.Name),
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return finish(&Result{Verdict: Canceled, Err: err, Message: "exploration canceled: " + err.Error()})
+	if err := x.ctx.Err(); err != nil {
+		return &Result{Verdict: Canceled, Err: err, Message: "exploration canceled: " + err.Error()}
 	}
 
-	if ck := c.Resume; ck != nil {
+	if ck != nil {
 		if res := x.seedResume(ck); res != nil {
-			return finish(res)
+			return res
 		}
 		if x.inflight.Load() == 0 {
 			// The checkpointed frontier was empty (taken at the instant
 			// of drain): the run is already complete — merge what the
 			// checkpoint carried.
 			x.done.Store(true)
-			return finish(x.merge())
+			return x.merge()
 		}
 	} else {
 		g0 := graph.New(len(w0.threads), w0.vars.Inits(), w0.vars.Names())
@@ -249,16 +278,15 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 		// deque, and collecting them races with nothing.
 		res.Checkpoint = x.buildCheckpoint()
 	}
-	return finish(res)
+	return res
 }
 
 // seedResume restores a checkpoint into the exploration: identity
-// validation, visited keys, cumulative counters, the violation
-// front-runner, and the frontier — pushed onto worker 0's deque in the
-// checkpoint's order, oldest first, which rebuilds a one-worker run's
-// deque exactly, however long: its pops continue the interrupted run's
-// (which is what keeps the sequential explorer's
-// first-violation-in-DFS-order contract intact across segments).
+// validation, visited keys, cumulative counters, and the frontier —
+// pushed onto worker 0's deque in the checkpoint's order, oldest first,
+// which rebuilds a one-worker run's deque exactly, however long: its
+// pops continue the interrupted run's, which is what makes a one-worker
+// run's segments repeat its uninterrupted counters and counterexample.
 // It returns a non-nil Error result when the checkpoint does not
 // belong to this (model, program) pair.
 func (x *exploration) seedResume(ck *Checkpoint) *Result {
@@ -287,10 +315,6 @@ func (x *exploration) seedResume(ck *Checkpoint) *Result {
 		for _, k := range ck.visited {
 			x.visited.InsertNew(k)
 		}
-	}
-	if v := ck.vio; v != nil {
-		x.vio = &Result{Verdict: v.verdict, Message: v.message, Witness: v.witness}
-		x.vioStamp, x.vioKey = v.stamp, v.key
 	}
 	for _, st := range ck.frontier {
 		st.g.Pin() // the caller still holds the checkpoint and may resume from it again
@@ -335,6 +359,7 @@ func (w *explorer) step(it ExploreState) *Result {
 	w.curPerm = nil
 	w.mem.Adopt(it.g)
 	if !w.c.DisableDedup {
+		var key graph.Hash128
 		if x.sym != nil {
 			// Symmetry reduction: dedup on the canonical key — the
 			// minimal fingerprint over the declared thread permutations —
@@ -354,14 +379,14 @@ func (w *explorer) step(it ExploreState) *Result {
 				w.stats.CanonRefined++
 			}
 			w.stats.CanonPruned += x.sym.PermCount() - tried
-			w.lastKey = k
+			key = k
 		} else {
-			w.lastKey = it.key()
+			key = it.key()
 			if auditKey != nil {
-				auditKey(x, it, w.lastKey)
+				auditKey(x, it, key)
 			}
 		}
-		if !x.visited.InsertNew(w.lastKey) {
+		if !x.visited.InsertNew(key) {
 			w.stats.Duplicates++
 			return nil
 		}
@@ -622,10 +647,10 @@ func forbiddenSource(g *graph.Graph, prefix []graph.EventID, prev *iterRec) (rf 
 
 // canonWitness maps a violating graph onto the canonical representative
 // of its orbit when the popped state was admitted under a non-identity
-// relabeling. Reported counterexamples are thereby independent of which
-// orbit member the schedule happened to reach — the determinism
-// contract (same counterexample at any worker count) extends unchanged
-// to symmetric programs.
+// relabeling, so the reported counterexample is the orbit's, whichever
+// member the explorer reached. (Every worker count reports the
+// one-worker run's counterexample anyway; this fixes which relabeling
+// that run prints.)
 func (w *explorer) canonWitness(g *graph.Graph) *graph.Graph {
 	if w.curPerm == nil {
 		return g

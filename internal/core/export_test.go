@@ -175,3 +175,14 @@ func diffReplay(want, e *replayResult) string {
 	}
 	return ""
 }
+
+// HaltVerdict halts an exploration with each result in turn, as racing
+// workers would, and returns the verdict the run then reports.
+func HaltVerdict(results ...*Result) Verdict {
+	x := &exploration{}
+	x.parkCond = sync.NewCond(&x.parkMu)
+	for _, res := range results {
+		x.halt(res)
+	}
+	return x.merge().Verdict
+}

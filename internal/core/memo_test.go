@@ -67,10 +67,10 @@ func sameUnderAudit(t *testing.T, id string, clean, dirty *core.Result) {
 }
 
 // TestSnapWitnessSurvives: a deciding state's children are never pushed,
-// but a parallel run explores on after recording it, serving replays
-// from the same memo. The counterexample must come back identical from
-// the first-violation sequential runs and from the complete parallel
-// ones.
+// but the other workers of a parallel run finish their steps after it
+// halts the run, serving replays from the same memo, and the one-worker
+// rerun then reports it. The counterexample must come back identical
+// from the sequential runs and from the parallel ones.
 func TestSnapWitnessSurvives(t *testing.T) {
 	dpdk := locks.ByName("dpdkmcs-buggy")
 	for _, p := range []*vprog.Program{

@@ -107,11 +107,12 @@ func (v Verdict) LitmusLabel() string {
 // worker and 294–296 at 2 and 4, while Executions is 600 in every run.
 // (Folding the stamp order into the key makes every counter identical
 // at 1, 2 and 4 workers, at ten times the executions: it is the cause,
-// not a cure.) The verdict and the counterexample never vary (see
-// exploration.offerViolation). Collapsed counts one predicate at two
-// places: collapsedRetry at a pop, and the same test of a value-changing
-// write the moment it is built (explorer.pushWrite), which is then
-// neither pushed nor popped.
+// not a cure.) A violation reads the same at every worker count, every
+// counter included: a parallel run that reaches one reports the
+// one-worker rerun from the root (see Checker.WorkersPerRun).
+// Collapsed counts one predicate at two places: collapsedRetry at a
+// pop, and the same test of a value-changing write the moment it is
+// built (explorer.pushWrite), which is then neither pushed nor popped.
 type Stats struct {
 	Popped     int // graphs popped from the exploration frontier
 	Pushed     int // graphs pushed
@@ -169,6 +170,11 @@ type SchedStats struct {
 	Contention   int   // contended visited-shard lock acquisitions
 	MemoRows     int   // distinct thread rows replayed, summed over the workers' replay memos
 	MemoReplays  int   // replays asked of the memos; all but MemoRows were served from them
+	// ParallelPopped is what a parallel run popped before the violation
+	// that ended it; the rest of the Result but Duration, these counters
+	// included, is the one-worker rerun's (see Checker.WorkersPerRun).
+	// Zero otherwise.
+	ParallelPopped int
 }
 
 // Accumulate sums the portable counters of o into s for suite-level
@@ -188,6 +194,7 @@ func (s *SchedStats) Accumulate(o SchedStats) {
 	s.Contention += o.Contention
 	s.MemoRows += o.MemoRows
 	s.MemoReplays += o.MemoReplays
+	s.ParallelPopped += o.ParallelPopped
 }
 
 // Result is the outcome of Checker.Run.
@@ -250,6 +257,9 @@ func (r *Result) String() string {
 func (r *Result) Report() string {
 	var b strings.Builder
 	b.WriteString(r.String())
+	if r.Witness != nil {
+		fmt.Fprintf(&b, " (%d graphs explored in %v)", r.Stats.Popped, r.Duration)
+	}
 	b.WriteByte('\n')
 	s := r.Stats
 	fmt.Fprintf(&b, "exploration: %d popped, %d pushed, %d executions, %d revisits, %d duplicates, %d wasteful, %d collapsed, %d inconsistent, %d filtered at birth, %d blocked\n",
@@ -260,8 +270,12 @@ func (r *Result) Report() string {
 	}
 	sc := r.Sched
 	if sc.Workers > 0 {
-		fmt.Fprintf(&b, "scheduler: %d/%d workers active, %d steals moving %d items, frontier peaked at %d states, %d contended shard locks\n",
+		fmt.Fprintf(&b, "scheduler: %d/%d workers active, %d steals moving %d items, frontier peaked at %d states, %d contended shard locks",
 			sc.Active, sc.Workers, sc.Steals, sc.Stolen, sc.FrontierPeak, sc.Contention)
+		if sc.ParallelPopped > 0 {
+			fmt.Fprintf(&b, "; a parallel phase popped %d states to a violation, reported by this one-worker rerun", sc.ParallelPopped)
+		}
+		b.WriteByte('\n')
 		if sc.Workers > 1 {
 			for i, n := range sc.Executed {
 				fmt.Fprintf(&b, "  worker %d: %d items\n", i, n)

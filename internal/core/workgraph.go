@@ -18,12 +18,15 @@ import (
 // owns a deque (LIFO-local execution, FIFO stealing), and the deques,
 // which grow as they must, are the whole frontier; a
 // hash-sharded VisitedSet arbitrates which worker expands each state;
-// and results merge deterministically, so a parallel run is observably
-// identical to a sequential one (see merge below).
+// and the first violation any worker reaches ends the run, as it does
+// at one worker. A parallel run that ends so is then run again from the
+// root at one worker, whose result it reports (Checker.RunCtx), so a
+// run's verdict, counterexample and counters are the one-worker run's
+// at every worker count.
 //
 // A run with WorkersPerRun > 1 starts all of its workers up front and
-// keeps them until the frontier drains: the workers are the run's own,
-// whatever launched it.
+// keeps them until the frontier drains or a result halts it: the
+// workers are the run's own, whatever launched it.
 
 // explorer is one worker's private view of an exploration. Everything
 // a step touches — its own build of the program (thread closures are
@@ -63,13 +66,10 @@ type explorer struct {
 
 	// Symmetry-reduction state of the item being executed. curPerm is
 	// the relabeling onto the canonical representative (nil when the
-	// popped graph already is canonical, or symmetry is off); lastKey is
-	// the dedup key the step inserted — execute reuses it as the
-	// violation tie-break key so orbit members compare equal. Both are
-	// valid from the step's Canonicalize until this worker's next pop.
+	// popped graph already is canonical, or symmetry is off), valid from
+	// the step's Canonicalize until this worker's next pop.
 	symSc   graph.SymScratch
 	curPerm []int32
-	lastKey graph.Hash128
 
 	stats    Stats
 	executed int
@@ -92,15 +92,17 @@ type exploration struct {
 	prog *vprog.Program
 	ctx  context.Context
 
-	// single selects the historical strictly-sequential semantics:
-	// exactly one worker, DFS order, stop at the first violation.
+	// single selects one worker: DFS order, no stealing, no parking.
 	single bool
+	// rerun marks the one-worker run that reports a violation a parallel
+	// run found, and every resumed segment of it: its checkpoints say so,
+	// and resume at one worker (see Checker.Resume).
+	rerun bool
 
 	visited *VisitedSet
 	// sym, when non-nil, is the program's validated thread-symmetry
-	// spec: states are deduplicated (and violations tie-broken) on
-	// canonical keys, collapsing each orbit of relabeled states to one
-	// explored representative.
+	// spec: states are deduplicated on canonical keys, collapsing each
+	// orbit of relabeled states to one explored representative.
 	sym *graph.SymSpec
 
 	workers []*explorer
@@ -115,14 +117,10 @@ type exploration struct {
 	parkedN  atomic.Int32 // mirror of parked, readable without the lock
 	done     atomic.Bool
 
-	// Result merging. hard is a run-terminating result (Error,
-	// Canceled, or — in single mode — the first violation); vio is the
-	// deterministic winner among violations found by a parallel run.
-	resMu    sync.Mutex
-	hard     *Result
-	vio      *Result
-	vioStamp int
-	vioKey   graph.Hash128
+	// hard is the result that ended the run (see halt); nil while none
+	// has.
+	resMu sync.Mutex
+	hard  *Result
 
 	// Crash-safety state (see checkpoint.go). start anchors the
 	// MaxDuration budget; maxPops is the graph cap; budgetOn gates the
@@ -219,11 +217,11 @@ func (x *exploration) tryNext(w *explorer) (st ExploreState, ok, wait bool) {
 }
 
 // execute runs one item: global guards (cancellation cadence, graph cap,
-// budget), then the step, then either publishes the children or
-// merges the violation. Every guard fires BEFORE the state is counted
-// as processed, so a guard-stopped state can be returned to the
-// frontier intact (haltUndecided) and the checkpoint's counters agree
-// exactly with the work actually done.
+// budget), then the step, then either publishes the children or halts
+// the run on the step's violation or error. Every guard fires BEFORE
+// the state is counted as processed, so a guard-stopped state can be
+// returned to the frontier intact (haltUndecided) and the checkpoint's
+// counters agree exactly with the work actually done.
 func (x *exploration) execute(w *explorer, st ExploreState) {
 	n := x.popped.Add(1)
 	if n%cancelCheckEvery == 0 && x.ctx.Err() != nil {
@@ -238,7 +236,7 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 	}
 	if n > x.maxPops {
 		x.haltUndecided(w, st, fmt.Sprintf("budget: segment reached MaxGraphs=%d popped states; resume from the checkpoint "+
-			"or raise the budget (-budget-graphs) — a program outside the Bounded-Length principle never finishes", x.maxPops))
+			"or raise the budget (-budget-graphs) — a program outside the Bounded-Length principle never finishes", x.c.Budget.graphCap()))
 		return
 	}
 	if x.budgetOn {
@@ -268,19 +266,7 @@ func (x *exploration) execute(w *explorer, st ExploreState) {
 	// pushing on every violation path); drop any stale buffer content
 	// defensively.
 	w.childBuf = w.childBuf[:0]
-	if res.Verdict == Error || x.single {
-		x.halt(res)
-		return
-	}
-	// Tie-break on the same key space the dedup spine uses: the
-	// canonical key under symmetry (w.lastKey, still valid — this
-	// worker's next Canonicalize is at its next pop), the raw structural
-	// key otherwise.
-	key := w.lastKey
-	if x.c.DisableDedup {
-		key = st.key()
-	}
-	x.offerViolation(st, res, key)
+	x.halt(res)
 }
 
 // flushChildren publishes the children of the item just executed. They
@@ -365,7 +351,7 @@ func (x *exploration) wake() {
 	x.parkMu.Unlock()
 }
 
-// stopAll ends the run: drained, hard-stopped, or canceled.
+// stopAll ends the run: drained, halted, or canceled.
 func (x *exploration) stopAll() {
 	x.done.Store(true)
 	x.parkMu.Lock()
@@ -399,14 +385,14 @@ func (x *exploration) overBudget(n int64) string {
 // frontier — its pop uncounted, so the checkpoint's counters describe
 // exactly the processed states — and the run's verdict becomes
 // Undecided. Racing workers each return their own state; the first
-// result wins, and halt never lets Undecided displace a decisive
-// Error.
+// result wins, and halt never lets Undecided displace a decisive one.
 //
 // The state returns to the TAIL of the worker's own deque, where it
 // was popped from: it was the next state the uninterrupted run would
 // have executed, and the tail is the one position from which the
-// resumed run pops it first again — the sequential DFS's
-// first-violation-in-DFS-order contract depends on that exactness.
+// resumed run pops it first again — a one-worker run's segments repeat
+// its uninterrupted pops, counters and counterexample only because of
+// that exactness.
 func (x *exploration) haltUndecided(w *explorer, st ExploreState, msg string) {
 	x.popped.Add(-1)
 	// The state re-enters the frontier: re-increment inflight to cancel
@@ -417,41 +403,33 @@ func (x *exploration) haltUndecided(w *explorer, st ExploreState, msg string) {
 	x.halt(&Result{Verdict: Undecided, Message: msg})
 }
 
-// halt records a run-terminating result and stops every worker. A
-// decisive verdict is never downgraded to Canceled by a later check.
+// halt records a run-terminating result and stops every worker. When
+// results race, the higher haltRank wins and the first of equal rank
+// stands: a violation, a sound verdict about the program, displaces
+// anything else; an Error displaces a budget stop or a cancellation —
+// the state that decided was popped and counted, so it is in no
+// checkpoint, and a resumed run would never reach it again; and
+// Undecided displaces Canceled, so the work is kept.
 func (x *exploration) halt(res *Result) {
 	x.resMu.Lock()
-	if x.hard == nil || (x.hard.Verdict == Canceled && res.Verdict != Canceled) {
+	if x.hard == nil || haltRank(res.Verdict) > haltRank(x.hard.Verdict) {
 		x.hard = res
 	}
 	x.resMu.Unlock()
 	x.stopAll()
 }
 
-// offerViolation merges a violation found by a parallel worker.
-// Exploration continues (the violating item just contributes no
-// children, exactly as in a sequential run), and among all violations
-// of the complete run the item lowest in the stamp-count order —
-// (events in the graph, dedup key) as the schedule-independent stand-in
-// for the addition-stamp depth — wins. Both components are functions of
-// the state alone (and, under symmetry, of its orbit: the event count
-// is permutation-invariant and the key is canonical), so repeated
-// parallel runs at any worker count report the same counterexample.
-func (x *exploration) offerViolation(st ExploreState, res *Result, key graph.Hash128) {
-	stamp := st.g.NumEvents()
-	x.resMu.Lock()
-	if x.vio == nil || stamp < x.vioStamp ||
-		(stamp == x.vioStamp && keyLess(key, x.vioKey)) {
-		x.vio, x.vioStamp, x.vioKey = res, stamp, key
+// haltRank orders the results that can end a run for halt.
+func haltRank(v Verdict) int {
+	switch v {
+	case Canceled:
+		return 0
+	case Undecided:
+		return 1
+	case Error:
+		return 2
 	}
-	x.resMu.Unlock()
-}
-
-func keyLess(a, b graph.Hash128) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
+	return 3
 }
 
 // maybeSnapshot takes a periodic checkpoint when the interval has
@@ -502,6 +480,7 @@ func (x *exploration) buildCheckpoint() *Checkpoint {
 		Sym:    x.sym != nil,
 		Popped: x.basePopped + x.popped.Load(),
 		Stats:  x.baseStats,
+		rerun:  x.rerun,
 	}
 	for _, w := range x.workers {
 		ck.Stats.Add(w.stats)
@@ -516,14 +495,6 @@ func (x *exploration) buildCheckpoint() *Checkpoint {
 	if x.visited != nil {
 		ck.visited = x.visited.Snapshot(make([]graph.Hash128, 0, x.visited.Len()))
 	}
-	x.resMu.Lock()
-	if x.vio != nil {
-		ck.vio = &vioCheckpoint{
-			verdict: x.vio.Verdict, message: x.vio.Message,
-			stamp: x.vioStamp, key: x.vioKey, witness: x.vio.Witness,
-		}
-	}
-	x.resMu.Unlock()
 	return ck
 }
 
@@ -536,26 +507,12 @@ func stripSnap(st ExploreState) ExploreState {
 	return st
 }
 
-// merge assembles the final Result: the deterministic violation winner
-// if the run found any, else the hard stop (Error/Canceled), else OK —
-// with statistics summed over every worker that participated. A true
-// counterexample outranks an error or a cancellation: it is a sound
-// verdict about the program, where the others only describe the run.
-// The one exception is a budget stop: Undecided outranks a found
-// violation, because the deterministic-counterexample contract picks
-// the minimum over ALL violations of a complete exploration — the
-// front-runner travels in the checkpoint and wins only once the
-// frontier actually drains.
+// merge assembles the final Result: the result that halted the run
+// (see halt for which one that is), or OK when the frontier drained —
+// with statistics summed over every worker that participated.
 func (x *exploration) merge() *Result {
-	var res *Result
-	switch {
-	case x.hard != nil && x.hard.Verdict == Undecided:
-		res = x.hard
-	case x.vio != nil:
-		res = x.vio
-	case x.hard != nil:
-		res = x.hard
-	default:
+	res := x.hard
+	if res == nil {
 		res = &Result{Verdict: OK}
 	}
 	res.Stats.Add(x.baseStats)

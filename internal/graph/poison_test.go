@@ -69,10 +69,10 @@ func observe(t *testing.T, id string, res *core.Result) observed {
 
 // differ compares a poisoned run with its clean twin and says how they
 // differ, or returns "". Sequential runs repeat exactly, blocked count
-// and witness bytes included; parallel runs explore to completion and
-// agree on the verdict, the execution count and the counterexample
-// (Blocked drifts by a count or two between schedules on the
-// three-thread cells, with or without recycling).
+// and witness bytes included; parallel runs agree on the verdict, the
+// execution count and the counterexample (Blocked drifts by a count or
+// two between schedules on the three-thread cells, with or without
+// recycling).
 func differ(clean, dirty observed, workers int) string {
 	if clean.verdict != dirty.verdict {
 		return fmt.Sprintf("verdict %v clean, %v with poisoned free lists", clean.verdict, dirty.verdict)
@@ -226,11 +226,12 @@ func TestPoisonCheckpointedStatesSurvive(t *testing.T) {
 
 // TestPoisonWitnessSurvives: the graph a violation reports is the popped
 // state itself whenever no relabeling applies — without symmetry always,
-// with it when the state is its orbit's representative — and a parallel
-// run explores on for as long as the frontier lasts after recording it
-// (never-recycled case 1). The witness must come back well-formed
-// (observe checks that) and identical to the clean run's, from the
-// sequential first-violation runs and from the complete parallel ones.
+// with it when the state is its orbit's representative (never-recycled
+// case 1); the other workers of a parallel run finish their steps after
+// it halts the run, and the one-worker rerun that reports it recycles
+// through free lists of its own. The witness must come back well-formed
+// (observe checks that) and identical to the clean run's at one worker
+// and at four.
 func TestPoisonWitnessSurvives(t *testing.T) {
 	dpdk, huawei := locks.ByName("dpdkmcs-buggy"), locks.ByName("huaweimcs-buggy")
 	cells := []*vprog.Program{

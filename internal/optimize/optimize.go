@@ -122,7 +122,9 @@ type Optimizer struct {
 	// (intra-run work stealing); zero or one is one worker per run. The
 	// search runs at most Parallelism × WorkersPerRun workers at once.
 	// Verdicts (and therefore the final spec) are identical at any
-	// value; only the wall-clock shape of the search changes.
+	// value: a refuted candidate's violation is the one-worker run's
+	// (core.Checker.WorkersPerRun). Only the wall-clock shape of the
+	// search changes.
 	WorkersPerRun int
 	// Deprecated: has no effect; candidates are tried one at a time. Kept only because benchmark/layers.go sets it; ROADMAP item 10 deletes both.
 	Speculate bool

@@ -18,8 +18,8 @@ type RunOptions struct {
 	// WorkersPerRun shares each run's exploration frontier among this
 	// many workers of its own (0 or 1 = one worker, the sequential
 	// explorer). A call runs at most Parallelism × WorkersPerRun
-	// workers at once. The verdict is identical at every worker count;
-	// see Run for the statistics fine print.
+	// workers at once. The verdict is identical at every worker count,
+	// and so are a violation's counterexample and statistics; see Run.
 	WorkersPerRun int
 	// Store, when non-nil, is consulted before any AMC work — a stored
 	// verdict serves its program without a run — and receives every
@@ -114,13 +114,12 @@ type RunResult struct {
 // Every run holds one of Parallelism pool slots (internal/problem
 // schedules the runs) and staffs its own WorkersPerRun workers up
 // front: a call runs at most Parallelism × WorkersPerRun workers at
-// once. The verdict always agrees with the sequential explorer; among
-// parallel runs (WorkersPerRun > 1) the execution count and
-// counterexample are additionally identical at every worker count,
-// because they explore to completion and merge deterministically — the
-// sequential explorer instead stops at its first DFS counterexample,
-// so on violating programs its statistics and witness reflect that
-// partial search.
+// once. The verdict always agrees with the sequential explorer. A
+// violation ends a run at every worker count, and a parallel run that
+// finds one reports the sequential explorer's run from the root: its
+// counterexample, message and statistics, a partial search's. A
+// complete run counts the same executions at every worker count (see
+// core.Checker.WorkersPerRun).
 func Run(model Model, programs []*Program, opts RunOptions) *RunResult {
 	return RunCtx(context.Background(), model, programs, opts)
 }

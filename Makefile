@@ -219,12 +219,31 @@ stored:
 # checkpoint/budget differential corpus — everything gated out of
 # -short, run here without it (TestResume takes in the treiber t=4
 # resume at 300,000 + 100,000 pops, ~8 s). Every -run line goes through
-# testrun, as in race.
+# testrun, as in race. Last, an interrupt is undecided in every tool:
+# SIGINT one second into a vsynccheck run (qspin t=4, ~19 s to finish)
+# and into a vsyncsuite pass whose queued cells never start, each with
+# and without -checkpoint-dir, must exit 3 (~5 s).
 chaos:
 	@$(call testrun,TestChaos,./vsync,-count=1 -v)
 	@$(call testrun,Fault|Torn|Requeue|Backoff|Readyz,./internal/store,-count=1)
 	@$(call testrun,TestBudget|TestCheckpoint|TestResume|TestCancelCheckpoint|TestPeriodicCheckpoint,./internal/core ./vsync,-count=1)
 	$(GO) test ./internal/faultinject
+	@set -e; \
+	dir=$$(mktemp -d -t vsyncint.XXXXXX); \
+	trap 'rm -rf $$dir' EXIT; \
+	$(GO) build -o $$dir/ ./cmd/vsynccheck ./cmd/vsyncsuite; \
+	mkdir $$dir/ckpt; \
+	start=$$(date +%s); \
+	for cmd in "vsynccheck -lock qspin -threads 4" "vsyncsuite -locks qspin -no-structs -no-litmus -models sc,tso,wmm -threads 4 -par 1"; do \
+		for ck in "" "-checkpoint-dir $$dir/ckpt"; do \
+			$$dir/$$cmd $$ck > $$dir/log 2>&1 & pid=$$!; \
+			sleep 1; kill -INT $$pid; \
+			code=0; wait $$pid || code=$$?; \
+			if [ $$code -ne 3 ]; then cat $$dir/log; echo "chaos: SIGINT to $$cmd $$ck: exit $$code, want 3" >&2; exit 1; fi; \
+			echo "SIGINT to $$cmd $$ck: exit 3"; \
+		done; \
+	done; \
+	echo "interrupt step: $$(( $$(date +%s) - start )) s"
 
 # Brief coverage-guided fuzz of the three decoders over internal/frame:
 # arbitrary bytes as an on-disk log must load or heal, never panic or

@@ -54,9 +54,10 @@
 // snapshots the live frontier periodically, bounding what even a
 // kill -9 can lose.
 //
-// Exit status 0 on successful verification, 1 on a violation, 2 on
-// usage or checker errors, 3 undecided (budget hit or interrupted;
-// checkpointed when -checkpoint-dir is set), 130 on a second signal.
+// Exit status (cli.Exit) 0 on successful verification, 1 on a violation,
+// 2 on usage or checker errors (a verdict conflict included), 3 undecided
+// (budget hit or interrupted, with or without -checkpoint-dir), 130 on a
+// second signal.
 package main
 
 import (
@@ -149,9 +150,6 @@ func main() {
 		os.Exit(2)
 	}
 	st := cli.OpenStore("vsynccheck", *storePath, *remote)
-	if st != nil {
-		defer st.Close()
-	}
 	spec := w.DefaultSpec()
 	if *scOnly {
 		spec = spec.AllSC()
@@ -181,28 +179,24 @@ func main() {
 	fmt.Printf("checking %s under %s (%s, %d workers)...\n", p.Name, m.Name(), shape, opts.WorkersPerRun)
 	rr := vsync.RunCtx(ctx, m, []*vsync.Program{p}, opts)
 	res := rr.Results[0]
-	if rr.StoreHits > 0 {
-		fmt.Printf("%s under %s: %s (verdict served from store, no AMC run)\n", p.Name, m.Name(), res.Verdict)
-		if res.Verdict != core.OK {
-			os.Exit(1)
-		}
-		return
-	}
 	if rr.StoreErr != nil {
 		fmt.Fprintln(os.Stderr, "vsynccheck: warning:", rr.StoreErr)
 	}
-	if res.Verdict == core.Error {
+	switch {
+	case rr.StoreHits > 0:
+		fmt.Printf("%s under %s: %s (verdict served from store, no AMC run)\n", p.Name, m.Name(), res.Verdict)
+	case res.Verdict == core.Error:
 		fmt.Println(res)
-		os.Exit(2)
-	}
-	if res.Verdict == core.Undecided {
-		// The deepest runs this tool makes end here: report them in full.
+	default:
+		// The deepest runs end undecided: they are reported in full too.
 		fmt.Print(res.Report())
-		fmt.Println(resumeHint(dir))
-		os.Exit(cli.ExitUndecided)
-	}
-	if !res.Ok() {
-		fmt.Print(res.Report())
+		switch {
+		case res.Verdict.Decisive():
+		case dir == "":
+			fmt.Println("undecided: the budget (or an interrupt) stopped the search; rerun with -checkpoint-dir to make such runs resumable")
+		default:
+			fmt.Println("undecided: frontier checkpointed to " + dir + " — rerun the same command to resume where it stopped")
+		}
 		if res.Witness != nil {
 			fmt.Println("\ncounterexample execution graph:")
 			fmt.Println(res.Witness.Render())
@@ -214,15 +208,9 @@ func main() {
 				}
 			}
 		}
-		os.Exit(1)
 	}
-	fmt.Print(res.Report())
-}
-
-// resumeHint tells the operator how to pick an undecided run back up.
-func resumeHint(ckptDir string) string {
-	if ckptDir == "" {
-		return "undecided: the budget (or an interrupt) stopped the search; rerun with -checkpoint-dir to make such runs resumable"
+	if st != nil {
+		st.Close()
 	}
-	return "undecided: frontier checkpointed to " + ckptDir + " — rerun the same command to resume where it stopped"
+	os.Exit(cli.Exit(res.Verdict))
 }

@@ -36,10 +36,13 @@
 // cost a hash lookup instead of a model-checking run, and every
 // decisive verdict this run computes is appended for the next one.
 // -remote URL tiers lookups through a vsyncstored verdict service.
+//
+// Exit status 0 with the optimized spec, 2 on usage or checker errors
+// (a verdict the store contradicts included) or an initial spec that
+// does not verify, 3 when interrupted, 130 on a second signal.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -110,12 +113,10 @@ func main() {
 	}
 	fmt.Println(res.Report())
 	if st != nil {
-		if err := res.StoreErr; err != nil && !errors.Is(err, store.ErrConflict) {
+		if err := res.StoreErr; err != nil {
 			// A failed write-through is silent at verdict time (the search
 			// itself is unaffected), but the operator believes this run is
-			// warming the store — say loudly that it may not be. Conflicts
-			// are not a persistence problem and get their own exit-2
-			// treatment below.
+			// warming the store — say loudly that it may not be.
 			fmt.Fprintf(os.Stderr, "vsyncopt: warning: store write-through failed, some verdicts were not persisted: %v\n", err)
 		}
 		s := st.Stats()
@@ -124,13 +125,6 @@ func main() {
 		if s.RemoteHits > 0 || s.RemotePuts > 0 || s.RemoteFailures > 0 {
 			fmt.Printf("remote: %d served, %d pushed, %d failures\n",
 				s.RemoteHits, s.RemotePuts, s.RemoteFailures)
-		}
-		if s.Conflicts > 0 {
-			// Persisting is best-effort, but a conflict is never
-			// routine: it means two runs judged one key differently, i.e.
-			// the fingerprint keying (or the checker) broke.
-			fmt.Fprintf(os.Stderr, "vsyncopt: warning: %d verdict conflicts — the store and this run disagree on already-stored problems; distrust the store file\n", s.Conflicts)
-			os.Exit(2)
 		}
 	}
 }

@@ -36,9 +36,9 @@
 // rungs in a dedicated pass this way).
 //
 // -budget* bounds each cell's AMC segment; cells that hit the budget
-// (or are interrupted by SIGINT/SIGTERM) finish Undecided — neither
-// failed nor errored — and, with -checkpoint-dir, persist their
-// unexplored frontier to content-addressed checkpoint files there.
+// or are interrupted by SIGINT/SIGTERM, running or queued, are
+// undecided — neither failed nor errored — and, with -checkpoint-dir,
+// persist their unexplored frontier to checkpoint files there.
 // Rerunning the same command resumes exactly those cells where they
 // stopped; combined with -store, everything already decided is a hash
 // lookup, so a long cold suite survives any number of interruptions
@@ -46,8 +46,8 @@
 //
 // Exit status: 0 all lock cells verified (and hit-rate satisfied),
 // 1 a lock cell failed verification or the hit-rate floor was missed,
-// 2 usage or engine errors, 3 cells left undecided (rerun to resume),
-// 130 on a second signal.
+// 2 usage or engine errors (a verdict conflict included), 3 cells left
+// undecided (rerun to resume), 130 on a second signal.
 package main
 
 import (
@@ -140,12 +140,12 @@ func main() {
 		// operator believes — the next run will redo the skipped work.
 		fmt.Fprintf(os.Stderr, "vsyncsuite: warning: store append failed, some verdicts were not persisted: %v\n", res.StoreErr)
 	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		if c.Err != nil {
-			fmt.Fprintf(os.Stderr, "vsyncsuite: %s under %s: %v\n", c.Program, c.Model, c.Err)
-		} else if c.Failed() {
-			fmt.Fprintf(os.Stderr, "vsyncsuite: %s under %s: %s\n", c.Program, c.Model, c.Verdict)
+	for _, c := range res.Cells {
+		if why := any(c.Verdict); c.Failed() {
+			if c.Err != nil {
+				why = c.Err
+			}
+			fmt.Fprintf(os.Stderr, "vsyncsuite: %s under %s: %v\n", c.Program, c.Model, why)
 		}
 	}
 	switch {
@@ -154,8 +154,8 @@ func main() {
 	case res.Failures > 0:
 		os.Exit(1)
 	case res.Undecided > 0:
-		// Unfinished, not failed: budget-hit cells checkpointed (with
-		// -checkpoint-dir) and a rerun resumes them.
+		// Unfinished, not failed: cells a budget or an interrupt stopped
+		// (checkpointed with -checkpoint-dir); a rerun decides them.
 		if cfg.CheckpointDir != "" {
 			fmt.Fprintf(os.Stderr, "vsyncsuite: %d cells undecided, checkpointed to %s — rerun the same command to resume\n",
 				res.Undecided, cfg.CheckpointDir)

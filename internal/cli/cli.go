@@ -31,11 +31,25 @@ import (
 	"repro/vsync"
 )
 
-// ExitUndecided is the exit status the tools share for "the run hit
-// its budget (or was interrupted) with the answer still open, and a
-// checkpoint was written" — distinct from 0 (verified), 1 (violation)
-// and 2 (usage/engine error), so scripts can rerun-to-resume.
+// ExitUndecided is the exit status the tools share for "a budget or an
+// interrupt stopped the run with the answer still open" — distinct from
+// 0 (verified), 1 (violation) and 2 (usage/engine error), so scripts
+// can rerun-to-resume.
 const ExitUndecided = 3
+
+// Exit is the exit status a tool gives for a verdict: 0 OK, 1 a
+// violation, 2 an Error, ExitUndecided for Undecided or Canceled.
+func Exit(v vsync.Verdict) int {
+	switch {
+	case v == vsync.OK:
+		return 0
+	case v.Violation():
+		return 1
+	case v == vsync.Undecided || v == vsync.Canceled:
+		return ExitUndecided
+	}
+	return 2
+}
 
 // Store registers the -store flag: the shared persistent verdict log.
 func Store() *string {

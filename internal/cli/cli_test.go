@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/vsync"
 )
 
 // TestModelNames: the -model help and the refusal of an unknown name
@@ -100,6 +103,27 @@ func TestCheckCounts(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%v: got %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestExit: the one map from a verdict to a tool's exit status. An
+// interrupted run is undecided whether or not it checkpointed.
+func TestExit(t *testing.T) {
+	for _, c := range []struct {
+		v    vsync.Verdict
+		want int
+	}{
+		{vsync.OK, 0},
+		{vsync.SafetyViolation, 1},
+		{vsync.ATViolation, 1},
+		{core.Error, 2},
+		{vsync.Undecided, ExitUndecided},
+		{vsync.Canceled, ExitUndecided},
+		{vsync.Verdict(200), 2},
+	} {
+		if got := Exit(c.v); got != c.want {
+			t.Errorf("Exit(%v) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,38 @@ func TestResumeRefusesMisfitStates(t *testing.T) {
 		res := c.Run(tc.prog)
 		if res.Verdict != core.Error || res.Err == nil || !strings.Contains(res.Err.Error(), "does not fit this program") {
 			t.Errorf("%s: %v (%v), want an error naming the state that does not fit", tc.name, res.Verdict, res.Err)
+		}
+	}
+}
+
+// TestFuzzSeedsCurrentVersion: every committed regression seed of
+// FuzzDecodeCheckpoint speaks this build's format version, as it is or
+// with its CRCs recomputed (as the fuzz target tries it). A seed the
+// decoder refuses at the version byte stops there and no longer drives
+// the path it was saved for, so a format bump rewrites the seeds too.
+func TestFuzzSeedsCurrentVersion(t *testing.T) {
+	const dir = "testdata/fuzz/FuzzDecodeCheckpoint"
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a one-value fuzz corpus file", e.Name())
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		for _, img := range [][]byte{[]byte(s), reframe([]byte(s), func(p []byte) []byte { return p })} {
+			if _, err := core.DecodeCheckpoint(img); err != nil && strings.Contains(err.Error(), "unsupported version") {
+				t.Errorf("%s: %v", e.Name(), err)
+			}
 		}
 	}
 }

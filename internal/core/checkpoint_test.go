@@ -205,6 +205,33 @@ func TestHaltDecisiveWins(t *testing.T) {
 	}
 }
 
+// TestVerdictOrder: the verdict sets and the one order every reduction
+// reads — a violation outranks an Error, an Error Undecided, Undecided
+// Canceled, Canceled OK — the two violations rank equal, and a value no
+// run produces ranks as an Error.
+func TestVerdictOrder(t *testing.T) {
+	order := []core.Verdict{core.OK, core.Canceled, core.Undecided, core.Error, core.SafetyViolation}
+	for i, v := range order {
+		for j, w := range order {
+			if got := v.Outranks(w); got != (i > j) {
+				t.Errorf("%v.Outranks(%v) = %v, want %v", v, w, got, i > j)
+			}
+		}
+	}
+	if core.ATViolation.Outranks(core.SafetyViolation) || core.SafetyViolation.Outranks(core.ATViolation) {
+		t.Error("one violation outranks the other")
+	}
+	if bad := core.Verdict(200); !bad.Outranks(core.Undecided) || bad.Outranks(core.Error) || core.Error.Outranks(bad) {
+		t.Error("a verdict no run produces does not rank as an Error")
+	}
+	for _, v := range []core.Verdict{core.OK, core.SafetyViolation, core.ATViolation, core.Error, core.Canceled, core.Undecided} {
+		violation := v == core.SafetyViolation || v == core.ATViolation
+		if v.Violation() != violation || v.Decisive() != (violation || v == core.OK) {
+			t.Errorf("%v: Violation %v, Decisive %v", v, v.Violation(), v.Decisive())
+		}
+	}
+}
+
 // interruptedCheckpoint returns a mid-run checkpoint of the mcs client
 // (budget-interrupted, so the frontier is non-trivial).
 func interruptedCheckpoint(t *testing.T) *core.Checkpoint {

@@ -171,7 +171,7 @@ func (c *Checker) RunCtx(ctx context.Context, p *vprog.Program) *Result {
 	x := c.newExploration(ctx, p, workers, start, c.Budget.graphCap())
 	x.rerun = rerun
 	res := x.run(c.Resume)
-	if workers > 1 && (res.Verdict == SafetyViolation || res.Verdict == ATViolation) {
+	if workers > 1 && res.Verdict.Violation() {
 		// Which violation a parallel run reaches first depends on the
 		// schedule; the one-worker run from the root reports one that
 		// does not.

@@ -54,6 +54,30 @@ func (v Verdict) String() string {
 	return "unknown"
 }
 
+// Violation reports whether v refutes the program: a safety or an
+// await-termination violation.
+func (v Verdict) Violation() bool { return v == SafetyViolation || v == ATViolation }
+
+// Decisive reports whether v is a sound answer about the program (OK or
+// a violation), the only kind a store keeps or a checkpoint retires on.
+func (v Verdict) Decisive() bool { return v == OK || v.Violation() }
+
+// Outranks reports whether v takes precedence over w where outcomes
+// compete (results racing to end a run, the programs of a suite): a
+// violation > Error > Undecided > Canceled > OK; the two violations
+// rank equal, and a value no run produces (a remote tier may serve
+// one) ranks as an Error.
+func (v Verdict) Outranks(w Verdict) bool { return v.rank() > w.rank() }
+
+var verdictRank = [...]int{OK: 0, Canceled: 1, Undecided: 2, Error: 3, SafetyViolation: 4, ATViolation: 4}
+
+func (v Verdict) rank() int {
+	if int(v) < len(verdictRank) {
+		return verdictRank[v]
+	}
+	return verdictRank[Error]
+}
+
 // LitmusLabel renders the verdict as a litmus-conformance answer.
 // Litmus programs are phrased so the interesting weak outcome fails the
 // final-state check, so running the checker answers reachability: OK
@@ -73,12 +97,10 @@ func (v Verdict) LitmusLabel() string {
 		// model lets spin forever, so it sits outside AMC's terminating
 		// fragment under this model.
 		return "await-hang"
-	case Canceled:
-		return "canceled"
-	case Undecided:
-		// A budget stopped the cell before either answer; resuming from
-		// its checkpoint will eventually fill the cell in.
-		return "undecided"
+	case Canceled, Undecided:
+		// A budget or an interrupt stopped the cell before either
+		// answer; a rerun fills the cell in.
+		return v.String()
 	default:
 		return "ERROR"
 	}

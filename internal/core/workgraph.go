@@ -404,32 +404,17 @@ func (x *exploration) haltUndecided(w *explorer, st ExploreState, msg string) {
 }
 
 // halt records a run-terminating result and stops every worker. When
-// results race, the higher haltRank wins and the first of equal rank
-// stands: a violation, a sound verdict about the program, displaces
-// anything else; an Error displaces a budget stop or a cancellation —
-// the state that decided was popped and counted, so it is in no
-// checkpoint, and a resumed run would never reach it again; and
-// Undecided displaces Canceled, so the work is kept.
+// results race, the one that outranks the other wins and the first of
+// equal rank stands (Verdict.Outranks): an Error displaces a budget
+// stop because the state that decided was popped and counted, so a
+// resumed run would never reach it again.
 func (x *exploration) halt(res *Result) {
 	x.resMu.Lock()
-	if x.hard == nil || haltRank(res.Verdict) > haltRank(x.hard.Verdict) {
+	if x.hard == nil || res.Verdict.Outranks(x.hard.Verdict) {
 		x.hard = res
 	}
 	x.resMu.Unlock()
 	x.stopAll()
-}
-
-// haltRank orders the results that can end a run for halt.
-func haltRank(v Verdict) int {
-	switch v {
-	case Canceled:
-		return 0
-	case Undecided:
-		return 1
-	case Error:
-		return 2
-	}
-	return 3
 }
 
 // maybeSnapshot takes a periodic checkpoint when the interval has

@@ -32,7 +32,6 @@ package optimize
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -48,7 +47,7 @@ import (
 
 // Step records one attempted relaxation. Accepted does not depend on
 // the order the suite's programs ran in; the Verdict of a candidate
-// that several programs refute names the failure of whichever ran
+// that several programs refute names the violation of whichever ran
 // first, the cheapest as a rule, and may be either.
 type Step struct {
 	Point    string
@@ -77,10 +76,11 @@ type Result struct {
 	// because a cheaper run or a stored verdict had already refuted the
 	// candidate.
 	Deduped, Skipped int
-	// StoreErr is the first failed Cache append (a disk error or a
-	// verdict conflict, errors.Is store.ErrConflict), or nil. It never
-	// taints a verdict, but a run believed to be warming a store on disk
-	// persisted less than it decided.
+	// StoreErr is the first failed Cache append (a disk error), or
+	// nil. It never taints a verdict, but a run believed to be warming
+	// a store on disk persisted less than it decided. A verdict the
+	// Cache contradicts is not a StoreErr: it is an Error outcome, and
+	// the run fails with an error wrapping store.ErrConflict.
 	StoreErr error
 	// Workers is the AMC concurrency the run used (1 = sequential).
 	Workers int
@@ -231,9 +231,11 @@ func (e *engine) fingerprints(specFP graph.Hash128, progs []*vprog.Program) []gr
 }
 
 // verify runs AMC on the client programs of spec; it returns OK only if
-// all verify, otherwise a decisive failure verdict — or Canceled when
-// ctx was canceled first. The suite is one problem.Resolve call with
-// fail-fast: decisive per-program verdicts are memoized in the Cache,
+// all verify, otherwise the verdict of the outcome that decides the
+// suite (problem.Decider: a violation before an Error, an Error before
+// Undecided) — or Canceled and ctx's error when ctx was canceled
+// first; an Error comes with its run's error. The suite is
+// one problem.Resolve call with fail-fast: decisive per-program verdicts are memoized in the Cache,
 // cached failures decide without any AMC run, and programs with equal
 // fingerprints are one problem and share one run. The problems are
 // listed cheapest first — by the states the slot's last finished run
@@ -261,18 +263,12 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 	}
 	outs := problem.Resolve(ctx, e.pool, probs, e.knobs, true)
 
-	// The first failure in run order decides; a cancellation only when
-	// nothing failed (the caller's ctx died: a fail-fast cancel implies
-	// a failure).
-	verdict, failed := core.OK, -1
-	for i, o := range outs {
-		if v := o.Res.Verdict; v != core.OK && v != core.Canceled {
-			verdict, failed = v, i
-			break
-		}
-	}
-	if failed < 0 && slices.ContainsFunc(outs, func(o problem.Outcome) bool { return o.Res.Verdict == core.Canceled }) {
-		verdict = core.Canceled
+	// Decider ranks a cancellation last, so it decides only when nothing
+	// failed: the caller's ctx died, as a fail-fast cancel implies a
+	// failure.
+	verdict, failed := core.OK, problem.Decider(outs)
+	if failed >= 0 {
+		verdict = outs[failed].Res.Verdict
 	}
 
 	if e.o.Cache != nil {
@@ -301,8 +297,11 @@ func (e *engine) verify(ctx context.Context, spec *vprog.BarrierSpec) (core.Verd
 			e.res.StoreErr = o.Err
 		}
 	}
-	if verdict == core.Error {
+	switch verdict {
+	case core.Error:
 		return core.Error, fmt.Errorf("optimizer: checking %s: %w", probs[failed].Name, outs[failed].Res.Err)
+	case core.Canceled:
+		return core.Canceled, ctx.Err()
 	}
 	return verdict, nil
 }
@@ -330,9 +329,6 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if v == core.Canceled {
-		return nil, ctx.Err()
-	}
 	if v != core.OK {
 		return nil, fmt.Errorf("optimizer: initial spec does not verify (%v); fix the algorithm first", v)
 	}
@@ -352,9 +348,6 @@ func (o *Optimizer) RunCtx(ctx context.Context, initial *vprog.BarrierSpec) (*Re
 				e.res.Verifications++
 				if err != nil {
 					return nil, err
-				}
-				if verdict == core.Canceled {
-					return nil, ctx.Err()
 				}
 				accepted := verdict == core.OK
 				e.res.Steps = append(e.res.Steps, Step{

@@ -10,6 +10,7 @@ package problem
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,7 +39,8 @@ type Problem struct {
 // run's own result for the problem that ran; store hits and problems
 // served by an equal-key sibling's run get a synthetic result carrying
 // the verdict (and the sibling's Err). Err reports a failed verdict
-// append or checkpoint write — it never taints Res.
+// append or checkpoint write and never taints Res; a verdict conflict
+// is not one (see decide).
 type Outcome struct {
 	Res       *core.Result
 	FromStore bool
@@ -161,7 +163,7 @@ func Resolve(ctx context.Context, pool *Pool, probs []Problem, k Knobs, failFast
 			decide(ctx, rep, &k, o)
 			// Cancel before the slot is free again, or the next run in
 			// line could start what the failure has already doomed.
-			if failFast && o.Res.Verdict != core.OK && o.Res.Verdict != core.Canceled {
+			if failFast && o.Res.Verdict.Outranks(core.Canceled) {
 				cancel()
 			}
 			pool.release(slot, time.Since(t0), o.Res)
@@ -177,13 +179,28 @@ func Resolve(ctx context.Context, pool *Pool, probs []Problem, k Knobs, failFast
 	return out
 }
 
+// Decider returns the index of the outcome that decides a suite: the
+// one whose verdict outranks the others' (core.Verdict.Outranks), the
+// lowest index among equals, or -1 when every problem verified.
+func Decider(outs []Outcome) int {
+	d, worst := -1, core.OK
+	for i, o := range outs {
+		if v := o.Res.Verdict; v.Outranks(worst) {
+			d, worst = i, v
+		}
+	}
+	return d
+}
+
 // decide resolves one problem on its slot. It re-checks the store
 // right before spending AMC work — with two live suites on one store
 // the other process may have decided the problem while it queued (the
 // Refresh is an incremental tail re-scan, cheap when nothing changed)
 // — and otherwise runs it and persists the verdict the moment the run
 // ends: an interrupted call keeps everything it decided so far,
-// including what finished before a fail-fast cancellation.
+// including what finished before a fail-fast cancellation. A verdict
+// the store contradicts means the keying broke, so neither can be
+// trusted: Res becomes an Error carrying the conflict, with no witness.
 func decide(ctx context.Context, p *Problem, k *Knobs, o *Outcome) {
 	st := k.Store
 	if st != nil {
@@ -200,6 +217,10 @@ func decide(ctx context.Context, p *Problem, k *Knobs, o *Outcome) {
 	o.Res = c.RunCtx(ctx, p.Prog)
 	if st != nil {
 		o.Err = st.Put(p.Key, o.Res.Verdict, p.Model.Name()+"/"+p.Name)
+		if errors.Is(o.Err, store.ErrConflict) {
+			o.Res = &core.Result{Verdict: core.Error, Err: o.Err, Duration: o.Res.Duration}
+			o.Err = nil
+		}
 	}
 	if err := finishCheckpoint(path, o.Res); o.Err == nil {
 		o.Err = err
@@ -251,7 +272,7 @@ func finishCheckpoint(path string, r *core.Result) error {
 		r.Checkpoint.Epoch = store.CodeEpoch()
 		return core.WriteCheckpointFile(path, r.Checkpoint)
 	}
-	if r.Verdict == core.OK || r.Verdict == core.SafetyViolation || r.Verdict == core.ATViolation {
+	if r.Verdict.Decisive() {
 		os.Remove(path)
 	}
 	return nil

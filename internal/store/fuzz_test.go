@@ -70,7 +70,7 @@ func checkLoad(t *testing.T, data []byte) {
 	}
 	// Served verdicts must all be decisive, whatever the input was.
 	for pos := range s.tab.all() {
-		if v := core.Verdict(s.img[pos+idSize]); !decisive(v) {
+		if v := core.Verdict(s.img[pos+idSize]); !v.Decisive() {
 			t.Fatalf("indexed non-decisive verdict %d for %x", v, s.img[pos:pos+idSize])
 		}
 	}

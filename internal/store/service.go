@@ -82,7 +82,7 @@ func NewHandler(s *Session) *Handler {
 		for _, rec := range batch {
 			epoch, err1 := parseHashHex(rec.Epoch)
 			key, err2 := parseHashHex(rec.Key)
-			if err1 != nil || err2 != nil || !decisive(core.Verdict(rec.Verdict)) {
+			if err1 != nil || err2 != nil || !core.Verdict(rec.Verdict).Decisive() {
 				rejected++
 				continue
 			}

@@ -105,8 +105,8 @@
 // a warm store) up to a byte budget; beyond it the oldest are
 // compacted away, so the log stays bounded however many code commits
 // the CI cache survives. Only decisive verdicts (OK, SafetyViolation,
-// ATViolation) are stored; Error and Canceled carry no reusable
-// information.
+// ATViolation: core.Verdict.Decisive) are stored; Error, Canceled and
+// Undecided carry no reusable information.
 //
 // # The remote tier
 //
@@ -723,7 +723,7 @@ func (s *Session) Refresh() (int, error) {
 // cannot produce.
 func decodable(p []byte) bool {
 	return len(p) >= payloadFixed && p[0] == recordVersion &&
-		decisive(core.Verdict(p[idOff+idSize])) &&
+		core.Verdict(p[idOff+idSize]).Decisive() &&
 		payloadFixed+int(binary.LittleEndian.Uint16(p[idOff+idSize+1:])) == len(p)
 }
 
@@ -760,12 +760,6 @@ func encodeRecord(epoch, key graph.Hash128, v core.Verdict, name string) []byte 
 	binary.LittleEndian.PutUint16(p[34:], uint16(len(name)))
 	copy(p[payloadFixed:], name)
 	return frame.Append(p[plen:], recordMagic, p)
-}
-
-// decisive reports whether v carries reusable information worth
-// persisting; Error and Canceled do not.
-func decisive(v core.Verdict) bool {
-	return v == core.OK || v == core.SafetyViolation || v == core.ATViolation
 }
 
 // Lookup returns the stored verdict for k, counting the probe. The
@@ -836,7 +830,7 @@ var ErrConflict = errors.New("verdict conflict")
 
 // Put records a decisive verdict for k, appending one log record; the
 // name travels along for human-readable log inspection only. Indecisive
-// verdicts (Error, Canceled) are dropped silently — they carry no
+// verdicts (Error, Canceled, Undecided) are dropped silently — they carry no
 // reusable information. Re-putting an already-stored verdict is a
 // no-op (including one another process appended concurrently: the
 // pre-append tail re-scan catches it); putting a *different* decisive
@@ -845,7 +839,7 @@ var ErrConflict = errors.New("verdict conflict")
 // collision or a nondeterministic checker) and trusting either verdict
 // would be unsound.
 func (s *Session) Put(k Key, v core.Verdict, name string) error {
-	if !decisive(v) {
+	if !v.Decisive() {
 		return nil
 	}
 	id := recordID{currentEpoch(), k.Hash()}
@@ -863,7 +857,7 @@ func (s *Session) Put(k Key, v core.Verdict, name string) error {
 // stamped with the *client's* epoch verbatim. It never pushes to a
 // remote tier (the service is the remote tier).
 func (s *Session) PutRaw(epoch, key graph.Hash128, v core.Verdict, name string) error {
-	if !decisive(v) {
+	if !v.Decisive() {
 		return nil
 	}
 	s.mu.Lock()

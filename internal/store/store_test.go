@@ -684,7 +684,7 @@ func decodePayload(p []byte) (epoch, key graph.Hash128, v core.Verdict, name str
 	key[0] = binary.LittleEndian.Uint64(p[17:])
 	key[1] = binary.LittleEndian.Uint64(p[25:])
 	v = core.Verdict(p[33])
-	if !decisive(v) {
+	if !v.Decisive() {
 		return epoch, key, 0, "", false
 	}
 	nameLen := int(binary.LittleEndian.Uint16(p[34:]))

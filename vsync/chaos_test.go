@@ -15,9 +15,9 @@ import (
 
 // chaosConfig is the corpus the crash harness sweeps: one real lock
 // across the 2..3 thread ladder plus the full litmus corpus, under
-// every model — enough AMC work (tens of thousands of states on the
-// t=3 cells) that a kill lands mid-exploration, wide enough that the
-// store and checkpoint machinery both matter.
+// every model — wide enough that the store and checkpoint machinery
+// both matter. A pass is short (tens of milliseconds), so
+// TestChaosKillResume times its kills against an undisturbed pass.
 func chaosConfig(st *vsync.VerdictStore, ckptDir string) vsync.MatrixConfig {
 	return vsync.MatrixConfig{
 		Locks:              []*vsync.Algorithm{locks.ByName("mcs")},
@@ -52,11 +52,14 @@ func TestChaosSuiteHelper(t *testing.T) {
 // TestChaosKillResume is the crash-safety acceptance test: a cold
 // suite run in a subprocess is kill -9'd at random points — mid
 // store append, mid checkpoint write, wherever the clock lands — and
-// restarted, until one pass completes cleanly. The surviving state
-// must then be exactly what an uninterrupted run produces: identical
-// per-cell verdicts, zero verdict conflicts in the store, and no cell
-// left undecided. Random kill times are logged with their seed so a
-// failing schedule can be replayed.
+// restarted, until one pass completes cleanly. The kill delays are
+// drawn inside the wall time of one undisturbed pass, timed first, and
+// the test fails unless at least one kill landed before the pass that
+// converged. The surviving state must then be exactly what an
+// uninterrupted run produces: identical per-cell verdicts, zero
+// verdict conflicts in the store, and no cell left undecided. Random
+// kill times are logged with their seed so a failing schedule can be
+// replayed.
 func TestChaosKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness spawns and kills subprocesses; skipped in -short")
@@ -77,36 +80,46 @@ func TestChaosKillResume(t *testing.T) {
 	want := verdictMap(t, baseline)
 
 	dir := t.TempDir()
-	storePath := filepath.Join(dir, "verdicts.log")
-	ckptDir := filepath.Join(dir, "ckpt")
-	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	seed := time.Now().UnixNano()
-	rng := rand.New(rand.NewSource(seed))
-	t.Logf("chaos seed %d", seed)
-
-	helper := func() *exec.Cmd {
+	// helper is one suite pass in a subprocess over the store and
+	// checkpoint directory under sub, made on first use.
+	helper := func(sub string) *exec.Cmd {
+		if err := os.MkdirAll(filepath.Join(dir, sub, "ckpt"), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		cmd := exec.Command(os.Args[0], "-test.run=TestChaosSuiteHelper$")
 		cmd.Env = append(os.Environ(),
 			"VSYNC_CHAOS=1",
-			"VSYNC_CHAOS_STORE="+storePath,
-			"VSYNC_CHAOS_CKPT="+ckptDir,
+			"VSYNC_CHAOS_STORE="+filepath.Join(dir, sub, "verdicts.log"),
+			"VSYNC_CHAOS_CKPT="+filepath.Join(dir, sub, "ckpt"),
 		)
 		return cmd
 	}
+	storePath, ckptDir := filepath.Join(dir, "chaos", "verdicts.log"), filepath.Join(dir, "chaos", "ckpt")
+
+	// A cold pass, process start included, takes tens of milliseconds:
+	// a kill drawn from a fixed range can come after it ends. Time one
+	// undisturbed pass in a directory of its own and draw every delay
+	// between an eighth and a half of it, so the first pass is killed.
+	t0 := time.Now()
+	if out, err := helper("timing").CombinedOutput(); err != nil {
+		t.Fatalf("undisturbed pass failed:\n%s\n%v", out, err)
+	}
+	pass := time.Since(t0)
+
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	t.Logf("chaos seed %d; an undisturbed pass takes %v", seed, pass)
 
 	const maxKills = 15
 	kills, completed := 0, false
 	for kills < maxKills && !completed {
-		cmd := helper()
+		cmd := helper("chaos")
 		var out strings.Builder
 		cmd.Stdout, cmd.Stderr = &out, &out
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		delay := time.Duration(20+rng.Intn(780)) * time.Millisecond
+		delay := pass/8 + time.Duration(rng.Int63n(int64(pass*3/8)+1))
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
 		select {
@@ -131,12 +144,15 @@ func TestChaosKillResume(t *testing.T) {
 	}
 	if !completed {
 		// Every pass got killed; run one undisturbed to convergence.
-		cmd := helper()
+		cmd := helper("chaos")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("final pass after %d kills failed:\n%s\n%v", kills, out, err)
 		}
 	}
 	t.Logf("suite converged after %d kill(s)", kills)
+	if kills == 0 {
+		t.Fatalf("no kill landed: the first pass outran a delay drawn inside an undisturbed pass of %v", pass)
+	}
 
 	// The surviving store must agree with the uninterrupted baseline on
 	// every cell, with zero conflicts (no half-written record was ever

@@ -150,39 +150,38 @@ type MatrixCell struct {
 	Err error
 }
 
-// Failed reports whether the cell is a genuine suite failure: a lock
-// cell that did not verify, or an engine error anywhere. Litmus cells
-// report observability, so their decisive verdicts never fail. An
-// Undecided cell is neither: its run hit a budget and checkpointed;
-// the next suite pass resumes it.
+// Failed reports whether the cell is a genuine suite failure: a
+// violation in a lock or structure cell, or an engine error anywhere.
+// Litmus cells report observability, so their violations never fail.
+// An Undecided or Canceled cell is neither: its run hit a budget or was
+// interrupted before an answer, and the next suite pass decides it
+// (resuming its checkpoint, with CheckpointDir).
 func (c *MatrixCell) Failed() bool {
-	if c.Verdict == core.Error || c.Verdict == Canceled {
-		return true
-	}
-	return !c.Litmus && c.Verdict != OK && c.Verdict != core.Undecided
+	return c.Verdict == core.Error || !c.Litmus && c.Verdict.Violation()
 }
 
 // MatrixResult aggregates one suite run.
 type MatrixResult struct {
 	Cells []MatrixCell
 	// Hits counts cells served by the store (AMC runs skipped); Misses
-	// counts AMC runs actually performed; Deduped counts cells served by
-	// an identical-key cell's run in this same pass (so
-	// Hits + Misses + Deduped == len(Cells)); Stored counts the records
-	// the store actually appended.
+	// counts AMC runs actually started; Deduped counts cells served by
+	// an identical-key cell's run in this same pass; Stored counts the
+	// records the store actually appended. A cell an interrupt kept
+	// from starting is none of the three, so Hits + Misses + Deduped ==
+	// len(Cells) unless the pass was interrupted.
 	Hits, Misses, Deduped, Stored int
-	// StoreErr is the first failed store append (disk full, I/O error),
-	// or nil. An append failure does not taint the cell — its AMC
-	// verdict is sound — but the run is not warming the store the way
-	// the caller believes, so the next run will silently redo the work
-	// unless someone warns. (A verdict *conflict* is different: it
-	// means the keying broke, and the affected cells are reported as
-	// engine errors instead.)
+	// StoreErr is the first failed store append (disk full, I/O error)
+	// or checkpoint write, or nil. Such a failure does not taint the
+	// cell — its AMC verdict is sound — but the run is not warming the
+	// store the way the caller believes, so the next run will silently
+	// redo the work unless someone warns. (A verdict *conflict* is
+	// different: it means the keying broke, and the cell is an engine
+	// error whose Err names the conflict.)
 	StoreErr error
-	// Failures counts lock cells with decisive non-OK verdicts; Errors
-	// counts engine errors (including canceled runs); Undecided counts
-	// cells whose run hit the Budget and checkpointed — unfinished, not
-	// failed; a follow-up run resumes them.
+	// Failures counts violations outside litmus cells; Errors counts
+	// engine errors (verdict conflicts included); Undecided counts cells
+	// a Budget or an interrupt left without an answer, started or not —
+	// unfinished, not failed: a follow-up run decides them.
 	Failures, Errors, Undecided int
 	// Duration is the suite wall time, including store I/O.
 	Duration time.Duration
@@ -196,7 +195,8 @@ func (r *MatrixResult) HitRate() float64 {
 	return float64(r.Hits) / float64(len(r.Cells))
 }
 
-// Ok reports whether every lock cell verified and no cell errored.
+// Ok reports whether no cell failed (MatrixCell.Failed); undecided
+// cells are not failures.
 func (r *MatrixResult) Ok() bool { return r.Failures == 0 && r.Errors == 0 }
 
 // Summary renders the one-paragraph accounting: corpus size, store
@@ -209,7 +209,7 @@ func (r *MatrixResult) Summary() string {
 	}
 	fmt.Fprintf(&b, ", %d verdicts stored (%.1f%% hit rate, %d AMC runs skipped)\n", r.Stored, 100*r.HitRate(), r.Hits)
 	if r.Undecided > 0 {
-		fmt.Fprintf(&b, "suite: %d cells undecided (budget hit, checkpointed — rerun to resume)\n", r.Undecided)
+		fmt.Fprintf(&b, "suite: %d cells undecided (budget hit or interrupted — rerun to decide them)\n", r.Undecided)
 	}
 	if r.Failures > 0 || r.Errors > 0 {
 		fmt.Fprintf(&b, "suite: %d FAILED cells, %d engine errors\n", r.Failures, r.Errors)
@@ -233,13 +233,7 @@ func (r *MatrixResult) Report() string {
 			verdict = c.Verdict.LitmusLabel()
 		case c.Verdict == core.Error:
 			verdict = "ERROR"
-		case c.Verdict == Canceled:
-			verdict = "canceled"
-		case c.Verdict == core.Undecided:
-			verdict = "undecided"
-		case c.Verdict == OK:
-			verdict = "ok"
-		default:
+		case c.Failed():
 			verdict = "FAILED: " + verdict
 		}
 		source := "amc"
@@ -372,30 +366,26 @@ func VerifyMatrixCtx(ctx context.Context, cfg MatrixConfig) *MatrixResult {
 		c := &cells[i]
 		c.Verdict, c.Err, c.Duration = o.Res.Verdict, o.Res.Err, o.Res.Duration
 		c.FromStore, c.Deduped = o.FromStore, o.Deduped
-		switch {
-		case errors.Is(o.Err, store.ErrConflict):
-			// A conflict means the keying broke; surface it as a cell
-			// error rather than silently trusting either side.
-			c.Verdict, c.Err = core.Error, o.Err
-		case o.Err != nil && res.StoreErr == nil:
-			// A plain append failure, or a lost checkpoint, is NOT a cell
-			// error — the verdict is sound, it just was not persisted.
+		if o.Err != nil && res.StoreErr == nil {
 			res.StoreErr = o.Err
 		}
 		switch {
 		case c.FromStore:
 			res.Hits++
+		case errors.Is(c.Err, problem.ErrNotStarted):
+			// Interrupted in the queue: neither served nor run.
 		case c.Deduped:
 			res.Deduped++
 		default:
 			res.Misses++
 		}
-		if c.Verdict == core.Error || c.Verdict == Canceled {
+		switch {
+		case c.Verdict == core.Error:
 			res.Errors++
-		} else if c.Verdict == core.Undecided {
-			res.Undecided++
-		} else if !c.Litmus && c.Verdict != OK {
+		case c.Failed():
 			res.Failures++
+		case !c.Verdict.Decisive():
+			res.Undecided++
 		}
 	}
 	res.Duration = time.Since(start)

@@ -2,6 +2,7 @@ package vsync_test
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -196,6 +197,19 @@ func TestMatrixStoreAppendFailure(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("cell %s: verdict %v with failing store, %v without", k, got[k], v)
 		}
+	}
+}
+
+// TestMatrixInterruptedIsUndecided: a suite interrupted before any
+// cell started leaves every cell undecided — not an engine error, and
+// not an AMC run, since none started — so the tools exit undecided.
+func TestMatrixInterruptedIsUndecided(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := vsync.VerifyMatrixCtx(ctx, matrixConfig(nil))
+	if len(res.Cells) == 0 || res.Errors != 0 || res.Failures != 0 || res.Misses != 0 || res.Undecided != len(res.Cells) {
+		t.Fatalf("interrupted suite of %d cells: %d errors, %d failures, %d AMC runs, %d undecided; want every cell undecided and nothing else",
+			len(res.Cells), res.Errors, res.Failures, res.Misses, res.Undecided)
 	}
 }
 

@@ -71,19 +71,23 @@ type RunOptions struct {
 type Budget = core.Budget
 
 // Checkpoint is the resumable remainder of an interrupted exploration:
-// the unexplored frontier, the visited-set keys, cumulative counters,
-// and the best violation found so far. An Undecided Result carries
-// one; RunOptions.CheckpointDir is where runs persist theirs (atomic
-// write, CRC-framed records, torn files refused entirely) and the one
-// way to resume: a run finds its problem's file there by key. A file
-// from another code epoch is ignored and overwritten by the fresh run.
+// the unexplored frontier, the visited-set keys and the cumulative
+// counters. It holds no violation: a violation ends the run. An
+// Undecided Result carries one; RunOptions.CheckpointDir is where runs
+// persist theirs (atomic write, CRC-framed records, torn files refused
+// entirely) and the one way to resume: a run finds its problem's file
+// there by key. A file from another code epoch is ignored and
+// overwritten by the fresh run.
 type Checkpoint = core.Checkpoint
 
 // RunResult is the outcome of one Run call.
 type RunResult struct {
-	// Result reduces the run: the lowest-indexed decisive failure, or
-	// an OK result aggregating every program's statistics (and the
-	// slowest run's wall time) when all verify.
+	// Result reduces the run: the result of the program whose verdict
+	// decides the call — a violation before an Error, an Error before
+	// Undecided, Undecided before Canceled, the lowest index among
+	// equals (Verdict.Outranks) — or an OK result aggregating every
+	// program's statistics (and the slowest run's wall time) when all
+	// verify.
 	Result *Result
 	// Failed is the index of the program Result refers to, -1 when
 	// every program verified.
@@ -98,10 +102,12 @@ type RunResult struct {
 	FromStore []bool
 	// StoreHits counts programs served by the store.
 	StoreHits int
-	// StoreErr is the first failed store append, or nil. Append
-	// failures never taint a verdict — the run is sound, it just is
-	// not warming the store (a conflict error, errors.Is ErrConflict,
-	// additionally means the keying broke; see VerdictStore.Put).
+	// StoreErr is the first failed store append or checkpoint write,
+	// or nil. Such a failure never taints a verdict — the run is sound,
+	// it just is not warming the store. A verdict the store contradicts
+	// is not a StoreErr: it means the keying broke (see
+	// VerdictStore.Put), so that program's result is an Error whose Err
+	// names the conflict.
 	StoreErr error
 }
 
@@ -179,17 +185,8 @@ func RunCtx(ctx context.Context, model Model, programs []*Program, opts RunOptio
 		}
 	}
 
-	// Reduce: the lowest-indexed decisive failure wins; then an
-	// undecided run (its result carries the checkpoint to resume from);
-	// then a cancellation; else aggregate OK.
-	rank := map[Verdict]int{Canceled: 1, Undecided: 2, SafetyViolation: 3, ATViolation: 3, core.Error: 3}
-	worst := 0
-	for i, r := range rr.Results {
-		if k := rank[r.Verdict]; k > worst {
-			worst, rr.Result, rr.Failed = k, r, i
-		}
-	}
-	if rr.Failed >= 0 {
+	if rr.Failed = problem.Decider(outs); rr.Failed >= 0 {
+		rr.Result = rr.Results[rr.Failed]
 		return rr
 	}
 	agg := &Result{Verdict: core.OK}

@@ -1,12 +1,15 @@
 package vsync_test
 
 import (
+	"errors"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/locks"
+	"repro/internal/store"
 	"repro/internal/vprog"
 	"repro/internal/workload"
 	"repro/vsync"
@@ -197,6 +200,45 @@ func TestRunSharedKey(t *testing.T) {
 	}
 	if st.Len() != 1 || st.Stats().Appended != 1 {
 		t.Errorf("store gained %d records (%d appends), want 1", st.Len(), st.Stats().Appended)
+	}
+}
+
+// TestRunConflictIsError: a verdict the store contradicts decides Run
+// as an Error carrying the conflict, not as the run's own verdict with
+// a warning: a peer session on the same log stores the opposite verdict
+// while the program runs, and the run's append meets it.
+func TestRunConflictIsError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.log")
+	st, err := vsync.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	peer, err := vsync.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	good := goodProgram(t)
+	var armed atomic.Bool
+	var key vsync.StoreKey
+	p := &vsync.Program{Name: good.Name, SymGroups: good.SymGroups,
+		Build: func(env vprog.Env) ([]vprog.ThreadFunc, vprog.FinalCheck) {
+			if armed.CompareAndSwap(true, false) {
+				if err := peer.Put(key, vsync.SafetyViolation, "peer"); err != nil {
+					t.Errorf("peer Put: %v", err)
+				}
+			}
+			return good.Build(env)
+		}}
+	key = vsync.ProblemKey(vsync.ModelWMM, nil, p)
+	armed.Store(true)
+	rr := vsync.Run(vsync.ModelWMM, []*vsync.Program{p}, vsync.RunOptions{
+		Parallelism: 1, WorkersPerRun: 1, Store: st, StoreKeys: []vsync.StoreKey{key}})
+	if rr.Failed != 0 || rr.Result.Verdict != core.Error || !errors.Is(rr.Result.Err, store.ErrConflict) || rr.StoreErr != nil {
+		t.Fatalf("conflicting run: failed %d, %v (%v), StoreErr %v; want an Error carrying the conflict and no StoreErr",
+			rr.Failed, rr.Result.Verdict, rr.Result.Err, rr.StoreErr)
 	}
 }
 
